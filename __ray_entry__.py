@@ -33,173 +33,64 @@ def queries() -> dict[str, Callable[[str], Any]]:
         reports,
         similarity,
         text_analysis,
-        windows,
     )
 
-    # NOTE on ordering: the driver's CORRECTNESS check covers only the
-    # FIRST 50 entries (dict order).  Exactly ONE literal entry per query
-    # (tests/test_operators.py::test_queries_dict_has_no_duplicate_keys
-    # asserts it via AST).  Round-5 fourth-session window layout:
-    #   slots 1-2   mix_rebalance / source_quota_sample (new in round 5),
-    #   slots 3-5   the three queries that had never had ANY driver row
-    #               (rows-only by nature — kmeans_fit, decode_bmp,
-    #               corpus_training_manifest),
-    #   slots 7-18  the TWELVE third-session operators (first driver rows),
-    #   slots 19-30 the TWELVE fourth-session operators (first driver
-    #               rows; each oracle-green at sf0.001 AND sf0.01 locally),
-    #   remainder   re-confirmation filler, oldest driver-green first.
-    # Displace filler from the END when adding oracle-backed queries,
-    # never from the front.  Everything past 50 has a hash-green driver
-    # row from an earlier round (or a rows-only row for the stateful set).
+    # The driver's CORRECTNESS check covers only the FIRST 50 entries
+    # (dict order), so every one of them is oracle-backed except the three
+    # rows-only entries that have never had a driver row.  Exactly ONE
+    # literal entry per query (tests/test_operators.py asserts both).
     return {
-        # --- round-5 NEW oracle-backed operators --------------------------
-        "mix_rebalance": text_analysis.mix_rebalance,
-        "source_quota_sample": text_analysis.source_quota_sample,
-        # --- never had a driver row (rows-only by nature) ------------------
-        "kmeans_fit": similarity.kmeans_fit,
-        "decode_bmp": multimodal.decode_bmp,
-        "corpus_training_manifest": reports.corpus_training_manifest,
-        # --- round-5 seventh-sitting operator, first driver row -----------
-        "qty_return_stump": relational.qty_return_stump,
-        # --- round-5 third-session operators, first driver rows -----------
-        "weighted_median_chars": text_analysis.weighted_median_chars,
-        "percentile_rank_chars": text_analysis.percentile_rank_chars,
-        "longest_value_run": windows.longest_value_run,
-        "purchase_attribution": windows.purchase_attribution,
-        "ship_lag_hist": relational.ship_lag_hist,
-        "spearman_length_tokens": text_analysis.spearman_length_tokens,
-        "events_numeric_profile": relational.events_numeric_profile,
-        "source_token_quota": text_analysis.source_token_quota,
-        "label_quant_gram": similarity.label_quant_gram,
-        "vocab_growth": text_analysis.vocab_growth,
-        "median_order_gap_days": windows.median_order_gap_days,
-        "referential_integrity": relational.referential_integrity,
-        # --- round-5 fourth-session operators, first driver rows ----------
-        "order_audit": windows.order_audit,
-        "source_token_divergence": text_analysis.source_token_divergence,
-        "ngram_novelty": text_analysis.ngram_novelty,
-        "dup_rate_by_source": dedup.dup_rate_by_source,
-        "open_orders_daily": relational.open_orders_daily,
-        "rfm_census": relational.rfm_census,
-        "tax_band_revenue": relational.tax_band_revenue,
-        "source_simpson_diversity": text_analysis.source_simpson_diversity,
-        "line_position_profile": relational.line_position_profile,
-        "acctbal_band_census": relational.acctbal_band_census,
-        "part_type_price_stats": relational.part_type_price_stats,
-        "price_quantiles_exact": relational.price_quantiles_exact,
-        # --- round-5 fifth-session operators, first driver rows -----------
-        "sole_return_blame": relational.sole_return_blame,
-        "supplier_concentration": relational.supplier_concentration,
-        "revenue_changepoint": windows.revenue_changepoint,
-        "qty_return_twosample": relational.qty_return_twosample,
-        "qty_permutation_test": relational.qty_permutation_test,
-        "purchase_error_leadlag": windows.purchase_error_leadlag,
-        "session_path_census": windows.session_path_census,
-        "copurchase_hub_distances": relational.copurchase_hub_distances,
-        "embedding_top_eigval": similarity.embedding_top_eigval,
-        "part_cloud_diameter": relational.part_cloud_diameter,
-        "price_tick_gcd": relational.price_tick_gcd,
-        "revenue_best_run": windows.revenue_best_run,
-        "user_activity_f2": relational.user_activity_f2,
-        "qty_gini_mean_diff": relational.qty_gini_mean_diff,
-        "copurchase_mutual_best": relational.copurchase_mutual_best,
-        # --- round-5 seventh-sitting operators, first driver rows ---------
-        "weekly_revenue_lis": windows.weekly_revenue_lis,
-        "weekly_ewma_surprise": windows.weekly_ewma_surprise,
-        "huffman_cost_top64": text_analysis.huffman_cost_top64,
-        "bulk_brand_cover": relational.bulk_brand_cover,
-        "brand_graph_kcore": relational.brand_graph_kcore,
-        # ======== past the 50-query window (all have driver rows) ========
-        # reconfirmation filler displaced by the seventh-sitting rotation --
-        "error_events_pushdown": relational.error_events_pushdown,
-        "shipping_priority": relational.shipping_priority,
-        "session_windows": windows.session_windows,
-        "gopher_quality": text_analysis.gopher_quality,
-        "token_counts": text_analysis.token_counts,
-        "langid_heuristic": text_analysis.langid_heuristic,
-        # displaced by the fifth-session rotation ---------------------------
-        "payload_stats": multimodal.payload_stats,
-        "event_type_pivot": relational.event_type_pivot,
-        "distinct_users_per_type": relational.distinct_users_per_type,
-        "events_union": relational.events_union,
-        "top_orders_per_segment": relational.top_orders_per_segment,
-        "customers_no_big_order": relational.customers_no_big_order,
-        "late_order_priority": relational.late_order_priority,
-        "qty_discount_corr": relational.qty_discount_corr,
-        "cust_order_histogram": relational.cust_order_histogram,
-        "shared_ngram_docs": text_analysis.shared_ngram_docs,
-        "inverted_index_stats": text_analysis.inverted_index_stats,
-        "tfidf_top_terms": text_analysis.tfidf_top_terms,
-        "big_order_customers": relational.big_order_customers,
-        "funnel_conversion": windows.funnel_conversion,
-        "cohort_retention": windows.cohort_retention,
-        # multi-green reconfirmations displaced by the fourth-session
-        # rotation (first driver rows for new ops > another green row) ----
-        "ntile_order_tiers": relational.ntile_order_tiers,
-        "doc_stats_by_lang": text_analysis.doc_stats_by_lang,
-        "user_session_stats": windows.user_session_stats,
-        "small_qty_revenue": relational.small_qty_revenue,
-        "top_supplier_revenue": relational.top_supplier_revenue,
-        "idle_customer_balance": relational.idle_customer_balance,
-        "orders_week_over_week": relational.orders_week_over_week,
-        "priority_ship_share": relational.priority_ship_share,
-        "char_class_profile": text_analysis.char_class_profile,
-        "returned_item_revenue": relational.returned_item_revenue,
-        "stopword_stats": text_analysis.stopword_stats,
-        "similar_pairs_topk": dedup.similar_pairs_topk,
-        # r3-green reconfirmations displaced by the third-session rotation --
-        "segment_order_stats": relational.segment_order_stats,
-        "order_price_tiers": relational.order_price_tiers,
-        "tumbling_hour_counts": windows.tumbling_hour_counts,
-        "asof_last_login": windows.asof_last_login,
-        "hopping_counts": windows.hopping_counts,
-        "median_value_per_type": windows.median_value_per_type,
-        "daily_hopping_counts": windows.daily_hopping_counts,
-        "promo_window_revenue": windows.promo_window_revenue,
-        "domain_mix_weights": text_analysis.domain_mix_weights,
-        "local_supplier_volume": relational.local_supplier_volume,
-        "promo_part_revenue": relational.promo_part_revenue,
-        "rolling_user_sum": windows.rolling_user_sum,
-        # remaining double-green reconfirmation filler ----------------------
-        "label_centroids": similarity.label_centroids,
+        # --- SURVEY-mapped job-table queries (A1-A4, O1-O4, J3) ------------
         "status_counts": relational.status_counts,
         "event_type_by_bucket": relational.event_type_by_bucket,
         "recent_window_count": relational.recent_window_count,
         "top50_recent": relational.top50_recent,
         "events_filtered_sorted": relational.events_filtered_sorted,
-        "revenue_rollup": relational.revenue_rollup,
-        "props_stats": relational.props_stats,
-        # round-4 driver-green (hash), freshly rotated out ------------------
-        "nation_trade_volume": relational.nation_trade_volume,
-        "market_share": relational.market_share,
-        "brand_qty_revenue": relational.brand_qty_revenue,
+        "revenue_by_nation": relational.revenue_by_nation,
+        # --- rows-only by nature, never driver-checked ----------------------
+        "kmeans_fit": similarity.kmeans_fit,
+        "decode_bmp": multimodal.decode_bmp,
+        "corpus_training_manifest": reports.corpus_training_manifest,
+        # --- oracle-backed training-data operators -------------------------
+        "mix_rebalance": text_analysis.mix_rebalance,
+        "source_quota_sample": text_analysis.source_quota_sample,
+        "weighted_median_chars": text_analysis.weighted_median_chars,
+        "percentile_rank_chars": text_analysis.percentile_rank_chars,
+        "spearman_length_tokens": text_analysis.spearman_length_tokens,
+        "source_token_quota": text_analysis.source_token_quota,
+        "label_quant_gram": similarity.label_quant_gram,
+        "vocab_growth": text_analysis.vocab_growth,
+        "source_token_divergence": text_analysis.source_token_divergence,
+        "ngram_novelty": text_analysis.ngram_novelty,
+        "dup_rate_by_source": dedup.dup_rate_by_source,
+        "source_simpson_diversity": text_analysis.source_simpson_diversity,
+        "embedding_top_eigval": similarity.embedding_top_eigval,
+        "huffman_cost_top64": text_analysis.huffman_cost_top64,
+        "gopher_quality": text_analysis.gopher_quality,
+        "token_counts": text_analysis.token_counts,
+        "langid_heuristic": text_analysis.langid_heuristic,
+        "payload_stats": multimodal.payload_stats,
+        "shared_ngram_docs": text_analysis.shared_ngram_docs,
+        "inverted_index_stats": text_analysis.inverted_index_stats,
+        "tfidf_top_terms": text_analysis.tfidf_top_terms,
+        "doc_stats_by_lang": text_analysis.doc_stats_by_lang,
+        "char_class_profile": text_analysis.char_class_profile,
+        "stopword_stats": text_analysis.stopword_stats,
+        "similar_pairs_topk": dedup.similar_pairs_topk,
+        "domain_mix_weights": text_analysis.domain_mix_weights,
+        "label_centroids": similarity.label_centroids,
         "dup_token_stats": text_analysis.dup_token_stats,
-        "supplier_return_rate": relational.supplier_return_rate,
-        "user_value_lag": windows.user_value_lag,
         "chars_percentiles": text_analysis.chars_percentiles,
         "embedding_quant_stats": similarity.embedding_quant_stats,
-        "orders_running_total": windows.orders_running_total,
         "vocab_stats": text_analysis.vocab_stats,
-        "events_dow_hour": windows.events_dow_hour,
-        "copurchase_pairs": relational.copurchase_pairs,
         "vocab_overlap": text_analysis.vocab_overlap,
-        "event_transitions": windows.event_transitions,
-        "segment_price_rank": relational.segment_price_rank,
-        "first_order_profile": windows.first_order_profile,
-        "forecast_revenue_change": relational.forecast_revenue_change,
-        "daily_active_users": windows.daily_active_users,
-        "order_skyline": relational.order_skyline,
         "lang_source_agg": text_analysis.lang_source_agg,
-        "retained_users": windows.retained_users,
-        "event_type_unpivot": relational.event_type_unpivot,
         "translate_documents": reports.translate_documents,
         "dedup_exact": dedup.dedup_exact,
         "quality_score": text_analysis.quality_score,
         "fingerprint": text_analysis.fingerprint,
         "scrub_documents": text_analysis.scrub_documents,
         "ann_topk": similarity.ann_topk,
-        "pricing_summary": relational.pricing_summary,
-        "revenue_by_nation": relational.revenue_by_nation,
         "token_counts_bpe": text_analysis.token_counts_bpe,
         "lang_distribution": text_analysis.lang_distribution,
         "top_tokens": text_analysis.top_tokens,
@@ -214,19 +105,39 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pack_sequences": text_analysis.pack_sequences,
         "mix_downsample": text_analysis.mix_downsample,
         "shuffle_order": text_analysis.shuffle_order,
-        "bloom_semi_join_exact": relational.bloom_semi_join_exact,
         "length_rank_tiers": text_analysis.length_rank_tiers,
         "training_manifest": text_analysis.training_manifest,
-        "asof_next_purchase": windows.asof_next_purchase,
-        "rolling_24h_user_sum": windows.rolling_24h_user_sum,
-        "first_seen_daily": windows.first_seen_daily,
-        # rows-only by design (stateful / approximate / stubbed) ------------
+        "weighted_sample": text_analysis.weighted_sample,
+        "length_trim_by_lang": text_analysis.length_trim_by_lang,
+        "span_dedup": dedup.span_dedup,
+        "typo_pairs": dedup.typo_pairs,
+        "zscore_by_lang": text_analysis.zscore_by_lang,
+        "sentence_stats": text_analysis.sentence_stats,
+        "length_token_contingency": text_analysis.length_token_contingency,
+        "sources_per_lang": text_analysis.sources_per_lang,
+        "length_gini_by_source": text_analysis.length_gini_by_source,
+        "dup_cluster_hist": dedup.dup_cluster_hist,
+        "hapax_by_source": text_analysis.hapax_by_source,
+        "small_group_census": text_analysis.small_group_census,
+        "cm_sketch_tokens": text_analysis.cm_sketch_tokens,
+        "distinct_substrings_cap": text_analysis.distinct_substrings_cap,
+        "dict_match_census": text_analysis.dict_match_census,
+        "embedding_closest_pair": similarity.embedding_closest_pair,
+        "longest_palindrome_cap": text_analysis.longest_palindrome_cap,
+        "doc_period_cap": text_analysis.doc_period_cap,
+        "lcsubstr_top2": text_analysis.lcsubstr_top2,
+        "token_trie_nodes": text_analysis.token_trie_nodes,
+        "bwt_runs_cap": text_analysis.bwt_runs_cap,
+        "lz78_phrases_cap": text_analysis.lz78_phrases_cap,
+        "lyndon_factors_cap": text_analysis.lyndon_factors_cap,
+        "merkle_root_by_source": text_analysis.merkle_root_by_source,
+        "levenshtein_top2": text_analysis.levenshtein_top2,
+        # --- rows-only by design (stateful / approximate / stubbed) ---------
         "multimodal_decode": multimodal.multimodal_decode,
         "multimodal_resize": multimodal.multimodal_resize,
         "frame_sample": multimodal.frame_sample,
         "decode_pgm": multimodal.decode_pgm,
         "decode_wav": multimodal.decode_wav,
-        "approx_distinct_users": relational.approx_distinct_users,
         "decontaminate_overlap": text_analysis.decontaminate_overlap,
         "doc_perplexity": text_analysis.doc_perplexity,
         "winnow_fingerprints": text_analysis.winnow_fingerprints,
@@ -239,8 +150,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dedup_components": dedup.dedup_components,
         "dedup_survivors": dedup.dedup_survivors,
         "dedup_embedding_ivf": dedup.dedup_embedding_ivf,
-        "bloom_semi_join": relational.bloom_semi_join,
-        "approx_quantiles": relational.approx_quantiles,
         "ann_lsh": similarity.ann_lsh,
         "ann_ivf": similarity.ann_ivf,
         "embed_documents": similarity.embed_documents,
@@ -250,131 +159,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "gate_decision_report": reports.gate_decision_report,
         "repo_quality_report": reports.repo_quality_report,
         "corpus_clean": reports.corpus_clean,
-        # --- new in round 5, past the window (oracle-backed) ---------------
-        "weighted_sample": text_analysis.weighted_sample,
-        "length_trim_by_lang": text_analysis.length_trim_by_lang,
-        "copurchase_pagerank": relational.copurchase_pagerank,
-        "span_dedup": dedup.span_dedup,
-        "concurrent_sessions": windows.concurrent_sessions,
-        "streak_days": windows.streak_days,
-        "rolling_7d_distinct_users": windows.rolling_7d_distinct_users,
-        "revenue_cube": relational.revenue_cube,
-        "user_value_trend": relational.user_value_trend,
-        "typo_pairs": dedup.typo_pairs,
-        "triangle_count": relational.triangle_count,
-        "errors_near_purchases": windows.errors_near_purchases,
-        "user_value_twa": windows.user_value_twa,
-        "favorite_event_type": windows.favorite_event_type,
-        "zscore_by_lang": text_analysis.zscore_by_lang,
-        "user_clamped_balance": windows.user_clamped_balance,
-        "purchase_error_correlation": windows.purchase_error_correlation,
-        "sentence_stats": text_analysis.sentence_stats,
-        "value_mad_by_type": windows.value_mad_by_type,
-        "copurchase_degree_hist": relational.copurchase_degree_hist,
-        "length_token_contingency": text_analysis.length_token_contingency,
-        "monthly_price_quartiles": relational.monthly_price_quartiles,
-        "sources_per_lang": text_analysis.sources_per_lang,
-        "users_view_no_purchase": windows.users_view_no_purchase,
-        "event_type_cooccurrence": windows.event_type_cooccurrence,
-        "above_avg_orders": windows.above_avg_orders,
-        "event_trigrams": windows.event_trigrams,
-        "hourly_last_purchase_value": windows.hourly_last_purchase_value,
-        "anomalous_hours": windows.anomalous_hours,
-        "purchase_autocorr_24h": windows.purchase_autocorr_24h,
-        "benford_prices": relational.benford_prices,
-        "length_gini_by_source": text_analysis.length_gini_by_source,
-        "dup_cluster_hist": dedup.dup_cluster_hist,
-        "top1pct_revenue_share": relational.top1pct_revenue_share,
-        "user_mode_value_cents": windows.user_mode_value_cents,
-        "hapax_by_source": text_analysis.hapax_by_source,
-        "price_ending_census": relational.price_ending_census,
-        "small_group_census": text_analysis.small_group_census,
-        "revenue_lorenz_deciles": relational.revenue_lorenz_deciles,
-        "revenue_by_part_word": relational.revenue_by_part_word,
-        "sessions_per_user_hist": windows.sessions_per_user_hist,
-        "user_time_to_100": windows.user_time_to_100,
-        "repeat_event_census": windows.repeat_event_census,
-        "weekly_new_vs_returning": windows.weekly_new_vs_returning,
-        "type_run_length_hist": windows.type_run_length_hist,
-        "priority_max_orders": relational.priority_max_orders,
-        "first_vs_later_purchase": windows.first_vs_later_purchase,
-        "peak_hour_by_type": windows.peak_hour_by_type,
-        "max_idle_gap_by_type": windows.max_idle_gap_by_type,
-        "brand_size_summary": relational.brand_size_summary,
-        # rows-only (iterative driver-state op like kmeans_fit)
+        # iterative driver-state ops like kmeans_fit
         "bpe_train": text_analysis.bpe_train,
         "bpe_encode": text_analysis.bpe_encode,
-        # --- seventh-sitting additions past the 50-window (oracle-backed;
-        # --- six siblings rotated into window slots 6 and 46-50) ----------
-        "flag_status_chi2_cells": relational.flag_status_chi2_cells,
-        "cm_sketch_tokens": text_analysis.cm_sketch_tokens,
-        "user_lcs_top2": windows.user_lcs_top2,
-        "brand_widest_path": relational.brand_widest_path,
-        "part_knapsack_best": relational.part_knapsack_best,
-        # --- eighth-sitting additions (oracle-backed) ----------------------
-        "user_coverage_us": windows.user_coverage_us,
-        "distinct_substrings_cap": text_analysis.distinct_substrings_cap,
-        "dict_match_census": text_analysis.dict_match_census,
-        "orders_max_rectangle": windows.orders_max_rectangle,
-        "embedding_closest_pair": similarity.embedding_closest_pair,
-        "longest_palindrome_cap": text_analysis.longest_palindrome_cap,
-        "dow_hour_max_block": windows.dow_hour_max_block,
-        "brand_mst_weight": relational.brand_mst_weight,
-        "daily_revenue_kendall": windows.daily_revenue_kendall,
-        "doc_period_cap": text_analysis.doc_period_cap,
-        "max_nonoverlap_shipments": windows.max_nonoverlap_shipments,
-        "lcsubstr_top2": text_analysis.lcsubstr_top2,
-        "ffd_bin_count": relational.ffd_bin_count,
-        "stable_match_brands": relational.stable_match_brands,
-        "brand_cheapest_path": relational.brand_cheapest_path,
-        "token_trie_nodes": text_analysis.token_trie_nodes,
-        "revenue_rank_cycles": windows.revenue_rank_cycles,
-        "bwt_runs_cap": text_analysis.bwt_runs_cap,
-        "weighted_shipment_schedule": windows.weighted_shipment_schedule,
-        "order_backlog_lindley": relational.order_backlog_lindley,
-        "region_banzhaf": relational.region_banzhaf,
-        "prime_price_census": relational.prime_price_census,
-        "lru_event_misses": windows.lru_event_misses,
-        "nation_dhondt_seats": relational.nation_dhondt_seats,
-        "qty_price_hull": relational.qty_price_hull,
-        "lz78_phrases_cap": text_analysis.lz78_phrases_cap,
-        "johnson_flowshop": windows.johnson_flowshop,
-        "event_weekday_assignment": windows.event_weekday_assignment,
-        "matrix_chain_weeks": windows.matrix_chain_weeks,
-        "life_step_grid": windows.life_step_grid,
-        "secretary_stop": windows.secretary_stop,
-        "collatz_steps_census": relational.collatz_steps_census,
-        "euler_session_walk": windows.euler_session_walk,
-        "stern_brocot_return_ratio": relational.stern_brocot_return_ratio,
-        "hamming_syndrome_census": relational.hamming_syndrome_census,
-        "brand_bipartite_parity": relational.brand_bipartite_parity,
-        "hilbert_locality": relational.hilbert_locality,
-        "consistent_hash_balance": relational.consistent_hash_balance,
-        "sign_test_monthly": windows.sign_test_monthly,
-        "scc_session_graph": windows.scc_session_graph,
-        "lyndon_factors_cap": text_analysis.lyndon_factors_cap,
-        "revenue_water_fill": windows.revenue_water_fill,
-        "dyck_balance_census": windows.dyck_balance_census,
-        "zeckendorf_census": relational.zeckendorf_census,
-        "qty_sum_convolution": relational.qty_sum_convolution,
-        "josephus_census": relational.josephus_census,
-        "interval_cover_days": relational.interval_cover_days,
-        "merkle_root_by_source": text_analysis.merkle_root_by_source,
-        "levenshtein_top2": text_analysis.levenshtein_top2,
-        "brand_condorcet": relational.brand_condorcet,
-        "erdos_gallai_check": relational.erdos_gallai_check,
-        "region_trade_min_cut": relational.region_trade_min_cut,
-        "daily_revenue_theilsen": windows.daily_revenue_theilsen,
-        "nim_winner_census": relational.nim_winner_census,
-        "h_index_census": relational.h_index_census,
-        "luhn_mod_census": relational.luhn_mod_census,
-        "event_walk_counts": windows.event_walk_counts,
-        "event_weekday_matching_census": windows.event_weekday_matching_census,
-        "qty_kmedians_exact": relational.qty_kmedians_exact,
-        "shapley_regions": relational.shapley_regions,
-        "partition_count_census": relational.partition_count_census,
-        "region_tsp_tour": relational.region_tsp_tour,
-        "region_spanning_trees": relational.region_spanning_trees,
     }
 
 
@@ -386,7 +173,6 @@ def oracle_sql() -> dict[str, str]:
         reports,
         similarity,
         text_analysis,
-        windows,
     )
 
     out: dict[str, str] = {}
@@ -396,7 +182,6 @@ def oracle_sql() -> dict[str, str]:
         similarity,
         relational,
         multimodal,
-        windows,
         reports,
     ):
         out.update(mod.ORACLES)

@@ -61,6 +61,16 @@ def headline(sf_dir: str) -> tuple[float, int]:
     return dt, n_rows
 
 
+# queries() keys timed by secondary()
+SECONDARY_PICKS = [
+    "token_counts", "stopword_stats", "quality_score", "scrub_documents",
+    "dedup_exact", "dedup_minhash", "dedup_embedding", "ann_topk",
+    "revenue_by_nation", "top50_recent", "top_tokens",
+    "simhash_candidates", "heavy_hitter_tokens", "dedup_components",
+    "dup_token_stats", "mix_rebalance", "source_quota_sample",
+]
+
+
 def secondary(sf_dir: str) -> dict[str, float | str]:
     """Wall time of representative secondary pipelines at the bench SF.  A
     pick that raises is recorded as ``"error: <type>: <message>"`` in
@@ -69,20 +79,9 @@ def secondary(sf_dir: str) -> dict[str, float | str]:
 
     import __ray_entry__ as e
 
-    picks = [
-        "token_counts", "stopword_stats", "quality_score", "scrub_documents",
-        "dedup_exact", "dedup_minhash", "dedup_embedding", "ann_topk",
-        "pricing_summary", "revenue_by_nation", "top50_recent",
-        "top_tokens", "shipping_priority", "hopping_counts",
-        "simhash_candidates", "approx_distinct_users",
-        "heavy_hitter_tokens", "approx_quantiles", "bloom_semi_join",
-        "dedup_components", "session_windows", "asof_last_login",
-        "nation_trade_volume", "copurchase_pairs", "dup_token_stats",
-        "user_value_lag", "mix_rebalance", "source_quota_sample",
-    ]
     qs = e.queries()
     times: dict[str, float | str] = {}
-    for name in picks:
+    for name in SECONDARY_PICKS:
         t0 = time.time()
         try:
             res = qs[name](sf_dir)

@@ -459,7 +459,7 @@ def minhash_candidates(
     it; without this the signature computation — the expensive part —
     runs twice.  It is 16 rows x 16 bytes per doc, far smaller than the
     content it derives from, and spills if needed."""
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     # band index is XOR-folded into band_hash (see _band_rows), so the
@@ -640,11 +640,11 @@ def dedup_jaccard(sf_dir: str) -> ray.data.Dataset:
     set is MATERIALIZED first: it is tiny, the barrier keeps the upstream
     band self-join from streaming concurrently with the two text joins
     (so at most TWO joins share the CPU budget at once — sized via
-    relational._join_parts(2), see CLAUDE.md perf notes), and it lets the
+    _common._join_parts(2), see CLAUDE.md perf notes), and it lets the
     zero-candidate case return a typed empty result instead of crashing
     the schemaless hash join."""
 
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     cand = minhash_candidates(sf_dir).materialize()
     if cand.count() == 0:
@@ -988,7 +988,7 @@ def simhash_candidates(sf_dir: str) -> ray.data.Dataset:
     collapse to distinct (doc_a, doc_b) with the min Hamming attached
     (<= 3 kept).  No driver-side hot-key set, no per-group Python
     callback."""
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     HAM_MAX = 3
 
@@ -1210,7 +1210,7 @@ def dedup_components(sf_dir: str) -> ray.data.Dataset:
     list should never be collected."""
     from ray.data.aggregate import Min
 
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     pairs = _verified_pairs(sf_dir).select_columns(["doc_a", "doc_b"])
 
@@ -1377,7 +1377,7 @@ def dedup_survivors(sf_dir: str) -> ray.data.Dataset:
       driver heap.
 
     The corpus side streams in both shapes."""
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     drops_ds = dedup_components(sf_dir).map_batches(
         lambda t: pa.table(
@@ -1810,7 +1810,7 @@ def typo_pairs(
     Reference anchor: SURVEY.md §2.8's dedup family extended to string
     edit distance (the reference dedups repo paths by normalized name,
     langid_service storage layer)."""
-    from .relational import _join_parts
+    from ._common import _join_parts
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]

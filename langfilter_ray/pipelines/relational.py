@@ -6,11 +6,6 @@ surface (SURVEY.md §2.6-§2.7) re-expressed over the testdata tables:
   recent_window_count  — A2 recent-window count (max(ts) - 1h)
   top50_recent         — A3/O3 "50 most recent" sort+limit
   events_filtered_sorted — O1/O4 filter + global sort + limit
-  pricing_summary      — TPC-H-q1-shaped grouped aggregate with integer-
-                         cent sums (floats are converted with one fixed
-                         floor(x*100+0.5) formula on BOTH sides so the
-                         hashes compare exactly; float SUM order is never
-                         compared)
   revenue_by_nation    — orders ⋈ customer ⋈ nation via the broadcast-
                          small-side pattern (J3): the dimension maps ride
                          in the task closure once, the fact table streams
@@ -23,76 +18,32 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
-
-def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
-
-
-def _join_parts(n_joins: int = 1) -> int:
-    """Hash-shuffle join fan-out sized to the session: each join stage
-    spawns ~num_partitions aggregator actors, and a pipeline with J
-    concurrent joins deadlocks if J x num_partitions exceeds the CPU
-    budget (observed: two 16-partition joins wedge a 4-CPU session).
-    Scale partitions with cluster CPUs, split across concurrent joins."""
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        cpus = 8
-    return max(2, min(16, cpus // max(1, n_joins)))
-
-
-def _partial_group_agg(keys: list[str], sum_cols: list[str] | None = None):
-    """Map-side combiner for groupby aggregates: Ray 2.49's sort-based
-    ``groupby().aggregate()`` does NOT pre-aggregate in its map stage
-    (verified via ds.stats — AggregateMap emits exactly its input row
-    count), so without this every raw row crosses the shuffle.  One
-    pyarrow ``group_by`` per batch bounds the shuffled rows by
-    groups-per-batch instead; the downstream aggregate Sums the partials
-    (``n_partial`` count plus ``<col>_partial`` per requested sum)."""
-    sum_cols = sum_cols or []
-
-    def fn(t: pa.Table) -> pa.Table:
-        aggs = [(c, "sum") for c in sum_cols] + [([], "count_all")]
-        g = t.select(keys + sum_cols).group_by(keys).aggregate(aggs)
-        cols = {k: g[k] for k in keys}
-        for c in sum_cols:
-            cols[f"{c}_partial"] = g[f"{c}_sum"]
-        cols["n_partial"] = pc.cast(g["count_all"], pa.int64())
-        return pa.table(cols)
-
-    return fn
-
-
-def _partial_group_stats(keys: list[str], col: str):
-    """Map-side combiner for the Count+Sum+Min+Max multi-aggregate shape
-    (see _partial_group_agg for why the combiner is explicit): emits
-    ``n_partial`` / ``sum_partial`` / ``min_partial`` / ``max_partial``
-    per (batch, group); Sum/Sum/Min/Max downstream reassemble the exact
-    global values."""
-
-    def fn(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(keys + [col])
-            .group_by(keys)
-            .aggregate(
-                [(col, "sum"), (col, "min"), (col, "max"), ([], "count_all")]
-            )
-        )
-        cols = {k: g[k] for k in keys}
-        cols["sum_partial"] = g[f"{col}_sum"]
-        cols["min_partial"] = g[f"{col}_min"]
-        cols["max_partial"] = g[f"{col}_max"]
-        cols["n_partial"] = pc.cast(g["count_all"], pa.int64())
-        return pa.table(cols)
-
-    return fn
+from ._common import (
+    BROADCAST_DIM_MAX_ROWS,
+    _dim_num_rows,
+    _join_parts,
+    _partial_group_agg,
+    _probe_lookup,
+    _read,
+    _schema,
+    _typed_empty,
+)
 
 
 # ---- A1: status counts ---------------------------------------------------
 
-def status_counts(sf_dir: str) -> ray.data.Dataset:
+def status_counts(sf_dir: str) -> ray.data.Dataset | pa.Table:
+    empty = _typed_empty(
+        sf_dir,
+        "events",
+        _schema(sf_dir, "events", ["event_type"]).append(
+            pa.field("n_events", pa.int64())
+        ),
+    )
+    if empty is not None:
+        return empty
     return (
         _read(sf_dir, "events", ["event_type"])
         .map_batches(_partial_group_agg(["event_type"]), batch_format="pyarrow")
@@ -103,7 +54,17 @@ def status_counts(sf_dir: str) -> ray.data.Dataset:
 
 # ---- A4 analog: distribution over a computed key -------------------------
 
-def event_type_by_bucket(sf_dir: str) -> ray.data.Dataset:
+def event_type_by_bucket(sf_dir: str) -> ray.data.Dataset | pa.Table:
+    empty = _typed_empty(
+        sf_dir,
+        "events",
+        _schema(sf_dir, "events", ["event_type"])
+        .append(pa.field("user_bucket", pa.int64()))
+        .append(pa.field("n_events", pa.int64())),
+    )
+    if empty is not None:
+        return empty
+
     def add_bucket(t: pa.Table) -> pa.Table:
         bucket = np.mod(t["user_id"].to_numpy(), 10).astype(np.int64)
         return pa.table(
@@ -137,9 +98,13 @@ def recent_window_count(sf_dir: str) -> pa.Table:
 
 # ---- O3: top-50 most recent ---------------------------------------------
 
-def top50_recent(sf_dir: str) -> ray.data.Dataset:
+def top50_recent(sf_dir: str) -> ray.data.Dataset | pa.Table:
+    cols = ["event_id", "ts", "value"]
+    empty = _typed_empty(sf_dir, "events", _schema(sf_dir, "events", cols))
+    if empty is not None:
+        return empty
     return (
-        _read(sf_dir, "events", ["event_id", "ts", "value"])
+        _read(sf_dir, "events", cols)
         .sort(["ts", "event_id"], descending=[True, False])
         .limit(50)
     )
@@ -147,8 +112,12 @@ def top50_recent(sf_dir: str) -> ray.data.Dataset:
 
 # ---- O1/O4: filter + global sort + limit --------------------------------
 
-def events_filtered_sorted(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "events", ["event_id", "ts", "event_type", "user_id"])
+def events_filtered_sorted(sf_dir: str) -> ray.data.Dataset | pa.Table:
+    cols = ["event_id", "ts", "event_type", "user_id"]
+    empty = _typed_empty(sf_dir, "events", _schema(sf_dir, "events", cols))
+    if empty is not None:
+        return empty
+    ds = _read(sf_dir, "events", cols)
     ds = ds.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "click")),
         batch_format="pyarrow",
@@ -156,92 +125,7 @@ def events_filtered_sorted(sf_dir: str) -> ray.data.Dataset:
     return ds.sort(["ts", "event_id"], descending=[True, False]).limit(100)
 
 
-# ---- TPC-H q1 analog with integer cents ---------------------------------
-
-def pricing_summary(sf_dir: str) -> ray.data.Dataset:
-    def to_cents(t: pa.Table) -> pa.Table:
-        qty = np.floor(t["l_quantity"].to_numpy() * 100 + 0.5).astype(np.int64)
-        price = np.floor(t["l_extendedprice"].to_numpy() * 100 + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "qty_cents": pa.array(qty, pa.int64()),
-                "price_cents": pa.array(price, pa.int64()),
-            }
-        )
-
-    return (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-        )
-        .map_batches(to_cents, batch_format="pyarrow")
-        # map-side combiner (see _partial_group_agg): 6 groups per batch
-        # cross the shuffle instead of every lineitem row
-        .map_batches(
-            _partial_group_agg(
-                ["l_returnflag", "l_linestatus"], ["qty_cents", "price_cents"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("qty_cents_partial", alias_name="sum_qty_cents"),
-            Sum("price_cents_partial", alias_name="sum_price_cents"),
-            Sum("n_partial", alias_name="n_rows"),
-        )
-    )
-
-
-# ---- broadcast join: revenue by nation ----------------------------------
-
-# A "small" dimension for the broadcast-join path is bounded here: above
-# this the sorted key/code arrays (~16 B/row) stop being a tiny broadcast
-# (~80 MB at the cap) and the plan falls back to the hash-partitioned
-# native Dataset.join (the segment_order_stats shape).  TPC-H customer is
-# 150k rows x SF, so the broadcast path covers up to roughly SF 33.
-BROADCAST_DIM_MAX_ROWS = 5_000_000
-
-
-def _dim_num_rows(sf_dir: str, table: str) -> int:
-    """Row count from parquet metadata — no data read."""
-    import pyarrow.parquet as pq
-
-    return pq.ParquetFile(f"{sf_dir}/{table}.parquet").metadata.num_rows
-
-
-def _broadcast_customer_lookup(sf_dir: str, val_col: str):
-    """customer dim as a ray.put-broadcast (sorted custkey array, value
-    CODE array, name LUT) triple — ONE object-store copy, zero-copy numpy
-    reads in every task; never a Python dict in the task closure (a dict
-    costs ~100 B/row on the driver AND re-ships per task).  The LUT
-    carries a trailing None so an unmatched probe key (-1 index) maps to
-    null, matching dict.get semantics."""
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", val_col]
-    )
-    keys = cust["c_custkey"].to_numpy()
-    codes, uniques = pd.factorize(cust[val_col].to_pandas())
-    order = np.argsort(keys)
-    lut = np.asarray(list(uniques) + [None], dtype=object)
-    ref = ray.put((keys[order], codes[order].astype(np.int64)))
-    return ref, lut
-
-
-def _probe_lookup(ref, lut, probe_keys: np.ndarray) -> np.ndarray:
-    """Vectorized dim lookup: binary-search the broadcast sorted keys and
-    take from the value LUT; unmatched keys yield None (the LUT's last
-    slot), including every key when the dimension is empty."""
-    keys, codes = ray.get(ref)
-    if len(keys) == 0:
-        return lut[np.full(len(probe_keys), -1, dtype=np.int64)]
-    pos = np.minimum(np.searchsorted(keys, probe_keys), len(keys) - 1)
-    return lut[np.where(keys[pos] == probe_keys, codes[pos], -1)]
-
+# ---- J3: broadcast join, revenue by nation -------------------------------
 
 def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     """orders ⋈ customer ⋈ nation, dimensions broadcast (J3 pattern).
@@ -338,450 +222,7 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-# ---- hash-partitioned large-side join (Dataset.join) --------------------
-
-def segment_order_stats(sf_dir: str) -> ray.data.Dataset:
-    """orders ⋈ customer via NATIVE ``Dataset.join`` (hash-partitioned on
-    the key — the both-sides-large path, complementing the broadcast join
-    of ``revenue_by_nation``), then a small grouped aggregate per market
-    segment.  ``num_partitions`` is the shuffle fan-out knob."""
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
-        lambda t: pa.table(
-            {
-                "o_custkey": t["o_custkey"],
-                "price_cents": pa.array(
-                    np.floor(t["o_totalprice"].to_numpy() * 100 + 0.5).astype(
-                        np.int64
-                    ),
-                    pa.int64(),
-                ),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    joined = orders.join(
-        customer,
-        join_type="inner",
-        num_partitions=_join_parts(),
-        on=("o_custkey",),
-        right_on=("c_custkey",),
-    )
-    return (
-        joined.map_batches(
-            _partial_group_agg(["c_mktsegment"], ["price_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("n_partial", alias_name="n_orders"),
-            Sum("price_cents_partial", alias_name="total_cents"),
-        )
-    )
-
-
-# ---- anti-join via left_outer + null filter ------------------------------
-
-def customers_no_big_order(sf_dir: str) -> ray.data.Dataset:
-    """Customers with NO order above $300k — an anti-join.  Dataset.join has
-    no anti type, so this is the scale-honest composition: pre-aggregate the
-    probe side to distinct keys (shrinks the shuffle to one row per key),
-    hash-partitioned ``left_outer`` join, then a null filter.  Both sides
-    stream; no driver materialization."""
-    big_orders = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(
-            lambda t: t.filter(pc.greater(t["o_totalprice"], 300000.0)).select(
-                ["o_custkey"]
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(
-            _partial_group_agg(["o_custkey"]), batch_format="pyarrow"
-        )
-        .groupby("o_custkey")
-        .count()
-    )
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal"])
-    joined = customer.join(
-        big_orders,
-        join_type="left_outer",
-        num_partitions=_join_parts(),
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    )
-    return joined.map_batches(
-        lambda t: t.filter(pc.is_null(t["count()"])).select(
-            ["c_custkey", "c_name", "c_acctbal"]
-        ),
-        batch_format="pyarrow",
-    )
-
-
-# ---- per-group top-k (window-rank analog, combiner-shaped) ---------------
-
-def top_orders_per_segment(sf_dir: str) -> ray.data.Dataset:
-    """Top-3 orders by price per market segment — ROW_NUMBER()-per-partition
-    re-expressed for scale: the segment dimension is broadcast (J3) as
-    sorted numpy arrays via ray.put (never a driver-side Python dict —
-    customer is SF-proportional), each batch keeps only its LOCAL top-3
-    per segment (combiner), and the final exact rank runs in map_groups
-    over the tiny survivor set.  Ties broken on o_orderkey so ranks are
-    deterministic.  Above BROADCAST_DIM_MAX_ROWS the dim lookup switches
-    to the hash-partitioned native Dataset.join before the combiner."""
-    use_broadcast = _dim_num_rows(sf_dir, "customer") <= BROADCAST_DIM_MAX_ROWS
-    if use_broadcast:
-        ref, seg_lut = _broadcast_customer_lookup(sf_dir, "c_mktsegment")
-
-    def local_topk(t: pa.Table) -> pd.DataFrame:
-        if use_broadcast:
-            segs = _probe_lookup(ref, seg_lut, t["o_custkey"].to_numpy())
-        else:
-            segs = t["c_mktsegment"].to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {
-                "segment": segs,
-                "o_orderkey": t["o_orderkey"].to_numpy(),
-                "price_cents": np.floor(
-                    t["o_totalprice"].to_numpy() * 100 + 0.5
-                ).astype(np.int64),
-            }
-        )
-        if use_broadcast:
-            # inner-join semantics, matching the fallback path and the
-            # oracle: orders with no customer row drop out
-            df = df[df["segment"].notna()]
-        df = df.sort_values(
-            ["segment", "price_cents", "o_orderkey"],
-            ascending=[True, False, True],
-        )
-        return df.groupby("segment", sort=False).head(3)
-
-    def final_rank(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["price_cents", "o_orderkey"], ascending=[False, True]).head(3)
-        g = g.reset_index(drop=True)
-        g["rnk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-    if not use_broadcast:
-        orders = orders.join(
-            _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-            join_type="inner",
-            num_partitions=_join_parts(),
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-    return (
-        orders.map_batches(local_topk, batch_format="pyarrow")
-        .groupby("segment")
-        .map_groups(final_rank, batch_format="pandas")
-    )
-
-
-# ---- union of two streams ------------------------------------------------
-
-def events_union(sf_dir: str) -> ray.data.Dataset:
-    """``Dataset.union`` of two independently-filtered event streams (signup
-    events + high-value purchases) — blocks concatenate lazily, no shuffle."""
-    base = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    signups = base.map_batches(
-        lambda t: t.filter(pc.equal(t["event_type"], "signup")),
-        batch_format="pyarrow",
-    )
-    big_purchases = base.map_batches(
-        lambda t: t.filter(
-            pc.and_(
-                pc.equal(t["event_type"], "purchase"), pc.greater(t["value"], 50.0)
-            )
-        ),
-        batch_format="pyarrow",
-    )
-    return signups.union(big_purchases)
-
-
-# ---- exact distinct count (two-level groupby, no driver set) -------------
-
-def distinct_users_per_type(sf_dir: str) -> ray.data.Dataset:
-    """count(DISTINCT user_id) per event_type WITHOUT collecting a set on
-    the driver: first groupby dedupes (event_type, user_id) pairs across
-    the cluster, the second counts survivors — both shuffles carry only
-    key rows, so this holds at any cardinality."""
-    return (
-        _read(sf_dir, "events", ["event_type", "user_id"])
-        # per-batch pair dedupe (combiner): repeat visits by the same
-        # (type, user) within a batch collapse before the shuffle
-        .map_batches(
-            _partial_group_agg(["event_type", "user_id"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["event_type", "user_id"])
-        .count()
-        .select_columns(["event_type"])
-        .map_batches(
-            _partial_group_agg(["event_type"]), batch_format="pyarrow"
-        )
-        .groupby("event_type")
-        .aggregate(Sum("n_partial", alias_name="n_users"))
-    )
-
-
-# ---- TPC-H Q3 analog: chained hash joins + top-k ------------------------
-
-def shipping_priority(sf_dir: str) -> ray.data.Dataset:
-    """Top-10 BUILDING-segment orders by lineitem revenue — the textbook
-    TPC-H Q3 physical plan with the join REMOVED at dim scale: the
-    customer segment filter resolves driver-side, the surviving orders
-    (orderkey, orderdate) broadcast once via ray.put as sorted parallel
-    arrays, and the lineitem stream combines revenue per orderkey
-    in-batch then PROBES the broadcast by binary search — no shuffle at
-    all until the final tiny (orderkey, date) groupby (measured ~5 s →
-    ~1.5 s at sf0.1: the 16-partition hash join was pure
-    aggregator-actor overhead for a dim-bounded right side).  Above
-    BROADCAST_DIM_MAX_ROWS orders the operator reverts to the prior
-    plan — broadcast custkey semi-filter on the streaming orders side
-    plus ONE hash-partitioned lineitem⋈orders join (both paths pinned
-    equal by the zero-threshold fallback test).  The revenue float
-    chain ep*(1-disc)*100+0.5 is evaluated identically (left-to-right
-    float64) on the Ray and SQL sides before the floor-to-int, so sums
-    compare exactly."""
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    keys = cust.filter(pc.equal(cust["c_mktsegment"], "BUILDING"))[
-        "c_custkey"
-    ].to_numpy()
-
-    def cents_of(t: pa.Table) -> np.ndarray:
-        return np.floor(
-            t["l_extendedprice"].to_numpy() * (1 - t["l_discount"].to_numpy()) * 100
-            + 0.5
-        ).astype(np.int64)
-
-    if _dim_num_rows(sf_dir, "orders") <= BROADCAST_DIM_MAX_ROWS:
-        orders = pq.read_table(
-            f"{sf_dir}/orders.parquet",
-            columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        )
-        seg = orders.filter(
-            pa.array(np.isin(orders["o_custkey"].to_numpy(), keys))
-        )
-        okeys = seg["o_orderkey"].to_numpy()
-        order = np.argsort(okeys)
-        odate = (
-            seg["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        )
-        oref = ray.put((okeys[order], odate[order]))
-
-        n_buckets = 32
-
-        def rev_probe(t: pa.Table) -> pa.Table:
-            ok, od = ray.get(oref)
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": t["l_orderkey"],
-                        "revenue_cents": pa.array(cents_of(t), pa.int64()),
-                    }
-                )
-                .group_by("l_orderkey")
-                .aggregate([("revenue_cents", "sum")])
-            )
-            lk = g["l_orderkey"].to_numpy()
-            if len(ok) == 0:
-                keep = np.zeros(len(lk), dtype=bool)
-                pos = np.zeros(len(lk), dtype=np.int64)
-            else:
-                pos = np.minimum(np.searchsorted(ok, lk), len(ok) - 1)
-                keep = ok[pos] == lk
-            h = lk[keep].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            return pa.table(
-                {
-                    "l_orderkey": pa.array(lk[keep]),
-                    "date_us": pa.array(od[pos[keep]]),
-                    "revenue_cents": g["revenue_cents_sum"].filter(
-                        pa.array(keep)
-                    ),
-                    "bk": pa.array(
-                        ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(
-                            np.int64
-                        )
-                    ),
-                }
-            )
-
-        def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            # every orderkey lands in exactly one bucket, so per-bucket
-            # sums are exact and the bucket's deterministic top-10
-            # contains every global top-10 row (the copurchase_pairs
-            # bucket-reduce shape — replaces a sort-based Aggregate +
-            # Sort all-to-all pair with one partition pass)
-            if g.empty:
-                return pd.DataFrame(
-                    {
-                        "o_orderkey": pd.array([], dtype="int64"),
-                        "revenue_cents": pd.array([], dtype="int64"),
-                        "date_us": pd.array([], dtype="int64"),
-                    }
-                )
-            lk = g["l_orderkey"].to_numpy()
-            u, inv = np.unique(lk, return_inverse=True)
-            tot = np.bincount(
-                inv, weights=g["revenue_cents"].to_numpy()
-            ).astype(np.int64)
-            first = np.zeros(len(u), dtype=np.int64)
-            first[inv[::-1]] = np.arange(len(lk) - 1, -1, -1)
-            dates = g["date_us"].to_numpy()[first]
-            order = np.lexsort((u, -tot))[:10]
-            return pd.DataFrame(
-                {
-                    "o_orderkey": u[order],
-                    "revenue_cents": tot[order],
-                    "date_us": dates[order],
-                }
-            )
-
-        survivors = (
-            _read(
-                sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-            )
-            .map_batches(rev_probe, batch_format="pyarrow")
-            .groupby("bk")
-            .map_groups(reduce_bucket, batch_format="pandas")
-            .to_pandas()
-        )
-        top = survivors.sort_values(
-            ["revenue_cents", "o_orderkey"], ascending=[False, True]
-        ).head(10)
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "o_orderkey": pa.array(
-                        top["o_orderkey"].to_numpy(), pa.int64()
-                    ),
-                    "revenue_cents": pa.array(
-                        top["revenue_cents"].to_numpy(), pa.int64()
-                    ),
-                    "o_orderdate": pa.array(
-                        top["date_us"].to_numpy()
-                    ).cast(pa.timestamp("us")),
-                }
-            )
-        )
-    else:
-        kref = ray.put(np.sort(keys))
-
-        def semi_filter(t: pa.Table) -> pa.Table:
-            wanted = ray.get(kref)
-            mask = np.isin(t["o_custkey"].to_numpy(), wanted, assume_unique=False)
-            return t.filter(pa.array(mask, pa.bool_())).select(
-                ["o_orderkey", "o_orderdate"]
-            )
-
-        orders_f = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        ).map_batches(semi_filter, batch_format="pyarrow")
-
-        def rev(t: pa.Table) -> pa.Table:
-            # in-batch combiner: TPC-H has ~4 lineitems per order, so
-            # summing per orderkey before the join cuts the shuffled row
-            # count ~4x (int-cent Sum is associative; the post-join
-            # groupby re-sums)
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": t["l_orderkey"],
-                        "revenue_cents": pa.array(cents_of(t), pa.int64()),
-                    }
-                )
-                .group_by("l_orderkey")
-                .aggregate([("revenue_cents", "sum")])
-            )
-            return pa.table(
-                {
-                    "l_orderkey": g["l_orderkey"],
-                    "revenue_cents": g["revenue_cents_sum"],
-                }
-            )
-
-        lineitem = _read(
-            sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
-        ).map_batches(rev, batch_format="pyarrow")
-        joined = lineitem.join(
-            orders_f,
-            join_type="inner",
-            num_partitions=_join_parts(),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-    return (
-        joined.map_batches(
-            _partial_group_agg(["l_orderkey", "o_orderdate"], ["revenue_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["l_orderkey", "o_orderdate"])
-        .aggregate(Sum("revenue_cents_partial", alias_name="revenue_cents"))
-        .rename_columns({"l_orderkey": "o_orderkey"})
-        .sort(["revenue_cents", "o_orderkey"], descending=[True, False])
-        .limit(10)
-        .select_columns(["o_orderkey", "revenue_cents", "o_orderdate"])
-    )
-
-
 ORACLES: dict[str, str] = {
-    "event_type_pivot": (
-        "SELECT user_bucket, "
-        + ", ".join(
-            f"sum(CASE WHEN event_type = '{t}' THEN 1 ELSE 0 END)::BIGINT AS n_{t}"
-            for t in ["click", "error", "purchase", "signup", "view"]
-        )
-        + " FROM (SELECT (user_id - (user_id // 10) * 10)::BIGINT AS user_bucket, "
-        "event_type FROM events) GROUP BY user_bucket"
-    ),
-    "distinct_users_per_type": (
-        "SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users "
-        "FROM events GROUP BY event_type"
-    ),
-    "shipping_priority": (
-        "SELECT o.o_orderkey, "
-        "sum(CAST(floor(l.l_extendedprice*(1-l.l_discount)*100+0.5) AS BIGINT))::BIGINT "
-        "AS revenue_cents, o.o_orderdate "
-        "FROM lineitem l "
-        "JOIN orders o ON l.l_orderkey = o.o_orderkey "
-        "JOIN customer c ON o.o_custkey = c.c_custkey "
-        "WHERE c.c_mktsegment = 'BUILDING' "
-        "GROUP BY o.o_orderkey, o.o_orderdate "
-        "ORDER BY revenue_cents DESC, o.o_orderkey LIMIT 10"
-    ),
-    "customers_no_big_order": (
-        "SELECT c_custkey, c_name, c_acctbal FROM customer "
-        "WHERE c_custkey NOT IN "
-        "(SELECT o_custkey FROM orders WHERE o_totalprice > 300000)"
-    ),
-    "top_orders_per_segment": (
-        "SELECT segment, o_orderkey, price_cents, rnk FROM ("
-        "  SELECT c.c_mktsegment AS segment, o.o_orderkey, "
-        "         CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT) AS price_cents, "
-        "         ROW_NUMBER() OVER (PARTITION BY c.c_mktsegment "
-        "           ORDER BY floor(o.o_totalprice * 100 + 0.5) DESC, o.o_orderkey"
-        "         ) AS rnk "
-        "  FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey"
-        ") WHERE rnk <= 3"
-    ),
-    "events_union": (
-        "SELECT event_id, event_type, value FROM events WHERE event_type = 'signup' "
-        "UNION ALL "
-        "SELECT event_id, event_type, value FROM events "
-        "WHERE event_type = 'purchase' AND value > 50"
-    ),
-    "segment_order_stats": (
-        "SELECT c.c_mktsegment, count(*)::BIGINT AS n_orders, "
-        "sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS total_cents "
-        "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-        "GROUP BY c.c_mktsegment"
-    ),
     "status_counts": (
         "SELECT event_type, count(*)::BIGINT AS n_events FROM events "
         "GROUP BY event_type"
@@ -802,13 +243,6 @@ ORACLES: dict[str, str] = {
         "SELECT event_id, ts, event_type, user_id FROM events "
         "WHERE event_type = 'click' ORDER BY ts DESC, event_id LIMIT 100"
     ),
-    "pricing_summary": (
-        "SELECT l_returnflag, l_linestatus, "
-        "sum(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))::BIGINT AS sum_qty_cents, "
-        "sum(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT))::BIGINT AS sum_price_cents, "
-        "count(*)::BIGINT AS n_rows "
-        "FROM lineitem GROUP BY l_returnflag, l_linestatus"
-    ),
     "revenue_by_nation": (
         "SELECT n.n_name, count(*)::BIGINT AS n_orders, "
         "sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS total_cents "
@@ -817,11543 +251,3 @@ ORACLES: dict[str, str] = {
         "GROUP BY n.n_name"
     ),
 }
-
-
-# ---- HyperLogLog approximate distinct (sketch operator) ------------------
-
-_HLL_P = 12                       # 4096 registers; std error ~1.04/sqrt(m) = 1.6%
-
-
-def _hll_registers(keys: np.ndarray) -> np.ndarray:
-    """Register array (length 2^p) for a batch of int64 keys — pure numpy:
-    splitmix64 finalizer scrambles the key, the top p bits pick a register,
-    the remaining bits' leading-zero count (+1) is the rank."""
-    h = keys.astype(np.uint64)
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    h = h ^ (h >> np.uint64(31))
-    idx = (h >> np.uint64(64 - _HLL_P)).astype(np.int64)
-    rest = (h << np.uint64(_HLL_P)) | (np.uint64(1) << np.uint64(_HLL_P - 1))
-    # rank = leading zeros of `rest` + 1  (the OR above caps it safely)
-    rank = np.zeros(len(h), dtype=np.int64)
-    probe = rest
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = probe < (np.uint64(1) << np.uint64(64 - shift))
-        rank[mask] += shift
-        probe = np.where(mask, probe << np.uint64(shift), probe)
-    rank += 1
-    regs = np.zeros(1 << _HLL_P, dtype=np.int64)
-    np.maximum.at(regs, idx, rank)
-    return regs
-
-
-def _hll_estimate(regs: np.ndarray) -> float:
-    m = float(len(regs))
-    est = 0.7213 / (1 + 1.079 / m) * m * m / np.sum(np.power(2.0, -regs))
-    zeros = int((regs == 0).sum())
-    if est <= 2.5 * m and zeros:
-        est = m * np.log(m / zeros)       # small-range correction
-    return float(est)
-
-
-def approx_distinct_users(sf_dir: str) -> pa.Table:
-    """Approximate count-distinct of user_id via a HyperLogLog sketch —
-    the sketch path complementing exact ``distinct_users_per_type``: each
-    batch folds its keys into 4096 registers locally (combiner), register
-    rows shuffle to a max-merge groupby (4096 rows TOTAL regardless of
-    input size), and the estimate is computed from the merged registers.
-    Approximate by design -> rows-only check (accuracy pinned in tests)."""
-    from ray.data.aggregate import Max
-
-    def partial(t: pa.Table) -> pa.Table:
-        regs = _hll_registers(t["user_id"].to_numpy())
-        nz = np.nonzero(regs)[0]
-        return pa.table(
-            {
-                "reg_idx": pa.array(nz, pa.int64()),
-                "rank": pa.array(regs[nz], pa.int64()),
-            }
-        )
-
-    merged = (
-        _read(sf_dir, "events", ["user_id"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("reg_idx")
-        .aggregate(Max("rank", alias_name="rank"))
-        .to_pandas()
-    )
-    regs = np.zeros(1 << _HLL_P, dtype=np.int64)
-    regs[merged["reg_idx"].to_numpy()] = merged["rank"].to_numpy()
-    return pa.table(
-        {"approx_distinct_users": pa.array([int(round(_hll_estimate(regs)))], pa.int64())}
-    )
-
-
-# ---- Bloom-filter semi-join (sketch operator) ----------------------------
-
-_BLOOM_M = 1 << 17            # bits — size to >= ~20 bits/key for 1e-3 FPR
-_BLOOM_K = 4                  # hash functions
-_BLOOM_SEEDS = np.array(
-    [0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9, 0x27D4EB2F165667C5],
-    dtype=np.uint64,
-)
-
-
-def _bloom_bits(keys: np.ndarray) -> np.ndarray:
-    """(N, k) bit indices for int64 keys — splitmix64 finalizer per seed,
-    fully vectorized."""
-    h = keys.astype(np.uint64)[:, None] ^ _BLOOM_SEEDS[None, :_BLOOM_K]
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    h = h ^ (h >> np.uint64(31))
-    return (h % np.uint64(_BLOOM_M)).astype(np.int64)
-
-
-def bloom_semi_join(sf_dir: str) -> ray.data.Dataset:
-    """Events whose user made at least one 'purchase' — a semi-join where
-    the build side is compressed into a Bloom filter instead of shuffled:
-
-    build: purchase user_ids stream through map_batches emitting their
-    DISTINCT set-bit indices (a per-batch combiner: <= m rows per batch);
-    a groupby over bit indices dedups them cluster-wide, and the driver
-    folds the <= m surviving indices into a packed bitmap (bounded by m =
-    128 Ki bits regardless of build-side size — same scale argument as the
-    HLL sketch).  probe: the bitmap broadcasts via ray.put once and every
-    probe batch tests its keys vectorized.
-
-    Guarantee: NO false negatives — the result is a superset of the exact
-    semi-join, with false-positive rate (1-e^{-kn/m})^k: ~1e-3 needs m/n
-    >= ~20 bits per distinct build key (k=4), so m = 2^17 holds that to
-    n ≈ 6.5k keys and degrades gracefully above (~2% at n = 15k).  At
-    100 TB, size m from a distinct-count estimate of the build side (the
-    `approx_distinct_users` HLL is exactly that estimator) and use the
-    filter as the cheap prefilter before an exact verification join.
-    Approximate by design -> rows-only check (superset + FPR bound pinned
-    in tests)."""
-
-    def build_bits(t: pa.Table) -> pa.Table:
-        keys = t["user_id"].to_numpy()
-        bits = np.unique(_bloom_bits(keys).reshape(-1))
-        return pa.table({"bit_idx": pa.array(bits, pa.int64())})
-
-    set_bits = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(
-            lambda t: t.filter(pc.equal(t["event_type"], "purchase")).select(
-                ["user_id"]
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(build_bits, batch_format="pyarrow")
-        .groupby("bit_idx")
-        .count()
-        .to_pandas()
-    )
-    bitmap = np.zeros(_BLOOM_M, dtype=bool)
-    if len(set_bits) and "bit_idx" in set_bits.columns:
-        # an empty build side yields a schemaless empty aggregate (no
-        # bit_idx column) — the all-False bitmap then filters everything,
-        # which is the correct exact semi-join result
-        bitmap[set_bits["bit_idx"].to_numpy()] = True
-    bref = ray.put(bitmap)
-
-    def probe(t: pa.Table) -> pa.Table:
-        bm = ray.get(bref)
-        keys = t["user_id"].to_numpy()
-        hit = bm[_bloom_bits(keys)].all(axis=1)
-        return t.filter(pa.array(hit))
-
-    return _read(sf_dir, "events", ["event_id", "user_id", "event_type"]).map_batches(
-        probe, batch_format="pyarrow"
-    )
-
-
-def bloom_semi_join_exact(sf_dir: str) -> ray.data.Dataset:
-    """The 100 TB shape ``bloom_semi_join`` documents, completed: the
-    Bloom superset from the prefilter is verified with an EXACT hash
-    semi-join against the distinct build keys, so the result is the
-    precise semi-join while the join only ever shuffles the prefilter's
-    survivors (matching rows + the ~1e-3 false-positive tail) instead of
-    the full probe stream.  Oracle-checked (SQL EXISTS)."""
-
-    def distinct_purchasers(t: pa.Table) -> pa.Table:
-        # in-batch unique combiner: <= distinct-per-batch rows shuffle
-        keys = t.filter(pc.equal(t["event_type"], "purchase"))["user_id"]
-        u = np.unique(keys.to_numpy())
-        return pa.table({"user_id": pa.array(u, pa.int64())})
-
-    build = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(distinct_purchasers, batch_format="pyarrow")
-        .groupby("user_id")
-        .count()
-        .select_columns(["user_id"])
-    )
-    # the distinct key set is tiny relative to the probe stream (it is
-    # the Bloom build side); materialize it ONCE — bounded driver/object
-    # state, same constant as the dim-broadcast bound — and branch:
-    #   small  -> sorted-array broadcast + searchsorted membership probe
-    #             (no join operator at all; measured 12-14s -> ~3s at
-    #             sf0.1: the hash join's aggregator-pool spawn dominated)
-    #   large  -> the native hash join (same fallback contract as the
-    #             customer-dim broadcasts, relational.py:205)
-    #   empty  -> typed empty result (an ALL-empty join side crashes the
-    #             hash-shuffle aggregator — CLAUDE.md)
-    build = build.materialize()
-    n_keys = build.count()
-    if n_keys == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "event_type": pa.array([], pa.string()),
-                }
-            )
-        )
-    if n_keys <= BROADCAST_DIM_MAX_ROWS:
-        # bounded by the broadcast constant (<= 40 MB of int64 keys)
-        keys = np.sort(build.to_pandas()["user_id"].to_numpy())
-        kref = ray.put(keys)
-
-        def verify(t: pa.Table) -> pa.Table:
-            ks = ray.get(kref)
-            ids = t["user_id"].to_numpy()
-            pos = np.searchsorted(ks, ids)
-            hit = (pos < len(ks)) & (ks[np.minimum(pos, len(ks) - 1)] == ids)
-            return t.filter(pa.array(hit))
-
-        return bloom_semi_join(sf_dir).map_batches(
-            verify, batch_format="pyarrow"
-        )
-    return bloom_semi_join(sf_dir).join(
-        build,
-        join_type="inner",
-        num_partitions=_join_parts(),
-        on=("user_id",),
-        right_on=("user_id",),
-    ).select_columns(["event_id", "user_id", "event_type"])
-
-
-# ---- approximate quantiles (mergeable histogram sketch) ------------------
-
-_QUANT_BINS = 4096
-_QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99)
-
-
-def approx_quantiles(sf_dir: str) -> ray.data.Dataset:
-    """Per-event_type approximate quantiles of ``value`` via a fixed-bin
-    histogram sketch — the mergeable shape: a tiny per-type (min, max)
-    pre-pass fixes the bin grid, every batch folds its values into ≤
-    types x 4096 (bin, partial_count) combiner rows, a bounded groupby
-    merges them, and a per-type map_groups walks the ≤4096-row cumulative
-    histogram to read off each quantile.  The shuffle is bounded by
-    types x bins regardless of input size (HLL/Bloom scale argument), and
-    the value error is ≤ one bin width = (max-min)/4096 — pinned against
-    DuckDB's exact quantile_disc in tests.  Approximate by design ->
-    rows-only check."""
-    import pandas as pd
-
-    from ray.data.aggregate import Max, Min, Sum
-
-    bounds = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .groupby("event_type")
-        .aggregate(Min("value", alias_name="lo"), Max("value", alias_name="hi"))
-        .to_pandas()
-    )
-    grid = {
-        r.event_type: (float(r.lo), max(float(r.hi) - float(r.lo), 1e-12))
-        for r in bounds.itertuples()
-    }
-    gref = ray.put(grid)
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = ray.get(gref)
-        df = pd.DataFrame(
-            {"event_type": t["event_type"].to_pylist(), "value": t["value"].to_numpy()}
-        )
-        out_t, out_b, out_n = [], [], []
-        for et, sub in df.groupby("event_type", sort=False):
-            lo, span = g[et]
-            bins = np.clip(
-                ((sub["value"].to_numpy() - lo) / span * _QUANT_BINS).astype(np.int64),
-                0,
-                _QUANT_BINS - 1,
-            )
-            idx, cnt = np.unique(bins, return_counts=True)
-            out_t.extend([et] * len(idx))
-            out_b.append(idx)
-            out_n.append(cnt)
-        if not out_t:
-            return pa.table(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "bin": pa.array([], pa.int64()),
-                    "partial": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "event_type": pa.array(out_t, pa.string()),
-                "bin": pa.array(np.concatenate(out_b), pa.int64()),
-                "partial": pa.array(np.concatenate(out_n), pa.int64()),
-            }
-        )
-
-    hist = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "bin"])
-        .aggregate(Sum("partial", alias_name="n"))
-    )
-
-    def quantiles_of(gdf: pd.DataFrame) -> pd.DataFrame:
-        g = ray.get(gref)
-        et = gdf["event_type"].iloc[0]
-        lo, span = g[et]
-        gdf = gdf.sort_values("bin")
-        cum = gdf["n"].cumsum().to_numpy()
-        total = int(cum[-1])
-        bins = gdf["bin"].to_numpy()
-        qs, vals = [], []
-        for q in _QUANTILES:
-            rank = max(1, int(np.ceil(q * total)))
-            i = int(np.searchsorted(cum, rank))
-            # upper edge of the containing bin: exact order statistic lies
-            # within the bin, so |approx - exact| <= bin width
-            vals.append(lo + (bins[i] + 1) * span / _QUANT_BINS)
-            qs.append(q)
-        return pd.DataFrame(
-            {"event_type": [et] * len(qs), "q": qs, "approx_value": vals}
-        )
-
-    return hist.groupby("event_type").map_groups(quantiles_of, batch_format="pandas")
-
-
-# ---- pivot (wide aggregation) --------------------------------------------
-
-def event_type_pivot(sf_dir: str) -> pa.Table:
-    """Counts per (user bucket, event type) pivoted to one COLUMN per type
-    — the wide-aggregation pattern: the distributed groupby produces the
-    tiny long-form aggregate (buckets x types rows), and only that is
-    pivoted driver-side; the events table itself never leaves long form."""
-    agg = event_type_by_bucket(sf_dir).to_pandas()
-    wide = (
-        agg.pivot_table(
-            index="user_bucket", columns="event_type", values="n_events",
-            fill_value=0, aggfunc="sum",
-        )
-        .reset_index()
-    )
-    wide.columns = ["user_bucket"] + [f"n_{c}" for c in wide.columns[1:]]
-    for c in wide.columns:
-        wide[c] = wide[c].astype("int64")
-    return pa.Table.from_pandas(
-        wide[sorted(wide.columns, key=lambda c: (c != "user_bucket", c))],
-        preserve_index=False,
-    )
-
-
-# ---- range (band) join ---------------------------------------------------
-
-_PRICE_TIERS = [          # (name, lo, hi) — hi exclusive; covers all prices
-    ("budget", 0.0, 100_000.0),
-    ("mid", 100_000.0, 250_000.0),
-    ("premium", 250_000.0, 400_000.0),
-    ("luxury", 400_000.0, 10_000_000.0),
-]
-
-
-def order_price_tiers(sf_dir: str) -> ray.data.Dataset:
-    """Range join: orders banded into price tiers (tier.lo <= price <
-    tier.hi).  A range predicate can't hash-partition, so the scale shape
-    is: broadcast the (tiny, sorted, non-overlapping) band table and
-    resolve each row with np.searchsorted per batch — O(log T) per row,
-    no shuffle of fact rows; only (tier, partials) reach the groupby.
-    Overlapping bands would instead flat-map each row into every band it
-    hits (the hopping-window explode pattern)."""
-    los = np.array([t[1] for t in _PRICE_TIERS])
-    names = [t[0] for t in _PRICE_TIERS]
-
-    def band(t: pa.Table) -> pa.Table:
-        price = t["o_totalprice"].to_numpy()
-        idx = np.searchsorted(los, price, side="right") - 1
-        cents = np.floor(price * 100 + 0.5).astype(np.int64)
-        return pa.table(
-            {
-                "tier": pa.array([names[i] for i in idx], pa.string()),
-                "price_cents": pa.array(cents, pa.int64()),
-            }
-        )
-
-    return (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(band, batch_format="pyarrow")
-        .map_batches(
-            _partial_group_agg(["tier"], ["price_cents"]), batch_format="pyarrow"
-        )
-        .groupby("tier")
-        .aggregate(
-            Sum("n_partial", alias_name="n_orders"),
-            Sum("price_cents_partial", alias_name="total_cents"),
-        )
-    )
-
-
-ORACLES["order_price_tiers"] = (
-    "SELECT t.tier, count(*)::BIGINT AS n_orders, "
-    "sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS total_cents "
-    "FROM orders o JOIN (VALUES "
-    + ", ".join(f"('{n}', {lo}, {hi})" for n, lo, hi in _PRICE_TIERS)
-    + ") AS t(tier, lo, hi) ON o.o_totalprice >= t.lo AND o.o_totalprice < t.hi "
-    "GROUP BY t.tier"
-)
-
-
-# ---- rollup / grouping sets ----------------------------------------------
-
-def revenue_rollup(sf_dir: str) -> ray.data.Dataset:
-    """GROUPING SETS ((n_name), ()) — per-nation revenue plus a grand-total
-    row (n_name='ALL').  The grand total derives from the ALREADY-AGGREGATED
-    per-nation rows (a per-batch re-sum of the tiny aggregate), so the fact
-    table is scanned and shuffled exactly once."""
-    per_nation = revenue_by_nation(sf_dir)
-
-    def add_total(t: pa.Table) -> pa.Table:
-        total = pa.table(
-            {
-                "n_name": pa.array(["ALL"], pa.string()),
-                "n_orders": pa.array(
-                    [pc.sum(t["n_orders"]).as_py() or 0], pa.int64()
-                ),
-                "total_cents": pa.array(
-                    [pc.sum(t["total_cents"]).as_py() or 0], pa.int64()
-                ),
-            }
-        )
-        return pa.concat_tables([t.select(["n_name", "n_orders", "total_cents"]), total])
-
-    # repartition(1) so the grand total sees ALL nation rows in one batch
-    return per_nation.repartition(1).map_batches(
-        add_total, batch_format="pyarrow", batch_size=None
-    )
-
-
-ORACLES["revenue_rollup"] = (
-    "SELECT coalesce(n.n_name, 'ALL') AS n_name, count(*)::BIGINT AS n_orders, "
-    "sum(CAST(floor(o.o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS total_cents "
-    "FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey "
-    "JOIN nation n ON c.c_nationkey = n.n_nationkey "
-    "GROUP BY GROUPING SETS ((n.n_name), ())"
-)
-
-
-# ---- semi-structured JSON extraction -------------------------------------
-
-def props_stats(sf_dir: str) -> ray.data.Dataset:
-    """Semi-structured column handling: the ``props`` JSON string column is
-    parsed per batch (stdlib json over the Python strings — the values
-    must surface to Python either way; a real pipeline with deep JSON
-    would use pyarrow's JSON reader on raw buffers) and the extracted
-    ``k`` field aggregates per event_type with integer sums."""
-    import json
-
-    def extract(t: pa.Table) -> pa.Table:
-        ks = np.array(
-            [json.loads(s).get("k", 0) if s else 0 for s in t["props"].to_pylist()],
-            dtype=np.int64,
-        )
-        return pa.table({"event_type": t["event_type"], "k": pa.array(ks, pa.int64())})
-
-    return (
-        _read(sf_dir, "events", ["event_type", "props"])
-        .map_batches(extract, batch_format="pyarrow")
-        .map_batches(
-            _partial_group_agg(["event_type"], ["k"]), batch_format="pyarrow"
-        )
-        .groupby("event_type")
-        .aggregate(
-            Sum("n_partial", alias_name="n_events"),
-            Sum("k_partial", alias_name="sum_k"),
-        )
-    )
-
-
-ORACLES["props_stats"] = (
-    "SELECT event_type, count(*)::BIGINT AS n_events, "
-    "sum(CAST(json_extract(props, '$.k') AS BIGINT))::BIGINT AS sum_k "
-    "FROM events GROUP BY event_type"
-)
-
-
-# ---- predicate pushdown at the read --------------------------------------
-
-def error_events_pushdown(sf_dir: str) -> ray.data.Dataset:
-    """Row-filter PUSHDOWN at the parquet scan: the predicate rides into
-    ``read_parquet`` as an Arrow dataset expression, so row groups whose
-    statistics exclude it never leave storage — at 100 TB this is the
-    difference between scanning the corpus and scanning the 2-3% of row
-    groups that can match.  (Everywhere else this engine filters with
-    map_batches AFTER a column-pruned read; this query is the
-    read-level-pruning counterpart.)
-
-    Measured caveat: on this fixture (ONE small file, whole table in one
-    row group) the filtered read's fragment planning costs ~4s vs 0.14s
-    for a plain read — the knob only pays when statistics can actually
-    exclude row groups; don't reach for it on small inputs."""
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "user_id", "event_type", "value"],
-        filter=(pc.field("event_type") == "error") & (pc.field("value") > 100.0),
-    )
-    return (
-        ds.map_batches(
-            lambda t: pa.table(
-                {
-                    "user_bucket": pa.array(
-                        np.mod(t["user_id"].to_numpy(), 10).astype(np.int64)
-                    ),
-                    "value_cents": pa.array(
-                        np.floor(t["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(
-            _partial_group_agg(["user_bucket"], ["value_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby("user_bucket")
-        .aggregate(
-            Sum("n_partial", alias_name="n_errors"),
-            Sum("value_cents_partial", alias_name="sum_value_cents"),
-        )
-    )
-
-
-ORACLES["error_events_pushdown"] = (
-    "SELECT (user_id - (user_id // 10) * 10)::BIGINT AS user_bucket, "
-    "count(*)::BIGINT AS n_errors, "
-    "sum(CAST(floor(value * 100 + 0.5) AS BIGINT))::BIGINT AS sum_value_cents "
-    "FROM events WHERE event_type = 'error' AND value > 100 "
-    "GROUP BY 1"
-)
-
-
-# ---- TPC-H Q5-shape multi-way join (region→nation→cust/supp→orders→lineitem)
-
-
-def _probe_int(ref, probe_keys: np.ndarray) -> np.ndarray:
-    """Vectorized int-valued dim lookup against a ray.put-broadcast
-    (sorted keys, int64 vals) pair; unmatched keys yield -1."""
-    keys, vals = ray.get(ref)
-    if len(keys) == 0:
-        return np.full(len(probe_keys), -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(keys, probe_keys), len(keys) - 1)
-    return np.where(keys[pos] == probe_keys, vals[pos], -1)
-
-
-def _broadcast_int_dim(table: pa.Table, key_col: str, val_col: str):
-    """Broadcast a dim as ONE object-store copy of (sorted keys, int64
-    vals) — the `_broadcast_customer_lookup` shape for integer values."""
-    keys = table[key_col].to_numpy()
-    order = np.argsort(keys)
-    return ray.put(
-        (keys[order], table[val_col].to_numpy().astype(np.int64)[order])
-    )
-
-
-def _volume_join_parts(n_rows: int, n_joins: int = 1) -> int:
-    """Join fan-out sized by BOTH cluster CPUs and data volume: each
-    partition costs an aggregator-actor spawn plus fixed shuffle work, so
-    a 16-way join on a small table runs measurably slower than a 4-way
-    (same finding as dedup._band_join_parts).  ~20k rows per partition,
-    floor 2, capped by the CPU budget split across concurrent joins."""
-    return max(2, min(_join_parts(n_joins), n_rows // 20_000))
-
-
-Q5_REGION = "ASIA"
-Q5_DATE_LO = "1996-01-01"
-Q5_DATE_HI = "1998-01-01"
-
-
-def local_supplier_volume(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q5 shape: revenue per nation where the customer and the
-    supplier sit in the SAME nation of one region, over a two-year order
-    window — the six-table join exercised as ONE large-large hash join
-    plus broadcast dimension semi-joins (reference's join cascade,
-    relational read path; see SURVEY.md §2.5).
-
-    Physical plan (broadcast path, dims ≤ BROADCAST_DIM_MAX_ROWS):
-    region (5 rows) and nation (25) resolve in the driver closure;
-    customer and supplier are PRE-FILTERED to the target region's
-    nations and broadcast once via ray.put as sorted (key, nationkey)
-    arrays.  The orders fact stream probes custkey (binary search, no
-    shuffle), the lineitem stream probes suppkey and pre-aggregates
-    revenue cents per (orderkey, supp_nation) in-batch, and only the
-    lineitem⋈orders pair pays a hash-partitioned join — fan-out sized by
-    data volume (_volume_join_parts).  The same-nation predicate is a
-    post-join vectorized filter; the final groupby shuffles ≤ 25 partial
-    rows per batch.  Above the broadcast bound every dim lookup switches
-    to the native hash join (fallback path, pinned equal by a
-    zero-threshold test)."""
-    import pyarrow.parquet as pq
-
-    region = pq.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    target_rk = region.filter(pc.equal(region["r_name"], Q5_REGION))[
-        "r_regionkey"
-    ].to_numpy()
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_name", "n_regionkey"],
-    )
-    in_region = nation.filter(
-        pa.array(np.isin(nation["n_regionkey"].to_numpy(), target_rk))
-    )
-    region_nk = np.sort(in_region["n_nationkey"].to_numpy().astype(np.int64))
-    nk = in_region["n_nationkey"].to_numpy()
-    nation_lut = np.full(int(nk.max()) + 2 if len(nk) else 2, None, dtype=object)
-    nation_lut[nk] = in_region["n_name"].to_pylist()
-
-    lo = np.datetime64(Q5_DATE_LO, "us")
-    hi = np.datetime64(Q5_DATE_HI, "us")
-
-    def order_window(t: pa.Table) -> pa.Table:
-        return t.filter(
-            pc.and_(
-                pc.greater_equal(t["o_orderdate"], pa.scalar(lo)),
-                pc.less(t["o_orderdate"], pa.scalar(hi)),
-            )
-        )
-
-    def li_cents(t: pa.Table) -> np.ndarray:
-        return np.floor(
-            t["l_extendedprice"].to_numpy() * (1 - t["l_discount"].to_numpy()) * 100
-            + 0.5
-        ).astype(np.int64)
-
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-
-    use_broadcast = (
-        max(_dim_num_rows(sf_dir, "customer"), _dim_num_rows(sf_dir, "supplier"))
-        <= BROADCAST_DIM_MAX_ROWS
-    )
-    if use_broadcast:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        cust = cust.filter(
-            pa.array(np.isin(cust["c_nationkey"].to_numpy(), region_nk))
-        )
-        cref = _broadcast_int_dim(cust, "c_custkey", "c_nationkey")
-        supp = pq.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        )
-        supp = supp.filter(
-            pa.array(np.isin(supp["s_nationkey"].to_numpy(), region_nk))
-        )
-        sref = _broadcast_int_dim(supp, "s_suppkey", "s_nationkey")
-
-        def orders_probe(t: pa.Table) -> pa.Table:
-            t = order_window(t)
-            cn = _probe_int(cref, t["o_custkey"].to_numpy())
-            keep = cn >= 0
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
-                    "c_nation": pa.array(cn[keep], pa.int64()),
-                }
-            )
-
-        orders_n = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        ).map_batches(orders_probe, batch_format="pyarrow")
-
-        def lineitem_probe(t: pa.Table) -> pa.Table:
-            sn = _probe_int(sref, t["l_suppkey"].to_numpy())
-            keep = sn >= 0
-            part = pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"].filter(pa.array(keep)),
-                    "s_nation": pa.array(sn[keep], pa.int64()),
-                    "revenue_cents": pa.array(li_cents(t)[keep], pa.int64()),
-                }
-            )
-            g = part.group_by(["l_orderkey", "s_nation"]).aggregate(
-                [("revenue_cents", "sum")]
-            )
-            return g.rename_columns(["l_orderkey", "s_nation", "revenue_cents"])
-
-        lineitem_n = _read(
-            sf_dir,
-            "lineitem",
-            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).map_batches(lineitem_probe, batch_format="pyarrow")
-        joined = lineitem_n.join(
-            orders_n,
-            join_type="inner",
-            num_partitions=_volume_join_parts(n_li),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-    else:
-        # dims too big to broadcast: every lookup is a hash-partitioned
-        # native join (3 concurrent join stages share the CPU budget).
-        # The region predicate is applied POST-join, not pushed into the
-        # dim sides: Ray 2.49's hash join crashes whenever a right-side
-        # partition receives zero rows (schemaless empty partition), and
-        # a region-filtered dim is exactly the sparse right side that
-        # triggers it — the full dims are dense, so they shuffle safely
-        # at the cost of ~regions x more join traffic.
-        parts = _volume_join_parts(n_li, n_joins=3)
-        region_nk_ref = ray.put(region_nk)
-
-        orders_f = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        ).map_batches(order_window, batch_format="pyarrow").select_columns(
-            ["o_orderkey", "o_custkey"]
-        )
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        orders_n = orders_f.join(
-            customer,
-            join_type="inner",
-            num_partitions=parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        ).map_batches(
-            lambda t: pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "c_nation": pc.cast(t["c_nationkey"], pa.int64()),
-                }
-            ).filter(
-                pa.array(
-                    np.isin(
-                        t["c_nationkey"].to_numpy(), ray.get(region_nk_ref)
-                    )
-                )
-            ),
-            batch_format="pyarrow",
-        )
-
-        def li_combine(t: pa.Table) -> pa.Table:
-            g = (
-                pa.table(
-                    {
-                        "l_orderkey": t["l_orderkey"],
-                        "l_suppkey": t["l_suppkey"],
-                        "revenue_cents": pa.array(li_cents(t), pa.int64()),
-                    }
-                )
-                .group_by(["l_orderkey", "l_suppkey"])
-                .aggregate([("revenue_cents", "sum")])
-            )
-            return g.rename_columns(["l_orderkey", "l_suppkey", "revenue_cents"])
-
-        lineitem_c = _read(
-            sf_dir,
-            "lineitem",
-            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).map_batches(li_combine, batch_format="pyarrow")
-        supplier = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-        lineitem_n = lineitem_c.join(
-            supplier,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_suppkey",),
-            right_on=("s_suppkey",),
-        ).map_batches(
-            lambda t: pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"],
-                    "s_nation": pc.cast(t["s_nationkey"], pa.int64()),
-                    "revenue_cents": t["revenue_cents"],
-                }
-            ).filter(
-                pa.array(
-                    np.isin(
-                        t["s_nationkey"].to_numpy(), ray.get(region_nk_ref)
-                    )
-                )
-            ),
-            batch_format="pyarrow",
-        )
-        joined = lineitem_n.join(
-            orders_n,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-
-    def same_nation_name(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["s_nation"], t["c_nation"])
-        t = t.filter(keep)
-        return pa.table(
-            {
-                "n_name": pa.array(
-                    nation_lut[t["s_nation"].to_numpy()], pa.string()
-                ),
-                "revenue_cents": t["revenue_cents"],
-            }
-        )
-
-    return (
-        joined.map_batches(same_nation_name, batch_format="pyarrow")
-        .map_batches(
-            _partial_group_agg(["n_name"], ["revenue_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby("n_name")
-        .aggregate(Sum("revenue_cents_partial", alias_name="revenue_cents"))
-        .sort(["revenue_cents", "n_name"], descending=[True, False])
-        .select_columns(["n_name", "revenue_cents"])
-    )
-
-
-ORACLES["local_supplier_volume"] = (
-    "SELECT n_name, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))::BIGINT "
-    "AS revenue_cents "
-    "FROM customer, orders, lineitem, supplier, nation, region "
-    "WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey "
-    "AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey "
-    "AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey "
-    f"AND r_name = '{Q5_REGION}' "
-    f"AND o_orderdate >= TIMESTAMP '{Q5_DATE_LO}' "
-    f"AND o_orderdate < TIMESTAMP '{Q5_DATE_HI}' "
-    "GROUP BY n_name ORDER BY revenue_cents DESC, n_name"
-)
-
-
-# ---- TPC-H Q14-shape promo share (lineitem ⋈ part dim) -------------------
-
-
-def promo_part_revenue(sf_dir: str) -> ray.data.Dataset:
-    """Promo-type revenue share per ship month (TPC-H Q14 shape) — the
-    part dimension joined onto the streaming lineitem fact.
-
-    Broadcast path: part is compressed to ONE (sorted partkey, promo 0/1)
-    int pair via ray.put; each lineitem batch probes it with a binary
-    search (no fact shuffle at all), truncates l_shipdate to the month,
-    and pre-aggregates (promo_cents, total_cents) per month in-batch, so
-    the groupby shuffles ≤ ~85 rows per batch regardless of input size.
-    Above BROADCAST_DIM_MAX_ROWS the probe becomes a hash-partitioned
-    native join (zero-threshold test pins both paths to the oracle).
-    promo_share is ONE int/int double division, computed identically by
-    DuckDB."""
-    import pyarrow.parquet as pq
-
-    def month_cents(t: pa.Table, promo: np.ndarray) -> pa.Table:
-        keep = promo >= 0
-        t = t.filter(pa.array(keep))
-        promo = promo[keep]
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy() * (1 - t["l_discount"].to_numpy()) * 100
-            + 0.5
-        ).astype(np.int64)
-        # the shuffle key is an int64 epoch-us month, NOT a timestamp:
-        # Ray 2.49's sort/groupby boundary sampling round-trips bare
-        # timestamp keys through numpy datetime64[D] and warns per task;
-        # the int key shuffles clean and converts back after the aggregate
-        month_us = (
-            t["l_shipdate"]
-            .to_numpy()
-            .astype("datetime64[M]")
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        part = pa.table(
-            {
-                "month_us": pa.array(month_us, pa.int64()),
-                "promo_cents": pa.array(cents * (promo == 1), pa.int64()),
-                "total_cents": pa.array(cents, pa.int64()),
-            }
-        )
-        g = part.group_by("month_us").aggregate(
-            [("promo_cents", "sum"), ("total_cents", "sum")]
-        )
-        return g.rename_columns(["month_us", "promo_cents", "total_cents"])
-
-    li_cols = ["l_partkey", "l_shipdate", "l_extendedprice", "l_discount"]
-    if _dim_num_rows(sf_dir, "part") <= BROADCAST_DIM_MAX_ROWS:
-        part = pq.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-        )
-        flags = pa.table(
-            {
-                "p_partkey": part["p_partkey"],
-                "is_promo": pc.cast(
-                    pc.equal(part["p_type"], "PROMO"), pa.int64()
-                ),
-            }
-        )
-        pref = _broadcast_int_dim(flags, "p_partkey", "is_promo")
-        monthly = _read(sf_dir, "lineitem", li_cols).map_batches(
-            lambda t: month_cents(t, _probe_int(pref, t["l_partkey"].to_numpy())),
-            batch_format="pyarrow",
-        )
-    else:
-        part_ds = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
-            lambda t: pa.table(
-                {
-                    "p_partkey": t["p_partkey"],
-                    "is_promo": pc.cast(
-                        pc.equal(t["p_type"], "PROMO"), pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        monthly = (
-            _read(sf_dir, "lineitem", li_cols)
-            .join(
-                part_ds,
-                join_type="inner",
-                num_partitions=_volume_join_parts(
-                    _dim_num_rows(sf_dir, "lineitem")
-                ),
-                on=("l_partkey",),
-                right_on=("p_partkey",),
-            )
-            .map_batches(
-                lambda t: month_cents(
-                    t, t["is_promo"].to_numpy().astype(np.int64)
-                ),
-                batch_format="pyarrow",
-            )
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        share = t["promo_cents"].to_numpy() / t["total_cents"].to_numpy()
-        return pa.table(
-            {
-                "ship_month": pa.array(
-                    t["month_us"].to_numpy().astype("datetime64[us]"),
-                    pa.timestamp("us"),
-                ),
-                "promo_cents": t["promo_cents"],
-                "total_cents": t["total_cents"],
-                "promo_share": pa.array(share, pa.float64()),
-            }
-        )
-
-    return (
-        monthly.groupby("month_us")
-        .aggregate(
-            Sum("promo_cents", alias_name="promo_cents"),
-            Sum("total_cents", alias_name="total_cents"),
-        )
-        .sort("month_us")
-        .map_batches(finish, batch_format="pyarrow")
-    )
-
-
-ORACLES["promo_part_revenue"] = (
-    "WITH l AS (SELECT date_trunc('month', l_shipdate) AS ship_month, "
-    "CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT) AS cents, "
-    "(p_type = 'PROMO')::BIGINT AS is_promo "
-    "FROM lineitem JOIN part ON l_partkey = p_partkey) "
-    "SELECT ship_month, sum(cents * is_promo)::BIGINT AS promo_cents, "
-    "sum(cents)::BIGINT AS total_cents, "
-    "sum(cents * is_promo)::BIGINT / sum(cents)::BIGINT AS promo_share "
-    "FROM l GROUP BY ship_month ORDER BY ship_month"
-)
-
-
-# ---- NTILE quantile bucketing (grouped window rank family) ---------------
-
-NTILE_K = 4
-
-
-def ntile_order_tiers(sf_dir: str) -> ray.data.Dataset:
-    """NTILE(4) of orders by total price within each order priority, then
-    per-(priority, tile) count/sum/min/max — the equal-frequency
-    bucketing window.  NTILE needs each group's EXACT global ordering, so
-    like ``median_value_per_type`` it uses groupby(priority).map_groups —
-    correct here because the group count is BOUNDED (5 priorities) and
-    the per-group work is one numpy lexsort + reduceat, no Python loop.
-    For a grouping key that scales with the data, the approx_quantiles
-    histogram sketch is the scale path (bounded shuffle, ~1-bin error).
-    Ties order by (cents, orderkey) so the tile assignment is
-    deterministic and matches the SQL window exactly."""
-
-    def add_cents(t: pa.Table) -> pa.Table:
-        cents = np.floor(t["o_totalprice"].to_numpy() * 100 + 0.5).astype(
-            np.int64
-        )
-        return pa.table(
-            {
-                "priority": t["o_orderpriority"],
-                "cents": pa.array(cents, pa.int64()),
-                "o_orderkey": t["o_orderkey"],
-            }
-        )
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "priority": pd.array([], dtype=object),
-                    "tile": pd.array([], dtype="int64"),
-                    "n_orders": pd.array([], dtype="int64"),
-                    "sum_cents": pd.array([], dtype="int64"),
-                    "min_cents": pd.array([], dtype="int64"),
-                    "max_cents": pd.array([], dtype="int64"),
-                }
-            )
-        cents = g["cents"].to_numpy()
-        order = np.lexsort((g["o_orderkey"].to_numpy(), cents))
-        cents = cents[order]
-        n, k = len(cents), NTILE_K
-        base, rem = divmod(n, k)
-        sizes = np.full(k, base, dtype=np.int64)
-        sizes[:rem] += 1
-        sizes = sizes[sizes > 0]
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        return pd.DataFrame(
-            {
-                "priority": g["priority"].iloc[0],
-                "tile": np.arange(1, len(sizes) + 1, dtype=np.int64),
-                "n_orders": sizes,
-                "sum_cents": np.add.reduceat(cents, starts).astype(np.int64),
-                "min_cents": cents[starts],
-                "max_cents": cents[np.cumsum(sizes) - 1],
-            }
-        )
-
-    return (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice", "o_orderkey"])
-        .map_batches(add_cents, batch_format="pyarrow")
-        .groupby("priority")
-        .map_groups(per_group, batch_format="pandas")
-    )
-
-
-ORACLES["ntile_order_tiers"] = (
-    "WITH t AS (SELECT o_orderpriority AS priority, "
-    "CAST(floor(o_totalprice*100+0.5) AS BIGINT) AS cents, "
-    f"NTILE({NTILE_K}) OVER (PARTITION BY o_orderpriority "
-    "ORDER BY floor(o_totalprice*100+0.5), o_orderkey) AS tile FROM orders) "
-    "SELECT priority, tile::BIGINT AS tile, count(*)::BIGINT AS n_orders, "
-    "sum(cents)::BIGINT AS sum_cents, min(cents)::BIGINT AS min_cents, "
-    "max(cents)::BIGINT AS max_cents "
-    "FROM t GROUP BY priority, tile ORDER BY priority, tile"
-)
-
-
-# ---- distributed Pearson correlation (moment-sketch aggregate) -----------
-
-
-def qty_discount_corr(sf_dir: str) -> pa.Table:
-    """Pearson correlation of line quantity vs discount per return flag,
-    computed from EXACT integer moment partials: each batch emits one
-    (flag, n, Σq, Σd, Σq², Σd², Σqd) row via a pyarrow group_by combiner,
-    one tiny groupby Sums them, and the correlation formula runs
-    driver-side on the 3-row aggregate in arbitrary-precision Python ints
-    before ONE float conversion — so the doubles are bit-identical to the
-    oracle's (DuckDB computes the same products in HUGEINT, then casts).
-    No float accumulates across rows; the shuffle carries one row per
-    (batch, flag).  int64 partial bounds: q ≤ 50, d ≤ 10 cents-of-rate,
-    so per-batch Σq² ≤ 2500·rows — safe past 10¹² rows/batch; the
-    cross-products that COULD overflow int64 (n·Σq² at ≳10⁸ rows/group)
-    are exactly why the final formula runs in Python ints, not numpy."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        d = np.floor(t["l_discount"].to_numpy() * 100 + 0.5).astype(np.int64)
-        src = pa.table(
-            {
-                "flag": t["l_returnflag"],
-                "q": pa.array(q, pa.int64()),
-                "d": pa.array(d, pa.int64()),
-                "qq": pa.array(q * q, pa.int64()),
-                "dd": pa.array(d * d, pa.int64()),
-                "qd": pa.array(q * d, pa.int64()),
-            }
-        )
-        g = src.group_by("flag").aggregate(
-            [(c, "sum") for c in ("q", "d", "qq", "dd", "qd")]
-            + [([], "count_all")]
-        )
-        return pa.table(
-            {
-                "flag": g["flag"],
-                **{f"s{c}": g[f"{c}_sum"] for c in ("q", "d", "qq", "dd", "qd")},
-                "n_partial": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    agg = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("flag")
-        .aggregate(
-            Sum("n_partial", alias_name="n"),
-            *[Sum(f"s{c}", alias_name=f"s{c}") for c in ("q", "d", "qq", "dd", "qd")],
-        )
-        .to_pandas()
-    )
-
-    flags, ns, corrs = [], [], []
-    for r in agg.itertuples(index=False):
-        n, sq, sd, sqq, sdd, sqd = (
-            int(r.n), int(r.sq), int(r.sd), int(r.sqq), int(r.sdd), int(r.sqd)
-        )
-        num = n * sqd - sq * sd
-        den_q = n * sqq - sq * sq
-        den_d = n * sdd - sd * sd
-        if den_q == 0 or den_d == 0:
-            corr = 0.0
-        else:
-            import math
-
-            corr = float(num) / (math.sqrt(float(den_q)) * math.sqrt(float(den_d)))
-        flags.append(r.flag)
-        ns.append(n)
-        corrs.append(corr)
-    return pa.table(
-        {
-            "flag": pa.array(flags, pa.string()),
-            "n": pa.array(ns, pa.int64()),
-            "corr_qd": pa.array(corrs, pa.float64()),
-        }
-    )
-
-
-ORACLES["qty_discount_corr"] = (
-    "WITH m AS (SELECT l_returnflag AS flag, count(*)::BIGINT AS n, "
-    "sum(CAST(floor(l_quantity+0.5) AS BIGINT))::BIGINT AS sq, "
-    "sum(CAST(floor(l_discount*100+0.5) AS BIGINT))::BIGINT AS sd, "
-    "sum(CAST(floor(l_quantity+0.5) AS BIGINT)*CAST(floor(l_quantity+0.5) AS BIGINT))::BIGINT AS sqq, "
-    "sum(CAST(floor(l_discount*100+0.5) AS BIGINT)*CAST(floor(l_discount*100+0.5) AS BIGINT))::BIGINT AS sdd, "
-    "sum(CAST(floor(l_quantity+0.5) AS BIGINT)*CAST(floor(l_discount*100+0.5) AS BIGINT))::BIGINT AS sqd "
-    "FROM lineitem GROUP BY 1) "
-    "SELECT flag, n, CASE WHEN n*sqq - sq*sq = 0 OR n*sdd - sd*sd = 0 THEN 0.0 "
-    "ELSE CAST(n*sqd - sq*sd AS DOUBLE) / "
-    "(sqrt(CAST(n*sqq - sq*sq AS DOUBLE)) * sqrt(CAST(n*sdd - sd*sd AS DOUBLE))) "
-    "END AS corr_qd FROM m ORDER BY flag"
-)
-
-
-# ---- Q13-shape: customer order-count distribution (join-free) ------------
-
-
-def cust_order_histogram(sf_dir: str) -> pa.Table:
-    """Distribution of per-customer order counts (TPC-H Q13 shape) with
-    the LEFT JOIN eliminated: orders aggregate to one (custkey, n_orders)
-    row via the map-side combiner, a second combiner-backed groupby
-    builds the histogram over those counts, and the zero-order bucket is
-    ``customer-rowcount − customers-with-orders`` from parquet METADATA —
-    no customer column ever reads, no join ships the SF-proportional
-    customer table.  Shuffles: orders → ≤ distinct-custkeys rows, then
-    ≤ distinct-count values (≈ tens).  The final histogram is inherently
-    tiny, so the driver-side zero-bucket append is O(rows-of-output)."""
-    per_cust = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(_partial_group_agg(["o_custkey"]), batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n_partial", alias_name="n_orders"))
-    )
-    hist = (
-        per_cust.map_batches(_partial_group_agg(["n_orders"]), batch_format="pyarrow")
-        .groupby("n_orders")
-        .aggregate(Sum("n_partial", alias_name="n_customers"))
-        .to_pandas()
-    )
-    n_zero = _dim_num_rows(sf_dir, "customer") - int(hist["n_customers"].sum())
-    counts = hist["n_customers"].to_numpy().astype(np.int64)
-    orders_n = hist["n_orders"].to_numpy().astype(np.int64)
-    if n_zero > 0:
-        orders_n = np.concatenate([[0], orders_n])
-        counts = np.concatenate([[n_zero], counts])
-    return pa.table(
-        {
-            "n_orders": pa.array(orders_n, pa.int64()),
-            "n_customers": pa.array(counts, pa.int64()),
-        }
-    )
-
-
-ORACLES["cust_order_histogram"] = (
-    "WITH c AS (SELECT c_custkey, count(o_orderkey) AS n_orders "
-    "FROM customer LEFT JOIN orders ON c_custkey = o_custkey GROUP BY 1) "
-    "SELECT n_orders::BIGINT AS n_orders, count(*)::BIGINT AS n_customers "
-    "FROM c GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- Q4-shape: EXISTS-predicate aggregate --------------------------------
-
-LATE_SHIP_DAYS = 60
-
-
-def late_order_priority(sf_dir: str) -> ray.data.Dataset:
-    """Orders with at least one lineitem shipped > LATE_SHIP_DAYS after
-    the order date, counted per priority (TPC-H Q4's EXISTS shape).  The
-    correlated EXISTS collapses algebraically: ∃ ship > orderdate + Δ ⟺
-    max(ship) > orderdate + Δ, so lineitem pre-aggregates to ONE row per
-    orderkey (pyarrow max combiner + Max groupby) before the join —
-    the semi-join probe side carries a timestamp per orderkey instead of
-    every lineitem row.  Orders stream through a volume-sized hash join,
-    the date predicate is vectorized numpy, and the final 5-row priority
-    count is combiner-backed."""
-    from ray.data.aggregate import Max
-
-    def max_ship_partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("l_orderkey").aggregate([("l_shipdate", "max")])
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"], "max_ship": g["l_shipdate_max"]}
-        )
-
-    last_ship = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-        .map_batches(max_ship_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Max("max_ship", alias_name="max_ship"))
-    )
-    joined = _read(
-        sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"]
-    ).join(
-        last_ship,
-        join_type="inner",
-        num_partitions=_volume_join_parts(_dim_num_rows(sf_dir, "orders")),
-        on=("o_orderkey",),
-        right_on=("l_orderkey",),
-    )
-
-    def late_filter(t: pa.Table) -> pa.Table:
-        ship = t["max_ship"].to_numpy(zero_copy_only=False)
-        ordered = t["o_orderdate"].to_numpy(zero_copy_only=False)
-        late = ship > ordered + np.timedelta64(LATE_SHIP_DAYS, "D")
-        return t.filter(pa.array(late)).select(["o_orderpriority"])
-
-    return (
-        joined.map_batches(late_filter, batch_format="pyarrow")
-        .map_batches(_partial_group_agg(["o_orderpriority"]), batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(Sum("n_partial", alias_name="n_late"))
-    )
-
-
-ORACLES["late_order_priority"] = (
-    "SELECT o_orderpriority, count(*)::BIGINT AS n_late FROM orders "
-    "WHERE EXISTS (SELECT 1 FROM lineitem WHERE l_orderkey = o_orderkey "
-    f"AND l_shipdate > o_orderdate + INTERVAL {LATE_SHIP_DAYS} DAY) "
-    "GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- Q18-shape: large-volume orders with customer detail -----------------
-
-BIG_ORDER_QTY = 250
-
-
-def big_order_customers(sf_dir: str) -> ray.data.Dataset:
-    """Orders whose total lineitem quantity exceeds BIG_ORDER_QTY, with
-    customer name and order detail (TPC-H Q18 shape).  The HAVING filter
-    runs BEFORE any join: lineitem collapses to one (orderkey, total_qty)
-    row via the sum combiner, the > threshold filter keeps ~1% of
-    orderkeys (qty p99 ≈ 260 in the generator), and only those survivors
-    flow through the two chained hash joins (orders, then customer) —
-    fan-out split across the joins, quantities exact int64 units."""
-    qty = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"],
-                    "qty": pc.cast(
-                        pc.floor(pc.add(t["l_quantity"], 0.5)), pa.int64()
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .map_batches(_partial_group_agg(["l_orderkey"], ["qty"]), batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("qty_partial", alias_name="total_qty"))
-        .filter(expr=f"total_qty > {BIG_ORDER_QTY}")
-    )
-    parts = _volume_join_parts(_dim_num_rows(sf_dir, "orders"), n_joins=2)
-    joined = qty.join(
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"]),
-        join_type="inner",
-        num_partitions=parts,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    ).join(
-        _read(sf_dir, "customer", ["c_custkey", "c_name"]),
-        join_type="inner",
-        num_partitions=parts,
-        on=("o_custkey",),
-        right_on=("c_custkey",),
-    )
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_name": t["c_name"],
-                "o_orderkey": t["l_orderkey"],
-                "o_orderdate": t["o_orderdate"],
-                "price_cents": pc.cast(
-                    pc.floor(pc.add(pc.multiply(t["o_totalprice"], 100.0), 0.5)),
-                    pa.int64(),
-                ),
-                "total_qty": t["total_qty"],
-            }
-        )
-
-    return joined.map_batches(project, batch_format="pyarrow")
-
-
-ORACLES["big_order_customers"] = (
-    "SELECT c_name, o_orderkey, o_orderdate, "
-    "CAST(floor(o_totalprice*100+0.5) AS BIGINT) AS price_cents, "
-    "sum(CAST(floor(l_quantity+0.5) AS BIGINT))::BIGINT AS total_qty "
-    "FROM customer JOIN orders ON c_custkey = o_custkey "
-    "JOIN lineitem ON o_orderkey = l_orderkey "
-    "GROUP BY 1, 2, 3, 4 "
-    f"HAVING sum(CAST(floor(l_quantity+0.5) AS BIGINT)) > {BIG_ORDER_QTY} "
-    "ORDER BY 2"
-)
-
-# ---- Q17-shape: small-quantity revenue vs the part's own average ----------
-
-SMALL_QTY_BRAND = "Brand#13"
-
-
-def small_qty_revenue(sf_dir: str) -> pa.Table:
-    """Revenue lost to small-quantity line items of one brand — TPC-H
-    Q17's "join a fact table against ITS OWN per-group aggregate" shape
-    (correlated scalar subquery; reference's two-pass aggregate read,
-    SURVEY.md §2.6).
-
-    Two lineitem passes, no correlated anything: pass 1 pre-aggregates
-    (sum_qty, count) per brand partkey in-batch (pyarrow combiner) and
-    reduces to one tiny row per brand part; the result — bounded by
-    |part|/25 rows — broadcasts once via ray.put as sorted parallel
-    arrays.  Pass 2 streams lineitem again, probes the thresholds by
-    binary search and keeps rows with qty < 0.2 x the part's average.
-    The float-free trick: quantities are integral and the predicate
-    ``q < 0.2 * (sum/cnt)`` cross-multiplies to ``5*q*cnt < sum`` — exact
-    int64 on both engine and oracle, so no float boundary can flip
-    membership.  Output is one row (cents //7 "yearly average" + count);
-    /7 is a single integer division of an exact sum."""
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    brand_keys = np.sort(
-        part.filter(pc.equal(part["p_brand"], SMALL_QTY_BRAND))[
-            "p_partkey"
-        ].to_numpy()
-    )
-    bref = ray.put(brand_keys)
-
-    def qty_partial(t: pa.Table) -> pa.Table:
-        keys = ray.get(bref)
-        pk = t["l_partkey"].to_numpy()
-        if len(keys) == 0:
-            keep = np.zeros(len(pk), dtype=bool)
-        else:
-            pos = np.minimum(np.searchsorted(keys, pk), len(keys) - 1)
-            keep = keys[pos] == pk
-        sub = pa.table(
-            {
-                "l_partkey": t["l_partkey"].filter(pa.array(keep)),
-                "qty": pa.array(
-                    np.floor(t["l_quantity"].to_numpy()[keep] + 0.5).astype(
-                        np.int64
-                    )
-                ),
-            }
-        )
-        g = sub.group_by("l_partkey").aggregate([("qty", "sum"), ([], "count_all")])
-        return pa.table(
-            {
-                "l_partkey": g["l_partkey"],
-                "sq_partial": g["qty_sum"],
-                "cnt_partial": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_quantity"])
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(
-            Sum("sq_partial", alias_name="sq"),
-            Sum("cnt_partial", alias_name="cnt"),
-        )
-        .materialize()  # tiny: |part|/25 rows
-    )
-    # typed-empty guard: an all-empty aggregate stream loses its schema
-    if per_part.count() == 0:
-        agg = pa.table(
-            {
-                "l_partkey": pa.array([], pa.int64()),
-                "sq": pa.array([], pa.int64()),
-                "cnt": pa.array([], pa.int64()),
-            }
-        )
-    else:
-        agg = pa.Table.from_pandas(per_part.to_pandas())
-    pk = agg["l_partkey"].to_numpy() if agg.num_rows else np.array([], dtype=np.int64)
-    order = np.argsort(pk)
-    thresholds = ray.put(
-        (
-            pk[order],
-            agg["sq"].to_numpy()[order] if agg.num_rows else np.array([], dtype=np.int64),
-            agg["cnt"].to_numpy()[order] if agg.num_rows else np.array([], dtype=np.int64),
-        )
-    )
-
-    def small_filter(t: pa.Table) -> pa.Table:
-        keys, sq, cnt = ray.get(thresholds)
-        pk = t["l_partkey"].to_numpy()
-        if len(keys) == 0:
-            sel = np.zeros(len(pk), dtype=bool)
-        else:
-            pos = np.minimum(np.searchsorted(keys, pk), len(keys) - 1)
-            hit = keys[pos] == pk
-            q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-            sel = hit & (5 * q * cnt[pos] < sq[pos])
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy()[sel] * 100 + 0.5
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "cents_partial": pa.array([int(cents.sum())], pa.int64()),
-                "n_partial": pa.array([int(sel.sum())], pa.int64()),
-            }
-        )
-
-    total = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
-        .map_batches(small_filter, batch_format="pyarrow")
-        .sum(["cents_partial", "n_partial"])
-    )
-    return pa.table(
-        {
-            "avg_yearly_cents": pa.array(
-                [int(total["sum(cents_partial)"]) // 7], pa.int64()
-            ),
-            "n_small": pa.array([int(total["sum(n_partial)"])], pa.int64()),
-        }
-    )
-
-
-ORACLES["small_qty_revenue"] = (
-    "WITH pq AS (SELECT l_partkey, "
-    "sum(CAST(floor(l_quantity+0.5) AS BIGINT))::BIGINT AS sq, "
-    "count(*)::BIGINT AS cnt FROM lineitem JOIN part ON p_partkey = l_partkey "
-    f"WHERE p_brand = '{SMALL_QTY_BRAND}' GROUP BY 1) "
-    "SELECT CAST(coalesce(sum(CAST(floor(l_extendedprice*100+0.5) AS BIGINT)), 0) "
-    "// 7 AS BIGINT) AS avg_yearly_cents, count(*)::BIGINT AS n_small "
-    "FROM lineitem JOIN pq ON lineitem.l_partkey = pq.l_partkey "
-    "WHERE 5 * CAST(floor(l_quantity+0.5) AS BIGINT) * cnt < sq"
-)
-
-
-# ---- Q15-shape: top supplier(s) by windowed revenue -----------------------
-
-Q15_DATE_LO = "1997-01-01"
-Q15_DATE_HI = "1997-04-01"
-
-
-def top_supplier_revenue(sf_dir: str) -> ray.data.Dataset:
-    """Supplier(s) achieving the MAXIMUM revenue over a quarter — TPC-H
-    Q15's "aggregate, then filter by the aggregate's own global max"
-    shape (view + scalar subquery; reference's report read path,
-    SURVEY.md §2.6).  Ties are kept, matching the SQL.
-
-    Lineitem streams once: the shipdate window and revenue cents are
-    vectorized, an in-batch pyarrow combiner bounds the shuffle by
-    suppliers-per-batch, and the per-supplier aggregate — bounded by
-    |supplier|, NOT by fact volume — is materialized once and reused for
-    both the global max and the winner filter (tiny, usually one row).
-    Winners broadcast as a (key, revenue) pair set; the supplier dim
-    streams and probes it, so no join ships the full dim anywhere."""
-    lo = np.datetime64(Q15_DATE_LO, "us")
-    hi = np.datetime64(Q15_DATE_HI, "us")
-
-    def rev_partial(t: pa.Table) -> pa.Table:
-        ship = t["l_shipdate"].to_numpy(zero_copy_only=False)
-        m = (ship >= lo) & (ship < hi)
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy()[m]
-            * (1 - t["l_discount"].to_numpy()[m])
-            * 100
-            + 0.5
-        ).astype(np.int64)
-        sub = pa.table(
-            {
-                "l_suppkey": t["l_suppkey"].filter(pa.array(m)),
-                "cents": pa.array(cents),
-            }
-        )
-        g = sub.group_by("l_suppkey").aggregate([("cents", "sum")])
-        return pa.table(
-            {"l_suppkey": g["l_suppkey"], "cents_partial": g["cents_sum"]}
-        )
-
-    rev = (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(rev_partial, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("cents_partial", alias_name="total_revenue_cents"))
-        .materialize()  # bounded by |supplier| rows; reused twice below
-    )
-    if rev.count() == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "s_suppkey": pa.array([], pa.int64()),
-                    "s_name": pa.array([], pa.string()),
-                    "total_revenue_cents": pa.array([], pa.int64()),
-                }
-            )
-        )
-    best = int(rev.max("total_revenue_cents"))
-    winners = rev.filter(
-        expr=f"total_revenue_cents == {best}"
-    ).to_pandas()  # tiny: the argmax tie set
-    wkeys = np.sort(winners["l_suppkey"].to_numpy())
-    wref = ray.put(wkeys)
-
-    def pick(t: pa.Table) -> pa.Table:
-        keys = ray.get(wref)
-        sk = t["s_suppkey"].to_numpy()
-        pos = np.minimum(np.searchsorted(keys, sk), len(keys) - 1)
-        keep = keys[pos] == sk
-        sub = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "s_suppkey": sub["s_suppkey"],
-                "s_name": sub["s_name"],
-                "total_revenue_cents": pa.array(
-                    np.full(sub.num_rows, best, dtype=np.int64)
-                ),
-            }
-        )
-
-    return _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).map_batches(
-        pick, batch_format="pyarrow"
-    )
-
-
-ORACLES["top_supplier_revenue"] = (
-    "WITH rev AS (SELECT l_suppkey, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))::BIGINT "
-    "AS total_revenue_cents FROM lineitem "
-    f"WHERE l_shipdate >= DATE '{Q15_DATE_LO}' "
-    f"AND l_shipdate < DATE '{Q15_DATE_HI}' GROUP BY 1) "
-    "SELECT s_suppkey, s_name, total_revenue_cents "
-    "FROM supplier JOIN rev ON s_suppkey = l_suppkey "
-    "WHERE total_revenue_cents = (SELECT max(total_revenue_cents) FROM rev) "
-    "ORDER BY 1"
-)
-
-
-# ---- Q22-shape: idle customers above the average positive balance ---------
-
-IDLE_CUTOFF = "2000-01-01"
-
-
-def idle_customer_balance(sf_dir: str) -> ray.data.Dataset:
-    """Customers with an above-average positive balance and NO orders
-    since IDLE_CUTOFF, counted per nation — TPC-H Q22's "scalar-subquery
-    threshold + anti-join" shape (reference's residual audit read,
-    SURVEY.md §2.6); the date predicate keeps the anti-join non-vacuous
-    on the synthetic corpus, where every customer has SOME order.
-
-    Pass 1 computes the global (sum, count) of positive balances as one
-    streaming aggregate (two int64 scalars on the driver).  The float-
-    free threshold: ``bal > sum/cnt`` cross-multiplies to
-    ``bal_cents * cnt > sum_cents`` — exact int64 both sides.  Pass 2
-    filters the customer stream by that predicate, then anti-joins the
-    survivors against DISTINCT order custkeys.  The distinct-key side is
-    dense (rows >> partitions), so the streaming left_outer hash join is
-    the safe/scalable path per the Ray 2.49 empty-partition rule (see
-    dedup_survivors for the sparse alternative); a marker column on the
-    right side detects non-matches because the join consumes key-only
-    right tables.  Final per-nation count/sum is combiner-backed."""
-    def bal_cents(t: pa.Table) -> np.ndarray:
-        return np.floor(t["c_acctbal"].to_numpy() * 100 + 0.5).astype(np.int64)
-
-    def pos_partial(t: pa.Table) -> pa.Table:
-        c = bal_cents(t)
-        c = c[c > 0]
-        return pa.table(
-            {
-                "s_partial": pa.array([int(c.sum())], pa.int64()),
-                "n_partial": pa.array([int(len(c))], pa.int64()),
-            }
-        )
-
-    tot = (
-        _read(sf_dir, "customer", ["c_acctbal"])
-        .map_batches(pos_partial, batch_format="pyarrow")
-        .sum(["s_partial", "n_partial"])
-    )
-    pos_sum = int(tot["sum(s_partial)"])
-    pos_n = max(1, int(tot["sum(n_partial)"]))
-
-    def rich_filter(t: pa.Table) -> pa.Table:
-        c = bal_cents(t)
-        keep = c * pos_n > pos_sum
-        return pa.table(
-            {
-                "c_custkey": t["c_custkey"].filter(pa.array(keep)),
-                "c_nationkey": pc.cast(
-                    t["c_nationkey"].filter(pa.array(keep)), pa.int64()
-                ),
-                "bal_cents": pa.array(c[keep]),
-            }
-        )
-
-    rich = _read(
-        sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"]
-    ).map_batches(rich_filter, batch_format="pyarrow")
-
-    cutoff = np.datetime64(IDLE_CUTOFF, "us")
-
-    def order_keys(t: pa.Table) -> pa.Table:
-        recent = t["o_orderdate"].to_numpy(zero_copy_only=False) >= cutoff
-        t = t.filter(pa.array(recent))
-        g = t.select(["o_custkey"]).group_by("o_custkey").aggregate([])
-        return pa.table(
-            {
-                "o_custkey": g["o_custkey"],
-                "has_order": pa.array(
-                    np.ones(g.num_rows, dtype=np.int8), pa.int8()
-                ),
-            }
-        )
-
-    ordered = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-        .map_batches(order_keys, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Count(alias_name="n_ok"))
-    )
-
-    def mark(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"o_custkey": t["o_custkey"], "has_order": t["n_ok"]}
-        )
-
-    joined = rich.join(
-        ordered.map_batches(mark, batch_format="pyarrow"),
-        join_type="left_outer",
-        num_partitions=_volume_join_parts(_dim_num_rows(sf_dir, "customer")),
-        on=("c_custkey",),
-        right_on=("o_custkey",),
-    )
-
-    def idle_only(t: pa.Table) -> pa.Table:
-        keep = pc.is_null(t["has_order"])
-        sub = t.filter(keep)
-        g = (
-            sub.select(["c_nationkey", "bal_cents"])
-            .group_by("c_nationkey")
-            .aggregate([("bal_cents", "sum"), ([], "count_all")])
-        )
-        return pa.table(
-            {
-                "nationkey": g["c_nationkey"],
-                "bal_partial": g["bal_cents_sum"],
-                "n_partial": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(idle_only, batch_format="pyarrow")
-        .groupby("nationkey")
-        .aggregate(
-            Sum("n_partial", alias_name="n_custs"),
-            Sum("bal_partial", alias_name="total_bal_cents"),
-        )
-    )
-
-
-ORACLES["idle_customer_balance"] = (
-    "WITH pos AS (SELECT "
-    "sum(CAST(floor(c_acctbal*100+0.5) AS BIGINT))::BIGINT AS s, "
-    "count(*)::BIGINT AS n FROM customer "
-    "WHERE CAST(floor(c_acctbal*100+0.5) AS BIGINT) > 0) "
-    "SELECT c_nationkey::BIGINT AS nationkey, count(*)::BIGINT AS n_custs, "
-    "sum(CAST(floor(c_acctbal*100+0.5) AS BIGINT))::BIGINT AS total_bal_cents "
-    "FROM customer, pos "
-    "WHERE CAST(floor(c_acctbal*100+0.5) AS BIGINT) * pos.n > pos.s "
-    "AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey "
-    f"AND o_orderdate >= DATE '{IDLE_CUTOFF}') "
-    "GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- time-series: week-over-week deltas on an aggregate -------------------
-
-def orders_week_over_week(sf_dir: str) -> ray.data.Dataset:
-    """Weekly order count + revenue with the week-over-week delta — the
-    "aggregate first, window the AGGREGATE" time-series shape (reference
-    trend report, SURVEY.md §2.6).  The lag/diff never touches raw rows:
-    orders stream through an in-batch (epoch-week, count, cents) combiner,
-    the groupby shuffles ≤ weeks-per-batch rows, and the lag runs over the
-    final aggregate — bounded by the CALENDAR (~350 weeks here), not by
-    data volume — in one single-partition vectorized pass after a sort.
-    First week's delta is 0 by definition on both sides (lag default =
-    own value)."""
-    def week_partial(t: pa.Table) -> pa.Table:
-        days = t["o_orderdate"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[D]"
-        )
-        week = (days.astype(np.int64) // 7).astype(np.int64)
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        sub = pa.table({"week": pa.array(week), "cents": pa.array(cents)})
-        g = sub.group_by("week").aggregate([("cents", "sum"), ([], "count_all")])
-        return pa.table(
-            {
-                "week": g["week"],
-                "cents_partial": g["cents_sum"],
-                "n_partial": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    weekly = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-        .map_batches(week_partial, batch_format="pyarrow")
-        .groupby("week")
-        .aggregate(
-            Sum("n_partial", alias_name="n_orders"),
-            Sum("cents_partial", alias_name="revenue_cents"),
-        )
-    )
-
-    def lag_diff(t: pa.Table) -> pa.Table:
-        order = np.argsort(t["week"].to_numpy())
-        week = t["week"].to_numpy()[order]
-        n = t["n_orders"].to_numpy()[order]
-        prev = np.concatenate(([n[0]], n[:-1])) if len(n) else n
-        return pa.table(
-            {
-                "epoch_week": pa.array(week),
-                "n_orders": pa.array(n),
-                "revenue_cents": pa.array(t["revenue_cents"].to_numpy()[order]),
-                "wow_delta": pa.array(n - prev),
-            }
-        )
-
-    # the aggregate is calendar-bounded: one partition for the lag pass
-    return weekly.repartition(1).map_batches(
-        lag_diff, batch_size=None, batch_format="pyarrow"
-    )
-
-
-ORACLES["orders_week_over_week"] = (
-    "WITH weekly AS (SELECT "
-    "CAST(floor(epoch(o_orderdate) / 604800.0) AS BIGINT) AS epoch_week, "
-    "count(*)::BIGINT AS n_orders, "
-    "sum(CAST(floor(o_totalprice*100+0.5) AS BIGINT))::BIGINT AS revenue_cents "
-    "FROM orders GROUP BY 1) "
-    "SELECT epoch_week, n_orders, revenue_cents, "
-    "(n_orders - lag(n_orders, 1, n_orders) OVER (ORDER BY epoch_week))::BIGINT "
-    "AS wow_delta FROM weekly ORDER BY 1"
-)
-
-
-# ---- Q12-shape: conditional aggregation over a fact-fact join -------------
-
-HIGH_PRIORITIES = ("1-URGENT", "2-HIGH")
-
-
-def priority_ship_share(sf_dir: str) -> ray.data.Dataset:
-    """Per return flag, how many line items belong to HIGH- vs low-
-    priority orders — TPC-H Q12's "join then CASE-WHEN conditional sums"
-    shape (reference's gate-outcome crosstab, SURVEY.md §2.6).
-
-    Shuffle diet: lineitem pre-counts per (orderkey, returnflag) — ≤ |R|
-    rows per orderkey instead of every line item — before the volume-
-    sized hash join against orders (priority projected to ONE int8
-    is_high flag at the read, so the join payload is minimal).  The
-    final 3-row crosstab is combiner-backed conditional sums."""
-    def li_partial(t: pa.Table) -> pa.Table:
-        g = (
-            t.select(["l_orderkey", "l_returnflag"])
-            .group_by(["l_orderkey", "l_returnflag"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "l_orderkey": g["l_orderkey"],
-                "l_returnflag": g["l_returnflag"],
-                "cnt": pc.cast(g["count_all"], pa.int64()),
-            }
-        )
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]).map_batches(
-        li_partial, batch_format="pyarrow"
-    )
-
-    def o_flag(t: pa.Table) -> pa.Table:
-        hi = pc.is_in(
-            t["o_orderpriority"],
-            value_set=pa.array(list(HIGH_PRIORITIES)),
-        )
-        return pa.table(
-            {
-                "o_orderkey": t["o_orderkey"],
-                "is_high": pc.cast(hi, pa.int8()),
-            }
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]).map_batches(
-        o_flag, batch_format="pyarrow"
-    )
-    joined = li.join(
-        orders,
-        join_type="inner",
-        num_partitions=_volume_join_parts(_dim_num_rows(sf_dir, "orders")),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    )
-
-    def crosstab_partial(t: pa.Table) -> pa.Table:
-        cnt = t["cnt"].to_numpy()
-        hi = t["is_high"].to_numpy().astype(np.int64)
-        sub = pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "hi_cnt": pa.array(cnt * hi),
-                "lo_cnt": pa.array(cnt * (1 - hi)),
-            }
-        )
-        g = sub.group_by("l_returnflag").aggregate(
-            [("hi_cnt", "sum"), ("lo_cnt", "sum")]
-        )
-        return pa.table(
-            {
-                "l_returnflag": g["l_returnflag"],
-                "hi_partial": g["hi_cnt_sum"],
-                "lo_partial": g["lo_cnt_sum"],
-            }
-        )
-
-    return (
-        joined.map_batches(crosstab_partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("hi_partial", alias_name="high_line_count"),
-            Sum("lo_partial", alias_name="low_line_count"),
-        )
-    )
-
-
-_HIGH_SQL = ", ".join(f"'{p}'" for p in HIGH_PRIORITIES)
-ORACLES["priority_ship_share"] = (
-    "SELECT l_returnflag, "
-    f"sum(CASE WHEN o_orderpriority IN ({_HIGH_SQL}) THEN 1 ELSE 0 END)::BIGINT "
-    "AS high_line_count, "
-    f"sum(CASE WHEN o_orderpriority NOT IN ({_HIGH_SQL}) THEN 1 ELSE 0 END)::BIGINT "
-    "AS low_line_count "
-    "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-    "GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- Q10-shape: returned-item revenue, top customers -----------------------
-
-Q10_DATE_LO = "1997-01-01"
-Q10_DATE_HI = "1997-07-01"
-Q10_TOP_N = 20
-
-
-def returned_item_revenue(sf_dir: str) -> ray.data.Dataset:
-    """Top-N customers by revenue on RETURNED items in a half-year order
-    window, with nation detail — TPC-H Q10's join-aggregate-rank shape
-    (reference's complaint report, SURVEY.md §2.6).
-
-    Both fact sides shrink BEFORE the one hash join: orders keep only the
-    window (orderkey, custkey), lineitem keeps only returnflag='R' rows
-    pre-summed to cents per orderkey.  Post-join revenue re-aggregates
-    per custkey (combiner + groupby bounded by |customer|), and only
-    after that does the global sort + limit run — on the aggregate, not
-    the facts.  The N winners return to the driver (N rows), customer
-    detail comes from probing the streaming dim with the broadcast
-    winner set, and the 25-row nation lut rides in the closure.  Ties
-    break on custkey ascending, matching the oracle ORDER BY."""
-    import pyarrow.parquet as pq
-
-    lo = np.datetime64(Q10_DATE_LO, "us")
-    hi = np.datetime64(Q10_DATE_HI, "us")
-
-    def order_window(t: pa.Table) -> pa.Table:
-        d = t["o_orderdate"].to_numpy(zero_copy_only=False)
-        keep = (d >= lo) & (d < hi)
-        return t.filter(pa.array(keep)).select(["o_orderkey", "o_custkey"])
-
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-    ).map_batches(order_window, batch_format="pyarrow")
-
-    def returned_cents(t: pa.Table) -> pa.Table:
-        keep = pc.equal(t["l_returnflag"], "R")
-        sub = t.filter(keep)
-        cents = np.floor(
-            sub["l_extendedprice"].to_numpy()
-            * (1 - sub["l_discount"].to_numpy())
-            * 100
-            + 0.5
-        ).astype(np.int64)
-        part = pa.table(
-            {"l_orderkey": sub["l_orderkey"], "cents": pa.array(cents)}
-        )
-        g = part.group_by("l_orderkey").aggregate([("cents", "sum")])
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"], "cents": g["cents_sum"]}
-        )
-
-    li = _read(
-        sf_dir,
-        "lineitem",
-        ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
-    ).map_batches(returned_cents, batch_format="pyarrow")
-
-    per_cust = (
-        li.join(
-            orders,
-            join_type="inner",
-            num_partitions=_volume_join_parts(_dim_num_rows(sf_dir, "orders")),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-        .map_batches(
-            _partial_group_agg(["o_custkey"], ["cents"]), batch_format="pyarrow"
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum("cents_partial", alias_name="revenue_cents"))
-    )
-    winners = (
-        per_cust.sort(["revenue_cents", "o_custkey"], descending=[True, False])
-        .limit(Q10_TOP_N)
-        .to_pandas()
-    )
-    wkeys = winners["o_custkey"].to_numpy()
-    order = np.argsort(wkeys)
-    wref = ray.put((wkeys[order], winners["revenue_cents"].to_numpy()[order]))
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    nk = nation["n_nationkey"].to_numpy()
-    nation_lut = np.empty(int(nk.max()) + 1, dtype=object)
-    nation_lut[nk] = nation["n_name"].to_pylist()
-
-    def detail(t: pa.Table) -> pa.Table:
-        keys, cents = ray.get(wref)
-        ck = t["c_custkey"].to_numpy()
-        pos = np.minimum(np.searchsorted(keys, ck), len(keys) - 1)
-        keep = keys[pos] == ck
-        sub = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "c_custkey": sub["c_custkey"],
-                "c_name": sub["c_name"],
-                "n_name": pa.array(
-                    nation_lut[sub["c_nationkey"].to_numpy()], pa.string()
-                ),
-                "revenue_cents": pa.array(cents[pos[keep]], pa.int64()),
-            }
-        )
-
-    return _read(
-        sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"]
-    ).map_batches(detail, batch_format="pyarrow")
-
-
-ORACLES["returned_item_revenue"] = (
-    "SELECT c_custkey, c_name, n_name, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))::BIGINT "
-    "AS revenue_cents "
-    "FROM customer JOIN orders ON c_custkey = o_custkey "
-    "JOIN lineitem ON l_orderkey = o_orderkey "
-    "JOIN nation ON c_nationkey = n_nationkey "
-    "WHERE l_returnflag = 'R' "
-    f"AND o_orderdate >= DATE '{Q10_DATE_LO}' "
-    f"AND o_orderdate < DATE '{Q10_DATE_HI}' "
-    "GROUP BY 1, 2, 3 "
-    f"ORDER BY revenue_cents DESC, c_custkey LIMIT {Q10_TOP_N}"
-)
-
-
-Q7_NATION_A = "NATION_3"
-Q7_NATION_B = "NATION_7"
-Q7_DATE_LO = "1996-01-01"
-Q7_DATE_HI = "1998-01-01"
-
-
-def _q7_empty() -> ray.data.Dataset:
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "supp_nation": pa.array([], pa.string()),
-                "cust_nation": pa.array([], pa.string()),
-                "l_year": pa.array([], pa.int64()),
-                "revenue_cents": pa.array([], pa.int64()),
-            }
-        )
-    )
-
-
-def nation_trade_volume(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q7 shape: bilateral trade volume — revenue per (supplier
-    nation, customer nation, ship year) for the two directed pairs of a
-    nation pair, over a two-year ship window (reference's cross-node
-    traffic report, SURVEY.md §2.6).
-
-    Physical plan mirrors ``local_supplier_volume``: nation (25 rows)
-    resolves in the driver closure; supplier and customer are
-    PRE-FILTERED to the two target nations and broadcast once via
-    ray.put as sorted (key, nationkey) arrays.  The lineitem stream
-    probes suppkey, derives the ship year vectorized from datetime64,
-    and pre-aggregates revenue cents per (orderkey, supp_nation, year)
-    in-batch; the orders stream probes custkey; only lineitem⋈orders
-    pays a hash-partitioned join, fan-out sized by data volume.  The
-    cross-nation predicate (supp != cust) is a post-join vectorized
-    filter, and the final groupby shuffles ≤ 2x2x|years| partial rows
-    per batch.  Above BROADCAST_DIM_MAX_ROWS both dim lookups switch to
-    dense native hash joins (sparse filtered dims would trigger the Ray
-    2.49 empty-partition crash; the region filter moves post-join)."""
-    import pyarrow.parquet as pq
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    target = nation.filter(
-        pc.is_in(
-            nation["n_name"],
-            value_set=pa.array([Q7_NATION_A, Q7_NATION_B]),
-        )
-    )
-    target_nk = np.sort(target["n_nationkey"].to_numpy().astype(np.int64))
-    nk = nation["n_nationkey"].to_numpy()
-    nation_lut = np.empty(int(nk.max()) + 1, dtype=object)
-    nation_lut[nk] = nation["n_name"].to_pylist()
-
-    lo = np.datetime64(Q7_DATE_LO, "us")
-    hi = np.datetime64(Q7_DATE_HI, "us")
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-
-    use_broadcast = (
-        max(_dim_num_rows(sf_dir, "customer"), _dim_num_rows(sf_dir, "supplier"))
-        <= BROADCAST_DIM_MAX_ROWS
-    )
-    if use_broadcast:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        cust = cust.filter(
-            pa.array(np.isin(cust["c_nationkey"].to_numpy(), target_nk))
-        )
-        cref = _broadcast_int_dim(cust, "c_custkey", "c_nationkey")
-        supp = pq.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        )
-        supp = supp.filter(
-            pa.array(np.isin(supp["s_nationkey"].to_numpy(), target_nk))
-        )
-        # all-empty dim short-circuit: a join whose EVERY partition is
-        # empty crashes Ray 2.49's hash shuffle (schemaless blocks) --
-        # the inner-join tolerance only covers SOME-empty partitions
-        if cust.num_rows == 0 or supp.num_rows == 0:
-            return _q7_empty()
-        sref = _broadcast_int_dim(supp, "s_suppkey", "s_nationkey")
-
-        def li_probe(t: pa.Table) -> pa.Table:
-            d = t["l_shipdate"].to_numpy(zero_copy_only=False)
-            sn = _probe_int(sref, t["l_suppkey"].to_numpy())
-            keep = (sn >= 0) & (d >= lo) & (d < hi)
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy()
-                * (1 - t["l_discount"].to_numpy())
-                * 100
-                + 0.5
-            ).astype(np.int64)
-            year = (d[keep].astype("datetime64[Y]").astype(np.int64) + 1970)
-            part = pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"].filter(pa.array(keep)),
-                    "s_nation": pa.array(sn[keep], pa.int64()),
-                    "l_year": pa.array(year, pa.int64()),
-                    "cents": pa.array(cents[keep], pa.int64()),
-                }
-            )
-            g = part.group_by(["l_orderkey", "s_nation", "l_year"]).aggregate(
-                [("cents", "sum")]
-            )
-            return g.rename_columns(
-                ["l_orderkey", "s_nation", "l_year", "cents"]
-            )
-
-        li = _read(
-            sf_dir,
-            "lineitem",
-            [
-                "l_orderkey",
-                "l_suppkey",
-                "l_extendedprice",
-                "l_discount",
-                "l_shipdate",
-            ],
-        ).map_batches(li_probe, batch_format="pyarrow")
-
-        def orders_probe(t: pa.Table) -> pa.Table:
-            cn = _probe_int(cref, t["o_custkey"].to_numpy())
-            keep = cn >= 0
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
-                    "c_nation": pa.array(cn[keep], pa.int64()),
-                }
-            )
-
-        orders = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey"]
-        ).map_batches(orders_probe, batch_format="pyarrow")
-        joined = li.join(
-            orders,
-            join_type="inner",
-            num_partitions=_volume_join_parts(n_li),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-    else:
-        # oversized dims: dense native hash joins, nation filter post-join
-        parts = _volume_join_parts(n_li, n_joins=3)
-        tref = ray.put(target_nk)
-
-        def li_prep(t: pa.Table) -> pa.Table:
-            d = t["l_shipdate"].to_numpy(zero_copy_only=False)
-            keep = (d >= lo) & (d < hi)
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy()
-                * (1 - t["l_discount"].to_numpy())
-                * 100
-                + 0.5
-            ).astype(np.int64)
-            year = (d[keep].astype("datetime64[Y]").astype(np.int64) + 1970)
-            return pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"].filter(pa.array(keep)),
-                    "l_suppkey": t["l_suppkey"].filter(pa.array(keep)),
-                    "l_year": pa.array(year, pa.int64()),
-                    "cents": pa.array(cents[keep], pa.int64()),
-                }
-            )
-
-        li = _read(
-            sf_dir,
-            "lineitem",
-            [
-                "l_orderkey",
-                "l_suppkey",
-                "l_extendedprice",
-                "l_discount",
-                "l_shipdate",
-            ],
-        ).map_batches(li_prep, batch_format="pyarrow")
-        supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-        li = li.join(
-            supp,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_suppkey",),
-            right_on=("s_suppkey",),
-        )
-
-        def s_filter(t: pa.Table) -> pa.Table:
-            tnk = ray.get(tref)
-            keep = np.isin(t["s_nationkey"].to_numpy().astype(np.int64), tnk)
-            sub = t.filter(pa.array(keep))
-            return pa.table(
-                {
-                    "l_orderkey": sub["l_orderkey"],
-                    "s_nation": pc.cast(sub["s_nationkey"], pa.int64()),
-                    "l_year": sub["l_year"],
-                    "cents": sub["cents"],
-                }
-            )
-
-        li = li.map_batches(s_filter, batch_format="pyarrow")
-        cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).join(
-            cust,
-            join_type="inner",
-            num_partitions=parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-
-        def c_filter(t: pa.Table) -> pa.Table:
-            tnk = ray.get(tref)
-            keep = np.isin(t["c_nationkey"].to_numpy().astype(np.int64), tnk)
-            sub = t.filter(pa.array(keep))
-            return pa.table(
-                {
-                    "o_orderkey": sub["o_orderkey"],
-                    "c_nation": pc.cast(sub["c_nationkey"], pa.int64()),
-                }
-            )
-
-        orders = orders.map_batches(c_filter, batch_format="pyarrow")
-        joined = li.join(
-            orders,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-
-    def cross_only(t: pa.Table) -> pa.Table:
-        sn = t["s_nation"].to_numpy()
-        cn = t["c_nation"].to_numpy()
-        sub = t.filter(pa.array(sn != cn))
-        return pa.table(
-            {
-                "supp_nation": pa.array(
-                    nation_lut[sub["s_nation"].to_numpy()], pa.string()
-                ),
-                "cust_nation": pa.array(
-                    nation_lut[sub["c_nation"].to_numpy()], pa.string()
-                ),
-                "l_year": sub["l_year"],
-                "cents": sub["cents"],
-            }
-        )
-
-    out = (
-        joined.map_batches(cross_only, batch_format="pyarrow")
-        .map_batches(
-            _partial_group_agg(
-                ["supp_nation", "cust_nation", "l_year"], ["cents"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby(["supp_nation", "cust_nation", "l_year"])
-        .aggregate(Sum("cents_partial", alias_name="revenue_cents"))
-        .materialize()  # bounded: ≤ 2x2x|years| rows
-    )
-    # typed-empty guard BEFORE the sort: a nation pair absent from the
-    # data empties the stream, the aggregate loses its schema, and a
-    # schemaless sort would crash (CLAUDE.md)
-    if out.count() == 0:
-        return _q7_empty()
-    return out.sort(["supp_nation", "cust_nation", "l_year"])
-
-
-ORACLES["nation_trade_volume"] = (
-    "SELECT n1.n_name AS supp_nation, n2.n_name AS cust_nation, "
-    "year(l_shipdate)::BIGINT AS l_year, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))::BIGINT "
-    "AS revenue_cents "
-    "FROM lineitem "
-    "JOIN supplier ON l_suppkey = s_suppkey "
-    "JOIN orders ON l_orderkey = o_orderkey "
-    "JOIN customer ON o_custkey = c_custkey "
-    "JOIN nation n1 ON s_nationkey = n1.n_nationkey "
-    "JOIN nation n2 ON c_nationkey = n2.n_nationkey "
-    f"WHERE n1.n_name IN ('{Q7_NATION_A}', '{Q7_NATION_B}') "
-    f"AND n2.n_name IN ('{Q7_NATION_A}', '{Q7_NATION_B}') "
-    "AND n1.n_name <> n2.n_name "
-    f"AND l_shipdate >= DATE '{Q7_DATE_LO}' "
-    f"AND l_shipdate < DATE '{Q7_DATE_HI}' "
-    "GROUP BY 1, 2, 3 "
-    "ORDER BY 1, 2, 3"
-)
-
-
-Q8_REGION = "EUROPE"
-Q8_NATION = "NATION_3"
-Q8_PTYPE = "ECONOMY"
-Q8_DATE_LO = "1996-01-01"
-Q8_DATE_HI = "1998-01-01"
-
-
-def _q8_empty() -> ray.data.Dataset:
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "o_year": pa.array([], pa.int64()),
-                "target_cents": pa.array([], pa.int64()),
-                "total_cents": pa.array([], pa.int64()),
-                "share_bp": pa.array([], pa.int64()),
-            }
-        )
-    )
-
-
-def market_share(sf_dir: str) -> ray.data.Dataset:
-    """TPC-H Q8 shape: one nation's market share — per order year, the
-    fraction of revenue on one part type, bought by customers of one
-    region, that was supplied from the target nation (reference's
-    per-origin share report, SURVEY.md §2.6).
-
-    Broadcast path: part is PRE-FILTERED to the target type and ships as
-    a sorted key set (membership probe); supplier ships whole as
-    (suppkey, nationkey); customer PRE-FILTERED to the region's nations
-    ships as a key set.  The lineitem stream probes part + supplier and
-    pre-aggregates per orderkey TWO cent sums — total and
-    target-nation-only — so the one hash join carries ≤ |orders| rows
-    and the final groupby shuffles ≤ |years| partials per batch.  The
-    share itself is integer basis points (10000*target//total) computed
-    on the aggregated BIGINTs, identical to the SQL's integer division.
-    Above BROADCAST_DIM_MAX_ROWS all three dims switch to dense native
-    hash joins with post-join filters (sparse right sides crash Ray
-    2.49's hash join on empty partitions; dense dims shuffle safely)."""
-    import pyarrow.parquet as pq
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet",
-        columns=["n_nationkey", "n_name", "n_regionkey"],
-    )
-    region = pq.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    target_rk = region.filter(pc.equal(region["r_name"], Q8_REGION))[
-        "r_regionkey"
-    ].to_numpy()
-    region_nk = np.sort(
-        nation.filter(
-            pa.array(np.isin(nation["n_regionkey"].to_numpy(), target_rk))
-        )["n_nationkey"]
-        .to_numpy()
-        .astype(np.int64)
-    )
-    target_nk = nation.filter(pc.equal(nation["n_name"], Q8_NATION))[
-        "n_nationkey"
-    ].to_numpy()
-    target_nk = int(target_nk[0]) if len(target_nk) else -1
-
-    lo = np.datetime64(Q8_DATE_LO, "us")
-    hi = np.datetime64(Q8_DATE_HI, "us")
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-
-    def li_cents(t: pa.Table) -> np.ndarray:
-        return np.floor(
-            t["l_extendedprice"].to_numpy() * (1 - t["l_discount"].to_numpy()) * 100
-            + 0.5
-        ).astype(np.int64)
-
-    big = max(
-        _dim_num_rows(sf_dir, "customer"),
-        _dim_num_rows(sf_dir, "supplier"),
-        _dim_num_rows(sf_dir, "part"),
-    )
-    if big <= BROADCAST_DIM_MAX_ROWS:
-        part = pq.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-        )
-        pkeys = np.sort(
-            part.filter(pc.equal(part["p_type"], Q8_PTYPE))["p_partkey"]
-            .to_numpy()
-            .astype(np.int64)
-        )
-        pref = ray.put(pkeys)
-        supp = pq.read_table(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        )
-        sref = _broadcast_int_dim(supp, "s_suppkey", "s_nationkey")
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        ckeys = np.sort(
-            cust.filter(
-                pa.array(np.isin(cust["c_nationkey"].to_numpy(), region_nk))
-            )["c_custkey"]
-            .to_numpy()
-            .astype(np.int64)
-        )
-        # all-empty dim short-circuit (see nation_trade_volume): a join
-        # whose every partition is empty crashes the hash shuffle
-        if len(pkeys) == 0 or len(ckeys) == 0:
-            return _q8_empty()
-        cref = ray.put(ckeys)
-
-        def li_probe(t: pa.Table) -> pa.Table:
-            pk = ray.get(pref)
-            lpk = t["l_partkey"].to_numpy()
-            if len(pk) == 0:
-                keep = np.zeros(len(lpk), dtype=bool)
-            else:
-                pos = np.minimum(np.searchsorted(pk, lpk), len(pk) - 1)
-                keep = pk[pos] == lpk
-            sn = _probe_int(sref, t["l_suppkey"].to_numpy())
-            cents = li_cents(t)
-            tgt = np.where(sn == target_nk, cents, 0)
-            part_t = pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"].filter(pa.array(keep)),
-                    "total_cents": pa.array(cents[keep], pa.int64()),
-                    "target_cents": pa.array(tgt[keep], pa.int64()),
-                }
-            )
-            g = part_t.group_by("l_orderkey").aggregate(
-                [("total_cents", "sum"), ("target_cents", "sum")]
-            )
-            return g.rename_columns(
-                ["l_orderkey", "total_cents", "target_cents"]
-            )
-
-        li = _read(
-            sf_dir,
-            "lineitem",
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).map_batches(li_probe, batch_format="pyarrow")
-
-        def orders_probe(t: pa.Table) -> pa.Table:
-            ck = ray.get(cref)
-            d = t["o_orderdate"].to_numpy(zero_copy_only=False)
-            ok = t["o_custkey"].to_numpy()
-            pos = np.minimum(np.searchsorted(ck, ok), max(len(ck) - 1, 0))
-            member = (ck[pos] == ok) if len(ck) else np.zeros(len(ok), bool)
-            keep = member & (d >= lo) & (d < hi)
-            year = d[keep].astype("datetime64[Y]").astype(np.int64) + 1970
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
-                    "o_year": pa.array(year, pa.int64()),
-                }
-            )
-
-        orders = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        ).map_batches(orders_probe, batch_format="pyarrow")
-        joined = li.join(
-            orders,
-            join_type="inner",
-            num_partitions=_volume_join_parts(n_li),
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-    else:
-        parts = _volume_join_parts(n_li, n_joins=3)
-        part_f = _read(sf_dir, "part", ["p_partkey", "p_type"]).filter(
-            lambda r: r["p_type"] == Q8_PTYPE
-        ).select_columns(["p_partkey"])
-        li = _read(
-            sf_dir,
-            "lineitem",
-            ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
-        ).join(
-            part_f,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ).join(
-            _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_suppkey",),
-            right_on=("s_suppkey",),
-        )
-
-        def li_prep(t: pa.Table) -> pa.Table:
-            cents = li_cents(t)
-            sn = t["s_nationkey"].to_numpy().astype(np.int64)
-            tgt = np.where(sn == target_nk, cents, 0)
-            part_t = pa.table(
-                {
-                    "l_orderkey": t["l_orderkey"],
-                    "total_cents": pa.array(cents, pa.int64()),
-                    "target_cents": pa.array(tgt, pa.int64()),
-                }
-            )
-            g = part_t.group_by("l_orderkey").aggregate(
-                [("total_cents", "sum"), ("target_cents", "sum")]
-            )
-            return g.rename_columns(
-                ["l_orderkey", "total_cents", "target_cents"]
-            )
-
-        li = li.map_batches(li_prep, batch_format="pyarrow")
-        rref = ray.put(region_nk)
-        orders = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
-        ).join(
-            _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-            join_type="inner",
-            num_partitions=parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-
-        def o_filter(t: pa.Table) -> pa.Table:
-            rnk = ray.get(rref)
-            d = t["o_orderdate"].to_numpy(zero_copy_only=False)
-            keep = (
-                np.isin(t["c_nationkey"].to_numpy().astype(np.int64), rnk)
-                & (d >= lo)
-                & (d < hi)
-            )
-            year = d[keep].astype("datetime64[Y]").astype(np.int64) + 1970
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
-                    "o_year": pa.array(year, pa.int64()),
-                }
-            )
-
-        orders = orders.map_batches(o_filter, batch_format="pyarrow")
-        joined = li.join(
-            orders,
-            join_type="inner",
-            num_partitions=parts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        )
-
-    agg = (
-        joined.map_batches(
-            _partial_group_agg(["o_year"], ["total_cents", "target_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby("o_year")
-        .aggregate(
-            Sum("target_cents_partial", alias_name="target_cents"),
-            Sum("total_cents_partial", alias_name="total_cents"),
-        )
-    )
-
-    def share(t: pa.Table) -> pa.Table:
-        tgt = t["target_cents"].to_numpy()
-        tot = t["total_cents"].to_numpy()
-        bp = np.where(tot > 0, (10_000 * tgt) // np.maximum(tot, 1), 0)
-        return pa.table(
-            {
-                "o_year": t["o_year"],
-                "target_cents": t["target_cents"],
-                "total_cents": t["total_cents"],
-                "share_bp": pa.array(bp, pa.int64()),
-            }
-        )
-
-    # typed-empty guard BEFORE the sort: an empty region/type/nation
-    # selection empties the stream, the aggregate loses its schema, and
-    # a schemaless sort would crash (CLAUDE.md)
-    agg = agg.materialize()  # bounded: one row per order year
-    if agg.count() == 0:
-        return _q8_empty()
-    return agg.map_batches(share, batch_format="pyarrow").sort("o_year")
-
-
-ORACLES["market_share"] = (
-    "WITH sales AS ("
-    "  SELECT year(o_orderdate)::BIGINT AS o_year, "
-    "    CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT) AS cents, "
-    "    sn.n_name AS supp_nation "
-    "  FROM lineitem "
-    "  JOIN part ON l_partkey = p_partkey "
-    "  JOIN supplier ON l_suppkey = s_suppkey "
-    "  JOIN nation sn ON s_nationkey = sn.n_nationkey "
-    "  JOIN orders ON l_orderkey = o_orderkey "
-    "  JOIN customer ON o_custkey = c_custkey "
-    "  JOIN nation cn ON c_nationkey = cn.n_nationkey "
-    "  JOIN region ON cn.n_regionkey = r_regionkey "
-    f"  WHERE p_type = '{Q8_PTYPE}' AND r_name = '{Q8_REGION}' "
-    f"  AND o_orderdate >= DATE '{Q8_DATE_LO}' "
-    f"  AND o_orderdate < DATE '{Q8_DATE_HI}') "
-    "SELECT o_year, "
-    f"sum(CASE WHEN supp_nation = '{Q8_NATION}' THEN cents ELSE 0 END)::BIGINT "
-    "AS target_cents, "
-    "sum(cents)::BIGINT AS total_cents, "
-    f"((10000 * sum(CASE WHEN supp_nation = '{Q8_NATION}' THEN cents ELSE 0 END)) "
-    "// sum(cents))::BIGINT AS share_bp "
-    "FROM sales GROUP BY o_year ORDER BY o_year"
-)
-
-
-# ---- Q19-shape: OR-of-conjunctions brand/size/quantity revenue ------------
-
-Q19_RULES = (
-    ("Brand#13", 1, 15, 1, 20),
-    ("Brand#22", 1, 25, 10, 30),
-    ("Brand#25", 1, 35, 20, 40),
-)
-
-
-def brand_qty_revenue(sf_dir: str) -> pa.Table:
-    """TPC-H Q19 shape: revenue matched by an OR of three
-    brand/size/quantity conjunctions — the reference's multi-rule
-    predicate gate (rule disjunction over per-row attributes,
-    SURVEY.md §2.4) expressed as one disjunct BITMASK probe.
-
-    Broadcast path: part is pre-filtered to rows satisfying ANY
-    disjunct's (brand, size) half and ships once via ray.put as sorted
-    partkeys + a uint8 mask of which disjuncts each part can satisfy.
-    The lineitem stream probes the mask by binary search, tests the
-    quantity half of every disjunct vectorized (mask bit AND qty range),
-    and reduces to one partial cents/count row per batch — no shuffle at
-    all beyond the final tiny sum.  Quantities are integral, so the
-    range tests are exact int64 on both sides.  Above
-    BROADCAST_DIM_MAX_ROWS the probe becomes a dense native hash join
-    against the brand-filtered part dim with the same post-join mask."""
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-    )
-    brand = part["p_brand"].to_numpy(zero_copy_only=False)
-    size = part["p_size"].to_numpy().astype(np.int64)
-    mask = np.zeros(part.num_rows, dtype=np.uint8)
-    for i, (b, slo, shi, _qlo, _qhi) in enumerate(Q19_RULES):
-        mask |= ((brand == b) & (size >= slo) & (size <= shi)).astype(
-            np.uint8
-        ) << i
-    hit = mask > 0
-    pkeys = part["p_partkey"].to_numpy()[hit]
-    pmask = mask[hit]
-    order = np.argsort(pkeys)
-    n_part = _dim_num_rows(sf_dir, "part")
-
-    def li_partial_from(pk_l, q, cents, m):
-        sel = np.zeros(len(pk_l), dtype=bool)
-        for i, (_b, _slo, _shi, qlo, qhi) in enumerate(Q19_RULES):
-            sel |= ((m >> i) & 1).astype(bool) & (q >= qlo) & (q <= qhi)
-        return pa.table(
-            {
-                "cents_partial": pa.array([int(cents[sel].sum())], pa.int64()),
-                "n_partial": pa.array([int(sel.sum())], pa.int64()),
-            }
-        )
-
-    if n_part <= BROADCAST_DIM_MAX_ROWS:
-        pref = ray.put((pkeys[order], pmask[order]))
-
-        def li_probe(t: pa.Table) -> pa.Table:
-            keys, msk = ray.get(pref)
-            pk_l = t["l_partkey"].to_numpy()
-            if len(keys) == 0:
-                m = np.zeros(len(pk_l), dtype=np.uint8)
-            else:
-                pos = np.minimum(np.searchsorted(keys, pk_l), len(keys) - 1)
-                m = np.where(keys[pos] == pk_l, msk[pos], 0).astype(np.uint8)
-            q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy()
-                * (1 - t["l_discount"].to_numpy())
-                * 100
-                + 0.5
-            ).astype(np.int64)
-            return li_partial_from(pk_l, q, cents, m)
-
-        stream = _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        ).map_batches(li_probe, batch_format="pyarrow")
-    else:
-        part_f = ray.data.from_arrow(
-            pa.table(
-                {
-                    "p_partkey": pa.array(pkeys[order]),
-                    "p_mask": pa.array(pmask[order].astype(np.int64)),
-                }
-            )
-        ).repartition(_volume_join_parts(n_part))
-        joined = _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        ).join(
-            part_f,
-            join_type="inner",
-            num_partitions=_volume_join_parts(_dim_num_rows(sf_dir, "lineitem")),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        )
-
-        def post_mask(t: pa.Table) -> pa.Table:
-            q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy()
-                * (1 - t["l_discount"].to_numpy())
-                * 100
-                + 0.5
-            ).astype(np.int64)
-            m = t["p_mask"].to_numpy().astype(np.uint8)
-            return li_partial_from(m, q, cents, m)
-
-        stream = joined.map_batches(post_mask, batch_format="pyarrow")
-
-    total = stream.sum(["cents_partial", "n_partial"])
-    if total is None:
-        return pa.table(
-            {
-                "revenue_cents": pa.array([0], pa.int64()),
-                "n_lines": pa.array([0], pa.int64()),
-            }
-        )
-    return pa.table(
-        {
-            "revenue_cents": pa.array(
-                [int(total["sum(cents_partial)"])], pa.int64()
-            ),
-            "n_lines": pa.array([int(total["sum(n_partial)"])], pa.int64()),
-        }
-    )
-
-
-def _q19_disjunct_sql() -> str:
-    parts = []
-    for b, slo, shi, qlo, qhi in Q19_RULES:
-        parts.append(
-            f"(p_brand = '{b}' AND p_size BETWEEN {slo} AND {shi} "
-            f"AND CAST(floor(l_quantity+0.5) AS BIGINT) BETWEEN {qlo} AND {qhi})"
-        )
-    return " OR ".join(parts)
-
-
-ORACLES["brand_qty_revenue"] = (
-    "SELECT CAST(coalesce(sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) "
-    "AS BIGINT)), 0) AS BIGINT) AS revenue_cents, count(*)::BIGINT AS n_lines "
-    "FROM lineitem JOIN part ON p_partkey = l_partkey "
-    f"WHERE {_q19_disjunct_sql()}"
-)
-
-
-def supplier_return_rate(sf_dir: str) -> ray.data.Dataset:
-    """Suppliers whose return rate beats the corpus average — TPC-H
-    Q21's "compare each key's behaviour against a global aggregate"
-    shape (reference's per-worker failure-rate report, SURVEY.md §2.6).
-
-    One lineitem pass: per-batch pyarrow combiner groups (total,
-    returned) per suppkey, the groupby reduces to ≤ |supplier| rows, and
-    the corpus totals fold from that SAME aggregate (tiny .sum — no
-    second fact pass).  The above-average predicate cross-multiplies to
-    exact int64 (ret*T > total*R: no float rate can flip a boundary
-    row).  Survivor counts broadcast once as sorted arrays and the
-    supplier dim STREAMS past them to attach names — the broadcast is
-    bounded by |survivors| ≤ |supplier| rows of three int64s, fine for a
-    dim table; the fact table never re-ships."""
-
-    def per_batch(t: pa.Table) -> pa.Table:
-        ret = pc.cast(pc.equal(t["l_returnflag"], "R"), pa.int64())
-        part = pa.table(
-            {
-                "l_suppkey": t["l_suppkey"],
-                "tot_p": pa.array(np.ones(t.num_rows, np.int64)),
-                "ret_p": ret,
-            }
-        )
-        g = part.group_by("l_suppkey").aggregate(
-            [("tot_p", "sum"), ("ret_p", "sum")]
-        )
-        return g.rename_columns(["l_suppkey", "tot_p", "ret_p"])
-
-    per_supp = (
-        _read(sf_dir, "lineitem", ["l_suppkey", "l_returnflag"])
-        .map_batches(per_batch, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(
-            Sum("tot_p", alias_name="total_lines"),
-            Sum("ret_p", alias_name="returned_lines"),
-        )
-        .materialize()  # dim-bounded: one row per supplier
-    )
-    totals = per_supp.sum(["total_lines", "returned_lines"])
-    t_all = int(totals["sum(total_lines)"]) if totals else 0
-    r_all = int(totals["sum(returned_lines)"]) if totals else 0
-
-    def above_avg(t: pa.Table) -> pa.Table:
-        tot = t["total_lines"].to_numpy()
-        ret = t["returned_lines"].to_numpy()
-        return t.filter(pa.array(ret * t_all > tot * r_all))
-
-    surv = per_supp.map_batches(above_avg, batch_format="pyarrow").to_pandas()
-    skeys = surv["l_suppkey"].to_numpy()
-    order = np.argsort(skeys)
-    sref = ray.put(
-        (
-            skeys[order],
-            surv["total_lines"].to_numpy()[order],
-            surv["returned_lines"].to_numpy()[order],
-        )
-    )
-
-    def attach(t: pa.Table) -> pa.Table:
-        keys, tot, ret = ray.get(sref)
-        sk = t["s_suppkey"].to_numpy()
-        if len(keys) == 0:
-            keep = np.zeros(len(sk), dtype=bool)
-            pos = np.zeros(len(sk), dtype=np.int64)
-        else:
-            pos = np.minimum(np.searchsorted(keys, sk), len(keys) - 1)
-            keep = keys[pos] == sk
-        sub = t.filter(pa.array(keep))
-        return pa.table(
-            {
-                "s_suppkey": sub["s_suppkey"],
-                "s_name": sub["s_name"],
-                "returned_lines": pa.array(ret[pos[keep]], pa.int64()),
-                "total_lines": pa.array(tot[pos[keep]], pa.int64()),
-            }
-        )
-
-    return (
-        _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-        .map_batches(attach, batch_format="pyarrow")
-        .sort("s_suppkey")
-    )
-
-
-ORACLES["supplier_return_rate"] = (
-    "WITH per_s AS (SELECT l_suppkey, count(*)::BIGINT AS total_lines, "
-    "sum(CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END)::BIGINT "
-    "AS returned_lines FROM lineitem GROUP BY 1), "
-    "tot AS (SELECT sum(total_lines)::BIGINT AS t_all, "
-    "sum(returned_lines)::BIGINT AS r_all FROM per_s) "
-    "SELECT s_suppkey, s_name, returned_lines, total_lines "
-    "FROM per_s JOIN supplier ON s_suppkey = l_suppkey, tot "
-    "WHERE returned_lines * t_all > total_lines * r_all "
-    "ORDER BY s_suppkey"
-)
-
-
-# ---- copurchase_pairs: market-basket pair mining -------------------------
-
-COPURCHASE_TOP_N = 20
-
-
-def copurchase_pairs(sf_dir: str) -> ray.data.Dataset:
-    """Top part pairs bought together in one order — market-basket pair
-    mining, the self-join-per-key expansion shape (reference's
-    co-occurrence report, SURVEY.md §2.8's pair family).
-
-    Pair expansion is a hash-partitioned SELF-JOIN on orderkey — Arrow
-    C++ does the per-order cross product — per CLAUDE.md's
-    map_groups-vs-self-join finding.  Per-order line counts are bounded,
-    so the join output is ~k² rows per order, never corpus².  The p1<p2
-    filter fuses each pair into ONE int64 key ((p1<<32)|p2) and
-    np.unique combines in-batch; pair counting then goes through a
-    BUCKET partition + per-bucket numpy reduce instead of a sort-based
-    groupby — a mostly-unique pair table made
-    ``groupby([p1,p2]).aggregate`` the bottleneck (measured 16 s of a
-    31 s total at sf0.1; this shape runs the whole operator in ~5 s).
-    Every fused key lands in exactly one bucket, so per-bucket counts
-    are exact and each bucket's deterministic top-N (lexsort by
-    −n, p1, p2) provably contains every global top-N row; the final
-    sort sees ≤ buckets x N rows.  Ties break on (p1, p2) ascending to
-    match the oracle ORDER BY."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    right = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).rename_columns(
-        {"l_orderkey": "o_b", "l_partkey": "p_b"}
-    )
-    joined = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).join(
-        right,
-        join_type="inner",
-        num_partitions=_volume_join_parts(n_li),
-        on=("l_orderkey",),
-        right_on=("o_b",),
-    )
-    n_buckets = max(32, n_li // 1_000_000)
-
-    def pairs(t: pa.Table) -> pa.Table:
-        a = t["l_partkey"].to_numpy()
-        b = t["p_b"].to_numpy()
-        keep = a < b
-        ph = (a[keep].astype(np.int64) << np.int64(32)) | b[keep].astype(
-            np.int64
-        )
-        u, c = np.unique(ph, return_counts=True)
-        h = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {
-                "ph": pa.array(u),
-                "n_p": pa.array(c.astype(np.int64)),
-                "bk": pa.array(bk),
-            }
-        )
-
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "p1": pd.array([], dtype="int64"),
-                    "p2": pd.array([], dtype="int64"),
-                    "n_orders": pd.array([], dtype="int64"),
-                }
-            )
-        ph = g["ph"].to_numpy()
-        u, inv = np.unique(ph, return_inverse=True)
-        tot = np.bincount(inv, weights=g["n_p"].to_numpy()).astype(np.int64)
-        p1 = (u >> np.int64(32)).astype(np.int64)
-        p2 = (u & np.int64(0xFFFFFFFF)).astype(np.int64)
-        order = np.lexsort((p2, p1, -tot))[:COPURCHASE_TOP_N]
-        return pd.DataFrame(
-            {"p1": p1[order], "p2": p2[order], "n_orders": tot[order]}
-        )
-
-    return (
-        joined.map_batches(pairs, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(reduce_bucket, batch_format="pandas")
-        .select_columns(["p1", "p2", "n_orders"])
-        .sort(["n_orders", "p1", "p2"], descending=[True, False, False])
-        .limit(COPURCHASE_TOP_N)
-    )
-
-
-ORACLES["copurchase_pairs"] = (
-    "SELECT l1.l_partkey AS p1, l2.l_partkey AS p2, count(*)::BIGINT "
-    "AS n_orders "
-    "FROM lineitem l1 JOIN lineitem l2 "
-    "ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey "
-    "GROUP BY 1, 2 "
-    f"ORDER BY n_orders DESC, p1, p2 LIMIT {COPURCHASE_TOP_N}"
-)
-
-
-# ---- copurchase_pagerank: iterative graph centrality ----------------------
-
-PAGERANK_ITERS = 3
-PAGERANK_SCALE = 1_000_000      # fixed-point rank unit
-PAGERANK_TOP = 50
-_PR_BASE = (15 * PAGERANK_SCALE) // 100   # (1-damping) term, integer
-
-
-def _copurchase_edges(sf_dir: str) -> ray.data.Dataset:
-    """Distinct undirected co-purchase edges as fused int64 keys
-    ``ph = (p1 << 32) | p2`` with p1 < p2 — the hash-partitioned
-    self-join on orderkey (Arrow C++ cross product per order), per-batch
-    fused np.unique, and a bounded-bucket global distinct, exactly the
-    ``copurchase_pairs`` shape minus the counting.  MATERIALIZED because
-    every consumer (pagerank iterations, triangle wedges + membership)
-    re-streams it; ~16 B/edge."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    right = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).rename_columns(
-        {"l_orderkey": "o_b", "l_partkey": "p_b"}
-    )
-    joined = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).join(
-        right,
-        join_type="inner",
-        num_partitions=_volume_join_parts(n_li),
-        on=("l_orderkey",),
-        right_on=("o_b",),
-    )
-    n_buckets = max(32, n_li // 1_000_000)
-
-    def pair_partial(t: pa.Table) -> pa.Table:
-        a = t["l_partkey"].to_numpy()
-        b = t["p_b"].to_numpy()
-        keep = a < b
-        ph = (a[keep].astype(np.int64) << np.int64(32)) | b[keep].astype(
-            np.int64
-        )
-        u = np.unique(ph)
-        h = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table({"ph": pa.array(u), "bk": pa.array(bk)})
-
-    def distinct_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame({"ph": pd.array([], dtype="int64")})
-        return pd.DataFrame({"ph": np.unique(g["ph"].to_numpy())})
-
-    return (
-        joined.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(distinct_bucket, batch_format="pandas")
-        .select_columns(["ph"])
-        .materialize()
-    )
-
-
-_PH_LO_MASK = np.int64(0xFFFFFFFF)
-
-
-def _edge_deg_partial(t: pa.Table) -> pa.Table:
-    """Per-batch node-degree partial over fused edge keys."""
-    ph = t["ph"].to_numpy()
-    ends = np.concatenate([ph >> np.int64(32), ph & _PH_LO_MASK])
-    nd, cnt = np.unique(ends, return_counts=True)
-    return pa.table(
-        {"node": pa.array(nd), "dp": pa.array(cnt.astype(np.int64))}
-    )
-
-
-def copurchase_pagerank(sf_dir: str) -> pa.Table:
-    """PageRank over the item co-purchase graph — the link-graph
-    centrality prior that web-corpus curation uses as a document-quality
-    signal, here over the catalog graph the testdata can express.  The
-    new skeleton vs ``kmeans_fit`` (iterative, K-bounded state) and
-    ``dedup_components`` (iterative min-label): iterative MESSAGE
-    PASSING where messages are weighted integer sums over an edge list.
-
-    All arithmetic is exact fixed-point: ``r0 = SCALE``;
-    ``r_{k+1}(v) = (15*SCALE)//100 + (85 * sum_{u~v} r_k(u)//deg(u)) // 100``
-    — integer floor division both here and in the DuckDB oracle (three
-    unrolled CTE iterations), so ranks match bit-for-bit; no float
-    damping to diverge cross-engine.
-
-    Scale shape: distinct undirected edges come from the same
-    hash-partitioned self-join as ``copurchase_pairs`` (per-batch fused
-    np.unique + bucket distinct) and are MATERIALIZED once — the
-    band-table precedent in dedup — because every iteration streams
-    them.  Node count is bounded by the part CATALOG (a dimension), so
-    degrees and ranks live driver-side O(|catalog|) like kmeans'
-    centroids, broadcast per iteration via ray.put + searchsorted
-    probe; each pass emits one partial-sum row set per batch (<=
-    |catalog| x blocks).  For a web link graph whose NODE set is
-    SF-proportional the upgrade path is the join formulation: ranks as
-    a Dataset, edges ⋈ ranks per iteration + groupby(dst) sum."""
-    edges = _copurchase_edges(sf_dir)
-    lo_mask = _PH_LO_MASK
-
-    degs = (
-        edges.map_batches(_edge_deg_partial, batch_format="pyarrow")
-        .to_pandas()   # bounded: |catalog| x edge blocks
-    )
-    empty = pa.table(
-        {
-            "part_key": pa.array([], pa.int64()),
-            "rank_scaled": pa.array([], pa.int64()),
-        }
-    )
-    if degs.empty:
-        return empty
-    folded = degs.groupby("node")["dp"].sum()
-    nodes = folded.index.to_numpy()          # sorted
-    d = folded.to_numpy().astype(np.int64)
-
-    r = np.full(len(nodes), PAGERANK_SCALE, np.int64)
-    for _ in range(PAGERANK_ITERS):
-        ref = ray.put((nodes, r // d))
-
-        def msg_partial(t: pa.Table, _ref=ref) -> pa.Table:
-            nd, contrib = ray.get(_ref)
-            ph = t["ph"].to_numpy()
-            ia = np.searchsorted(nd, ph >> np.int64(32))
-            ib = np.searchsorted(nd, ph & lo_mask)
-            sums = np.zeros(len(nd), np.int64)
-            np.add.at(sums, ib, contrib[ia])
-            np.add.at(sums, ia, contrib[ib])
-            nz = np.nonzero(sums)[0]
-            return pa.table(
-                {
-                    "idx": pa.array(nz.astype(np.int64)),
-                    "msum": pa.array(sums[nz]),
-                }
-            )
-
-        parts = edges.map_batches(
-            msg_partial, batch_format="pyarrow"
-        ).to_pandas()   # bounded: |catalog| x edge blocks
-        total = np.zeros(len(nodes), np.int64)
-        if len(parts):
-            np.add.at(
-                total, parts["idx"].to_numpy(), parts["msum"].to_numpy()
-            )
-        r = _PR_BASE + (85 * total) // 100
-
-    top = np.lexsort((nodes, -r))[:PAGERANK_TOP]
-    return pa.table(
-        {
-            "part_key": pa.array(nodes[top].astype(np.int64)),
-            "rank_scaled": pa.array(r[top]),
-        }
-    )
-
-
-def _pr_iter_sql(prev: str, cur: str) -> str:
-    return (
-        f"{cur}0 AS (SELECT e.dst AS node, ({_PR_BASE} + "
-        f"(85 * sum({prev}.r // {prev}.d)) // 100)::BIGINT AS r "
-        f"FROM edges e JOIN {prev} ON e.src = {prev}.node GROUP BY 1), "
-        f"{cur} AS (SELECT {cur}0.node, {cur}0.r, deg.d FROM {cur}0 "
-        f"JOIN deg ON {cur}0.node = deg.node), "
-    )
-
-
-ORACLES["copurchase_pagerank"] = (
-    "WITH pairs AS (SELECT DISTINCT l1.l_partkey AS p1, l2.l_partkey AS p2 "
-    "FROM lineitem l1 JOIN lineitem l2 "
-    "ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey), "
-    "edges AS (SELECT p1 AS src, p2 AS dst FROM pairs "
-    "UNION ALL SELECT p2 AS src, p1 AS dst FROM pairs), "
-    "deg AS (SELECT src AS node, count(*)::BIGINT AS d "
-    "FROM edges GROUP BY 1), "
-    f"r0 AS (SELECT node, {PAGERANK_SCALE}::BIGINT AS r, d FROM deg), "
-    + _pr_iter_sql("r0", "r1")
-    + _pr_iter_sql("r1", "r2")
-    + _pr_iter_sql("r2", "r3")[:-2]
-    + " SELECT node AS part_key, r AS rank_scaled FROM r3 "
-    f"ORDER BY r DESC, node LIMIT {PAGERANK_TOP}"
-)
-
-
-# ---- segment_price_rank: rank-within-group window over a dim join --------
-
-def segment_price_rank(sf_dir: str) -> ray.data.Dataset:
-    """Every order ranked by price WITHIN its customer's market segment
-    — SQL ``rank() OVER (PARTITION BY segment ORDER BY price)`` over a
-    dimension join (reference's per-class leaderboard, SURVEY.md §2.7).
-
-    The segment attaches via the broadcast customer lookup (sorted
-    arrays + code LUT, hash-join fallback above the bound), prices
-    convert to exact int64 cents in the same pass, and the rank runs in
-    ``groupby(segment).map_groups`` — the RIGHT tool because segment
-    count is bounded (CLAUDE.md's map_groups rule) and only (orderkey,
-    custkey int, cents) cross the shuffle.  Min-rank ties come from one
-    sort + searchsorted per group; n_seg rides along so percent-rank is
-    a single downstream division."""
-
-    use_broadcast = _dim_num_rows(sf_dir, "customer") <= BROADCAST_DIM_MAX_ROWS
-    if use_broadcast:
-        ref, seg_lut = _broadcast_customer_lookup(sf_dir, "c_mktsegment")
-
-        def attach(t: pa.Table) -> pa.Table:
-            seg = _probe_lookup(ref, seg_lut, t["o_custkey"].to_numpy())
-            cents = np.floor(
-                t["o_totalprice"].to_numpy() * 100 + 0.5
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "seg": pa.array(seg, pa.string()),
-                    "price_cents": pa.array(cents),
-                }
-            )
-
-        tagged = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]
-        ).map_batches(attach, batch_format="pyarrow")
-    else:
-        parts = _volume_join_parts(_dim_num_rows(sf_dir, "orders"))
-        joined = _read(
-            sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"]
-        ).join(
-            _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
-            join_type="inner",
-            num_partitions=parts,
-            on=("o_custkey",),
-            right_on=("c_custkey",),
-        )
-
-        def project(t: pa.Table) -> pa.Table:
-            cents = np.floor(
-                t["o_totalprice"].to_numpy() * 100 + 0.5
-            ).astype(np.int64)
-            return pa.table(
-                {
-                    "o_orderkey": t["o_orderkey"],
-                    "seg": t["c_mktsegment"],
-                    "price_cents": pa.array(cents),
-                }
-            )
-
-        tagged = joined.map_batches(project, batch_format="pyarrow")
-
-    def rank_group(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {
-                    "o_orderkey": pd.array([], dtype="int64"),
-                    "seg": pd.array([], dtype="object"),
-                    "price_cents": pd.array([], dtype="int64"),
-                    "price_rank": pd.array([], dtype="int64"),
-                    "n_seg": pd.array([], dtype="int64"),
-                }
-            )
-        cents = g["price_cents"].to_numpy()
-        srt = np.sort(cents)
-        rank = np.searchsorted(srt, cents, side="left") + 1
-        return pd.DataFrame(
-            {
-                "o_orderkey": g["o_orderkey"].to_numpy(),
-                "seg": g["seg"].to_numpy(),
-                "price_cents": cents,
-                "price_rank": rank.astype(np.int64),
-                "n_seg": np.full(len(g), len(g), np.int64),
-            }
-        )
-
-    return (
-        tagged.groupby("seg")
-        .map_groups(rank_group, batch_format="pandas")
-        .select_columns(
-            ["o_orderkey", "seg", "price_cents", "price_rank", "n_seg"]
-        )
-    )
-
-
-ORACLES["segment_price_rank"] = (
-    "WITH o AS (SELECT o_orderkey, c_mktsegment AS seg, "
-    "CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT) AS price_cents "
-    "FROM orders JOIN customer ON o_custkey = c_custkey) "
-    "SELECT o_orderkey, seg, price_cents, "
-    "(rank() OVER (PARTITION BY seg ORDER BY price_cents))::BIGINT "
-    "AS price_rank, "
-    "(count(*) OVER (PARTITION BY seg))::BIGINT AS n_seg "
-    "FROM o"
-)
-
-
-# ---- Q6-shape: forecast revenue change -----------------------------------
-
-Q6_DATE_LO = "1996-01-01"
-Q6_DATE_HI = "1997-01-01"
-Q6_DISC_LO_BP = 3   # discount band in integer basis points of 0.01
-Q6_DISC_HI_BP = 7
-Q6_MAX_QTY = 24
-
-
-def forecast_revenue_change(sf_dir: str) -> pa.Table:
-    """TPC-H Q6 shape: revenue that would be regained by eliminating a
-    band of small discounts in one ship year — the pure
-    FILTER-AND-AGGREGATE with no join and no groupby (reference's
-    what-if scan, SURVEY.md §2.6), i.e. the operator whose entire cost
-    is the column-pruned read: only four lineitem columns leave storage,
-    every predicate is one vectorized compare, and each batch reduces to
-    a single (cents, count) partial row, so the "shuffle" is ≤ one row
-    per batch into a driver-side sum.
-
-    The discount band compares in integer basis points
-    (floor(d*100+0.5)), revenue in cents of extendedprice*discount —
-    exact int64 on both sides.  At 100 TB this stays a single streaming
-    pass; the row-filter pushdown variant (`read_parquet(filter=...)`)
-    is the scale knob per CLAUDE.md (fixed fragment-planning cost makes
-    it a loss at test scale)."""
-    lo = np.datetime64(Q6_DATE_LO, "us")
-    hi = np.datetime64(Q6_DATE_HI, "us")
-
-    def partial(t: pa.Table) -> pa.Table:
-        d = t["l_shipdate"].to_numpy(zero_copy_only=False)
-        disc = t["l_discount"].to_numpy()
-        disc_bp = np.floor(disc * 100 + 0.5).astype(np.int64)
-        qty = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        keep = (
-            (d >= lo)
-            & (d < hi)
-            & (disc_bp >= Q6_DISC_LO_BP)
-            & (disc_bp <= Q6_DISC_HI_BP)
-            & (qty < Q6_MAX_QTY)
-        )
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy()[keep] * disc[keep] * 100 + 0.5
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "c_p": pa.array([int(cents.sum())], pa.int64()),
-                "n_p": pa.array([int(keep.sum())], pa.int64()),
-            }
-        )
-
-    total = (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .sum(["c_p", "n_p"])
-    )
-    return pa.table(
-        {
-            "revenue_cents": pa.array(
-                [int(total["sum(c_p)"]) if total else 0], pa.int64()
-            ),
-            "n_lines": pa.array(
-                [int(total["sum(n_p)"]) if total else 0], pa.int64()
-            ),
-        }
-    )
-
-
-ORACLES["forecast_revenue_change"] = (
-    "SELECT CAST(coalesce(sum(CAST(floor(l_extendedprice*l_discount*100+0.5) "
-    "AS BIGINT)), 0) AS BIGINT) AS revenue_cents, count(*)::BIGINT AS n_lines "
-    "FROM lineitem "
-    f"WHERE l_shipdate >= DATE '{Q6_DATE_LO}' "
-    f"AND l_shipdate < DATE '{Q6_DATE_HI}' "
-    f"AND CAST(floor(l_discount*100+0.5) AS BIGINT) BETWEEN {Q6_DISC_LO_BP} "
-    f"AND {Q6_DISC_HI_BP} "
-    f"AND CAST(floor(l_quantity+0.5) AS BIGINT) < {Q6_MAX_QTY}"
-)
-
-
-# ---- order_skyline: Pareto front (skyline query) -------------------------
-
-def _skyline_mask(price: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """Vectorized 2-D skyline: keep rows NOT dominated under
-    (price>=, day>=, strict somewhere).  One sort by price desc; a row
-    is dominated iff the max day among STRICTLY higher prices >= its
-    day, or the max day within its EQUAL-price group > its day
-    (coordinate duplicates dominate nothing, so both survive)."""
-    n = len(price)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.lexsort((-day, -price))
-    p_s, d_s = price[order], day[order]
-    new_grp = np.empty(n, dtype=bool)
-    new_grp[0] = True
-    new_grp[1:] = p_s[1:] != p_s[:-1]
-    grp = np.cumsum(new_grp) - 1
-    n_grp = grp[-1] + 1
-    grp_max = np.full(n_grp, np.iinfo(np.int64).min, dtype=np.int64)
-    np.maximum.at(grp_max, grp, d_s)
-    # max day over all STRICTLY higher price groups = prefix max of
-    # grp_max shifted by one group
-    prefix = np.empty(n_grp, dtype=np.int64)
-    prefix[0] = np.iinfo(np.int64).min
-    if n_grp > 1:
-        prefix[1:] = np.maximum.accumulate(grp_max[:-1])
-    dominated = (prefix[grp] >= d_s) | (grp_max[grp] > d_s)
-    keep = np.zeros(n, dtype=bool)
-    keep[order] = ~dominated
-    return keep
-
-
-def order_skyline(sf_dir: str) -> ray.data.Dataset:
-    """SKYLINE (Pareto front) of orders over (price, recency): orders no
-    other order beats on BOTH dimensions — the multi-objective top
-    query relational engines lack natively (reference's frontier
-    report; Börzsönyi et al.'s skyline operator, SURVEY.md §2.7).
-
-    Two-level exact shape with NO shuffle: dominance is transitive, so
-    every globally undominated row is also undominated within its own
-    batch — each batch reduces to its LOCAL skyline (one lexsort + two
-    segment maxes, `_skyline_mask`), the tiny survivor union returns to
-    the driver, and the same mask filters it globally.  Front sizes are
-    ~log-scale in practice (8 rows at sf0.01), so the driver step is
-    constant-ish work at any corpus size; a pathological all-frontier
-    distribution degrades the reduction, not correctness."""
-    US_DAY = 86_400_000_000
-
-    def local_skyline(t: pa.Table) -> pa.Table:
-        price = np.floor(t["o_totalprice"].to_numpy() * 100 + 0.5).astype(
-            np.int64
-        )
-        day = (
-            t["o_orderdate"].to_numpy().astype("datetime64[us]").astype(np.int64)
-            // US_DAY
-        )
-        keep = _skyline_mask(price, day)
-        return pa.table(
-            {
-                "o_orderkey": t["o_orderkey"].filter(pa.array(keep)),
-                "price_cents": pa.array(price[keep]),
-                "day": pa.array(day[keep]),
-            }
-        )
-
-    surv = (
-        _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_totalprice"])
-        .map_batches(local_skyline, batch_format="pyarrow")
-        .to_pandas()
-    )
-    price = surv["price_cents"].to_numpy()
-    day = surv["day"].to_numpy()
-    keep = _skyline_mask(price, day)
-    out = pa.table(
-        {
-            "o_orderkey": pa.array(surv["o_orderkey"].to_numpy()[keep]),
-            "price_cents": pa.array(price[keep]),
-            "day": pa.array(day[keep]),
-        }
-    )
-    return ray.data.from_arrow(
-        out.take(pa.array(np.argsort(out["o_orderkey"].to_numpy())))
-    )
-
-
-ORACLES["order_skyline"] = (
-    "WITH o AS (SELECT o_orderkey, "
-    "CAST(floor(o_totalprice*100+0.5) AS BIGINT) AS price_cents, "
-    "(epoch(o_orderdate)::BIGINT // 86400)::BIGINT AS day FROM orders) "
-    "SELECT o_orderkey, price_cents, day FROM o a WHERE NOT EXISTS ("
-    "SELECT 1 FROM o b WHERE b.price_cents >= a.price_cents "
-    "AND b.day >= a.day "
-    "AND (b.price_cents > a.price_cents OR b.day > a.day)) "
-    "ORDER BY o_orderkey"
-)
-
-
-def event_type_unpivot(sf_dir: str) -> pa.Table:
-    """UNPIVOT/melt with DENSE grid fill: the (bucket, type) counts back
-    in long form, including explicit ZERO rows for combinations that
-    never occurred — the unpivot half of the wide-aggregation round trip
-    (``event_type_pivot``) and the zero-filled contingency grid
-    reporting layers expect (SURVEY.md §2.6).
-
-    Same scale shape as the pivot: the distributed groupby reduces the
-    events table to ≤ buckets x types rows, and only that bounded
-    aggregate reindexes against the full bucket x type cross product
-    driver-side — the fact table never widens or densifies."""
-    agg = event_type_by_bucket(sf_dir).to_pandas()
-    buckets = sorted(agg["user_bucket"].unique())
-    types = sorted(agg["event_type"].unique())
-    full = pd.MultiIndex.from_product(
-        [buckets, types], names=["user_bucket", "event_type"]
-    )
-    dense = (
-        agg.set_index(["user_bucket", "event_type"])["n_events"]
-        .reindex(full, fill_value=0)
-        .reset_index()
-    )
-    dense["user_bucket"] = dense["user_bucket"].astype("int64")
-    dense["n_events"] = dense["n_events"].astype("int64")
-    return pa.Table.from_pandas(
-        dense.sort_values(["user_bucket", "event_type"]).reset_index(drop=True),
-        preserve_index=False,
-    )
-
-
-ORACLES["event_type_unpivot"] = (
-    "WITH counts AS (SELECT user_id % 10 AS user_bucket, event_type, "
-    "count(*)::BIGINT AS n FROM events GROUP BY 1, 2), "
-    "b AS (SELECT DISTINCT user_bucket FROM counts), "
-    "t AS (SELECT DISTINCT event_type FROM counts) "
-    "SELECT b.user_bucket::BIGINT AS user_bucket, t.event_type, "
-    "coalesce(n, 0)::BIGINT AS n_events "
-    "FROM b CROSS JOIN t "
-    "LEFT JOIN counts ON counts.user_bucket = b.user_bucket "
-    "AND counts.event_type = t.event_type "
-    "ORDER BY 1, 2"
-)
-
-
-ORACLES["bloom_semi_join_exact"] = (
-    "SELECT event_id, user_id, event_type FROM events e "
-    "WHERE EXISTS (SELECT 1 FROM events p "
-    "WHERE p.user_id = e.user_id AND p.event_type = 'purchase')"
-)
-
-
-# ---- revenue_cube: GROUP BY CUBE (grouping sets) ---------------------------
-
-
-def revenue_cube(sf_dir: str) -> ray.data.Dataset:
-    """Revenue and order count over ALL FOUR grouping sets of
-    (o_orderstatus, o_orderpriority) — SQL's GROUP BY CUBE, the standard
-    OLAP rollup report.  The naive plan runs four separate groupbys (four
-    scans, four shuffles); the naive distributed alternative replicates
-    every ROW once per grouping set before one groupby (4x the exchange).
-
-    Scale shape: one scan, one bounded shuffle.  Each batch reduces to
-    the FINEST grouping set via a pyarrow group_by combiner (<= |status|
-    x |priority| rows), then derives the three coarser sets from that
-    tiny partial in pandas — so the per-batch emit is <= 4x the cube's
-    own cardinality (24 rows here) regardless of batch size, and the
-    single groupby sums bounded keys.  The 'ALL' sentinel stands for the
-    rolled-up level on both sides (nullable group keys hash-mismatch the
-    driver comparator; see CLAUDE.md).
-
-    Reference anchor: the status/priority reporting family (SURVEY.md
-    S2.6 A1/A4) generalized to the multi-level rollup a corpus
-    dashboard wants (per-source x per-language totals with margins)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"o_orderstatus": pa.array([], pa.string()),
-             "o_orderpriority": pa.array([], pa.string()),
-             "revenue_cents": pa.array([], pa.int64()),
-             "n_orders": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        src = pa.table(
-            {"s": t["o_orderstatus"], "p": t["o_orderpriority"],
-             "c": pa.array(cents, pa.int64())}
-        )
-        g = (
-            src.group_by(["s", "p"])
-            .aggregate([("c", "sum"), ([], "count_all")])
-            .to_pandas()
-            .rename(columns={"c_sum": "revenue_cents", "count_all": "n_orders"})
-        )
-        gs = g.groupby("s", as_index=False)[["revenue_cents", "n_orders"]].sum()
-        gs["p"] = "ALL"
-        gp = g.groupby("p", as_index=False)[["revenue_cents", "n_orders"]].sum()
-        gp["s"] = "ALL"
-        ga = pd.DataFrame(
-            {"s": ["ALL"], "p": ["ALL"],
-             "revenue_cents": [g["revenue_cents"].sum()],
-             "n_orders": [g["n_orders"].sum()]}
-        )
-        out = pd.concat([g, gs, gp, ga], ignore_index=True)
-        return pa.table(
-            {"o_orderstatus": pa.array(out["s"], pa.string()),
-             "o_orderpriority": pa.array(out["p"], pa.string()),
-             "revenue_cents": pa.array(
-                 out["revenue_cents"].to_numpy().astype(np.int64), pa.int64()),
-             "n_orders": pa.array(
-                 out["n_orders"].to_numpy().astype(np.int64), pa.int64())}
-        )
-
-    return (
-        _read(sf_dir, "orders",
-              ["o_orderstatus", "o_orderpriority", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-    )
-
-
-ORACLES["revenue_cube"] = (
-    "SELECT COALESCE(o_orderstatus, 'ALL') AS o_orderstatus, "
-    "COALESCE(o_orderpriority, 'ALL') AS o_orderpriority, "
-    "sum(CAST(floor(o_totalprice*100+0.5) AS BIGINT))::BIGINT AS revenue_cents, "
-    "count(*)::BIGINT AS n_orders "
-    "FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)"
-)
-
-
-# ---- user_value_trend: per-key regression slope from integer moments -------
-
-_TREND_DAY_ANCHOR = 19_700  # fixed epoch-day offset; slope is translation-
-                            # invariant, the shift only shrinks the moments
-
-
-def user_value_trend(sf_dir: str) -> ray.data.Dataset:
-    """Per-user linear trend of event value over time — regr_slope(value,
-    day) for every user with >= 2 distinct active days, i.e. 'is this
-    user's spend rising or falling, and how fast (cents/day)'.
-
-    Scale shape — the per-KEY variant of the exact-integer-moments
-    pattern (qty_discount_corr computes the same moments for 3 bounded
-    keys driver-side): each batch folds to one (user, n, St, Sv, Stt,
-    Stv) row per user via a pyarrow group_by combiner (many events per
-    user combine map-side, so the shuffle carries ~|users| rows per
-    batch, not |events|), one groupby sums the moments, and the slope
-    (n*Stv - St*Sv) / (n*Stt - St*St) is a vectorized int64 -> ONE float
-    division per user — never a float accumulation, so the doubles are
-    bit-identical to DuckDB's HUGEINT-then-cast arithmetic.  int64
-    bounds: t = epoch_day - 19700 (|t| < 2^15 for a century either
-    side), v <= 10^6 cents => per-user Stv < 2^36 * n and the cross
-    products n*Stv stay under 2^53 (double-exact) through ~10^8 events
-    per user; the slope is emitted by a map_batches over the aggregate,
-    never a driver loop over users.
-
-    Reference anchor: the per-user activity aggregates family (SURVEY.md
-    S2.6) extended to the trend shape a data-quality dashboard reports
-    (per-source quality drift per day)."""
-
-    US_DAY = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"user_id": pa.array([], pa.int64()),
-             "n_partial": pa.array([], pa.int64()),
-             **{c: pa.array([], pa.int64())
-                for c in ("st", "sv", "stt", "stv")}}
-        )
-        if len(t) == 0:
-            return empty
-        day = (
-            t["ts"].to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]").astype(np.int64) // US_DAY
-            - _TREND_DAY_ANCHOR
-        )
-        v = np.floor(t["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-        src = pa.table(
-            {"user_id": t["user_id"],
-             "t": pa.array(day, pa.int64()),
-             "v": pa.array(v, pa.int64()),
-             "tt": pa.array(day * day, pa.int64()),
-             "tv": pa.array(day * v, pa.int64())}
-        )
-        g = src.group_by("user_id").aggregate(
-            [(c, "sum") for c in ("t", "v", "tt", "tv")] + [([], "count_all")]
-        )
-        return pa.table(
-            {"user_id": g["user_id"],
-             "n_partial": pc.cast(g["count_all"], pa.int64()),
-             "st": g["t_sum"], "sv": g["v_sum"],
-             "stt": g["tt_sum"], "stv": g["tv_sum"]}
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"user_id": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "slope_cents_per_day": pa.array([], pa.float64())}
-        )
-        if len(t) == 0:
-            return empty
-        n = t["n"].to_numpy()
-        st = t["st"].to_numpy()
-        sv = t["sv"].to_numpy()
-        stt = t["stt"].to_numpy()
-        stv = t["stv"].to_numpy()
-        den = n * stt - st * st
-        num = n * stv - st * sv
-        keep = den > 0               # >= 2 distinct active days
-        return pa.table(
-            {"user_id": pa.array(t["user_id"].to_numpy()[keep], pa.int64()),
-             "n": pa.array(n[keep], pa.int64()),
-             "slope_cents_per_day": pa.array(
-                 num[keep].astype(np.float64) / den[keep].astype(np.float64),
-                 pa.float64())}
-        )
-
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Sum("n_partial", alias_name="n"),
-            *[Sum(c, alias_name=c) for c in ("st", "sv", "stt", "stv")],
-        )
-        .map_batches(finish, batch_format="pyarrow")
-    )
-
-
-ORACLES["user_value_trend"] = (
-    "WITH m AS (SELECT user_id, count(*)::BIGINT AS n, "
-    "sum(epoch_us(ts) // 86400000000 - 19700)::BIGINT AS st, "
-    "sum(CAST(floor(value*100+0.5) AS BIGINT))::BIGINT AS sv, "
-    "sum((epoch_us(ts) // 86400000000 - 19700)"
-    "*(epoch_us(ts) // 86400000000 - 19700))::BIGINT AS stt, "
-    "sum((epoch_us(ts) // 86400000000 - 19700)"
-    "*CAST(floor(value*100+0.5) AS BIGINT))::BIGINT AS stv "
-    "FROM events GROUP BY user_id) "
-    "SELECT user_id, n, "
-    "CAST(n*stv - st*sv AS DOUBLE) / CAST(n*stt - st*st AS DOUBLE) "
-    "AS slope_cents_per_day FROM m WHERE n*stt - st*st > 0"
-)
-
-
-# ---- triangle_count: graph motif census over the co-purchase graph --------
-
-# edge-key membership probe: below this many edges the sorted fused-key
-# array broadcasts via ray.put (8 B/edge; 20M = 160 MB, object-store
-# resident, read zero-copy per task); above it the wedge keys take a hash
-# join against the edge table instead.
-TRIANGLE_EDGE_BROADCAST_MAX = 20_000_000
-
-
-def triangle_count(
-    sf_dir: str, edge_broadcast_max: int = TRIANGLE_EDGE_BROADCAST_MAX
-) -> pa.Table:
-    """Exact triangle count of the co-purchase graph — the standard graph
-    clustering/motif census (a corpus link-graph's clustering coefficient
-    numerator), and a deliberately different graph skeleton from
-    ``copurchase_pagerank`` (iterative message passing) and
-    ``dedup_components`` (label propagation): a one-shot WEDGE census.
-
-    Scale shape — DEGREE-ORDERED orientation bounds the blow-up: every
-    edge is directed from its lower-(degree, id) endpoint, so each
-    triangle has exactly ONE vertex with out-edges to the other two and
-    is counted exactly once, and max out-degree is O(sqrt(E)) on any
-    graph (the classic node-iterator+ bound), keeping the wedge count
-    near E^1.5 instead of sum(deg^2).
-
-    Below ``edge_broadcast_max`` edges (the pagerank precedent: the
-    co-purchase NODE set is catalog-bounded and the edge list is already
-    materialized), the edge list is gathered ONCE into a sorted fused-key
-    array + oriented CSR adjacency, ray.put ONCE, and the E^1.5 wedge
-    work — the part that must be distributed — fans out over
-    cost-balanced source-node chunks (each chunk expands ~2M wedges with
-    the vectorized repeat/arange arithmetic and probes them against the
-    sorted key array in-task): after the edge build there is NO shuffle
-    at all and only scalar counts leave the tasks.  A first cut
-    generated wedges with a hash self-join of the oriented edges on
-    source — correct, but it shuffled every wedge through the object
-    store and ran 26.9 s at sf0.1 vs ~4 s for this shape (the
-    copurchase_pairs lesson: the cross product belongs IN a vectorized
-    kernel, the exchange should carry only what downstream needs).
-    Above the bound, the join formulation is the fallback: oriented
-    self-join on source -> fused wedge keys -> hash-join membership
-    against the edge table (both paths pinned equal by a forced-fallback
-    test).
-
-    Reference anchor: SURVEY.md §2.8's co-occurrence family; the oracle
-    is the textbook three-way self-join, which re-derives the same count
-    from first principles (id-ordered, orientation-independent)."""
-    edges = _copurchase_edges(sf_dir)
-    zero = pa.table({"n_triangles": pa.array([0], pa.int64())})
-    n_edges = edges.count()
-    if n_edges == 0:
-        return zero
-
-    if n_edges <= edge_broadcast_max:
-        keys = np.sort(
-            np.concatenate(
-                [t["ph"].to_numpy()
-                 for t in ray.get(edges.to_arrow_refs()) if t.num_rows]
-            )
-        )
-        a = keys >> np.int64(32)
-        b = keys & _PH_LO_MASK
-        nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-        deg = np.bincount(inv)
-        da, db = deg[inv[: len(a)]], deg[inv[len(a):]]
-        a_first = (da < db) | ((da == db) & (a < b))
-        src = np.where(a_first, a, b)
-        dst = np.where(a_first, b, a)
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        s_starts = np.flatnonzero(
-            np.concatenate(([True], src[1:] != src[:-1]))
-        )
-        s_ends = np.append(s_starts[1:], len(src))
-        cost = (s_ends - s_starts) * (s_ends - s_starts - 1) // 2
-        keep = cost > 0
-        s_starts, s_ends, cost = s_starts[keep], s_ends[keep], cost[keep]
-        if len(s_starts) == 0:
-            return zero
-        total_cost = int(cost.sum())
-        n_chunks = int(
-            min(4096, min(len(s_starts), max(64, total_cost // 2_000_000)))
-        )
-        csum = np.cumsum(cost)
-        cuts = (
-            np.searchsorted(
-                csum, np.linspace(0, csum[-1], n_chunks + 1)[1:-1], "left"
-            )
-            + 1
-        )
-        bounds = np.unique(np.concatenate(([0], cuts, [len(s_starts)])))
-        adj_ref = ray.put((dst, keys))
-        node_ds = ray.data.from_arrow(
-            [
-                pa.table(
-                    {"s": pa.array(s_starts[lo:hi], pa.int64()),
-                     "e": pa.array(s_ends[lo:hi], pa.int64())}
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        )
-
-        def count_chunk(t: pa.Table, _ref=adj_ref) -> pa.Table:
-            if len(t) == 0:
-                return pa.table({"n": pa.array([0], pa.int64())})
-            dsts, k = ray.get(_ref)
-            s = t["s"].to_numpy()
-            sizes = t["e"].to_numpy() - s
-            tot = int(sizes.sum())
-            # gather each node's out-neighbour run into one contiguous
-            # array (dst is ascending within a run)
-            offs = np.arange(tot) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            dloc = dsts[np.repeat(s, sizes) + offs]
-            # per-run pair expansion (the _broadcast_band_pairs arithmetic);
-            # v < w holds by the in-run sort, so keys fuse directly
-            cends = np.cumsum(sizes)
-            cnt = np.repeat(cends, sizes) - np.arange(tot) - 1
-            a_idx = np.repeat(np.arange(tot), cnt)
-            c2 = np.concatenate(([0], np.cumsum(cnt)))
-            b_idx = a_idx + 1 + (np.arange(c2[-1]) - np.repeat(c2[:-1], cnt))
-            wk = (dloc[a_idx] << np.int64(32)) | dloc[b_idx]
-            pos = np.searchsorted(k, wk)
-            found = (pos < len(k)) & (k[np.minimum(pos, len(k) - 1)] == wk)
-            return pa.table({"n": pa.array([int(found.sum())], pa.int64())})
-
-        total = node_ds.map_batches(count_chunk, batch_format="pyarrow").sum(
-            "n"
-        )
-        return pa.table(
-            {"n_triangles": pa.array([int(total or 0)], pa.int64())}
-        )
-
-    # ---- join fallback (edge list too big to gather) ----------------------
-    degs = (
-        edges.map_batches(_edge_deg_partial, batch_format="pyarrow")
-        .to_pandas()   # bounded: |catalog| x edge blocks
-    )
-    folded = degs.groupby("node")["dp"].sum()
-    nodes = folded.index.to_numpy()          # sorted
-    d = folded.to_numpy().astype(np.int64)
-    deg_ref = ray.put((nodes, d))
-
-    def orient(t: pa.Table, _ref=deg_ref) -> pa.Table:
-        nd, dg = ray.get(_ref)
-        ph = t["ph"].to_numpy()
-        a = ph >> np.int64(32)
-        b = ph & _PH_LO_MASK
-        da = dg[np.searchsorted(nd, a)]
-        db = dg[np.searchsorted(nd, b)]
-        a_first = (da < db) | ((da == db) & (a < b))
-        return pa.table(
-            {
-                "src": pa.array(np.where(a_first, a, b), pa.int64()),
-                "dst": pa.array(np.where(a_first, b, a), pa.int64()),
-            }
-        )
-
-    oriented = edges.map_batches(orient, batch_format="pyarrow").materialize()
-    # two joins (wedge + membership) share the streaming plan — size both
-    # pools so they cannot overcommit the CPUs
-    parts = _volume_join_parts(n_edges, 2)
-    right = oriented.rename_columns({"src": "src_b", "dst": "dst_b"})
-    wedges = oriented.join(
-        right,
-        join_type="inner",
-        num_partitions=parts,
-        on=("src",),
-        right_on=("src_b",),
-    )
-
-    def wedge_keys(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table({"wk": pa.array([], pa.int64())})
-        v = t["dst"].to_numpy()
-        w = t["dst_b"].to_numpy()
-        keep = v < w
-        return pa.table(
-            {"wk": pa.array((v[keep] << np.int64(32)) | w[keep], pa.int64())}
-        )
-
-    matched = wedges.map_batches(wedge_keys, batch_format="pyarrow").join(
-        edges,
-        join_type="inner",
-        num_partitions=parts,
-        on=("wk",),
-        right_on=("ph",),
-    )
-    total = matched.count()
-    return pa.table(
-        {"n_triangles": pa.array([int(total or 0)], pa.int64())}
-    )
-
-
-ORACLES["triangle_count"] = (
-    "WITH li AS (SELECT DISTINCT l_orderkey AS o, l_partkey AS p "
-    "FROM lineitem), "
-    "e AS (SELECT DISTINCT a.p AS pa, b.p AS pb FROM li a "
-    "JOIN li b ON a.o = b.o AND a.p < b.p) "
-    "SELECT count(*)::BIGINT AS n_triangles "
-    "FROM e e1 JOIN e e2 ON e2.pa = e1.pa AND e2.pb > e1.pb "
-    "JOIN e e3 ON e3.pa = e1.pb AND e3.pb = e2.pb"
-)
-
-
-def copurchase_degree_hist(sf_dir: str) -> pa.Table:
-    """Degree distribution of the co-purchase graph — the shape census
-    curation runs before any graph algorithm (skew here predicts hot
-    keys in every downstream join; the pagerank/triangle docstrings'
-    cost bounds are functions of exactly this histogram).
-
-    Scale shape: distinct edges from the shared ``_copurchase_edges``
-    stream (hash self-join + bounded-bucket distinct), per-batch
-    endpoint-degree partials via ``_edge_deg_partial`` (the pagerank
-    skeleton), and a driver fold bounded by catalog nodes x blocks —
-    the same catalog-bounded-node-set argument ``copurchase_pagerank``
-    documents; corpus rows never reach the driver.  The final
-    histogram is one np.unique over the node-degree array (distinct
-    degrees << nodes)."""
-    edges = _copurchase_edges(sf_dir)
-    deg_parts = [
-        t
-        for t in ray.get(
-            edges.map_batches(
-                _edge_deg_partial, batch_format="pyarrow"
-            ).to_arrow_refs()
-        )
-        if t.num_rows  # empty read blocks bypass map UDFs (Ray 2.49)
-    ]
-    empty = pa.table(
-        {"degree": pa.array([], pa.int64()),
-         "n_parts": pa.array([], pa.int64())}
-    )
-    if not deg_parts:
-        return empty
-    t = pa.concat_tables(deg_parts)
-    _, inv = np.unique(t["node"].to_numpy(), return_inverse=True)
-    deg = np.bincount(inv, weights=t["dp"].to_numpy()).astype(np.int64)
-    dv, cnt = np.unique(deg, return_counts=True)
-    return pa.table(
-        {"degree": pa.array(dv, pa.int64()),
-         "n_parts": pa.array(cnt.astype(np.int64), pa.int64())}
-    )
-
-
-ORACLES["copurchase_degree_hist"] = (
-    "WITH li AS (SELECT DISTINCT l_orderkey AS o, l_partkey AS p "
-    "FROM lineitem), "
-    "e AS (SELECT DISTINCT a.p AS p1, b.p AS p2 FROM li a "
-    "JOIN li b ON a.o = b.o AND a.p < b.p), "
-    "ends AS (SELECT p1 AS part FROM e UNION ALL SELECT p2 FROM e), "
-    "deg AS (SELECT part, count(*)::BIGINT AS degree FROM ends "
-    "GROUP BY part) "
-    "SELECT degree, count(*)::BIGINT AS n_parts FROM deg GROUP BY degree"
-)
-
-
-def monthly_price_quartiles(sf_dir: str) -> pa.Table:
-    """Per-month exact price quartiles at DOLLAR resolution — the
-    per-group exact-quantile shape whose exchange is bounded by the
-    VALUE DOMAIN, not row count (contrast median_value_per_type's
-    in-group sort, which holds a whole group in one worker): each batch
-    folds to (month, floor(price), count) rows, months x price-domain
-    partials reach the driver, and each month's quartiles come from the
-    4*cum >= q*tot crossing rule (the weighted_median discipline —
-    never a cross-engine quantile interpolation).  Dollar flooring is
-    the documented resolution contract that keeps the histogram bounded
-    at any corpus size; float floor of a double is exact on both
-    engines."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"m": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64()),
-                 "c": pa.array([], pa.int64())}
-            )
-        m = (
-            pc.multiply(pc.cast(pc.year(t["o_orderdate"]), pa.int64()), 100)
-        )
-        m = pc.add(m, pc.cast(pc.month(t["o_orderdate"]), pa.int64()))
-        v = pc.cast(pc.floor(t["o_totalprice"]), pa.int64())
-        g = pa.table({"m": m, "v": v}).group_by(["m", "v"]).aggregate(
-            [("v", "count")]
-        )
-        return pa.table(
-            {"m": g["m"], "v": g["v"],
-             "c": pc.cast(g["v_count"], pa.int64())}
-        )
-
-    hist = (
-        _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: months x dollar domain x blocks
-    )
-    empty = pa.table(
-        {"month": pa.array([], pa.int64()),
-         "q1_dollars": pa.array([], pa.int64()),
-         "q2_dollars": pa.array([], pa.int64()),
-         "q3_dollars": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if hist.empty:
-        return empty
-    hist = hist.groupby(["m", "v"], sort=True)["c"].sum().reset_index()
-    months, q1s, q2s, q3s, ns = [], [], [], [], []
-    for m, g in hist.groupby("m", sort=True):
-        v = g["v"].to_numpy(np.int64)
-        c = g["c"].to_numpy(np.int64)
-        cm = np.cumsum(c)
-        tot = int(cm[-1])
-        qs = [int(v[np.searchsorted(4 * cm, q * tot, side="left")])
-              for q in (1, 2, 3)]
-        months.append(int(m))
-        q1s.append(qs[0]); q2s.append(qs[1]); q3s.append(qs[2])
-        ns.append(tot)
-    return pa.table(
-        {"month": pa.array(months, pa.int64()),
-         "q1_dollars": pa.array(q1s, pa.int64()),
-         "q2_dollars": pa.array(q2s, pa.int64()),
-         "q3_dollars": pa.array(q3s, pa.int64()),
-         "n_orders": pa.array(ns, pa.int64())}
-    )
-
-
-ORACLES["monthly_price_quartiles"] = (
-    "WITH f AS (SELECT (year(o_orderdate)*100 + month(o_orderdate))::BIGINT "
-    "AS month, floor(o_totalprice)::BIGINT AS v FROM orders), "
-    "h AS (SELECT month, v, count(*)::BIGINT AS c FROM f GROUP BY 1, 2), "
-    "c AS (SELECT month, v, "
-    "sum(c) OVER (PARTITION BY month ORDER BY v)::BIGINT AS cm, "
-    "sum(c) OVER (PARTITION BY month)::BIGINT AS tot FROM h) "
-    "SELECT month, "
-    "min(CASE WHEN 4*cm >= tot THEN v END)::BIGINT AS q1_dollars, "
-    "min(CASE WHEN 4*cm >= 2*tot THEN v END)::BIGINT AS q2_dollars, "
-    "min(CASE WHEN 4*cm >= 3*tot THEN v END)::BIGINT AS q3_dollars, "
-    "max(tot)::BIGINT AS n_orders FROM c GROUP BY month"
-)
-
-
-US_DAY = 86_400_000_000
-
-
-def ship_lag_hist(sf_dir: str) -> pa.Table:
-    """Histogram of order fulfillment lag (days from order date to the
-    LAST line shipment) — the fact-to-fact per-key max + join + bounded
-    rollup: per-batch pyarrow max per orderkey (the map-side combiner
-    Ray's groupby lacks), a bucket-partitioned exact max over the
-    mostly-unique key stream (the copurchase_pairs reduce — never a
-    sort-based groupby on ~1-row-per-key data), ONE volume-sized hash
-    join against orders, then per-batch lag-day partials whose exchange
-    is bounded by the lag DOMAIN (days), not rows."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    n_buckets = max(32, n_li // 1_000_000)
-
-    def max_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"l_orderkey": pa.array([], pa.int64()),
-             "ship_us": pa.array([], pa.int64()),
-             "bk": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        src = pa.table(
-            {"l_orderkey": t["l_orderkey"],
-             "ship_us": pc.cast(t["l_shipdate"], pa.int64())}
-        )
-        g = src.group_by(["l_orderkey"]).aggregate([("ship_us", "max")])
-        ok = g["l_orderkey"].to_numpy()
-        h = ok.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {"l_orderkey": g["l_orderkey"],
-             "ship_us": pc.cast(g["ship_us_max"], pa.int64()),
-             "bk": pa.array(bk, pa.int64())}
-        )
-
-    def bucket_max(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"l_orderkey": pd.array([], dtype="int64"),
-                 "ship_us": pd.array([], dtype="int64")}
-            )
-        g = g.sort_values("l_orderkey").reset_index(drop=True)
-        ok = g["l_orderkey"].to_numpy()
-        new_k = np.empty(len(g), dtype=bool)
-        new_k[0] = True
-        new_k[1:] = ok[1:] != ok[:-1]
-        starts = np.flatnonzero(new_k)
-        mx = np.maximum.reduceat(g["ship_us"].to_numpy(), starts)
-        return pd.DataFrame(
-            {"l_orderkey": ok[starts], "ship_us": mx.astype("int64")}
-        )
-
-    per_order = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-        .map_batches(max_partial, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_max, batch_format="pandas")
-    )
-    n_o = _dim_num_rows(sf_dir, "orders")
-    joined = per_order.join(
-        _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
-        join_type="inner",
-        num_partitions=_volume_join_parts(n_o),
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    )
-
-    def lag_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"lag_days": pa.array([], pa.int64()),
-                 "n_orders": pa.array([], pa.int64())}
-            )
-        od = pc.cast(t["o_orderdate"], pa.int64()).to_numpy()
-        lag = (t["ship_us"].to_numpy() - od) // US_DAY
-        u, c = np.unique(lag, return_counts=True)
-        return pa.table(
-            {"lag_days": pa.array(u.astype(np.int64)),
-             "n_orders": pa.array(c.astype(np.int64))}
-        )
-
-    parts = (
-        joined.map_batches(lag_partial, batch_format="pyarrow").to_pandas()
-    )  # bounded: lag-day domain x blocks
-    empty = pa.table(
-        {"lag_days": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("lag_days", sort=True)["n_orders"].sum().reset_index()
-    return pa.table(
-        {"lag_days": pa.array(g["lag_days"].astype("int64")),
-         "n_orders": pa.array(g["n_orders"].astype("int64"))}
-    )
-
-
-ORACLES["ship_lag_hist"] = (
-    "WITH m AS (SELECT l_orderkey, max(l_shipdate) AS ms FROM lineitem "
-    "GROUP BY 1), "
-    "l AS (SELECT (epoch_us(m.ms) - epoch_us(o.o_orderdate)) "
-    "// 86400000000 AS lag_days FROM m JOIN orders o "
-    "ON m.l_orderkey = o.o_orderkey) "
-    "SELECT lag_days::BIGINT AS lag_days, count(*)::BIGINT AS n_orders "
-    "FROM l GROUP BY 1"
-)
-
-
-def benford_prices(sf_dir: str) -> pa.Table:
-    """First-significant-digit census of order prices — the Benford's-law
-    fraud/synthetic-data screen.  The digit is derived from the SAME
-    integer on both engines (floor to whole dollars, then the first
-    character of its decimal representation) — never a float log10,
-    whose IEEE error at exact powers of ten (log10(1000.) < 3) would
-    misclassify boundary prices.  Per-batch digit partials fold a
-    9-row histogram; the exchange is 9 x blocks."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"digit": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        dollars = np.floor(t["o_totalprice"].to_numpy()).astype(np.int64)
-        digit = dollars.astype("U1").astype(np.int64)   # first decimal char
-        u, c = np.unique(digit, return_counts=True)
-        return pa.table(
-            {"digit": pa.array(u.astype(np.int64)),
-             "n": pa.array(c.astype(np.int64))}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 9 digits x blocks
-    )
-    empty = pa.table(
-        {"digit": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("digit", sort=True)["n"].sum().reset_index()
-    return pa.table(
-        {"digit": pa.array(g["digit"].astype("int64")),
-         "n_orders": pa.array(g["n"].astype("int64"))}
-    )
-
-
-ORACLES["benford_prices"] = (
-    "SELECT CAST(substr(CAST(CAST(floor(o_totalprice) AS BIGINT) "
-    "AS VARCHAR), 1, 1) AS BIGINT) AS digit, "
-    "count(*)::BIGINT AS n_orders FROM orders GROUP BY 1"
-)
-
-
-_PROFILE_COLS = ("event_id", "user_id", "value", "ts_us")
-
-
-def events_numeric_profile(sf_dir: str) -> pa.Table:
-    """Per-column numeric PROFILE of the events stream (rows, nulls,
-    exact distinct count, min, max) — the ingestion-time data-profiling
-    meta-operator every pipeline runs before trusting a new drop; HLL
-    (approx_distinct_users) is the approximate sibling, this is the
-    exact one.  All four columns profile in the SAME two passes: pass A
-    folds (col, n_rows, n_nulls) count partials; pass B emits per-batch
-    DISTINCT (col, value) partials — the exchange is each column's
-    value cardinality, the honest cost of exact distinct — reduced in
-    (col, hash-bucket) groups whose np.unique also yields min/max for
-    free.  Values are profiled as float64 (exact for ints < 2^53;
-    ts as epoch_us)."""
-    n_ev = _dim_num_rows(sf_dir, "events")
-    n_buckets = max(32, n_ev // 1_000_000)
-
-    def col_values(t: pa.Table, name: str) -> np.ndarray:
-        if name == "ts_us":
-            arr = pc.cast(t["ts"], pa.int64())
-        else:
-            arr = t[name]
-        arr = pc.cast(pc.drop_null(arr), pa.float64())
-        return arr.to_numpy()
-
-    def counts(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"col": pa.array([], pa.string()),
-             "n_rows": pa.array([], pa.int64()),
-             "n_nulls": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        rows, nulls = [], []
-        for name in _PROFILE_COLS:
-            src = t["ts"] if name == "ts_us" else t[name]
-            rows.append(len(t))
-            nulls.append(src.null_count)
-        return pa.table(
-            {"col": pa.array(list(_PROFILE_COLS), pa.string()),
-             "n_rows": pa.array(rows, pa.int64()),
-             "n_nulls": pa.array(nulls, pa.int64())}
-        )
-
-    def distinct_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"ci": pa.array([], pa.int64()),
-             "v": pa.array([], pa.float64()),
-             "bk": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        cis, vs = [], []
-        for ci, name in enumerate(_PROFILE_COLS):
-            u = np.unique(col_values(t, name))
-            cis.append(np.full(len(u), ci, dtype=np.int64))
-            vs.append(u)
-        ci_arr = np.concatenate(cis)
-        v_arr = np.concatenate(vs)
-        # canonicalize -0.0 -> 0.0 BEFORE the bit-pattern hash: DISTINCT
-        # treats them equal, different bit patterns would split buckets
-        v_arr = np.where(v_arr == 0.0, 0.0, v_arr)
-        h = v_arr.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = (
-            (h >> np.uint64(33)) % np.uint64(n_buckets)
-        ).astype(np.int64) + ci_arr * n_buckets
-        return pa.table(
-            {"ci": pa.array(ci_arr), "v": pa.array(v_arr),
-             "bk": pa.array(bk)}
-        )
-
-    def bucket_stats(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"ci": pd.array([], dtype="int64"),
-                 "nd": pd.array([], dtype="int64"),
-                 "vmin": pd.array([], dtype="float64"),
-                 "vmax": pd.array([], dtype="float64")}
-            )
-        u = np.unique(g["v"].to_numpy())
-        return pd.DataFrame(
-            {"ci": [int(g["ci"].iloc[0])], "nd": [len(u)],
-             "vmin": [float(u[0])], "vmax": [float(u[-1])]}
-        )
-
-    cnt = (
-        _read(sf_dir, "events", ["event_id", "user_id", "value", "ts"])
-        .map_batches(counts, batch_format="pyarrow")
-        .to_pandas()    # bounded: 4 cols x blocks
-        .groupby("col").agg(n_rows=("n_rows", "sum"), n_nulls=("n_nulls", "sum"))
-    )
-    dist = (
-        _read(sf_dir, "events", ["event_id", "user_id", "value", "ts"])
-        .map_batches(distinct_partial, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_stats, batch_format="pandas")
-        .to_pandas()    # bounded: buckets x 4 cols
-        .groupby("ci")
-        .agg(n_distinct=("nd", "sum"), vmin=("vmin", "min"), vmax=("vmax", "max"))
-    )
-    names = list(_PROFILE_COLS)
-    return pa.table(
-        {"col": pa.array(names, pa.string()),
-         "n_rows": pa.array(
-             [int(cnt.loc[n, "n_rows"]) for n in names], pa.int64()),
-         "n_nulls": pa.array(
-             [int(cnt.loc[n, "n_nulls"]) for n in names], pa.int64()),
-         "n_distinct": pa.array(
-             [int(dist.loc[i, "n_distinct"]) for i in range(len(names))],
-             pa.int64()),
-         "vmin": pa.array(
-             [float(dist.loc[i, "vmin"]) for i in range(len(names))],
-             pa.float64()),
-         "vmax": pa.array(
-             [float(dist.loc[i, "vmax"]) for i in range(len(names))],
-             pa.float64())}
-    )
-
-
-ORACLES["events_numeric_profile"] = (
-    "SELECT 'event_id' AS col, count(*)::BIGINT AS n_rows, "
-    "(count(*) - count(event_id))::BIGINT AS n_nulls, "
-    "count(DISTINCT event_id)::BIGINT AS n_distinct, "
-    "min(event_id)::DOUBLE AS vmin, max(event_id)::DOUBLE AS vmax "
-    "FROM events UNION ALL "
-    "SELECT 'user_id', count(*)::BIGINT, "
-    "(count(*) - count(user_id))::BIGINT, "
-    "count(DISTINCT user_id)::BIGINT, "
-    "min(user_id)::DOUBLE, max(user_id)::DOUBLE FROM events UNION ALL "
-    "SELECT 'value', count(*)::BIGINT, "
-    "(count(*) - count(value))::BIGINT, "
-    "count(DISTINCT value)::BIGINT, "
-    "min(value)::DOUBLE, max(value)::DOUBLE FROM events UNION ALL "
-    "SELECT 'ts_us', count(*)::BIGINT, "
-    "(count(*) - count(ts))::BIGINT, "
-    "count(DISTINCT epoch_us(ts))::BIGINT, "
-    "min(epoch_us(ts))::DOUBLE, max(epoch_us(ts))::DOUBLE FROM events"
-)
-
-
-def referential_integrity(sf_dir: str) -> pa.Table:
-    """Two-way referential-integrity census between lineitem and orders
-    (orphan lineitem orderkeys / childless orders) — the data-quality
-    audit every ingest runs on a new drop, and the SET-DIFFERENCE dual
-    of bloom_semi_join's membership shape.  Both sides fold to per-batch
-    DISTINCT keys tagged with the SAME bucket hash, one exchange
-    co-locates each key's appearances, and every bucket resolves its
-    set differences with two np.setdiff1d calls — a key lives in exactly
-    one bucket, so the counts are exact and the driver folds buckets x 2
-    scalars."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    n_buckets = max(32, n_li // 1_000_000)
-
-    def keys_partial(col: str, side: int):
-        def f(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"k": pa.array([], pa.int64()),
-                 "side": pa.array([], pa.int64()),
-                 "bk": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return empty
-            u = np.unique(t[col].to_numpy())
-            h = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            bk = ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-            return pa.table(
-                {"k": pa.array(u.astype(np.int64)),
-                 "side": pa.array(np.full(len(u), side, np.int64)),
-                 "bk": pa.array(bk)}
-            )
-        return f
-
-    def bucket_diff(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"orphan_lineitem_keys": pd.array([], dtype="int64"),
-                 "childless_orders": pd.array([], dtype="int64")}
-            )
-        side = g["side"].to_numpy()
-        k = g["k"].to_numpy()
-        li = np.unique(k[side == 0])
-        od = np.unique(k[side == 1])
-        return pd.DataFrame(
-            {"orphan_lineitem_keys": [int(len(np.setdiff1d(li, od)))],
-             "childless_orders": [int(len(np.setdiff1d(od, li)))]}
-        )
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey"]).map_batches(
-        keys_partial("l_orderkey", 0), batch_format="pyarrow"
-    )
-    od = _read(sf_dir, "orders", ["o_orderkey"]).map_batches(
-        keys_partial("o_orderkey", 1), batch_format="pyarrow"
-    )
-    folded = (
-        li.union(od)
-        .groupby("bk")
-        .map_groups(bucket_diff, batch_format="pandas")
-        .to_pandas()    # bounded: buckets x 2
-    )
-    return pa.table(
-        {"orphan_lineitem_keys": pa.array(
-            [int(folded["orphan_lineitem_keys"].sum())], pa.int64()),
-         "childless_orders": pa.array(
-            [int(folded["childless_orders"].sum())], pa.int64())}
-    )
-
-
-ORACLES["referential_integrity"] = (
-    "SELECT "
-    "(SELECT count(*) FROM (SELECT DISTINCT l_orderkey FROM lineitem "
-    "EXCEPT SELECT o_orderkey FROM orders))::BIGINT "
-    "AS orphan_lineitem_keys, "
-    "(SELECT count(*) FROM (SELECT o_orderkey FROM orders "
-    "EXCEPT SELECT DISTINCT l_orderkey FROM lineitem))::BIGINT "
-    "AS childless_orders"
-)
-
-
-def top1pct_revenue_share(sf_dir: str) -> pa.Table:
-    """Revenue concentration: what share of total revenue comes from
-    orders at or above the 99th-percentile price — the Lorenz-point /
-    inequality statistic (length_gini_by_source's cousin on money).
-    The p99 threshold comes from the dollar-resolution value histogram
-    via the crossing rule (ties AT the threshold dollar are all
-    included — a deterministic contract both engines share), revenue
-    sums are exact integer cents, and the share is one float division.
-    Exchange: the dollar histogram plus a 2-int cents partial per
-    batch."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"v": pa.array([], pa.int64()),
-                 "c": pa.array([], pa.int64())}
-            )
-        dollars = np.floor(t["o_totalprice"].to_numpy()).astype(np.int64)
-        u, c = np.unique(dollars, return_counts=True)
-        return pa.table(
-            {"v": pa.array(u), "c": pa.array(c.astype(np.int64))}
-        )
-
-    hist = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: dollar domain x blocks
-    )
-    empty = pa.table(
-        {"p99_dollars": pa.array([], pa.int64()),
-         "share_top": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    g = hist.groupby("v", sort=True)["c"].sum()
-    v = g.index.to_numpy(np.int64)
-    c = g.to_numpy(np.int64)
-    cm = np.cumsum(c)
-    tot = int(cm[-1])
-    b = int(v[np.searchsorted(100 * cm, 99 * tot, side="left")])
-
-    def cents_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"top": pa.array([], pa.int64()),
-                 "all": pa.array([], pa.int64())}
-            )
-        p = t["o_totalprice"].to_numpy()
-        cents = np.floor(p * 100 + 0.5).astype(np.int64)
-        hi = np.floor(p).astype(np.int64) >= b
-        return pa.table(
-            {"top": pa.array([int(cents[hi].sum())], pa.int64()),
-             "all": pa.array([int(cents.sum())], pa.int64())}
-        )
-
-    sums = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(cents_partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 2 ints x blocks
-    )
-    top = sum(int(x) for x in sums["top"])
-    allc = sum(int(x) for x in sums["all"])
-    share = 0.0 if allc == 0 else float(top) / float(allc)
-    return pa.table(
-        {"p99_dollars": pa.array([b], pa.int64()),
-         "share_top": pa.array([share], pa.float64())}
-    )
-
-
-ORACLES["top1pct_revenue_share"] = (
-    "WITH f AS (SELECT floor(o_totalprice)::BIGINT AS v, "
-    "CAST(floor(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders), "
-    "h AS (SELECT v, count(*)::BIGINT AS c FROM f GROUP BY 1), "
-    "cc AS (SELECT v, sum(c) OVER (ORDER BY v)::BIGINT AS cm, "
-    "sum(c) OVER ()::BIGINT AS tot FROM h), "
-    "b AS (SELECT min(CASE WHEN 100*cm >= 99*tot THEN v END) AS p99 FROM cc) "
-    "SELECT b.p99::BIGINT AS p99_dollars, "
-    "CASE WHEN sum(f.cents) = 0 THEN 0.0 ELSE "
-    "CAST(sum(CASE WHEN f.v >= b.p99 THEN f.cents ELSE 0 END) AS DOUBLE) "
-    "/ CAST(sum(f.cents) AS DOUBLE) END AS share_top "
-    "FROM f, b GROUP BY b.p99"
-)
-
-
-def price_ending_census(sf_dir: str) -> pa.Table:
-    """Cents-ending distribution of order prices (the .99 / .00
-    psychological-pricing screen, Benford's modular sibling — synthetic
-    or generated price columns show a uniform ending profile, scraped
-    real-world ones don't): ending = cents mod 100 from the exact
-    integer cents, per-batch 100-bin bincount partials, 100 x blocks
-    exchange."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"ending": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        cnt = np.bincount(cents % 100, minlength=100)
-        return pa.table(
-            {"ending": pa.array(np.arange(100, dtype=np.int64)),
-             "n": pa.array(cnt.astype(np.int64))}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 100 x blocks
-    )
-    empty = pa.table(
-        {"ending": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("ending", sort=True)["n"].sum().reset_index()
-    g = g[g["n"] > 0]
-    return pa.table(
-        {"ending": pa.array(g["ending"].astype("int64")),
-         "n_orders": pa.array(g["n"].astype("int64"))}
-    )
-
-
-ORACLES["price_ending_census"] = (
-    "SELECT (CAST(floor(o_totalprice*100 + 0.5) AS BIGINT) % 100) "
-    "AS ending, count(*)::BIGINT AS n_orders FROM orders GROUP BY 1"
-)
-
-
-def revenue_lorenz_deciles(sf_dir: str) -> pa.Table:
-    """Ten-point Lorenz curve of order revenue (cumulative revenue share
-    at each count decile, bottom-up) — the full concentration picture
-    top1pct_revenue_share samples one point of.  ONE histogram pass
-    carries (dollar, count, cents_sum) partials — adding the exact cents
-    sum per dollar bucket makes every decile's cumulative share
-    computable without a second scan — and each decile's threshold is
-    the count-crossing dollar with the all-ties-included contract.
-    Integers throughout, one float division per output row."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"v": pa.array([], pa.int64()),
-                 "c": pa.array([], pa.int64()),
-                 "s": pa.array([], pa.int64())}
-            )
-        p = t["o_totalprice"].to_numpy()
-        dollars = np.floor(p).astype(np.int64)
-        cents = np.floor(p * 100 + 0.5).astype(np.int64)
-        u, inv = np.unique(dollars, return_inverse=True)
-        return pa.table(
-            {"v": pa.array(u),
-             "c": pa.array(np.bincount(inv).astype(np.int64)),
-             "s": pa.array(
-                 np.bincount(inv, weights=cents).astype(np.int64))}
-        )
-
-    hist = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: dollar domain x blocks
-    )
-    empty = pa.table(
-        {"decile": pa.array([], pa.int64()),
-         "thresh_dollars": pa.array([], pa.int64()),
-         "cum_share": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    g = hist.groupby("v", sort=True).agg(c=("c", "sum"), s=("s", "sum"))
-    v = g.index.to_numpy(np.int64)
-    cm = np.cumsum(g["c"].to_numpy(np.int64))
-    sm = np.cumsum(g["s"].to_numpy(np.int64))
-    tot_n = int(cm[-1])
-    tot_s = int(sm[-1])
-    deciles, threshs, shares = [], [], []
-    for i in range(1, 11):
-        idx = int(np.searchsorted(10 * cm, i * tot_n, side="left"))
-        deciles.append(i)
-        threshs.append(int(v[idx]))
-        shares.append(
-            0.0 if tot_s == 0 else float(int(sm[idx])) / float(tot_s)
-        )
-    return pa.table(
-        {"decile": pa.array(deciles, pa.int64()),
-         "thresh_dollars": pa.array(threshs, pa.int64()),
-         "cum_share": pa.array(shares, pa.float64())}
-    )
-
-
-ORACLES["revenue_lorenz_deciles"] = (
-    "WITH f AS (SELECT floor(o_totalprice)::BIGINT AS v, "
-    "CAST(floor(o_totalprice*100 + 0.5) AS BIGINT) AS cents FROM orders), "
-    "h AS (SELECT v, count(*)::BIGINT AS c, sum(cents)::BIGINT AS s "
-    "FROM f GROUP BY 1), "
-    "cc AS (SELECT v, sum(c) OVER (ORDER BY v)::BIGINT AS cm, "
-    "sum(s) OVER (ORDER BY v)::BIGINT AS sm, "
-    "sum(c) OVER ()::BIGINT AS tn, sum(s) OVER ()::BIGINT AS ts FROM h), "
-    "q AS (SELECT unnest(range(1, 11)) AS decile), "
-    "b AS (SELECT q.decile, min(cc.v) AS thresh, min(cc.sm) AS smx "
-    "FROM cc, q WHERE 10*cc.cm >= q.decile*cc.tn GROUP BY q.decile) "
-    "SELECT b.decile::BIGINT AS decile, b.thresh::BIGINT AS thresh_dollars, "
-    "CASE WHEN m.ts = 0 THEN 0.0 ELSE CAST(b.smx AS DOUBLE) / "
-    "CAST(m.ts AS DOUBLE) END AS cum_share "
-    "FROM b, (SELECT max(ts)::BIGINT AS ts FROM cc) m"
-)
-
-
-def revenue_by_part_word(sf_dir: str) -> pa.Table:
-    """Revenue attributed to each word of the part NAME — the exploded-
-    dimension join (search-facet revenue: 'how much revenue do "green"
-    parts drive?').  Fact side folds to exact cents per partkey first
-    (in-batch combiner + bucket reduce over the mostly-unique key
-    stream), ONE volume-sized hash join attaches part names to those
-    ~|catalog| rows — never to raw lineitems — and the word explode
-    happens AFTER the join on the already-aggregated rows, folding to
-    (word, cents, parts) partials whose exchange is vocabulary-bounded."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    n_buckets = max(32, n_li // 1_000_000)
-
-    def rev_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"pk": pa.array([], pa.int64()),
-                 "cents": pa.array([], pa.int64()),
-                 "bk": pa.array([], pa.int64())}
-            )
-        pk = t["l_partkey"].to_numpy()
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        u, inv = np.unique(pk, return_inverse=True)
-        s = np.bincount(inv, weights=cents).astype(np.int64)
-        h = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(33)) % np.uint64(n_buckets)).astype(np.int64)
-        return pa.table(
-            {"pk": pa.array(u.astype(np.int64)),
-             "cents": pa.array(s), "bk": pa.array(bk)}
-        )
-
-    def bucket_sum(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty:
-            return pd.DataFrame(
-                {"pk": pd.array([], dtype="int64"),
-                 "cents": pd.array([], dtype="int64")}
-            )
-        out = g.groupby("pk", sort=False)["cents"].sum().reset_index()
-        out["cents"] = out["cents"].astype("int64")
-        return out
-
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice"])
-        .map_batches(rev_partial, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_sum, batch_format="pandas")
-    )
-    n_part = _dim_num_rows(sf_dir, "part")
-    joined = per_part.join(
-        _read(sf_dir, "part", ["p_partkey", "p_name"]),
-        join_type="inner",
-        num_partitions=_volume_join_parts(n_part),
-        on=("pk",),
-        right_on=("p_partkey",),
-    )
-
-    def word_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"word": pa.array([], pa.string()),
-                 "cents": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        import pandas as pd
-
-        words = pc.split_pattern_regex(
-            pc.utf8_lower(pc.fill_null(t["p_name"], "")),
-            pattern="[^a-z]+",
-        )
-        if isinstance(words, pa.ChunkedArray):
-            words = words.combine_chunks()
-        lens = pc.list_value_length(words).to_numpy()
-        flat = pc.list_flatten(words)
-        crep = np.repeat(t["cents"].to_numpy(), lens)
-        keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame(
-            {"word": flat.to_pandas().to_numpy()[keep], "cents": crep[keep]}
-        )
-        out = df.groupby("word", sort=False).agg(
-            cents=("cents", "sum"), n=("cents", "size")
-        ).reset_index()
-        return pa.table(
-            {"word": pa.array(out["word"], pa.string()),
-             "cents": pa.array(out["cents"].astype("int64")),
-             "n": pa.array(out["n"].astype("int64"))}
-        )
-
-    folded = (
-        joined.map_batches(word_partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: name vocabulary x blocks
-    )
-    empty = pa.table(
-        {"word": pa.array([], pa.string()),
-         "revenue_cents": pa.array([], pa.int64()),
-         "n_parts": pa.array([], pa.int64())}
-    )
-    if folded.empty:
-        return empty
-    g = folded.groupby("word", sort=True).agg(
-        revenue_cents=("cents", "sum"), n_parts=("n", "sum")
-    ).reset_index()
-    return pa.table(
-        {"word": pa.array(g["word"], pa.string()),
-         "revenue_cents": pa.array(g["revenue_cents"].astype("int64")),
-         "n_parts": pa.array(g["n_parts"].astype("int64"))}
-    )
-
-
-ORACLES["revenue_by_part_word"] = (
-    "WITH r AS (SELECT l_partkey, "
-    "sum(CAST(floor(l_extendedprice*100 + 0.5) AS BIGINT))::BIGINT "
-    "AS cents FROM lineitem GROUP BY 1), "
-    "w AS (SELECT p.p_partkey, "
-    "unnest(regexp_extract_all(lower(p.p_name), '[a-z]+')) AS word "
-    "FROM part p) "
-    "SELECT w.word, sum(r.cents)::BIGINT AS revenue_cents, "
-    "count(*)::BIGINT AS n_parts FROM w JOIN r "
-    "ON w.p_partkey = r.l_partkey GROUP BY 1"
-)
-
-
-def priority_max_orders(sf_dir: str) -> ray.data.Dataset:
-    """Every order achieving its priority class's MAXIMUM price —
-    argmax ROW RETRIEVAL (ties kept), the two-pass broadcast filter:
-    pass 1 folds per-priority maxima (bounded alphabet, cents-exact),
-    pass 2 is a pure map filter against the broadcast maxima — no
-    shuffle touches the fact stream."""
-
-    def max_partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"pr": pa.array([], pa.string()),
-                 "mx": pa.array([], pa.int64())}
-            )
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        pr = np.asarray(t["o_orderpriority"].to_pylist(), dtype=object)
-        u, inv = np.unique(pr.astype(str), return_inverse=True)
-        mx = np.full(len(u), np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(mx, inv, cents)
-        return pa.table(
-            {"pr": pa.array(list(u), pa.string()), "mx": pa.array(mx)}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-        .map_batches(max_partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: priorities x blocks
-    )
-    if parts.empty:
-        return ray.data.from_arrow(
-            pa.table(
-                {"o_orderkey": pa.array([], pa.int64()),
-                 "o_orderpriority": pa.array([], pa.string()),
-                 "price_cents": pa.array([], pa.int64())}
-            )
-        )
-    mxmap = parts.groupby("pr")["mx"].max().to_dict()
-    pr_sorted = sorted(mxmap)
-    pr_arr = np.asarray(pr_sorted)
-    mx_arr = np.asarray([mxmap[p] for p in pr_sorted], dtype=np.int64)
-    ref = ray.put((pr_arr, mx_arr))
-
-    def flt(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"o_orderkey": pa.array([], pa.int64()),
-             "o_orderpriority": pa.array([], pa.string()),
-             "price_cents": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        pr_a, mx_a = ray.get(ref)
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-        pr = np.asarray(t["o_orderpriority"].to_pylist())
-        idx = np.searchsorted(pr_a, pr)
-        keep = cents == mx_a[idx]
-        return pa.table(
-            {"o_orderkey": pa.array(t["o_orderkey"].to_numpy()[keep]),
-             "o_orderpriority": pa.array(pr[keep], pa.string()),
-             "price_cents": pa.array(cents[keep], pa.int64())}
-        )
-
-    return _read(
-        sf_dir, "orders", ["o_orderkey", "o_orderpriority", "o_totalprice"]
-    ).map_batches(flt, batch_format="pyarrow")
-
-
-ORACLES["priority_max_orders"] = (
-    "WITH m AS (SELECT o_orderpriority, "
-    "max(CAST(floor(o_totalprice*100 + 0.5) AS BIGINT))::BIGINT AS mx "
-    "FROM orders GROUP BY 1) "
-    "SELECT o.o_orderkey, o.o_orderpriority, "
-    "CAST(floor(o.o_totalprice*100 + 0.5) AS BIGINT) AS price_cents "
-    "FROM orders o JOIN m USING (o_orderpriority) "
-    "WHERE CAST(floor(o.o_totalprice*100 + 0.5) AS BIGINT) = m.mx"
-)
-
-
-def brand_size_summary(sf_dir: str) -> pa.Table:
-    """Five-number summary (min/q1/median/q3/max) of part size per brand
-    — the boxplot aggregate, computed entirely from the bounded
-    (brand, size) histogram (p_size domain is ~50 values): quartiles via
-    the 4*cum >= q*tot crossing rule (the engine's standard exact-
-    quantile contract), extremes free from the same histogram."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"brand": pa.array([], pa.string()),
-                 "v": pa.array([], pa.int64()),
-                 "c": pa.array([], pa.int64())}
-            )
-        g = pa.table(
-            {"brand": t["p_brand"],
-             "v": pc.cast(t["p_size"], pa.int64())}
-        ).group_by(["brand", "v"]).aggregate([("v", "count")])
-        return pa.table(
-            {"brand": g["brand"], "v": g["v"],
-             "c": pc.cast(g["v_count"], pa.int64())}
-        )
-
-    hist = (
-        _read(sf_dir, "part", ["p_brand", "p_size"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: brands x size domain x blocks
-    )
-    empty = pa.table(
-        {"brand": pa.array([], pa.string()),
-         "size_min": pa.array([], pa.int64()),
-         "size_q1": pa.array([], pa.int64()),
-         "size_med": pa.array([], pa.int64()),
-         "size_q3": pa.array([], pa.int64()),
-         "size_max": pa.array([], pa.int64())}
-    )
-    if hist.empty:
-        return empty
-    hist = hist.groupby(["brand", "v"], sort=True)["c"].sum().reset_index()
-    rows = {k: [] for k in
-            ("brand", "size_min", "size_q1", "size_med", "size_q3",
-             "size_max")}
-    for brand, g in hist.groupby("brand", sort=True):
-        v = g["v"].to_numpy(np.int64)
-        cm = np.cumsum(g["c"].to_numpy(np.int64))
-        tot = int(cm[-1])
-        q = [int(v[np.searchsorted(4 * cm, i * tot, side="left")])
-             for i in (1, 2, 3)]
-        rows["brand"].append(brand)
-        rows["size_min"].append(int(v[0]))
-        rows["size_q1"].append(q[0])
-        rows["size_med"].append(q[1])
-        rows["size_q3"].append(q[2])
-        rows["size_max"].append(int(v[-1]))
-    return pa.table(
-        {"brand": pa.array(rows["brand"], pa.string()),
-         **{k: pa.array(rows[k], pa.int64())
-            for k in ("size_min", "size_q1", "size_med", "size_q3",
-                      "size_max")}}
-    )
-
-
-ORACLES["brand_size_summary"] = (
-    "WITH h AS (SELECT p_brand AS brand, p_size::BIGINT AS v, "
-    "count(*)::BIGINT AS c FROM part GROUP BY 1, 2), "
-    "cc AS (SELECT brand, v, "
-    "sum(c) OVER (PARTITION BY brand ORDER BY v)::BIGINT AS cm, "
-    "sum(c) OVER (PARTITION BY brand)::BIGINT AS tot FROM h) "
-    "SELECT brand, min(v)::BIGINT AS size_min, "
-    "min(CASE WHEN 4*cm >= tot THEN v END)::BIGINT AS size_q1, "
-    "min(CASE WHEN 4*cm >= 2*tot THEN v END)::BIGINT AS size_med, "
-    "min(CASE WHEN 4*cm >= 3*tot THEN v END)::BIGINT AS size_q3, "
-    "max(v)::BIGINT AS size_max FROM cc GROUP BY brand"
-)
-
-
-# ---- open-orders sweep (interval cardinality over the bounded day axis) --
-
-_OPEN_ORDERS_BUCKETS = 32
-
-
-def open_orders_daily(sf_dir: str) -> "pa.Table":
-    """Daily count of orders OPEN — placed (o_orderdate) but with at
-    least one line not yet shipped (open through max l_shipdate) — the
-    work-in-progress curve capacity planning reads.  An interval-
-    cardinality sweep: each order contributes +1 on its open day and −1
-    the day after it closes, and the running sum over the BOUNDED day
-    axis is the answer; rows are emitted only for days where the count
-    CHANGES (delta days), exactly the rows the oracle's windowed cumsum
-    produces.
-
-    Shape: no hash join.  Orders rows (+kind 0) and in-batch
-    max-combined lineitem rows (kind 1) UNION into one stream bucketed
-    by hash(orderkey) — every order's rows meet in its bucket, where a
-    pandas fold pairs d0 with max(d1) (inner semantics) and emits
-    (day, delta) partials bounded by the day span; the driver folds the
-    bounded histogram and takes one cumsum.  The exchange carries ~one
-    row per order + one per (batch, order) — never a lineitem-sized
-    shuffle, and the only all-to-all is the bounded bucket groupby."""
-    US_DAY = 86_400_000_000
-
-    def _bk(keys: np.ndarray) -> np.ndarray:
-        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return ((h >> np.uint64(33)) % np.uint64(_OPEN_ORDERS_BUCKETS)).astype(
-            np.int64
-        )
-
-    def orders_part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()),
-                 "d": pa.array([], pa.int64()),
-                 "kind": pa.array([], pa.int64()),
-                 "bk": pa.array([], pa.int64())}
-            )
-        k = t["o_orderkey"].to_numpy()
-        d = pc.cast(t["o_orderdate"], pa.int64()).to_numpy() // US_DAY
-        return pa.table(
-            {"k": pa.array(k), "d": pa.array(d),
-             "kind": pa.array(np.zeros(len(k), np.int64)),
-             "bk": pa.array(_bk(k))}
-        )
-
-    def lines_part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"k": pa.array([], pa.int64()),
-                 "d": pa.array([], pa.int64()),
-                 "kind": pa.array([], pa.int64()),
-                 "bk": pa.array([], pa.int64())}
-            )
-        import pandas as pd
-
-        df = pd.DataFrame(
-            {"k": t["l_orderkey"].to_numpy(),
-             "d": pc.cast(t["l_shipdate"], pa.int64()).to_numpy() // US_DAY}
-        )
-        part = df.groupby("k", sort=False)["d"].max().reset_index()
-        k = part["k"].to_numpy()
-        return pa.table(
-            {"k": pa.array(k), "d": pa.array(part["d"].to_numpy()),
-             "kind": pa.array(np.ones(len(k), np.int64)),
-             "bk": pa.array(_bk(k))}
-        )
-
-    def bucket_deltas(g) -> "pd.DataFrame":
-        import pandas as pd
-
-        if g.empty:
-            return pd.DataFrame(
-                {"day": pd.array([], dtype="int64"),
-                 "delta": pd.array([], dtype="int64")}
-            )
-        o = g[g["kind"] == 0]
-        c = g[g["kind"] == 1].groupby("k", sort=False)["d"].max()
-        j = o[o["k"].isin(c.index)]
-        d0 = j["d"].to_numpy(np.int64)
-        d1 = j["k"].map(c).to_numpy(np.int64) + 1
-        days = np.concatenate([d0, d1])
-        w = np.concatenate(
-            [np.ones(len(d0), np.int64), -np.ones(len(d1), np.int64)]
-        )
-        uq, inv = np.unique(days, return_inverse=True)
-        s = np.bincount(inv, weights=w).astype(np.int64)
-        return pd.DataFrame({"day": uq, "delta": s})
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
-        orders_part, batch_format="pyarrow"
-    )
-    lines = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]).map_batches(
-        lines_part, batch_format="pyarrow"
-    )
-    hist = (
-        orders.union(lines)
-        .groupby("bk")
-        .map_groups(bucket_deltas, batch_format="pandas")
-        .to_pandas()    # bounded: day span x buckets
-    )
-    if hist.empty:
-        return pa.table(
-            {"day": pa.array([], pa.int64()),
-             "n_open": pa.array([], pa.int64())}
-        )
-    agg = hist.groupby("day", sort=True)["delta"].sum()
-    return pa.table(
-        {"day": pa.array(agg.index.to_numpy(np.int64)),
-         "n_open": pa.array(np.cumsum(agg.to_numpy(np.int64)))}
-    )
-
-
-ORACLES["open_orders_daily"] = (
-    "WITH cl AS (SELECT l_orderkey AS k, "
-    "max(epoch_us(l_shipdate) // 86400000000) AS d1 FROM lineitem "
-    "GROUP BY 1), "
-    "j AS (SELECT epoch_us(o_orderdate) // 86400000000 AS d0, d1 "
-    "FROM orders JOIN cl ON o_orderkey = k), "
-    "ev AS (SELECT d0 AS d, 1 AS delta FROM j "
-    "UNION ALL SELECT d1 + 1, -1 FROM j), "
-    "agg AS (SELECT d, sum(delta) AS s FROM ev GROUP BY d) "
-    "SELECT d::BIGINT AS day, "
-    "(sum(s) OVER (ORDER BY d))::BIGINT AS n_open FROM agg ORDER BY d"
-)
-
-
-# ---- RFM segmentation census (recency / frequency / monetary tiers) ------
-
-# fixed tier boundaries (exact integer comparisons on both sides):
-# recency in days-before-last-order-date, frequency in orders, monetary
-# in total-price cents.
-RFM_R_BOUNDS = (30, 90, 365)
-RFM_F_BOUNDS = (2, 4, 10)
-RFM_M_BOUNDS = (5_000_000, 15_000_000, 30_000_000)
-
-
-def rfm_census(sf_dir: str) -> "pa.Table":
-    """RFM segmentation census: every customer with at least one order
-    lands in a (recency, frequency, monetary) tier cell — the classic
-    marketing segmentation, made oracle-exact by FIXED integer tier
-    boundaries (recency against the corpus's own last order day, cents
-    for money) instead of data-dependent quantiles.
-
-    Shape: one combiner-backed groupby(custkey) folds (last order day,
-    n_orders, total cents) — the cust_order_histogram exchange, ≤ one
-    row per (batch, custkey) shuffled; the per-customer table is
-    materialized once (object store, never the driver) so the global
-    reference day is a cheap Max over it and the tier mapping reuses it
-    without recomputing the groupby; the census itself is a
-    combiner-backed groupby over ≤ 4³ cells."""
-    from ray.data.aggregate import Max
-
-    US_DAY = 86_400_000_000
-
-    def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"o_custkey": pa.array([], pa.int64()),
-                 "d_part": pa.array([], pa.int64()),
-                 "n_part": pa.array([], pa.int64()),
-                 "m_part": pa.array([], pa.int64())}
-            )
-        g = pa.table(
-            {"o_custkey": t["o_custkey"],
-             "d": pa.array(
-                 pc.cast(t["o_orderdate"], pa.int64()).to_numpy() // US_DAY
-             ),
-             "m": pa.array(
-                 np.floor(
-                     t["o_totalprice"].to_numpy() * 100.0 + 0.5
-                 ).astype(np.int64)
-             )}
-        ).group_by("o_custkey").aggregate(
-            [("d", "max"), ("m", "sum"), ([], "count_all")]
-        )
-        return pa.table(
-            {"o_custkey": g["o_custkey"],
-             "d_part": g["d_max"],
-             "n_part": pc.cast(g["count_all"], pa.int64()),
-             "m_part": g["m_sum"]}
-        )
-
-    per_cust = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(
-            Max("d_part", alias_name="last_d"),
-            Sum("n_part", alias_name="f"),
-            Sum("m_part", alias_name="m"),
-        )
-        .materialize()
-    )
-    empty = pa.table(
-        {"r_tier": pa.array([], pa.int64()),
-         "f_tier": pa.array([], pa.int64()),
-         "m_tier": pa.array([], pa.int64()),
-         "n_customers": pa.array([], pa.int64())}
-    )
-    if per_cust.count() == 0:
-        return empty
-    ref_day = int(per_cust.max("last_d"))
-
-    def tiers(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"r_tier": pa.array([], pa.int64()),
-                 "f_tier": pa.array([], pa.int64()),
-                 "m_tier": pa.array([], pa.int64())}
-            )
-        r = ref_day - t["last_d"].to_numpy()
-        f = t["f"].to_numpy()
-        m = t["m"].to_numpy()
-
-        def tier(v, bounds):
-            out = np.zeros(len(v), np.int64)
-            for b in bounds:
-                out += v >= b
-            return out
-
-        return pa.table(
-            {"r_tier": pa.array(tier(r, RFM_R_BOUNDS)),
-             "f_tier": pa.array(tier(f, RFM_F_BOUNDS)),
-             "m_tier": pa.array(tier(m, RFM_M_BOUNDS))}
-        )
-
-    out = (
-        per_cust.map_batches(tiers, batch_format="pyarrow")
-        .map_batches(
-            _partial_group_agg(["r_tier", "f_tier", "m_tier"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["r_tier", "f_tier", "m_tier"])
-        .aggregate(Sum("n_partial", alias_name="n_customers"))
-        .to_pandas()    # bounded: <= 4^3 cells
-    )
-    if out.empty:
-        return empty
-    out = out.sort_values(["r_tier", "f_tier", "m_tier"]).reset_index(drop=True)
-    return pa.table(
-        {"r_tier": pa.array(out["r_tier"].astype("int64")),
-         "f_tier": pa.array(out["f_tier"].astype("int64")),
-         "m_tier": pa.array(out["m_tier"].astype("int64")),
-         "n_customers": pa.array(out["n_customers"].astype("int64"))}
-    )
-
-
-def _rfm_tier_sql(expr: str, bounds: tuple) -> str:
-    return (
-        f"(CASE WHEN {expr} >= {bounds[2]} THEN 3 "
-        f"WHEN {expr} >= {bounds[1]} THEN 2 "
-        f"WHEN {expr} >= {bounds[0]} THEN 1 ELSE 0 END)"
-    )
-
-
-ORACLES["rfm_census"] = (
-    "WITH c AS (SELECT o_custkey, "
-    "max(epoch_us(o_orderdate) // 86400000000) AS last_d, "
-    "count(*)::BIGINT AS f, "
-    "sum(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT))::BIGINT AS m "
-    "FROM orders GROUP BY 1), "
-    "ref AS (SELECT max(last_d) AS rd FROM c) "
-    "SELECT "
-    + _rfm_tier_sql("ref.rd - c.last_d", RFM_R_BOUNDS) + "::BIGINT AS r_tier, "
-    + _rfm_tier_sql("c.f", RFM_F_BOUNDS) + "::BIGINT AS f_tier, "
-    + _rfm_tier_sql("c.m", RFM_M_BOUNDS) + "::BIGINT AS m_tier, "
-    "count(*)::BIGINT AS n_customers "
-    "FROM c CROSS JOIN ref GROUP BY 1, 2, 3"
-)
-
-
-# ---- tax-band revenue audit (the one lineitem column nothing else reads) --
-
-
-def tax_band_revenue(sf_dir: str) -> pa.Table:
-    """Effective-tax audit: per tax band (per-mille integer), line count
-    and revenue cents before/after tax.  Pure map + bounded-domain
-    rollup — per-batch partials keyed by the ~9-value tax domain, so the
-    exchange is O(bands × batches) regardless of lineitem volume; cents
-    floored per row on BOTH sides (IEEE-identical left-assoc products,
-    see revenue_rollup) so the sums are exact integers."""
-
-    def part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"tax_pm": pa.array([], pa.int64()),
-             "n_part": pa.array([], pa.int64()),
-             "d_part": pa.array([], pa.int64()),
-             "x_part": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        ep = t["l_extendedprice"].to_numpy()
-        disc = t["l_discount"].to_numpy()
-        tax = t["l_tax"].to_numpy()
-        band = np.floor(tax * 1000 + 0.5).astype(np.int64)
-        d_cents = np.floor(ep * (1 - disc) * 100 + 0.5).astype(np.int64)
-        x_cents = np.floor(ep * (1 - disc) * (1 + tax) * 100 + 0.5).astype(
-            np.int64
-        )
-        g = pa.table(
-            {"tax_pm": pa.array(band),
-             "d": pa.array(d_cents),
-             "x": pa.array(x_cents)}
-        ).group_by("tax_pm").aggregate(
-            [("d", "sum"), ("x", "sum"), ([], "count_all")]
-        )
-        return pa.table(
-            {"tax_pm": g["tax_pm"],
-             "n_part": pc.cast(g["count_all"], pa.int64()),
-             "d_part": g["d_sum"],
-             "x_part": g["x_sum"]}
-        )
-
-    out = (
-        _read(sf_dir, "lineitem", ["l_extendedprice", "l_discount", "l_tax"])
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("tax_pm")
-        .aggregate(
-            Sum("n_part", alias_name="n_lines"),
-            Sum("d_part", alias_name="disc_cents"),
-            Sum("x_part", alias_name="taxed_cents"),
-        )
-        .to_pandas()    # bounded: tax domain (~9 bands)
-    )
-    if out.empty:
-        return pa.table(
-            {"tax_pm": pa.array([], pa.int64()),
-             "n_lines": pa.array([], pa.int64()),
-             "disc_cents": pa.array([], pa.int64()),
-             "taxed_cents": pa.array([], pa.int64())}
-        )
-    out = out.sort_values("tax_pm").reset_index(drop=True)
-    return pa.table(
-        {"tax_pm": pa.array(out["tax_pm"].astype("int64")),
-         "n_lines": pa.array(out["n_lines"].astype("int64")),
-         "disc_cents": pa.array(out["disc_cents"].astype("int64")),
-         "taxed_cents": pa.array(out["taxed_cents"].astype("int64"))}
-    )
-
-
-ORACLES["tax_band_revenue"] = (
-    "SELECT CAST(floor(l_tax * 1000 + 0.5) AS BIGINT) AS tax_pm, "
-    "count(*)::BIGINT AS n_lines, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))"
-    "::BIGINT AS disc_cents, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*(1+l_tax)*100+0.5) "
-    "AS BIGINT))::BIGINT AS taxed_cents "
-    "FROM lineitem GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- column-completeness trio: the last three unread input columns -------
-#
-# line_position_profile (l_linenumber), acctbal_band_census (s_acctbal),
-# part_type_price_stats (p_retailprice) — with these, every column of every
-# input table is exercised by at least one oracle-checked operator.
-
-
-def line_position_profile(sf_dir: str) -> pa.Table:
-    """Revenue/quantity profile by line POSITION within the order (do
-    first lines carry more volume than later ones?): pure map + rollup
-    bounded by the 1..7 linenumber domain; quantity travels as exact
-    centi-units and revenue as cents (per-row floor, both sides)."""
-
-    def part(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"line_no": pa.array([], pa.int64()),
-             "n_part": pa.array([], pa.int64()),
-             "q_part": pa.array([], pa.int64()),
-             "r_part": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        pos = t["l_linenumber"].to_numpy().astype(np.int64)
-        q = np.floor(t["l_quantity"].to_numpy() * 100 + 0.5).astype(np.int64)
-        r = np.floor(
-            t["l_extendedprice"].to_numpy()
-            * (1 - t["l_discount"].to_numpy()) * 100 + 0.5
-        ).astype(np.int64)
-        g = pa.table(
-            {"line_no": pa.array(pos), "q": pa.array(q), "r": pa.array(r)}
-        ).group_by("line_no").aggregate(
-            [("q", "sum"), ("r", "sum"), ([], "count_all")]
-        )
-        return pa.table(
-            {"line_no": g["line_no"],
-             "n_part": pc.cast(g["count_all"], pa.int64()),
-             "q_part": g["q_sum"],
-             "r_part": g["r_sum"]}
-        )
-
-    out = (
-        _read(
-            sf_dir, "lineitem",
-            ["l_linenumber", "l_quantity", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("line_no")
-        .aggregate(
-            Sum("n_part", alias_name="n_lines"),
-            Sum("q_part", alias_name="qty_centi"),
-            Sum("r_part", alias_name="revenue_cents"),
-        )
-        .to_pandas()    # bounded: linenumber domain (1..7)
-    )
-    if out.empty:
-        return pa.table(
-            {"line_no": pa.array([], pa.int64()),
-             "n_lines": pa.array([], pa.int64()),
-             "qty_centi": pa.array([], pa.int64()),
-             "revenue_cents": pa.array([], pa.int64())}
-        )
-    out = out.sort_values("line_no").reset_index(drop=True)
-    return pa.table(
-        {"line_no": pa.array(out["line_no"].astype("int64")),
-         "n_lines": pa.array(out["n_lines"].astype("int64")),
-         "qty_centi": pa.array(out["qty_centi"].astype("int64")),
-         "revenue_cents": pa.array(out["revenue_cents"].astype("int64"))}
-    )
-
-
-ORACLES["line_position_profile"] = (
-    "SELECT l_linenumber::BIGINT AS line_no, count(*)::BIGINT AS n_lines, "
-    "sum(CAST(floor(l_quantity * 100 + 0.5) AS BIGINT))::BIGINT AS qty_centi, "
-    "sum(CAST(floor(l_extendedprice*(1-l_discount)*100+0.5) AS BIGINT))"
-    "::BIGINT AS revenue_cents "
-    "FROM lineitem GROUP BY 1 ORDER BY 1"
-)
-
-
-def acctbal_band_census(sf_dir: str) -> pa.Table:
-    """Account-balance band census across BOTH account-bearing dims
-    (customer + supplier union, the reference's two credential stores):
-    per (entity, 1000-unit band incl. negative bands) → account count +
-    exact balance cents.  Two column-pruned dim reads union into one
-    stream; rollup bounded by entity × band domain."""
-
-    def bander(entity: str, col: str):
-        def fn(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"entity": pa.array([], pa.string()),
-                 "band": pa.array([], pa.int64()),
-                 "n_part": pa.array([], pa.int64()),
-                 "b_part": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return empty
-            bal = t[col].to_numpy()
-            band = np.floor(bal / 1000.0).astype(np.int64)
-            cents = np.floor(bal * 100 + 0.5).astype(np.int64)
-            g = pa.table(
-                {"band": pa.array(band), "b": pa.array(cents)}
-            ).group_by("band").aggregate([("b", "sum"), ([], "count_all")])
-            return pa.table(
-                {"entity": pa.array([entity] * len(g), pa.string()),
-                 "band": g["band"],
-                 "n_part": pc.cast(g["count_all"], pa.int64()),
-                 "b_part": g["b_sum"]}
-            )
-
-        return fn
-
-    cust = _read(sf_dir, "customer", ["c_acctbal"]).map_batches(
-        bander("customer", "c_acctbal"), batch_format="pyarrow"
-    )
-    supp = _read(sf_dir, "supplier", ["s_acctbal"]).map_batches(
-        bander("supplier", "s_acctbal"), batch_format="pyarrow"
-    )
-    out = (
-        cust.union(supp)
-        .groupby(["entity", "band"])
-        .aggregate(
-            Sum("n_part", alias_name="n_accounts"),
-            Sum("b_part", alias_name="balance_cents"),
-        )
-        .to_pandas()    # bounded: 2 entities x ~12 bands
-    )
-    if out.empty:
-        return pa.table(
-            {"entity": pa.array([], pa.string()),
-             "band": pa.array([], pa.int64()),
-             "n_accounts": pa.array([], pa.int64()),
-             "balance_cents": pa.array([], pa.int64())}
-        )
-    out = out.sort_values(["entity", "band"]).reset_index(drop=True)
-    return pa.table(
-        {"entity": pa.array(out["entity"], pa.string()),
-         "band": pa.array(out["band"].astype("int64")),
-         "n_accounts": pa.array(out["n_accounts"].astype("int64")),
-         "balance_cents": pa.array(out["balance_cents"].astype("int64"))}
-    )
-
-
-ORACLES["acctbal_band_census"] = (
-    "WITH u AS ("
-    "SELECT 'customer' AS entity, c_acctbal AS bal FROM customer "
-    "UNION ALL SELECT 'supplier', s_acctbal FROM supplier) "
-    "SELECT entity, CAST(floor(bal / 1000.0) AS BIGINT) AS band, "
-    "count(*)::BIGINT AS n_accounts, "
-    "sum(CAST(floor(bal * 100 + 0.5) AS BIGINT))::BIGINT AS balance_cents "
-    "FROM u GROUP BY 1, 2 ORDER BY 1, 2"
-)
-
-
-def part_type_price_stats(sf_dir: str) -> pa.Table:
-    """Catalog price card per part type: count + sum/min/max retail
-    cents — the Count+Sum+Min+Max combiner shape (_partial_group_stats)
-    over a cents projection, rollup bounded by the p_type domain."""
-    from ray.data.aggregate import Max, Min
-
-    def cents(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"p_type": pa.array([], pa.string()),
-                 "c": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {"p_type": t["p_type"],
-             "c": pa.array(
-                 np.floor(
-                     t["p_retailprice"].to_numpy() * 100 + 0.5
-                 ).astype(np.int64)
-             )}
-        )
-
-    out = (
-        _read(sf_dir, "part", ["p_type", "p_retailprice"])
-        .map_batches(cents, batch_format="pyarrow")
-        .map_batches(_partial_group_stats(["p_type"], "c"), batch_format="pyarrow")
-        .groupby("p_type")
-        .aggregate(
-            Sum("n_partial", alias_name="n_parts"),
-            Sum("sum_partial", alias_name="retail_cents"),
-            Min("min_partial", alias_name="min_cents"),
-            Max("max_partial", alias_name="max_cents"),
-        )
-        .to_pandas()    # bounded: p_type domain
-    )
-    if out.empty:
-        return pa.table(
-            {"p_type": pa.array([], pa.string()),
-             "n_parts": pa.array([], pa.int64()),
-             "retail_cents": pa.array([], pa.int64()),
-             "min_cents": pa.array([], pa.int64()),
-             "max_cents": pa.array([], pa.int64())}
-        )
-    out = out.sort_values("p_type").reset_index(drop=True)
-    return pa.table(
-        {"p_type": pa.array(out["p_type"], pa.string()),
-         "n_parts": pa.array(out["n_parts"].astype("int64")),
-         "retail_cents": pa.array(out["retail_cents"].astype("int64")),
-         "min_cents": pa.array(out["min_cents"].astype("int64")),
-         "max_cents": pa.array(out["max_cents"].astype("int64"))}
-    )
-
-
-ORACLES["part_type_price_stats"] = (
-    "SELECT p_type, count(*)::BIGINT AS n_parts, "
-    "sum(CAST(floor(p_retailprice * 100 + 0.5) AS BIGINT))::BIGINT "
-    "AS retail_cents, "
-    "min(CAST(floor(p_retailprice * 100 + 0.5) AS BIGINT))::BIGINT "
-    "AS min_cents, "
-    "max(CAST(floor(p_retailprice * 100 + 0.5) AS BIGINT))::BIGINT "
-    "AS max_cents "
-    "FROM part GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- exact quantiles on a continuous column: two-pass histogram refine ----
-
-# quantile_disc convention (probed): value at 1-based rank ceil(p*n).
-PRICE_QUANTILE_PCTS = ((1, 4), (1, 2), (3, 4), (9, 10))
-_PQ_BINS = 65536
-
-
-def price_quantiles_exact(sf_dir: str) -> pa.Table:
-    """EXACT p25/p50/p75/p90 of order price cents — an order statistic
-    on a CONTINUOUS, unbounded-domain column computed with NO global
-    sort and NO row ever leaving the workers: the distributed-selection
-    pattern that completes the quantile story (chars_percentiles sorts
-    in-group and grows with corpus size; approx_quantiles trades
-    exactness for bounds; this is exact AND scale-flat).
-
-    Pass 0 reads bounds + row count from parquet METADATA only.  Pass 1
-    is a map-only per-batch ``np.bincount`` over ≤ 65536 equal-width
-    cent bins, Sum-combined into one bounded histogram; the driver's
-    cumulative walk pins each target rank ceil(p·n) (exact integer
-    arithmetic, DuckDB quantile_disc's probed convention) to one bin.
-    Pass 2 re-bins ONLY the ≤ 4 candidate bins at 1-cent resolution
-    (bin width ≤ span/65536, so the refine pulls ≤ 4·width fine-grained
-    rows to the driver — exact cents in one refine for any span up to
-    2^32 cents = $42M; a wider domain would want a recursive refine to
-    keep that pull bounded, not implemented because order prices are
-    nowhere near it), and a second cumulative walk reads off the exact
-    values.  Driver state is bounded by bins, shuffles by bins ×
-    batches — independent of rows."""
-    import pyarrow.parquet as pq
-
-    path = f"{sf_dir}/orders.parquet"
-    md = pq.ParquetFile(path).metadata
-    n = md.num_rows
-    empty = pa.table(
-        {"n_orders": pa.array([], pa.int64()),
-         "p25_cents": pa.array([], pa.int64()),
-         "p50_cents": pa.array([], pa.int64()),
-         "p75_cents": pa.array([], pa.int64()),
-         "p90_cents": pa.array([], pa.int64())}
-    )
-    if n == 0:
-        return empty
-    lo_f = hi_f = None
-    have_stats = True
-    for rg in range(md.num_row_groups):
-        g = md.row_group(rg)
-        st = None
-        for ci in range(g.num_columns):
-            col = g.column(ci)
-            if col.path_in_schema == "o_totalprice":
-                st = col.statistics
-        if st is None or not st.has_min_max:
-            have_stats = False
-            break
-        lo_f = st.min if lo_f is None else min(lo_f, st.min)
-        hi_f = st.max if hi_f is None else max(hi_f, st.max)
-    if not have_stats:   # stats stripped: one cheap Min/Max aggregate pass
-        from ray.data.aggregate import Max, Min
-
-        mm = (
-            _read(sf_dir, "orders", ["o_totalprice"])
-            .aggregate(Min("o_totalprice"), Max("o_totalprice"))
-        )
-        lo_f, hi_f = mm["min(o_totalprice)"], mm["max(o_totalprice)"]
-    lo = int(np.floor(lo_f * 100 + 0.5))
-    hi = int(np.floor(hi_f * 100 + 0.5))
-    span = hi - lo + 1
-    width = max(1, -(-span // _PQ_BINS))
-    ranks = [(num * n + den - 1) // den for num, den in PRICE_QUANTILE_PCTS]
-
-    def hist_pass(bin_of):
-        """Map-only histogram partials under an arbitrary binning fn."""
-
-        def fn(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table(
-                    {"b": pa.array([], pa.int64()),
-                     "c_part": pa.array([], pa.int64())}
-                )
-            cents = np.floor(
-                t["o_totalprice"].to_numpy() * 100 + 0.5
-            ).astype(np.int64)
-            b, cnt = bin_of(cents)
-            return pa.table(
-                {"b": pa.array(b), "c_part": pa.array(cnt)}
-            )
-
-        return fn
-
-    def coarse(cents):
-        b = (cents - lo) // width
-        u, cnt = np.unique(b, return_counts=True)
-        return u, cnt.astype(np.int64)
-
-    h1 = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(hist_pass(coarse), batch_format="pyarrow")
-        .groupby("b")
-        .aggregate(Sum("c_part", alias_name="c"))
-        .to_pandas()    # bounded: <= _PQ_BINS rows
-    ).sort_values("b")
-    bins = h1["b"].to_numpy().astype(np.int64)
-    counts = h1["c"].to_numpy().astype(np.int64)
-    cum = np.cumsum(counts)
-    # rank k lives in the first bin whose cumulative count reaches k
-    k_bin = bins[np.searchsorted(cum, ranks)]
-    cum_before = {
-        int(b): int(cum[i] - counts[i]) for i, b in enumerate(bins)
-    }
-
-    if width == 1:
-        vals = [int(lo + b) for b in k_bin]
-    else:
-        cand = np.unique(k_bin)
-
-        def fine(cents):
-            b = (cents - lo) // width
-            m = np.isin(b, cand)
-            u, cnt = np.unique(cents[m], return_counts=True)
-            return u, cnt.astype(np.int64)
-
-        h2 = (
-            _read(sf_dir, "orders", ["o_totalprice"])
-            .map_batches(hist_pass(fine), batch_format="pyarrow")
-            .groupby("b")
-            .aggregate(Sum("c_part", alias_name="c"))
-            .to_pandas()    # bounded: <= |cand| * width cents
-        ).sort_values("b")
-        cents2 = h2["b"].to_numpy().astype(np.int64)
-        counts2 = h2["c"].to_numpy().astype(np.int64)
-        bin2 = (cents2 - lo) // width
-        vals = []
-        for k, b in zip(ranks, k_bin):
-            m = bin2 == b
-            cc = np.cumsum(counts2[m]) + cum_before[int(b)]
-            vals.append(int(cents2[m][np.searchsorted(cc, k)]))
-
-    return pa.table(
-        {"n_orders": pa.array([n], pa.int64()),
-         "p25_cents": pa.array([vals[0]], pa.int64()),
-         "p50_cents": pa.array([vals[1]], pa.int64()),
-         "p75_cents": pa.array([vals[2]], pa.int64()),
-         "p90_cents": pa.array([vals[3]], pa.int64())}
-    )
-
-
-ORACLES["price_quantiles_exact"] = (
-    "SELECT count(*)::BIGINT AS n_orders, "
-    "quantile_disc(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT), 0.25)"
-    "::BIGINT AS p25_cents, "
-    "quantile_disc(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT), 0.50)"
-    "::BIGINT AS p50_cents, "
-    "quantile_disc(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT), 0.75)"
-    "::BIGINT AS p75_cents, "
-    "quantile_disc(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT), 0.90)"
-    "::BIGINT AS p90_cents "
-    "FROM orders HAVING count(*) > 0"
-)
-
-
-# ---- TPC-H Q21 analog: correlated EXISTS / NOT EXISTS co-location ---------
-
-_BLAME_BUCKETS = 32
-
-
-def sole_return_blame(sf_dir: str) -> "pa.Table":
-    """Suppliers SOLELY to blame for returns on finished multi-supplier
-    orders — the TPC-H Q21 shape (correlated EXISTS + NOT EXISTS over the
-    fact table itself) with ``l_returnflag='R'`` standing in for the
-    late-receipt predicate (this dataset has no commit/receipt dates).
-    A supplier is blamed for an order when the order's status is ``F``,
-    at least one OTHER supplier has a line in the order (EXISTS), and no
-    other supplier has a RETURNED line (NOT EXISTS) — i.e. among ≥2
-    distinct suppliers exactly one returned, and it was this one.
-    ``blame_orders`` counts distinct such orders per supplier; top-100 by
-    (count desc, suppkey asc).
-
-    Shape: the correlated sub-queries require co-locating every line of
-    an order once — done with ONE union-bucket exchange (the
-    open_orders_daily pattern), not two hash joins: lineitem rows combine
-    in-batch to (orderkey, suppkey, any-returned) partials, F-status
-    order keys ride the same stream as kind-0 rows, and the bounded
-    bucket groupby resolves both EXISTS predicates per orderkey with
-    segmented pandas folds.  The exchange carries only narrow int64
-    partials (≤ one row per (batch, orderkey, suppkey) plus one per F
-    order); per-bucket output is bounded by distinct blamed suppliers, so
-    the driver fold is supplier-bounded, never order- or line-bounded."""
-
-    def _bk(keys: np.ndarray) -> np.ndarray:
-        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return ((h >> np.uint64(33)) % np.uint64(_BLAME_BUCKETS)).astype(
-            np.int64
-        )
-
-    def _empty_part() -> pa.Table:
-        return pa.table(
-            {"k": pa.array([], pa.int64()), "s": pa.array([], pa.int64()),
-             "ret": pa.array([], pa.int64()), "kind": pa.array([], pa.int64()),
-             "bk": pa.array([], pa.int64())}
-        )
-
-    def orders_part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _empty_part()
-        f = t.filter(pc.equal(t["o_orderstatus"], "F"))
-        k = f["o_orderkey"].to_numpy()
-        z = np.zeros(len(k), np.int64)
-        return pa.table(
-            {"k": pa.array(k), "s": pa.array(z), "ret": pa.array(z),
-             "kind": pa.array(z), "bk": pa.array(_bk(k))}
-        )
-
-    def lines_part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _empty_part()
-        df = pd.DataFrame(
-            {"k": t["l_orderkey"].to_numpy(),
-             "s": t["l_suppkey"].to_numpy(),
-             "ret": (t["l_returnflag"].to_numpy(zero_copy_only=False) == "R"
-                     ).astype(np.int64)}
-        )
-        part = df.groupby(["k", "s"], sort=False)["ret"].max().reset_index()
-        k = part["k"].to_numpy()
-        return pa.table(
-            {"k": pa.array(k), "s": pa.array(part["s"].to_numpy()),
-             "ret": pa.array(part["ret"].to_numpy()),
-             "kind": pa.array(np.ones(len(k), np.int64)),
-             "bk": pa.array(_bk(k))}
-        )
-
-    def bucket_blame(g: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"s_suppkey": pd.array([], dtype="int64"),
-             "n_partial": pd.array([], dtype="int64")}
-        )
-        if g.empty:
-            return empty
-        fkeys = g.loc[g["kind"] == 0, "k"].to_numpy()
-        lines = g[g["kind"] == 1]
-        if lines.empty or len(fkeys) == 0:
-            return empty
-        # re-combine (k, s) partials arriving from different batches
-        lr = lines.groupby(["k", "s"], sort=False)["ret"].max().reset_index()
-        per_k = lr.groupby("k", sort=False)["ret"].agg(["size", "sum"])
-        ok = per_k[(per_k["size"] > 1) & (per_k["sum"] == 1)].index.to_numpy()
-        fs = np.sort(fkeys)
-        pos = np.minimum(np.searchsorted(fs, ok), len(fs) - 1)
-        ok = ok[fs[pos] == ok]
-        blame = lr[(lr["ret"] == 1) & lr["k"].isin(ok)]
-        out = blame.groupby("s", sort=False).size().reset_index(
-            name="n_partial"
-        )
-        return pd.DataFrame(
-            {"s_suppkey": out["s"].to_numpy(np.int64),
-             "n_partial": out["n_partial"].to_numpy(np.int64)}
-        )
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]).map_batches(
-        orders_part, batch_format="pyarrow"
-    )
-    lines = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_returnflag"]
-    ).map_batches(lines_part, batch_format="pyarrow")
-    part = (
-        orders.union(lines)
-        .groupby("bk")
-        .map_groups(bucket_blame, batch_format="pandas")
-        .to_pandas()  # bounded: <= distinct blamed suppliers x buckets
-    )
-    if part.empty:
-        return pa.table(
-            {"s_suppkey": pa.array([], pa.int64()),
-             "blame_orders": pa.array([], pa.int64())}
-        )
-    agg = part.groupby("s_suppkey", sort=False)["n_partial"].sum().reset_index()
-    agg = agg.sort_values(
-        ["n_partial", "s_suppkey"], ascending=[False, True]
-    ).head(100)
-    return pa.table(
-        {"s_suppkey": pa.array(agg["s_suppkey"].to_numpy(np.int64)),
-         "blame_orders": pa.array(agg["n_partial"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["sole_return_blame"] = (
-    "WITH lr AS (SELECT l_orderkey AS k, l_suppkey AS s, "
-    "max(CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END) AS ret "
-    "FROM lineitem GROUP BY 1, 2), "
-    "ag AS (SELECT k, s, ret, count(*) OVER (PARTITION BY k) AS n_supp, "
-    "sum(ret) OVER (PARTITION BY k) AS n_ret FROM lr) "
-    "SELECT s AS s_suppkey, count(*)::BIGINT AS blame_orders "
-    "FROM ag JOIN orders ON o_orderkey = k "
-    "WHERE o_orderstatus = 'F' AND ret = 1 AND n_ret = 1 AND n_supp > 1 "
-    "GROUP BY 1 ORDER BY blame_orders DESC, s_suppkey LIMIT 100"
-)
-
-
-# ---- procurement concentration: per-key argmax + fair-share census --------
-
-_CONC_BUCKETS = 32
-
-
-def supplier_concentration(sf_dir: str) -> "pa.Table":
-    """Procurement-concentration audit (TPC-H Q20's excess-stock flavor,
-    re-aimed at a data the schema supports): per supplier, on how many
-    parts is it the #1 shipper by quantity (``top_parts``, ties broken
-    to the smaller suppkey), and on how many does it ship more than
-    TWICE the part's fair share (``over2x_parts``, ``q·ns > 2·tq`` with
-    ns = the part's distinct-supplier count — exact integer inequality,
-    so engine and SQL agree bit-for-bit; strict majority never occurs in
-    this corpus, every part spreading over ~26 suppliers).  Top-100 by
-    (top_parts desc, over2x_parts desc, suppkey asc).
-
-    Shape: per-key argmax + share threshold where BOTH key (part) and
-    group (supplier) cardinalities scale with data — in-batch pyarrow
-    (partkey, suppkey) sum partials, ONE hash(partkey) bucket exchange,
-    and a segmented numpy fold per bucket (lexsort argmax + integer
-    share mask); no hash join, driver fold bounded by suppliers x
-    buckets."""
-
-    def _bk(keys: np.ndarray) -> np.ndarray:
-        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return ((h >> np.uint64(33)) % np.uint64(_CONC_BUCKETS)).astype(
-            np.int64
-        )
-
-    def part(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"p": pa.array([], pa.int64()), "s": pa.array([], pa.int64()),
-                 "q": pa.array([], pa.int64()), "bk": pa.array([], pa.int64())}
-            )
-        qi = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        g = (
-            pa.table(
-                {"p": t["l_partkey"], "s": t["l_suppkey"],
-                 "q": pa.array(qi)}
-            )
-            .group_by(["p", "s"])
-            .aggregate([("q", "sum")])
-        )
-        p = g["p"].to_numpy()
-        return pa.table(
-            {"p": pa.array(p), "s": g["s"],
-             "q": g["q_sum"], "bk": pa.array(_bk(p))}
-        )
-
-    def bucket_fold(g: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"s_suppkey": pd.array([], dtype="int64"),
-             "top_partial": pd.array([], dtype="int64"),
-             "over_partial": pd.array([], dtype="int64")}
-        )
-        if g.empty:
-            return empty
-        # re-combine (p, s) partials arriving from different batches
-        lr = g.groupby(["p", "s"], sort=False)["q"].sum().reset_index()
-        p = lr["p"].to_numpy(np.int64)
-        s = lr["s"].to_numpy(np.int64)
-        q = lr["q"].to_numpy(np.int64)
-        # segment rows by part: winner = first of (q desc, s asc) per p
-        order = np.lexsort((s, -q, p))
-        ps, ss, qs = p[order], s[order], q[order]
-        starts = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
-        seg = np.cumsum(np.r_[True, ps[1:] != ps[:-1]]) - 1
-        tq = np.add.reduceat(qs, starts)
-        ns = np.diff(np.r_[starts, len(ps)])
-        top_s = ss[starts]
-        over_mask = qs * ns[seg] > 2 * tq[seg]
-        out = pd.DataFrame(
-            {"s_suppkey": np.concatenate([top_s, ss[over_mask]]),
-             "top_partial": np.concatenate(
-                 [np.ones(len(top_s), np.int64),
-                  np.zeros(int(over_mask.sum()), np.int64)]
-             ),
-             "over_partial": np.concatenate(
-                 [np.zeros(len(top_s), np.int64),
-                  np.ones(int(over_mask.sum()), np.int64)]
-             )}
-        )
-        agg = out.groupby("s_suppkey", sort=False).sum().reset_index()
-        return pd.DataFrame(
-            {"s_suppkey": agg["s_suppkey"].to_numpy(np.int64),
-             "top_partial": agg["top_partial"].to_numpy(np.int64),
-             "over_partial": agg["over_partial"].to_numpy(np.int64)}
-        )
-
-    part_tbl = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
-        .map_batches(part, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_fold, batch_format="pandas")
-        .to_pandas()  # bounded: <= distinct suppliers x buckets
-    )
-    if part_tbl.empty:
-        return pa.table(
-            {"s_suppkey": pa.array([], pa.int64()),
-             "top_parts": pa.array([], pa.int64()),
-             "over2x_parts": pa.array([], pa.int64())}
-        )
-    agg = part_tbl.groupby("s_suppkey", sort=False)[
-        ["top_partial", "over_partial"]
-    ].sum().reset_index()
-    agg = agg.sort_values(
-        ["top_partial", "over_partial", "s_suppkey"],
-        ascending=[False, False, True],
-    ).head(100)
-    return pa.table(
-        {"s_suppkey": pa.array(agg["s_suppkey"].to_numpy(np.int64)),
-         "top_parts": pa.array(agg["top_partial"].to_numpy(np.int64)),
-         "over2x_parts": pa.array(agg["over_partial"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["supplier_concentration"] = (
-    "WITH ps AS (SELECT l_partkey AS p, l_suppkey AS s, "
-    "sum(CAST(floor(l_quantity + 0.5) AS BIGINT)) AS q "
-    "FROM lineitem GROUP BY 1, 2), "
-    "tot AS (SELECT p, sum(q) AS tq, count(*) AS ns FROM ps GROUP BY 1), "
-    "j AS (SELECT ps.p, ps.s, ps.q, tq, ns, "
-    "row_number() OVER (PARTITION BY ps.p ORDER BY q DESC, s) AS rn "
-    "FROM ps JOIN tot USING (p)) "
-    "SELECT s AS s_suppkey, "
-    "sum(CASE WHEN rn = 1 THEN 1 ELSE 0 END)::BIGINT AS top_parts, "
-    "sum(CASE WHEN q * ns > 2 * tq THEN 1 ELSE 0 END)::BIGINT "
-    "AS over2x_parts "
-    "FROM j GROUP BY 1 "
-    "ORDER BY top_parts DESC, over2x_parts DESC, s_suppkey LIMIT 100"
-)
-
-
-# ---- qty_return_twosample: exact rank tests via bounded-domain histograms --
-
-FFD_BIN_CAP = 100
-
-
-def ffd_bin_count(sf_dir: str) -> "pa.Table":
-    """First-fit-decreasing BIN PACKING of the busiest supplier's
-    shipment quantities into trucks of capacity ``FFD_BIN_CAP`` — the
-    capacity-PACKING family: pack_sequences fills consecutive bins in
-    stream order and never revisits one, FFD sorts items descending and
-    revisits every open bin (the classic 11/9·OPT+1 heuristic), and
-    knapsack maximizes value in ONE bin; three different questions.
-    Output pins the whole packing: bin count, max/min load, and the
-    total — with quantities sorted by VALUE only, equal items are
-    interchangeable, so the bin-load multiset is deterministic.
-
-    Scale shape: pass 1 is the per-supplier count combiner (in-batch
-    pyarrow groupby partials, gather ≤ suppliers × blocks) + a 1-row
-    argmax; pass 2 filters the stream to the winner and emits per-batch
-    (quantity, count) HISTOGRAM partials — the quantity domain is
-    bounded (≤ 50 cells), so the gather is 50 × blocks even though one
-    supplier's rows may span many blocks; the FFD fold expands the
-    histogram (per-supplier rows are catalog-bounded: lineitems/supplier
-    is ~constant in SF) and runs O(items × bins) on the driver.  The
-    DuckDB mirror replays FFD item-by-item as a recursive CTE carrying
-    the bin-load list.
-
-    Reference anchor: S4's storage writer (SURVEY.md §2.1) asked as the
-    shard-packing question: how many fixed-size files does one
-    producer's output need?"""
-
-    def census(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"sk": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        g = (
-            pa.table({"sk": t["l_suppkey"],
-                      "n": pa.array(np.ones(len(t), np.int64))})
-            .group_by("sk")
-            .aggregate([("n", "sum")])
-        )
-        return pa.table({"sk": g["sk"], "n": g["n_sum"]})
-
-    counts = (
-        _read(sf_dir, "lineitem", ["l_suppkey"])
-        .map_batches(census, batch_format="pyarrow")
-        .to_pandas()    # bounded: suppliers x blocks
-    )
-    empty = pa.table(
-        {"suppkey": pa.array([], pa.int64()),
-         "n_items": pa.array([], pa.int64()),
-         "total_qty": pa.array([], pa.int64()),
-         "n_bins": pa.array([], pa.int64()),
-         "max_load": pa.array([], pa.int64()),
-         "min_load": pa.array([], pa.int64())}
-    )
-    if counts.empty:
-        return empty
-    agg = counts.groupby("sk", sort=True)["n"].sum()
-    order = np.lexsort((agg.index.to_numpy(np.int64),
-                        -agg.to_numpy(np.int64)))
-    winner = int(agg.index.to_numpy(np.int64)[order[0]])
-
-    def hist(t: pa.Table) -> pa.Table:
-        e = pa.table(
-            {"q": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return e
-        keep = pc.equal(t["l_suppkey"], winner)
-        qf = t.filter(keep)["l_quantity"].to_numpy()
-        if len(qf) == 0:
-            return e
-        qi = np.floor(qf + 0.5).astype(np.int64)
-        u, c = np.unique(qi, return_counts=True)
-        return pa.table(
-            {"q": pa.array(u), "n": pa.array(c.astype(np.int64))}
-        )
-
-    h = (
-        _read(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
-        .map_batches(hist, batch_format="pyarrow")
-        .to_pandas()    # bounded: <= 50 quantity cells x blocks
-    )
-    hh = h.groupby("q", sort=True)["n"].sum()
-    qs = hh.index.to_numpy(np.int64)
-    ns = hh.to_numpy(np.int64)
-    items = np.repeat(qs, ns)[::-1]     # ascending -> reversed = desc
-    loads: list[int] = []
-    for q in items:
-        q = int(q)
-        for b in range(len(loads)):
-            if loads[b] + q <= FFD_BIN_CAP:
-                loads[b] += q
-                break
-        else:
-            loads.append(q)
-    return pa.table(
-        {"suppkey": pa.array([winner], pa.int64()),
-         "n_items": pa.array([int(ns.sum())], pa.int64()),
-         "total_qty": pa.array([int((qs * ns).sum())], pa.int64()),
-         "n_bins": pa.array([len(loads)], pa.int64()),
-         "max_load": pa.array([max(loads)], pa.int64()),
-         "min_load": pa.array([min(loads)], pa.int64())}
-    )
-
-
-ORACLES["ffd_bin_count"] = (
-    "WITH RECURSIVE win AS (SELECT l_suppkey AS sk, count(*) AS n "
-    "FROM lineitem GROUP BY 1 ORDER BY n DESC, sk LIMIT 1), "
-    "items AS (SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS q, "
-    "row_number() OVER (ORDER BY floor(l_quantity + 0.5) DESC) AS i "
-    "FROM lineitem, win WHERE l_suppkey = win.sk), "
-    "r(i, loads) AS ("
-    "SELECT 0::BIGINT, CAST([] AS BIGINT[]) FROM win "
-    "UNION ALL "
-    "SELECT r.i + 1, "
-    "CASE WHEN list_filter(range(1, len(r.loads) + 1), "
-    f"x -> r.loads[x] + it.q <= {FFD_BIN_CAP})[1] IS NULL "
-    "THEN list_append(r.loads, it.q) "
-    "ELSE list_transform(range(1, len(r.loads) + 1), "
-    "x -> CASE WHEN x = list_filter(range(1, len(r.loads) + 1), "
-    f"y -> r.loads[y] + it.q <= {FFD_BIN_CAP})[1] "
-    "THEN r.loads[x] + it.q ELSE r.loads[x] END) END "
-    "FROM r JOIN items it ON it.i = r.i + 1), "
-    "fin AS (SELECT loads FROM r ORDER BY i DESC LIMIT 1) "
-    "SELECT win.sk::BIGINT AS suppkey, "
-    "(SELECT count(*) FROM items)::BIGINT AS n_items, "
-    "(SELECT sum(q) FROM items)::BIGINT AS total_qty, "
-    "len(loads)::BIGINT AS n_bins, "
-    "list_aggregate(loads, 'max')::BIGINT AS max_load, "
-    "list_aggregate(loads, 'min')::BIGINT AS min_load "
-    "FROM fin, win"
-)
-
-
-GS_K = 8
-
-
-def stable_match_brands(sf_dir: str) -> "pa.Table":
-    """STABLE MATCHING (Gale-Shapley deferred acceptance) between the
-    top-``GS_K`` suppliers and their top-``GS_K`` brands, preferences on
-    BOTH sides ranked by shipped quantity — the two-sided MATCHING
-    family (assignment under ranked preferences with no blocking pair)
-    that copurchase_mutual_best's reciprocal-argmax greedy, bulk set
-    cover and the flow-free relaxations don't touch: a matched outcome
-    where no supplier-brand pair both prefer each other over their
-    assignments.  Suppliers propose in SYNCHRONIZED rounds (all free
-    proposers at once; each brand keeps the best of holder + proposers
-    by its own ranking) — deferred acceptance converges to the same
-    proposer-optimal matching regardless of order, and the synchronous
-    schedule is what the SQL mirror replays.  All preference ties are
-    pinned: quantity DESC then brand lex / suppkey ASC.
-
-    Scale shape: pass 1 is the per-supplier quantity combiner + an
-    8-row sort+limit; pass 2 filters the stream to the 8 winners and
-    resolves partkey → brand against the ray.put-broadcast part dim
-    (`_broadcast_int_dim` + factorized brand LUT) below
-    BROADCAST_DIM_MAX_ROWS, the native hash join above (the
-    bulk_brand_cover contract, fallback pinned by a zero-threshold
-    test); partials are ≤ 8 × |brands| rows per batch, the 8×8 G-S fold
-    runs on the driver.  The DuckDB mirror replays the synchronous
-    rounds as a recursive CTE carrying the (next-proposal, engagement)
-    lists, preferences carried as LIST(LIST) state.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the allocation question: which producer should own which shard
-    class so that no pair wants to defect?"""
-
-    def census(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"sk": pa.array([], pa.int64()),
-                 "v": pa.array([], pa.int64())}
-            )
-        qi = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        g = (
-            pa.table({"sk": t["l_suppkey"], "v": pa.array(qi)})
-            .group_by("sk")
-            .aggregate([("v", "sum")])
-        )
-        return pa.table({"sk": g["sk"], "v": g["v_sum"]})
-
-    counts = (
-        _read(sf_dir, "lineitem", ["l_suppkey", "l_quantity"])
-        .map_batches(census, batch_format="pyarrow")
-        .to_pandas()    # bounded: suppliers x blocks
-    )
-    empty = pa.table(
-        {"suppkey": pa.array([], pa.int64()),
-         "brand": pa.array([], pa.string()),
-         "s_rank": pa.array([], pa.int64()),
-         "b_rank": pa.array([], pa.int64())}
-    )
-    if counts.empty:
-        return empty
-    agg = counts.groupby("sk", sort=True)["v"].sum()
-    sk_all = agg.index.to_numpy(np.int64)
-    order = np.lexsort((sk_all, -agg.to_numpy(np.int64)))[:GS_K]
-    sup_arr = np.sort(sk_all[order])          # index 1..K by suppkey asc
-
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    use_broadcast = len(part) <= BROADCAST_DIM_MAX_ROWS
-
-    def vol_partial_broadcast(part_ref, brand_lut):
-        def fn(t: pa.Table) -> pa.Table:
-            e = pa.table(
-                {"sk": pa.array([], pa.int64()),
-                 "brand": pa.array([], pa.string()),
-                 "v": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return e
-            sk = t["l_suppkey"].to_numpy()
-            keep = np.isin(sk, sup_arr)
-            if not keep.any():
-                return e
-            brands = _probe_lookup(
-                part_ref, brand_lut, t["l_partkey"].to_numpy()[keep]
-            )
-            qi = np.floor(
-                t["l_quantity"].to_numpy()[keep] + 0.5
-            ).astype(np.int64)
-            valid = np.not_equal(brands, None)
-            if not valid.any():
-                return e
-            g = (
-                pa.table(
-                    {"sk": pa.array(sk[keep][valid]),
-                     "brand": pa.array(
-                         [str(b) for b in brands[valid]], pa.string()),
-                     "v": pa.array(qi[valid])}
-                )
-                .group_by(["sk", "brand"])
-                .aggregate([("v", "sum")])
-            )
-            return pa.table(
-                {"sk": g["sk"], "brand": g["brand"], "v": g["v_sum"]}
-            )
-        return fn
-
-    if use_broadcast:
-        codes, uniques = pd.factorize(part["p_brand"].to_pandas())
-        brand_lut = np.asarray(list(uniques) + [None], dtype=object)
-        part_ref = _broadcast_int_dim(
-            pa.table({"k": part["p_partkey"],
-                      "c": pa.array(codes.astype(np.int64))}),
-            "k", "c",
-        )
-        vols = (
-            _read(sf_dir, "lineitem",
-                  ["l_suppkey", "l_partkey", "l_quantity"])
-            .map_batches(vol_partial_broadcast(part_ref, brand_lut),
-                         batch_format="pyarrow")
-            .to_pandas()    # bounded: <= 8 x |brands| rows per block
-        )
-    else:
-        def prefilter(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return t
-            return t.filter(
-                pa.array(np.isin(t["l_suppkey"].to_numpy(), sup_arr)))
-
-        li = (
-            _read(sf_dir, "lineitem",
-                  ["l_suppkey", "l_partkey", "l_quantity"])
-            .map_batches(prefilter, batch_format="pyarrow")
-        )
-        joined = li.join(
-            _read(sf_dir, "part", ["p_partkey", "p_brand"]),
-            join_type="inner",
-            num_partitions=_join_parts(1),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        )
-
-        def pair_partial(t: pa.Table) -> pa.Table:
-            e = pa.table(
-                {"sk": pa.array([], pa.int64()),
-                 "brand": pa.array([], pa.string()),
-                 "v": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return e
-            qi = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-            g = (
-                pa.table({"sk": t["l_suppkey"], "brand": t["p_brand"],
-                          "v": pa.array(qi)})
-                .group_by(["sk", "brand"])
-                .aggregate([("v", "sum")])
-            )
-            return pa.table(
-                {"sk": g["sk"], "brand": g["brand"], "v": g["v_sum"]}
-            )
-
-        vols = joined.map_batches(
-            pair_partial, batch_format="pyarrow"
-        ).to_pandas()
-
-    if vols.empty:
-        return empty
-    vv = vols.groupby(["sk", "brand"], sort=True)["v"].sum().reset_index()
-    btot = vv.groupby("brand", sort=True)["v"].sum()
-    bnames = btot.index.to_numpy()
-    border = np.lexsort((bnames, -btot.to_numpy(np.int64)))[:GS_K]
-    brands = sorted(bnames[border])           # index 1..K by brand asc
-    K_s, K_b = len(sup_arr), len(brands)
-    V = np.zeros((K_s, K_b), dtype=np.int64)
-    b_pos = {b: j for j, b in enumerate(brands)}
-    s_pos = {int(s): i for i, s in enumerate(sup_arr)}
-    for _, row in vv.iterrows():
-        if int(row["sk"]) in s_pos and row["brand"] in b_pos:
-            V[s_pos[int(row["sk"])], b_pos[row["brand"]]] = int(row["v"])
-    # preference lists: suppliers rank brands, brands rank suppliers
-    sp = [
-        sorted(range(K_b), key=lambda j: (-V[i, j], brands[j]))
-        for i in range(K_s)
-    ]
-    bp_rank = np.empty((K_b, K_s), dtype=np.int64)
-    for j in range(K_b):
-        byv = sorted(range(K_s), key=lambda i: (-V[i, j], sup_arr[i]))
-        for r, i in enumerate(byv):
-            bp_rank[j, i] = r
-    # synchronized deferred acceptance
-    ni = [0] * K_s
-    mb = [-1] * K_b
-    engaged = [False] * K_s
-    while any(not engaged[s] and ni[s] < K_b for s in range(K_s)):
-        proposals: dict[int, list[int]] = {}
-        for s in range(K_s):
-            if not engaged[s] and ni[s] < K_b:
-                proposals.setdefault(sp[s][ni[s]], []).append(s)
-                ni[s] += 1
-        for b, cands in proposals.items():
-            if mb[b] >= 0:
-                cands = cands + [mb[b]]
-            best = min(cands, key=lambda s: bp_rank[b][s])
-            if mb[b] != best:
-                if mb[b] >= 0:
-                    engaged[mb[b]] = False
-                mb[b] = best
-                engaged[best] = True
-    rows = []
-    for b in range(K_b):
-        s = mb[b]
-        if s >= 0:
-            rows.append(
-                (int(sup_arr[s]), brands[b],
-                 sp[s].index(b) + 1, int(bp_rank[b][s]) + 1)
-            )
-    rows.sort()
-    return pa.table(
-        {"suppkey": pa.array([r[0] for r in rows], pa.int64()),
-         "brand": pa.array([r[1] for r in rows], pa.string()),
-         "s_rank": pa.array([r[2] for r in rows], pa.int64()),
-         "b_rank": pa.array([r[3] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["stable_match_brands"] = (
-    f"WITH RECURSIVE sup8 AS (SELECT l_suppkey AS sk, "
-    "sum(CAST(floor(l_quantity + 0.5) AS BIGINT))::BIGINT AS v "
-    f"FROM lineitem GROUP BY 1 ORDER BY v DESC, sk LIMIT {GS_K}), "
-    "sidx AS (SELECT sk, row_number() OVER (ORDER BY sk) AS si FROM sup8), "
-    "vol AS (SELECT s.si, s.sk, p.p_brand AS brand, "
-    "sum(CAST(floor(l.l_quantity + 0.5) AS BIGINT))::BIGINT AS v "
-    "FROM lineitem l JOIN sidx s ON l.l_suppkey = s.sk "
-    "JOIN part p ON l.l_partkey = p.p_partkey GROUP BY 1, 2, 3), "
-    "b8 AS (SELECT brand, sum(v) AS tv FROM vol GROUP BY 1 "
-    f"ORDER BY tv DESC, brand LIMIT {GS_K}), "
-    "bidx AS (SELECT brand, row_number() OVER (ORDER BY brand) AS bi "
-    "FROM b8), "
-    "grid AS (SELECT s.si, s.sk, b.bi, b.brand, "
-    "COALESCE(v.v, 0)::BIGINT AS v FROM sidx s CROSS JOIN bidx b "
-    "LEFT JOIN vol v ON v.si = s.si AND v.brand = b.brand), "
-    "sp_rows AS (SELECT si, list(bi ORDER BY v DESC, brand) AS l "
-    "FROM grid GROUP BY si), "
-    "bp_rows AS (SELECT bi, list(r ORDER BY si) AS l FROM "
-    "(SELECT bi, si, row_number() OVER (PARTITION BY bi "
-    "ORDER BY v DESC, sk) AS r FROM grid) GROUP BY bi), "
-    "pref AS (SELECT (SELECT list(l ORDER BY si) FROM sp_rows) AS sp, "
-    "(SELECT list(l ORDER BY bi) FROM bp_rows) AS bp "
-    "WHERE (SELECT count(*) FROM sp_rows) > 0), "
-    "r(step, ni, mb) AS ("
-    "SELECT 0::BIGINT, "
-    "list_transform(range(1, (SELECT count(*) FROM sidx) + 1), "
-    "x -> 1::BIGINT), "
-    "list_transform(range(1, (SELECT count(*) FROM bidx) + 1), "
-    "x -> 0::BIGINT) FROM pref "
-    "UNION ALL "
-    "SELECT r.step + 1, "
-    "list_transform(range(1, len(r.ni) + 1), s -> r.ni[s] + "
-    "CASE WHEN NOT list_contains(r.mb, s) AND r.ni[s] <= len(r.mb) "
-    "THEN 1 ELSE 0 END), "
-    "list_transform(range(1, len(r.mb) + 1), b -> "
-    "CASE WHEN len(list_filter(range(1, len(r.ni) + 1), "
-    "s -> (NOT list_contains(r.mb, s) AND r.ni[s] <= len(r.mb) "
-    "AND p.sp[s][r.ni[s]] = b) OR r.mb[b] = s)) = 0 THEN 0 "
-    "ELSE list_aggregate(list_transform("
-    "list_filter(range(1, len(r.ni) + 1), "
-    "s -> (NOT list_contains(r.mb, s) AND r.ni[s] <= len(r.mb) "
-    "AND p.sp[s][r.ni[s]] = b) OR r.mb[b] = s), "
-    "s -> p.bp[b][s] * 16 + s), 'min') % 16 END) "
-    "FROM r, pref p "
-    "WHERE len(list_filter(range(1, len(r.ni) + 1), "
-    "s -> NOT list_contains(r.mb, s) AND r.ni[s] <= len(r.mb))) > 0), "
-    "fin AS (SELECT mb FROM r ORDER BY step DESC LIMIT 1), "
-    "pairs AS (SELECT b.bi, b.brand, fin.mb[b.bi] AS si "
-    "FROM fin, bidx b WHERE fin.mb[b.bi] > 0) "
-    "SELECT s.sk::BIGINT AS suppkey, pairs.brand AS brand, "
-    "list_position(p.sp[pairs.si], pairs.bi)::BIGINT AS s_rank, "
-    "p.bp[pairs.bi][pairs.si]::BIGINT AS b_rank "
-    "FROM pairs JOIN sidx s ON s.si = pairs.si CROSS JOIN pref p "
-    "ORDER BY suppkey"
-)
-
-
-def qty_return_twosample(sf_dir: str) -> "pa.Table":
-    """Two-sample distribution-shift tests — "do RETURNED items ship in
-    different quantities than kept ones?": the Mann-Whitney U statistic
-    (as the exact integer ``u2 = 2·U`` so half-ranks from ties stay
-    integral) and the Kolmogorov-Smirnov D statistic (as the exact
-    integer fraction ``ks_num/ks_den``), plus their float forms
-    ``rank_biserial = (2U − n_r·n_o)/(n_r·n_o)`` and ``ks_stat`` — each
-    ONE division of exact integers mirroring the SQL cast order
-    (sentinel ``-2.0``, outside both statistics' ranges, when either
-    group is empty).  Statistical testing is a family the census/
-    correlation operators don't cover: both statistics are functionals
-    of the PAIRING of two CDFs, not a groupby aggregate.
-
-    Scale shape: the value domain is BOUNDED (integral quantities
-    1..50), so each batch emits a (value, n_returned, n_other)
-    histogram partial — the classic sufficient-statistic reduction: the
-    gather is bounded by domain × blocks, never rows, and the driver
-    fold is a 50-step arbitrary-precision walk (exact for any row
-    count; the int64 SQL mirror is exact below ~3e9 rows per group,
-    where cum·n stays under 2^63 — DuckDB errors rather than wraps
-    past that).
-
-    Reference anchor: M3's stopword-ratio scorer feeding the keep/drop
-    decision (SURVEY.md §2.2) — this is the auditor's question one
-    level up: did the filtered-out population differ?"""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"v": pa.array([], pa.int64()),
-             "cr": pa.array([], pa.int64()),
-             "co": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        is_r = (
-            t["l_returnflag"].to_numpy(zero_copy_only=False) == "R"
-        ).astype(np.int64)
-        u, inv = np.unique(v, return_inverse=True)
-        return pa.table(
-            {"v": pa.array(u, pa.int64()),
-             "cr": pa.array(np.bincount(inv, weights=is_r)
-                            .astype(np.int64)),
-             "co": pa.array(np.bincount(inv, weights=1 - is_r)
-                            .astype(np.int64))}
-        )
-
-    hist = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: domain x blocks, never rows
-    )
-    empty = pa.table(
-        {"n_r": pa.array([], pa.int64()),
-         "n_o": pa.array([], pa.int64()),
-         "u2": pa.array([], pa.int64()),
-         "ks_num": pa.array([], pa.int64()),
-         "ks_den": pa.array([], pa.int64()),
-         "rank_biserial": pa.array([], pa.float64()),
-         "ks_stat": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    df = hist.groupby("v", sort=True)[["cr", "co"]].sum()
-    cr = [int(x) for x in df["cr"]]
-    co = [int(x) for x in df["co"]]
-    n_r, n_o = sum(cr), sum(co)
-    u2 = 0
-    ks_num = 0
-    pre_o = cum_r = cum_o = 0
-    for a, b in zip(cr, co):
-        u2 += 2 * a * pre_o + a * b
-        pre_o += b
-        cum_r += a
-        cum_o += b
-        ks_num = max(ks_num, abs(cum_r * n_o - cum_o * n_r))
-    ks_den = n_r * n_o
-    if n_r == 0 or n_o == 0:
-        rb = ks = -2.0
-    else:
-        rb = float(u2 - n_r * n_o) / float(n_r * n_o)
-        ks = float(ks_num) / float(n_r * n_o)
-    return pa.table(
-        {"n_r": pa.array([n_r], pa.int64()),
-         "n_o": pa.array([n_o], pa.int64()),
-         "u2": pa.array([u2], pa.int64()),
-         "ks_num": pa.array([ks_num], pa.int64()),
-         "ks_den": pa.array([ks_den], pa.int64()),
-         "rank_biserial": pa.array([rb], pa.float64()),
-         "ks_stat": pa.array([ks], pa.float64())}
-    )
-
-
-ORACLES["qty_return_twosample"] = (
-    "WITH q AS (SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS v, "
-    "CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END AS r FROM lineitem), "
-    "h AS (SELECT v, sum(r)::BIGINT AS cr, sum(1 - r)::BIGINT AS co "
-    "FROM q GROUP BY 1), "
-    "tot AS (SELECT sum(cr)::BIGINT AS n_r, sum(co)::BIGINT AS n_o FROM h), "
-    "c AS (SELECT v, cr, co, "
-    "COALESCE(sum(co) OVER (ORDER BY v ROWS BETWEEN UNBOUNDED PRECEDING "
-    "AND 1 PRECEDING), 0)::BIGINT AS pre_o, "
-    "sum(cr) OVER (ORDER BY v)::BIGINT AS cum_r, "
-    "sum(co) OVER (ORDER BY v)::BIGINT AS cum_o FROM h), "
-    "m AS (SELECT t.n_r, t.n_o, "
-    "sum(2 * cr * pre_o + cr * co)::BIGINT AS u2, "
-    "max(abs(cum_r * t.n_o - cum_o * t.n_r))::BIGINT AS ks_num "
-    "FROM c, tot t GROUP BY 1, 2) "
-    "SELECT n_r, n_o, u2, ks_num, (n_r * n_o)::BIGINT AS ks_den, "
-    "CASE WHEN n_r = 0 OR n_o = 0 THEN -2.0 ELSE "
-    "CAST(u2 - n_r * n_o AS DOUBLE) / CAST(n_r * n_o AS DOUBLE) END "
-    "AS rank_biserial, "
-    "CASE WHEN n_r = 0 OR n_o = 0 THEN -2.0 ELSE "
-    "CAST(ks_num AS DOUBLE) / CAST(n_r * n_o AS DOUBLE) END AS ks_stat "
-    "FROM m"
-)
-
-
-# ---- qty_permutation_test: deterministic resampling significance test ------
-
-_PERM_K = 64
-_PERM_MOD = 2_147_483_648        # 2^31: LCG products stay inside int64
-_PERM_MUL = 1_103_515_245
-_PERM_ADD = 12_345
-
-
-def qty_permutation_test(sf_dir: str) -> "pa.Table":
-    """Permutation-style significance test for the returned-vs-kept mean
-    quantity gap — the RESAMPLING-statistics family (is the observed
-    shift larger than chance relabeling produces?), which no single-pass
-    aggregate or rank test covers: the null distribution is built from
-    ``K = 64`` deterministic random RELABELINGS of the group flag (each
-    row's label in replicate k comes from the repo's 2^31 LCG seeded by
-    the unique row key ``l_orderkey·8 + l_linenumber`` and k, with
-    keep-rate ``(10000·n_r)//n`` basis points — binomial relabeling, the
-    standard label-shuffle approximation that needs no global permutation
-    exchange), and ``p = (1 + #extreme) / (K + 1)``.
-
-    Exactness: "replicate k is at least as extreme" compares
-    ``|mean_r − mean_o|`` across DIFFERENT group sizes, so both sides are
-    cross-multiplied to integers — the driver walk uses Python
-    arbitrary-precision ints and the SQL mirror HUGEINT (the products
-    exceed int64 by design), so the booleans, counts, and the ONE float
-    division for ``p_value`` agree bit for bit.  Degenerate replicates
-    (one side empty, denominator 0) count as extreme on both sides.
-
-    Scale shape: two streaming passes (the pack_sequences precedent) —
-    pass 1 folds four int64 moments (n, n_r, s, s_r); pass 2 emits K
-    per-replicate (nr_k, sr_k) partials per batch via one vectorized
-    (rows × K) LCG evaluation, gather bounded by K × blocks, never rows.
-
-    Reference anchor: the A-family metrics (SURVEY.md §2.6) asked the
-    operational question; this is the analyst's follow-up — "is the gate
-    treating the two populations differently beyond noise?"."""
-
-    def moments(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"n": pa.array([], pa.int64()), "nr": pa.array([], pa.int64()),
-             "s": pa.array([], pa.int64()), "sr": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        g = (
-            t["l_returnflag"].to_numpy(zero_copy_only=False) == "R"
-        ).astype(np.int64)
-        return pa.table(
-            {"n": pa.array([len(q)], pa.int64()),
-             "nr": pa.array([int(g.sum())], pa.int64()),
-             "s": pa.array([int(q.sum())], pa.int64()),
-             "sr": pa.array([int((q * g).sum())], pa.int64())}
-        )
-
-    cols = ["l_orderkey", "l_linenumber", "l_quantity"]
-    m = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_quantity"])
-        .map_batches(moments, batch_format="pyarrow")
-        .to_pandas()    # bounded: 4 ints x blocks
-    )
-    empty = pa.table(
-        {"n": pa.array([], pa.int64()), "n_r": pa.array([], pa.int64()),
-         "k_perms": pa.array([], pa.int64()),
-         "n_extreme": pa.array([], pa.int64()),
-         "obs_num": pa.array([], pa.int64()),
-         "obs_den": pa.array([], pa.int64()),
-         "p_value": pa.array([], pa.float64())}
-    )
-    if m.empty:
-        return empty
-    n, n_r = int(m["n"].sum()), int(m["nr"].sum())
-    s, s_r = int(m["s"].sum()), int(m["sr"].sum())
-    rate_bp = (10000 * n_r) // n
-    obs_num = abs(s_r * (n - n_r) - (s - s_r) * n_r)
-    obs_den = n_r * (n - n_r)
-
-    ks = np.arange(_PERM_K, dtype=np.int64)
-
-    def replicate(t: pa.Table) -> pa.Table:
-        empty_r = pa.table(
-            {"k": pa.array([], pa.int64()),
-             "nr_k": pa.array([], pa.int64()),
-             "sr_k": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty_r
-        key = (
-            t["l_orderkey"].to_numpy() * 8 + t["l_linenumber"].to_numpy()
-        ).astype(np.int64)
-        q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        h = (key[:, None] * _PERM_K + ks[None, :]) % _PERM_MOD
-        lab = ((h * _PERM_MUL + _PERM_ADD) % _PERM_MOD) % 10000 < rate_bp
-        return pa.table(
-            {"k": pa.array(ks),
-             "nr_k": pa.array(lab.sum(axis=0).astype(np.int64)),
-             "sr_k": pa.array((q[:, None] * lab).sum(axis=0)
-                              .astype(np.int64))}
-        )
-
-    reps = (
-        _read(sf_dir, "lineitem", cols)
-        .map_batches(replicate, batch_format="pyarrow")
-        .to_pandas()    # bounded: K x blocks
-        .groupby("k", sort=True)[["nr_k", "sr_k"]].sum()
-    )
-    n_extreme = 0
-    for nr_k, sr_k in zip(reps["nr_k"], reps["sr_k"]):
-        nr_k, sr_k = int(nr_k), int(sr_k)
-        num_k = abs(sr_k * (n - nr_k) - (s - sr_k) * nr_k)
-        den_k = nr_k * (n - nr_k)
-        if num_k * obs_den >= obs_num * den_k:    # exact cross-multiply
-            n_extreme += 1
-    p = float(1 + n_extreme) / float(_PERM_K + 1)
-    return pa.table(
-        {"n": pa.array([n], pa.int64()),
-         "n_r": pa.array([n_r], pa.int64()),
-         "k_perms": pa.array([_PERM_K], pa.int64()),
-         "n_extreme": pa.array([n_extreme], pa.int64()),
-         "obs_num": pa.array([obs_num], pa.int64()),
-         "obs_den": pa.array([obs_den], pa.int64()),
-         "p_value": pa.array([p], pa.float64())}
-    )
-
-
-ORACLES["qty_permutation_test"] = (
-    "WITH r AS (SELECT l_orderkey * 8 + l_linenumber AS key, "
-    "CAST(floor(l_quantity + 0.5) AS BIGINT) AS q, "
-    "CASE WHEN l_returnflag = 'R' THEN 1 ELSE 0 END AS g FROM lineitem), "
-    "tot AS (SELECT count(*)::BIGINT AS n, sum(g)::BIGINT AS n_r, "
-    "sum(q)::BIGINT AS s, sum(q * g)::BIGINT AS s_r FROM r), "
-    f"ks AS (SELECT UNNEST(range(0, {_PERM_K})) AS k), "
-    "lab AS (SELECT k, q, CASE WHEN "
-    f"(((key * {_PERM_K} + k) % {_PERM_MOD}) * {_PERM_MUL} + {_PERM_ADD}) "
-    f"% {_PERM_MOD} % 10000 < (SELECT (10000 * n_r) // n FROM tot) "
-    "THEN 1 ELSE 0 END AS gk FROM r, ks), "
-    "pk AS (SELECT k, sum(gk)::BIGINT AS nr_k, "
-    "sum(q * gk)::BIGINT AS sr_k FROM lab GROUP BY 1), "
-    "o AS (SELECT n, n_r, "
-    "abs(s_r * (n - n_r) - (s - s_r) * n_r)::BIGINT AS obs_num, "
-    "(n_r * (n - n_r))::BIGINT AS obs_den FROM tot), "
-    "e AS (SELECT sum(CASE WHEN "
-    "abs(sr_k::HUGEINT * (o.n - nr_k) - (tot.s - sr_k)::HUGEINT * nr_k) "
-    "* o.obs_den::HUGEINT >= "
-    "o.obs_num::HUGEINT * (nr_k::HUGEINT * (o.n - nr_k)) "
-    "THEN 1 ELSE 0 END)::BIGINT AS n_extreme FROM pk, o, tot GROUP BY ALL) "
-    f"SELECT o.n, o.n_r, {_PERM_K}::BIGINT AS k_perms, e.n_extreme, "
-    "o.obs_num, o.obs_den, "
-    f"CAST(1 + e.n_extreme AS DOUBLE) / CAST({_PERM_K + 1} AS DOUBLE) "
-    "AS p_value FROM o, e"
-)
-
-
-# ---- copurchase_hub_distances: BFS traversal over the item graph ----------
-
-_BFS_MAX_DEPTH = 6
-
-
-def copurchase_hub_distances(sf_dir: str) -> "pa.Table":
-    """Breadth-first-search distance census from the co-purchase graph's
-    HUB (highest-degree part, ties to the smaller partkey): how many
-    parts sit at distance 0, 1, 2, ... ≤ 6 hops, with one ``-1`` row
-    counting parts not reached within the cap — graph TRAVERSAL, the
-    family the existing graph ops don't cover (pagerank = message
-    passing to a fixpoint, dedup_components = label convergence,
-    triangle_count = local census; BFS's per-round state is a frontier
-    whose CONTENT depends on every previous round).
-
-    Scale shape: copurchase_pagerank's exact skeleton — distinct edges
-    from ``_copurchase_edges`` materialized once, node state (dist
-    array) bounded by the part CATALOG (a dimension, like kmeans
-    centroids) and broadcast per round via ray.put, each round ONE
-    streaming pass over the edge list emitting newly-reached node ids
-    (≤ |catalog| x blocks); ≤ 6 rounds, early exit on an empty
-    frontier.  For an SF-proportional node set the documented upgrade
-    path is the join formulation (frontier as a Dataset, edges ⋈
-    frontier + anti-join visited per round).
-
-    Exactness: distances are small ints; the SQL mirror is a bounded
-    recursive CTE (UNION dedup, depth-capped) min-folded per node, so
-    the histogram matches bit for bit."""
-    edges = _copurchase_edges(sf_dir)
-    lo_mask = _PH_LO_MASK
-
-    degs = (
-        edges.map_batches(_edge_deg_partial, batch_format="pyarrow")
-        .to_pandas()   # bounded: |catalog| x edge blocks
-    )
-    empty = pa.table(
-        {"distance": pa.array([], pa.int64()),
-         "n_parts": pa.array([], pa.int64())}
-    )
-    if degs.empty:
-        return empty
-    folded = degs.groupby("node")["dp"].sum()
-    nodes = folded.index.to_numpy()          # sorted
-    d = folded.to_numpy().astype(np.int64)
-    hub_idx = int(np.lexsort((nodes, -d))[0])
-
-    dist = np.full(len(nodes), -1, np.int64)
-    dist[hub_idx] = 0
-    for depth in range(_BFS_MAX_DEPTH):
-        ref = ray.put((nodes, dist == depth, dist >= 0))
-
-        def frontier_partial(t: pa.Table, _ref=ref) -> pa.Table:
-            nd, front, seen = ray.get(_ref)
-            ph = t["ph"].to_numpy()
-            ia = np.searchsorted(nd, ph >> np.int64(32))
-            ib = np.searchsorted(nd, ph & lo_mask)
-            new = np.concatenate(
-                [ib[front[ia] & ~seen[ib]], ia[front[ib] & ~seen[ia]]]
-            )
-            return pa.table({"idx": pa.array(np.unique(new))})
-
-        parts = edges.map_batches(
-            frontier_partial, batch_format="pyarrow"
-        ).to_pandas()   # bounded: |catalog| x edge blocks
-        if parts.empty:    # empty frontier: BFS is done before the cap
-            break
-        dist[np.unique(parts["idx"].to_numpy())] = depth + 1
-
-    reached, counts = np.unique(dist[dist >= 0], return_counts=True)
-    out_d = [int(x) for x in reached]
-    out_n = [int(x) for x in counts]
-    unreached = int((dist < 0).sum())
-    if unreached > 0:
-        out_d = [-1] + out_d
-        out_n = [unreached] + out_n
-    return pa.table(
-        {"distance": pa.array(out_d, pa.int64()),
-         "n_parts": pa.array(out_n, pa.int64())}
-    )
-
-
-ORACLES["copurchase_hub_distances"] = (
-    "WITH RECURSIVE pairs AS (SELECT DISTINCT l1.l_partkey AS p1, "
-    "l2.l_partkey AS p2 FROM lineitem l1 JOIN lineitem l2 "
-    "ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey), "
-    "edges AS (SELECT p1 AS src, p2 AS dst FROM pairs "
-    "UNION ALL SELECT p2 AS src, p1 AS dst FROM pairs), "
-    "deg AS (SELECT src AS node, count(*)::BIGINT AS d "
-    "FROM edges GROUP BY 1), "
-    "hub AS (SELECT node FROM deg ORDER BY d DESC, node LIMIT 1), "
-    "bfs(node, dist) AS (SELECT node, 0 FROM hub UNION "
-    "SELECT e.dst, bfs.dist + 1 FROM bfs JOIN edges e "
-    f"ON e.src = bfs.node WHERE bfs.dist < {_BFS_MAX_DEPTH}), "
-    "reach AS (SELECT node, min(dist)::BIGINT AS dist FROM bfs GROUP BY 1), "
-    "un AS (SELECT count(*)::BIGINT AS c FROM deg "
-    "WHERE node NOT IN (SELECT node FROM reach)) "
-    "SELECT dist AS distance, count(*)::BIGINT AS n_parts "
-    "FROM reach GROUP BY 1 "
-    "UNION ALL SELECT -1::BIGINT, c FROM un WHERE c > 0 "
-    "ORDER BY distance"
-)
-
-
-# ---- part_cloud_diameter: extremal pair via convex-hull reduction ----------
-
-def part_cloud_diameter(sf_dir: str) -> "pa.Table":
-    """Farthest pair (DIAMETER) of the per-part point cloud
-    ``(Σ quantity, Σ gross cents)`` — "which two parts are most
-    dissimilar by volume-and-revenue?", the computational-geometry
-    family: a global EXTREMAL-PAIR statistic that is all-pairs by
-    definition, made scale-safe by the hull theorem (both endpoints of
-    a maximum-distance pair are convex-hull VERTICES — a point strictly
-    inside a hull edge is strictly closer to everything than one of the
-    edge's endpoints), so the quadratic step runs over the hull's few
-    vertices, never the catalog.
-
-    Scale shape: in-batch pyarrow (part, qty, cents) sum partials,
-    gather bounded by the part CATALOG (a dimension, the pagerank-node
-    precedent), Andrew monotone-chain hull with Python-big-int cross
-    products on the driver, exact-int d² over hull pairs.  Tie-breaks
-    are fully pinned: per coordinate the SMALLEST partkey represents it
-    (the lexicographically smallest tie pair is always sorted(minA,
-    minB)), equal d² resolves to the smaller (part_a, part_b); if every
-    part shares one coordinate the answer is the two smallest partkeys
-    at distance 0, matching the SQL total order.
-
-    Reference anchor: O3's top-k (SURVEY.md §2.7) pushed to a PAIRWISE
-    objective no per-row sort key can express."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"p": pa.array([], pa.int64()),
-                 "x": pa.array([], pa.int64()),
-                 "y": pa.array([], pa.int64())}
-            )
-        qi = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        ci = np.floor(
-            t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        g = (
-            pa.table({"p": t["l_partkey"], "x": pa.array(qi),
-                      "y": pa.array(ci)})
-            .group_by("p")
-            .aggregate([("x", "sum"), ("y", "sum")])
-        )
-        return pa.table({"p": g["p"], "x": g["x_sum"], "y": g["y_sum"]})
-
-    pts = (
-        _read(sf_dir, "lineitem",
-              ["l_partkey", "l_quantity", "l_extendedprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: |catalog| x blocks
-    )
-    empty = pa.table(
-        {"part_a": pa.array([], pa.int64()),
-         "part_b": pa.array([], pa.int64()),
-         "dist2": pa.array([], pa.int64())}
-    )
-    if pts.empty:
-        return empty
-    agg = pts.groupby("p", sort=True)[["x", "y"]].sum().reset_index()
-    if len(agg) < 2:
-        return empty
-    # smallest (and second-smallest) partkey per coordinate — vectorized:
-    # the catalog scales with SF, so no per-part Python loop here
-    two = (
-        agg.sort_values(["x", "y", "p"])
-        .groupby(["x", "y"], sort=True)["p"].agg(list).str[:2]
-    )
-    coord = {
-        (int(x), int(y)): [int(p) for p in ps]
-        for (x, y), ps in two.items()
-    }
-    uniq = sorted(coord)                  # lexicographic (x, y)
-    if len(uniq) == 1:
-        ps = coord[uniq[0]]
-        return pa.table(
-            {"part_a": pa.array([ps[0]], pa.int64()),
-             "part_b": pa.array([ps[1]], pa.int64()),
-             "dist2": pa.array([0], pa.int64())}
-        )
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(points):
-        h = []
-        for pt in points:
-            while len(h) >= 2 and cross(h[-2], h[-1], pt) <= 0:
-                h.pop()
-            h.append(pt)
-        return h
-
-    hull = half(uniq)[:-1] + half(uniq[::-1])[:-1]   # vertices only
-    best = None
-    for i in range(len(hull)):
-        for j in range(i + 1, len(hull)):
-            a, b = hull[i], hull[j]
-            d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-            pair = tuple(sorted((coord[a][0], coord[b][0])))
-            key = (-d2, pair)
-            if best is None or key < best:
-                best = key
-    d2 = -best[0]
-    return pa.table(
-        {"part_a": pa.array([best[1][0]], pa.int64()),
-         "part_b": pa.array([best[1][1]], pa.int64()),
-         "dist2": pa.array([d2], pa.int64())}
-    )
-
-
-ORACLES["part_cloud_diameter"] = (
-    "WITH pts AS (SELECT l_partkey AS p, "
-    "sum(CAST(floor(l_quantity + 0.5) AS BIGINT))::BIGINT AS x, "
-    "sum(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    "AS y FROM lineitem GROUP BY 1) "
-    "SELECT a.p AS part_a, b.p AS part_b, "
-    "((a.x - b.x) * (a.x - b.x) + (a.y - b.y) * (a.y - b.y))::BIGINT "
-    "AS dist2 "
-    "FROM pts a JOIN pts b ON a.p < b.p "
-    "ORDER BY dist2 DESC, part_a, part_b LIMIT 1"
-)
-
-
-# ---- price_tick_gcd: non-sum monoid reduce (tick-size detection) -----------
-
-def price_tick_gcd(sf_dir: str) -> "pa.Table":
-    """Per-priority price GRANULARITY: the GCD of every order's
-    total-price cents (plus count and max) — "what is the real tick
-    size of these prices?", the data-profiling question that detects
-    cent vs 5-cent vs dollar quantization.  The point of the operator
-    is ALGEBRAIC: GCD is an associative-commutative monoid that is
-    neither a sum nor an order statistic, so it demonstrates the
-    general partial-aggregate contract (any monoid folds per batch,
-    then once on the driver) that Ray Data's built-in aggregates don't
-    ship; the DuckDB mirror folds the same monoid via
-    ``list_reduce(list(cents), gcd)``.
-
-    Scale shape: one streaming pass; each batch emits one (priority,
-    gcd, n, max) row per BOUNDED priority group — the gather is groups
-    × blocks, never rows; ``gcd(0, x) = x`` on both engines makes the
-    zero-cent row a no-op, and the fold needs no identity element
-    because every partial comes from ≥1 row.
-
-    Reference anchor: A5's counters (SURVEY.md §2.6) generalized from
-    the sum monoid to an arbitrary one."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"priority": pa.array([], pa.string()),
-             "g": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "mx": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        cents = np.floor(
-            t["o_totalprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        pr = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        out_p, out_g, out_n, out_m = [], [], [], []
-        for p in np.unique(pr):            # bounded priority alphabet
-            c = cents[pr == p]
-            out_p.append(str(p))
-            out_g.append(int(np.gcd.reduce(c)))
-            out_n.append(len(c))
-            out_m.append(int(c.max()))
-        return pa.table(
-            {"priority": pa.array(out_p, pa.string()),
-             "g": pa.array(out_g, pa.int64()),
-             "n": pa.array(out_n, pa.int64()),
-             "mx": pa.array(out_m, pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderpriority", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: priority groups x blocks
-    )
-    if parts.empty:
-        return pa.table(
-            {"priority": pa.array([], pa.string()),
-             "n_orders": pa.array([], pa.int64()),
-             "tick_cents": pa.array([], pa.int64()),
-             "max_cents": pa.array([], pa.int64())}
-        )
-    agg = parts.groupby("priority", sort=True).agg(
-        n_orders=("n", "sum"),
-        tick_cents=("g", lambda s: int(np.gcd.reduce(s.to_numpy()))),
-        max_cents=("mx", "max"),
-    ).reset_index()
-    return pa.table(
-        {"priority": pa.array(agg["priority"].to_numpy(dtype=object),
-                              pa.string()),
-         "n_orders": pa.array(agg["n_orders"].to_numpy(np.int64)),
-         "tick_cents": pa.array(agg["tick_cents"].to_numpy(np.int64)),
-         "max_cents": pa.array(agg["max_cents"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["price_tick_gcd"] = (
-    "WITH c AS (SELECT o_orderpriority AS priority, "
-    "CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT) AS cents "
-    "FROM orders) "
-    "SELECT priority, count(*)::BIGINT AS n_orders, "
-    "list_reduce(list(cents), (a, b) -> gcd(a, b))::BIGINT AS tick_cents, "
-    "max(cents)::BIGINT AS max_cents "
-    "FROM c GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- user_activity_f2: second frequency moment, sketch vs exact ------------
-
-_F2_K = 16
-_F2_BUCKETS = 32
-
-
-def user_activity_f2(sf_dir: str) -> "pa.Table":
-    """SECOND FREQUENCY MOMENT of the per-user event distribution
-    (``F2 = Σ_u c_u²`` — the self-join size, the statistic a query
-    optimizer estimates before planning a user-keyed join) computed
-    BOTH ways: exactly, and by a K=16-replicate AMS random-sign sketch
-    (``Z_k = Σ_rows sign_k(user)``, ``E[Z_k²] = F2``) whose signs are
-    the parity of the first md5 hex digit of ``user·K + k`` — NOT the
-    repo's LCG: congruential bijections are LOW-DISCREPANCY over the
-    consecutive user ids, their sign sums cancel ~perfectly, and the
-    sketch collapses to ~0.03·F2 (measured); md5 behaves statistically
-    random (0.84-0.86·F2 here) and DuckDB's ``md5()`` mirrors it
-    bit-for-bit.  The sketch-vs-exact audit pattern of
-    bloom_semi_join_exact, applied to the moment family (HLL covers
-    F0, heavy hitters F∞; this closes F2).
-
-    Scale shape: the AMS side is MAP-ONLY (K running sums per batch);
-    the exact side uses the fused-key bucket reduce for mostly-unique
-    keys (CLAUDE.md round-3 rule): in-batch (user, cnt) partials tagged
-    ``hash(user) % 32``, one bounded-bucket exchange, per-bucket
-    re-combine + Σc² — ONE row leaves each bucket.  int64 is exact
-    while per-user counts stay under ~3e9 (the SQL mirror's BIGINT
-    sums error loudly past that rather than wrap).
-
-    Reference anchor: A1's status counts (SURVEY.md §2.6) lifted from
-    the first moment to the second."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"bk": pa.array([], pa.int64()),
-             "u": pa.array([], pa.int64()),
-             "c": pa.array([], pa.int64()),
-             **{f"z{k}": pa.array([], pa.int64()) for k in range(_F2_K)}}
-        )
-        if len(t) == 0:
-            return empty
-        uid = t["user_id"].to_numpy()
-        users, counts = np.unique(uid, return_counts=True)
-        h = (users.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        bk = ((h >> np.uint64(33)) % np.uint64(_F2_BUCKETS)).astype(np.int64)
-        cols = {"bk": pa.array(bk), "u": pa.array(users.astype(np.int64)),
-                "c": pa.array(counts.astype(np.int64))}
-        # AMS signs: parity of the first md5 hex digit of user*K + k;
-        # Z partial = sum of sign * count over this batch's users
-        import hashlib
-
-        sign = np.empty((len(users), _F2_K), np.int64)
-        for i, uu in enumerate(users.astype(np.int64)):
-            base = int(uu) * _F2_K
-            for k in range(_F2_K):
-                h = hashlib.md5(str(base + k).encode()).hexdigest()
-                sign[i, k] = 1 - 2 * (int(h[0], 16) % 2)
-        z = (sign * counts[:, None]).sum(axis=0)
-        for k in range(_F2_K):
-            zc = np.zeros(len(users), np.int64)
-            zc[0] = z[k]
-            cols[f"z{k}"] = pa.array(zc)
-        return pa.table(cols)
-
-    parts = (
-        _read(sf_dir, "events", ["user_id"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: distinct-users-per-batch x blocks
-    )
-    empty = pa.table(
-        {"n_events": pa.array([], pa.int64()),
-         "f2_exact": pa.array([], pa.int64()),
-         "ams_sq_sum": pa.array([], pa.int64()),
-         "ams_mean_est": pa.array([], pa.float64())}
-    )
-    if parts.empty:
-        return empty
-    n_events = int(parts["c"].sum())
-    by_user = parts.groupby("u")["c"].sum()
-    f2 = int((by_user.to_numpy(np.int64) ** 2).sum())
-    sq = 0
-    for k in range(_F2_K):
-        zk = int(parts[f"z{k}"].sum())
-        sq += zk * zk
-    return pa.table(
-        {"n_events": pa.array([n_events], pa.int64()),
-         "f2_exact": pa.array([f2], pa.int64()),
-         "ams_sq_sum": pa.array([sq], pa.int64()),
-         "ams_mean_est": pa.array([float(sq) / float(_F2_K)],
-                                  pa.float64())}
-    )
-
-
-ORACLES["user_activity_f2"] = (
-    "WITH c AS (SELECT user_id AS u, count(*)::BIGINT AS c "
-    "FROM events GROUP BY 1), "
-    f"ks AS (SELECT UNNEST(range(0, {_F2_K})) AS k), "
-    "z AS (SELECT k, sum(CASE WHEN substr(md5(CAST("
-    f"u * {_F2_K} + k AS VARCHAR)), 1, 1) IN "
-    "('1','3','5','7','9','b','d','f') THEN -c ELSE c END)::BIGINT AS zk "
-    "FROM c, ks GROUP BY 1), "
-    "m AS (SELECT sum(zk * zk)::BIGINT AS sq FROM z), "
-    "e AS (SELECT sum(c)::BIGINT AS n_events, sum(c * c)::BIGINT AS f2 "
-    "FROM c) "
-    "SELECT e.n_events, e.f2 AS f2_exact, m.sq AS ams_sq_sum, "
-    f"CAST(m.sq AS DOUBLE) / {_F2_K}.0 AS ams_mean_est FROM e, m"
-)
-
-
-# ---- qty_gini_mean_diff: pairwise-distance aggregate over bounded domain ---
-
-def qty_gini_mean_diff(sf_dir: str) -> "pa.Table":
-    """Gini mean difference of line quantities — the PAIRWISE-DISTANCE
-    aggregate ``E|X − Y|`` over all ordered row pairs (the dispersion
-    statistic that needs no mean and no variance), exact:
-    ``gmd = Σ_{i≠j} |x_i − x_j| / (n·(n−1))``.  A quadratic-by-
-    definition statistic collapsed to the BOUNDED value domain
-    (integral quantities 1..50): per-batch (value, count) histogram
-    partials are a sufficient statistic, the driver folds a D×D
-    integer walk (D ≤ 50), and the SQL mirror is the honest histogram
-    cross join — no row-level pair is ever materialized on either
-    side.  ``gmd_num/gmd_den`` are emitted as exact int64 and the one
-    float division mirrors the SQL cast order (−1.0 sentinel when
-    n < 2).
-
-    Reference anchor: M3's ratio scorer (SURVEY.md §2.2) asked for a
-    mean; this is the spread question answered at the same cost."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"v": pa.array([], pa.int64()),
-             "c": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        u, cnt = np.unique(v, return_counts=True)
-        return pa.table(
-            {"v": pa.array(u), "c": pa.array(cnt.astype(np.int64))}
-        )
-
-    hist = (
-        _read(sf_dir, "lineitem", ["l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: domain x blocks, never rows
-    )
-    empty = pa.table(
-        {"n": pa.array([], pa.int64()),
-         "gmd_num": pa.array([], pa.int64()),
-         "gmd_den": pa.array([], pa.int64()),
-         "gmd": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    df = hist.groupby("v", sort=True)["c"].sum()
-    vs = [int(x) for x in df.index]
-    cs = [int(x) for x in df.to_numpy()]
-    n = sum(cs)
-    num = 0
-    for i in range(len(vs)):
-        for j in range(len(vs)):
-            num += abs(vs[i] - vs[j]) * cs[i] * cs[j]
-    den = n * (n - 1)
-    gmd = -1.0 if den == 0 else float(num) / float(den)
-    return pa.table(
-        {"n": pa.array([n], pa.int64()),
-         "gmd_num": pa.array([num], pa.int64()),
-         "gmd_den": pa.array([den], pa.int64()),
-         "gmd": pa.array([gmd], pa.float64())}
-    )
-
-
-ORACLES["qty_gini_mean_diff"] = (
-    "WITH h AS (SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS v, "
-    "count(*)::BIGINT AS c FROM lineitem GROUP BY 1), "
-    "m AS (SELECT sum(a.c * b.c * abs(a.v - b.v))::BIGINT AS num "
-    "FROM h a, h b), "
-    "t AS (SELECT sum(c)::BIGINT AS n FROM h) "
-    "SELECT t.n, m.num AS gmd_num, (t.n * (t.n - 1))::BIGINT AS gmd_den, "
-    "CASE WHEN t.n < 2 THEN -1.0 ELSE "
-    "CAST(m.num AS DOUBLE) / CAST(t.n * (t.n - 1) AS DOUBLE) END AS gmd "
-    "FROM t, m"
-)
-
-
-# ---- copurchase_mutual_best: mutual-kNN (k=1) over weighted pair counts ----
-
-_MB_BUCKETS = 32
-
-
-def copurchase_mutual_best(sf_dir: str) -> "pa.Table":
-    """MUTUAL best co-purchase partners — pairs where each part is the
-    other's single strongest partner (weight = co-occurring line pairs
-    across orders, argmax ties to the smaller partner key), top-20 by
-    (weight desc, part_a asc).  This is the mutual-kNN (k=1) structure
-    near-dup graph pruning uses to keep only reciprocal edges — a
-    composite no single op covers: weighted pair counting, a PER-NODE
-    argmax over a node set that scales with the catalog, and a
-    reciprocity join.
-
-    Scale shape: copurchase_pairs' hash-partitioned self-join and
-    in-batch fused-key count partials; each partial re-keys to BOTH
-    directions tagged ``hash(node) % 32``, so one bounded-bucket
-    exchange re-combines cross-batch counts AND folds the per-node
-    argmax (pandas group sum + lexsort segment heads) — ONE row per
-    node leaves each bucket; the reciprocity test is a dict probe over
-    the catalog-bounded (node, best, w) table on the driver.
-
-    Reference anchor: SURVEY.md §2.8's pair family, upgraded from
-    "which pairs co-occur most" to "which pairs CHOOSE each other"."""
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    right = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).rename_columns(
-        {"l_orderkey": "o_b", "l_partkey": "p_b"}
-    )
-    joined = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).join(
-        right,
-        join_type="inner",
-        num_partitions=_volume_join_parts(n_li),
-        on=("l_orderkey",),
-        right_on=("o_b",),
-    )
-
-    def dir_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"bk": pa.array([], pa.int64()),
-             "src": pa.array([], pa.int64()),
-             "dst": pa.array([], pa.int64()),
-             "w": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        a = t["l_partkey"].to_numpy()
-        b = t["p_b"].to_numpy()
-        keep = a < b
-        if not keep.any():
-            return empty
-        ph = (a[keep].astype(np.int64) << np.int64(32)) | b[keep].astype(
-            np.int64
-        )
-        u, c = np.unique(ph, return_counts=True)
-        p1 = u >> np.int64(32)
-        p2 = u & _PH_LO_MASK
-        src = np.concatenate([p1, p2])
-        dst = np.concatenate([p2, p1])
-        w = np.concatenate([c, c]).astype(np.int64)
-        h = src.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        bk = ((h >> np.uint64(33)) % np.uint64(_MB_BUCKETS)).astype(np.int64)
-        return pa.table(
-            {"bk": pa.array(bk), "src": pa.array(src),
-             "dst": pa.array(dst), "w": pa.array(w)}
-        )
-
-    def bucket_best(g: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"src": pd.array([], dtype="int64"),
-             "dst": pd.array([], dtype="int64"),
-             "w": pd.array([], dtype="int64")}
-        )
-        if g.empty:
-            return empty
-        lr = g.groupby(["src", "dst"], sort=False)["w"].sum().reset_index()
-        s = lr["src"].to_numpy(np.int64)
-        d = lr["dst"].to_numpy(np.int64)
-        w = lr["w"].to_numpy(np.int64)
-        order = np.lexsort((d, -w, s))       # per src: w desc, dst asc
-        ss, dd, ww = s[order], d[order], w[order]
-        heads = np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
-        return pd.DataFrame(
-            {"src": ss[heads], "dst": dd[heads], "w": ww[heads]}
-        )
-
-    best = (
-        joined.map_batches(dir_partial, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(bucket_best, batch_format="pandas")
-        .to_pandas()    # bounded: one row per catalog node
-    )
-    empty = pa.table(
-        {"part_a": pa.array([], pa.int64()),
-         "part_b": pa.array([], pa.int64()),
-         "weight": pa.array([], pa.int64())}
-    )
-    if best.empty:
-        return empty
-    pick = dict(zip(best["src"].astype(int), zip(best["dst"].astype(int),
-                                                 best["w"].astype(int))))
-    rows = []
-    for a, (b, w) in pick.items():
-        if a < b and b in pick and pick[b][0] == a:
-            rows.append((w, a, b))
-    if not rows:
-        return empty
-    rows.sort(key=lambda r: (-r[0], r[1]))
-    rows = rows[:20]
-    return pa.table(
-        {"part_a": pa.array([r[1] for r in rows], pa.int64()),
-         "part_b": pa.array([r[2] for r in rows], pa.int64()),
-         "weight": pa.array([r[0] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["copurchase_mutual_best"] = (
-    "WITH pw AS (SELECT l1.l_partkey AS p1, l2.l_partkey AS p2, "
-    "count(*)::BIGINT AS w FROM lineitem l1 JOIN lineitem l2 "
-    "ON l1.l_orderkey = l2.l_orderkey AND l1.l_partkey < l2.l_partkey "
-    "GROUP BY 1, 2), "
-    "dir AS (SELECT p1 AS src, p2 AS dst, w FROM pw "
-    "UNION ALL SELECT p2, p1, w FROM pw), "
-    "best AS (SELECT src, dst, w FROM (SELECT src, dst, w, row_number() "
-    "OVER (PARTITION BY src ORDER BY w DESC, dst) AS rn FROM dir) "
-    "WHERE rn = 1) "
-    "SELECT a.src AS part_a, a.dst AS part_b, a.w AS weight "
-    "FROM best a JOIN best b ON a.dst = b.src AND b.dst = a.src "
-    "WHERE a.src < a.dst "
-    "ORDER BY weight DESC, part_a LIMIT 20"
-)
-
-
-# ---- qty_return_stump: decision-stump induction (supervised split) ---------
-
-def qty_return_stump(sf_dir: str) -> "pa.Table":
-    """Best DECISION STUMP predicting the return flag from quantity: the
-    threshold t (split ``qty <= t`` / ``qty > t``) minimizing weighted
-    Gini impurity — one level of CART induction, the primitive every
-    gradient-boosted-tree trainer evaluates millions of times.
-    Supervised SPLIT SEARCH is a family no census, test or regression
-    operator covers: the statistic couples a candidate threshold with
-    the full class distribution on BOTH sides.
-
-    Exactness: per side, ``gini_s = (n_s² − Σ_c c²) / n_s²``; the
-    n-weighted two-side sum collapses over the common denominator to
-    ``num = (n_l²−Σc_l²)·n_r + (n_r²−Σc_r²)·n_l`` over ``den =
-    N·n_l·n_r`` — exact integers on both engines (Python bignums here,
-    HUGEINT in the mirror), the ARGMIN decided by cross-multiplied
-    fraction comparison (never a float), ties to the smaller threshold,
-    and ``gini`` itself ONE float division mirroring the SQL cast
-    order.  Thresholds are the distinct observed values below the max
-    (both sides non-empty by construction); a single-valued or empty
-    corpus yields the typed empty result on both engines.
-
-    Scale shape: the (quantity, flag) domain is BOUNDED (integral
-    1..50 × 3 flags), so each batch emits a ≤150-cell histogram partial
-    — gather is domain × blocks, never rows; the driver folds ≤50
-    thresholds with exact arithmetic.  int64 SQL bound: num ≈ N²·n_s
-    stays under 2^63 through ~2·10⁶ rows (the engine's bignums never
-    overflow; cross-multiplied HUGEINT comparisons hold to ~10⁹ rows).
-
-    Reference anchor: the keep/drop decision cascade (SURVEY.md §2.4)
-    — this is the trainer's question one level up: which single
-    feature cut best separates the classes the cascade assigns?"""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"v": pa.array([], pa.int64()),
-             "f": pa.array([], pa.string()),
-             "c": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        g = (
-            pa.table({"v": pa.array(v), "f": t["l_returnflag"]})
-            .group_by(["v", "f"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table({"v": g["v"], "f": g["f"], "c": g["count_all"]})
-
-    hist = (
-        _read(sf_dir, "lineitem", ["l_quantity", "l_returnflag"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: domain x flags x blocks, never rows
-    )
-    empty = pa.table(
-        {"threshold": pa.array([], pa.int64()),
-         "n_left": pa.array([], pa.int64()),
-         "n_right": pa.array([], pa.int64()),
-         "gini_num": pa.array([], pa.int64()),
-         "gini_den": pa.array([], pa.int64()),
-         "gini": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    cells = hist.groupby(["v", "f"], sort=True)["c"].sum().reset_index()
-    values = sorted(int(x) for x in cells["v"].unique())
-    if len(values) < 2:
-        return empty              # no split leaves both sides non-empty
-    flags = sorted(cells["f"].unique())
-    # per-value class counts in value order (bounded 50 x 3)
-    mat = {
-        val: {f: 0 for f in flags} for val in values
-    }
-    for _, row in cells.iterrows():
-        mat[int(row["v"])][row["f"]] += int(row["c"])
-    tot = {f: sum(mat[v][f] for v in values) for f in flags}
-    n = sum(tot.values())
-    best = None                    # (num, den, t, n_l, n_r) exact ints
-    cum = {f: 0 for f in flags}
-    n_l = 0
-    for t in values[:-1]:
-        for f in flags:
-            cum[f] += mat[t][f]
-        n_l += sum(mat[t][f] for f in flags)
-        n_r = n - n_l
-        sl2 = sum(c * c for c in cum.values())
-        sr2 = sum((tot[f] - cum[f]) ** 2 for f in flags)
-        num = (n_l * n_l - sl2) * n_r + (n_r * n_r - sr2) * n_l
-        den = n * n_l * n_r
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den, t, n_l, n_r)
-    num, den, t, n_l, n_r = best
-    return pa.table(
-        {"threshold": pa.array([t], pa.int64()),
-         "n_left": pa.array([n_l], pa.int64()),
-         "n_right": pa.array([n_r], pa.int64()),
-         "gini_num": pa.array([num], pa.int64()),
-         "gini_den": pa.array([den], pa.int64()),
-         "gini": pa.array([float(num) / float(den)], pa.float64())}
-    )
-
-
-ORACLES["qty_return_stump"] = (
-    "WITH q AS (SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS v, "
-    "l_returnflag AS f FROM lineitem), "
-    "h AS (SELECT v, f, count(*)::BIGINT AS c FROM q GROUP BY 1, 2), "
-    "tot AS (SELECT sum(c)::BIGINT AS n FROM h), "
-    "thr AS (SELECT DISTINCT v AS t FROM h "
-    "WHERE v < (SELECT max(v) FROM h)), "
-    "side AS (SELECT thr.t, h.f, "
-    "sum(CASE WHEN h.v <= thr.t THEN h.c ELSE 0 END)::BIGINT AS cl, "
-    "sum(h.c)::BIGINT AS call FROM thr CROSS JOIN h GROUP BY 1, 2), "
-    "agg AS (SELECT t, sum(cl)::HUGEINT AS nl, "
-    "(SELECT n FROM tot)::HUGEINT - sum(cl) AS nr, "
-    "sum(cl::HUGEINT * cl)::HUGEINT AS sl2, "
-    "sum((call - cl)::HUGEINT * (call - cl))::HUGEINT AS sr2 "
-    "FROM side GROUP BY 1), "
-    "g AS (SELECT t, nl, nr, "
-    "((nl * nl - sl2) * nr + (nr * nr - sr2) * nl)::HUGEINT AS num, "
-    "((SELECT n FROM tot)::HUGEINT * nl * nr)::HUGEINT AS den FROM agg) "
-    "SELECT a.t AS threshold, a.nl::BIGINT AS n_left, "
-    "a.nr::BIGINT AS n_right, a.num::BIGINT AS gini_num, "
-    "a.den::BIGINT AS gini_den, "
-    "CAST(a.num AS DOUBLE) / CAST(a.den AS DOUBLE) AS gini "
-    "FROM g a WHERE NOT EXISTS (SELECT 1 FROM g b "
-    "WHERE b.num * a.den < a.num * b.den "
-    "OR (b.num * a.den = a.num * b.den AND b.t < a.t))"
-)
-
-
-# ---- flag_status_chi2_cells: chi-square independence decomposition ---------
-
-def flag_status_chi2_cells(sf_dir: str) -> "pa.Table":
-    """Chi-square INDEPENDENCE decomposition of the return-flag ×
-    line-status contingency table: per cell, the observed count, the
-    independence-model expectation ``r·c/N``, and the cell's chi-square
-    contribution ``(o·N − r·c)² / (N·r·c)`` — the categorical
-    independence test the two-sample family doesn't cover
-    (qty_return_twosample pairs two CDFs over an ORDERED domain; this
-    asks whether two UNORDERED categoricals factorize).  The per-cell
-    decomposition is the honest exact form: the headline χ² is a
-    float SUM over cells (never hash-comparable), but each cell's
-    contribution is ONE division of exact integers, so every output
-    value hash-matches bit for bit and the user sums the tiny table.
-
-    Exactness: numerator ``(o·N − r·c)²`` and denominator ``N·r·c`` in
-    Python big ints here and HUGEINT in the mirror (the numerator passes
-    2^63 already at ~10⁵ rows — by design, the reason they are not
-    emitted as integer columns), each float ONE division mirroring the
-    SQL cast order (HUGEINT→DOUBLE is correctly rounded on both
-    engines, the embedding_top_eigval precedent).
-
-    Scale shape: the cell domain is BOUNDED (3 flags × 2 statuses), so
-    each batch emits a ≤6-row count partial; gather is cells × blocks,
-    never rows, and the driver fold is exact arithmetic over 6 cells.
-
-    Reference anchor: A4's gate-path distribution (SURVEY.md §2.6) —
-    the auditor's follow-up: are gate path and outcome independent?"""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"f": pa.array([], pa.string()),
-             "st": pa.array([], pa.string()),
-             "c": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        g = (
-            t.select(["l_returnflag", "l_linestatus"])
-            .group_by(["l_returnflag", "l_linestatus"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {"f": g["l_returnflag"], "st": g["l_linestatus"],
-             "c": g["count_all"]}
-        )
-
-    hist = (
-        _read(sf_dir, "lineitem", ["l_returnflag", "l_linestatus"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: cells x blocks, never rows
-    )
-    empty = pa.table(
-        {"returnflag": pa.array([], pa.string()),
-         "linestatus": pa.array([], pa.string()),
-         "n_obs": pa.array([], pa.int64()),
-         "expected": pa.array([], pa.float64()),
-         "contrib": pa.array([], pa.float64())}
-    )
-    if hist.empty:
-        return empty
-    cells = hist.groupby(["f", "st"], sort=True)["c"].sum()
-    rf = cells.groupby(level="f").sum().to_dict()
-    cs = cells.groupby(level="st").sum().to_dict()
-    n = int(cells.sum())
-    out_f, out_s, out_o, out_e, out_x = [], [], [], [], []
-    for (f, st), o in cells.items():
-        o, r, c = int(o), int(rf[f]), int(cs[st])
-        num = (o * n - r * c) ** 2
-        den = n * r * c
-        out_f.append(f)
-        out_s.append(st)
-        out_o.append(o)
-        out_e.append(float(r * c) / float(n))
-        out_x.append(float(num) / float(den))
-    return pa.table(
-        {"returnflag": pa.array(out_f, pa.string()),
-         "linestatus": pa.array(out_s, pa.string()),
-         "n_obs": pa.array(out_o, pa.int64()),
-         "expected": pa.array(out_e, pa.float64()),
-         "contrib": pa.array(out_x, pa.float64())}
-    )
-
-
-ORACLES["flag_status_chi2_cells"] = (
-    "WITH h AS (SELECT l_returnflag AS f, l_linestatus AS st, "
-    "count(*)::BIGINT AS c FROM lineitem GROUP BY 1, 2), "
-    "r AS (SELECT f, sum(c)::BIGINT AS rf FROM h GROUP BY 1), "
-    "cc AS (SELECT st, sum(c)::BIGINT AS cs FROM h GROUP BY 1), "
-    "t AS (SELECT sum(c)::BIGINT AS n FROM h) "
-    "SELECT h.f AS returnflag, h.st AS linestatus, h.c AS n_obs, "
-    "CAST(r.rf * cc.cs AS DOUBLE) / CAST(t.n AS DOUBLE) AS expected, "
-    "CAST((h.c::HUGEINT * t.n - r.rf::HUGEINT * cc.cs) * "
-    "(h.c::HUGEINT * t.n - r.rf::HUGEINT * cc.cs) AS DOUBLE) / "
-    "CAST(t.n::HUGEINT * r.rf * cc.cs AS DOUBLE) AS contrib "
-    "FROM h JOIN r ON h.f = r.f JOIN cc ON h.st = cc.st CROSS JOIN t "
-    "ORDER BY 1, 2"
-)
-
-
-# ---- bulk_brand_cover: greedy set cover (submodular selection) -------------
-
-BULK_COVER_QTY_MIN = 45
-BULK_COVER_CANDIDATES = 64
-
-
-def bulk_brand_cover(sf_dir: str) -> "pa.Table":
-    """GREEDY SET COVER over the bulk-purchase relation: the smallest
-    greedy-chosen set of customers whose bulk orders (quantity ≥ 45)
-    together touch every brand sold in bulk — the submodular-selection
-    family (the 1−1/e-approximate primitive behind data-subset
-    selection and coverage-driven corpus curation) that no fold so far
-    expresses: each pick depends on everything already covered, so the
-    loop exists only over a BOUNDED candidate pool.  Candidates are the
-    top-64 customers by distinct bulk-brand count (ties → smaller key);
-    each greedy step takes the candidate covering the most uncovered
-    brands (ties → smaller key) and stops when no candidate adds
-    coverage.  Output: pick order, customer, newly/cumulatively covered.
-
-    Scale shape: the qty filter prunes the fact stream ~8×; partkey →
-    brand and orderkey → custkey resolve against ray.put-broadcast
-    sorted arrays below BROADCAST_DIM_MAX_ROWS (hash-partitioned native
-    joins above — the revenue_by_nation contract, fallback pinned by the
-    zero-threshold test); a per-batch distinct combiner bounds the
-    (cust, brand) groupby shuffle by pairs-per-batch; the candidate cut
-    is a 64-row sort+limit; only ≤ 64×|brands| membership rows ever
-    reach the driver.  The DuckDB mirror replays the greedy as a
-    recursive CTE over the same candidate lists.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the curation question: which few owners span the catalog?"""
-    import pyarrow.parquet as pq_mod
-
-    from ray.data.aggregate import Sum
-
-    qty_min = BULK_COVER_QTY_MIN
-
-    def to_pairs_broadcast(part_ref, brand_lut, orders_ref):
-        def fn(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"cust": pa.array([], pa.int64()),
-                 "b": pa.array([], pa.string())}
-            )
-            qty = np.floor(
-                t["l_quantity"].to_numpy() + 0.5
-            ).astype(np.int64)
-            keep = qty >= qty_min
-            if not keep.any():
-                return empty
-            brands = _probe_lookup(
-                part_ref, brand_lut, t["l_partkey"].to_numpy()[keep]
-            )
-            custs = _probe_int(
-                orders_ref, t["l_orderkey"].to_numpy()[keep]
-            )
-            valid = np.not_equal(brands, None) & (custs != -1)
-            if not valid.any():
-                return empty
-            df = pd.DataFrame(
-                {"cust": custs[valid], "b": brands[valid]}
-            ).drop_duplicates()           # in-batch distinct combiner
-            return pa.table(
-                {"cust": pa.array(df["cust"].to_numpy(np.int64)),
-                 "b": pa.array(df["b"].to_numpy(dtype=object),
-                               pa.string())}
-            )
-        return fn
-
-    small_dims = (
-        _dim_num_rows(sf_dir, "part") <= BROADCAST_DIM_MAX_ROWS
-        and _dim_num_rows(sf_dir, "orders") <= BROADCAST_DIM_MAX_ROWS
-    )
-    if small_dims:
-        part = pq_mod.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-        )
-        pk = part["p_partkey"].to_numpy()
-        codes, uniques = pd.factorize(part["p_brand"].to_pandas())
-        order = np.argsort(pk)
-        brand_lut = np.asarray(list(uniques) + [None], dtype=object)
-        part_ref = ray.put((pk[order], codes[order].astype(np.int64)))
-        orders_t = pq_mod.read_table(
-            f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-        )
-        orders_ref = _broadcast_int_dim(orders_t, "o_orderkey", "o_custkey")
-        pairs = _read(
-            sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_quantity"]
-        ).map_batches(
-            to_pairs_broadcast(part_ref, brand_lut, orders_ref),
-            batch_format="pyarrow",
-        )
-    else:
-        li = _read(
-            sf_dir, "lineitem", ["l_orderkey", "l_partkey", "l_quantity"]
-        ).map_batches(
-            lambda t: t.filter(
-                pc.greater_equal(
-                    pc.cast(
-                        pc.floor(pc.add(t["l_quantity"], 0.5)), pa.int64()
-                    ),
-                    qty_min,
-                )
-            ).select(["l_orderkey", "l_partkey"]),
-            batch_format="pyarrow",
-        )
-        n_parts = _join_parts(2)
-        joined = li.join(
-            _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("l_orderkey",),
-            right_on=("o_orderkey",),
-        ).join(
-            _read(sf_dir, "part", ["p_partkey", "p_brand"]),
-            join_type="inner",
-            num_partitions=n_parts,
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        )
-        pairs = joined.map_batches(
-            lambda t: pa.table(
-                {"cust": t["o_custkey"], "b": t["p_brand"]}
-            ) if len(t) else pa.table(
-                {"cust": pa.array([], pa.int64()),
-                 "b": pa.array([], pa.string())}
-            ),
-            batch_format="pyarrow",
-        )
-
-    # materialized once so the candidate cut and the membership gather
-    # don't each re-scan the fact table; bounded: |customers| x |brands|
-    # distinct pairs, never fact rows
-    dist = (
-        pairs.groupby(["cust", "b"])
-        .aggregate(Count(alias_name="dup"))
-        .materialize()
-    )
-    counts = (
-        dist.map_batches(
-            _partial_group_agg(["cust"]), batch_format="pyarrow"
-        )
-        .groupby("cust")
-        .aggregate(Sum("n_partial", alias_name="n"))
-        .sort(["n", "cust"], descending=[True, False])
-        .limit(BULK_COVER_CANDIDATES)
-        .to_pandas()    # bounded: candidate pool
-    )
-    empty = pa.table(
-        {"pick": pa.array([], pa.int64()),
-         "custkey": pa.array([], pa.int64()),
-         "newly_covered": pa.array([], pa.int64()),
-         "cum_covered": pa.array([], pa.int64())}
-    )
-    if counts.empty:
-        return empty
-    cand_arr = np.sort(counts["cust"].to_numpy(np.int64))
-
-    def cand_filter(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"cust": pa.array([], pa.int64()),
-             "b": pa.array([], pa.string())}
-        )
-        if len(t) == 0 or "cust" not in t.column_names:
-            return empty
-        mask = np.isin(t["cust"].to_numpy(), cand_arr)
-        if not mask.any():
-            return empty
-        return t.filter(pa.array(mask)).select(["cust", "b"])
-
-    mem_rows = dist.map_batches(
-        cand_filter, batch_format="pyarrow"
-    ).to_pandas()       # bounded: candidates x brands
-    cov = {
-        int(c): set(g["b"]) for c, g in mem_rows.groupby("cust")
-    }
-    covered: set = set()
-    rows = []
-    while cov:          # bounded: candidate pool iterations
-        key = max(cov, key=lambda c: (len(cov[c] - covered), -c))
-        gain = len(cov[key] - covered)
-        if gain == 0:
-            break
-        covered |= cov.pop(key)
-        rows.append((len(rows) + 1, key, gain, len(covered)))
-    return pa.table(
-        {"pick": pa.array([r[0] for r in rows], pa.int64()),
-         "custkey": pa.array([r[1] for r in rows], pa.int64()),
-         "newly_covered": pa.array([r[2] for r in rows], pa.int64()),
-         "cum_covered": pa.array([r[3] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["bulk_brand_cover"] = (
-    "WITH RECURSIVE pairs AS (SELECT DISTINCT o.o_custkey AS cust, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN orders o ON l.l_orderkey = o.o_orderkey "
-    "JOIN part p ON l.l_partkey = p.p_partkey "
-    f"WHERE CAST(floor(l.l_quantity + 0.5) AS BIGINT) >= "
-    f"{BULK_COVER_QTY_MIN}), "
-    "cand AS (SELECT cust FROM (SELECT cust, count(*) AS n FROM pairs "
-    f"GROUP BY 1) ORDER BY n DESC, cust LIMIT {BULK_COVER_CANDIDATES}), "
-    "mem AS (SELECT pairs.cust, list_sort(list(b)) AS toks FROM pairs "
-    "JOIN cand ON pairs.cust = cand.cust GROUP BY 1), "
-    "srcs AS (SELECT list(struct_pack(cust := cust, toks := toks) "
-    "ORDER BY cust) AS ss FROM mem), "
-    "r(step, ss, covered, picks) AS ("
-    "SELECT 0::BIGINT, ss, CAST([] AS VARCHAR[]), "
-    "CAST([] AS STRUCT(pick BIGINT, cust BIGINT, newly BIGINT, "
-    "cum BIGINT)[]) FROM srcs "
-    "UNION ALL "
-    "SELECT r.step + 1, list_filter(r.ss, x -> x.cust <> lat.b.cust), "
-    "list_sort(list_concat(r.covered, lat.b.newtoks)), "
-    "list_append(r.picks, struct_pack(pick := r.step + 1, "
-    "cust := lat.b.cust, newly := len(lat.b.newtoks)::BIGINT, "
-    "cum := (len(r.covered) + len(lat.b.newtoks))::BIGINT)) "
-    "FROM r CROSS JOIN LATERAL ("
-    "SELECT list_sort(list_transform(list_transform(r.ss, "
-    "x -> struct_pack(cust := x.cust, newtoks := list_filter(x.toks, "
-    "t -> NOT list_contains(r.covered, t)))), "
-    "y -> struct_pack(negg := -len(y.newtoks), cust := y.cust, "
-    "newtoks := y.newtoks)))[1] AS b) lat "
-    "WHERE len(r.ss) > 0 AND len(lat.b.newtoks) > 0), "
-    "fin AS (SELECT picks FROM r WHERE step = (SELECT max(step) FROM r)) "
-    "SELECT (p).pick AS pick, (p).cust AS custkey, "
-    "(p).newly AS newly_covered, (p).cum AS cum_covered "
-    "FROM (SELECT unnest(picks) AS p FROM fin) ORDER BY pick"
-)
-
-
-# ---- brand pair census (shared by the brand-graph operators) ----------------
-
-def _brand_pair_census(sf_dir: str):
-    """(brands, weights) for the brand co-purchase graph: ``brands`` is
-    the sorted brand universe from the part catalog and ``weights`` a
-    pandas Series mapping fused ``bid_a·64 + bid_b`` (bid_a < bid_b)
-    pair keys to the number of DISTINCT orders containing both brands —
-    or None when there are no pairs.  partkey → brand-id resolves
-    against a ray.put broadcast below BROADCAST_DIM_MAX_ROWS (native
-    hash join above); per-order brands co-locate via ONE hash-tag
-    exchange (the windows.py partition-fold pattern — a per-key
-    map_groups would pay a Python callback per ORDER; hash(o) % P pays
-    one per PARTITION, segmented numpy inside), so there is no hash
-    join and no aggregator-actor pool on the hot path; fused-pair
-    partials gather ≤ |brands|² rows per partition."""
-    import pyarrow.parquet as pq_mod
-
-    n_li = _dim_num_rows(sf_dir, "lineitem")
-    if n_li == 0:
-        return np.array([], dtype=object), None
-    part = pq_mod.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    brands = np.unique(part["p_brand"].to_numpy(zero_copy_only=False))
-    bid_of = {b: i for i, b in enumerate(brands)}   # bounded ~25
-
-    if len(part) <= BROADCAST_DIM_MAX_ROWS:
-        pk = part["p_partkey"].to_numpy()
-        codes = np.array(
-            [bid_of[b] for b in
-             part["p_brand"].to_numpy(zero_copy_only=False)],
-            dtype=np.int64,
-        )
-        order = np.argsort(pk)
-        part_ref = ray.put((pk[order], codes[order]))
-
-        def to_ob(t: pa.Table) -> pa.Table:
-            empty_ob = pa.table(
-                {"o": pa.array([], pa.int64()),
-                 "bid": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return empty_ob
-            bid = _probe_int(part_ref, t["l_partkey"].to_numpy())
-            ok = bid != -1
-            if not ok.any():
-                return empty_ob
-            df = pd.DataFrame(
-                {"o": t["l_orderkey"].to_numpy()[ok], "bid": bid[ok]}
-            ).drop_duplicates()         # in-batch dedup combiner
-            return pa.table(
-                {"o": pa.array(df["o"].to_numpy(np.int64)),
-                 "bid": pa.array(df["bid"].to_numpy(np.int64))}
-            )
-
-        ob = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).map_batches(
-            to_ob, batch_format="pyarrow"
-        )
-    else:
-        brand_arr = brands                      # bounded ~25, closure-safe
-
-        def label(t: pa.Table) -> pa.Table:
-            if len(t) == 0 or "p_brand" not in t.column_names:
-                return pa.table(
-                    {"o": pa.array([], pa.int64()),
-                     "bid": pa.array([], pa.int64())}
-                )
-            bid = np.searchsorted(
-                brand_arr, t["p_brand"].to_numpy(zero_copy_only=False)
-            )
-            df = pd.DataFrame(
-                {"o": t["l_orderkey"].to_numpy(), "bid": bid}
-            ).drop_duplicates()
-            return pa.table(
-                {"o": pa.array(df["o"].to_numpy(np.int64)),
-                 "bid": pa.array(df["bid"].to_numpy(np.int64))}
-            )
-
-        ob = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]).join(
-            _read(sf_dir, "part", ["p_partkey", "p_brand"]),
-            join_type="inner",
-            num_partitions=_join_parts(2),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        ).map_batches(label, batch_format="pyarrow")
-
-    _KCORE_PARTS = 32
-
-    def tag(t: pa.Table) -> pa.Table:
-        if len(t) == 0 or "o" not in t.column_names:
-            return pa.table(
-                {"o": pa.array([], pa.int64()),
-                 "bid": pa.array([], pa.int64()),
-                 "pt": pa.array([], pa.int64())}
-            )
-        h = t["o"].to_numpy().astype(np.uint64) * np.uint64(
-            0x9E3779B97F4A7C15
-        )
-        pt = ((h >> np.uint64(33)) % np.uint64(_KCORE_PARTS)).astype(
-            np.int64
-        )
-        return t.append_column("pt", pa.array(pt))
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        empty_p = pd.DataFrame(
-            {"k": pd.array([], dtype="int64"),
-             "n": pd.array([], dtype="int64")}
-        )
-        if g.empty:
-            return empty_p
-        fused = g["o"].to_numpy(np.int64) * np.int64(64) + g[
-            "bid"
-        ].to_numpy(np.int64)
-        u = np.unique(fused)            # per-order distinct brands
-        o_arr = u >> np.int64(6)
-        b_arr = u & np.int64(63)
-        # segment bookkeeping: positions within each order's brand run
-        new = np.ones(len(u), dtype=bool)
-        new[1:] = o_arr[1:] != o_arr[:-1]
-        seg_id = np.cumsum(new) - 1
-        starts = np.flatnonzero(new)
-        lens = np.diff(np.append(starts, len(u)))
-        pos = np.arange(len(u)) - starts[seg_id]
-        keys = []
-        m = int(lens.max()) if len(lens) else 0
-        for dlt in range(1, m):         # bounded: <= |brands| strides
-            ok = pos + dlt < lens[seg_id]
-            if not ok.any():
-                break
-            keys.append(b_arr[ok] * np.int64(64) + b_arr[
-                np.flatnonzero(ok) + dlt
-            ])
-        if not keys:
-            return empty_p
-        pk2, c = np.unique(np.concatenate(keys), return_counts=True)
-        return pd.DataFrame(
-            {"k": pk2.astype(np.int64), "n": c.astype(np.int64)}
-        )
-
-    parts_df = (
-        ob.map_batches(tag, batch_format="pyarrow")
-        .groupby("pt")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()    # bounded: <= |brands|^2 pairs x partitions
-    )
-    if parts_df.empty:
-        return brands, None
-    return brands, parts_df.groupby("k")["n"].sum()
-
-
-# ---- brand_graph_kcore: iterative k-core peeling ----------------------------
-
-BRAND_CORE_K = 3
-
-
-def brand_graph_kcore(sf_dir: str) -> "pa.Table":
-    """3-CORE of the strong brand co-purchase graph — iterative GRAPH
-    PEELING, the fixpoint family BFS (frontier expansion), PageRank
-    (value iteration) and components (label propagation) don't cover:
-    each round REMOVES nodes whose degree among survivors is < k, and a
-    removal can cascade, so the rounds are inherently sequential.  It
-    exists exactly because the node set is CATALOG-BOUNDED (≤ |brands|
-    ≈ 25 nodes, ≤ 300 edges): the peel is a driver fold, never a
-    distributed loop.  Edges: brand pairs co-purchased in one order,
-    kept when the pair weight is ≥ 1.2× the mean pair weight — the
-    exact integer inequality ``5·w·D ≥ 6·S`` (S = total weight, D =
-    distinct pairs) so both engines agree bit-for-bit and the relative
-    threshold stays meaningful at every scale.  Output: each core
-    member with its within-core degree.
-
-    Scale shape: the pair weights come from ``_brand_pair_census``
-    (broadcast dim probe + ONE hash-tag partition-fold exchange, no
-    hash join — see its docstring); the peel itself is O(25²) on the
-    driver.  The DuckDB mirror replays the peel as a recursive CTE
-    filtering an alive-list to fixpoint.
-
-    Reference anchor: A4's gate-path distribution (SURVEY.md §2.6) as
-    the graph-cohesion question: which gates form a dense clique?"""
-    empty = pa.table(
-        {"brand": pa.array([], pa.string()),
-         "core_degree": pa.array([], pa.int64())}
-    )
-    brands, w = _brand_pair_census(sf_dir)
-    if w is None:
-        return empty
-    S = int(w.sum())
-    D = int(len(w))
-    strong = [
-        (int(k) // 64, int(k) % 64)
-        for k, ww in w.items() if 5 * int(ww) * D >= 6 * S
-    ]
-    adj: dict[int, set] = {}
-    for a, b in strong:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    alive = set(adj)
-    while True:                         # bounded: <= |brands| rounds
-        drop = {n for n in alive
-                if len(adj[n] & alive) < BRAND_CORE_K}
-        if not drop:
-            break
-        alive -= drop
-    rows = sorted(
-        (str(brands[n]), len(adj[n] & alive)) for n in alive
-    )
-    return pa.table(
-        {"brand": pa.array([r[0] for r in rows], pa.string()),
-         "core_degree": pa.array([r[1] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["brand_graph_kcore"] = (
-    "WITH RECURSIVE ob AS (SELECT DISTINCT l.l_orderkey AS o, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN part p ON l.l_partkey = p.p_partkey), "
-    "pw AS (SELECT a.b AS b1, b.b AS b2, count(*)::BIGINT AS w "
-    "FROM ob a JOIN ob b ON a.o = b.o AND a.b < b.b GROUP BY 1, 2), "
-    "tot AS (SELECT sum(w)::BIGINT AS s, count(*)::BIGINT AS d FROM pw), "
-    "strong AS (SELECT b1, b2 FROM pw, tot WHERE 5 * w * d >= 6 * s), "
-    "es AS (SELECT coalesce(list(struct_pack(a := b1, b := b2)), "
-    "CAST([] AS STRUCT(a VARCHAR, b VARCHAR)[])) AS edges FROM strong), "
-    "nodes AS (SELECT coalesce(list_sort(list(DISTINCT x)), "
-    "CAST([] AS VARCHAR[])) AS ns FROM "
-    "(SELECT b1 AS x FROM strong UNION ALL SELECT b2 FROM strong)), "
-    "r(alive, prev_n) AS ("
-    "SELECT ns, -1::BIGINT FROM nodes "
-    "UNION ALL "
-    "SELECT list_filter(r.alive, n -> len(list_filter(es.edges, "
-    "e -> (e.a = n AND list_contains(r.alive, e.b)) "
-    "OR (e.b = n AND list_contains(r.alive, e.a)))) >= "
-    f"{BRAND_CORE_K}), "
-    "len(r.alive)::BIGINT "
-    "FROM r, es WHERE len(r.alive)::BIGINT <> r.prev_n), "
-    "fix AS (SELECT alive FROM r WHERE len(alive)::BIGINT = prev_n "
-    "LIMIT 1) "
-    "SELECT n AS brand, "
-    "len(list_filter(es.edges, "
-    "e -> (e.a = n AND list_contains(fix.alive, e.b)) "
-    "OR (e.b = n AND list_contains(fix.alive, e.a))))::BIGINT "
-    "AS core_degree "
-    "FROM (SELECT unnest(alive) AS n FROM fix), es, fix ORDER BY brand"
-)
-
-
-# ---- brand_widest_path: bottleneck (max-min) path optimization --------------
-
-def brand_widest_path(sf_dir: str) -> "pa.Table":
-    """WIDEST PATH (maximum-bottleneck) from the co-purchase hub brand
-    to every other brand: the best achievable minimum edge weight along
-    any path — "how strongly is each brand connected to the center of
-    the catalog, allowing multi-hop chains?"  Bottleneck optimization
-    is the max-min semiring, a different algebra from BFS (hop counts),
-    PageRank (weighted sums) and k-core (degree peeling): the fold is
-    ``bw[n] = max over edges (u,n) of min(bw[u], w(u,n))`` iterated to
-    fixpoint (Bellman-Ford-style relaxation, ≤ |nodes| rounds).  The
-    hub is the brand with the largest total co-purchase weight (ties →
-    lexicographically smaller brand); its own bw is the sentinel S+1
-    (greater than any edge weight, exact on both engines).  Unreachable
-    brands are omitted.
-
-    Scale shape: pair weights from ``_brand_pair_census`` (broadcast
-    dim probe + one partition-fold exchange); the relaxation is O(25·
-    300) on the driver.  The DuckDB mirror replays the same relaxation
-    as a recursive CTE carrying the bw list to fixpoint.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the connectivity-strength question."""
-    empty = pa.table(
-        {"brand": pa.array([], pa.string()),
-         "bottleneck": pa.array([], pa.int64())}
-    )
-    brands, w = _brand_pair_census(sf_dir)
-    if w is None:
-        return empty
-    S = int(w.sum())
-    edges = [
-        (int(k) // 64, int(k) % 64, int(ww)) for k, ww in w.items()
-    ]
-    tw: dict[int, int] = {}
-    for a, b, ww in edges:
-        tw[a] = tw.get(a, 0) + ww
-        tw[b] = tw.get(b, 0) + ww
-    # hub: max total weight, ties -> lexicographically smaller brand
-    hub = min(tw, key=lambda n: (-tw[n], str(brands[n])))
-    bw = {n: 0 for n in tw}
-    bw[hub] = S + 1
-    while True:                         # bounded: <= |brands| rounds
-        changed = False
-        for a, b, ww in edges:
-            na = max(bw[a], min(bw[b], ww))
-            nb = max(bw[b], min(bw[a], ww))
-            if na > bw[a]:
-                bw[a] = na
-                changed = True
-            if nb > bw[b]:
-                bw[b] = nb
-                changed = True
-        if not changed:
-            break
-    rows = sorted(
-        (str(brands[n]), v) for n, v in bw.items()
-        if n != hub and v > 0
-    )
-    return pa.table(
-        {"brand": pa.array([r[0] for r in rows], pa.string()),
-         "bottleneck": pa.array([r[1] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["brand_widest_path"] = (
-    "WITH RECURSIVE ob AS (SELECT DISTINCT l.l_orderkey AS o, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN part p ON l.l_partkey = p.p_partkey), "
-    "pw AS (SELECT a.b AS b1, b.b AS b2, count(*)::BIGINT AS w "
-    "FROM ob a JOIN ob b ON a.o = b.o AND a.b < b.b GROUP BY 1, 2), "
-    "deg AS (SELECT x AS b, sum(w)::BIGINT AS tw FROM "
-    "(SELECT b1 AS x, w FROM pw UNION ALL SELECT b2, w FROM pw) "
-    "GROUP BY 1), "
-    "hub AS (SELECT b FROM deg ORDER BY tw DESC, b LIMIT 1), "
-    "ns AS (SELECT list_sort(list(b)) AS nodes FROM deg), "
-    "tot AS (SELECT sum(w)::BIGINT + 1 AS inf FROM pw), "
-    "es AS (SELECT list(struct_pack("
-    "ia := list_position(ns.nodes, b1), "
-    "ib := list_position(ns.nodes, b2), w := w)) AS edges "
-    "FROM pw, ns GROUP BY ns.nodes), "
-    "seed AS (SELECT list_transform(range(1, len(ns.nodes) + 1), "
-    "i -> CASE WHEN ns.nodes[i] = hub.b THEN tot.inf "
-    "ELSE 0::BIGINT END) AS bw, "
-    "ns.nodes AS nodes, es.edges AS edges FROM ns, hub, tot, es), "
-    "r(bw, prev, nodes, edges) AS ("
-    "SELECT bw, CAST(NULL AS BIGINT[]), nodes, edges FROM seed "
-    "UNION ALL "
-    "SELECT list_transform(range(1, len(r.nodes) + 1), i -> "
-    "GREATEST(r.bw[i], coalesce(list_max(list_transform("
-    "list_filter(r.edges, e -> e.ia = i OR e.ib = i), "
-    "e -> LEAST(CASE WHEN e.ia = i THEN r.bw[e.ib] "
-    "ELSE r.bw[e.ia] END, e.w))), 0))), "
-    "r.bw, r.nodes, r.edges "
-    "FROM r WHERE r.bw IS DISTINCT FROM r.prev), "
-    "fix AS (SELECT bw, nodes FROM r WHERE bw = prev LIMIT 1) "
-    "SELECT nodes[i] AS brand, bw[i]::BIGINT AS bottleneck "
-    "FROM fix, (SELECT unnest(range(1, len(nodes) + 1)) AS i FROM fix) "
-    "WHERE nodes[i] <> (SELECT b FROM hub) AND bw[i] > 0 "
-    "ORDER BY brand"
-)
-
-
-# ---- brand_cheapest_path: (min,+) shortest path — the semiring trio --------
-
-def brand_cheapest_path(sf_dir: str) -> "pa.Table":
-    """CHEAPEST PATH from the co-purchase hub to every brand under the
-    integer edge cost ``S // w + 1`` (S = total pair weight; heavily
-    co-purchased pairs are cheap to traverse) — the (min,+) SEMIRING,
-    completing the path-algebra trio the brand graph now carries:
-    copurchase_hub_distances folds (min, +1) hop counts, brand_widest_
-    path folds (max, min) bottlenecks, and this folds true weighted
-    shortest-path costs; one relaxation skeleton, three algebras, which
-    is exactly the generalized-semiring framing of distributed graph
-    analytics.  The hub is the max-total-weight brand (ties → lex
-    smaller), its own cost 0; unreachable brands are omitted; the
-    UNREACHED sentinel ``25·(S+1)`` exceeds any real path cost (≤ 24
-    edges × max cost S+1) so relaxation through unreached nodes can
-    never undercut a real path — no reachability guard needed, the
-    arithmetic is self-protecting on both engines.
-
-    Scale shape: pair weights from ``_brand_pair_census`` (broadcast
-    dim probe + one partition-fold exchange); the relaxation is
-    O(25·300) on the driver.  The DuckDB mirror replays the identical
-    relaxation as a recursive CTE carrying the cost list to fixpoint.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the routing-cost question."""
-    empty = pa.table(
-        {"brand": pa.array([], pa.string()),
-         "cost": pa.array([], pa.int64())}
-    )
-    brands, w = _brand_pair_census(sf_dir)
-    if w is None:
-        return empty
-    S = int(w.sum())
-    edges = [
-        (int(k) // 64, int(k) % 64, S // int(ww) + 1)
-        for k, ww in w.items()
-    ]
-    tw: dict[int, int] = {}
-    for k, ww in w.items():
-        a, b = int(k) // 64, int(k) % 64
-        tw[a] = tw.get(a, 0) + int(ww)
-        tw[b] = tw.get(b, 0) + int(ww)
-    hub = min(tw, key=lambda n: (-tw[n], str(brands[n])))
-    INF = 25 * (S + 1)
-    dist = {n: INF for n in tw}
-    dist[hub] = 0
-    while True:                         # bounded: <= |brands| rounds
-        changed = False
-        for a, b, c in edges:
-            na = min(dist[a], dist[b] + c)
-            nb = min(dist[b], dist[a] + c)
-            if na < dist[a]:
-                dist[a] = na
-                changed = True
-            if nb < dist[b]:
-                dist[b] = nb
-                changed = True
-        if not changed:
-            break
-    rows = sorted(
-        (str(brands[n]), v) for n, v in dist.items()
-        if n != hub and v < INF
-    )
-    return pa.table(
-        {"brand": pa.array([r[0] for r in rows], pa.string()),
-         "cost": pa.array([r[1] for r in rows], pa.int64())}
-    )
-
-
-ORACLES["brand_cheapest_path"] = (
-    "WITH RECURSIVE ob AS (SELECT DISTINCT l.l_orderkey AS o, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN part p ON l.l_partkey = p.p_partkey), "
-    "pw AS (SELECT a.b AS b1, b.b AS b2, count(*)::BIGINT AS w "
-    "FROM ob a JOIN ob b ON a.o = b.o AND a.b < b.b GROUP BY 1, 2), "
-    "deg AS (SELECT x AS b, sum(w)::BIGINT AS tw FROM "
-    "(SELECT b1 AS x, w FROM pw UNION ALL SELECT b2, w FROM pw) "
-    "GROUP BY 1), "
-    "hub AS (SELECT b FROM deg ORDER BY tw DESC, b LIMIT 1), "
-    "ns AS (SELECT list_sort(list(b)) AS nodes FROM deg), "
-    "tot AS (SELECT sum(w)::BIGINT AS s, "
-    "25 * (sum(w)::BIGINT + 1) AS inf FROM pw), "
-    "es AS (SELECT list(struct_pack("
-    "ia := list_position(ns.nodes, b1), "
-    "ib := list_position(ns.nodes, b2), "
-    "c := tot.s // w + 1)) AS edges "
-    "FROM pw, ns, tot GROUP BY ns.nodes), "
-    "seed AS (SELECT list_transform(range(1, len(ns.nodes) + 1), "
-    "i -> CASE WHEN ns.nodes[i] = hub.b THEN 0::BIGINT "
-    "ELSE tot.inf END) AS d, "
-    "ns.nodes AS nodes, es.edges AS edges, tot.inf AS inf "
-    "FROM ns, hub, tot, es), "
-    "r(d, prev, nodes, edges, inf) AS ("
-    "SELECT d, CAST(NULL AS BIGINT[]), nodes, edges, inf FROM seed "
-    "UNION ALL "
-    "SELECT list_transform(range(1, len(r.nodes) + 1), i -> "
-    "LEAST(r.d[i], coalesce(list_min(list_transform("
-    "list_filter(r.edges, e -> e.ia = i OR e.ib = i), "
-    "e -> (CASE WHEN e.ia = i THEN r.d[e.ib] "
-    "ELSE r.d[e.ia] END) + e.c)), r.inf))), "
-    "r.d, r.nodes, r.edges, r.inf "
-    "FROM r WHERE r.d IS DISTINCT FROM r.prev), "
-    "fix AS (SELECT d, nodes, inf FROM r WHERE d = prev LIMIT 1) "
-    "SELECT nodes[i] AS brand, d[i]::BIGINT AS cost "
-    "FROM fix, (SELECT unnest(range(1, len(nodes) + 1)) AS i FROM fix) "
-    "WHERE nodes[i] <> (SELECT b FROM hub) AND d[i] < inf "
-    "ORDER BY brand"
-)
-
-
-# ---- part_knapsack_best: 0/1 knapsack DP (budgeted selection) ----------------
-
-KNAPSACK_CAPACITY = 100
-KNAPSACK_CANDIDATES = 64
-
-
-def part_knapsack_best(sf_dir: str) -> "pa.Table":
-    """0/1 KNAPSACK over the part catalog: the maximum total retail
-    price (cents) achievable by packing parts into a size budget of
-    100, choosing among the 64 priciest candidates (ties → smaller
-    partkey) — budgeted selection, the DP-over-RESOURCE family (the
-    capacity dimension is the DP state, unlike the sequence DPs): the
-    optimum couples every item with every residual capacity, so no
-    fold or greedy expresses it exactly.  The candidate cap is the
-    bulk_brand_cover contract: a deterministic bounded pool makes the
-    exponential problem a 64×101 driver DP, and the DP VALUE is
-    selection-order-independent given the candidate SET, so the output
-    is deterministic.
-
-    Scale shape: per-batch top-64 (value desc, partkey asc) partials
-    bound the gather to 64 × blocks even over a billion-part catalog;
-    the DP is O(64·101) exact int64 on the driver.  The DuckDB mirror
-    replays the DP as a depth-64 recursive CTE carrying the value
-    array per capacity.
-
-    Reference anchor: S3's size-budget validator (SURVEY.md §2.1)
-    asked as the optimizer's question: the most value a fixed budget
-    admits."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty_p = pa.table(
-            {"pk": pa.array([], pa.int64()),
-             "v": pa.array([], pa.int64()),
-             "w": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty_p
-        v = np.floor(
-            t["p_retailprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        pk = t["p_partkey"].to_numpy()
-        w = t["p_size"].to_numpy().astype(np.int64)
-        order = np.lexsort((pk, -v))[:KNAPSACK_CANDIDATES]
-        return pa.table(
-            {"pk": pa.array(pk[order].astype(np.int64)),
-             "v": pa.array(v[order]),
-             "w": pa.array(w[order])}
-        )
-
-    cand = (
-        _read(sf_dir, "part", ["p_partkey", "p_retailprice", "p_size"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: K x blocks
-    )
-    empty = pa.table(
-        {"capacity": pa.array([], pa.int64()),
-         "n_candidates": pa.array([], pa.int64()),
-         "best_cents": pa.array([], pa.int64())}
-    )
-    if cand.empty:
-        return empty
-    cand = cand.sort_values(
-        ["v", "pk"], ascending=[False, True]
-    ).head(KNAPSACK_CANDIDATES)
-    dp = np.zeros(KNAPSACK_CAPACITY + 1, dtype=np.int64)
-    for v, w in zip(cand["v"], cand["w"]):      # bounded: K items
-        v, w = int(v), int(w)
-        if w <= KNAPSACK_CAPACITY:
-            shifted = dp[: KNAPSACK_CAPACITY + 1 - w] + v
-            dp[w:] = np.maximum(dp[w:], shifted)
-    return pa.table(
-        {"capacity": pa.array([KNAPSACK_CAPACITY], pa.int64()),
-         "n_candidates": pa.array([len(cand)], pa.int64()),
-         "best_cents": pa.array([int(dp[KNAPSACK_CAPACITY])], pa.int64())}
-    )
-
-
-ORACLES["part_knapsack_best"] = (
-    "WITH RECURSIVE items AS (SELECT "
-    "CAST(floor(p_retailprice * 100.0 + 0.5) AS BIGINT) AS v, "
-    "p_size::BIGINT AS w FROM part "
-    f"ORDER BY v DESC, p_partkey LIMIT {KNAPSACK_CANDIDATES}), "
-    "its AS (SELECT list(struct_pack(v := v, w := w)) AS arr, "
-    "count(*)::BIGINT AS k FROM items), "
-    "r(i, vals, arr, k) AS ("
-    f"SELECT 0::BIGINT, list_transform(range(0, {KNAPSACK_CAPACITY} + 1), "
-    "c -> 0::BIGINT), arr, k FROM its WHERE k > 0 "
-    "UNION ALL "
-    f"SELECT r.i + 1, list_transform(range(0, {KNAPSACK_CAPACITY} + 1), "
-    "c -> CASE WHEN c >= r.arr[r.i + 1].w "
-    "THEN GREATEST(r.vals[c + 1], "
-    "r.vals[c - r.arr[r.i + 1].w + 1] + r.arr[r.i + 1].v) "
-    "ELSE r.vals[c + 1] END), r.arr, r.k "
-    "FROM r WHERE r.i < r.k), "
-    "fin AS (SELECT vals, k FROM r WHERE i = k) "
-    f"SELECT {KNAPSACK_CAPACITY}::BIGINT AS capacity, "
-    "f.k AS n_candidates, "
-    f"f.vals[{KNAPSACK_CAPACITY} + 1]::BIGINT AS best_cents FROM fin f"
-)
-
-
-# ---- brand_mst_weight: Kruskal maximum spanning forest ----------------------
-
-def brand_mst_weight(sf_dir: str) -> "pa.Table":
-    """MAXIMUM SPANNING FOREST of the brand co-purchase graph — the
-    strongest acyclic backbone that keeps every co-purchased brand
-    connected: Kruskal's greedy matroid algorithm (scan edges by weight
-    descending, accept iff the endpoints are in different components),
-    the spanning-tree family that k-core (peeling), widest-path
-    (max-min relaxation) and BFS (hops) don't cover.  Edge order is
-    fully pinned (weight DESC, then brand_a, brand_b), so both engines
-    accept the identical edge sequence even under weight ties.  Output:
-    one row (n_nodes, n_components, n_edges, forest_weight).
-
-    Scale shape: pair weights from ``_brand_pair_census`` (broadcast
-    dim probe + one partition-fold exchange, ≤ |brands|² pairs); the
-    union-find scan is O(|edges| α) on the driver over the BOUNDED
-    brand alphabet.  The DuckDB mirror replays the same Kruskal scan as
-    a recursive CTE carrying the component-label list.
-
-    Reference anchor: J2's owner routing (SURVEY.md §2.5) asked as
-    "what is the minimal strongest wiring of the catalog?"."""
-    empty = pa.table(
-        {"n_nodes": pa.array([], pa.int64()),
-         "n_components": pa.array([], pa.int64()),
-         "n_edges": pa.array([], pa.int64()),
-         "forest_weight": pa.array([], pa.int64())}
-    )
-    brands, w = _brand_pair_census(sf_dir)
-    if w is None:
-        return empty
-    edges = sorted(
-        ((int(ww), int(k) // 64, int(k) % 64) for k, ww in w.items()),
-        key=lambda e: (-e[0], str(brands[e[1]]), str(brands[e[2]])),
-    )
-    nodes = sorted({a for _, a, _ in edges} | {b for _, _, b in edges})
-    parent = {n: n for n in nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    total = n_acc = 0
-    for ww, a, b in edges:              # bounded: <= |brands|^2 edges
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            total += ww
-            n_acc += 1
-    return pa.table(
-        {"n_nodes": pa.array([len(nodes)], pa.int64()),
-         "n_components": pa.array([len(nodes) - n_acc], pa.int64()),
-         "n_edges": pa.array([n_acc], pa.int64()),
-         "forest_weight": pa.array([total], pa.int64())}
-    )
-
-
-ORACLES["brand_mst_weight"] = (
-    "WITH RECURSIVE ob AS (SELECT DISTINCT l.l_orderkey AS o, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN part p ON l.l_partkey = p.p_partkey), "
-    "pw AS (SELECT a.b AS b1, b.b AS b2, count(*)::BIGINT AS w "
-    "FROM ob a JOIN ob b ON a.o = b.o AND a.b < b.b GROUP BY 1, 2), "
-    "ns AS (SELECT list_sort(list(DISTINCT x)) AS nodes FROM "
-    "(SELECT b1 AS x FROM pw UNION SELECT b2 FROM pw)), "
-    "es AS (SELECT list(struct_pack("
-    "ia := list_position(ns.nodes, b1), "
-    "ib := list_position(ns.nodes, b2), w := w) "
-    "ORDER BY w DESC, b1, b2) AS arr, count(*)::BIGINT AS k "
-    "FROM pw, ns GROUP BY ns.nodes), "
-    "r(i, labels, total, acc) AS ("
-    "SELECT 0::BIGINT, list_transform(range(1, len(ns.nodes) + 1), "
-    "x -> x), 0::BIGINT, 0::BIGINT FROM ns, es "
-    "UNION ALL "
-    "SELECT r.i + 1, "
-    "CASE WHEN r.labels[es.arr[r.i + 1].ia] <> "
-    "r.labels[es.arr[r.i + 1].ib] THEN "
-    "list_transform(r.labels, x -> CASE WHEN "
-    "x = r.labels[es.arr[r.i + 1].ib] "
-    "THEN r.labels[es.arr[r.i + 1].ia] ELSE x END) "
-    "ELSE r.labels END, "
-    "r.total + CASE WHEN r.labels[es.arr[r.i + 1].ia] <> "
-    "r.labels[es.arr[r.i + 1].ib] THEN es.arr[r.i + 1].w "
-    "ELSE 0 END, "
-    "r.acc + CASE WHEN r.labels[es.arr[r.i + 1].ia] <> "
-    "r.labels[es.arr[r.i + 1].ib] THEN 1 ELSE 0 END "
-    "FROM r, es WHERE r.i < es.k), "
-    "fin AS (SELECT total, acc FROM r, es WHERE r.i = es.k) "
-    "SELECT (SELECT len(nodes) FROM ns)::BIGINT AS n_nodes, "
-    "((SELECT len(nodes) FROM ns) - f.acc)::BIGINT AS n_components, "
-    "f.acc::BIGINT AS n_edges, f.total::BIGINT AS forest_weight "
-    "FROM fin f"
-)
-
-
-# ---- order_backlog_lindley: queueing backlog via the Lindley identity ------
-
-def order_backlog_lindley(sf_dir: str) -> "pa.Table":
-    """Daily fulfilment BACKLOG under a fixed processing capacity — the
-    single-server queue every ingest service runs: ``B_d = max(0,
-    B_{d-1} + arrivals_d - capacity)`` (Lindley's recursion), with
-    capacity fixed at the ceiling of the mean daily order count so the
-    queue is critically loaded and the excursions are informative.
-    The queueing family none of the scan statistics cover: the clamp at
-    zero makes the fold non-linear, but it is MAX-PLUS linear, so the
-    recursion collapses to the prefix-sum identity ``B_d = P_d -
-    min(0, min_{j<=d} P_j)`` with ``P`` the running sum of
-    (arrivals - capacity) — two associative scans, no sequential state.
-
-    Outputs one row of exact integers: day-span, capacity, the peak
-    backlog and its first day, the number of backlogged days, and the
-    total delay (sum of daily backlogs = order-days spent queueing).
-
-    Scale shape: in-batch pyarrow per-day count partials (bounded by
-    day span x blocks), one bounded gather, two numpy scans on the
-    DAY-SPAN axis (a few thousand entries regardless of row count).
-    The DuckDB mirror zero-fills the same grid with a lateral
-    generate_series and replays the identity with window cumsum +
-    running min — exact integer parity, no recursion.
-
-    Reference anchor: S4's storage-writer admission queue (SURVEY.md
-    §2.1) asked as the capacity-planning question."""
-    US_DAY = 86_400_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"d": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        day = pc.cast(t["o_orderdate"], pa.int64()).to_numpy() // US_DAY
-        g = (
-            pa.table({"d": pa.array(day),
-                      "n": pa.array(np.ones(len(day), np.int64))})
-            .group_by("d")
-            .aggregate([("n", "sum")])
-        )
-        return pa.table({"d": g["d"], "n": g["n_sum"]})
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderdate"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: day span x blocks
-    )
-    empty = pa.table(
-        {"n_days": pa.array([], pa.int64()),
-         "capacity": pa.array([], pa.int64()),
-         "max_backlog": pa.array([], pa.int64()),
-         "peak_day": pa.array([], pa.int64()),
-         "busy_days": pa.array([], pa.int64()),
-         "total_delay": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    agg = parts.groupby("d", sort=True)["n"].sum()
-    d0 = int(agg.index.min())
-    d1 = int(agg.index.max())
-    ndays = d1 - d0 + 1
-    c = np.zeros(ndays, np.int64)
-    c[agg.index.to_numpy(np.int64) - d0] = agg.to_numpy(np.int64)
-    total = int(c.sum())
-    cap = max(1, (total + ndays - 1) // ndays)
-    p = np.cumsum(c - cap)
-    b = p - np.minimum(np.minimum.accumulate(p), 0)
-    mb = int(b.max())
-    return pa.table(
-        {"n_days": pa.array([ndays], pa.int64()),
-         "capacity": pa.array([cap], pa.int64()),
-         "max_backlog": pa.array([mb], pa.int64()),
-         "peak_day": pa.array([d0 + int(np.argmax(b))], pa.int64()),
-         "busy_days": pa.array([int((b > 0).sum())], pa.int64()),
-         "total_delay": pa.array([int(b.sum())], pa.int64())}
-    )
-
-
-ORACLES["order_backlog_lindley"] = (
-    "WITH b AS (SELECT min(epoch_us(o_orderdate) // 86400000000) AS d0, "
-    "max(epoch_us(o_orderdate) // 86400000000) AS d1, "
-    "count(*) AS n FROM orders), "
-    "cap AS (SELECT d0, d1, d1 - d0 + 1 AS nd, "
-    "GREATEST(1, (n + d1 - d0) // (d1 - d0 + 1)) AS c FROM b), "
-    "cnt AS (SELECT epoch_us(o_orderdate) // 86400000000 AS d, "
-    "count(*) AS k FROM orders GROUP BY 1), "
-    "grid AS (SELECT unnest(generate_series(cap.d0, cap.d1)) AS day "
-    "FROM cap), "
-    "x AS (SELECT grid.day, COALESCE(cnt.k, 0) - (SELECT c FROM cap) AS dx "
-    "FROM grid LEFT JOIN cnt ON cnt.d = grid.day), "
-    "p AS (SELECT day, sum(dx) OVER (ORDER BY day) AS ps FROM x), "
-    "bl AS (SELECT day, ps - LEAST(0, min(ps) OVER (ORDER BY day)) AS bk "
-    "FROM p), "
-    "fin AS (SELECT max(bk) AS mb FROM bl) "
-    "SELECT (SELECT nd FROM cap)::BIGINT AS n_days, "
-    "(SELECT c FROM cap)::BIGINT AS capacity, "
-    "fin.mb::BIGINT AS max_backlog, "
-    "(SELECT min(day) FROM bl WHERE bk = fin.mb)::BIGINT AS peak_day, "
-    "(SELECT count(*) FROM bl WHERE bk > 0)::BIGINT AS busy_days, "
-    "(SELECT COALESCE(sum(bk), 0) FROM bl)::BIGINT AS total_delay "
-    "FROM fin"
-)
-
-
-# ---- region_banzhaf: exact Banzhaf power index over region coalitions -----
-
-def region_banzhaf(sf_dir: str) -> "pa.Table":
-    """Exact BANZHAF POWER INDEX of each region in the weighted voting
-    game where a region's weight is its total order revenue (cents via
-    customer -> nation -> region) and passing needs a strict majority
-    (quota = total//2 + 1): a region's power is NOT its weight share —
-    it is the fraction of coalition swings it provides (#coalitions S
-    of the other regions with sum(S) < quota <= sum(S) + w_i).  The
-    cooperative-game-theory family: weight shares and power indices
-    diverge exactly when one player dominates (a >50% region is a
-    dictator with index 1.0 while non-zero weights read 0), which no
-    share/concentration operator (supplier_concentration, market_share)
-    exposes.
-
-    Exactness: the region axis is BOUNDED (5 by spec, asserted <= 16),
-    so all 2^n coalition sums enumerate exactly in Python bignums —
-    no sampling.  ``banzhaf = swings / total_swings`` is the one float
-    division; a -1.0 sentinel replaces it when no swings exist (total
-    weight 0), mirrored in the SQL.
-
-    Scale shape: the revenue_by_nation exchange — customer broadcast
-    ONCE as sorted numpy via ray.put (hash-join fallback above
-    BROADCAST_DIM_MAX_ROWS), nation->region LUT in the closure, orders
-    stream through map_batches with per-batch regionkey partial sums;
-    the driver folds <= 5 weights and enumerates 32 masks.  The DuckDB
-    mirror enumerates the same masks via unnest(generate_series) with
-    bit tests.
-
-    Reference anchor: A4's gate-path distribution report (SURVEY.md
-    §2.6) asked as the who-actually-decides question."""
-    import pyarrow.parquet as pq
-
-    region = pq.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    empty = pa.table(
-        {"r_name": pa.array([], pa.string()),
-         "weight_cents": pa.array([], pa.int64()),
-         "swings": pa.array([], pa.int64()),
-         "banzhaf": pa.array([], pa.float64())}
-    )
-    if len(region) == 0:
-        return empty
-    rkeys = region["r_regionkey"].to_numpy().astype(np.int64)
-    order = np.argsort(rkeys)
-    rkeys = rkeys[order]
-    rnames = np.asarray(region["r_name"].to_pylist(), dtype=object)[order]
-    n = len(rkeys)
-    assert n <= 16, f"region axis no longer bounded ({n} rows)"
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
-    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-    # nationkey -> regionkey LUT (dense keys, spec-bounded); -1 -> None
-    region_lut = np.full(int(nk.max()) + 2 if len(nk) else 1, None, object)
-    if len(nk):
-        region_lut[nk] = [int(v) for v in nation["n_regionkey"].to_numpy()]
-
-    def _to_cents(t: pa.Table) -> np.ndarray:
-        return np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-
-    if _dim_num_rows(sf_dir, "customer") <= BROADCAST_DIM_MAX_ROWS:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        keys = cust["c_custkey"].to_numpy()
-        corder = np.argsort(keys)
-        ref = ray.put(
-            (keys[corder],
-             cust["c_nationkey"].to_numpy()[corder].astype(np.int64))
-        )
-
-        def part(t: pa.Table) -> pa.Table:
-            rk = _probe_lookup(ref, region_lut, t["o_custkey"].to_numpy())
-            valid = np.not_equal(rk, None)
-            g = (
-                pa.table({"rk": pa.array(rk[valid].astype(np.int64)),
-                          "w": pa.array(_to_cents(t)[valid])})
-                .group_by("rk")
-                .aggregate([("w", "sum")])
-            )
-            return pa.table({"rk": g["rk"], "w": g["w_sum"]})
-
-        parts = (
-            _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-            .map_batches(part, batch_format="pyarrow")
-            .to_pandas()    # bounded: regions x blocks
-        )
-    else:
-        orders = _read(
-            sf_dir, "orders", ["o_custkey", "o_totalprice"]
-        ).map_batches(
-            lambda t: pa.table(
-                {"o_custkey": t["o_custkey"],
-                 "w": pa.array(_to_cents(t), pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-        customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-
-        def post(t: pa.Table) -> pa.Table:
-            rk = region_lut[t["c_nationkey"].to_numpy()]
-            valid = np.not_equal(rk, None)
-            g = (
-                pa.table({"rk": pa.array(rk[valid].astype(np.int64)),
-                          "w": t["w"].to_numpy()[valid]})
-                .group_by("rk")
-                .aggregate([("w", "sum")])
-            )
-            return pa.table({"rk": g["rk"], "w": g["w_sum"]})
-
-        parts = (
-            orders.join(
-                customer,
-                join_type="inner",
-                num_partitions=_join_parts(),
-                on=("o_custkey",),
-                right_on=("c_custkey",),
-            )
-            .map_batches(post, batch_format="pyarrow")
-            .to_pandas()    # bounded: regions x blocks
-        )
-
-    w = {int(k): 0 for k in rkeys}
-    if not parts.empty:
-        for k, v in parts.groupby("rk")["w"].sum().items():
-            if int(k) in w:
-                w[int(k)] += int(v)
-    wl = [w[int(k)] for k in rkeys]          # Python bignums
-    total = sum(wl)
-    quota = total // 2 + 1
-    s = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        s[m] = s[m ^ low] + wl[low.bit_length() - 1]
-    swings = []
-    for i in range(n):
-        c = 0
-        for m in range(1 << n):
-            if not (m >> i) & 1 and s[m] < quota <= s[m] + wl[i]:
-                c += 1
-        swings.append(c)
-    ts = sum(swings)
-    bz = [(-1.0 if ts == 0 else float(c) / float(ts)) for c in swings]
-    return pa.table(
-        {"r_name": pa.array(list(rnames), pa.string()),
-         "weight_cents": pa.array(wl, pa.int64()),
-         "swings": pa.array(swings, pa.int64()),
-         "banzhaf": pa.array(bz, pa.float64())}
-    )
-
-
-ORACLES["region_banzhaf"] = (
-    "WITH x AS (SELECT n_regionkey AS g, "
-    "sum(CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT))::BIGINT AS w "
-    "FROM orders JOIN customer ON o_custkey = c_custkey "
-    "JOIN nation ON c_nationkey = n_nationkey GROUP BY 1), "
-    "wt AS (SELECT r.r_name, "
-    "(row_number() OVER (ORDER BY r.r_regionkey) - 1) AS bit, "
-    "COALESCE(x.w, 0)::BIGINT AS w "
-    "FROM region r LEFT JOIN x ON x.g = r.r_regionkey), "
-    "tot AS (SELECT sum(w)::BIGINT AS t, count(*)::BIGINT AS n FROM wt), "
-    "q AS (SELECT t // 2 + 1 AS quota FROM tot), "
-    "masks AS (SELECT unnest(generate_series(0, "
-    "(SELECT (1::BIGINT << n) - 1 FROM tot))) AS m), "
-    "ms AS (SELECT masks.m, COALESCE(sum(wt.w), 0)::BIGINT AS s "
-    "FROM masks LEFT JOIN wt ON ((masks.m >> wt.bit) & 1) = 1 "
-    "GROUP BY masks.m), "
-    "sw AS (SELECT wt.r_name, wt.w, "
-    "(SELECT count(*) FROM ms, q "
-    "WHERE ((ms.m >> wt.bit) & 1) = 0 AND ms.s < q.quota "
-    "AND ms.s + wt.w >= q.quota)::BIGINT AS swings FROM wt), "
-    "tsw AS (SELECT sum(swings)::BIGINT AS ts FROM sw) "
-    "SELECT sw.r_name, sw.w AS weight_cents, sw.swings, "
-    "CASE WHEN tsw.ts = 0 THEN -1.0 ELSE "
-    "CAST(sw.swings AS DOUBLE) / CAST(tsw.ts AS DOUBLE) END AS banzhaf "
-    "FROM sw, tsw"
-)
-
-
-# ---- prime_price_census: number-theory primality census over cents --------
-
-def prime_price_census(sf_dir: str) -> "pa.Table":
-    """Primality census over order totals in cents — the NUMBER-THEORY
-    family beyond gcd (price_tick_gcd): how many order totals are prime
-    numbers of cents, and the extreme primes.  Useless as a business
-    question, load-bearing as an operator shape: a per-row predicate
-    whose cost is a NON-TRIVIAL pure function (trial division by all
-    primes <= sqrt(v)), the archetype of expensive row-local scoring.
-
-    Vectorization: each batch sieves primes up to isqrt(batch max)
-    (a few-KB boolean sieve, microseconds) and folds ``composite |=
-    (v % p == 0) & (p*p <= v)`` over ~900 primes as whole-batch numpy
-    masks — no per-row Python.  The ``p*p <= v`` guard is what keeps
-    v == p prime, mirrored exactly in the SQL.
-
-    Outputs one row: n_orders, n_prime, min/max prime cents (-1
-    sentinels when no prime exists), prime_share (the one float
-    division).  The DuckDB mirror runs the same two stages: a sieve
-    CTE (candidates 2..isqrt(max) minus those with a smaller prime
-    divisor) and a per-value NOT EXISTS over it.
-
-    Scale shape: map-only — four scalars per batch cross the exchange;
-    cost is rows x pi(sqrt(max_cents)) vectorized ops, embarrassingly
-    parallel at any scale."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"n": pa.array([], pa.int64()),
-             "k": pa.array([], pa.int64()),
-             "mn": pa.array([], pa.int64()),
-             "mx": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = np.floor(
-            t["o_totalprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        vmax = int(v.max())
-        r = int(np.sqrt(vmax)) + 1
-        while r * r > vmax:
-            r -= 1
-        # boolean sieve of Eratosthenes up to isqrt(max cents)
-        sieve = np.ones(max(r + 1, 2), dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(np.sqrt(r)) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        primes = np.flatnonzero(sieve)
-        composite = v < 2
-        for p in primes:
-            composite |= (v % p == 0) & (p * p <= v)
-        pv = v[~composite & (v >= 2)]
-        return pa.table(
-            {"n": pa.array([len(v)], pa.int64()),
-             "k": pa.array([len(pv)], pa.int64()),
-             "mn": pa.array(
-                 [int(pv.min()) if len(pv) else np.iinfo(np.int64).max],
-                 pa.int64()),
-             "mx": pa.array([int(pv.max()) if len(pv) else -1], pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 4 scalars x blocks
-    )
-    empty = pa.table(
-        {"n_orders": pa.array([], pa.int64()),
-         "n_prime": pa.array([], pa.int64()),
-         "min_prime_cents": pa.array([], pa.int64()),
-         "max_prime_cents": pa.array([], pa.int64()),
-         "prime_share": pa.array([], pa.float64())}
-    )
-    if parts.empty:
-        return empty
-    n = int(parts["n"].sum())
-    k = int(parts["k"].sum())
-    mn = int(parts["mn"].min())
-    mx = int(parts["mx"].max())
-    return pa.table(
-        {"n_orders": pa.array([n], pa.int64()),
-         "n_prime": pa.array([k], pa.int64()),
-         "min_prime_cents": pa.array(
-             [mn if k else -1], pa.int64()),
-         "max_prime_cents": pa.array([mx if k else -1], pa.int64()),
-         "prime_share": pa.array([float(k) / float(n)], pa.float64())}
-    )
-
-
-ORACLES["prime_price_census"] = (
-    "WITH v AS (SELECT CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT) "
-    "AS c FROM orders), "
-    "mx AS (SELECT CAST(floor(sqrt(COALESCE(max(c), 0))) AS BIGINT) AS r "
-    "FROM v), "
-    "cand AS (SELECT unnest(generate_series(2, (SELECT r FROM mx))) AS p), "
-    "pr AS (SELECT p FROM cand WHERE NOT EXISTS "
-    "(SELECT 1 FROM cand d WHERE d.p * d.p <= cand.p "
-    "AND cand.p % d.p = 0)), "
-    "flags AS (SELECT c, (c >= 2 AND NOT EXISTS "
-    "(SELECT 1 FROM pr WHERE pr.p * pr.p <= v.c AND v.c % pr.p = 0)) "
-    "AS is_p FROM v) "
-    "SELECT count(*)::BIGINT AS n_orders, "
-    "count(*) FILTER (WHERE is_p)::BIGINT AS n_prime, "
-    "COALESCE(min(c) FILTER (WHERE is_p), -1)::BIGINT AS min_prime_cents, "
-    "COALESCE(max(c) FILTER (WHERE is_p), -1)::BIGINT AS max_prime_cents, "
-    "CAST(count(*) FILTER (WHERE is_p) AS DOUBLE) / "
-    "CAST(count(*) AS DOUBLE) AS prime_share FROM flags"
-)
-
-
-# ---- nation_dhondt_seats: D'Hondt apportionment of a fixed house ----------
-
-DHONDT_SEATS = 100
-
-
-def nation_dhondt_seats(sf_dir: str) -> "pa.Table":
-    """D'Hondt (Jefferson) apportionment of a fixed ``DHONDT_SEATS``-seat
-    house among nations, populations = customer counts — the
-    APPORTIONMENT / divisor-method family: seats go to the
-    ``DHONDT_SEATS`` largest quotients pop/k (k = 1, 2, ...), which no
-    share or rank operator expresses because the allocation is a
-    GLOBAL competition among (nation, divisor) pairs.
-
-    Exactness: quotients are compared as EXACT FRACTIONS —
-    ``fractions.Fraction(pop, k)`` on the driver, cross-multiplied
-    HUGEINT products in the SQL mirror — never floats (pop_a/k_a ==
-    pop_b/k_b ties are real: pop 2 divisor 66 vs pop 1 divisor 33).
-    Ties break by (nationkey, divisor), pinned on both sides; zero-
-    population nations rank purely by the tie order, so the allocation
-    is total and deterministic on ANY input.
-
-    Scale shape: one bounded combiner groupby (25 nation keys) feeds a
-    driver-side sort of 25 x DHONDT_SEATS pairs — the fact table
-    streams, the competition is O(nations x seats) regardless of rows.
-    The SQL mirror ranks each pair by counting strictly-better pairs
-    (6.25M exact comparisons), selected iff rank < DHONDT_SEATS.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the how-many-shards-does-each-tenant-deserve question."""
-    import pyarrow.parquet as pq
-    from fractions import Fraction
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    empty = pa.table(
-        {"n_name": pa.array([], pa.string()),
-         "customers": pa.array([], pa.int64()),
-         "seats": pa.array([], pa.int64())}
-    )
-    if len(nation) == 0:
-        return empty
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"nk": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        g = (
-            pa.table({"nk": pc.cast(t["c_nationkey"], pa.int64()),
-                      "n": pa.array(np.ones(len(t), np.int64))})
-            .group_by("nk")
-            .aggregate([("n", "sum")])
-        )
-        return pa.table({"nk": g["nk"], "n": g["n_sum"]})
-
-    parts = (
-        _read(sf_dir, "customer", ["c_nationkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 25 nations x blocks
-    )
-    pop = {int(k): 0 for k in nation["n_nationkey"].to_numpy()}
-    if not parts.empty:
-        for k, v in parts.groupby("nk")["n"].sum().items():
-            if int(k) in pop:
-                pop[int(k)] += int(v)
-    nks = sorted(pop)
-    pairs = [
-        (Fraction(pop[nk], k), nk, k)
-        for nk in nks
-        for k in range(1, DHONDT_SEATS + 1)
-    ]
-    pairs.sort(key=lambda x: (-x[0], x[1], x[2]))
-    seats = {nk: 0 for nk in nks}
-    for _, nk, _k in pairs[:DHONDT_SEATS]:
-        seats[nk] += 1
-    names = dict(zip(
-        [int(v) for v in nation["n_nationkey"].to_numpy()],
-        nation["n_name"].to_pylist(),
-    ))
-    return pa.table(
-        {"n_name": pa.array([names[nk] for nk in nks], pa.string()),
-         "customers": pa.array([pop[nk] for nk in nks], pa.int64()),
-         "seats": pa.array([seats[nk] for nk in nks], pa.int64())}
-    )
-
-
-ORACLES["nation_dhondt_seats"] = (
-    f"WITH pop AS (SELECT n_nationkey AS nk, n_name, "
-    f"COALESCE(c.cnt, 0)::BIGINT AS p FROM nation LEFT JOIN "
-    f"(SELECT c_nationkey AS ck, count(*) AS cnt FROM customer "
-    f"GROUP BY 1) c ON c.ck = n_nationkey), "
-    f"pairs AS (SELECT nk, p, "
-    f"unnest(generate_series(1, {DHONDT_SEATS})) AS k FROM pop), "
-    f"sel AS (SELECT a.nk FROM pairs a WHERE "
-    f"(SELECT count(*) FROM pairs b WHERE "
-    f"CAST(b.p AS HUGEINT) * a.k > CAST(a.p AS HUGEINT) * b.k "
-    f"OR (CAST(b.p AS HUGEINT) * a.k = CAST(a.p AS HUGEINT) * b.k "
-    f"AND (b.nk < a.nk OR (b.nk = a.nk AND b.k < a.k)))) "
-    f"< {DHONDT_SEATS}), "
-    f"sc AS (SELECT nk, count(*)::BIGINT AS s FROM sel GROUP BY 1) "
-    f"SELECT pop.n_name, pop.p AS customers, "
-    f"COALESCE(sc.s, 0)::BIGINT AS seats "
-    f"FROM pop LEFT JOIN sc ON sc.nk = pop.nk"
-)
-
-
-# ---- qty_price_hull: exact convex hull of the (qty, price) cloud ----------
-
-def qty_price_hull(sf_dir: str) -> "pa.Table":
-    """Exact CONVEX HULL of the (quantity, price-cents) point cloud —
-    the computational-geometry family beyond pairwise distances
-    (part_cloud_diameter, embedding_closest_pair): how many EXTREME
-    price points bound the whole cloud, and the doubled hull area
-    (shoelace, exact integer).  A point is a hull VERTEX only if no
-    convex combination of others reaches it, so collinear boundary
-    points do NOT count.
-
-    The scale insight: for fixed x only the min and max y can be
-    extreme, so the per-quantity (min, max) cents pair is a SUFFICIENT
-    STATISTIC — the integer quantity axis (1..50 by spec) bounds the
-    candidate set at ~100 points regardless of row count.
-
-    Exactness: Andrew's monotone chain with strict turns (cross <= 0
-    pops) over Python ints on the driver; the DuckDB mirror uses the
-    O(n^3) extreme-point characterization instead of replaying the
-    stack — boundary iff some q sees every other point on one side
-    (cross >= 0), vertex iff boundary and not strictly inside any
-    segment of two other points — and orders vertices around the
-    lexicographic-min vertex by CROSS-PRODUCT-SIGN counting (no
-    atan2 floats; three collinear strict vertices are impossible, so
-    the comparator is total), then takes the same |shoelace| sum.
-
-    Scale shape: in-batch pyarrow (qty -> min,max cents) partials,
-    bounded gather, O(h log h) driver fold.
-
-    Reference anchor: S3's upload validator bounds (SURVEY.md §2.1)
-    asked as the what-envelope-contains-every-order question."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"q": pa.array([], pa.int64()),
-             "mn": pa.array([], pa.int64()),
-             "mx": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        c = np.floor(
-            t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        g = (
-            pa.table({"q": pa.array(q), "mn": pa.array(c), "mx": pa.array(c)})
-            .group_by("q")
-            .aggregate([("mn", "min"), ("mx", "max")])
-        )
-        return pa.table({"q": g["q"], "mn": g["mn_min"], "mx": g["mx_max"]})
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: qty domain x blocks
-    )
-    empty = pa.table(
-        {"n_points": pa.array([], pa.int64()),
-         "hull_vertices": pa.array([], pa.int64()),
-         "area2": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("q").agg(mn=("mn", "min"), mx=("mx", "max"))
-    pts = sorted(
-        {(int(q), int(v))
-         for q, r in g.iterrows() for v in (r["mn"], r["mx"])}
-    )
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    if len(pts) <= 2:
-        hull = list(pts)
-    else:
-        lower: list = []
-        for p in pts:
-            while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-                lower.pop()
-            lower.append(p)
-        upper: list = []
-        for p in reversed(pts):
-            while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-                upper.pop()
-            upper.append(p)
-        hull = lower[:-1] + upper[:-1]
-    a2 = 0
-    for i in range(len(hull)):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % len(hull)]
-        a2 += x1 * y2 - x2 * y1
-    return pa.table(
-        {"n_points": pa.array([len(pts)], pa.int64()),
-         "hull_vertices": pa.array([len(hull)], pa.int64()),
-         "area2": pa.array([abs(a2)], pa.int64())}
-    )
-
-
-ORACLES["qty_price_hull"] = (
-    "WITH pts AS (SELECT DISTINCT q, c FROM ("
-    "SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS q, "
-    "min(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT)) AS c "
-    "FROM lineitem GROUP BY 1 "
-    "UNION ALL "
-    "SELECT CAST(floor(l_quantity + 0.5) AS BIGINT) AS q, "
-    "max(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT)) AS c "
-    "FROM lineitem GROUP BY 1)), "
-    # boundary: some q sees every other point on the non-negative side
-    "bd AS (SELECT p.q AS x, p.c AS y FROM pts p WHERE "
-    "(SELECT count(*) FROM pts) = 1 OR EXISTS ("
-    "SELECT 1 FROM pts qq WHERE (qq.q <> p.q OR qq.c <> p.c) "
-    "AND NOT EXISTS (SELECT 1 FROM pts r WHERE "
-    "(r.q <> p.q OR r.c <> p.c) AND (r.q <> qq.q OR r.c <> qq.c) "
-    "AND (qq.q - p.q) * (r.c - p.c) - (qq.c - p.c) * (r.q - p.q) < 0))), "
-    # vertex: boundary and not strictly inside a segment of two others
-    "v AS (SELECT x, y FROM bd p WHERE NOT EXISTS ("
-    "SELECT 1 FROM pts a, pts b WHERE "
-    "(a.q <> p.x OR a.c <> p.y) AND (b.q <> p.x OR b.c <> p.y) "
-    "AND (b.q - a.q) * (p.y - a.c) - (b.c - a.c) * (p.x - a.q) = 0 "
-    "AND (a.q - p.x) * (b.q - p.x) + (a.c - p.y) * (b.c - p.y) < 0)), "
-    "p0 AS (SELECT x, y FROM v ORDER BY x, y LIMIT 1), "
-    "rest AS (SELECT v.x, v.y FROM v, p0 "
-    "WHERE NOT (v.x = p0.x AND v.y = p0.y)), "
-    "rk AS (SELECT r.x, r.y, (SELECT count(*) FROM rest s, p0 WHERE "
-    "(s.x - p0.x) * (r.y - p0.y) - (s.y - p0.y) * (r.x - p0.x) > 0) "
-    "AS rnk FROM rest r), "
-    "ring AS (SELECT x, y, -1 AS o FROM p0 "
-    "UNION ALL SELECT x, y, rnk FROM rk), "
-    "sl AS (SELECT x, y, "
-    "COALESCE(lead(x) OVER (ORDER BY o), first_value(x) OVER "
-    "(ORDER BY o ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED "
-    "FOLLOWING)) AS nx, "
-    "COALESCE(lead(y) OVER (ORDER BY o), first_value(y) OVER "
-    "(ORDER BY o ROWS BETWEEN UNBOUNDED PRECEDING AND UNBOUNDED "
-    "FOLLOWING)) AS ny FROM ring) "
-    "SELECT (SELECT count(*) FROM pts)::BIGINT AS n_points, "
-    "(SELECT count(*) FROM v)::BIGINT AS hull_vertices, "
-    "COALESCE(abs((SELECT sum(x * ny - nx * y) FROM sl)), 0)::BIGINT "
-    "AS area2"
-)
-
-
-# ---- collatz_steps_census: capped iterated-map trajectories over cents ----
-
-COLLATZ_CAP = 100
-
-
-def collatz_steps_census(sf_dir: str) -> "pa.Table":
-    """Capped COLLATZ trajectory census over order totals in cents —
-    the iterated-integer-map family: for each value, count the steps
-    of ``c -> c/2 (even) | 3c+1 (odd)`` until reaching 1, capped at
-    ``COLLATZ_CAP`` (values that do not reach 1 within the cap —
-    including 0 — count as not-reached).  Like prime_price_census this
-    is an operator SHAPE: an expensive data-dependent per-row loop
-    whose trip count varies wildly between neighbouring values.
-
-    Vectorization: each batch iterates the map ``COLLATZ_CAP`` times
-    as whole-array numpy selects, freezing rows that hit 1 (every
-    iteration is O(rows), no per-row Python).  Overflow-safe in int64:
-    an odd step's 3c+1 is even, so two steps grow at most 1.5x and the
-    cap bounds the excursion at c * 1.5^50 (~6e8 x) — far under 2^63
-    for cent-scale inputs.
-
-    Outputs one row: n_orders, n_reached, max_steps / total_steps
-    over the reached set (-1 / 0 when none).  The DuckDB mirror
-    iterates a recursive CTE over DISTINCT cents (bounded recursion
-    width) and joins step counts back to rows.
-
-    Scale shape: map-only; four scalars per batch cross the exchange.
-
-    Reference anchor: S5's multi-backend decoder (SURVEY.md §2.1) —
-    per-item work with unpredictable trip counts — asked as a pure
-    arithmetic census."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"n": pa.array([], pa.int64()),
-             "k": pa.array([], pa.int64()),
-             "mx": pa.array([], pa.int64()),
-             "ts": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        c = np.floor(
-            t["o_totalprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        cur = c.copy()
-        steps = np.zeros(len(c), np.int64)
-        done = cur == 1
-        for _ in range(COLLATZ_CAP):
-            act = ~done & (cur != 1)
-            if not act.any():
-                break
-            odd = act & (cur % 2 == 1)
-            ev = act & ~odd
-            cur[ev] //= 2
-            cur[odd] = 3 * cur[odd] + 1
-            steps[act] += 1
-            done |= cur == 1
-        reached = cur == 1
-        sr = steps[reached]
-        return pa.table(
-            {"n": pa.array([len(c)], pa.int64()),
-             "k": pa.array([int(reached.sum())], pa.int64()),
-             "mx": pa.array([int(sr.max()) if len(sr) else -1], pa.int64()),
-             "ts": pa.array([int(sr.sum())], pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 4 scalars x blocks
-    )
-    empty = pa.table(
-        {"n_orders": pa.array([], pa.int64()),
-         "n_reached": pa.array([], pa.int64()),
-         "max_steps": pa.array([], pa.int64()),
-         "total_steps": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    k = int(parts["k"].sum())
-    return pa.table(
-        {"n_orders": pa.array([int(parts["n"].sum())], pa.int64()),
-         "n_reached": pa.array([k], pa.int64()),
-         "max_steps": pa.array(
-             [int(parts["mx"].max()) if k else -1], pa.int64()),
-         "total_steps": pa.array([int(parts["ts"].sum())], pa.int64())}
-    )
-
-
-ORACLES["collatz_steps_census"] = (
-    f"WITH RECURSIVE v AS (SELECT CAST(floor(o_totalprice * 100.0 + 0.5) "
-    f"AS BIGINT) AS c FROM orders), "
-    f"dv AS (SELECT DISTINCT c FROM v), "
-    f"r(c0, c, k) AS ("
-    f"SELECT c, c, 0::BIGINT FROM dv "
-    f"UNION ALL "
-    f"SELECT r.c0, CASE WHEN r.c % 2 = 0 THEN r.c // 2 "
-    f"ELSE 3 * r.c + 1 END, r.k + 1 "
-    f"FROM r WHERE r.c <> 1 AND r.k < {COLLATZ_CAP}), "
-    f"fin AS (SELECT c0, max(k) AS steps, "
-    f"bool_or(c = 1) AS reached FROM r GROUP BY c0), "
-    f"j AS (SELECT fin.steps, fin.reached FROM v JOIN fin ON v.c = fin.c0) "
-    f"SELECT count(*)::BIGINT AS n_orders, "
-    f"count(*) FILTER (WHERE reached)::BIGINT AS n_reached, "
-    f"COALESCE(max(steps) FILTER (WHERE reached), -1)::BIGINT AS max_steps, "
-    f"COALESCE(sum(steps) FILTER (WHERE reached), 0)::BIGINT "
-    f"AS total_steps FROM j"
-)
-
-
-# ---- stern_brocot_return_ratio: bounded-denominator best approximation ----
-
-SB_DEN_CAP = 64
-
-
-def stern_brocot_return_ratio(sf_dir: str) -> "pa.Table":
-    """Best rational approximation with denominator <= ``SB_DEN_CAP``
-    of the RETURN RATIO (returned revenue cents / total revenue cents)
-    via a STERN-BROCOT mediant descent — the continued-fraction /
-    Diophantine-approximation family: "the return rate is almost
-    exactly 3/64" is a statement no decimal rounding can certify,
-    because the best bounded-denominator approximant is a number-
-    theoretic object (a convergent/semiconvergent), not a truncation.
-
-    Exactness: the walk keeps enclosing fractions lo < a/b < hi and
-    replaces one endpoint by their MEDIANT until its denominator
-    passes the cap (denominators strictly increase, bounding the walk
-    at ~2·cap steps); every comparison is a cross product in exact
-    integers, including the final lo-vs-hi pick (|a·q − p·b| cross-
-    multiplied; ties to the smaller denominator then numerator —
-    NEVER an e/q float, whose ulp at 100 TB cent-sums exceeds the
-    1/(q1·q2) separation).  ``err_cross = |a·best_den − best_num·b|``
-    reports the error exactly (0 iff the ratio is exactly
-    representable).
-
-    Scale shape: two in-batch integer sums (returned, total) per
-    batch; the walk is O(cap) driver arithmetic.  The DuckDB mirror
-    replays the descent as a recursive CTE over six BIGINTs and picks
-    the winner with the same CASE chain.
-
-    Reference anchor: A1's status-count report (SURVEY.md §2.6) asked
-    as the express-the-rate-as-a-simple-fraction question."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"r": pa.array([], pa.int64()), "b": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        cents = np.floor(
-            t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        ret = t["l_returnflag"].to_numpy(zero_copy_only=False) == "R"
-        return pa.table(
-            {"r": pa.array([int(cents[ret].sum())], pa.int64()),
-             "b": pa.array([int(cents.sum())], pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_extendedprice", "l_returnflag"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 2 scalars x blocks
-    )
-    empty = pa.table(
-        {"returned_cents": pa.array([], pa.int64()),
-         "total_cents": pa.array([], pa.int64()),
-         "best_num": pa.array([], pa.int64()),
-         "best_den": pa.array([], pa.int64()),
-         "err_cross": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    a = int(parts["r"].sum())
-    b = int(parts["b"].sum())
-    if b <= 0:
-        return empty
-    ln, ld, hn, hd = 0, 1, 1, 1
-    ex = None
-    while True:
-        mn, md = ln + hn, ld + hd
-        if md > SB_DEN_CAP:
-            break
-        c = mn * b - a * md
-        if c == 0:
-            ex = (mn, md)
-            break
-        if c < 0:
-            ln, ld = mn, md
-        else:
-            hn, hd = mn, md
-    if ex is not None:
-        p, q = ex
-    else:
-        el = abs(a * ld - ln * b)
-        eh = abs(a * hd - hn * b)
-        # compare el/ld vs eh/hd exactly; ties -> smaller den, then num
-        if el * hd < eh * ld or (
-            el * hd == eh * ld
-            and (ld < hd or (ld == hd and ln < hn))
-        ):
-            p, q = ln, ld
-        else:
-            p, q = hn, hd
-    return pa.table(
-        {"returned_cents": pa.array([a], pa.int64()),
-         "total_cents": pa.array([b], pa.int64()),
-         "best_num": pa.array([p], pa.int64()),
-         "best_den": pa.array([q], pa.int64()),
-         "err_cross": pa.array([abs(a * q - p * b)], pa.int64())}
-    )
-
-
-ORACLES["stern_brocot_return_ratio"] = (
-    f"WITH RECURSIVE ab AS (SELECT "
-    f"sum(CASE WHEN l_returnflag = 'R' THEN "
-    f"CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT) ELSE 0 "
-    f"END)::BIGINT AS a, "
-    f"sum(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    f"AS b FROM lineitem), "
-    f"r(ln, ld, hn, hd, exn, exd) AS ("
-    f"SELECT 0::BIGINT, 1::BIGINT, 1::BIGINT, 1::BIGINT, "
-    f"NULL::BIGINT, NULL::BIGINT FROM ab WHERE b > 0 "
-    f"UNION ALL "
-    f"SELECT CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) < 0 "
-    f"THEN r.ln + r.hn ELSE r.ln END, "
-    f"CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) < 0 "
-    f"THEN r.ld + r.hd ELSE r.ld END, "
-    f"CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) > 0 "
-    f"THEN r.ln + r.hn ELSE r.hn END, "
-    f"CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) > 0 "
-    f"THEN r.ld + r.hd ELSE r.hd END, "
-    f"CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) = 0 "
-    f"THEN r.ln + r.hn ELSE NULL END, "
-    f"CASE WHEN (r.ln + r.hn) * ab.b - ab.a * (r.ld + r.hd) = 0 "
-    f"THEN r.ld + r.hd ELSE NULL END "
-    f"FROM r, ab WHERE r.exn IS NULL "
-    f"AND r.ld + r.hd <= {SB_DEN_CAP}), "
-    f"fin AS (SELECT * FROM r "
-    f"ORDER BY (exn IS NOT NULL) DESC, ld + hd DESC LIMIT 1), "
-    f"pick AS (SELECT ab.a, ab.b, "
-    f"CASE WHEN f.exn IS NOT NULL THEN f.exn "
-    f"WHEN abs(ab.a * f.ld - f.ln * ab.b) * f.hd "
-    f"< abs(ab.a * f.hd - f.hn * ab.b) * f.ld "
-    f"OR (abs(ab.a * f.ld - f.ln * ab.b) * f.hd "
-    f"= abs(ab.a * f.hd - f.hn * ab.b) * f.ld "
-    f"AND (f.ld < f.hd OR (f.ld = f.hd AND f.ln < f.hn))) "
-    f"THEN f.ln ELSE f.hn END AS p, "
-    f"CASE WHEN f.exd IS NOT NULL THEN f.exd "
-    f"WHEN abs(ab.a * f.ld - f.ln * ab.b) * f.hd "
-    f"< abs(ab.a * f.hd - f.hn * ab.b) * f.ld "
-    f"OR (abs(ab.a * f.ld - f.ln * ab.b) * f.hd "
-    f"= abs(ab.a * f.hd - f.hn * ab.b) * f.ld "
-    f"AND (f.ld < f.hd OR (f.ld = f.hd AND f.ln < f.hn))) "
-    f"THEN f.ld ELSE f.hd END AS q "
-    f"FROM fin f, ab) "
-    f"SELECT a AS returned_cents, b AS total_cents, "
-    f"p::BIGINT AS best_num, q::BIGINT AS best_den, "
-    f"abs(a * q - p * b)::BIGINT AS err_cross FROM pick"
-)
-
-
-# ---- hamming_syndrome_census: Hamming(7,4) parity-check census ------------
-
-def hamming_syndrome_census(sf_dir: str) -> "pa.Table":
-    """Hamming(7,4) SYNDROME census over the low 7 bits of every order
-    key — the error-correcting-codes family: each 7-bit word is run
-    through the three parity checks ``s1 = b1^b3^b5^b7, s2 =
-    b2^b3^b6^b7, s3 = b4^b5^b6^b7`` (1-indexed bit positions) and the
-    census counts words per syndrome 0..7; syndrome 0 marks valid
-    codewords, any other value names the bit a single-error decoder
-    would flip.  The operator shape is pure vectorized bit
-    manipulation — shifts, masks and XORs over whole arrays, no
-    arithmetic on values.
-
-    Outputs 8 zero-filled rows: (syndrome, n_keys).
-
-    Scale shape: map-only — an 8-bin bincount partial per batch; the
-    final fold is constant-size.  The DuckDB mirror computes the same
-    shifts with ``>>``/``&``/``xor()`` and zero-fills the syndrome
-    axis with a generate_series left join.
-
-    Reference anchor: S3's upload validator (SURVEY.md §2.1) asked as
-    the how-would-a-parity-check-bucket-the-ids question."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"s": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = t["o_orderkey"].to_numpy() & 127
-        b = [(v >> i) & 1 for i in range(7)]          # b[i] = bit i+1
-        s1 = b[0] ^ b[2] ^ b[4] ^ b[6]
-        s2 = b[1] ^ b[2] ^ b[5] ^ b[6]
-        s3 = b[3] ^ b[4] ^ b[5] ^ b[6]
-        syn = s1 + 2 * s2 + 4 * s3
-        cnt = np.bincount(syn, minlength=8).astype(np.int64)
-        return pa.table(
-            {"s": pa.array(np.arange(8, dtype=np.int64)),
-             "n": pa.array(cnt)}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 8 bins x blocks
-    )
-    empty = pa.table(
-        {"syndrome": pa.array([], pa.int64()),
-         "n_keys": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    agg = parts.groupby("s", sort=True)["n"].sum()
-    out = np.zeros(8, np.int64)
-    out[agg.index.to_numpy(np.int64)] = agg.to_numpy(np.int64)
-    return pa.table(
-        {"syndrome": pa.array(np.arange(8, dtype=np.int64)),
-         "n_keys": pa.array(out)}
-    )
-
-
-ORACLES["hamming_syndrome_census"] = (
-    "WITH syn AS (SELECT "
-    "xor(xor(o_orderkey & 1, (o_orderkey >> 2) & 1), "
-    "xor((o_orderkey >> 4) & 1, (o_orderkey >> 6) & 1)) "
-    "+ 2 * xor(xor((o_orderkey >> 1) & 1, (o_orderkey >> 2) & 1), "
-    "xor((o_orderkey >> 5) & 1, (o_orderkey >> 6) & 1)) "
-    "+ 4 * xor(xor((o_orderkey >> 3) & 1, (o_orderkey >> 4) & 1), "
-    "xor((o_orderkey >> 5) & 1, (o_orderkey >> 6) & 1)) AS s "
-    "FROM orders), "
-    "g AS (SELECT s, count(*)::BIGINT AS n FROM syn GROUP BY 1), "
-    "grid AS (SELECT unnest(generate_series(0, 7)) AS s) "
-    "SELECT grid.s::BIGINT AS syndrome, "
-    "COALESCE(g.n, 0)::BIGINT AS n_keys "
-    "FROM grid LEFT JOIN g ON g.s = grid.s"
-)
-
-
-# ---- brand_bipartite_parity: 2-colorability of the strong brand graph -----
-
-def brand_bipartite_parity(sf_dir: str) -> "pa.Table":
-    """BIPARTITENESS (2-colorability) of the strong brand co-purchase
-    graph — the graph-parity family: a graph is bipartite iff it has
-    no ODD CLOSED WALK, a global parity obstruction that neither the
-    peeling (k-core), spanning (MST), nor reachability (components,
-    hub distances) operators detect — a graph can pass all of those
-    and still fail 2-coloring on one triangle.
-
-    Edges are brand_graph_kcore's exact strong set (``5·w·D >= 6·S``
-    integer inequality).  Outputs one row: n_nodes, n_edges,
-    n_components (over strong nodes, min-label components), bipartite
-    (0/1).  The empty strong graph is vacuously bipartite with zero
-    components (pinned on both sides).
-
-    Scale shape: pair weights from ``_brand_pair_census`` (broadcast
-    dim probe + one hash-tag partition-fold exchange); the parity BFS
-    runs on the ≤ 25-node driver graph.  The DuckDB mirror closes the
-    odd-walk relation with a (node, node, parity) recursive CTE
-    (states bounded by 2·|brands|²) and labels components by min
-    reachable brand.
-
-    Reference anchor: A4's gate-path distribution (SURVEY.md §2.6)
-    asked as the can-the-gates-be-split-into-two-shifts question."""
-    brands, w = _brand_pair_census(sf_dir)
-    empty_row = pa.table(
-        {"n_nodes": pa.array([0], pa.int64()),
-         "n_edges": pa.array([0], pa.int64()),
-         "n_components": pa.array([0], pa.int64()),
-         "bipartite": pa.array([1], pa.int64())}
-    )
-    if w is None:
-        return empty_row
-    S = int(w.sum())
-    D = int(len(w))
-    strong = [
-        (int(k) // 64, int(k) % 64)
-        for k, ww in w.items() if 5 * int(ww) * D >= 6 * S
-    ]
-    if not strong:
-        return empty_row
-    adj: dict[int, set] = {}
-    for a, b in strong:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    color: dict[int, int] = {}
-    n_comp = 0
-    bip = 1
-    for start in sorted(adj):
-        if start in color:
-            continue
-        n_comp += 1
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    bip = 0
-    return pa.table(
-        {"n_nodes": pa.array([len(adj)], pa.int64()),
-         "n_edges": pa.array([len(strong)], pa.int64()),
-         "n_components": pa.array([n_comp], pa.int64()),
-         "bipartite": pa.array([bip], pa.int64())}
-    )
-
-
-ORACLES["brand_bipartite_parity"] = (
-    "WITH RECURSIVE ob AS (SELECT DISTINCT l.l_orderkey AS o, "
-    "p.p_brand AS b FROM lineitem l "
-    "JOIN part p ON l.l_partkey = p.p_partkey), "
-    "pw AS (SELECT a.b AS b1, b.b AS b2, count(*)::BIGINT AS w "
-    "FROM ob a JOIN ob b ON a.o = b.o AND a.b < b.b GROUP BY 1, 2), "
-    "tot AS (SELECT sum(w)::BIGINT AS s, count(*)::BIGINT AS d FROM pw), "
-    "strong AS (SELECT b1, b2 FROM pw, tot WHERE 5 * w * d >= 6 * s), "
-    "und AS (SELECT b1 AS a, b2 AS b FROM strong "
-    "UNION ALL SELECT b2, b1 FROM strong), "
-    "walk(a, b, par) AS ("
-    "SELECT a, b, 1 FROM und "
-    "UNION "
-    "SELECT w.a, u.b, 1 - w.par FROM walk w JOIN und u ON u.a = w.b), "
-    "nodes AS (SELECT DISTINCT a AS x FROM und), "
-    "lab AS (SELECT x, LEAST(x, (SELECT min(w.b) FROM walk w "
-    "WHERE w.a = nodes.x)) AS l FROM nodes), "
-    "m AS (SELECT (SELECT count(*) FROM nodes) AS nn, "
-    "(SELECT count(*) FROM strong) AS ne, "
-    "(SELECT count(DISTINCT l) FROM lab) AS nc, "
-    "(SELECT count(*) FROM walk WHERE a = b AND par = 1) AS odd) "
-    "SELECT nn::BIGINT AS n_nodes, ne::BIGINT AS n_edges, "
-    "nc::BIGINT AS n_components, "
-    "(CASE WHEN odd = 0 THEN 1 ELSE 0 END)::BIGINT AS bipartite FROM m"
-)
-
-
-# ---- hilbert_locality: space-filling-curve index census -------------------
-
-HILBERT_ORDER = 6    # 64 x 64 grid
-
-
-def hilbert_locality(sf_dir: str) -> "pa.Table":
-    """HILBERT-CURVE index census of the occupied (quantity, price)
-    grid cells — the space-filling-curve family, the math behind
-    Hilbert-clustered table layouts: map each occupied cell of the
-    64 x 64 grid (x = qty bucket, y = $100-price bucket, both clamped)
-    to its order-6 Hilbert index and measure LOCALITY — the total
-    index jump a row-major scan pays (``rowmajor_jump = Σ|Δd|`` over
-    (x, y)-sorted cells) versus the curve's own span (d_max − d_min).
-    The gap is exactly why engines sort by Hilbert index instead of
-    row-major key order.
-
-    Exactness: the standard xy2d bit transform (reflect + swap per
-    level) over exact integers; the engine runs it as 6 vectorized
-    numpy passes over the DISTINCT cells, the DuckDB mirror replays
-    the same 6 levels as a recursive CTE carrying (x, y, d, s) per
-    cell — convention pinned by the (0,1)->3 / (1,0)->1 anchor.
-
-    Scale shape: an in-batch distinct-cell combiner bounds partials at
-    4096 cells x blocks; everything downstream is cell-bounded.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the what-layout-keeps-neighbours-together question."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"x": pa.array([], pa.int64()), "y": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        q = np.floor(t["l_quantity"].to_numpy() + 0.5).astype(np.int64)
-        c = np.floor(
-            t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        x = np.minimum(q, 63)
-        y = np.minimum(c // 10000, 63)
-        g = pa.table({"x": pa.array(x), "y": pa.array(y)}).group_by(
-            ["x", "y"]).aggregate([])
-        return g
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_quantity", "l_extendedprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 4096 cells x blocks
-    )
-    empty = pa.table(
-        {"n_cells": pa.array([], pa.int64()),
-         "d_min": pa.array([], pa.int64()),
-         "d_max": pa.array([], pa.int64()),
-         "rowmajor_jump": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    cells = parts.drop_duplicates().sort_values(["x", "y"])
-    x = cells["x"].to_numpy(np.int64).copy()
-    y = cells["y"].to_numpy(np.int64).copy()
-    d = np.zeros(len(x), np.int64)
-    s = 1 << (HILBERT_ORDER - 1)
-    # in-quadrant reduction form: x, y stay in [0, s) after each level,
-    # so // and % never see a negative operand (numpy floors, DuckDB
-    # truncates — they only agree on non-negatives; the reflect-in-place
-    # form goes negative mid-descent and diverged between the engines)
-    while s > 0:
-        rx = x // s
-        ry = y // s
-        d += s * s * ((3 * rx) ^ ry)
-        x = x % s
-        y = y % s
-        refl = (ry == 0) & (rx == 1)
-        x2 = np.where(refl, s - 1 - x, x)
-        y2 = np.where(refl, s - 1 - y, y)
-        swap = ry == 0
-        x, y = np.where(swap, y2, x2), np.where(swap, x2, y2)
-        s //= 2
-    jump = int(np.abs(np.diff(d)).sum()) if len(d) > 1 else 0
-    return pa.table(
-        {"n_cells": pa.array([len(d)], pa.int64()),
-         "d_min": pa.array([int(d.min())], pa.int64()),
-         "d_max": pa.array([int(d.max())], pa.int64()),
-         "rowmajor_jump": pa.array([jump], pa.int64())}
-    )
-
-
-ORACLES["hilbert_locality"] = (
-    f"WITH RECURSIVE cells AS (SELECT DISTINCT "
-    f"LEAST(CAST(floor(l_quantity + 0.5) AS BIGINT), 63) AS cx, "
-    f"LEAST(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT) "
-    f"// 10000, 63) AS cy FROM lineitem), "
-    f"r(cx, cy, x, y, d, s) AS ("
-    f"SELECT cx, cy, cx, cy, 0::BIGINT, "
-    f"{1 << (HILBERT_ORDER - 1)}::BIGINT FROM cells "
-    f"UNION ALL "
-    f"SELECT r.cx, r.cy, "
-    f"CASE WHEN r.y // r.s = 0 THEN "
-    f"CASE WHEN r.x // r.s = 1 THEN r.s - 1 - (r.y % r.s) "
-    f"ELSE r.y % r.s END ELSE r.x % r.s END, "
-    f"CASE WHEN r.y // r.s = 0 THEN "
-    f"CASE WHEN r.x // r.s = 1 THEN r.s - 1 - (r.x % r.s) "
-    f"ELSE r.x % r.s END ELSE r.y % r.s END, "
-    f"r.d + r.s * r.s * xor(3 * (r.x // r.s), r.y // r.s), "
-    f"r.s // 2 FROM r WHERE r.s > 0), "
-    f"fin AS (SELECT cx, cy, d FROM r WHERE s = 0), "
-    f"ord AS (SELECT d, row_number() OVER (ORDER BY cx, cy) AS rn "
-    f"FROM fin), "
-    f"jmp AS (SELECT COALESCE(sum(abs(d - prev)), 0)::BIGINT AS j FROM "
-    f"(SELECT d, lag(d) OVER (ORDER BY rn) AS prev FROM ord) "
-    f"WHERE prev IS NOT NULL) "
-    f"SELECT count(*)::BIGINT AS n_cells, min(d)::BIGINT AS d_min, "
-    f"max(d)::BIGINT AS d_max, (SELECT j FROM jmp) AS rowmajor_jump "
-    f"FROM fin"
-)
-
-
-# ---- consistent_hash_balance: vnode ring placement census -----------------
-
-CH_SHARDS = 8
-CH_VNODES = 16
-
-
-def consistent_hash_balance(sf_dir: str) -> "pa.Table":
-    """CONSISTENT-HASHING ring census — the distributed-systems
-    placement family: 8 shards x 16 virtual nodes land on a 48-bit
-    ring at md5-derived positions, every order key routes to its
-    clockwise successor vnode, and the census reports keys per shard —
-    the imbalance a vnode ring actually delivers (vs the 1/K ideal)
-    made exact.  md5 because the repo LCG is low-discrepancy over
-    consecutive ids (the user_activity_f2 lesson) AND DuckDB's md5()
-    mirrors hashlib exactly.
-
-    Determinism: vnode position = first 12 md5 hex chars of
-    ``shard{s}:{v}`` as an integer (48 bits, int64-safe); ring order
-    and the successor scan tie-break on (pos, shard, vnode) on both
-    sides; a key position past the last vnode wraps to the ring's
-    first entry.
-
-    Scale shape: the ring is 128 driver-side entries riding the
-    closure; per batch the md5 positions are the expensive row-local
-    step (no vectorized md5 exists — the prime-census cost archetype,
-    embarrassingly parallel) and routing is one searchsorted; 8-bin
-    bincount partials cross the exchange.  The DuckDB mirror parses
-    the same hex via strpos/shift arithmetic and routes with a
-    correlated successor lookup over the 128-row ring.
-
-    Reference anchor: J2's owner/prefix routing (SURVEY.md §2.5) asked
-    as the how-even-is-the-ring question."""
-    import hashlib
-
-    ring = sorted(
-        (int(hashlib.md5(f"shard{s}:{v}".encode()).hexdigest()[:12], 16),
-         s, v)
-        for s in range(CH_SHARDS) for v in range(CH_VNODES)
-    )
-    ring_pos = np.array([r[0] for r in ring], dtype=np.int64)
-    ring_shard = np.array([r[1] for r in ring], dtype=np.int64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"s": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        keys = t["o_orderkey"].to_numpy()
-        pos = np.fromiter(
-            (int(hashlib.md5(str(int(k)).encode()).hexdigest()[:12], 16)
-             for k in keys),
-            dtype=np.int64, count=len(keys),
-        )
-        idx = np.searchsorted(ring_pos, pos, side="left")
-        idx[idx == len(ring_pos)] = 0          # wrap
-        cnt = np.bincount(
-            ring_shard[idx], minlength=CH_SHARDS).astype(np.int64)
-        return pa.table(
-            {"s": pa.array(np.arange(CH_SHARDS, dtype=np.int64)),
-             "n": pa.array(cnt)}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 8 bins x blocks
-    )
-    empty = pa.table(
-        {"shard": pa.array([], pa.int64()),
-         "n_keys": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    agg = parts.groupby("s", sort=True)["n"].sum()
-    out = np.zeros(CH_SHARDS, np.int64)
-    out[agg.index.to_numpy(np.int64)] = agg.to_numpy(np.int64)
-    return pa.table(
-        {"shard": pa.array(np.arange(CH_SHARDS, dtype=np.int64)),
-         "n_keys": pa.array(out)}
-    )
-
-
-_CH_HEX12 = (
-    "list_sum(list_transform(generate_series(1, 12), "
-    "i -> (strpos('0123456789abcdef', substr({h}, i, 1)) - 1) "
-    "* (1::BIGINT << (4 * (12 - i)))))"
-)
-
-ORACLES["consistent_hash_balance"] = (
-    f"WITH ring AS (SELECT s.s AS shard, v.v AS vnode, "
-    + _CH_HEX12.format(h="md5('shard' || s.s || ':' || v.v)")
-    + f" AS pos FROM generate_series(0, {CH_SHARDS - 1}) s(s), "
-    f"generate_series(0, {CH_VNODES - 1}) v(v)), "
-    f"first_v AS (SELECT shard FROM ring "
-    f"ORDER BY pos, shard, vnode LIMIT 1), "
-    f"kp AS (SELECT "
-    + _CH_HEX12.format(h="md5(CAST(o_orderkey AS VARCHAR))")
-    + f" AS p FROM orders), "
-    f"routed AS (SELECT COALESCE((SELECT r.shard FROM ring r "
-    f"WHERE r.pos >= kp.p ORDER BY r.pos, r.shard, r.vnode LIMIT 1), "
-    f"(SELECT shard FROM first_v)) AS shard FROM kp), "
-    f"g AS (SELECT shard, count(*)::BIGINT AS n FROM routed GROUP BY 1), "
-    f"grid AS (SELECT unnest(generate_series(0, {CH_SHARDS - 1})) AS s) "
-    f"SELECT grid.s::BIGINT AS shard, COALESCE(g.n, 0)::BIGINT AS n_keys "
-    f"FROM grid LEFT JOIN g ON g.shard = grid.s"
-)
-
-
-# ---- zeckendorf_census: Fibonacci-base numeration census -------------------
-
-def zeckendorf_census(sf_dir: str) -> "pa.Table":
-    """Zeckendorf representation census over order totals in cents —
-    the NUMERATION-SYSTEM family beyond primality (prime_price_census)
-    and gcd (price_tick_gcd): every positive integer has a UNIQUE
-    decomposition as a sum of non-consecutive Fibonacci numbers
-    (Zeckendorf's theorem), found by the greedy algorithm (always
-    subtract the largest Fibonacci number that fits).  Census: how
-    many orders need k summands, with the extreme cents values per k.
-
-    Vectorization: ONE descending pass over the ~37 Fibonacci numbers
-    below max-cents, each a whole-batch numpy mask fold (``take =
-    rem >= f; k += take; rem -= f·take``) — the prime-census shape
-    (rows x tiny-constant vectorized ops), no per-row Python.  Greedy
-    correctness needs no backtracking, so a single pass is exact.
-
-    Outputs (n_summands, n_orders, min_cents, max_cents) ordered by
-    n_summands — BOUNDED at ~45 rows for any int64 input (k grows
-    like log_phi^2... strictly: max k for cents < 2^63 is 45).  The
-    SQL mirror generates the Fibonacci CTE recursively and replays
-    the greedy descent per DISTINCT cents value with a scalar
-    max-that-fits subquery.
-
-    Scale shape: map-only — each batch emits its bounded (k, count,
-    min, max) histogram partial; the driver folds k-bounded rows.
-
-    Reference anchor: SURVEY.md §2.9 scalar functions (an expensive
-    pure per-row score, like the primality predicate)."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"k": pa.array([], pa.int64()),
-             "n": pa.array([], pa.int64()),
-             "mn": pa.array([], pa.int64()),
-             "mx": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        v = np.floor(
-            t["o_totalprice"].to_numpy() * 100.0 + 0.5
-        ).astype(np.int64)
-        vmax = int(v.max())
-        fibs = [1, 2]
-        while fibs[-1] <= vmax:
-            fibs.append(fibs[-1] + fibs[-2])
-        rem = v.copy()
-        k = np.zeros(len(v), dtype=np.int64)
-        for f in reversed(fibs):
-            take = rem >= f
-            k += take
-            rem -= np.where(take, f, 0)
-        g = (
-            pa.table({"k": pa.array(k), "c": pa.array(v)})
-            .group_by("k")
-            .aggregate([("c", "count"), ("c", "min"), ("c", "max")])
-        )
-        return pa.table(
-            {"k": g["k"],
-             "n": pc.cast(g["c_count"], pa.int64()),
-             "mn": g["c_min"], "mx": g["c_max"]}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: <=45 summand counts x blocks
-    )
-    empty = pa.table(
-        {"n_summands": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64()),
-         "min_cents": pa.array([], pa.int64()),
-         "max_cents": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("k", sort=True).agg(
-        n=("n", "sum"), mn=("mn", "min"), mx=("mx", "max")
-    ).reset_index()
-    return pa.table(
-        {"n_summands": pa.array(g["k"].to_numpy(np.int64)),
-         "n_orders": pa.array(g["n"].to_numpy(np.int64)),
-         "min_cents": pa.array(g["mn"].to_numpy(np.int64)),
-         "max_cents": pa.array(g["mx"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["zeckendorf_census"] = (
-    "WITH RECURSIVE v AS (SELECT CAST(floor(o_totalprice * 100.0 + 0.5) "
-    "AS BIGINT) AS c FROM orders), "
-    "d AS (SELECT c, count(*)::BIGINT AS n FROM v GROUP BY 1), "
-    "fib(a, b) AS (SELECT 1::BIGINT, 2::BIGINT UNION ALL "
-    "SELECT b, a + b FROM fib "
-    "WHERE a <= (SELECT COALESCE(max(c), 0) FROM d)), "
-    "fv AS (SELECT a AS f FROM fib), "
-    "walk(c, rem, k) AS ("
-    "SELECT c, c, 0::BIGINT FROM d "
-    "UNION ALL "
-    "SELECT c, rem - (SELECT max(f) FROM fv WHERE f <= rem), k + 1 "
-    "FROM walk WHERE rem > 0), "
-    "fin AS (SELECT c, k FROM walk WHERE rem = 0) "
-    "SELECT fin.k AS n_summands, sum(d.n)::BIGINT AS n_orders, "
-    "min(fin.c)::BIGINT AS min_cents, max(fin.c)::BIGINT AS max_cents "
-    "FROM fin JOIN d USING (c) GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- qty_sum_convolution: exact histogram self-convolution ------------------
-
-def qty_sum_convolution(sf_dir: str) -> "pa.Table":
-    """Distribution of ``qty_i + qty_j`` over all UNORDERED pairs of
-    distinct lineitem rows — the exact DISCRETE CONVOLUTION family:
-    the pair-sum histogram is the self-convolution of the quantity
-    histogram, so an all-pairs census over N rows collapses to an
-    O(D²) outer product on the BOUNDED value domain (D = 50 integral
-    quantities) — the polynomial-multiplication identity that turns a
-    quadratic pair census into a domain-bounded one.  No join ever
-    touches row pairs: ``pairs(s) = (Σ_{a+b=s} h[a]·h[b] − [s even]
-    h[s/2]) / 2`` (subtract self-pairs, halve the ordered count —
-    always even by symmetry).
-
-    Outputs (qty_sum, n_pairs) for every reachable sum 2..100,
-    INCLUDING sums whose count drops to zero after the self-pair
-    correction (a single row at quantity q still makes sum 2q
-    reachable) — both engines emit the row with n_pairs = 0.
-
-    Exactness bound: counts are int64-exact below ~3e9 rows per
-    quantity value (h² < 2^63), the same documented bound as the
-    rank statistics; past that the SQL mirror needs HUGEINT.
-
-    Scale shape: map-only bounded-histogram partials (the
-    sufficient-statistic reduction), one np.convolve of a 50-vector
-    on the driver.
-
-    Reference anchor: SURVEY.md §2.7 aggregation — the pair census
-    dual of copurchase_pairs, with the quadratic blowup absorbed by
-    the bounded domain instead of a self-join."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"q": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        q = t["l_quantity"].to_numpy().astype(np.int64)
-        g = (
-            pa.table({"q": pa.array(q)})
-            .group_by("q")
-            .aggregate([("q", "count")])
-        )
-        return pa.table(
-            {"q": g["q"], "n": pc.cast(g["q_count"], pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 50 values x blocks
-    )
-    empty = pa.table(
-        {"qty_sum": pa.array([], pa.int64()),
-         "n_pairs": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    hist = parts.groupby("q", sort=True)["n"].sum()
-    qmax = int(hist.index.max())
-    h = np.zeros(qmax + 1, dtype=np.int64)
-    h[hist.index.to_numpy(np.int64)] = hist.to_numpy(np.int64)
-    ordered = np.convolve(h, h)          # index = a + b, exact int64
-    diag = np.zeros(len(ordered), dtype=np.int64)
-    diag[2 * np.arange(qmax + 1)] = h    # self-pairs land on even sums
-    pairs = (ordered - diag) // 2
-    s = np.flatnonzero(ordered)          # reachable sums (incl. 0-pair)
-    return pa.table(
-        {"qty_sum": pa.array(s.astype(np.int64)),
-         "n_pairs": pa.array(pairs[s])}
-    )
-
-
-ORACLES["qty_sum_convolution"] = (
-    "WITH h AS (SELECT CAST(l_quantity AS BIGINT) AS q, "
-    "count(*)::BIGINT AS n FROM lineitem GROUP BY 1), "
-    "conv AS (SELECT a.q + b.q AS s, sum(a.n * b.n)::BIGINT AS op "
-    "FROM h a, h b GROUP BY 1), "
-    "diag AS (SELECT 2 * q AS s, n FROM h) "
-    "SELECT conv.s::BIGINT AS qty_sum, "
-    "((conv.op - COALESCE(diag.n, 0)) // 2)::BIGINT AS n_pairs "
-    "FROM conv LEFT JOIN diag ON diag.s = conv.s ORDER BY 1"
-)
-
-
-# ---- josephus_census: iterated-elimination survivor census ------------------
-
-JOSEPHUS_K = 3
-
-
-def josephus_census(sf_dir: str) -> "pa.Table":
-    """Josephus survivor census — the ITERATED-ELIMINATION family:
-    each customer's n orders stand in a circle (order-date positions
-    1..n); every ``JOSEPHUS_K``-th is eliminated until one survives.
-    The survivor position is a pure function of the group size through
-    the classic recurrence ``J(1) = 0; J(n) = (J(n−1) + k) mod n``
-    (0-indexed), which no aggregate or window expresses — the state
-    threads through EVERY smaller group size.
-
-    Outputs (group_size, survivor_pos, n_customers) for every observed
-    per-customer order count (survivor_pos is 1-indexed).  Exact: the
-    recurrence is integer arithmetic on non-negative operands, where
-    numpy % and SQL % agree.
-
-    Scale shape: cust_order_histogram's combiner-backed double groupby
-    (orders → ≤ distinct custkeys → ≤ distinct counts) yields the
-    BOUNDED size histogram; the driver replays the O(max_n) recurrence
-    once — max_n is the largest single-customer order count, a data
-    constant (~tens), never rows.  The SQL mirror replays the same
-    recurrence as a linear recursive CTE joined to the histogram.
-
-    Reference anchor: SURVEY.md §2.7 aggregation (the histogram) +
-    the iterated-map census family (collatz_steps_census)."""
-    hist = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(_partial_group_agg(["o_custkey"]), batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n_partial", alias_name="n_orders"))
-        .map_batches(_partial_group_agg(["n_orders"]), batch_format="pyarrow")
-        .groupby("n_orders")
-        .aggregate(Sum("n_partial", alias_name="n_customers"))
-        .to_pandas()    # bounded: distinct per-customer counts (~tens)
-    )
-    empty = pa.table(
-        {"group_size": pa.array([], pa.int64()),
-         "survivor_pos": pa.array([], pa.int64()),
-         "n_customers": pa.array([], pa.int64())}
-    )
-    if hist.empty:
-        return empty
-    sizes = hist["n_orders"].to_numpy(np.int64)
-    max_n = int(sizes.max())
-    j = np.zeros(max_n + 1, dtype=np.int64)    # j[n] = J(n, k), 0-indexed
-    for n in range(2, max_n + 1):
-        j[n] = (j[n - 1] + JOSEPHUS_K) % n
-    order = np.argsort(sizes)
-    sizes = sizes[order]
-    return pa.table(
-        {"group_size": pa.array(sizes),
-         "survivor_pos": pa.array(j[sizes] + 1),
-         "n_customers": pa.array(
-             hist["n_customers"].to_numpy(np.int64)[order])}
-    )
-
-
-ORACLES["josephus_census"] = (
-    "WITH RECURSIVE cnt AS (SELECT o_custkey, count(*)::BIGINT AS n "
-    "FROM orders GROUP BY 1), "
-    "hist AS (SELECT n, count(*)::BIGINT AS n_customers FROM cnt "
-    "GROUP BY 1), "
-    "j(n, pos) AS (SELECT 1::BIGINT, 0::BIGINT "
-    "UNION ALL SELECT n + 1, (pos + 3) % (n + 1) FROM j "
-    "WHERE n < (SELECT max(n) FROM hist)) "
-    "SELECT hist.n AS group_size, (j.pos + 1)::BIGINT AS survivor_pos, "
-    "hist.n_customers FROM hist JOIN j ON j.n = hist.n ORDER BY 1"
-)
-
-
-# ---- interval_cover_days: union-of-intervals measure per supplier ----------
-
-_COVER_PARTS_ROWS = 2_000_000
-
-
-def interval_cover_days(sf_dir: str) -> ray.data.Dataset:
-    """Union-of-intervals measure per supplier — the INTERVAL MEASURE
-    family: each lineitem occupies its supplier for ``l_quantity``
-    days starting at the ship date (the interval ``[ship_day,
-    ship_day + qty)``); overlapping shipments don't stack.  Per
-    supplier: busy_days (the LENGTH OF THE UNION of its intervals),
-    n_islands (maximal contiguous busy stretches), span_days, and
-    max_gap_days (longest idle stretch inside the span).  Sessionizing
-    (session_windows) merges POINTS by gap; this measures the union of
-    EXTENTS — overlap, containment and partial overlap all collapse,
-    which no gap rule over points reproduces.
-
-    Algorithm: per supplier, sort intervals by (start, end); the
-    running maximum of ends is the coverage frontier — each row
-    contributes ``max(0, end − max(start, frontier))`` busy days,
-    opens an island iff ``start > frontier``, and the idle gap is
-    ``max(0, start − frontier)``.  Equal-start ties are provably
-    order-insensitive (any prior same-start row pushes the frontier
-    to at least the shared start).
-
-    Scale shape: the per-user windows backbone re-keyed to suppliers —
-    hash(suppkey) partition tag, one pandas callback per partition,
-    segmented numpy inside (banded cummax so one `np.maximum.
-    accumulate` serves every segment; the band product is asserted
-    below int64 overflow per the rolling_24h lesson).  Output is one
-    row per supplier (dimension-proportional, like
-    supplier_return_rate); the exchange ships 3 int64s per lineitem.
-
-    Reference anchor: SURVEY.md §2.6 sessionization, extended from
-    point-gap merging to interval measure."""
-    import pyarrow.parquet as pq_mod
-
-    US_DAY = 86_400_000_000
-    n_rows = pq_mod.ParquetFile(
-        f"{sf_dir}/lineitem.parquet"
-    ).metadata.num_rows
-    parts = max(8, n_rows // _COVER_PARTS_ROWS)
-
-    def tag(t: pa.Table) -> pa.Table:
-        day = pc.cast(t["l_shipdate"], pa.int64()).to_numpy() // US_DAY
-        qty = t["l_quantity"].to_numpy().astype(np.int64)
-        supp = t["l_suppkey"].to_numpy().astype(np.int64)
-        h = supp.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        part = ((h >> np.uint64(33)) % np.uint64(parts)).astype(np.int64)
-        return pa.table(
-            {"s": pa.array(supp), "a": pa.array(day),
-             "e": pa.array(day + qty), "part": pa.array(part)}
-        )
-
-    def per_partition(g: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"suppkey": pd.array([], dtype="int64"),
-             "n_shipments": pd.array([], dtype="int64"),
-             "busy_days": pd.array([], dtype="int64"),
-             "n_islands": pd.array([], dtype="int64"),
-             "span_days": pd.array([], dtype="int64"),
-             "max_gap_days": pd.array([], dtype="int64")}
-        )
-        if g.empty:
-            return empty
-        g = g.sort_values(["s", "a", "e"]).reset_index(drop=True)
-        s = g["s"].to_numpy(np.int64)
-        a = g["a"].to_numpy(np.int64)
-        e = g["e"].to_numpy(np.int64)
-        new_seg = np.empty(len(g), dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = s[1:] != s[:-1]
-        starts = np.flatnonzero(new_seg)
-        ends = np.append(starts[1:], len(g))
-        seg_id = np.cumsum(new_seg) - 1
-        amin = int(a.min())
-        ee = e - amin
-        band = int(ee.max()) + 2
-        assert band * len(starts) + band < 2**62, "banded cummax overflow"
-        shifted = ee + seg_id * band
-        run = np.maximum.accumulate(shifted)
-        f = np.empty(len(g), dtype=np.int64)
-        f[0] = 0
-        f[1:] = run[:-1] - seg_id[1:] * band + amin   # garbage on starts
-        f_eff = np.where(new_seg, a, f)
-        cover = np.maximum(0, e - np.maximum(a, f_eff))
-        island = new_seg | (a > f_eff)
-        gap = np.where(new_seg, 0, np.maximum(0, a - f))
-        return pd.DataFrame(
-            {"suppkey": s[starts],
-             "n_shipments": (ends - starts).astype(np.int64),
-             "busy_days": np.add.reduceat(cover, starts).astype(np.int64),
-             "n_islands": np.add.reduceat(
-                 island.astype(np.int64), starts).astype(np.int64),
-             "span_days": (np.maximum.reduceat(e, starts)
-                           - a[starts]).astype(np.int64),
-             "max_gap_days": np.maximum.reduceat(gap, starts).astype(
-                 np.int64)}
-        )
-
-    return (
-        _read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate", "l_quantity"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-    )
-
-
-ORACLES["interval_cover_days"] = (
-    "WITH iv AS (SELECT l_suppkey AS s, "
-    "epoch_us(l_shipdate) // 86400000000 AS a, "
-    "epoch_us(l_shipdate) // 86400000000 + CAST(l_quantity AS BIGINT) "
-    "AS e FROM lineitem), "
-    "w AS (SELECT s, a, e, max(e) OVER (PARTITION BY s ORDER BY a, e "
-    "ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS f FROM iv), "
-    "c AS (SELECT s, a, e, "
-    "CASE WHEN f IS NULL OR a > f THEN 1 ELSE 0 END AS isl, "
-    "GREATEST(0, e - GREATEST(a, COALESCE(f, a))) AS cover, "
-    "CASE WHEN f IS NULL THEN 0 ELSE GREATEST(0, a - f) END AS gap "
-    "FROM w) "
-    "SELECT s AS suppkey, count(*)::BIGINT AS n_shipments, "
-    "sum(cover)::BIGINT AS busy_days, sum(isl)::BIGINT AS n_islands, "
-    "(max(e) - min(a))::BIGINT AS span_days, "
-    "max(gap)::BIGINT AS max_gap_days "
-    "FROM c GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- brand_condorcet: pairwise-majority social choice over weeks -----------
-
-def brand_condorcet(sf_dir: str) -> "pa.Table":
-    """Condorcet / Copeland tournament over brands, one "ballot" per
-    ship week — the SOCIAL-CHOICE family beyond seat apportionment
-    (nation_dhondt_seats) and coalition power (region_banzhaf): brand
-    A BEATS brand B when A out-earned B in strictly more weeks than B
-    out-earned A (per-week ties count to neither side).  The Copeland
-    score (pairs beaten − pairs lost) and the existence of a Condorcet
-    winner (beats EVERY rival) are properties of the full pairwise
-    duel matrix — a genuinely relational statistic no single groupby
-    or window reaches (aggregate → per-pair compare → per-brand fold).
-
-    Outputs per brand: n_beaten, n_lost_to, copeland, is_condorcet
-    (0/1; typed empty when fewer than two brands or zero ship weeks).
-    The brand axis is every DISTINCT p_brand (a brand with parts but
-    no sales revenues 0 every week — it ties other zero brands and
-    loses to every active one, on both engines).
-
-    Scale shape: the (week, brand, cents) table is DOUBLY bounded
-    (time span × 25-brand catalog); each batch emits in-batch-combined
-    partials, so the gather is bounded by span × brands × blocks.
-    partkey → brand resolves against the ray.put-broadcast sorted dim
-    below BROADCAST_DIM_MAX_ROWS and falls back to the hash-
-    partitioned native join above (zero-threshold parity test); the
-    duel matrix is a 25×25×weeks numpy broadcast on the driver.
-
-    Reference anchor: A4's gate-path distribution (SURVEY.md §2.6)
-    asked as a tournament: which pipeline variant wins most weeks?"""
-    import pyarrow.parquet as pq_mod
-
-    US_WEEK = 7 * 86_400_000_000
-
-    brand_parts = (
-        _read(sf_dir, "part", ["p_brand"])
-        .map_batches(
-            lambda t: pa.table(
-                {"b": pc.unique(t["p_brand"])}
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas()    # bounded: 25-brand catalog x blocks
-    )
-    all_brands = np.sort(brand_parts["b"].unique()) if not brand_parts.empty \
-        else np.array([], dtype=object)
-
-    if _dim_num_rows(sf_dir, "part") <= BROADCAST_DIM_MAX_ROWS:
-        part = pq_mod.read_table(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-        )
-        pk = part["p_partkey"].to_numpy()
-        codes, uniques = pd.factorize(part["p_brand"].to_pandas())
-        order = np.argsort(pk)
-        lut = np.asarray(list(uniques) + [None], dtype=object)
-        ref = ray.put((pk[order], codes[order].astype(np.int64)))
-
-        def partial(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"wk": pa.array([], pa.int64()),
-                 "brand": pa.array([], pa.string()),
-                 "rev": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return empty
-            wk = pc.cast(t["l_shipdate"], pa.int64()).to_numpy() // US_WEEK
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-            ).astype(np.int64)
-            brands = _probe_lookup(ref, lut, t["l_partkey"].to_numpy())
-            ok = np.not_equal(brands, None)
-            g = (
-                pa.table(
-                    {"wk": pa.array(wk[ok]),
-                     "brand": pa.array(brands[ok].astype(str), pa.string()),
-                     "rev": pa.array(cents[ok])}
-                )
-                .group_by(["wk", "brand"])
-                .aggregate([("rev", "sum")])
-            )
-            return pa.table(
-                {"wk": g["wk"], "brand": g["brand"], "rev": g["rev_sum"]}
-            )
-
-        frame = (
-            _read(sf_dir, "lineitem",
-                  ["l_partkey", "l_shipdate", "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow")
-            .to_pandas()    # bounded: weeks x brands x blocks
-        )
-    else:
-        joined = _read(
-            sf_dir, "lineitem",
-            ["l_partkey", "l_shipdate", "l_extendedprice"],
-        ).join(
-            _read(sf_dir, "part", ["p_partkey", "p_brand"]),
-            join_type="inner",
-            num_partitions=_join_parts(1),
-            on=("l_partkey",),
-            right_on=("p_partkey",),
-        )
-
-        def joined_partial(t: pa.Table) -> pa.Table:
-            empty = pa.table(
-                {"wk": pa.array([], pa.int64()),
-                 "brand": pa.array([], pa.string()),
-                 "rev": pa.array([], pa.int64())}
-            )
-            if len(t) == 0 or "l_shipdate" not in t.column_names:
-                return empty
-            wk = pc.cast(t["l_shipdate"], pa.int64()).to_numpy() // US_WEEK
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-            ).astype(np.int64)
-            g = (
-                pa.table(
-                    {"wk": pa.array(wk), "brand": t["p_brand"],
-                     "rev": pa.array(cents)}
-                )
-                .group_by(["wk", "brand"])
-                .aggregate([("rev", "sum")])
-            )
-            return pa.table(
-                {"wk": g["wk"], "brand": g["brand"], "rev": g["rev_sum"]}
-            )
-
-        frame = joined.map_batches(
-            joined_partial, batch_format="pyarrow"
-        ).to_pandas()
-
-    empty = pa.table(
-        {"brand": pa.array([], pa.string()),
-         "n_beaten": pa.array([], pa.int64()),
-         "n_lost_to": pa.array([], pa.int64()),
-         "copeland": pa.array([], pa.int64()),
-         "is_condorcet": pa.array([], pa.int64())}
-    )
-    nb = len(all_brands)
-    if frame.empty or nb < 2:
-        return empty
-    g = frame.groupby(["wk", "brand"], sort=True)["rev"].sum().reset_index()
-    weeks = np.sort(g["wk"].unique())
-    widx = {w: i for i, w in enumerate(weeks)}
-    bidx = {b: i for i, b in enumerate(all_brands)}
-    rev = np.zeros((len(weeks), nb), dtype=np.int64)
-    rev[g["wk"].map(widx).to_numpy(), g["brand"].map(bidx).to_numpy()] = \
-        g["rev"].to_numpy(np.int64)
-    wins = (rev[:, :, None] > rev[:, None, :]).sum(axis=0)
-    s = np.sign(wins - wins.T).astype(np.int64)
-    n_beaten = (s > 0).sum(axis=1).astype(np.int64)
-    n_lost = (s < 0).sum(axis=1).astype(np.int64)
-    return pa.table(
-        {"brand": pa.array(all_brands.astype(str), pa.string()),
-         "n_beaten": pa.array(n_beaten),
-         "n_lost_to": pa.array(n_lost),
-         "copeland": pa.array(s.sum(axis=1).astype(np.int64)),
-         "is_condorcet": pa.array(
-             (n_beaten == nb - 1).astype(np.int64))}
-    )
-
-
-ORACLES["brand_condorcet"] = (
-    "WITH li AS (SELECT epoch_us(l_shipdate) // 604800000000 AS wk, "
-    "l_partkey, CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT) "
-    "AS cents FROM lineitem), "
-    "r AS (SELECT wk, p_brand AS brand, sum(cents)::BIGINT AS rev "
-    "FROM li JOIN part ON p_partkey = l_partkey GROUP BY 1, 2), "
-    "wks AS (SELECT DISTINCT wk FROM li), "
-    "brands AS (SELECT DISTINCT p_brand AS brand FROM part), "
-    "dense AS (SELECT w.wk, b.brand, COALESCE(r.rev, 0)::BIGINT AS rev "
-    "FROM wks w CROSS JOIN brands b "
-    "LEFT JOIN r ON r.wk = w.wk AND r.brand = b.brand), "
-    "wins AS (SELECT a.brand AS x, b.brand AS y, "
-    "count(*) FILTER (WHERE a.rev > b.rev)::BIGINT AS w "
-    "FROM dense a JOIN dense b ON a.wk = b.wk AND a.brand <> b.brand "
-    "GROUP BY 1, 2), "
-    "duel AS (SELECT w1.x, CASE WHEN w1.w > w2.w THEN 1 "
-    "WHEN w1.w < w2.w THEN -1 ELSE 0 END AS s "
-    "FROM wins w1 JOIN wins w2 ON w1.x = w2.y AND w1.y = w2.x) "
-    "SELECT x AS brand, "
-    "count(*) FILTER (WHERE s = 1)::BIGINT AS n_beaten, "
-    "count(*) FILTER (WHERE s = -1)::BIGINT AS n_lost_to, "
-    "sum(s)::BIGINT AS copeland, "
-    "(CASE WHEN count(*) FILTER (WHERE s = 1) = "
-    "(SELECT count(*) FROM brands) - 1 THEN 1 ELSE 0 END)::BIGINT "
-    "AS is_condorcet FROM duel GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- erdos_gallai_check: graphical degree-sequence feasibility --------------
-
-def erdos_gallai_check(sf_dir: str) -> "pa.Table":
-    """Erdős–Gallai graphicality of the per-customer order-count
-    sequence — the DEGREE-SEQUENCE REALIZABILITY family: could a
-    simple graph exist in which every customer's friend count equals
-    their order count?  A sequence d_1 ≥ … ≥ d_n is graphical iff the
-    degree sum is even AND for every k: ``Σ_{i≤k} d_i ≤ k(k−1) +
-    Σ_{i>k} min(d_i, k)`` — a statement about every PREFIX of the
-    sorted sequence against a truncated tail, reachable by no
-    aggregate.  Classic sharpening: the inequality need only be
-    checked at the BOUNDARY indices k where d_k > d_{k+1} (and k = n),
-    i.e. at the cumulative count of each DISTINCT degree value —
-    which makes the whole test a fold over the bounded degree
-    HISTOGRAM, never the n-length sequence.
-
-    Outputs one row: n_nodes (all customers; zero-order ones carry
-    degree 0 from parquet metadata, no customer column read),
-    sum_degrees, sum_is_even, is_graphical, first_violation_k (the
-    smallest failing boundary k; −1 when the inequalities all hold —
-    note an odd sum alone does NOT set a violation k).
-
-    Scale shape: cust_order_histogram's combiner-backed double
-    groupby (orders → ≤ distinct custkeys → ≤ distinct counts); the
-    driver folds the D-row histogram with an O(D²) vectorized check
-    (D = distinct degree values, ~tens).  The SQL mirror checks the
-    same boundary set via window cumulatives + one correlated tail
-    sum per distinct value.
-
-    Reference anchor: SURVEY.md §2.7 aggregation, asked as a
-    combinatorial feasibility certificate over the census."""
-    hist = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(_partial_group_agg(["o_custkey"]), batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n_partial", alias_name="n_orders"))
-        .map_batches(_partial_group_agg(["n_orders"]), batch_format="pyarrow")
-        .groupby("n_orders")
-        .aggregate(Sum("n_partial", alias_name="n_customers"))
-        .to_pandas()    # bounded: distinct per-customer counts (~tens)
-    )
-    n_zero = _dim_num_rows(sf_dir, "customer") - (
-        0 if hist.empty else int(hist["n_customers"].sum())
-    )
-    v = hist["n_orders"].to_numpy(np.int64) if not hist.empty \
-        else np.array([], dtype=np.int64)
-    c = hist["n_customers"].to_numpy(np.int64) if not hist.empty \
-        else np.array([], dtype=np.int64)
-    if n_zero > 0:
-        v = np.append(v, 0)
-        c = np.append(c, n_zero)
-    empty = pa.table(
-        {"n_nodes": pa.array([], pa.int64()),
-         "sum_degrees": pa.array([], pa.int64()),
-         "sum_is_even": pa.array([], pa.int64()),
-         "is_graphical": pa.array([], pa.int64()),
-         "first_violation_k": pa.array([], pa.int64())}
-    )
-    if len(v) == 0:
-        return empty
-    order = np.argsort(-v)               # distinct values, descending
-    v, c = v[order], c[order]
-    ncum = np.cumsum(c)                  # boundary k for each value
-    scum = np.cumsum(v * c)              # Σ_{i≤k} d_i at each boundary
-    # tail(j, k) = Σ_{l>j} c_l · min(v_l, k) for k = ncum[j]
-    k = ncum
-    tail = np.array(
-        [int(np.sum(c[j + 1:] * np.minimum(v[j + 1:], k[j])))
-         for j in range(len(v))],
-        dtype=np.int64,
-    )
-    lhs = scum
-    rhs = k * (k - 1) + tail
-    bad = lhs > rhs
-    total = int(scum[-1])
-    first_bad = int(k[bad][0]) if bad.any() else -1
-    even = int(total % 2 == 0)
-    return pa.table(
-        {"n_nodes": pa.array([int(ncum[-1])], pa.int64()),
-         "sum_degrees": pa.array([total], pa.int64()),
-         "sum_is_even": pa.array([even], pa.int64()),
-         "is_graphical": pa.array(
-             [int(even == 1 and not bad.any())], pa.int64()),
-         "first_violation_k": pa.array([first_bad], pa.int64())}
-    )
-
-
-ORACLES["erdos_gallai_check"] = (
-    "WITH deg AS (SELECT c_custkey, count(o_orderkey)::BIGINT AS d "
-    "FROM customer LEFT JOIN orders ON c_custkey = o_custkey GROUP BY 1), "
-    "hist AS (SELECT d AS v, count(*)::BIGINT AS c FROM deg GROUP BY 1), "
-    "b AS (SELECT v, c, "
-    "sum(c) OVER (ORDER BY v DESC ROWS UNBOUNDED PRECEDING)::BIGINT AS k, "
-    "sum(v * c) OVER (ORDER BY v DESC "
-    "ROWS UNBOUNDED PRECEDING)::BIGINT AS lhs FROM hist), "
-    "chk AS (SELECT k, lhs, k * (k - 1) + COALESCE((SELECT "
-    "sum(h2.c * least(h2.v, b.k)) FROM hist h2 WHERE h2.v < b.v), "
-    "0)::BIGINT AS rhs FROM b), "
-    "m AS (SELECT max(k)::BIGINT AS n, "
-    "(SELECT max(lhs) FROM chk)::BIGINT AS total, "
-    "count(*) FILTER (WHERE lhs > rhs)::BIGINT AS n_bad, "
-    "COALESCE(min(k) FILTER (WHERE lhs > rhs), -1)::BIGINT AS fb "
-    "FROM chk) "
-    "SELECT n AS n_nodes, total AS sum_degrees, "
-    "(CASE WHEN total % 2 = 0 THEN 1 ELSE 0 END)::BIGINT AS sum_is_even, "
-    "(CASE WHEN total % 2 = 0 AND n_bad = 0 THEN 1 ELSE 0 END)::BIGINT "
-    "AS is_graphical, fb AS first_violation_k FROM m WHERE n IS NOT NULL"
-)
-
-
-# ---- region_trade_min_cut: exact max-flow/min-cut via cut duality ----------
-
-def _region_volume(sf_dir: str) -> "np.ndarray":
-    """R x R directed trade-volume cents matrix (ascending regionkey
-    order): supplier region -> customer region revenue, the shared
-    exchange of region_trade_min_cut and region_tsp_tour.  Below
-    BROADCAST_DIM_MAX_ROWS the supplier/orders/customer dims broadcast
-    once via ray.put (NO join); above, three hash-partitioned native
-    joins — both paths pinned equal by the zero-threshold tests."""
-    import pyarrow.parquet as pq_mod
-
-    region = pq_mod.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey"]
-    )
-    rkeys = np.sort(region["r_regionkey"].to_numpy().astype(np.int64))
-    R = len(rkeys)
-    nation = pq_mod.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
-    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-    n2r = np.full(int(nk.max()) + 1 if len(nk) else 1, -1, dtype=np.int64)
-    n2r[nk] = nation["n_regionkey"].to_numpy().astype(np.int64)
-    ridx = np.full(int(rkeys.max()) + 1 if R else 1, -1, dtype=np.int64)
-    if R:
-        ridx[rkeys] = np.arange(R)
-
-    small = max(
-        _dim_num_rows(sf_dir, "supplier"),
-        _dim_num_rows(sf_dir, "customer"),
-        _dim_num_rows(sf_dir, "orders"),
-    ) <= BROADCAST_DIM_MAX_ROWS
-    if small:
-        sref = _broadcast_int_dim(
-            pq_mod.read_table(
-                f"{sf_dir}/supplier.parquet",
-                columns=["s_suppkey", "s_nationkey"],
-            ), "s_suppkey", "s_nationkey",
-        )
-        oref = _broadcast_int_dim(
-            pq_mod.read_table(
-                f"{sf_dir}/orders.parquet",
-                columns=["o_orderkey", "o_custkey"],
-            ), "o_orderkey", "o_custkey",
-        )
-        cref = _broadcast_int_dim(
-            pq_mod.read_table(
-                f"{sf_dir}/customer.parquet",
-                columns=["c_custkey", "c_nationkey"],
-            ), "c_custkey", "c_nationkey",
-        )
-
-        def partial(t: pa.Table) -> pa.Table:
-            e = pa.table(
-                {"sr": pa.array([], pa.int64()),
-                 "cr": pa.array([], pa.int64()),
-                 "cents": pa.array([], pa.int64())}
-            )
-            if len(t) == 0:
-                return e
-            sn = _probe_int(sref, t["l_suppkey"].to_numpy())
-            cust = _probe_int(oref, t["l_orderkey"].to_numpy())
-            cn = _probe_int(cref, np.maximum(cust, 0))
-            ok = (sn >= 0) & (cust >= 0) & (cn >= 0)
-            if not ok.any():
-                return e
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy()[ok] * 100.0 + 0.5
-            ).astype(np.int64)
-            g = (
-                pa.table(
-                    {"sr": pa.array(n2r[sn[ok]]),
-                     "cr": pa.array(n2r[cn[ok]]),
-                     "cents": pa.array(cents)}
-                )
-                .group_by(["sr", "cr"])
-                .aggregate([("cents", "sum")])
-            )
-            return pa.table(
-                {"sr": g["sr"], "cr": g["cr"], "cents": g["cents_sum"]}
-            )
-
-        frame = (
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_suppkey", "l_extendedprice"])
-            .map_batches(partial, batch_format="pyarrow")
-            .to_pandas()    # bounded: R x R x blocks
-        )
-    else:
-        n_parts = _join_parts(3)
-        joined = (
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_suppkey", "l_extendedprice"])
-            .join(
-                _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
-                join_type="inner", num_partitions=n_parts,
-                on=("l_suppkey",), right_on=("s_suppkey",),
-            )
-            .join(
-                _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
-                join_type="inner", num_partitions=n_parts,
-                on=("l_orderkey",), right_on=("o_orderkey",),
-            )
-            .join(
-                _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-                join_type="inner", num_partitions=n_parts,
-                on=("o_custkey",), right_on=("c_custkey",),
-            )
-        )
-
-        def joined_partial(t: pa.Table) -> pa.Table:
-            e = pa.table(
-                {"sr": pa.array([], pa.int64()),
-                 "cr": pa.array([], pa.int64()),
-                 "cents": pa.array([], pa.int64())}
-            )
-            if len(t) == 0 or "l_extendedprice" not in t.column_names:
-                return e
-            cents = np.floor(
-                t["l_extendedprice"].to_numpy() * 100.0 + 0.5
-            ).astype(np.int64)
-            sr = n2r[t["s_nationkey"].to_numpy().astype(np.int64)]
-            cr = n2r[t["c_nationkey"].to_numpy().astype(np.int64)]
-            g = (
-                pa.table(
-                    {"sr": pa.array(sr), "cr": pa.array(cr),
-                     "cents": pa.array(cents)}
-                )
-                .group_by(["sr", "cr"])
-                .aggregate([("cents", "sum")])
-            )
-            return pa.table(
-                {"sr": g["sr"], "cr": g["cr"], "cents": g["cents_sum"]}
-            )
-
-        frame = joined.map_batches(
-            joined_partial, batch_format="pyarrow"
-        ).to_pandas()
-
-    vol = np.zeros((R, R), dtype=np.int64)
-    if not frame.empty:
-        g = frame.groupby(["sr", "cr"])["cents"].sum().reset_index()
-        vol[ridx[g["sr"].to_numpy(np.int64)],
-            ridx[g["cr"].to_numpy(np.int64)]] = g["cents"].to_numpy(np.int64)
-    return vol
-
-
-def region_trade_min_cut(sf_dir: str) -> "pa.Table":
-    """Minimum cut of the inter-region trade network — the NETWORK
-    FLOW family: nodes are regions, the undirected capacity between
-    two regions is the total bilateral trade (revenue cents of
-    lineitems whose supplier sits in one region and ordering customer
-    in the other, both directions summed), and the question is the
-    max-flow/min-cut value between the lowest- and highest-key
-    regions.  By LP duality max flow EQUALS the minimum cut, and the
-    region axis is BOUNDED (5 by TPC-H spec), so the exact answer is
-    an exhaustive fold over the 2^(R−2) source-containing subsets —
-    no augmenting-path state machine to replay, just the dual.
-
-    Outputs one row: n_regions, source_region, sink_region,
-    min_cut_cents (= the max flow), best_mask (the bitmask over
-    ascending regionkeys of the minimizing source side; ties → the
-    smallest mask), source_side_size.
-
-    Scale shape: nation→region resolves in the driver closure
-    (bounded by spec); below BROADCAST_DIM_MAX_ROWS the supplier,
-    customer AND orders dims broadcast once via ray.put, so the
-    lineitem stream probes suppkey → supplier region and orderkey →
-    custkey → customer region with NO JOIN AT ALL, emitting bounded
-    R×R in-batch partials.  Above the bound the plan is three
-    hash-partitioned native joins (lineitem⋈supplier⋈orders⋈customer)
-    with the same post-join partials — both paths pinned equal by the
-    zero-threshold test.  The driver fold enumerates ≤ 2^(R−1) masks
-    over the R×R matrix.
-
-    Reference anchor: A6's cross-node metric merge (SURVEY.md §2.6)
-    asked as the capacity question: where does inter-region traffic
-    bottleneck?"""
-    import pyarrow.parquet as pq_mod
-
-    region = pq_mod.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    rkeys = np.sort(region["r_regionkey"].to_numpy().astype(np.int64))
-    rname = {
-        int(k): v
-        for k, v in zip(
-            region["r_regionkey"].to_numpy(),
-            region["r_name"].to_pylist(),
-        )
-    }
-    nation = pq_mod.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
-    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-    n2r = np.full(int(nk.max()) + 1 if len(nk) else 1, -1, dtype=np.int64)
-    n2r[nk] = nation["n_regionkey"].to_numpy().astype(np.int64)
-
-    empty = pa.table(
-        {"n_regions": pa.array([], pa.int64()),
-         "source_region": pa.array([], pa.string()),
-         "sink_region": pa.array([], pa.int64()).cast(pa.string()),
-         "min_cut_cents": pa.array([], pa.int64()),
-         "best_mask": pa.array([], pa.int64()),
-         "source_side_size": pa.array([], pa.int64())}
-    )
-    R = len(rkeys)
-    if R < 2:
-        return empty
-    vol = _region_volume(sf_dir)
-    src, snk = 0, R - 1
-    best_cut, best_mask = None, None
-    for mask in range(1 << R):
-        if not (mask >> src) & 1 or (mask >> snk) & 1:
-            continue
-        side = (mask >> np.arange(R)) & 1
-        s_in = side.astype(bool)
-        cut = int(vol[s_in][:, ~s_in].sum() + vol[~s_in][:, s_in].sum())
-        if best_cut is None or cut < best_cut:
-            best_cut, best_mask = cut, mask
-    size = bin(best_mask).count("1")
-    return pa.table(
-        {"n_regions": pa.array([R], pa.int64()),
-         "source_region": pa.array([rname[int(rkeys[src])]], pa.string()),
-         "sink_region": pa.array([rname[int(rkeys[snk])]], pa.string()),
-         "min_cut_cents": pa.array([best_cut], pa.int64()),
-         "best_mask": pa.array([best_mask], pa.int64()),
-         "source_side_size": pa.array([size], pa.int64())}
-    )
-
-
-ORACLES["region_trade_min_cut"] = (
-    "WITH reg AS (SELECT r_regionkey::BIGINT AS rk, r_name, "
-    "row_number() OVER (ORDER BY r_regionkey) - 1 AS pos "
-    "FROM region), "
-    "m AS (SELECT count(*)::BIGINT AS r FROM reg), "
-    "vol AS (SELECT sn.n_regionkey::BIGINT AS sr, "
-    "cn.n_regionkey::BIGINT AS cr, "
-    "sum(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    "AS cents FROM lineitem "
-    "JOIN supplier ON s_suppkey = l_suppkey "
-    "JOIN nation sn ON sn.n_nationkey = s_nationkey "
-    "JOIN orders ON o_orderkey = l_orderkey "
-    "JOIN customer ON c_custkey = o_custkey "
-    "JOIN nation cn ON cn.n_nationkey = c_nationkey "
-    "GROUP BY 1, 2), "
-    "pv AS (SELECT a.pos AS pa_, b.pos AS pb, vol.cents FROM vol "
-    "JOIN reg a ON a.rk = vol.sr JOIN reg b ON b.rk = vol.cr), "
-    "masks AS (SELECT unnest(generate_series(0, "
-    "(1 << (SELECT CAST(r AS INT) FROM m)) - 1)) AS k FROM m), "
-    "valid AS (SELECT k FROM masks, m "
-    "WHERE (k >> 0) & 1 = 1 AND (k >> CAST(m.r - 1 AS INT)) & 1 = 0), "
-    "cuts AS (SELECT v.k, COALESCE(sum(pv.cents) FILTER (WHERE "
-    "((v.k >> CAST(pv.pa_ AS INT)) & 1) <> "
-    "((v.k >> CAST(pv.pb AS INT)) & 1)), 0)::BIGINT AS cut "
-    "FROM valid v LEFT JOIN pv ON TRUE GROUP BY 1), "
-    "best AS (SELECT k, cut FROM cuts ORDER BY cut, k LIMIT 1) "
-    "SELECT m.r AS n_regions, "
-    "(SELECT r_name FROM reg WHERE pos = 0) AS source_region, "
-    "(SELECT r_name FROM reg, m WHERE pos = m.r - 1) AS sink_region, "
-    "best.cut AS min_cut_cents, best.k::BIGINT AS best_mask, "
-    "bit_count(best.k)::BIGINT AS source_side_size "
-    "FROM best, m WHERE m.r >= 2"
-)
-
-
-# ---- nim_winner_census: Sprague-Grundy nimber census ------------------------
-
-_NIM_PARTS_ROWS = 2_000_000
-
-
-def nim_winner_census(sf_dir: str) -> "pa.Table":
-    """Sprague–Grundy census over orders-as-Nim-games — the
-    COMBINATORIAL GAME THEORY family: each order's lineitem quantities
-    are Nim heaps; the Grundy value of the position is their XOR
-    (Bouton's theorem), and the first player wins iff it is nonzero.
-    XOR is the one aggregate the engine's sum/min/max/count kernels
-    don't cover, and Bouton's theorem makes it semantically loaded.
-
-    Outputs (grundy, n_orders) for every occurring Grundy value —
-    BOUNDED at 64 rows (quantities ≤ 50 < 2^6, and XOR never leaves
-    the 6-bit lattice).  First-player-win share is the nonzero mass.
-
-    Scale shape: XOR is associative/commutative, so each batch
-    pre-combines per-orderkey partial XORs (sort + `np.bitwise_xor.
-    reduceat` — ~4 lineitems/order collapse before the exchange); a
-    hash(orderkey) partition tag co-locates each order's partials
-    (one pandas callback per partition, segmented reduceat inside),
-    and each partition emits its ≤64-row histogram — the driver folds
-    partitions × 64 rows.  The SQL mirror is DuckDB's bit_xor per
-    order over the same BIGINT casts.
-
-    Reference anchor: SURVEY.md §2.7 aggregation with a non-standard
-    combiner — the archetype for plugging ANY commutative monoid into
-    the partial-combine + partition-exchange skeleton."""
-    import pyarrow.parquet as pq_mod
-
-    n_rows = pq_mod.ParquetFile(
-        f"{sf_dir}/lineitem.parquet"
-    ).metadata.num_rows
-    parts = max(8, n_rows // _NIM_PARTS_ROWS)
-
-    def combine(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"ok": pa.array([], pa.int64()),
-             "g": pa.array([], pa.int64()),
-             "part": pa.array([], pa.int64())}
-        )
-        if len(t) == 0:
-            return empty
-        ok = t["l_orderkey"].to_numpy().astype(np.int64)
-        q = t["l_quantity"].to_numpy().astype(np.int64)
-        order = np.argsort(ok, kind="stable")
-        oks = ok[order]
-        new = np.empty(len(oks), dtype=bool)
-        new[0] = True
-        new[1:] = oks[1:] != oks[:-1]
-        starts = np.flatnonzero(new)
-        g = np.bitwise_xor.reduceat(q[order], starts)
-        keys = oks[starts]
-        h = keys.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return pa.table(
-            {"ok": pa.array(keys),
-             "g": pa.array(g.astype(np.int64)),
-             "part": pa.array(
-                 ((h >> np.uint64(33)) % np.uint64(parts)).astype(np.int64))}
-        )
-
-    def per_partition(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"g": pd.array([], dtype="int64"),
-             "n": pd.array([], dtype="int64")}
-        )
-        if df.empty:
-            return empty
-        df = df.sort_values("ok")
-        ok = df["ok"].to_numpy(np.int64)
-        gx = df["g"].to_numpy(np.int64)
-        new = np.empty(len(ok), dtype=bool)
-        new[0] = True
-        new[1:] = ok[1:] != ok[:-1]
-        starts = np.flatnonzero(new)
-        grundy = np.bitwise_xor.reduceat(gx, starts)
-        vals, counts = np.unique(grundy, return_counts=True)
-        return pd.DataFrame(
-            {"g": vals.astype(np.int64), "n": counts.astype(np.int64)}
-        )
-
-    frame = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(combine, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-        .to_pandas()    # bounded: 64 grundy values x partitions
-    )
-    empty = pa.table(
-        {"grundy": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if frame.empty:
-        return empty
-    g = frame.groupby("g", sort=True)["n"].sum().reset_index()
-    return pa.table(
-        {"grundy": pa.array(g["g"].to_numpy(np.int64)),
-         "n_orders": pa.array(g["n"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["nim_winner_census"] = (
-    "WITH o AS (SELECT l_orderkey, "
-    "bit_xor(CAST(l_quantity AS BIGINT))::BIGINT AS g "
-    "FROM lineitem GROUP BY 1) "
-    "SELECT g AS grundy, count(*)::BIGINT AS n_orders "
-    "FROM o GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- h_index_census: rank-value crossing (Hirsch) census --------------------
-
-_HINDEX_PARTS_ROWS = 2_000_000
-
-
-def h_index_census(sf_dir: str) -> "pa.Table":
-    """Hirsch-index census over customers — the RANK-VALUE CROSSING
-    family: a customer's h-index is the largest h such that they
-    placed at least h orders worth at least h whole dollars each
-    (``h = max_i min(i, ⌊v_i⌋)`` over the value-descending order
-    list), the classic quantity-quality tradeoff statistic.  It is a
-    functional of the JOINT rank-value profile — neither a count nor
-    a quantile reaches it.
-
-    Outputs (h, n_customers) — bounded by the max per-customer order
-    count; customers with no orders carry h = 0 via parquet metadata
-    (no customer column read).
-
-    Scale shape: hash(custkey) partition exchange over orders (2
-    int64s per row), one pandas callback per partition (segmented
-    descending sort + positional min + `np.maximum.reduceat`), each
-    emitting its bounded h histogram; driver folds partitions × ~tens
-    rows.  The SQL mirror is the same identity via a per-customer
-    row_number window (any tie order among equal values yields the
-    same h, so the window needs no tiebreak).
-
-    Reference anchor: SURVEY.md §2.7 — A3's rolling quality window
-    asked as a per-entity lifetime profile statistic."""
-    import pyarrow.parquet as pq_mod
-
-    n_rows = pq_mod.ParquetFile(
-        f"{sf_dir}/orders.parquet"
-    ).metadata.num_rows
-    parts = max(8, n_rows // _HINDEX_PARTS_ROWS)
-
-    def tag(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"ck": pa.array([], pa.int64()),
-                 "fv": pa.array([], pa.int64()),
-                 "part": pa.array([], pa.int64())}
-            )
-        ck = t["o_custkey"].to_numpy().astype(np.int64)
-        fv = np.floor(t["o_totalprice"].to_numpy()).astype(np.int64)
-        h = ck.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return pa.table(
-            {"ck": pa.array(ck), "fv": pa.array(fv),
-             "part": pa.array(
-                 ((h >> np.uint64(33)) % np.uint64(parts)).astype(np.int64))}
-        )
-
-    def per_partition(df: "pd.DataFrame") -> "pd.DataFrame":
-        empty = pd.DataFrame(
-            {"h": pd.array([], dtype="int64"),
-             "n": pd.array([], dtype="int64")}
-        )
-        if df.empty:
-            return empty
-        df = df.sort_values(["ck", "fv"], ascending=[True, False])
-        ck = df["ck"].to_numpy(np.int64)
-        fv = df["fv"].to_numpy(np.int64)
-        new = np.empty(len(ck), dtype=bool)
-        new[0] = True
-        new[1:] = ck[1:] != ck[:-1]
-        starts = np.flatnonzero(new)
-        seg = np.cumsum(new) - 1
-        pos = np.arange(len(ck), dtype=np.int64) - starts[seg] + 1
-        score = np.minimum(pos, fv)
-        hvals = np.maximum.reduceat(score, starts)
-        hvals = np.maximum(hvals, 0)     # all-negative-floor guard
-        vals, counts = np.unique(hvals, return_counts=True)
-        return pd.DataFrame(
-            {"h": vals.astype(np.int64), "n": counts.astype(np.int64)}
-        )
-
-    frame = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_partition, batch_format="pandas")
-        .to_pandas()    # bounded: max-order-count values x partitions
-    )
-    n_with = 0 if frame.empty else int(frame["n"].sum())
-    n_zero_extra = _dim_num_rows(sf_dir, "customer") - n_with
-    empty = pa.table(
-        {"h": pa.array([], pa.int64()),
-         "n_customers": pa.array([], pa.int64())}
-    )
-    if frame.empty and n_zero_extra <= 0:
-        return empty
-    g = frame.groupby("h", sort=True)["n"].sum() if not frame.empty \
-        else pd.Series(dtype="int64")
-    hs = g.index.to_numpy(np.int64) if len(g) else np.array([], np.int64)
-    ns = g.to_numpy(np.int64) if len(g) else np.array([], np.int64)
-    if n_zero_extra > 0:
-        if len(hs) and hs[0] == 0:
-            ns = ns.copy()
-            ns[0] += n_zero_extra
-        else:
-            hs = np.concatenate([[0], hs])
-            ns = np.concatenate([[n_zero_extra], ns])
-    return pa.table(
-        {"h": pa.array(hs), "n_customers": pa.array(ns)}
-    )
-
-
-ORACLES["h_index_census"] = (
-    "WITH r AS (SELECT o_custkey, "
-    "CAST(floor(o_totalprice) AS BIGINT) AS fv, "
-    "row_number() OVER (PARTITION BY o_custkey "
-    "ORDER BY floor(o_totalprice) DESC) AS rk FROM orders), "
-    "hx AS (SELECT o_custkey, "
-    "greatest(max(least(rk, fv)), 0)::BIGINT AS h FROM r GROUP BY 1), "
-    "allh AS (SELECT COALESCE(hx.h, 0)::BIGINT AS h FROM customer "
-    "LEFT JOIN hx ON hx.o_custkey = c_custkey) "
-    "SELECT h, count(*)::BIGINT AS n_customers FROM allh "
-    "GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- luhn_mod_census: digit-arithmetic checksum census ----------------------
-
-def luhn_mod_census(sf_dir: str) -> "pa.Table":
-    """Luhn checksum census over order keys — the DIGIT-ARITHMETIC
-    CHECKSUM family (mod-10 doubling code, the card-number standard):
-    reading digits right to left, every second digit doubles (minus 9
-    when the double exceeds 9); the checksum is the digit sum mod 10
-    and the key "validates" when it lands on 0.  Distinct from the
-    linear-parity family (hamming_syndrome_census): the doubling map
-    is NONLINEAR over Z_10, which is exactly why transpositions are
-    caught.
-
-    Outputs (luhn_mod, n_orders) — ten bounded rows; the valid share
-    is the mod-0 mass.
-
-    Vectorization: a fixed 19-step unroll over int64 digit positions
-    (``k // 10^i % 10``), whole-batch numpy masks — the prime-census
-    shape.  The SQL mirror unrolls the same positions with
-    generate_series and integer arithmetic (no string round-trip on
-    either side).
-
-    Scale shape: map-only bounded-histogram partials; ten scalars per
-    batch cross the exchange."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"m": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        k = t["o_orderkey"].to_numpy().astype(np.int64)
-        total = np.zeros(len(k), dtype=np.int64)
-        p = np.ones(len(k), dtype=np.int64)
-        for i in range(19):
-            d = (k // (10 ** i)) % 10
-            if i % 2 == 1:                 # every second digit from the right
-                d = d * 2
-                d = np.where(d > 9, d - 9, d)
-            total += d
-        m = total % 10
-        vals, counts = np.unique(m, return_counts=True)
-        return pa.table(
-            {"m": pa.array(vals.astype(np.int64)),
-             "n": pa.array(counts.astype(np.int64))}
-        )
-
-    parts = (
-        _read(sf_dir, "orders", ["o_orderkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 10 values x blocks
-    )
-    empty = pa.table(
-        {"luhn_mod": pa.array([], pa.int64()),
-         "n_orders": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    g = parts.groupby("m", sort=True)["n"].sum().reset_index()
-    return pa.table(
-        {"luhn_mod": pa.array(g["m"].to_numpy(np.int64)),
-         "n_orders": pa.array(g["n"].to_numpy(np.int64))}
-    )
-
-
-ORACLES["luhn_mod_census"] = (
-    "WITH digs AS (SELECT o_orderkey AS k, i, "
-    "(o_orderkey // CAST(power(10, i) AS BIGINT)) % 10 AS d "
-    "FROM orders, unnest(generate_series(0, 18)) t(i)), "
-    "dd AS (SELECT k, CASE WHEN i % 2 = 1 THEN "
-    "CASE WHEN d * 2 > 9 THEN d * 2 - 9 ELSE d * 2 END ELSE d END AS v "
-    "FROM digs), "
-    "s AS (SELECT k, sum(v) % 10 AS m FROM dd GROUP BY 1) "
-    "SELECT m::BIGINT AS luhn_mod, count(*)::BIGINT AS n_orders "
-    "FROM s GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- qty_kmedians_exact: optimal 1-D k-medians segmentation ----------------
-
-KMEDIANS_K = 4
-
-
-def qty_kmedians_exact(sf_dir: str) -> "pa.Table":
-    """EXACT optimal 1-D k-medians clustering of the quantity
-    distribution — the exact-clustering family: kmeans_fit iterates to
-    a local optimum in d dimensions; on a 1-D BOUNDED domain the
-    GLOBAL optimum is computable because optimal clusters are
-    contiguous in value order, so the answer is the best of
-    C(D−1, k−1) contiguous segmentations of the D≤50 distinct
-    quantities (≈18k candidates at k=4 — exhaustive, no DP recursion
-    to replay).  Segment cost is the weighted L1 deviation from the
-    segment's weighted LOWER median (any weighted median minimizes;
-    the cost value is median-choice-invariant on the flat minimum, so
-    both engines agree without pinning the median itself).
-
-    Outputs one row: n_distinct, k_eff (= min(k, D)), total_cost
-    (exact int64 cents of... units: quantity units × rows), and the
-    segment-start VALUES s1..s4 (s1 = min value; −1 pads when D < k).
-    Ties among equal-cost segmentations break to the lexicographically
-    smallest split positions — mirrored exactly in the SQL ORDER BY.
-
-    Scale shape: the 50-bin histogram sufficient statistic (map-only
-    bounded partials); the driver builds the O(D²) segment-cost matrix
-    from prefix sums and evaluates all splits vectorized (one
-    lexsort).  The SQL mirror materializes the same W(i,j) cost table
-    (correlated lower-median subquery + prefix-sum identity) and
-    enumerates the same splits.
-
-    Reference anchor: §2.8 embedding dedup / kmeans_fit (SURVEY.md) —
-    the exact 1-D anchor the iterative clusterer can be sanity-checked
-    against."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"q": pa.array([], pa.int64()),
-                 "n": pa.array([], pa.int64())}
-            )
-        q = t["l_quantity"].to_numpy().astype(np.int64)
-        g = pa.table({"q": pa.array(q)}).group_by("q").aggregate(
-            [("q", "count")]
-        )
-        return pa.table(
-            {"q": g["q"], "n": pc.cast(g["q_count"], pa.int64())}
-        )
-
-    parts = (
-        _read(sf_dir, "lineitem", ["l_quantity"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: 50 values x blocks
-    )
-    empty = pa.table(
-        {"n_distinct": pa.array([], pa.int64()),
-         "k_eff": pa.array([], pa.int64()),
-         "total_cost": pa.array([], pa.int64()),
-         "s1_value": pa.array([], pa.int64()),
-         "s2_value": pa.array([], pa.int64()),
-         "s3_value": pa.array([], pa.int64()),
-         "s4_value": pa.array([], pa.int64())}
-    )
-    if parts.empty:
-        return empty
-    hist = parts.groupby("q", sort=True)["n"].sum()
-    v = hist.index.to_numpy(np.int64)
-    w = hist.to_numpy(np.int64)
-    D = len(v)
-    k = min(KMEDIANS_K, D)
-    cw = np.concatenate([[0], np.cumsum(w)])          # cw[p] = Σ_{<=p}
-    cs = np.concatenate([[0], np.cumsum(v * w)])
-
-    W = np.zeros((D + 1, D + 1), dtype=np.int64)       # W[i][j], 1-based
-    for i in range(1, D + 1):
-        seg_w = cw[i:] - cw[i - 1]                     # totals for j>=i
-        # lower median position per j: smallest p with 2(cw[p]-cw[i-1])
-        # >= seg_w  — vectorized via searchsorted on the cw slice
-        half = seg_w                                   # compare 2x form
-        cc = 2 * (cw[i:] - cw[i - 1])
-        for jx in range(len(seg_w)):
-            j = i + jx
-            m = i + int(np.searchsorted(cc[: jx + 1], half[jx]))
-            med = v[m - 1]
-            W[i][j] = (
-                med * (cw[m] - cw[i - 1]) - (cs[m] - cs[i - 1])
-                + (cs[j] - cs[m]) - med * (cw[j] - cw[m])
-            )
-
-    from itertools import combinations
-
-    best = None
-    for splits in combinations(range(2, D + 1), k - 1):
-        bounds = [1, *splits, D + 1]
-        cost = sum(
-            int(W[bounds[t]][bounds[t + 1] - 1]) for t in range(k)
-        )
-        key = (cost, *splits)
-        if best is None or key < best:
-            best = key
-    cost = best[0]
-    starts = [int(v[0])] + [int(v[s - 1]) for s in best[1:]]
-    starts += [-1] * (KMEDIANS_K - len(starts))
-    return pa.table(
-        {"n_distinct": pa.array([D], pa.int64()),
-         "k_eff": pa.array([k], pa.int64()),
-         "total_cost": pa.array([cost], pa.int64()),
-         "s1_value": pa.array([starts[0]], pa.int64()),
-         "s2_value": pa.array([starts[1]], pa.int64()),
-         "s3_value": pa.array([starts[2]], pa.int64()),
-         "s4_value": pa.array([starts[3]], pa.int64())}
-    )
-
-
-ORACLES["qty_kmedians_exact"] = (
-    "WITH hist AS (SELECT CAST(l_quantity AS BIGINT) AS v, "
-    "count(*)::BIGINT AS w FROM lineitem GROUP BY 1), "
-    "pos AS (SELECT v, w, row_number() OVER (ORDER BY v) AS p, "
-    "sum(w) OVER (ORDER BY v)::BIGINT AS cw, "
-    "sum(v * w) OVER (ORDER BY v)::BIGINT AS cs FROM hist), "
-    "m AS (SELECT count(*)::BIGINT AS d FROM pos), "
-    "k AS (SELECT least(4, d)::BIGINT AS k FROM m), "
-    "wt AS (SELECT i.p AS i, j.p AS j, "
-    "COALESCE((SELECT min(x.p) FROM pos x WHERE x.p >= i.p "
-    "AND x.p <= j.p AND 2 * (x.cw - i.cw + i.w) >= j.cw - i.cw + i.w), "
-    "i.p) AS mp FROM pos i, pos j WHERE j.p >= i.p), "
-    "wcost AS (SELECT wt.i, wt.j, "
-    "(mv.v * (mv.cw - ip.cw + ip.w) - (mv.cs - ip.cs + ip.v * ip.w) "
-    "+ (jp.cs - mv.cs) - mv.v * (jp.cw - mv.cw))::BIGINT AS c "
-    "FROM wt JOIN pos mv ON mv.p = wt.mp "
-    "JOIN pos ip ON ip.p = wt.i JOIN pos jp ON jp.p = wt.j), "
-    "splits AS ("
-    "SELECT s2.p AS s2, s3.p AS s3, s4.p AS s4 FROM pos s2, pos s3, "
-    "pos s4, m WHERE m.d >= 4 AND s2.p >= 2 AND s3.p > s2.p "
-    "AND s4.p > s3.p "
-    "UNION ALL SELECT s2.p, s3.p, NULL FROM pos s2, pos s3, m "
-    "WHERE m.d = 3 AND s2.p >= 2 AND s3.p > s2.p "
-    "UNION ALL SELECT s2.p, NULL, NULL FROM pos s2, m "
-    "WHERE m.d = 2 AND s2.p >= 2 "
-    "UNION ALL SELECT NULL, NULL, NULL FROM m WHERE m.d = 1), "
-    "scored AS (SELECT s2, s3, s4, "
-    "(SELECT c FROM wcost WHERE i = 1 AND "
-    "j = COALESCE(s2 - 1, (SELECT d FROM m))) "
-    "+ COALESCE((SELECT c FROM wcost WHERE i = s2 AND "
-    "j = COALESCE(s3 - 1, (SELECT d FROM m))), 0) "
-    "+ COALESCE((SELECT c FROM wcost WHERE i = s3 AND "
-    "j = COALESCE(s4 - 1, (SELECT d FROM m))), 0) "
-    "+ COALESCE((SELECT c FROM wcost WHERE i = s4 AND "
-    "j = (SELECT d FROM m)), 0) AS cost FROM splits), "
-    "best AS (SELECT * FROM scored "
-    "ORDER BY cost, s2 NULLS LAST, s3 NULLS LAST, s4 NULLS LAST "
-    "LIMIT 1) "
-    "SELECT m.d AS n_distinct, k.k AS k_eff, best.cost AS total_cost, "
-    "(SELECT v FROM pos WHERE p = 1)::BIGINT AS s1_value, "
-    "COALESCE((SELECT v FROM pos WHERE p = best.s2), -1)::BIGINT "
-    "AS s2_value, "
-    "COALESCE((SELECT v FROM pos WHERE p = best.s3), -1)::BIGINT "
-    "AS s3_value, "
-    "COALESCE((SELECT v FROM pos WHERE p = best.s4), -1)::BIGINT "
-    "AS s4_value "
-    "FROM best, m, k"
-)
-
-
-# ---- shapley_regions: Shapley-Shubik power index ----------------------------
-
-def shapley_regions(sf_dir: str) -> "pa.Table":
-    """Exact SHAPLEY–SHUBIK power index over the same weighted voting
-    game as region_banzhaf (weights = regional order revenue, strict-
-    majority quota) — the ORDERED dual in the cooperative-game pair:
-    Banzhaf counts swings over coalitions uniformly; Shapley–Shubik
-    weights each swing by the permutations that realize it
-    (``|S|!·(n−1−|S|)!`` of n!), i.e. the probability of being the
-    PIVOT in a uniformly random joining order.  The two indices
-    genuinely diverge on asymmetric weights, so this is not a
-    re-parametrization of the existing row.
-
-    Exactness: the numerator Σ|S|!(n−1−|S|)! is an exact integer
-    (n ≤ 15 asserted: 14!·2^15 < 2^63 keeps the SQL mirror in
-    BIGINT); outputs ss_num, ss_den (= n!), and the ONE float
-    division ``shapley = ss_num/ss_den`` (−1.0 sentinel when the
-    grand coalition itself cannot pass — zero total weight — where no
-    permutation has a pivot).
-
-    Scale shape: region_banzhaf's exact exchange — customer broadcast
-    below BROADCAST_DIM_MAX_ROWS (native hash-join fallback above,
-    zero-threshold test), nation→region LUT in the closure, bounded
-    per-batch regionkey partials; the driver enumerates 2^n masks
-    with factorial weights.  The SQL mirror adds a factorial CTE to
-    the banzhaf mask enumeration.
-
-    Reference anchor: A4 (SURVEY.md §2.6) — the who-decides question
-    under random arrival order instead of uniform coalitions."""
-    import math
-
-    import pyarrow.parquet as pq
-
-    region = pq.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    empty = pa.table(
-        {"r_name": pa.array([], pa.string()),
-         "weight_cents": pa.array([], pa.int64()),
-         "ss_num": pa.array([], pa.int64()),
-         "ss_den": pa.array([], pa.int64()),
-         "shapley": pa.array([], pa.float64())}
-    )
-    if len(region) == 0:
-        return empty
-    rkeys = region["r_regionkey"].to_numpy().astype(np.int64)
-    order = np.argsort(rkeys)
-    rkeys = rkeys[order]
-    rnames = np.asarray(region["r_name"].to_pylist(), dtype=object)[order]
-    n = len(rkeys)
-    assert n <= 15, f"region axis no longer bounded ({n} rows)"
-
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-    )
-    nk = nation["n_nationkey"].to_numpy().astype(np.int64)
-    region_lut = np.full(int(nk.max()) + 2 if len(nk) else 1, None, object)
-    if len(nk):
-        region_lut[nk] = nation["n_regionkey"].to_numpy().astype(np.int64)
-
-    def _to_cents(t: pa.Table) -> np.ndarray:
-        return np.floor(
-            t["o_totalprice"].to_numpy() * 100 + 0.5
-        ).astype(np.int64)
-
-    if _dim_num_rows(sf_dir, "customer") <= BROADCAST_DIM_MAX_ROWS:
-        cust = pq.read_table(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        )
-        keys = cust["c_custkey"].to_numpy()
-        corder = np.argsort(keys)
-        ref = ray.put(
-            (keys[corder],
-             cust["c_nationkey"].to_numpy()[corder].astype(np.int64))
-        )
-
-        def part(t: pa.Table) -> pa.Table:
-            rk = _probe_lookup(ref, region_lut, t["o_custkey"].to_numpy())
-            valid = np.not_equal(rk, None)
-            g = (
-                pa.table({"rk": pa.array(rk[valid].astype(np.int64)),
-                          "w": pa.array(_to_cents(t)[valid])})
-                .group_by("rk")
-                .aggregate([("w", "sum")])
-            )
-            return pa.table({"rk": g["rk"], "w": g["w_sum"]})
-
-        parts = (
-            _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-            .map_batches(part, batch_format="pyarrow")
-            .to_pandas()    # bounded: regions x blocks
-        )
-    else:
-        orders = _read(
-            sf_dir, "orders", ["o_custkey", "o_totalprice"]
-        ).map_batches(
-            lambda t: pa.table(
-                {"o_custkey": t["o_custkey"],
-                 "w": pa.array(_to_cents(t), pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-
-        def post(t: pa.Table) -> pa.Table:
-            rk = region_lut[t["c_nationkey"].to_numpy()]
-            valid = np.not_equal(rk, None)
-            g = (
-                pa.table({"rk": pa.array(rk[valid].astype(np.int64)),
-                          "w": t["w"].to_numpy()[valid]})
-                .group_by("rk")
-                .aggregate([("w", "sum")])
-            )
-            return pa.table({"rk": g["rk"], "w": g["w_sum"]})
-
-        parts = (
-            orders.join(
-                _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
-                join_type="inner",
-                num_partitions=_join_parts(),
-                on=("o_custkey",),
-                right_on=("c_custkey",),
-            )
-            .map_batches(post, batch_format="pyarrow")
-            .to_pandas()    # bounded: regions x blocks
-        )
-
-    w = {int(k): 0 for k in rkeys}
-    if not parts.empty:
-        for k, v in parts.groupby("rk")["w"].sum().items():
-            if int(k) in w:
-                w[int(k)] += int(v)
-    wl = [w[int(k)] for k in rkeys]
-    total = sum(wl)
-    quota = total // 2 + 1
-    s = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        s[m] = s[m ^ low] + wl[low.bit_length() - 1]
-    den = math.factorial(n)
-    nums = []
-    for i in range(n):
-        acc = 0
-        for m in range(1 << n):
-            if not (m >> i) & 1 and s[m] < quota <= s[m] + wl[i]:
-                bc = bin(m).count("1")
-                acc += math.factorial(bc) * math.factorial(n - 1 - bc)
-        nums.append(acc)
-    return pa.table(
-        {"r_name": pa.array(list(rnames), pa.string()),
-         "weight_cents": pa.array(wl, pa.int64()),
-         "ss_num": pa.array(nums, pa.int64()),
-         "ss_den": pa.array([den] * n, pa.int64()),
-         "shapley": pa.array(
-             [(-1.0 if sum(nums) == 0 else float(a) / float(den))
-              for a in nums], pa.float64())}
-    )
-
-
-ORACLES["shapley_regions"] = (
-    "WITH RECURSIVE w AS (SELECT n_regionkey::BIGINT AS rk, "
-    "sum(CAST(floor(o_totalprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    "AS wc FROM orders JOIN customer ON c_custkey = o_custkey "
-    "JOIN nation ON n_nationkey = c_nationkey GROUP BY 1), "
-    "players AS (SELECT r_regionkey::BIGINT AS rk, r_name, "
-    "row_number() OVER (ORDER BY r_regionkey) - 1 AS i, "
-    "COALESCE(w.wc, 0)::BIGINT AS wc FROM region "
-    "LEFT JOIN w ON w.rk = region.r_regionkey), "
-    "m AS (SELECT count(*)::BIGINT AS n, sum(wc)::BIGINT AS total "
-    "FROM players), "
-    "fact(k, f) AS (SELECT 0::BIGINT, 1::BIGINT UNION ALL "
-    "SELECT k + 1, f * (k + 1) FROM fact, m WHERE k < m.n), "
-    "masks AS (SELECT unnest(generate_series(0, "
-    "(1 << CAST((SELECT n FROM m) AS INT)) - 1))::BIGINT AS k), "
-    "msum AS (SELECT k.k, COALESCE(sum(p.wc) FILTER (WHERE "
-    "((k.k >> CAST(p.i AS INT)) & 1) = 1), 0)::BIGINT AS s, "
-    "COALESCE(sum(((k.k >> CAST(p.i AS INT)) & 1)), 0)::BIGINT AS bc "
-    "FROM masks k LEFT JOIN players p ON TRUE GROUP BY 1), "
-    "sw AS (SELECT p.i, p.rk, sum(fb.f * fa.f)::BIGINT AS num "
-    "FROM players p JOIN msum ON ((msum.k >> CAST(p.i AS INT)) & 1) = 0 "
-    "AND msum.s < (SELECT total // 2 + 1 FROM m) "
-    "AND msum.s + p.wc >= (SELECT total // 2 + 1 FROM m) "
-    "JOIN fact fb ON fb.k = msum.bc "
-    "JOIN fact fa ON fa.k = (SELECT n FROM m) - 1 - msum.bc "
-    "GROUP BY 1, 2), "
-    "tot AS (SELECT COALESCE(sum(num), 0)::BIGINT AS ts FROM sw) "
-    "SELECT p.r_name, p.wc AS weight_cents, "
-    "COALESCE(sw.num, 0)::BIGINT AS ss_num, "
-    "(SELECT f FROM fact, m WHERE fact.k = m.n)::BIGINT AS ss_den, "
-    "CASE WHEN (SELECT ts FROM tot) = 0 THEN -1.0 ELSE "
-    "CAST(COALESCE(sw.num, 0) AS DOUBLE) / "
-    "CAST((SELECT f FROM fact, m WHERE fact.k = m.n) AS DOUBLE) END "
-    "AS shapley FROM players p LEFT JOIN sw ON sw.i = p.i "
-    "ORDER BY p.rk"
-)
-
-
-# ---- partition_count_census: integer partitions via pentagonal recurrence --
-
-def partition_count_census(sf_dir: str) -> "pa.Table":
-    """Integer-partition census — the PARTITION-COUNTING family: for
-    each observed per-customer order count n, the number p(n) of ways
-    to write n as an unordered sum of positive integers ("how many
-    shapes could this customer's n orders take across distinct
-    days?"), computed by EULER'S PENTAGONAL-NUMBER recurrence
-    ``p(n) = Σ_k (−1)^{k−1} [p(n − k(3k−1)/2) + p(n − k(3k+1)/2)]``
-    — a recurrence over ALL smaller values with irregular strides,
-    which no window frame expresses.  Zeckendorf/Josephus replay
-    single-state recurrences; this one carries the FULL prefix.
-
-    Outputs (group_size, p_partitions, n_customers) for every
-    observed count; p(n) is exact int64 far beyond any realistic
-    per-customer order count (p(100) ≈ 1.9e8, p(400) > 2^63 — max n
-    asserted ≤ 300 where p(n) < 2^63).
-
-    Scale shape: the cust_order_histogram double-groupby to the
-    bounded size histogram; the driver replays O(max_n·√max_n)
-    recurrence steps.  The SQL mirror carries the p-prefix as LIST
-    STATE in a recursive CTE, each step appending one value via a
-    pentagonal-offset lambda sum.
-
-    Reference anchor: SURVEY.md §2.7 aggregation — the combinatorial
-    dual of cust_order_histogram's plain counts."""
-    hist = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(_partial_group_agg(["o_custkey"]), batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n_partial", alias_name="n_orders"))
-        .map_batches(_partial_group_agg(["n_orders"]), batch_format="pyarrow")
-        .groupby("n_orders")
-        .aggregate(Sum("n_partial", alias_name="n_customers"))
-        .to_pandas()    # bounded: distinct per-customer counts (~tens)
-    )
-    empty = pa.table(
-        {"group_size": pa.array([], pa.int64()),
-         "p_partitions": pa.array([], pa.int64()),
-         "n_customers": pa.array([], pa.int64())}
-    )
-    if hist.empty:
-        return empty
-    sizes = hist["n_orders"].to_numpy(np.int64)
-    max_n = int(sizes.max())
-    assert max_n <= 300, "p(n) leaves int64 past ~n=400; shard the census"
-    p = [1] + [0] * max_n
-    for i in range(1, max_n + 1):
-        acc, k = 0, 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > i and g2 > i:
-                break
-            sgn = 1 if k % 2 == 1 else -1
-            if g1 <= i:
-                acc += sgn * p[i - g1]
-            if g2 <= i:
-                acc += sgn * p[i - g2]
-            k += 1
-        p[i] = acc
-    order = np.argsort(sizes)
-    sizes = sizes[order]
-    return pa.table(
-        {"group_size": pa.array(sizes),
-         "p_partitions": pa.array(
-             np.array([p[int(s)] for s in sizes], dtype=np.int64)),
-         "n_customers": pa.array(
-             hist["n_customers"].to_numpy(np.int64)[order])}
-    )
-
-
-ORACLES["partition_count_census"] = (
-    "WITH RECURSIVE cnt AS (SELECT o_custkey, count(*)::BIGINT AS n "
-    "FROM orders GROUP BY 1), "
-    "hist AS (SELECT n, count(*)::BIGINT AS n_customers FROM cnt "
-    "GROUP BY 1), "
-    "mx AS (SELECT max(n)::BIGINT AS m FROM hist), "
-    "rec(i, ps) AS ("
-    "SELECT 0::BIGINT, [1::BIGINT] "
-    "UNION ALL "
-    "SELECT i + 1, list_append(ps, "
-    "list_sum(list_transform(generate_series(1, 20), k -> "
-    "(CASE WHEN k % 2 = 1 THEN 1 ELSE -1 END) * ("
-    "(CASE WHEN i + 1 - k * (3 * k - 1) // 2 >= 0 "
-    "THEN ps[CAST(i + 1 - k * (3 * k - 1) // 2 AS INT) + 1] "
-    "ELSE 0 END) + "
-    "(CASE WHEN i + 1 - k * (3 * k + 1) // 2 >= 0 "
-    "THEN ps[CAST(i + 1 - k * (3 * k + 1) // 2 AS INT) + 1] "
-    "ELSE 0 END))))) "
-    "FROM rec, mx WHERE i < mx.m) "
-    "SELECT hist.n AS group_size, "
-    "rec.ps[CAST(hist.n AS INT) + 1]::BIGINT AS p_partitions, "
-    "hist.n_customers FROM hist, rec, mx "
-    "WHERE rec.i = mx.m ORDER BY 1"
-)
-
-
-# ---- region_tsp_tour: max-weight Hamiltonian cycle over regions -------------
-
-def region_tsp_tour(sf_dir: str) -> "pa.Table":
-    """Maximum-weight Hamiltonian cycle over the region trade graph —
-    the TRAVELING-SALESMAN family, exact on the bounded region axis:
-    the tour visiting every region once whose summed UNDIRECTED
-    bilateral trade (both directions of each hop) is largest — "the
-    richest ring route through all trade zones".  Completes the
-    region-graph trio: min-cut (bottleneck), Banzhaf/Shapley (power),
-    and now the Hamiltonian optimum — a global constraint
-    (permutation feasibility) no join/groupby composition expresses.
-
-    Exactness: tours enumerate as permutations anchored at the
-    lowest-key region ((R−1)! = 24 at the spec-bounded R=5 axis,
-    which both engines REQUIRE — typed empty otherwise); each
-    direction of a cycle scores equally, and ties break to the
-    lexicographically smallest visit order — pinned on both engines.
-
-    Outputs one row: n_regions, tour (the visit order as a ' -> '
-    joined name string, returning to start implied), tour_cents.
-    Typed empty below 3 regions (no cycle).
-
-    Scale shape: region_trade_min_cut's exchange — supplier/orders/
-    customer broadcast below the bound (NO join; triple-join fallback
-    above, zero-threshold test), bounded R×R partials; the driver
-    enumerates 24 permutations.  The SQL mirror enumerates the same
-    permutations as (R−1) nested self-joins with distinct
-    constraints."""
-    import pyarrow.parquet as pq_mod
-    from itertools import permutations
-
-    region = pq_mod.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-    )
-    empty = pa.table(
-        {"n_regions": pa.array([], pa.int64()),
-         "tour": pa.array([], pa.string()),
-         "tour_cents": pa.array([], pa.int64())}
-    )
-    rkeys = np.sort(region["r_regionkey"].to_numpy().astype(np.int64))
-    R = len(rkeys)
-    # the SQL mirror unrolls exactly the spec-bounded 5-region axis;
-    # both engines return typed empty on any other region count
-    if R != 5:
-        return empty
-    rname = {
-        int(k): v
-        for k, v in zip(region["r_regionkey"].to_numpy(),
-                        region["r_name"].to_pylist())
-    }
-    vol = _region_volume(sf_dir)        # R x R cents, ascending key order
-    und = vol + vol.T                   # undirected hop weights
-    best = None
-    for perm in permutations(range(1, R)):
-        route = (0, *perm)
-        score = int(
-            sum(und[route[i], route[i + 1]] for i in range(R - 1))
-            + und[route[-1], 0]
-        )
-        key = (-score, perm)
-        if best is None or key < best:
-            best = key
-    score = -best[0]
-    route = (0, *best[1])
-    tour = " -> ".join(rname[int(rkeys[i])] for i in route)
-    return pa.table(
-        {"n_regions": pa.array([R], pa.int64()),
-         "tour": pa.array([tour], pa.string()),
-         "tour_cents": pa.array([score], pa.int64())}
-    )
-
-
-ORACLES["region_tsp_tour"] = (
-    "WITH reg AS (SELECT r_regionkey::BIGINT AS rk, r_name, "
-    "row_number() OVER (ORDER BY r_regionkey) - 1 AS pos FROM region), "
-    "m AS (SELECT count(*)::BIGINT AS r FROM reg), "
-    "vol AS (SELECT sn.n_regionkey::BIGINT AS sr, "
-    "cn.n_regionkey::BIGINT AS cr, "
-    "sum(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    "AS cents FROM lineitem "
-    "JOIN supplier ON s_suppkey = l_suppkey "
-    "JOIN nation sn ON sn.n_nationkey = s_nationkey "
-    "JOIN orders ON o_orderkey = l_orderkey "
-    "JOIN customer ON c_custkey = o_custkey "
-    "JOIN nation cn ON cn.n_nationkey = c_nationkey "
-    "GROUP BY 1, 2), "
-    "pv AS (SELECT a.pos AS pa_, b.pos AS pb, sum(vol.cents)::BIGINT "
-    "AS c FROM vol JOIN reg a ON a.rk = vol.sr "
-    "JOIN reg b ON b.rk = vol.cr GROUP BY 1, 2), "
-    "und AS (SELECT p1.pos AS x, p2.pos AS y, "
-    "(COALESCE((SELECT c FROM pv WHERE pa_ = p1.pos AND pb = p2.pos), 0) "
-    "+ COALESCE((SELECT c FROM pv WHERE pa_ = p2.pos AND pb = p1.pos), 0)"
-    ")::BIGINT AS w FROM reg p1, reg p2), "
-    "tours AS (SELECT a.pos AS v1, b.pos AS v2, c_.pos AS v3, d.pos AS v4, "
-    "(SELECT w FROM und WHERE x = 0 AND y = a.pos) + "
-    "(SELECT w FROM und WHERE x = a.pos AND y = b.pos) + "
-    "(SELECT w FROM und WHERE x = b.pos AND y = c_.pos) + "
-    "(SELECT w FROM und WHERE x = c_.pos AND y = d.pos) + "
-    "(SELECT w FROM und WHERE x = d.pos AND y = 0) AS score "
-    "FROM reg a, reg b, reg c_, reg d, m "
-    "WHERE m.r = 5 AND a.pos <> 0 AND b.pos <> 0 AND c_.pos <> 0 "
-    "AND d.pos <> 0 AND b.pos <> a.pos AND c_.pos NOT IN (a.pos, b.pos) "
-    "AND d.pos NOT IN (a.pos, b.pos, c_.pos)), "
-    "best AS (SELECT * FROM tours ORDER BY score DESC, v1, v2, v3, v4 "
-    "LIMIT 1) "
-    "SELECT m.r AS n_regions, "
-    "(SELECT r_name FROM reg WHERE pos = 0) || ' -> ' || "
-    "(SELECT r_name FROM reg WHERE pos = best.v1) || ' -> ' || "
-    "(SELECT r_name FROM reg WHERE pos = best.v2) || ' -> ' || "
-    "(SELECT r_name FROM reg WHERE pos = best.v3) || ' -> ' || "
-    "(SELECT r_name FROM reg WHERE pos = best.v4) AS tour, "
-    "best.score::BIGINT AS tour_cents FROM best, m"
-)
-
-
-# ---- region_spanning_trees: Kirchhoff matrix-tree count ----------------------
-
-def region_spanning_trees(sf_dir: str) -> "pa.Table":
-    """Number of spanning trees of the region trade graph — the
-    ALGEBRAIC GRAPH COUNTING family via KIRCHHOFF'S MATRIX-TREE
-    THEOREM: t(G) = det of the reduced Laplacian (delete node 0's row
-    and column), an integer determinant that counts every spanning
-    tree at once — brand_mst_weight finds ONE optimal tree, this
-    counts ALL of them (the redundancy measure of the trade network:
-    how many single-link backbones exist).
-
-    Exactness: the adjacency is binary (bilateral trade > 0); on the
-    spec-bounded 5-region axis (REQUIRED, like region_tsp_tour —
-    typed empty otherwise) the reduced Laplacian is 4×4 and both
-    engines expand the SAME 24-term signed permutation sum (sign via
-    inversion-count parity) — no floating determinant anywhere;
-    t(K5) = 125 bounds the value.
-
-    Outputs one row: n_regions, n_edges, n_spanning_trees,
-    is_connected (Kirchhoff: t(G) > 0 iff connected).
-
-    Scale shape: the shared _region_volume exchange (broadcast/no-join
-    below the dim bound, triple-join fallback above); the driver
-    expands 24 integer terms.  The SQL mirror builds the 16 reduced-
-    Laplacian entries and the same signed expansion over 4-element
-    permutations."""
-    import pyarrow.parquet as pq_mod
-    from itertools import permutations
-
-    region = pq_mod.read_table(
-        f"{sf_dir}/region.parquet", columns=["r_regionkey"]
-    )
-    empty = pa.table(
-        {"n_regions": pa.array([], pa.int64()),
-         "n_edges": pa.array([], pa.int64()),
-         "n_spanning_trees": pa.array([], pa.int64()),
-         "is_connected": pa.array([], pa.int64())}
-    )
-    R = len(region)
-    if R != 5:
-        return empty
-    vol = _region_volume(sf_dir)
-    und = vol + vol.T
-    np.fill_diagonal(und, 0)
-    A = (und > 0).astype(np.int64)
-    n_edges = int(A.sum()) // 2
-    L = np.diag(A.sum(axis=1)) - A
-    M = L[1:, 1:]
-    det = 0
-    for perm in permutations(range(4)):
-        inv = sum(
-            1
-            for a in range(4)
-            for b in range(a + 1, 4)
-            if perm[a] > perm[b]
-        )
-        sgn = 1 if inv % 2 == 0 else -1
-        term = sgn
-        for r_i in range(4):
-            term *= int(M[r_i, perm[r_i]])
-        det += term
-    return pa.table(
-        {"n_regions": pa.array([R], pa.int64()),
-         "n_edges": pa.array([n_edges], pa.int64()),
-         "n_spanning_trees": pa.array([det], pa.int64()),
-         "is_connected": pa.array([int(det > 0)], pa.int64())}
-    )
-
-
-ORACLES["region_spanning_trees"] = (
-    "WITH reg AS (SELECT r_regionkey::BIGINT AS rk, "
-    "row_number() OVER (ORDER BY r_regionkey) - 1 AS pos FROM region), "
-    "m AS (SELECT count(*)::BIGINT AS r FROM reg), "
-    "vol AS (SELECT sn.n_regionkey::BIGINT AS sr, "
-    "cn.n_regionkey::BIGINT AS cr, "
-    "sum(CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT))::BIGINT "
-    "AS cents FROM lineitem "
-    "JOIN supplier ON s_suppkey = l_suppkey "
-    "JOIN nation sn ON sn.n_nationkey = s_nationkey "
-    "JOIN orders ON o_orderkey = l_orderkey "
-    "JOIN customer ON c_custkey = o_custkey "
-    "JOIN nation cn ON cn.n_nationkey = c_nationkey "
-    "GROUP BY 1, 2), "
-    "adj AS (SELECT p1.pos AS x, p2.pos AS y, "
-    "(CASE WHEN p1.pos <> p2.pos AND "
-    "COALESCE((SELECT c2.cents FROM vol c2 JOIN reg a2 ON a2.rk = c2.sr "
-    "JOIN reg b2 ON b2.rk = c2.cr WHERE a2.pos = p1.pos "
-    "AND b2.pos = p2.pos), 0) + "
-    "COALESCE((SELECT c3.cents FROM vol c3 JOIN reg a3 ON a3.rk = c3.sr "
-    "JOIN reg b3 ON b3.rk = c3.cr WHERE a3.pos = p2.pos "
-    "AND b3.pos = p1.pos), 0) > 0 THEN 1 ELSE 0 END)::BIGINT AS a "
-    "FROM reg p1, reg p2), "
-    "deg AS (SELECT x, sum(a)::BIGINT AS d FROM adj GROUP BY 1), "
-    "lap AS (SELECT adj.x, adj.y, "
-    "(CASE WHEN adj.x = adj.y THEN deg.d ELSE -adj.a END)::BIGINT AS v "
-    "FROM adj JOIN deg ON deg.x = adj.x "
-    "WHERE adj.x >= 1 AND adj.y >= 1), "
-    "perms AS (SELECT a.y AS p1, b.y AS p2, c_.y AS p3, d.y AS p4, "
-    "(CASE WHEN ((CASE WHEN a.y > b.y THEN 1 ELSE 0 END) + "
-    "(CASE WHEN a.y > c_.y THEN 1 ELSE 0 END) + "
-    "(CASE WHEN a.y > d.y THEN 1 ELSE 0 END) + "
-    "(CASE WHEN b.y > c_.y THEN 1 ELSE 0 END) + "
-    "(CASE WHEN b.y > d.y THEN 1 ELSE 0 END) + "
-    "(CASE WHEN c_.y > d.y THEN 1 ELSE 0 END)) % 2 = 0 "
-    "THEN 1 ELSE -1 END)::BIGINT AS sgn "
-    "FROM (SELECT DISTINCT y FROM lap) a, (SELECT DISTINCT y FROM lap) b, "
-    "(SELECT DISTINCT y FROM lap) c_, (SELECT DISTINCT y FROM lap) d "
-    "WHERE b.y <> a.y AND c_.y NOT IN (a.y, b.y) "
-    "AND d.y NOT IN (a.y, b.y, c_.y)), "
-    "det AS (SELECT COALESCE(sum(perms.sgn * l1.v * l2.v * l3.v * l4.v), "
-    "0)::BIGINT AS t FROM perms "
-    "JOIN lap l1 ON l1.x = 1 AND l1.y = perms.p1 "
-    "JOIN lap l2 ON l2.x = 2 AND l2.y = perms.p2 "
-    "JOIN lap l3 ON l3.x = 3 AND l3.y = perms.p3 "
-    "JOIN lap l4 ON l4.x = 4 AND l4.y = perms.p4), "
-    "ne AS (SELECT (sum(a) // 2)::BIGINT AS e FROM adj) "
-    "SELECT m.r AS n_regions, ne.e AS n_edges, det.t AS n_spanning_trees, "
-    "(CASE WHEN det.t > 0 THEN 1 ELSE 0 END)::BIGINT AS is_connected "
-    "FROM m, ne, det WHERE m.r = 5"
-)

@@ -48,7 +48,7 @@ def gate_decision_report(sf_dir: str) -> ray.data.Dataset:
     ds = build_pipeline(read_corpus(corpus_for(sf_dir)), cfg)
     from ray.data.aggregate import Sum
 
-    from .relational import _partial_group_agg
+    from ._common import _partial_group_agg
 
     return (
         ds.select_columns(["gate_decision", "language"])
@@ -194,7 +194,7 @@ def repo_quality_report(sf_dir: str) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
-    from .relational import _partial_group_agg
+    from ._common import _partial_group_agg
 
     labels = quality_filter_labels(sf_dir)
     agg = (

@@ -937,14 +937,14 @@ CLOSEST_PAIR_MAX_ROWS = 2_000_000     # exact-anchor row bound (see guard)
 def embedding_closest_pair(sf_dir: str) -> "pa.Table":
     """CLOSEST pair of the 2-D integer projection of the embedding cloud
     (``x = floor(emb[0]·1000), y = floor(emb[1]·1000)``) — the dual of
-    part_cloud_diameter's farthest pair, and a different algorithm
-    family: the hull theorem is useless for minima, so this is the
-    Rabin GRID-HASHING method — (1) one lexicographic sweep yields an
-    upper bound d0 (min distance over coordinate-sorted neighbours);
-    (2) bucket points into cells of side s > d0; every pair at distance
-    ≤ d0 then differs by ≤ 1 in each cell coordinate, so candidates are
-    exactly the same-cell + 4-neighbour-offset cell joins — expected
-    O(n) candidates instead of O(n²).
+    the farthest pair, and a different algorithm family: the hull
+    theorem is useless for minima, so this is the Rabin GRID-HASHING
+    method — (1) one lexicographic sweep yields an upper bound d0 (min
+    distance over coordinate-sorted neighbours); (2) bucket points into
+    cells of side s > d0; every pair at distance ≤ d0 then differs by ≤
+    1 in each cell coordinate, so candidates are exactly the same-cell +
+    4-neighbour-offset cell joins — expected O(n) candidates instead of
+    O(n²).
 
     Scale shape: the per-batch partial projects each vector to two
     int64s (24 B/row crosses the exchange, never the embeddings); the

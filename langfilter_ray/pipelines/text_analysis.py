@@ -28,6 +28,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.scrub import SCRUB_RULES
+from ._common import _read
 
 TOKEN_RE = "[A-Za-z0-9_]+"          # ASCII \w — identical in RE2 and DuckDB
 LOWER_TOKEN_RE = "[a-z0-9_]+"
@@ -43,14 +44,6 @@ STOP = {
 _LANG_PRIORITY = ("en", "fr", "de", "es")
 
 
-def _docs(sf_dir: str) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet")
-
-
-def _docs_cols(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-
 # ---- token_counts --------------------------------------------------------
 
 def token_counts(sf_dir: str) -> ray.data.Dataset:
@@ -60,7 +53,7 @@ def token_counts(sf_dir: str) -> ray.data.Dataset:
             {"doc_id": t["doc_id"], "n_tokens": pc.cast(n, pa.int64())}
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -85,7 +78,7 @@ def token_counts_bpe(sf_dir: str) -> ray.data.Dataset:
             {"doc_id": t["doc_id"], "n_bpe_tokens": pc.cast(n, pa.int64())}
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -119,7 +112,7 @@ def stopword_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -147,7 +140,7 @@ def langid_heuristic(sf_dir: str) -> ray.data.Dataset:
         preds = langs[np.argmax(hits, axis=1)]
         return pa.table({"doc_id": t["doc_id"], "pred_lang": pa.array(preds)})
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -179,7 +172,7 @@ def quality_score(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -196,7 +189,7 @@ def fingerprint(sf_dir: str) -> ray.data.Dataset:
         ]
         return pa.table({"doc_id": t["doc_id"], "fp_md5": pa.array(hashes)})
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -206,10 +199,10 @@ def fingerprint(sf_dir: str) -> ray.data.Dataset:
 def lang_distribution(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
-    from .relational import _partial_group_agg
+    from ._common import _partial_group_agg
 
     return (
-        _docs_cols(sf_dir, ["lang"])
+        _read(sf_dir, "documents", ["lang"])
         # map-side combiner: <= n_langs rows per batch cross the shuffle
         # (Ray's aggregate map stage does not pre-aggregate)
         .map_batches(_partial_group_agg(["lang"]), batch_format="pyarrow")
@@ -233,7 +226,7 @@ def scrub_documents(sf_dir: str) -> ray.data.Dataset:
         ]
         return pa.table({"doc_id": t["doc_id"], "scrub_md5": pa.array(hashes)})
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -332,7 +325,7 @@ def top_tokens(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     agg = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(partial_counts, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("partial", alias_name="n"))
@@ -393,7 +386,7 @@ def top_bigrams(sf_dir: str) -> ray.data.Dataset:
         )
 
     agg = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["w1", "w2"])
         .aggregate(Sum("partial", alias_name="n"))
@@ -477,7 +470,7 @@ def heavy_hitter_tokens(sf_dir: str) -> ray.data.Dataset:
 
     # candidate union + corpus token total: ≤ K rows per batch + sentinel
     agg = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(phase_a, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("partial", alias_name="partial"))
@@ -505,7 +498,7 @@ def heavy_hitter_tokens(sf_dir: str) -> ray.data.Dataset:
         )
 
     exact = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(phase_b, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("partial", alias_name="n_occurrences"))
@@ -531,10 +524,10 @@ HEAVY_HITTER_SQL = (
 def distinct_sources(sf_dir: str) -> ray.data.Dataset:
     """Distinct `source` values (ds.unique analog via groupby keys);
     per-batch dedupe first so only unique values cross the shuffle."""
-    from .relational import _partial_group_agg
+    from ._common import _partial_group_agg
 
     return (
-        _docs_cols(sf_dir, ["source"])
+        _read(sf_dir, "documents", ["source"])
         .map_batches(_partial_group_agg(["source"]), batch_format="pyarrow")
         .groupby("source")
         .count()
@@ -545,7 +538,7 @@ def distinct_sources(sf_dir: str) -> ray.data.Dataset:
 def sample_docs(sf_dir: str) -> ray.data.Dataset:
     """Deterministic 5% sample by key hash (doc_id % 20 == 3) — reproducible
     sampling expressible on both engines, unlike RNG-based samplers."""
-    return _docs_cols(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
         lambda t: t.filter(
             pc.equal(pc.subtract(t["doc_id"], pc.multiply(pc.divide(t["doc_id"], 20), 20)), 3)
         ),
@@ -577,10 +570,10 @@ def doc_stats_by_lang(sf_dir: str) -> ray.data.Dataset:
     single int/int division afterwards so floats never enter a SUM)."""
     from ray.data.aggregate import Max, Min, Sum
 
-    from .relational import _partial_group_stats
+    from ._common import _partial_group_stats
 
     agg = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         # combiner emits one (n/sum/min/max) row per (batch, lang); the
         # global pass reassembles the exact values (Sum/Sum/Min/Max)
         .map_batches(
@@ -663,7 +656,7 @@ def doc_perplexity(sf_dir: str) -> ray.data.Dataset:
     infinite-perplexity case so the column stays a clean float64).
     Rows-only (model-based); determinism and flagship-consistency pinned
     in tests."""
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         _PerplexityScorer,
         batch_format="pyarrow",
         concurrency=(1, _pool_size()),
@@ -704,7 +697,7 @@ def decontaminate_overlap(sf_dir: str) -> ray.data.Dataset:
     docs only.  Rows-only: pinned against a tuple-level (unhashed)
     ground truth in tests."""
     eval_bits = (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(
             lambda t: t.filter(
                 pc.equal(
@@ -759,7 +752,7 @@ def decontaminate_overlap(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         scan, batch_format="pyarrow"
     )
 
@@ -772,10 +765,10 @@ TOPK_PER_LANG = 5
 def top_docs_per_lang(sf_dir: str) -> ray.data.Dataset:
     """Top-5 docs per language by a quality key (longest docs win; ties to
     the smaller doc_id) — ROW_NUMBER()-per-partition re-expressed for
-    scale, same shape as relational.top_orders_per_segment: each batch
-    keeps only its LOCAL top-5 per language (combiner), then the exact
-    rank runs in map_groups over the tiny survivor set.  The quality key
-    here is n_chars (already a column — no text scan needed); swap in any
+    scale: each batch keeps only its LOCAL top-5 per language
+    (combiner), then the exact rank runs in map_groups over the tiny
+    survivor set.  The quality key here is n_chars (already a column —
+    no text scan needed); swap in any
     scoring column and the plan is unchanged."""
     import pandas as pd
 
@@ -802,7 +795,7 @@ def top_docs_per_lang(sf_dir: str) -> ray.data.Dataset:
         return g[["lang", "doc_id", "n_chars", "rank"]]
 
     return (
-        _docs_cols(sf_dir, ["doc_id", "lang", "n_chars"])
+        _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
         .map_batches(local_topk, batch_format="pyarrow")
         .groupby("lang")
         .map_groups(exact_rank, batch_format="pandas")
@@ -864,7 +857,7 @@ def winnow_fingerprints(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -887,7 +880,7 @@ def train_val_split(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.table({"doc_id": t["doc_id"], "split": split})
 
-    return _docs_cols(sf_dir, ["doc_id"]).map_batches(assign, batch_format="pyarrow")
+    return _read(sf_dir, "documents", ["doc_id"]).map_batches(assign, batch_format="pyarrow")
 
 
 ORACLES["train_val_split"] = (
@@ -924,7 +917,7 @@ def stratified_sample(sf_dir: str) -> ray.data.Dataset:
         ]
         return t.filter(pa.array(mask, pa.bool_()))
 
-    return _docs_cols(sf_dir, ["doc_id", "lang"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
         keep, batch_format="pyarrow"
     )
 
@@ -989,7 +982,7 @@ def gopher_quality(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -1045,7 +1038,7 @@ def domain_mix_weights(sf_dir: str) -> ray.data.Dataset:
         )
 
     agg = (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("source")
         .aggregate(Sum("toks", alias_name="n_tokens"), Sum("docs", alias_name="n_docs"))
@@ -1143,7 +1136,7 @@ def inverted_index_stats(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Max, Min, Sum
 
     return (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
         .aggregate(
@@ -1183,10 +1176,10 @@ def tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
     aggregation and the probe side consume them, the same justified
     double-consumption as dedup's band table — df merges in one
     groupby(token), rides back via a hash-partitioned token join (list
-    payloads avoided by design), and the per-doc argmax is the windows.py
-    pattern: hash-partition by doc, ONE vectorized sort +
-    drop_duplicates per partition — callbacks scale with partition
-    count, not document count.  Ties break on token text; the score
+    payloads avoided by design), and the per-doc argmax
+    hash-partitions by doc, then runs ONE vectorized sort +
+    drop_duplicates per partition — callbacks scale with partition count, not document
+    count.  Ties break on token text; the score
     doubles are computed identically on both sides so tie sets agree."""
 
     def tf_partial(t: pa.Table) -> pa.Table:
@@ -1211,7 +1204,7 @@ def tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
         )
 
     tf = (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(tf_partial, batch_format="pyarrow")
         .materialize()
     )
@@ -1230,7 +1223,7 @@ def tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("df_partial", alias_name="df"))
     )
 
-    from .relational import _volume_join_parts
+    from ._common import _volume_join_parts
 
     scored = tf.join(
         df,
@@ -1353,10 +1346,10 @@ def shared_ngram_docs(sf_dir: str) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
-    from .relational import _partial_group_agg, _volume_join_parts
+    from ._common import _partial_group_agg, _volume_join_parts
 
     pairs = (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(pairs_partial, batch_format="pyarrow")
         .materialize()
     )
@@ -1411,10 +1404,10 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
     with fewer than 5 words emit no row on either side."""
     from ray.data.aggregate import Min, Sum
 
-    from .relational import _partial_group_agg, _volume_join_parts
+    from ._common import _partial_group_agg, _volume_join_parts
 
     pairs = (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(_distinct_gram_pairs, batch_format="pyarrow")
         .materialize()
     )
@@ -1535,7 +1528,7 @@ def char_class_profile(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        _docs_cols(sf_dir, ["lang", "text"])
+        _read(sf_dir, "documents", ["lang", "text"])
         .map_batches(census, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(
@@ -1619,7 +1612,7 @@ def dup_token_stats(sf_dir: str) -> ray.data.Dataset:
         return g.rename_columns(["lang", "n_p", "tt_p", "dt_p", "hd_p"])
 
     return (
-        _docs_cols(sf_dir, ["text", "lang"])
+        _read(sf_dir, "documents", ["text", "lang"])
         .map_batches(f, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(
@@ -1654,17 +1647,15 @@ CHAR_PCTS = (0.5, 0.9, 0.99)
 def chars_percentiles(sf_dir: str) -> ray.data.Dataset:
     """Exact discrete percentiles (p50/p90/p99) of document length per
     language — the reference's per-class latency-percentile report
-    (SURVEY.md §2.6) as a grouped ORDER-STATISTIC, complementing the
-    sketch-based ``approx_quantiles``.
+    (SURVEY.md §2.6) as a grouped ORDER-STATISTIC.
 
     ``groupby(lang).map_groups`` is the right tool here BECAUSE the
     group count is bounded (|langs|, not SF-proportional — CLAUDE.md's
     map_groups rule), and only (lang, n_chars) — 8 bytes a row — crosses
     the shuffle, never text.  Inside each group one sort + three gathers
     at index ceil(p*n)-1 reproduce DuckDB's quantile_disc convention
-    exactly (verified: n=4/5 probes).  For percentiles over an
-    UNBOUNDED key space use ``approx_quantiles`` — this operator's
-    per-group gather grows with corpus size."""
+    exactly (verified: n=4/5 probes).  This operator's per-group
+    gather grows with corpus size."""
     import pandas as pd
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
@@ -1692,7 +1683,7 @@ def chars_percentiles(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .groupby("lang")
         .map_groups(pick, batch_format="pandas")
         .sort("lang")
@@ -1743,10 +1734,10 @@ def length_trim_by_lang(sf_dir: str) -> ray.data.Dataset:
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from .relational import _partial_group_agg
+    from ._common import _partial_group_agg
 
     hist = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .map_batches(
             _partial_group_agg(["lang", "n_chars"]), batch_format="pyarrow"
         )
@@ -1809,7 +1800,7 @@ def length_trim_by_lang(sf_dir: str) -> ray.data.Dataset:
             )
         return t.filter(pa.array(mask))
 
-    docs = _docs_cols(sf_dir, ["doc_id", "lang", "n_chars"])
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     interior = docs.map_batches(
         lambda t: classify(t, True), batch_format="pyarrow"
     )
@@ -1901,7 +1892,7 @@ def vocab_stats(sf_dir: str) -> ray.data.Dataset:
         return g.rename_columns(["lang", "d_p", "o_p"])
 
     return (
-        _docs_cols(sf_dir, ["text", "lang"])
+        _read(sf_dir, "documents", ["text", "lang"])
         .map_batches(pairs, batch_format="pyarrow")
         .groupby(["lang", "token"])
         .aggregate(Sum("occ_p", alias_name="n_occurrences"))
@@ -1963,7 +1954,7 @@ def vocab_overlap(sf_dir: str) -> ray.data.Dataset:
         )
 
     vocab = (
-        _docs_cols(sf_dir, ["text", "lang"])
+        _read(sf_dir, "documents", ["text", "lang"])
         .map_batches(pairs, batch_format="pyarrow")
         .groupby(["lang", "token"])
         .aggregate(Sum("one", alias_name="n"))
@@ -2059,7 +2050,7 @@ def lang_source_agg(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        _docs_cols(sf_dir, ["lang", "source"])
+        _read(sf_dir, "documents", ["lang", "source"])
         .map_batches(pairs, batch_format="pyarrow")
         .groupby(["lang", "source"])
         .aggregate(Sum("n_p", alias_name="n_docs"))
@@ -2137,7 +2128,7 @@ def pack_sequences(sf_dir: str) -> ray.data.Dataset:
         g = t.group_by("part").aggregate([("n_tokens", "sum")])
         return g.rename_columns(["part", "n_partial"])
 
-    counted = lambda: _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(  # noqa: E731
+    counted = lambda: _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(  # noqa: E731
         tokens_with_part, batch_format="pyarrow"
     )
 
@@ -2243,7 +2234,7 @@ def mix_downsample(sf_dir: str) -> ray.data.Dataset:
         rates = rate_arr[pc.fill_null(idx, len(langs)).to_numpy()]
         return t.filter(pa.array(draw < rates))
 
-    return _docs_cols(sf_dir, ["doc_id", "lang"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -2293,7 +2284,7 @@ def mix_rebalance(sf_dir: str) -> ray.data.Dataset:
         return g.rename_columns(["lang", "n_partial"])
 
     counts = (
-        _docs_cols(sf_dir, ["doc_id", "lang"])
+        _read(sf_dir, "documents", ["doc_id", "lang"])
         .map_batches(lang_partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(Sum("n_partial", alias_name="n"))
@@ -2323,7 +2314,7 @@ def mix_rebalance(sf_dir: str) -> ray.data.Dataset:
         r = rate_arr[pc.fill_null(idx, 0).to_numpy()]
         return t.filter(pa.array(draw < r))
 
-    return _docs_cols(sf_dir, ["doc_id", "lang"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
         f, batch_format="pyarrow"
     )
 
@@ -2389,7 +2380,7 @@ def source_quota_sample(sf_dir: str) -> ray.data.Dataset:
         return out[["doc_id", "source", "quota_rank"]]
 
     return (
-        _docs_cols(sf_dir, ["doc_id", "source"])
+        _read(sf_dir, "documents", ["doc_id", "source"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("source")
         .map_groups(finish, batch_format="pandas")
@@ -2441,7 +2432,7 @@ def weighted_sample(sf_dir: str) -> "pa.Table":
         )
 
     top = (
-        _docs_cols(sf_dir, ["doc_id", "n_chars"])
+        _read(sf_dir, "documents", ["doc_id", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()          # bounded: <= K rows per input block
     )
@@ -2507,7 +2498,7 @@ def shuffle_order(sf_dir: str) -> ray.data.Dataset:
         g = t.group_by("part").aggregate([("h", "count")])
         return g.rename_columns(["part", "n_partial"])
 
-    src = lambda: _docs_cols(sf_dir, ["doc_id"]).map_batches(  # noqa: E731
+    src = lambda: _read(sf_dir, "documents", ["doc_id"]).map_batches(  # noqa: E731
         hashed, batch_format="pyarrow"
     )
 
@@ -2588,7 +2579,7 @@ def _sampled_length_bounds(sf_dir: str, parts: int, n_rows: int) -> np.ndarray:
         )
 
     samp = (
-        _docs_cols(sf_dir, ["doc_id", "n_chars"])
+        _read(sf_dir, "documents", ["doc_id", "n_chars"])
         .map_batches(sample, batch_format="pyarrow")
         .to_pandas()["n_chars"]          # bounded: ~parts * 256 rows
         .to_numpy()
@@ -2642,7 +2633,7 @@ def length_rank_tiers(sf_dir: str) -> ray.data.Dataset:
         g = t.group_by("part").aggregate([("doc_id", "count")])
         return g.rename_columns(["part", "n_partial"])
 
-    src = lambda: _docs_cols(sf_dir, ["doc_id", "n_chars"]).map_batches(  # noqa: E731
+    src = lambda: _read(sf_dir, "documents", ["doc_id", "n_chars"]).map_batches(  # noqa: E731
         with_part, batch_format="pyarrow"
     )
 
@@ -2757,7 +2748,7 @@ def training_manifest(sf_dir: str) -> ray.data.Dataset:
         g = t.group_by("part").aggregate([("doc_id", "count"), ("n_tokens", "sum")])
         return g.rename_columns(["part", "rows_partial", "tokens_partial"])
 
-    src = lambda: _docs_cols(sf_dir, ["doc_id", "lang", "text"]).map_batches(  # noqa: E731
+    src = lambda: _read(sf_dir, "documents", ["doc_id", "lang", "text"]).map_batches(  # noqa: E731
         sample_and_tag, batch_format="pyarrow"
     )
 
@@ -2928,7 +2919,7 @@ def bpe_train(sf_dir: str) -> pa.Table:
         )
 
     agg = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(partial_counts, batch_format="pyarrow")
         .groupby("word")
         .aggregate(Sum("partial", alias_name="n"))
@@ -3038,7 +3029,7 @@ def bpe_encode(sf_dir: str) -> ray.data.Dataset:
              "n_bpe_tokens": pa.array(counts)}
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "text"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         encode, batch_format="pyarrow"
     )
 
@@ -3090,7 +3081,7 @@ def zscore_by_lang(sf_dir: str) -> ray.data.Dataset:
         )
 
     m = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
         .aggregate(
@@ -3138,7 +3129,7 @@ def zscore_by_lang(sf_dir: str) -> ray.data.Dataset:
              "z_chars": pa.array(z, pa.float64())}
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
         zmap, batch_format="pyarrow"
     )
 
@@ -3195,7 +3186,7 @@ def weighted_median_chars(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: value cardinality x languages x blocks
     )
@@ -3276,7 +3267,7 @@ def sentence_stats(sf_dir: str) -> "pa.Table":
         )
 
     parts = (
-        _docs_cols(sf_dir, ["lang", "text"])
+        _read(sf_dir, "documents", ["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: languages x blocks
     )
@@ -3319,7 +3310,7 @@ def percentile_rank_chars(sf_dir: str) -> ray.data.Dataset:
     languages), the driver turns it into sorted distinct values +
     EXCLUSIVE prefix counts, ray.put's the arrays once, and pass 2 is a
     pure map that binary-searches each row (sorted-numpy broadcast
-    probe, the relational.py dim pattern — never a dict in the
+    probe, the _common._probe_lookup pattern — never a dict in the
     closure).  The classic window-function plan would range-partition
     and sort every row; this plan ships each row once and the
     histogram once, which is the right trade whenever value cardinality
@@ -3341,7 +3332,7 @@ def percentile_rank_chars(sf_dir: str) -> ray.data.Dataset:
         )
 
     hist = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: value cardinality x languages x blocks
     )
@@ -3379,7 +3370,7 @@ def percentile_rank_chars(sf_dir: str) -> ray.data.Dataset:
              "rank_in_lang": pa.array(rank, pa.int64())}
         )
 
-    return _docs_cols(sf_dir, ["doc_id", "lang", "n_chars"]).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
         rank_batch, batch_format="pyarrow"
     )
 
@@ -3445,7 +3436,7 @@ def length_token_contingency(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["n_chars", "text"])
+        _read(sf_dir, "documents", ["n_chars", "text"])
         .map_batches(hist2, batch_format="pyarrow")
         .to_pandas()    # bounded: value cardinality x 2 dims x blocks
     )
@@ -3480,7 +3471,7 @@ def length_token_contingency(sf_dir: str) -> "pa.Table":
         )
 
     parts = (
-        _docs_cols(sf_dir, ["n_chars", "text"])
+        _read(sf_dir, "documents", ["n_chars", "text"])
         .map_batches(bucket, batch_format="pyarrow")
         .to_pandas()    # bounded: 16 rows x blocks
     )
@@ -3541,7 +3532,7 @@ def sources_per_lang(sf_dir: str) -> "pa.Table":
         ).aggregate([])
 
     pairs = (
-        _docs_cols(sf_dir, ["lang", "source"])
+        _read(sf_dir, "documents", ["lang", "source"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: languages x sources x blocks
     )
@@ -3604,7 +3595,7 @@ def length_gini_by_source(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["source", "n_chars"])
+        _read(sf_dir, "documents", ["source", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: value cardinality x sources x blocks
     )
@@ -3690,7 +3681,7 @@ def spearman_length_tokens(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["n_chars", "text"])
+        _read(sf_dir, "documents", ["n_chars", "text"])
         .map_batches(hist2, batch_format="pyarrow")
         .to_pandas()    # bounded: value cardinality x 2 dims x blocks
     )
@@ -3737,7 +3728,7 @@ def spearman_length_tokens(sf_dir: str) -> "pa.Table":
         )
 
     parts = (
-        _docs_cols(sf_dir, ["n_chars", "text"])
+        _read(sf_dir, "documents", ["n_chars", "text"])
         .map_batches(moments, batch_format="pyarrow")
         .to_pandas()    # bounded: 6 ints x blocks
     )
@@ -3818,7 +3809,7 @@ def source_token_quota(sf_dir: str) -> "pa.Table":
         )
 
     sums = (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: sources x blocks
     )
@@ -3941,7 +3932,7 @@ def vocab_growth(sf_dir: str) -> "pa.Table":
         )
 
     folded = (
-        _docs_cols(sf_dir, ["doc_id", "text"])
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(tok_min, batch_format="pyarrow")
         .groupby("bk")
         .map_groups(bucket_counts, batch_format="pandas")
@@ -4048,7 +4039,7 @@ def hapax_by_source(sf_dir: str) -> "pa.Table":
         return out
 
     folded = (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(tok_counts, batch_format="pyarrow")
         .groupby("bk")
         .map_groups(bucket_fold, batch_format="pandas")
@@ -4114,7 +4105,7 @@ def small_group_census(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["lang", "n_chars"])
+        _read(sf_dir, "documents", ["lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: languages x bucket domain x blocks
     )
@@ -4203,7 +4194,7 @@ def source_token_divergence(sf_dir: str) -> "pa.Table":
         )
 
     hist = (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(tok_counts, batch_format="pyarrow")
         .to_pandas()    # bounded: vocabulary x sources x blocks
     )
@@ -4331,7 +4322,7 @@ def source_simpson_diversity(sf_dir: str) -> "pa.Table":
         return out
 
     folded = (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(tok_counts, batch_format="pyarrow")
         .groupby("bk")
         .map_groups(bucket_fold, batch_format="pandas")
@@ -4410,7 +4401,7 @@ def huffman_cost_top64(sf_dir: str) -> "pa.Table":
     from ray.data.aggregate import Sum
 
     top = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(_token_partial_counts, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("partial", alias_name="n"))
@@ -4477,8 +4468,8 @@ CM_AUDIT_TOP = 10
 
 def _cm_bucket(r: int, token: str) -> int:
     """Count-min bucket: the first two hex digits of md5("r:token") —
-    DuckDB's md5() mirrors hashlib bit-for-bit (the user_activity_f2
-    precedent), so the sketch is replayable in SQL."""
+    DuckDB's md5() mirrors hashlib bit-for-bit, so the sketch is
+    replayable in SQL."""
     import hashlib
 
     h = hashlib.md5(f"{r}:{token}".encode()).hexdigest()
@@ -4488,15 +4479,13 @@ def _cm_bucket(r: int, token: str) -> int:
 def cm_sketch_tokens(sf_dir: str) -> "pa.Table":
     """COUNT-MIN SKETCH point-query audit: build a 4×256 count-min
     sketch over the corpus token counts and report, for the top-10
-    tokens, the exact count next to the sketch estimate (min over the
-    4 hashed cells) and the over-estimation ratio — the frequency
-    point-query sketch that completes the moment suite (HLL = F0,
-    AMS = F2, heavy hitters = F∞, Bloom = membership) with the same
-    sketch-vs-exact audit shape as bloom_semi_join_exact.  CM never
-    underestimates (every cell is ≥ the token's true count), so
-    ``over_ratio ≥ 1.0`` is an engine-checkable invariant, and with
-    deterministic md5 bucketing the whole sketch is exact-replayable:
-    every output value hash-matches the SQL mirror.
+    tokens, the exact count next to the sketch estimate (min over the 4
+    hashed cells) and the over-estimation ratio — the frequency
+    point-query sketch next to heavy hitters (F∞), reported as a
+    sketch-vs-exact audit.  CM never underestimates (every cell is ≥ the
+    token's true count), so ``over_ratio ≥ 1.0`` is an engine-checkable
+    invariant, and with deterministic md5 bucketing the whole sketch is
+    exact-replayable: every output value hash-matches the SQL mirror.
 
     Scale shape: token counts ride the shared wordcount combiner
     (vocabulary-bounded groupby, materialized once — the same bound the
@@ -4511,7 +4500,7 @@ def cm_sketch_tokens(sf_dir: str) -> "pa.Table":
     from ray.data.aggregate import Sum
 
     cnt = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(_token_partial_counts, batch_format="pyarrow")
         .groupby("token")
         .aggregate(Sum("partial", alias_name="n"))
@@ -4623,7 +4612,7 @@ def _argmax_doc_head(sf_dir: str) -> tuple[int, str] | None:
         )
 
     best = (
-        _docs_cols(sf_dir, ["doc_id", "text", "n_chars"])
+        _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
         .map_batches(argmax_partial, batch_format="pyarrow")
         .to_pandas()    # bounded: one short row per block
     )
@@ -4688,12 +4677,11 @@ def distinct_substrings_cap(sf_dir: str) -> "pa.Table":
     Scale shape: pass 1 is a distributed ARGMAX — each batch emits its
     single best (max n_chars, then min doc_id) row with the text already
     capped to SUBSTR_CAP chars, so the gather is blocks × 1 short row;
-    the O(L) automaton runs on the driver over a CAPPED string (the
-    user_lcs_top2 precedent for bounded-input DPs).  The DuckDB mirror
-    enumerates all L(L+1)/2 substrings via a lateral generate_series
-    cross product and COUNT(DISTINCT ...) — feasible exactly because
-    the cap bounds it, and an independent quadratic check of the
-    automaton's linear-time answer.
+    the O(L) automaton runs on the driver over a CAPPED string.  The
+    DuckDB mirror enumerates all L(L+1)/2 substrings via a lateral
+    generate_series cross product and COUNT(DISTINCT ...) — feasible
+    exactly because the cap bounds it, and an independent quadratic
+    check of the automaton's linear-time answer.
 
     Reference anchor: M1's probe slicing (SURVEY.md §2.3) — bound the
     text, then run the expensive analysis on the bounded probe."""
@@ -4857,7 +4845,7 @@ def token_trie_nodes(sf_dir: str) -> "pa.Table":
         return pa.table({"w": u})
 
     parts = (
-        _docs_cols(sf_dir, ["text"])
+        _read(sf_dir, "documents", ["text"])
         .map_batches(distinct_tokens, batch_format="pyarrow")
         .to_pandas()    # bounded: vocabulary x blocks
     )
@@ -5016,7 +5004,7 @@ def _argmax2_doc_heads(sf_dir: str) -> list[tuple[int, str]]:
         )
 
     best = (
-        _docs_cols(sf_dir, ["doc_id", "text", "n_chars"])
+        _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
         .map_batches(top2_partial, batch_format="pyarrow")
         .to_pandas()    # bounded: two short rows per block
     )
@@ -5030,13 +5018,12 @@ def _argmax2_doc_heads(sf_dir: str) -> list[tuple[int, str]]:
 def lcsubstr_top2(sf_dir: str) -> "pa.Table":
     """Longest COMMON SUBSTRING between the two longest documents'
     capped heads — LOCAL exact alignment, the cross-document sibling of
-    the single-string suffix structures: user_lcs_top2 aligns
-    SUBSEQUENCES (gaps allowed), this finds the longest contiguous
-    shared run ("what literal text do the two biggest files share?"),
-    the primitive behind clone detection and plagiarism checks.  Among
-    equal-length maxima the lexicographically SMALLEST substring wins
-    (the same total order the SQL mirror sorts by); disjoint alphabets
-    report length 0 with an empty string.
+    the single-string suffix structures: this finds the longest
+    contiguous shared run ("what literal text do the two biggest files
+    share?"), the primitive behind clone detection and plagiarism
+    checks.  Among equal-length maxima the lexicographically SMALLEST
+    substring wins (the same total order the SQL mirror sorts by);
+    disjoint alphabets report length 0 with an empty string.
 
     Scale shape: one distributed top-2 argmax gather (per-batch top-2
     short rows, text pre-capped — blocks × 2 rows cross the exchange);
@@ -5165,7 +5152,7 @@ def dict_match_census(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     return (
-        _docs_cols(sf_dir, ["source", "text"])
+        _read(sf_dir, "documents", ["source", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["source", "pat"])
         .aggregate(Sum("m", alias_name="n_matches"),
@@ -5541,7 +5528,7 @@ def merkle_root_by_source(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        _docs_cols(sf_dir, ["doc_id", "text", "source"])
+        _read(sf_dir, "documents", ["doc_id", "text", "source"])
         .map_batches(leaf, batch_format="pyarrow")
         .groupby("source")
         .map_groups(per_source, batch_format="pandas")
@@ -5571,9 +5558,8 @@ LEV_CAP = 128
 
 def levenshtein_top2(sf_dir: str) -> "pa.Table":
     """Levenshtein EDIT DISTANCE between the two longest documents'
-    capped heads — GLOBAL alignment with substitutions, completing the
-    alignment trio (user_lcs_top2 = subsequences, lcsubstr_top2 =
-    contiguous runs): the minimum number of single-character inserts,
+    capped heads — GLOBAL alignment with substitutions, next to
+    lcsubstr_top2's contiguous runs: the minimum number of single-character inserts,
     deletes and substitutions turning one head into the other.  Note
     edit distance is NOT derivable from LCS (``n + m − 2·LCS`` is the
     indel-only distance; substitutions cost 1 here, not 2).

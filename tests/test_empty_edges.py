@@ -152,14 +152,41 @@ def empty_sf(tmp_path_factory, ray_session) -> str:
     return str(d)
 
 
-def test_promo_range_join_empty_events_typed(empty_sf):
-    """Zero events (or none inside the promo calendar) must yield a typed
-    empty result, not a schemaless dataset (review r3 finding)."""
-    from langfilter_ray.pipelines import windows
+@pytest.mark.parametrize(
+    "name",
+    [
+        "status_counts", "event_type_by_bucket", "recent_window_count",
+        "top50_recent", "events_filtered_sorted",
+    ],
+)
+def test_events_queries_typed_on_empty_events(empty_sf, name):
+    """Zero events must give the oracle's column names and dtypes, not a
+    schemaless empty result."""
+    import duckdb
 
-    out = windows.promo_window_revenue(empty_sf)
-    assert out.count() == 0
-    assert out.schema().names == ["promo_id", "n_events", "value_cents"]
+    from langfilter_ray.pipelines import relational
+    from langfilter_ray.testing import canon, compare_frames
+
+    got = getattr(relational, name)(empty_sf).to_pandas()
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW events AS SELECT * FROM '{empty_sf}/events.parquet'"
+    )
+    want = con.execute(relational.ORACLES[name]).df()
+    assert compare_frames(canon(got), canon(want)) == []
+
+
+def test_common_reader_drops_schema_metadata(tmp_path, ray_session):
+    """Blocks from the shared reader carry no pandas schema metadata (an
+    unhashable schema spams 'Failed to hash the schemas' in shuffles)."""
+    from langfilter_ray.pipelines._common import _read
+
+    df = pd.DataFrame({"doc_id": [0, 1], "source": ["a", "b"]})
+    pq.write_table(pa.Table.from_pandas(df), tmp_path / "documents.parquet")
+    assert b"pandas" in pq.read_schema(tmp_path / "documents.parquet").metadata
+    ds = _read(str(tmp_path), "documents", ["doc_id", "source"])
+    blocks = [ray_session.get(r) for r in ds.to_arrow_refs()]
+    assert blocks and all(b.schema.metadata is None for b in blocks)
 
 
 def test_domain_mix_weights_zero_token_source(empty_sf):
@@ -185,7 +212,7 @@ def test_probe_lookup_empty_dim_all_null(ray_session):
     (review r3 finding)."""
     import ray as _ray
 
-    from langfilter_ray.pipelines.relational import _probe_lookup
+    from langfilter_ray.pipelines._common import _probe_lookup
 
     ref = _ray.put((np.array([], dtype=np.int64), np.array([], dtype=np.int64)))
     lut = np.asarray(["x", None], dtype=object)
@@ -198,13 +225,6 @@ def test_http_read_rejects_reader_kwargs(ray_session):
 
     with pytest.raises(TypeError, match="columns"):
         src_io.read_table("http://127.0.0.1:9/x.parquet", filter="a > 1")
-
-
-def test_bloom_empty_build_side_filters_everything(clean_sf):
-    from langfilter_ray.pipelines.relational import bloom_semi_join
-
-    got = bloom_semi_join(clean_sf).to_pandas()
-    assert len(got) == 0
 
 
 def test_dedup_survivors_dense_drop_list(tmp_path_factory, ray_session):

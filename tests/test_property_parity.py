@@ -128,265 +128,3 @@ def test_minhash_signature_batching_independent(texts):
     split = [_minhash_sig(t, {}) for t in texts]
     for a, b in zip(together, split):
         assert np.array_equal(a, b)
-
-
-# ---- windowed segmented-numpy kernels vs per-user pandas reference -------
-
-_EVENTS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=6),              # user_id
-        st.integers(min_value=0, max_value=10**8),          # ts offset (us)
-        st.booleans(),                                      # is signup
-    ),
-    min_size=1,
-    max_size=60,
-)
-
-
-def _events_frame(rows):
-    """Deterministic frame with unique (user, ts) pairs and unique
-    event_ids — the documented data contract of the window operators."""
-    import pandas as pd
-
-    seen = set()
-    out = []
-    for i, (u, off, sig) in enumerate(rows):
-        if (u, off) in seen:
-            continue
-        seen.add((u, off))
-        out.append(
-            {
-                "user_id": u,
-                "ts": pd.Timestamp("2024-01-01") + pd.Timedelta(microseconds=off),
-                "event_id": i,
-                "event_type": "signup" if sig else "view",
-            }
-        )
-    return pd.DataFrame(out)
-
-
-@settings(max_examples=120, deadline=None)
-@given(_EVENTS)
-def test_session_kernel_matches_per_user_reference(rows):
-    """The hash-partitioned segmented-numpy sessionizer must agree with a
-    straightforward per-user pandas implementation on arbitrary event
-    shapes (single-event users, boundary gaps, interleaved users)."""
-    import numpy as np
-    import pandas as pd
-
-    from langfilter_ray.pipelines import windows
-
-    g = _events_frame(rows)
-    # drive the partition callback directly (no Ray session needed)
-    per_partition = _session_partition_fn()
-    got = (
-        per_partition(g.copy())
-        .sort_values(["user_id", "session_id"])
-        .reset_index(drop=True)
-    )
-
-    rows_ref = []
-    for u, gu in g.groupby("user_id"):
-        gu = gu.sort_values(["ts", "event_id"]).reset_index(drop=True)
-        us = gu["ts"].astype("datetime64[us]").astype("int64")
-        sess = -1
-        prev = None
-        bounds = {}
-        for i in range(len(gu)):
-            if prev is None or us[i] - prev > windows.SESSION_GAP_US:
-                sess += 1
-                bounds[sess] = [0, gu["ts"][i], gu["ts"][i]]
-            bounds[sess][0] += 1
-            bounds[sess][2] = gu["ts"][i]
-            prev = us[i]
-        for s, (n, first, last) in bounds.items():
-            rows_ref.append((u, s, n, first, last))
-    want = (
-        pd.DataFrame(
-            rows_ref,
-            columns=["user_id", "session_id", "n_events", "first_ts", "last_ts"],
-        )
-        .sort_values(["user_id", "session_id"])
-        .reset_index(drop=True)
-    )
-    for col in want.columns:
-        assert list(got[col]) == list(want[col]), col
-
-
-def _session_partition_fn():
-    """Extract session_windows' per-partition callback without a Ray
-    session: rebuild it from the module internals (the function is a
-    closure, so re-derive via the public pieces)."""
-    import numpy as np
-    import pandas as pd
-
-    from langfilter_ray.pipelines import windows
-
-    def per_partition(g):
-        g, starts, ends = windows._user_segments(g)
-        n = len(g)
-        us = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        ts = g["ts"].to_numpy()
-        new_user = np.zeros(n, dtype=bool)
-        new_user[starts] = True
-        gap = np.empty(n, dtype=np.int64)
-        gap[0] = 0
-        gap[1:] = us[1:] - us[:-1]
-        new_sess = new_user | (gap > windows.SESSION_GAP_US)
-        sess_cum = np.cumsum(new_sess)
-        session_id = sess_cum - np.repeat(sess_cum[starts], ends - starts)
-        s_starts = np.flatnonzero(new_sess)
-        s_ends = np.append(s_starts[1:], n)
-        return pd.DataFrame(
-            {
-                "user_id": g["user_id"].to_numpy()[s_starts],
-                "session_id": session_id[s_starts].astype(np.int64),
-                "n_events": (s_ends - s_starts).astype(np.int64),
-                "first_ts": ts[s_starts],
-                "last_ts": ts[s_ends - 1],
-            }
-        )
-
-    return per_partition
-
-
-@settings(max_examples=120, deadline=None)
-@given(_EVENTS)
-def test_asof_kernel_matches_merge_asof_reference(rows):
-    """The segment-cummax as-of kernel must agree with pd.merge_asof per
-    user (the round-2 implementation) on arbitrary shapes, including
-    users with no signup and signup-as-first/last-event."""
-    import numpy as np
-    import pandas as pd
-
-    from langfilter_ray.pipelines import windows
-
-    g = _events_frame(rows)
-    # vectorized kernel, driven directly
-    gs, starts, ends = windows._user_segments(g.copy())
-    n = len(gs)
-    eid = gs["event_id"].to_numpy()
-    pos = np.where(gs["event_type"].to_numpy() == "signup", np.arange(n), -1)
-    run = np.maximum.accumulate(pos)
-    seg_start = np.repeat(starts, ends - starts)
-    matched = run >= seg_start
-    got = pd.DataFrame(
-        {
-            "event_id": eid,
-            "signup_event_id": np.where(
-                matched, eid[np.maximum(run, 0)], -1
-            ).astype(np.int64),
-        }
-    ).sort_values("event_id").reset_index(drop=True)
-
-    outs = []
-    for _, gu in g.groupby("user_id"):
-        gu = gu.sort_values(["ts", "event_id"])
-        left = gu[["event_id", "ts"]]
-        right = gu[gu["event_type"] == "signup"][["event_id", "ts"]].rename(
-            columns={"event_id": "signup_event_id"}
-        )
-        if right.empty:
-            o = left.copy()
-            o["signup_event_id"] = -1
-        else:
-            o = pd.merge_asof(left, right, on="ts", direction="backward")
-            o["signup_event_id"] = o["signup_event_id"].fillna(-1)
-        outs.append(o[["event_id", "signup_event_id"]])
-    want = (
-        pd.concat(outs)
-        .astype({"signup_event_id": "int64"})
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    assert list(got["event_id"]) == list(want["event_id"])
-    assert list(got["signup_event_id"]) == list(want["signup_event_id"])
-
-
-# ---- bounded-span range-join explode vs brute-force interval scan --------
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.lists(st.integers(min_value=0, max_value=40 * 24 * 3600), min_size=1, max_size=50)
-)
-def test_range_join_kernel_matches_brute_force(ts_offsets_s):
-    """The two-binary-search candidate bound + end filter must find
-    EXACTLY the intervals containing each event, including events before,
-    inside gaps of, and after the promo calendar."""
-    import numpy as np
-    import pandas as pd
-
-    from langfilter_ray.pipelines import windows as W
-
-    starts = W._PROMO_T0_US + np.arange(W._N_PROMOS, dtype=np.int64) * W._PROMO_HOP_US
-    ends = starts + W._PROMO_SPAN_US
-    max_span = int((ends - starts).max())
-    ts = W._PROMO_T0_US + np.array(ts_offsets_s, dtype=np.int64) * 1_000_000 \
-        - 24 * 3600 * 1_000_000          # shift to cover "before calendar"
-    lo = np.searchsorted(starts, ts - max_span, side="right")
-    hi = np.searchsorted(starts, ts, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    got = set()
-    if total:
-        offs = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.repeat(lo, counts) + (np.arange(total) - offs)
-        row = np.repeat(np.arange(len(ts)), counts)
-        keep = ends[flat] > ts[row]
-        got = set(zip(row[keep].tolist(), flat[keep].tolist()))
-    want = {
-        (i, k)
-        for i, t in enumerate(ts)
-        for k in range(W._N_PROMOS)
-        if starts[k] <= t < ends[k]
-    }
-    assert got == want
-
-
-@settings(max_examples=120, deadline=None)
-@given(_EVENTS)
-def test_rolling_kernel_matches_pandas_rolling(rows):
-    """The segmented cumulative-sum rolling-frame kernel must agree with
-    pandas' per-user ``rolling(4, min_periods=1).sum()`` on arbitrary
-    shapes (single-event users, frames shorter than the window,
-    interleaved users)."""
-    import numpy as np
-    import pandas as pd
-
-    from langfilter_ray.pipelines import windows
-
-    g = _events_frame(rows)
-    g["value"] = (g["event_id"] * 7 % 23).astype(float) + 0.25
-
-    def per_partition(gp):
-        gp, starts, ends = windows._user_segments(gp)
-        cents = np.floor(gp["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-        cs = np.concatenate(([0], np.cumsum(cents)))
-        i = np.arange(len(gp))
-        seg_start = np.repeat(starts, ends - starts)
-        lower = np.maximum(i - (windows.ROLLING_FRAME_ROWS - 1), seg_start)
-        return pd.DataFrame(
-            {
-                "event_id": gp["event_id"].to_numpy(),
-                "win_sum_cents": cs[i + 1] - cs[lower],
-                "n_window": (i - lower + 1).astype(np.int64),
-            }
-        )
-
-    got = per_partition(g.copy()).sort_values("event_id").reset_index(drop=True)
-
-    ref = []
-    for u, gu in g.groupby("user_id"):
-        gu = gu.sort_values(["ts", "event_id"]).reset_index(drop=True)
-        cents = np.floor(gu["value"].to_numpy() * 100 + 0.5).astype(np.int64)
-        s = pd.Series(cents)
-        win = s.rolling(windows.ROLLING_FRAME_ROWS, min_periods=1)
-        for eid, ws, nw in zip(gu["event_id"], win.sum(), win.count()):
-            ref.append((eid, int(ws), int(nw)))
-    want = (
-        pd.DataFrame(ref, columns=["event_id", "win_sum_cents", "n_window"])
-        .sort_values("event_id")
-        .reset_index(drop=True)
-    )
-    for col in want.columns:
-        assert list(got[col]) == list(want[col]), col

@@ -3,9 +3,6 @@
 hypothesis drives the inputs; the properties are the ones the distributed
 operators rely on for correctness under arbitrary batching:
 
-  - HLL register arrays merge by elementwise max, and the merge of two
-    disjoint batches equals the registers of the concatenation — this is
-    exactly what makes the groupby(max) reduction batching-invariant.
   - MinHash signatures are elementwise mins, so the signature of a
     concatenation is the elementwise min of the parts' signatures.
   - Shingle hashing is deterministic and case-insensitive.
@@ -18,31 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from langfilter_ray.pipelines.dedup import _minhash_sig, _shingle_hashes
-from langfilter_ray.pipelines.relational import _hll_estimate, _hll_registers
 
-ids = st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=300)
 texts = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd", "Zs")),
     max_size=200,
 )
-
-
-@given(ids, ids)
-@settings(max_examples=50, deadline=None)
-def test_hll_merge_is_batching_invariant(a, b):
-    av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    merged = np.maximum(_hll_registers(av), _hll_registers(bv))
-    together = _hll_registers(np.concatenate([av, bv]))
-    assert (merged == together).all()
-
-
-@given(ids)
-@settings(max_examples=30, deadline=None)
-def test_hll_estimate_close_for_small_sets(a):
-    av = np.unique(np.array(a, dtype=np.int64))
-    est = _hll_estimate(_hll_registers(av))
-    # small-range (linear counting) regime: tight relative error
-    assert abs(est - len(av)) <= max(2, 0.05 * len(av))
 
 
 @given(texts, texts)

@@ -1,18 +1,15 @@
-"""Synthetic edge-case ground truth for the round-5 session operators:
+"""Synthetic edge-case ground truth for the training-data operators:
 each test writes a tiny hand-designed table, runs the Ray operator AND its
-registered DuckDB oracle on the SAME table (the rolling_24h tie-test
-pattern), asserts they agree, and pins the hand-computed expectations the
-sf testdata cannot exercise (exact boundary hits, tie-breaks, interval
-merges, distance-2 rejections)."""
+registered DuckDB oracle on the SAME table, asserts they agree, and pins
+the hand-computed expectations the sf testdata cannot exercise (exact
+boundary hits, tie-breaks, distance-2 rejections)."""
 
 from __future__ import annotations
 
 import duckdb
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 from langfilter_ray.testing import canon as _canon
 from langfilter_ray.testing import compare_frames, first_diff
@@ -28,24 +25,6 @@ def _to_pandas(obj):
     return obj
 
 
-def _events_table(rows):
-    """rows: (event_id, user_id, us_offset, event_type, value)."""
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-    return pa.table(
-        {
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "ts": pa.array(
-                [base + np.timedelta64(int(r[2]), "us") for r in rows],
-                pa.timestamp("us"),
-            ),
-            "user_id": pa.array([r[1] for r in rows], pa.int64()),
-            "event_type": pa.array([r[3] for r in rows]),
-            "value": pa.array([float(r[4]) for r in rows], pa.float64()),
-            "props": pa.array(["{}"] * len(rows)),
-        }
-    )
-
-
 def _check_vs_oracle(fn, sql, tmp_path, table_name, tbl):
     pq.write_table(tbl, tmp_path / f"{table_name}.parquet")
     got = _canon(_to_pandas(fn(str(tmp_path))))
@@ -58,99 +37,6 @@ def _check_vs_oracle(fn, sql, tmp_path, table_name, tbl):
     problems = compare_frames(got, want)
     assert not problems, (problems, first_diff(got, want))
     return got
-
-
-US_DAY = 86_400_000_000
-US_SEC = 1_000_000
-
-
-def test_streak_days_islands(ray_session, tmp_path):
-    """Consecutive-day islands: multi-event days collapse, a 1-day gap
-    extends a streak, a 2-day gap breaks it, cross-user boundaries never
-    merge."""
-    from langfilter_ray.pipelines import windows
-
-    rows = []
-    # user 1: days 0,1,2 (day 1 twice) then gap to day 4 -> streaks 3 & 1
-    for i, d in enumerate([0, 1, 1, 2, 4]):
-        rows.append((i + 1, 1, d * US_DAY + i, "click", 1.0))
-    # user 2: single day, three events -> one streak of 1
-    for i in range(3):
-        rows.append((10 + i, 2, 7 * US_DAY + i, "view", 1.0))
-    # user 3: days 4,5 -> adjacent to user 1's day 4 but must not merge
-    rows.append((20, 3, 4 * US_DAY, "click", 1.0))
-    rows.append((21, 3, 5 * US_DAY, "click", 1.0))
-    got = _check_vs_oracle(
-        windows.streak_days, windows.ORACLES["streak_days"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("user_id")
-    assert by.loc[1, "n_active_days"] == 4
-    assert by.loc[1, "max_streak"] == 3
-    assert by.loc[1, "n_streaks"] == 2
-    assert by.loc[2, "n_active_days"] == 1
-    assert by.loc[2, "max_streak"] == 1
-    assert by.loc[3, "max_streak"] == 2 and by.loc[3, "n_streaks"] == 1
-
-
-def test_rolling_7d_distinct_interval_union(ray_session, tmp_path):
-    """A user active on days <=6 apart contributes ONE merged interval
-    (never double-counted on overlap days); a 7-day gap starts a new
-    interval whose +1 cancels the previous -1 (adjacent coverage)."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        # user 1: days 0 and 3 -> covered [0, 9], counted ONCE on days 3..6
-        (1, 1, 0, "click", 1.0),
-        (2, 1, 3 * US_DAY, "click", 1.0),
-        # user 2: days 0 and 7 -> two touching intervals, covered [0, 13]
-        (3, 2, 0, "click", 1.0),
-        (4, 2, 7 * US_DAY, "click", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.rolling_7d_distinct_users,
-        windows.ORACLES["rolling_7d_distinct_users"],
-        tmp_path, "events", _events_table(rows),
-    )
-    base_day = int(
-        np.datetime64("2024-03-01T00:00:00", "us").astype(np.int64) // US_DAY
-    )
-    by = got.set_index("day")["n_users"]
-    # both users active in the trailing window on days 0..9
-    for d in range(0, 10):
-        assert by.loc[base_day + d] == 2, d
-    # only user 2 covers days 10..13
-    for d in range(10, 14):
-        assert by.loc[base_day + d] == 1, d
-    assert base_day + 14 not in by.index
-
-
-def test_band_join_boundary_and_buckets(ray_session, tmp_path):
-    """The +/-5 min band is INCLUSIVE at both ends (a +300s error counts,
-    +300s+1us does not), matches cross bucket boundaries, and purchases
-    with no nearby errors still emit a zero row."""
-    from langfilter_ray.pipelines import windows
-
-    W = 300 * US_SEC
-    rows = [
-        (1, 1, 10 * W, "purchase", 1.0),          # mid-bucket anchor
-        (2, 2, 10 * W + W, "error", 1.0),         # exactly +300s -> in
-        (3, 3, 10 * W - W, "error", 1.0),         # exactly -300s -> in
-        (4, 4, 10 * W + W + 1, "error", 1.0),     # +300s + 1us -> out
-        (5, 5, 20 * W - 1, "purchase", 1.0),      # 1us before bucket edge
-        (6, 6, 20 * W + 1, "error", 1.0),         # neighbor bucket -> in
-        (7, 7, 40 * W, "purchase", 1.0),          # isolated -> zero row
-    ]
-    got = _check_vs_oracle(
-        windows.errors_near_purchases,
-        windows.ORACLES["errors_near_purchases"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("event_id")["n_near"]
-    assert by.loc[1] == 2
-    assert by.loc[5] == 1
-    assert by.loc[7] == 0
-    assert len(got) == 3
 
 
 def test_typo_pairs_edit_kinds(ray_session, tmp_path):
@@ -205,245 +91,6 @@ def test_typo_pairs_join_path_synthetic(ray_session, tmp_path):
     assert set(key(fast)) == {(1, 2), (1, 3), (2, 3)}
 
 
-def test_triangle_count_known_graph(ray_session, tmp_path):
-    """A K4 on parts {1,2,3,4} (4 triangles) plus a dangling edge {4,5}
-    and an isolated pair {6,7}: exactly 4 triangles, on both the CSR
-    broadcast path and the join fallback."""
-    from langfilter_ray.pipelines import relational
-
-    orders = []
-    # one order containing parts 1..4 -> K4
-    orders += [(100, p) for p in (1, 2, 3, 4)]
-    orders += [(200, 4), (200, 5)]
-    orders += [(300, 6), (300, 7)]
-    tbl = pa.table(
-        {
-            "l_orderkey": pa.array([o for o, _ in orders], pa.int64()),
-            "l_partkey": pa.array([p for _, p in orders], pa.int64()),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.triangle_count, relational.ORACLES["triangle_count"],
-        tmp_path, "lineitem", tbl,
-    )
-    assert got["n_triangles"].iloc[0] == 4
-    slow = relational.triangle_count(str(tmp_path), edge_broadcast_max=0)
-    assert slow["n_triangles"][0].as_py() == 4
-
-
-def test_user_value_twa_integral(ray_session, tmp_path):
-    """Hand integral: value 1.00 held 10s then 2.00 held 10s -> 150 cents;
-    a same-second burst adds zero-width intervals (order-safe because the
-    tied rows contribute dt=0); single-event users are excluded."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        (1, 1, 0, "click", 1.00),
-        (2, 1, 10 * US_SEC, "click", 2.00),
-        (3, 1, 20 * US_SEC, "click", 9.99),     # last value never weighted
-        (10, 2, 0, "click", 5.00),              # single event -> excluded
-        (20, 3, 0, "click", 1.00),              # same-ts pair, dt = 0
-        (21, 3, 0, "click", 3.00),
-        (22, 3, 4 * US_SEC, "click", 7.00),
-    ]
-    got = _check_vs_oracle(
-        windows.user_value_twa, windows.ORACLES["user_value_twa"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("user_id")
-    assert by.loc[1, "twa_cents"] == pytest.approx(150.0)
-    assert 2 not in by.index
-    # user 3: event 20 holds 0s, event 21 holds 4s at 300 cents -> 300.0
-    assert by.loc[3, "twa_cents"] == pytest.approx(300.0)
-
-
-def test_favorite_event_type_tiebreak(ray_session, tmp_path):
-    """Equal counts break to the lexicographically smallest type."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        (1, 1, 0, "view", 1.0), (2, 1, 1, "view", 1.0),
-        (3, 1, 2, "click", 1.0), (4, 1, 3, "click", 1.0),
-        (5, 2, 0, "signup", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.favorite_event_type, windows.ORACLES["favorite_event_type"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("user_id")
-    assert by.loc[1, "fav_type"] == "click" and by.loc[1, "n_fav"] == 2
-    assert by.loc[2, "fav_type"] == "signup"
-
-
-def test_revenue_cube_margins(ray_session, tmp_path):
-    """All four grouping sets sum consistently on a hand table."""
-    from langfilter_ray.pipelines import relational
-
-    tbl = pa.table(
-        {
-            "o_orderstatus": pa.array(["O", "O", "F"], pa.string()),
-            "o_orderpriority": pa.array(["1-URGENT", "2-HIGH", "1-URGENT"]),
-            "o_totalprice": pa.array([10.00, 20.00, 40.00], pa.float64()),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.revenue_cube, relational.ORACLES["revenue_cube"],
-        tmp_path, "orders", tbl,
-    )
-    by = got.set_index(["o_orderstatus", "o_orderpriority"])
-    assert by.loc[("ALL", "ALL"), "revenue_cents"] == 7000
-    assert by.loc[("O", "ALL"), "revenue_cents"] == 3000
-    assert by.loc[("ALL", "1-URGENT"), "revenue_cents"] == 5000
-    assert by.loc[("O", "1-URGENT"), "n_orders"] == 1
-    assert len(got) == 3 + 2 + 2 + 1   # fine + status + priority + grand
-
-
-def test_user_value_trend_exact_slope(ray_session, tmp_path):
-    """A perfectly linear user (100 + 50*day cents) recovers slope 50.0
-    exactly; a single-day user is excluded (zero variance)."""
-    from langfilter_ray.pipelines import relational
-
-    rows = []
-    for d in range(4):   # user 1: v = 1.00 + 0.50*d dollars... in cents
-        rows.append((d + 1, 1, d * US_DAY, "click", (100 + 50 * d) / 100))
-    rows.append((10, 2, 0, "click", 3.00))
-    rows.append((11, 2, 1000, "click", 9.00))    # same day -> still excluded
-    got = _check_vs_oracle(
-        relational.user_value_trend, relational.ORACLES["user_value_trend"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("user_id")
-    assert by.loc[1, "slope_cents_per_day"] == 50.0
-    assert 2 not in by.index
-
-
-def test_user_clamped_balance_semantics(ray_session, tmp_path, monkeypatch):
-    """The clamp identity b_i = pre_i - min(0, runmin_i) must reproduce
-    the sequential recurrence max(0, b_prev + delta) — pinned against a
-    direct Python scan on a hand table that actually clamps, on BOTH the
-    banded path and the per-segment fallback; oracle parity on the same
-    table."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        # user 1: credit 5, purchase 10 (clamps at 0), credit 3
-        (1, 1, 0, "click", 5.00),
-        (2, 1, 1, "purchase", 10.00),
-        (3, 1, 2, "click", 3.00),
-        # user 2: purchase first (clamps immediately), then credits
-        (4, 2, 0, "purchase", 7.00),
-        (5, 2, 1, "view", 2.00),
-        # user 3: never clamps
-        (6, 3, 0, "click", 4.00),
-        (7, 3, 1, "purchase", 1.00),
-    ]
-    tbl = _events_table(rows)
-
-    def sequential(rows):
-        out, bal = {}, {}
-        for eid, uid, _, et, val in sorted(rows, key=lambda r: (r[1], r[2], r[0])):
-            cents = int(np.floor(val * 100 + 0.5))
-            d = -cents if et == "purchase" else cents
-            bal[uid] = max(0, bal.get(uid, 0) + d)
-            out[eid] = bal[uid]
-        return out
-
-    want_seq = sequential(rows)
-    got = _check_vs_oracle(
-        windows.user_clamped_balance, windows.ORACLES["user_clamped_balance"],
-        tmp_path, "events", tbl,
-    )
-    assert dict(zip(got["event_id"], got["balance_cents"])) == want_seq
-    assert want_seq[2] == 0 and want_seq[4] == 0   # the table really clamps
-
-    monkeypatch.setattr(windows, "_CLAMP_BAND_LIMIT", 0)
-    fb = _to_pandas(windows.user_clamped_balance(str(tmp_path)))
-    assert dict(zip(fb["event_id"], fb["balance_cents"])) == want_seq
-
-
-def test_longest_value_run_islands(ray_session, tmp_path):
-    """Hand-built run shapes: a run broken by one low event, a run that
-    spans the user's whole history (virtual boundary at segment start),
-    an all-low user (longest_run = 0), and a same-ts tie ordered by
-    event_id (run survives only in event_id order)."""
-    from langfilter_ray.pipelines import windows
-
-    H, L = 60.0, 10.0  # >= / < the 50.0 threshold
-    rows = [
-        # user 1: H H L H H H  -> longest 3
-        (1, 1, 0, "view", H), (2, 1, 1, "view", H), (3, 1, 2, "view", L),
-        (4, 1, 3, "view", H), (5, 1, 4, "view", H), (6, 1, 5, "view", H),
-        # user 2: all high from the first row -> longest 4
-        (7, 2, 0, "view", H), (8, 2, 1, "view", H),
-        (9, 2, 2, "view", H), (10, 2, 3, "view", H),
-        # user 3: all low -> 0
-        (11, 3, 0, "view", L), (12, 3, 1, "view", L),
-        # user 4: same-ts tie — event_id order is H(13) L(14) H(15):
-        # runs are 1 and 1, not 2
-        (13, 4, 0, "view", H), (14, 4, 0, "view", L), (15, 4, 0, "view", H),
-        # user 5: boundary value exactly 50.0 counts as high
-        (16, 5, 0, "view", 50.0), (17, 5, 1, "view", H),
-    ]
-    got = _check_vs_oracle(
-        windows.longest_value_run,
-        windows.ORACLES["longest_value_run"],
-        tmp_path, "events", _events_table(rows),
-    )
-    want = {1: 3, 2: 4, 3: 0, 4: 1, 5: 2}
-    assert dict(zip(got["user_id"], got["longest_run"])) == want
-
-
-def test_value_mad_by_type_exact(ray_session, tmp_path):
-    """Odd and even group sizes: MAD must use the group's own median and
-    DuckDB's even-count interpolation on both statistics."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        # type 'a' (odd n=3): values 1, 5, 100 -> med 5, |d| = 4,0,95 -> mad 4
-        (1, 1, 0, "a", 1.0), (2, 1, 1, "a", 5.0), (3, 1, 2, "a", 100.0),
-        # type 'b' (even n=4): 1, 3, 7, 9 -> med 5, |d| = 4,2,2,4 -> mad 3
-        (4, 2, 0, "b", 1.0), (5, 2, 1, "b", 3.0),
-        (6, 2, 2, "b", 7.0), (7, 2, 3, "b", 9.0),
-    ]
-    got = _check_vs_oracle(
-        windows.value_mad_by_type,
-        windows.ORACLES["value_mad_by_type"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by_type = {
-        r["event_type"]: (r["median_value"], r["mad_value"])
-        for _, r in got.iterrows()
-    }
-    assert by_type == {"a": (5.0, 4.0), "b": (5.0, 3.0)}
-
-
-def test_copurchase_degree_hist_known_graph(ray_session, tmp_path):
-    """Path graph 1-2-3-4 plus an isolated edge (5,6): degrees are
-    {1: x4 (nodes 1,4,5,6), 2: x2 (nodes 2,3)}; duplicate lineitem rows
-    must not inflate edge multiplicity."""
-    from langfilter_ray.pipelines import relational
-
-    orders_parts = [
-        (100, 1), (100, 2),           # edge 1-2
-        (101, 2), (101, 3), (101, 3),  # edge 2-3, duplicate row
-        (102, 3), (102, 4),           # edge 3-4
-        (103, 5), (103, 6),           # edge 5-6
-        (104, 1), (104, 2),           # duplicate edge 1-2 in another order
-    ]
-    tbl = pa.table(
-        {
-            "l_orderkey": pa.array([o for o, _ in orders_parts], pa.int64()),
-            "l_partkey": pa.array([p for _, p in orders_parts], pa.int64()),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.copurchase_degree_hist,
-        relational.ORACLES["copurchase_degree_hist"],
-        tmp_path, "lineitem", tbl,
-    )
-    assert dict(zip(got["degree"], got["n_parts"])) == {1: 4, 2: 2}
-
-
 def _docs_table(rows):
     """rows: (doc_id, lang, n_chars, text)."""
     return pa.table(
@@ -495,187 +142,6 @@ def test_length_token_contingency_boundaries(ray_session, tmp_path):
     assert cells == {(0, 0): 2, (1, 1): 2, (2, 2): 2, (3, 3): 2}
 
 
-def test_monthly_price_quartiles_crossing(ray_session, tmp_path):
-    """Crossing-rule quartiles on a hand histogram: month A prices
-    1..4 dollars (q1=1, q2=2, q3=3), month B a skewed pile
-    [10,10,10,99] (q1=q2=q3=10); fractional prices floor to dollars."""
-    from langfilter_ray.pipelines import relational
-
-    a = np.datetime64("2024-01-15T00:00:00", "us")
-    b = np.datetime64("2024-02-15T00:00:00", "us")
-    prices = [1.9, 2.0, 3.5, 4.0] + [10.0, 10.7, 10.2, 99.9]
-    dates = [a] * 4 + [b] * 4
-    tbl = pa.table(
-        {
-            "o_orderkey": pa.array(range(8), pa.int64()),
-            "o_custkey": pa.array([1] * 8, pa.int64()),
-            "o_orderstatus": pa.array(["O"] * 8),
-            "o_totalprice": pa.array(prices, pa.float64()),
-            "o_orderdate": pa.array(dates, pa.timestamp("us")),
-            "o_orderpriority": pa.array(["1-URGENT"] * 8),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.monthly_price_quartiles,
-        relational.ORACLES["monthly_price_quartiles"],
-        tmp_path, "orders", tbl,
-    )
-    rows = {
-        r["month"]: (r["q1_dollars"], r["q2_dollars"], r["q3_dollars"])
-        for _, r in got.iterrows()
-    }
-    assert rows == {202401: (1, 2, 3), 202402: (10, 10, 10)}
-
-
-def test_bitmask_set_ops_semantics(ray_session, tmp_path):
-    """Hand users: 1 view+purchase, 2 view only, 3 purchase only,
-    4 error only -> EXCEPT count 1; co-occurrence counts from the same
-    mask fold match the distinct-pair self-join oracle."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        (1, 1, 0, "view", 1.0), (2, 1, 1, "purchase", 1.0),
-        (3, 2, 0, "view", 1.0), (4, 2, 1, "view", 1.0),  # dup type rows
-        (5, 3, 0, "purchase", 1.0),
-        (6, 4, 0, "error", 1.0),
-    ]
-    tbl = _events_table(rows)
-    got = _check_vs_oracle(
-        windows.users_view_no_purchase,
-        windows.ORACLES["users_view_no_purchase"],
-        tmp_path, "events", tbl,
-    )
-    assert got["n_users"].tolist() == [1]
-    got2 = _check_vs_oracle(
-        windows.event_type_cooccurrence,
-        windows.ORACLES["event_type_cooccurrence"],
-        tmp_path, "events", tbl,
-    )
-    cells = {(r["type_a"], r["type_b"]): r["n_users"] for _, r in got2.iterrows()}
-    assert cells == {("purchase", "view"): 1}
-
-
-def test_users_view_no_purchase_absent_type(ray_session, tmp_path):
-    """Corpus with no purchase events at all: EXCEPT of an empty set
-    keeps every viewer (and a no-view corpus yields 0)."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [(1, 1, 0, "view", 1.0), (2, 2, 0, "error", 1.0)]
-    got = _check_vs_oracle(
-        windows.users_view_no_purchase,
-        windows.ORACLES["users_view_no_purchase"],
-        tmp_path, "events", _events_table(rows),
-    )
-    assert got["n_users"].tolist() == [1]
-
-
-def test_purchase_attribution_window_and_ties(ray_session, tmp_path):
-    """Boundary exactly 24h counts; 24h+1us does not; a click at the
-    purchase's own ts attributes only when its event_id is SMALLER
-    (sequence order); clicks never leak across users."""
-    from langfilter_ray.pipelines import windows
-
-    DAY = 86_400_000_000
-    rows = [
-        # user 1: click exactly 24h before purchase -> attributed
-        (1, 1, 0, "click", 1.0), (2, 1, DAY, "purchase", 1.0),
-        # user 2: click 24h + 1us before -> -1
-        (3, 2, 0, "click", 1.0), (4, 2, DAY + 1, "purchase", 1.0),
-        # user 3: same-ts click with smaller event_id -> attributed
-        (5, 3, 0, "click", 1.0), (6, 3, 0, "purchase", 1.0),
-        # user 4: same-ts click with LARGER event_id -> not before -> -1
-        (8, 4, 0, "purchase", 1.0), (9, 4, 0, "click", 1.0),
-        # user 5: no click at all; user 6's click must not leak in
-        (10, 5, 50, "purchase", 1.0), (11, 6, 40, "click", 1.0),
-        # user 7: two clicks, latest wins; intervening view ignored
-        (12, 7, 0, "click", 1.0), (13, 7, 10, "view", 1.0),
-        (14, 7, 20, "click", 1.0), (15, 7, 30, "purchase", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.purchase_attribution,
-        windows.ORACLES["purchase_attribution"],
-        tmp_path, "events", _events_table(rows),
-    )
-    assert dict(zip(got["event_id"], got["click_event_id"])) == {
-        2: 1, 4: -1, 6: 5, 8: -1, 10: -1, 15: 14,
-    }
-
-
-def test_event_trigrams_segment_boundary(ray_session, tmp_path):
-    """Triples never span users; same-ts rows order by event_id."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        # user 1: a b c d -> (a,b,c), (b,c,d)
-        (1, 1, 0, "a", 1.0), (2, 1, 1, "b", 1.0),
-        (3, 1, 2, "c", 1.0), (4, 1, 3, "d", 1.0),
-        # user 2: only two events -> no triple
-        (5, 2, 0, "a", 1.0), (6, 2, 1, "b", 1.0),
-        # user 3: same-ts trio ordered by event_id -> (b,a,c)
-        (8, 3, 0, "a", 1.0), (7, 3, 0, "b", 1.0), (9, 3, 0, "c", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.event_trigrams,
-        windows.ORACLES["event_trigrams"],
-        tmp_path, "events", _events_table(rows),
-    )
-    cells = {(r["t1"], r["t2"], r["t3"]): r["n"] for _, r in got.iterrows()}
-    assert cells == {("a", "b", "c"): 1, ("b", "c", "d"): 1, ("b", "a", "c"): 1}
-
-
-def test_hourly_ffill_gaps_and_ties(ray_session, tmp_path):
-    """Gap hours carry the previous value; two purchases in one hour
-    resolve to the later (ts, event_id); non-purchase rows ignored."""
-    from langfilter_ray.pipelines import windows
-
-    H = 3_600_000_000
-    rows = [
-        (1, 1, 0, "purchase", 10.0),
-        (2, 1, 1, "purchase", 20.0),        # same hour, later event wins
-        (3, 1, H // 2, "view", 99.0),        # ignored
-        (4, 1, 3 * H, "purchase", 30.0),     # hours 1-2 carry 20.0
-    ]
-    got = _check_vs_oracle(
-        windows.hourly_last_purchase_value,
-        windows.ORACLES["hourly_last_purchase_value"],
-        tmp_path, "events", _events_table(rows),
-    )
-    assert dict(zip(got["hour"], got["last_value"])) == {
-        got["hour"].iloc[0]: 20.0,
-        got["hour"].iloc[0] + 1: 20.0,
-        got["hour"].iloc[0] + 2: 20.0,
-        got["hour"].iloc[0] + 3: 30.0,
-    }
-
-
-def test_benford_power_of_ten_boundary(ray_session, tmp_path):
-    """Prices at exact powers of ten classify by string derivation
-    (a float log10 would put 1000.0 in digit 9's bucket: IEEE
-    log10(1000.) < 3); fractional cents floor away."""
-    from langfilter_ray.pipelines import relational
-
-    prices = [1000.0, 999.99, 100.0, 10.0, 1.0, 85432.1, 7.5]
-    tbl = pa.table(
-        {
-            "o_orderkey": pa.array(range(len(prices)), pa.int64()),
-            "o_custkey": pa.array([1] * len(prices), pa.int64()),
-            "o_orderstatus": pa.array(["O"] * len(prices)),
-            "o_totalprice": pa.array(prices, pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64("2024-01-01T00:00:00", "us")] * len(prices),
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * len(prices)),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.benford_prices,
-        relational.ORACLES["benford_prices"],
-        tmp_path, "orders", tbl,
-    )
-    assert dict(zip(got["digit"], got["n_orders"])) == {1: 4, 7: 1, 8: 1, 9: 1}
-
-
 def test_length_gini_known_values(ray_session, tmp_path):
     """Known Ginis: equal lengths -> 0; all mass on one doc of four ->
     0.75; tie runs exercise the contiguous-rank-run identity."""
@@ -708,48 +174,6 @@ def test_length_gini_known_values(ray_session, tmp_path):
     assert by_src["skew"] == 0.75
     # ties: x=[3,3,6], six=3*1+3*2+6*3=27, sx=12, n=3 -> (54-48)/36
     assert abs(by_src["ties"] - 6 / 36) < 1e-15
-
-
-def test_median_order_gap_semantics(ray_session, tmp_path):
-    """Even/odd gap counts, zero gaps (same-day orders), and the
-    single-order customer exclusion."""
-    from langfilter_ray.pipelines import windows
-
-    def d(day):
-        return np.datetime64("2024-01-01T00:00:00", "us") + np.timedelta64(
-            day * 86_400_000_000, "us"
-        )
-
-    rows = [
-        # cust 1: days 0, 10, 11 -> gaps [10, 1] -> median 5.5
-        (1, 1, 0), (2, 1, 10), (3, 1, 11),
-        # cust 2: days 0, 0, 7 -> gaps [0, 7] -> 3.5 (same-day dup)
-        (4, 2, 0), (5, 2, 0), (6, 2, 7),
-        # cust 3: single order -> excluded
-        (7, 3, 5),
-        # cust 4: days 0, 2, 4, 9 -> gaps [2, 2, 5] -> 2.0
-        (8, 4, 0), (9, 4, 2), (10, 4, 4), (11, 4, 9),
-    ]
-    tbl = pa.table(
-        {
-            "o_orderkey": pa.array([r[0] for r in rows], pa.int64()),
-            "o_custkey": pa.array([r[1] for r in rows], pa.int64()),
-            "o_orderstatus": pa.array(["O"] * len(rows)),
-            "o_totalprice": pa.array([1.0] * len(rows), pa.float64()),
-            "o_orderdate": pa.array(
-                [d(r[2]) for r in rows], pa.timestamp("us")
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * len(rows)),
-        }
-    )
-    got = _check_vs_oracle(
-        windows.median_order_gap_days,
-        windows.ORACLES["median_order_gap_days"],
-        tmp_path, "orders", tbl,
-    )
-    assert dict(zip(got["o_custkey"], got["median_gap_days"])) == {
-        1: 5.5, 2: 3.5, 4: 2.0,
-    }
 
 
 def test_dup_cluster_hist_known_clusters(ray_session, tmp_path):
@@ -805,118 +229,6 @@ def test_source_token_quota_apportionment(ray_session, tmp_path):
     assert sum(q.values()) == text_analysis.QUOTA_TOKEN_BUDGET
     assert q == {"a": 333_334, "b": 333_333, "c": 333_333}
 
-
-def test_referential_integrity_orphans(ray_session, tmp_path):
-    """Orphan lineitems (orderkeys 900, 901 missing from orders) and a
-    childless order (3) — both directions counted, duplicates within
-    lineitem counted once."""
-    from langfilter_ray.pipelines import relational
-
-    li = pa.table(
-        {
-            "l_orderkey": pa.array([1, 1, 2, 900, 900, 901], pa.int64()),
-            "l_partkey": pa.array([10, 11, 10, 12, 13, 14], pa.int64()),
-        }
-    )
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([1, 2, 3], pa.int64()),
-            "o_custkey": pa.array([1, 1, 2], pa.int64()),
-            "o_orderstatus": pa.array(["O"] * 3),
-            "o_totalprice": pa.array([1.0] * 3, pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64("2024-01-01T00:00:00", "us")] * 3,
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * 3),
-        }
-    )
-    pq.write_table(li, tmp_path / "lineitem.parquet")
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    got = _to_pandas(relational.referential_integrity(str(tmp_path)))
-    assert got["orphan_lineitem_keys"].tolist() == [2]
-    assert got["childless_orders"].tolist() == [1]
-    import duckdb
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/lineitem.parquet')"
-    )
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * FROM "
-        f"read_parquet('{tmp_path}/orders.parquet')"
-    )
-    want = c.execute(relational.ORACLES["referential_integrity"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems
-
-
-def test_user_time_to_100_crossing(ray_session, tmp_path):
-    """First-crossing semantics: crossing mid-history, at the very first
-    event (0 us), never crossing (-1), and exact-boundary $100.00."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        # user 1: 40 + 60 = exactly 100.00 at second event (t=5us)
-        (1, 1, 0, "purchase", 40.0), (2, 1, 5, "purchase", 60.0),
-        # user 2: first event already >= 100 -> 0 us
-        (3, 2, 0, "purchase", 150.0), (4, 2, 9, "view", 1.0),
-        # user 3: never crosses -> -1
-        (5, 3, 0, "view", 1.0), (6, 3, 1, "view", 2.0),
-        # user 4: crosses at third event
-        (7, 4, 0, "view", 50.0), (8, 4, 10, "view", 49.99),
-        (9, 4, 20, "view", 0.01),
-    ]
-    got = _check_vs_oracle(
-        windows.user_time_to_100,
-        windows.ORACLES["user_time_to_100"],
-        tmp_path, "events", _events_table(rows),
-    )
-    assert dict(zip(got["user_id"], got["us_to_threshold"])) == {
-        1: 5, 2: 0, 3: -1, 4: 20,
-    }
-
-
-def test_repeat_event_census_branches(ray_session, tmp_path):
-    """Exact repeats count; same type different value does not; pairs
-    never span users."""
-    from langfilter_ray.pipelines import windows
-
-    rows = [
-        (1, 1, 0, "click", 5.0), (2, 1, 1, "click", 5.0),   # repeat
-        (3, 1, 2, "click", 6.0),                              # not (value)
-        (4, 1, 3, "view", 6.0),                               # not (type)
-        (5, 2, 0, "click", 5.0),   # user boundary: no pair with event 4
-    ]
-    got = _check_vs_oracle(
-        windows.repeat_event_census,
-        windows.ORACLES["repeat_event_census"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by_user = {
-        r["user_id"]: (r["n_pairs"], r["n_repeats"])
-        for _, r in got.iterrows()
-    }
-    assert by_user == {1: (3, 1), 2: (0, 0)}
-
-
-def test_order_audit_inversions(ray_session, tmp_path):
-    """A stream with two timestamp drops (one mid-file, one that lands
-    across a batch cut on real data) counts exactly 2 inversions; equal
-    timestamps are NOT inversions."""
-    from langfilter_ray.pipelines import windows
-
-    offs = [0, 10, 5, 5, 20, 3, 30]   # drops at idx 2 (10->5) and 5 (20->3)
-    rows = [
-        (i, 1, off, "view", 1.0) for i, off in enumerate(offs)
-    ]
-    got = _check_vs_oracle(
-        windows.order_audit,
-        windows.ORACLES["order_audit"],
-        tmp_path, "events", _events_table(rows),
-    )
-    assert got["n_rows"].tolist() == [7]
-    assert got["n_inversions"].tolist() == [2]
 
 def test_source_token_divergence_exact(ray_session, tmp_path):
     """Hand-computed TV on two tiny sources; absent tokens contribute
@@ -1013,159 +325,6 @@ def test_dup_rate_by_source_cross_source(ray_session, tmp_path, monkeypatch):
     )
     assert again.equals(got)
 
-def test_open_orders_daily_sweep(ray_session, tmp_path):
-    """Overlapping orders stack (+1/+1), the close delta lands the day
-    AFTER the last ship, an order closing same-day it opens still counts
-    that day, and an order with no lineitem rows is dropped (inner
-    semantics).  Delta days where the net change is zero still emit a
-    row (oracle GROUP BY keeps them)."""
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-
-    def ts(day):
-        return base + np.timedelta64(day * 86_400_000_000, "us")
-
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
-            "o_custkey": pa.array([1, 1, 1, 1], pa.int64()),
-            "o_orderstatus": pa.array(["O"] * 4, pa.string()),
-            "o_totalprice": pa.array([1.0] * 4, pa.float64()),
-            "o_orderdate": pa.array(
-                [ts(0), ts(1), ts(2), ts(9)], pa.timestamp("us")
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * 4, pa.string()),
-        }
-    )
-    # order 1 ships on days 1 and 3 (open 0..3); order 2 same-day (1..1);
-    # order 3 opens day 2 as order 2 closes; order 4 has NO lines
-    li = [(1, 1), (1, 3), (2, 1), (3, 4)]
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array([k for k, _ in li], pa.int64()),
-            "l_partkey": pa.array([1] * 4, pa.int64()),
-            "l_suppkey": pa.array([1] * 4, pa.int64()),
-            "l_linenumber": pa.array([1] * 4, pa.int32()),
-            "l_quantity": pa.array([1.0] * 4, pa.float64()),
-            "l_extendedprice": pa.array([1.0] * 4, pa.float64()),
-            "l_discount": pa.array([0.0] * 4, pa.float64()),
-            "l_tax": pa.array([0.0] * 4, pa.float64()),
-            "l_returnflag": pa.array(["N"] * 4, pa.string()),
-            "l_linestatus": pa.array(["O"] * 4, pa.string()),
-            "l_shipdate": pa.array([ts(d) for _, d in li], pa.timestamp("us")),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-    got = _canon(_to_pandas(relational.open_orders_daily(str(tmp_path))))
-    c = duckdb.connect()
-    for name in ("orders", "lineitem"):
-        c.execute(
-            f"CREATE VIEW {name} AS SELECT * "
-            f"FROM read_parquet('{tmp_path}/{name}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["open_orders_daily"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    d0 = int(got["day"].min())
-    curve = {int(r["day"]) - d0: int(r["n_open"]) for _, r in got.iterrows()}
-    # day0: order1 opens; day1: +order2; day2: order2 closed, +order3;
-    # day4: order1 closed (shipped day 3); day5: order3 closed
-    assert curve == {0: 1, 1: 2, 2: 2, 4: 1, 5: 0}
-
-def test_rfm_census_tier_boundaries(ray_session, tmp_path):
-    """Exact boundary hits land in the HIGHER tier (>= semantics) on all
-    three axes; recency is measured from the corpus's own last order
-    day; cents rounding applies to the monetary sum."""
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-
-    def ts(day):
-        return base + np.timedelta64(day * 86_400_000_000, "us")
-
-    # ref day = 400 (customer 3's last order).
-    # cust 1: last day 370 -> r=30 (tier 1), 2 orders (tier 1),
-    #          25_000 + 25_000.005 -> 5_000_001 cents total (tier 1)
-    # cust 2: last day 35 -> r=365 (tier 3), 1 order (tier 0), tiny m
-    # cust 3: last day 400 -> r=0 (tier 0), 4 orders (tier 2),
-    #         4 x 75_000 -> 30_000_000 cents (tier 3)
-    rows = [
-        (1, 1, 369, 25_000.00),
-        (2, 1, 370, 25_000.005),
-        (3, 2, 35, 1.00),
-        (4, 3, 397, 75_000.00),
-        (5, 3, 398, 75_000.00),
-        (6, 3, 399, 75_000.00),
-        (7, 3, 400, 75_000.00),
-    ]
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array([r[0] for r in rows], pa.int64()),
-            "o_custkey": pa.array([r[1] for r in rows], pa.int64()),
-            "o_orderstatus": pa.array(["O"] * len(rows), pa.string()),
-            "o_totalprice": pa.array([r[3] for r in rows], pa.float64()),
-            "o_orderdate": pa.array(
-                [ts(r[2]) for r in rows], pa.timestamp("us")
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * len(rows), pa.string()),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    got = _canon(_to_pandas(relational.rfm_census(str(tmp_path))))
-    c = duckdb.connect()
-    c.execute(
-        "CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{tmp_path}/orders.parquet')"
-    )
-    want = _canon(c.execute(relational.ORACLES["rfm_census"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    cells = {
-        (int(r["r_tier"]), int(r["f_tier"]), int(r["m_tier"])): int(
-            r["n_customers"]
-        )
-        for _, r in got.iterrows()
-    }
-    assert cells == {(1, 1, 1): 1, (3, 0, 0): 1, (0, 2, 3): 1}
-
-def test_tax_band_revenue_rounding(ray_session, tmp_path):
-    """Cents floor-rounding applies per row BEFORE the band sum (two
-    half-cent rows must not merge into one cent), and the band key is
-    the per-mille integer of l_tax itself, not of the taxed price."""
-    from langfilter_ray.pipelines import relational
-
-    # band 0: two rows of 10.005 gross -> floor(1000.5+0.5)=1001 cents
-    #   each (rounds UP per row; a post-sum round would give 2001).
-    # band 80: 100.00 at 25% discount -> disc 7500 cents,
-    #   taxed 75*1.08 = 81.00 -> 8100 cents.
-    tbl = pa.table(
-        {
-            "l_extendedprice": pa.array([10.005, 10.005, 100.0], pa.float64()),
-            "l_discount": pa.array([0.0, 0.0, 0.25], pa.float64()),
-            "l_tax": pa.array([0.0, 0.0, 0.08], pa.float64()),
-        }
-    )
-    got = _check_vs_oracle(
-        relational.tax_band_revenue,
-        relational.ORACLES["tax_band_revenue"],
-        tmp_path,
-        "lineitem",
-        tbl,
-    )
-    rows = {
-        int(r["tax_pm"]): (
-            int(r["n_lines"]), int(r["disc_cents"]), int(r["taxed_cents"])
-        )
-        for _, r in got.iterrows()
-    }
-    assert rows == {0: (2, 2002, 2002), 80: (1, 7500, 8100)}
-
 def test_source_simpson_diversity_edges(ray_session, tmp_path):
     """A single-token source takes the -1.0 sentinel (undefined Simpson);
     a repeated-token source computes pairs exactly; tokens aggregate
@@ -1196,801 +355,6 @@ def test_source_simpson_diversity_edges(ray_session, tmp_path):
     #   pairs = 3*2 = 6 over N(N-1) = 20
     assert rows["solo"] == (1, 0, -1.0)
     assert rows["rep"] == (5, 6, 6.0 / 20.0)
-
-def test_acctbal_band_census_negative_bands(ray_session, tmp_path):
-    """floor() banding sends negative balances to band -1 (not
-    truncation's 0), and negative cents floor the SAME way on both
-    sides — including the double-representation subtlety that
-    -846.685*100+0.5 lands slightly above -84668.5, so both engine and
-    oracle floor it to -84668 (what matters is parity, not the exact
-    decimal-arithmetic answer)."""
-    from langfilter_ray.pipelines import relational
-
-    customer = pa.table(
-        {
-            "c_custkey": pa.array([1, 2, 3], pa.int64()),
-            "c_name": pa.array(["a", "b", "c"], pa.string()),
-            "c_nationkey": pa.array([0, 0, 0], pa.int64()),
-            "c_acctbal": pa.array([-846.685, 0.0, 999.995], pa.float64()),
-            "c_mktsegment": pa.array(["BUILDING"] * 3, pa.string()),
-        }
-    )
-    supplier = pa.table(
-        {
-            "s_suppkey": pa.array([1], pa.int64()),
-            "s_name": pa.array(["s"], pa.string()),
-            "s_nationkey": pa.array([0], pa.int64()),
-            "s_acctbal": pa.array([-0.005], pa.float64()),
-        }
-    )
-    pq.write_table(customer, tmp_path / "customer.parquet")
-    pq.write_table(supplier, tmp_path / "supplier.parquet")
-    got = _canon(_to_pandas(relational.acctbal_band_census(str(tmp_path))))
-    c = duckdb.connect()
-    for name in ("customer", "supplier"):
-        c.execute(
-            f"CREATE VIEW {name} AS SELECT * "
-            f"FROM read_parquet('{tmp_path}/{name}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["acctbal_band_census"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    rows = {
-        (r["entity"], int(r["band"])): (
-            int(r["n_accounts"]), int(r["balance_cents"])
-        )
-        for _, r in got.iterrows()
-    }
-    assert rows[("customer", -1)][0] == 1
-    assert rows[("supplier", -1)] == (1, np.floor(-0.005 * 100 + 0.5))
-
-def test_price_quantiles_exact_two_pass(ray_session, tmp_path):
-    """Span > 65536 cents forces the coarse-bin + refine path; the rank
-    convention is 1-based ceil(p*n) (p90 of n=4 is the MAX, p25 the
-    MIN), matching DuckDB quantile_disc."""
-    from langfilter_ray.pipelines import relational
-
-    tbl = pa.table(
-        {"o_totalprice": pa.array([700.00, 10.00, 30.00, 20.00], pa.float64())}
-    )
-    got = _check_vs_oracle(
-        relational.price_quantiles_exact,
-        relational.ORACLES["price_quantiles_exact"],
-        tmp_path,
-        "orders",
-        tbl,
-    )
-    r = got.iloc[0]
-    assert (
-        int(r["p25_cents"]), int(r["p50_cents"]),
-        int(r["p75_cents"]), int(r["p90_cents"]),
-    ) == (1000, 2000, 3000, 70000)
-
-def test_price_quantiles_exact_width1_duplicates(ray_session, tmp_path):
-    """A narrow span takes the single-pass width-1 path; duplicate
-    values occupy multiple ranks (p25 and p50 of this n=5 both land on
-    the doubled 1.01)."""
-    from langfilter_ray.pipelines import relational
-
-    tbl = pa.table(
-        {"o_totalprice": pa.array(
-            [1.03, 1.01, 1.00, 1.02, 1.01], pa.float64()
-        )}
-    )
-    got = _check_vs_oracle(
-        relational.price_quantiles_exact,
-        relational.ORACLES["price_quantiles_exact"],
-        tmp_path,
-        "orders",
-        tbl,
-    )
-    r = got.iloc[0]
-    assert (
-        int(r["p25_cents"]), int(r["p50_cents"]),
-        int(r["p75_cents"]), int(r["p90_cents"]),
-    ) == (101, 101, 102, 103)
-
-def test_price_quantiles_exact_stats_stripped_fallback(ray_session, tmp_path):
-    """Parquet written WITHOUT column statistics forces the Min/Max
-    aggregate fallback for the histogram bounds; results must be
-    identical to the stats-backed path."""
-    from langfilter_ray.pipelines import relational
-
-    tbl = pa.table(
-        {"o_totalprice": pa.array(
-            [700.00, 10.00, 30.00, 20.00], pa.float64()
-        )}
-    )
-    pq.write_table(tbl, tmp_path / "orders.parquet", write_statistics=False)
-    md = pq.ParquetFile(tmp_path / "orders.parquet").metadata
-    assert not md.row_group(0).column(0).statistics  # fallback is exercised
-    got = relational.price_quantiles_exact(str(tmp_path)).to_pandas().iloc[0]
-    assert (
-        int(got["p25_cents"]), int(got["p50_cents"]),
-        int(got["p75_cents"]), int(got["p90_cents"]),
-    ) == (1000, 2000, 3000, 70000)
-
-
-def test_sole_return_blame_exists_not_exists(ray_session, tmp_path):
-    """Pin all four Q21 branch outcomes the sf testdata can't isolate:
-    (1) multi-supplier F order with one returning supplier -> blamed;
-    (2) two returning suppliers -> NOT EXISTS kills both;
-    (3) single-supplier order -> EXISTS kills it;
-    (4) non-F status -> order filter kills it; plus the distinct
-    semantics: two returned lines by the same supplier in one order
-    count the order ONCE, and a supplier with a mixed (N then R) pair
-    of lines still registers as returning (per-(order,supp) max)."""
-    from langfilter_ray.pipelines import relational
-
-    # (orderkey, status): 1 blame s1; 2 both return; 3 single-supplier;
-    # 4 status O; 5 s2 returns twice (count once); 6 s1 mixed N+R lines
-    ostat = {1: "F", 2: "F", 3: "F", 4: "O", 5: "F", 6: "F"}
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(sorted(ostat), pa.int64()),
-            "o_custkey": pa.array([1] * 6, pa.int64()),
-            "o_orderstatus": pa.array(
-                [ostat[k] for k in sorted(ostat)], pa.string()
-            ),
-            "o_totalprice": pa.array([1.0] * 6, pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64("2024-03-01T00:00:00", "us")] * 6,
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * 6, pa.string()),
-        }
-    )
-    li = [  # (orderkey, suppkey, returnflag)
-        (1, 1, "R"), (1, 2, "N"),
-        (2, 1, "R"), (2, 2, "R"),
-        (3, 3, "R"),
-        (4, 1, "R"), (4, 2, "N"),
-        (5, 2, "R"), (5, 2, "R"), (5, 1, "N"),
-        (6, 1, "N"), (6, 1, "R"), (6, 3, "N"),
-    ]
-    n = len(li)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array([k for k, _, _ in li], pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([s for _, s, _ in li], pa.int64()),
-            "l_linenumber": pa.array(list(range(1, n + 1)), pa.int32()),
-            "l_quantity": pa.array([1.0] * n, pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array([r for _, _, r in li], pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-    got = _canon(_to_pandas(relational.sole_return_blame(str(tmp_path))))
-    c = duckdb.connect()
-    for name in ("orders", "lineitem"):
-        c.execute(
-            f"CREATE VIEW {name} AS SELECT * "
-            f"FROM read_parquet('{tmp_path}/{name}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["sole_return_blame"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    # hand-computed: s1 blamed for orders 1 and 6, s2 for order 5 (once);
-    # _canon re-sorts rows, so compare as a key->count mapping
-    assert dict(zip(got["s_suppkey"], got["blame_orders"])) == {1: 2, 2: 1}
-
-
-def test_supplier_concentration_ties_and_boundary(ray_session, tmp_path):
-    """Pin the argmax tie-break (equal quantity -> smaller suppkey wins),
-    the STRICT over-2x-fair-share boundary (q*ns == 2*tq is NOT over),
-    the single-supplier part (winner yes, over2x never: q > 2q is false),
-    and per-(part,supplier) summing across multiple lines."""
-    from langfilter_ray.pipelines import relational
-
-    li = [  # (partkey, suppkey, quantity)
-        (1, 1, 5.0), (1, 2, 5.0),              # tie -> s1 wins; none over
-        (2, 2, 3.0), (2, 2, 4.0),              # s2 sums to 7 across lines
-        (2, 1, 1.0), (2, 3, 1.0),              # ns=3 tq=9: s2 21>18 over
-        (3, 3, 4.0),                           # single supplier: not over
-        (4, 1, 4.0), (4, 2, 1.0), (4, 3, 1.0), # s1 12 == 2*6: NOT over
-    ]
-    n = len(li)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([p for p, _, _ in li], pa.int64()),
-            "l_suppkey": pa.array([s for _, s, _ in li], pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([q for _, _, q in li], pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-    got = _canon(
-        _to_pandas(relational.supplier_concentration(str(tmp_path)))
-    )
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{tmp_path}/lineitem.parquet')"
-    )
-    want = _canon(c.execute(relational.ORACLES["supplier_concentration"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    by_s = {
-        int(r["s_suppkey"]): (int(r["top_parts"]), int(r["over2x_parts"]))
-        for _, r in got.iterrows()
-    }
-    assert by_s == {1: (2, 0), 2: (1, 1), 3: (1, 0)}
-
-
-def _write_orders_dates(tmp_path, rows):
-    """rows = [(orderdate 'YYYY-MM-DD', totalprice), ...]"""
-    n = len(rows)
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "o_custkey": pa.array([1] * n, pa.int64()),
-            "o_orderstatus": pa.array(["O"] * n, pa.string()),
-            "o_totalprice": pa.array([p for _, p in rows], pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64(f"{d}T00:00:00", "us") for d, _ in rows],
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string()),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-
-
-def test_revenue_changepoint_zero_fill_and_ties(ray_session, tmp_path):
-    """Pin the DENSE-spine semantics (a day with no orders contributes a
-    ZERO to both prefix and suffix means — without it the top split
-    moves), the same-gap tie-break (symmetric series -> earlier day
-    wins), same-day summing, and the n<2 empty path."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 4.0), ("2024-01-01", 6.0),   # same-day sum 10.00
-         ("2024-01-02", 10.0),
-         # 2024-01-03 missing -> zero-filled
-         ("2024-01-04", 50.0), ("2024-01-05", 50.0)],
-    )
-    got = _to_pandas(windows.revenue_changepoint(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{d}/orders.parquet')"
-    )
-    want = c.execute(windows.ORACLES["revenue_changepoint"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    # hand-computed dense series [1000,1000,0,5000,5000] cents:
-    # the winning split is AFTER the zero-filled day (n1=3), gap 26000/6
-    day0 = 19723  # 2024-01-01 as days since epoch
-    assert list(got["split_day"]) == [day0 + 2, day0 + 3, day0 + 1, day0]
-    assert int(got["gap_num"].iloc[0]) == 26000
-    assert int(got["gap_den"].iloc[0]) == 6
-
-    # symmetric series -> equal gaps at both splits, earlier day first
-    t = tmp_path / "tie"
-    t.mkdir()
-    _write_orders_dates(
-        t, [("2024-02-01", 10.0), ("2024-02-03", 10.0)]  # [1000,0,1000]
-    )
-    got_t = _to_pandas(windows.revenue_changepoint(str(t)))
-    assert list(got_t["gap_num"]) == [1000, 1000]
-    assert list(got_t["split_day"]) == sorted(got_t["split_day"])
-
-    # a single day has no valid split -> typed empty
-    e = tmp_path / "single"
-    e.mkdir()
-    _write_orders_dates(e, [("2024-03-01", 7.0)])
-    got_e = _to_pandas(windows.revenue_changepoint(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "split_day", "gap_num", "gap_den", "mean_gap"
-    ]
-
-
-def _write_lineitem_qty(tmp_path, rows):
-    """rows = [(returnflag, quantity), ...] — minimal full-schema lineitem."""
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([q for _, q in rows], pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array([f for f, _ in rows], pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-
-
-def _write_lineitem_ship(tmp_path, rows):
-    """rows = [(shipdate 'YYYY-MM-DD', quantity), ...]"""
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([q for _, q in rows], pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64(f"{d}T00:00:00", "us") for d, _ in rows],
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-
-
-def test_max_nonoverlap_shipments_greedy(ray_session, tmp_path):
-    """Pin the earliest-finish greedy: same-start intervals collapse to
-    the min end (the 5-day twin never matters), a start EQUAL to the
-    last end is blocked (strict start > end), and the long early
-    interval is passed over for the short one.  Empty lineitem ->
-    typed empty."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    day0 = 19723  # 2024-01-01
-    _write_lineitem_ship(d, [
-        ("2024-01-01", 2.0),   # A [d0, d0+2]  -> picked
-        ("2024-01-01", 5.0),   # B same start, longer -> shadowed by A
-        ("2024-01-03", 1.0),   # C [d0+2, d0+3] start == A's end -> blocked
-        ("2024-01-04", 1.0),   # D [d0+3, d0+4] -> picked
-        ("2024-01-05", 10.0),  # E [d0+4, ...]  start == D's end -> blocked
-        ("2024-01-06", 3.0),   # F [d0+5, d0+8] -> picked
-    ])
-    got = _check_vs_oracle(
-        windows.max_nonoverlap_shipments,
-        windows.ORACLES["max_nonoverlap_shipments"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    )
-    r = got.iloc[0]
-    assert int(r["n_intervals"]) == 6
-    assert int(r["n_selected"]) == 3            # A, D, F
-    assert int(r["first_end"]) == day0 + 2
-    assert int(r["last_end"]) == day0 + 8
-
-    e = tmp_path / "empty"
-    e.mkdir()
-    _write_lineitem_ship(e, [])
-    got_e = _to_pandas(windows.max_nonoverlap_shipments(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "n_intervals", "n_selected", "first_end", "last_end"
-    ]
-
-
-def _write_lineitem_supp_qty(tmp_path, rows):
-    """rows = [(suppkey, quantity), ...]"""
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([s for s, _ in rows], pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([q for _, q in rows], pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-
-
-def test_ffd_bin_count_packing_and_winner(ray_session, tmp_path):
-    """Pin FFD on the classic [60,50,40,30,20,10] (bins land exactly
-    [100,100,10] — the 40 REVISITS bin 1, which sequential packing never
-    does), exact-fill is allowed (load == cap), the busiest supplier
-    wins on COUNT not total quantity, and the count tie goes to the
-    smaller suppkey."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_lineitem_supp_qty(d, [
-        (2, 60.0), (2, 50.0), (2, 40.0), (2, 30.0), (2, 20.0), (2, 10.0),
-        (9, 50.0), (9, 50.0),       # fewer items, winner stays 2
-    ])
-    got = _check_vs_oracle(
-        relational.ffd_bin_count,
-        relational.ORACLES["ffd_bin_count"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    )
-    r = got.iloc[0]
-    assert int(r["suppkey"]) == 2
-    assert (int(r["n_items"]), int(r["total_qty"])) == (6, 210)
-    assert (int(r["n_bins"]), int(r["max_load"]), int(r["min_load"])) \
-        == (3, 100, 10)
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    _write_lineitem_supp_qty(t, [(3, 10.0), (1, 10.0)])
-    got_t = _check_vs_oracle(
-        relational.ffd_bin_count,
-        relational.ORACLES["ffd_bin_count"],
-        t, "lineitem", pq.read_table(t / "lineitem.parquet"),
-    )
-    assert int(got_t.iloc[0]["suppkey"]) == 1
-
-
-def _write_gs_corpus(d):
-    rows = [
-        # (suppkey, partkey, qty): volume matrix
-        #        BA   BB   BC
-        # s1:    90   50   10   (BA volume split across two rows)
-        # s2:    80   60   20
-        # s3:    30   40    5
-        (1, 1, 40.0), (1, 1, 50.0), (1, 2, 50.0), (1, 3, 10.0),
-        (2, 1, 80.0), (2, 2, 60.0), (2, 3, 20.0),
-        (3, 1, 30.0), (3, 2, 40.0), (3, 3, 5.0),
-    ]
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "l_partkey": pa.array([p for _, p, _ in rows], pa.int64()),
-         "l_suppkey": pa.array([s for s, _, _ in rows], pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([q for _, _, q in rows], pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3], pa.int64()),
-         "p_name": pa.array(["a", "b", "c"], pa.string()),
-         "p_brand": pa.array(["BA", "BB", "BC"], pa.string()),
-         "p_type": pa.array(["t"] * 3, pa.string()),
-         "p_size": pa.array([1] * 3, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 3, pa.float64())}
-    ), d / "part.parquet")
-
-
-def _gs_check(d):
-    from langfilter_ray.pipelines import relational
-
-    got = _to_pandas(relational.stable_match_brands(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["stable_match_brands"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    return got
-
-
-def test_stable_match_brands_deferred_acceptance(ray_session, tmp_path,
-                                                 monkeypatch):
-    """Hand-simulated Gale-Shapley: s1 and s2 both want BA (s1 wins on
-    volume), s2's round-2 proposal BUMPS s3 off BB, and s3 — rejected at
-    BA too — settles for BC at its LAST preference.  The bump is what a
-    greedy one-shot assignment never produces.  Same-pair volumes sum
-    before ranking (s1's BA rows 40+50).  The broadcast dim probe and
-    the native-join fallback must agree (zero-threshold re-run)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_gs_corpus(d)
-    got = _gs_check(d)
-    assert list(got["suppkey"]) == [1, 2, 3]
-    assert list(got["brand"]) == ["BA", "BB", "BC"]
-    assert list(got["s_rank"]) == [1, 2, 3]   # s3 lands its worst choice
-    assert list(got["b_rank"]) == [1, 1, 3]
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    got_fb = _gs_check(d)
-    assert got_fb.equals(got)
-
-
-def test_weighted_shipment_schedule_dp_beats_greedy(ray_session, tmp_path):
-    """Pin the weighted DP: two light 1-week intervals (1000c each)
-    chain greedily, but one heavy 4-week interval (5000c) overlapping
-    both wins — the exchange argument fails under weights.  A duplicate
-    of the heavy span at 3000c collapses into the per-(s,e) max and
-    changes only the total.  Empty lineitem -> typed empty."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [
-        # (shipdate, qty, price): weeks from 2024-01-01 (week w0)
-        ("2024-01-01", 1.0, 10.0),    # L1 [w0, w0+1]   1000c
-        ("2024-01-11", 1.0, 10.0),    # L2 [w0+2, w0+3] 1000c
-        ("2024-01-01", 14.0, 50.0),   # H  [w0, w0+3]   5000c
-        ("2024-01-01", 14.0, 30.0),   # H' same span    3000c -> max-collapsed
-    ]
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([q for _, q, _ in rows], pa.float64()),
-         "l_extendedprice": pa.array([p for _, _, p in rows], pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64(f"{dt}T00:00:00", "us") for dt, _, _ in rows],
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    got = _check_vs_oracle(
-        windows.weighted_shipment_schedule,
-        windows.ORACLES["weighted_shipment_schedule"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    )
-    r = got.iloc[0]
-    assert int(r["n_intervals"]) == 4
-    assert int(r["total_cents"]) == 10000
-    assert int(r["best_cents"]) == 5000    # H alone beats L1+L2 = 2000
-    assert r["keep_ratio"] == 0.5
-
-    e = tmp_path / "empty"
-    e.mkdir()
-    _write_lineitem_ship(e, [])
-    got_e = _to_pandas(windows.weighted_shipment_schedule(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "n_intervals", "total_cents", "best_cents", "keep_ratio"
-    ]
-
-
-def test_qty_return_twosample_ties_and_sentinel(ray_session, tmp_path):
-    """Pin the tie handling (u2 = 2U keeps half-ranks integral: each
-    cross-group tie contributes 1), the KS max over the step CDFs, and
-    the -2.0 sentinel when one group is empty."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # R values [1, 2, 2]; others [2, 3] -> hand-computed:
-    # u2 = 2 (one o<r pair never occurs; two ties at v=2), rb = -2/3,
-    # ks_num = max(|1*2-0*3|, |3*2-1*3|, |3*2-2*3|) = 3, ks = 1/2
-    _write_lineitem_qty(
-        d, [("R", 1.0), ("R", 2.0), ("R", 2.0), ("N", 2.0), ("A", 3.0)]
-    )
-    got = _to_pandas(relational.qty_return_twosample(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{d}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["qty_return_twosample"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["n_r"]), int(r["n_o"]), int(r["u2"])) == (3, 2, 2)
-    assert (int(r["ks_num"]), int(r["ks_den"])) == (3, 6)
-    assert r["rank_biserial"] == (2.0 - 6.0) / 6.0
-    assert r["ks_stat"] == 0.5
-
-    # one group empty -> sentinel -2.0 on both float columns, zeros exact
-    e = tmp_path / "onegroup"
-    e.mkdir()
-    _write_lineitem_qty(e, [("N", 1.0), ("A", 2.0)])
-    got_e = _to_pandas(relational.qty_return_twosample(str(e)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{e}/lineitem.parquet')"
-    )
-    want_e = c2.execute(relational.ORACLES["qty_return_twosample"]).df()
-    problems = compare_frames(_canon(got_e), _canon(want_e))
-    assert not problems, (problems, first_diff(_canon(got_e), _canon(want_e)))
-    r = got_e.iloc[0]
-    assert (int(r["n_r"]), int(r["u2"]), int(r["ks_num"])) == (0, 0, 0)
-    assert r["rank_biserial"] == -2.0 and r["ks_stat"] == -2.0
-
-
-def test_qty_permutation_test_shift_and_degenerate(ray_session, tmp_path):
-    """Pin the resampling semantics: a strong real shift (returned rows
-    all qty 50, kept rows all qty 1) is matched by few LCG relabelings
-    (small p), a single-group corpus makes every replicate degenerate
-    (counted extreme on both sides -> p = 1.0), and the engine agrees
-    with the HUGEINT SQL mirror on both."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "shift"
-    d.mkdir()
-    rows = [("R", 50.0)] * 10 + [("N", 1.0)] * 10 + [("A", 1.0)] * 10
-    _write_lineitem_qty(d, rows)
-    got = _to_pandas(relational.qty_permutation_test(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{d}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["qty_permutation_test"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["n"]), int(r["n_r"])) == (30, 10)
-    # obs gap = |500*20 - 20*10| / 200 = 49 qty units — the maximum any
-    # relabeling could reach, so extreme replicates are rare
-    assert int(r["obs_num"]) == 9800 and int(r["obs_den"]) == 200
-    assert r["p_value"] < 0.2
-    assert r["p_value"] == (1 + int(r["n_extreme"])) / 65.0
-
-    e = tmp_path / "onegroup"
-    e.mkdir()
-    _write_lineitem_qty(e, [("N", 5.0), ("A", 9.0), ("N", 2.0)])
-    got_e = _to_pandas(relational.qty_permutation_test(str(e)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{e}/lineitem.parquet')"
-    )
-    want_e = c2.execute(relational.ORACLES["qty_permutation_test"]).df()
-    problems = compare_frames(_canon(got_e), _canon(want_e))
-    assert not problems, (problems, first_diff(_canon(got_e), _canon(want_e)))
-    r = got_e.iloc[0]
-    assert int(r["n_r"]) == 0 and int(r["obs_den"]) == 0
-    assert int(r["n_extreme"]) == 64 and r["p_value"] == 1.0
-
-
-def test_purchase_error_leadlag_lead_detection(ray_session, tmp_path):
-    """Pin the lag alignment: errors are an EXACT copy of purchases one
-    hour later (plus dense zero hours in between), so the lag=+1
-    correlation is the unique maximum; lag rows carry their own n −
-    |lag| sample sizes; non-purchase/error types are ignored."""
-    from langfilter_ray.pipelines import windows
-
-    US_HOUR = 3_600_000_000
-    rows = []
-    eid = 1
-    # purchases at hours 0,0,2,5 (counts [2,0,1,0,0,1]); errors copy +1h
-    for h, cnt in [(0, 2), (2, 1), (5, 1)]:
-        for _ in range(cnt):
-            rows.append((eid, 1, h * US_HOUR + eid, "purchase", 1.0))
-            eid += 1
-            rows.append((eid, 1, (h + 1) * US_HOUR + eid, "error", 1.0))
-            eid += 1
-    rows.append((eid, 9, 3 * US_HOUR, "view", 1.0))   # ignored type
-    got = _check_vs_oracle(
-        windows.purchase_error_leadlag,
-        windows.ORACLES["purchase_error_leadlag"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = got.set_index("lag").sort_index()
-    assert list(by.index) == [-3, -2, -1, 0, 1, 2, 3]
-    # span hours 0..6 -> 7 hours; lag L has 7 - |L| aligned pairs
-    assert list(by["n_hours"]) == [4, 5, 6, 7, 6, 5, 4]
-    best = by["corr_pe"].idxmax()
-    assert best == 1 and by.loc[1, "corr_pe"] > 0.99
-
-
-def test_session_path_census_cap_gap_and_ties(ray_session, tmp_path):
-    """Pin the path CAP (a 7-event session contributes only its first 5
-    types), the 24h session boundary (a >24h gap starts a NEW path),
-    the (ts, event_id) tie order inside a path, and cross-user path
-    identity (identical journeys from different users sum)."""
-    from langfilter_ray.pipelines import windows
-
-    H = 3_600 * US_SEC
-    rows = []
-    # user 1: one 7-event session -> path = first FIVE types only
-    types7 = ["view", "click", "view", "purchase", "click", "error", "view"]
-    for i, t in enumerate(types7):
-        rows.append((i + 1, 1, i * H, t, 1.0))
-    # user 1 again after a >24h gap: new session (view>click)
-    rows.append((20, 1, 7 * H + 25 * 3_600 * US_SEC, "view", 1.0))
-    rows.append((21, 1, 7 * H + 26 * 3_600 * US_SEC, "click", 1.0))
-    # user 2: SAME ts for both events -> event_id breaks the tie
-    rows.append((31, 2, 0, "view", 1.0))
-    rows.append((32, 2, 0, "click", 1.0))
-    # user 3: identical journey to user 2 -> paths sum to 2
-    rows.append((41, 3, 0, "view", 1.0))
-    rows.append((42, 3, H, "click", 1.0))
-    got = _check_vs_oracle(
-        windows.session_path_census,
-        windows.ORACLES["session_path_census"],
-        tmp_path, "events", _events_table(rows),
-    )
-    by = dict(zip(got["path"], got["n_sessions"]))
-    assert by == {
-        "view>click>view>purchase>click": 1,
-        "view>click": 3,
-    }
-
-
-def test_copurchase_hub_distances_chain_and_unreached(ray_session, tmp_path):
-    """Pin the hub tie-break (max degree, then smaller partkey), exact
-    hop distances on a chain, the 6-hop cap (a 7-hop node is NOT
-    reached), and the -1 bucket counting beyond-cap plus disconnected
-    parts."""
-    from langfilter_ray.pipelines import relational
-
-    # chain 1-2-...-9 (one order per edge) + disconnected pair 100-101
-    pairs = [(i, i + 1) for i in range(1, 9)] + [(100, 101)]
-    ok_, pk_ = [], []
-    for o, (a, b) in enumerate(pairs, start=1):
-        ok_ += [o, o]
-        pk_ += [a, b]
-    n = len(ok_)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(ok_, pa.int64()),
-            "l_partkey": pa.array(pk_, pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array([1, 2] * (n // 2), pa.int32()),
-            "l_quantity": pa.array([1.0] * n, pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-    got = _to_pandas(relational.copurchase_hub_distances(str(tmp_path)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{tmp_path}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["copurchase_hub_distances"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    # hub = part 2 (degree 2 tie broken to the smallest 2-degree key);
-    # node 9 sits 7 hops out (beyond cap), 100/101 are disconnected
-    by = dict(zip(got["distance"], got["n_parts"]))
-    assert by == {-1: 3, 0: 1, 1: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
-
 
 def _write_embeddings(tmp_path, vecs):
     """vecs: list of 64-float lists."""
@@ -2050,603 +414,6 @@ def test_embedding_top_eigval_axis_and_zero(ray_session, tmp_path):
     assert (int(r["top_coord"]), int(r["top_sign"])) == (0, 0)
 
 
-def _write_lineitem_points(tmp_path, rows):
-    """rows = [(partkey, qty, price), ...] — one point contribution each."""
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([p for p, _, _ in rows], pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([float(q) for _, q, _ in rows],
-                                   pa.float64()),
-            "l_extendedprice": pa.array([float(c) for _, _, c in rows],
-                                        pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-
-
-def test_part_cloud_diameter_hull_ties_degenerate(ray_session, tmp_path):
-    """Pin the hull reduction (a collinear boundary part never wins),
-    the coordinate-duplicate tie (the SMALLEST partkey represents a
-    coordinate), the equal-d2 tie across coordinate pairs (smaller
-    sorted pair wins), and the all-one-coordinate degenerate (two
-    smallest partkeys at distance 0)."""
-    from langfilter_ray.pipelines import relational
-
-    def run(d, rows):
-        d.mkdir()
-        _write_lineitem_points(d, rows)
-        got = _to_pandas(relational.part_cloud_diameter(str(d)))
-        c = duckdb.connect()
-        c.execute(
-            f"CREATE VIEW lineitem AS SELECT * "
-            f"FROM read_parquet('{d}/lineitem.parquet')"
-        )
-        want = c.execute(relational.ORACLES["part_cloud_diameter"]).df()
-        problems = compare_frames(_canon(got), _canon(want))
-        assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-        r = got.iloc[0]
-        return (int(r["part_a"]), int(r["part_b"]), int(r["dist2"]))
-
-    # prices are in units of 0.01 -> cents == the integer passed / 1
-    # part 3 sits ON the (0,0)-(10,0) edge (collinear, not a vertex);
-    # parts 4 and 5 duplicate the endpoint coordinates with larger keys
-    case1 = run(tmp_path / "hull", [
-        (1, 0, 0.0), (2, 10, 0.0), (3, 5, 0.0), (4, 0, 0.0), (5, 10, 0.0),
-    ])
-    assert case1 == (1, 2, 100)
-
-    # square: both diagonals tie at d2=200 -> sorted pairs (5,6) vs (2,3)
-    case2 = run(tmp_path / "square", [
-        (6, 0, 0.0), (2, 10, 0.0), (3, 0, 0.1), (5, 10, 0.1),
-    ])
-    assert case2 == (2, 3, 200)
-
-    # all parts at one coordinate -> two smallest keys, distance 0
-    case3 = run(tmp_path / "point", [
-        (9, 3, 5.0), (4, 3, 5.0), (7, 3, 5.0),
-    ])
-    assert case3 == (4, 7, 0)
-
-
-def test_price_tick_gcd_monoid(ray_session, tmp_path):
-    """Pin the non-sum monoid fold: a 50-cent-quantized group detects
-    tick 50, a 25-cent group detects 25, a single-order group returns
-    its own cents, and a zero-cent order is a GCD no-op."""
-    from langfilter_ray.pipelines import relational
-
-    rows = [  # (priority, totalprice)
-        ("1-URGENT", 1.50), ("1-URGENT", 2.50), ("1-URGENT", 4.00),
-        ("2-HIGH", 0.25), ("2-HIGH", 0.75), ("2-HIGH", 0.0),
-        ("3-MEDIUM", 9.99),
-    ]
-    n = len(rows)
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "o_custkey": pa.array([1] * n, pa.int64()),
-            "o_orderstatus": pa.array(["O"] * n, pa.string()),
-            "o_totalprice": pa.array([p for _, p in rows], pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array([pr for pr, _ in rows], pa.string()),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-    got = _check_vs_oracle(
-        relational.price_tick_gcd, relational.ORACLES["price_tick_gcd"],
-        tmp_path, "orders", orders,
-    )
-    by = {r["priority"]: (int(r["tick_cents"]), int(r["n_orders"]))
-          for _, r in got.iterrows()}
-    assert by == {
-        "1-URGENT": (50, 3),      # gcd(150, 250, 400)
-        "2-HIGH": (25, 3),        # gcd(25, 75, 0) — the 0 is a no-op
-        "3-MEDIUM": (999, 1),     # single order returns its own cents
-    }
-
-
-def test_revenue_best_run_kadane_zero_fill_tie(ray_session, tmp_path):
-    """Pin the maximum-subarray semantics: the best run CROSSES a
-    zero-filled day when the mean-free sum says so, the score is the
-    exact n-scaled integer, and equal scores resolve to the smallest
-    end day (first argmax)."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # days 0..5, day 2 missing: cents [100,700,0,700,100,100]
-    _write_orders_dates(d, [
-        ("2024-01-01", 1.0), ("2024-01-02", 7.0),
-        ("2024-01-04", 7.0), ("2024-01-05", 1.0), ("2024-01-06", 1.0),
-    ])
-    got = _to_pandas(windows.revenue_best_run(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{d}/orders.parquet')"
-    )
-    want = c.execute(windows.ORACLES["revenue_best_run"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    day0 = 19723
-    # hand Kadane: v = 6*rev - 1700 -> best run days 1..3 (700,0,700)
-    assert (int(r["start_day"]), int(r["end_day"])) == (day0 + 1, day0 + 3)
-    assert int(r["excess_scaled"]) == 3300
-    assert r["excess_cents"] == 3300.0 / 6.0
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    _write_orders_dates(t, [
-        ("2024-02-01", 7.0), ("2024-02-02", 1.0), ("2024-02-03", 7.0),
-    ])
-    got_t = _to_pandas(windows.revenue_best_run(str(t)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{t}/orders.parquet')"
-    )
-    want_t = c2.execute(windows.ORACLES["revenue_best_run"]).df()
-    problems = compare_frames(_canon(got_t), _canon(want_t))
-    assert not problems, (problems, first_diff(_canon(got_t), _canon(want_t)))
-    r = got_t.iloc[0]
-    # symmetric 600-score runs at day 0 and day 2 -> earliest end wins
-    day0 = 19754  # 2024-02-01
-    assert (int(r["start_day"]), int(r["end_day"])) == (day0, day0)
-    assert int(r["excess_scaled"]) == 600
-
-
-def test_daily_revenue_kendall_hand_counts(ray_session, tmp_path):
-    """Pin the concordance semantics on a hand-computed series:
-    same-day orders SUM before pairing, the series is OBSERVED days
-    only (a calendar gap does NOT zero-fill — n_days stays 4), ties
-    are counted apart from concordant/discordant, and a single
-    observed day has no pairs -> typed empty."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # observed days -> cents [1000, 3000, 2000, 2000] (01-03/01-04 gap)
-    _write_orders_dates(d, [
-        ("2024-01-01", 4.0), ("2024-01-01", 6.0),   # same-day sum 10.00
-        ("2024-01-02", 30.0),
-        ("2024-01-05", 20.0), ("2024-01-06", 20.0),
-    ])
-    got = _to_pandas(windows.daily_revenue_kendall(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{d}/orders.parquet')"
-    )
-    want = c.execute(windows.ORACLES["daily_revenue_kendall"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    # pairs of [1000,3000,2000,2000]: C=3 (1000<3000,1000<2000 x2),
-    # D=2 (3000>2000 x2), T=1 (2000,2000); zero-fill would change n_days
-    assert int(r["n_days"]) == 4 and int(r["n_pairs"]) == 6
-    assert (int(r["concordant"]), int(r["discordant"]),
-            int(r["tied"])) == (3, 2, 1)
-    assert r["tau_a"] == 1.0 / 6.0
-
-    e = tmp_path / "single"
-    e.mkdir()
-    _write_orders_dates(e, [("2024-03-01", 7.0)])
-    got_e = _to_pandas(windows.daily_revenue_kendall(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "n_days", "n_pairs", "concordant", "discordant", "tied", "tau_a"
-    ]
-
-
-def test_revenue_rank_cycles_permutation(ray_session, tmp_path):
-    """Pin the cycle algebra: series [30,10,20] is ONE 3-cycle (2 swaps
-    sort it) though it has 2 inversions — swaps ≠ inversions; an
-    equal-revenue pair is ALREADY sorted under the (rev, day) tie-break
-    (identity permutation, 0 swaps); a single day is its own cycle."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(d, [
-        ("2024-01-01", 30.0), ("2024-01-02", 10.0), ("2024-01-03", 20.0),
-    ])
-    got = _check_vs_oracle(
-        windows.revenue_rank_cycles,
-        windows.ORACLES["revenue_rank_cycles"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    )
-    r = got.iloc[0]
-    assert (int(r["n_days"]), int(r["n_cycles"]),
-            int(r["min_swaps"]), int(r["max_cycle"])) == (3, 1, 2, 3)
-
-    t = tmp_path / "ties"
-    t.mkdir()
-    _write_orders_dates(t, [("2024-02-01", 10.0), ("2024-02-02", 10.0)])
-    got_t = _check_vs_oracle(
-        windows.revenue_rank_cycles,
-        windows.ORACLES["revenue_rank_cycles"],
-        t, "orders", pq.read_table(t / "orders.parquet"),
-    )
-    r = got_t.iloc[0]
-    assert (int(r["n_cycles"]), int(r["min_swaps"])) == (2, 0)
-
-    s = tmp_path / "single"
-    s.mkdir()
-    _write_orders_dates(s, [("2024-03-01", 7.0)])
-    got_s = _check_vs_oracle(
-        windows.revenue_rank_cycles,
-        windows.ORACLES["revenue_rank_cycles"],
-        s, "orders", pq.read_table(s / "orders.parquet"),
-    )
-    r = got_s.iloc[0]
-    assert (int(r["n_days"]), int(r["n_cycles"]),
-            int(r["min_swaps"]), int(r["max_cycle"])) == (1, 1, 0, 1)
-
-
-def test_user_activity_f2_exact_and_sketch(ray_session, tmp_path):
-    """Pin the exact second moment on a hand-computed skew (F2 counts
-    the self-join size: 3 users with counts 3/2/1 -> 14) and the md5
-    sign determinism (ams_sq_sum reproduces the by-hand Z_k walk for a
-    single-user corpus, where Z_k = ±c so every replicate estimates
-    EXACTLY c²)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "skew"
-    d.mkdir()
-    rows = []
-    for i, uid in enumerate([1, 1, 1, 2, 2, 3]):
-        rows.append((i + 1, uid, i * US_SEC, "click", 1.0))
-    pq.write_table(_events_table(rows), d / "events.parquet")
-    got = _to_pandas(relational.user_activity_f2(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * "
-        f"FROM read_parquet('{d}/events.parquet')"
-    )
-    want = c.execute(relational.ORACLES["user_activity_f2"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["n_events"]), int(r["f2_exact"])) == (6, 14)
-
-    # single user, count 4: Z_k = ±4 for every k -> sq_sum = 16 * 16
-    s = tmp_path / "single"
-    s.mkdir()
-    rows = [(i + 1, 42, i * US_SEC, "view", 1.0) for i in range(4)]
-    pq.write_table(_events_table(rows), s / "events.parquet")
-    got_s = _to_pandas(relational.user_activity_f2(str(s)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW events AS SELECT * "
-        f"FROM read_parquet('{s}/events.parquet')"
-    )
-    want_s = c2.execute(relational.ORACLES["user_activity_f2"]).df()
-    problems = compare_frames(_canon(got_s), _canon(want_s))
-    assert not problems, (problems, first_diff(_canon(got_s), _canon(want_s)))
-    r = got_s.iloc[0]
-    assert int(r["f2_exact"]) == 16
-    assert int(r["ams_sq_sum"]) == 16 * 16     # every replicate exact
-    assert r["ams_mean_est"] == 16.0
-
-
-def test_qty_gini_mean_diff_hand_and_degenerate(ray_session, tmp_path):
-    """Pin the pairwise-distance arithmetic on a hand-computable corpus
-    (values 1,1,4 -> ordered-pair |diff| sum 12, den 6, gmd 2.0),
-    same-value multiplicity, and the n<2 sentinel."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "hand"
-    d.mkdir()
-    _write_lineitem_qty(d, [("N", 1.0), ("N", 1.0), ("N", 4.0)])
-    got = _to_pandas(relational.qty_gini_mean_diff(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{d}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["qty_gini_mean_diff"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    # pairs (1,4)x2 each direction -> 2*2*3 = 12; den = 3*2 = 6
-    assert (int(r["n"]), int(r["gmd_num"]), int(r["gmd_den"])) == (3, 12, 6)
-    assert r["gmd"] == 2.0
-
-    s = tmp_path / "single"
-    s.mkdir()
-    _write_lineitem_qty(s, [("N", 7.0)])
-    got_s = _to_pandas(relational.qty_gini_mean_diff(str(s)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{s}/lineitem.parquet')"
-    )
-    want_s = c2.execute(relational.ORACLES["qty_gini_mean_diff"]).df()
-    problems = compare_frames(_canon(got_s), _canon(want_s))
-    assert not problems, (problems, first_diff(_canon(got_s), _canon(want_s)))
-    r = got_s.iloc[0]
-    assert (int(r["n"]), int(r["gmd_den"])) == (1, 0) and r["gmd"] == -1.0
-
-
-def test_copurchase_mutual_best_reciprocity(ray_session, tmp_path):
-    """Pin the mutual-kNN semantics: reciprocal argmax pairs survive, a
-    one-sided best does not, the argmax tie breaks to the smaller
-    partner key, weights count row pairs (a part with two lines in one
-    order doubles the pair), and ordering is (weight desc, part_a)."""
-    from langfilter_ray.pipelines import relational
-
-    orders = {
-        1: [1, 2], 2: [1, 2],            # (1,2) w=2, mutual
-        3: [2, 3],                       # 2's best stays 1 (w2 > w1)
-        4: [3, 4], 5: [3, 4], 6: [3, 4], # (3,4) w=3, mutual
-        7: [4, 5],                       # 5->4 one-sided (4's best is 3)
-        8: [6, 7], 9: [6, 8],            # 6 ties 7/8 -> 7 wins; (6,7) mutual
-        10: [9, 9, 10],                  # two lines of 9: (9,10) w=2
-    }
-    ok_, pk_, ln_ = [], [], []
-    for o, parts in orders.items():
-        for i, p in enumerate(parts):
-            ok_.append(o)
-            pk_.append(p)
-            ln_.append(i + 1)
-    n = len(ok_)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(ok_, pa.int64()),
-            "l_partkey": pa.array(pk_, pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array(ln_, pa.int32()),
-            "l_quantity": pa.array([1.0] * n, pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-    got = _to_pandas(relational.copurchase_mutual_best(str(tmp_path)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{tmp_path}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["copurchase_mutual_best"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    rows = [tuple(int(x) for x in r)
-            for r in got[["part_a", "part_b", "weight"]].itertuples(False)]
-    assert rows == [(3, 4, 3), (1, 2, 2), (9, 10, 2), (6, 7, 1)]
-
-
-def test_qty_return_stump_split_tie_and_degenerate(ray_session, tmp_path):
-    """Pin the stump induction: the exact weighted-Gini argmin on a
-    hand-computed corpus, the all-one-class tie (every split has
-    impurity 0 -> smallest threshold wins), and the single-distinct-value
-    corpus (no valid split -> typed empty on BOTH engines)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # values 1,2,3; t=1 -> num/den 6/20; t=2 -> 8/30 (smaller) -> t=2 wins
-    _write_lineitem_qty(
-        d, [("R", 1.0), ("R", 2.0), ("N", 2.0), ("N", 3.0), ("N", 3.0)]
-    )
-    got = _to_pandas(relational.qty_return_stump(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{d}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["qty_return_stump"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["threshold"]), int(r["n_left"]), int(r["n_right"])) == (2, 3, 2)
-    assert (int(r["gini_num"]), int(r["gini_den"])) == (8, 30)
-    assert r["gini"] == 8.0 / 30.0
-
-    # all one class: every split is pure -> exact-fraction tie -> t = 1
-    e = tmp_path / "pure"
-    e.mkdir()
-    _write_lineitem_qty(e, [("N", 1.0), ("N", 2.0), ("N", 3.0)])
-    got_e = _to_pandas(relational.qty_return_stump(str(e)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{e}/lineitem.parquet')"
-    )
-    want_e = c2.execute(relational.ORACLES["qty_return_stump"]).df()
-    problems = compare_frames(_canon(got_e), _canon(want_e))
-    assert not problems, (problems, first_diff(_canon(got_e), _canon(want_e)))
-    r = got_e.iloc[0]
-    assert (int(r["threshold"]), int(r["gini_num"]), int(r["gini_den"])) == (1, 0, 6)
-    assert r["gini"] == 0.0
-
-    # single distinct value: no threshold leaves both sides non-empty
-    f = tmp_path / "onevalue"
-    f.mkdir()
-    _write_lineitem_qty(f, [("R", 5.0), ("N", 5.0)])
-    got_f = _to_pandas(relational.qty_return_stump(str(f)))
-    assert len(got_f) == 0
-    assert list(got_f.columns) == [
-        "threshold", "n_left", "n_right", "gini_num", "gini_den", "gini"
-    ]
-    c3 = duckdb.connect()
-    c3.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{f}/lineitem.parquet')"
-    )
-    assert len(c3.execute(relational.ORACLES["qty_return_stump"]).df()) == 0
-
-
-def test_weekly_revenue_lis_strictness_and_earliest_end(ray_session, tmp_path):
-    """Pin the LIS DP: same-week revenue SUMS before the DP, equal
-    values do NOT extend each other (strict increase), and among
-    equal-length endpoints the EARLIEST week wins.  Weekly values
-    [100, 200, 900, 300, 300] -> L = [1, 2, 3, 3, 3], so lis_len = 3
-    ending at the 900-cent week (not either later 300)."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 1.00),                        # w1: 100
-         ("2024-01-08", 1.50), ("2024-01-09", 0.50),  # w2: 200 (summed)
-         ("2024-01-15", 9.00),                        # w3: 900
-         ("2024-01-22", 3.00),                        # w4: 300
-         ("2024-01-29", 3.00)],                       # w5: 300 (== w4)
-    )
-    got = _to_pandas(windows.weekly_revenue_lis(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{d}/orders.parquet')"
-    )
-    want = c.execute(windows.ORACLES["weekly_revenue_lis"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert int(r["lis_len"]) == 3
-    assert int(r["end_rev_cents"]) == 900
-    # the winning end is the 2024-01-15 week on the epoch-week spine
-    assert int(r["end_week"]) == int(
-        np.datetime64("2024-01-15T00:00:00", "us").astype(np.int64)
-        // 604_800_000_000
-    )
-
-    # single order -> LIS of length 1 ending at that week
-    e = tmp_path / "single"
-    e.mkdir()
-    _write_orders_dates(e, [("2024-03-01", 7.0)])
-    got_e = _to_pandas(windows.weekly_revenue_lis(str(e)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{e}/orders.parquet')"
-    )
-    want_e = c2.execute(windows.ORACLES["weekly_revenue_lis"]).df()
-    problems = compare_frames(_canon(got_e), _canon(want_e))
-    assert not problems
-    assert int(got_e.iloc[0]["lis_len"]) == 1
-    assert int(got_e.iloc[0]["end_rev_cents"]) == 700
-
-
-def test_weekly_ewma_surprise_zero_fill_and_truncation(ray_session, tmp_path):
-    """Pin the recurrence: s1 = v1, surprise_t = |v_t - s_{t-1}|,
-    s_t = (s_{t-1} + v_t) // 2 with INTEGER floor on non-negative state
-    (800+401 halves to 600, not 600.5), and the zero-filled missing week
-    DECAYS the forecast (w3 contributes v=0, surprise 600, s 600->300)."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 8.00),     # w1: 800 (seed, no surprise row)
-         ("2024-01-08", 4.01),     # w2: 401, forecast 800, s -> 600
-         # 2024-01-15 week missing -> v=0, forecast 600, s -> 300
-         ("2024-01-22", 10.00)],   # w4: 1000, forecast 300
-    )
-    got = _to_pandas(windows.weekly_ewma_surprise(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{d}/orders.parquet')"
-    )
-    want = c.execute(windows.ORACLES["weekly_ewma_surprise"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    assert list(got["surprise_cents"]) == [700, 600, 399]
-    assert list(got["forecast_cents"]) == [300, 600, 800]
-    assert list(got["rev_cents"]) == [1000, 0, 401]
-
-    # a single week has no surprise row -> typed empty on both engines
-    e = tmp_path / "single"
-    e.mkdir()
-    _write_orders_dates(e, [("2024-03-01", 7.0)])
-    got_e = _to_pandas(windows.weekly_ewma_surprise(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "week", "rev_cents", "forecast_cents", "surprise_cents"
-    ]
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW orders AS SELECT * "
-        f"FROM read_parquet('{e}/orders.parquet')"
-    )
-    assert len(c2.execute(windows.ORACLES["weekly_ewma_surprise"]).df()) == 0
-
-
-def test_flag_status_chi2_cells_hand_table(ray_session, tmp_path):
-    """Pin the per-cell chi-square decomposition on a hand-computed 2x2
-    table: rows (R,O)x3 (R,F)x1 (N,O)x1 (N,F)x1 -> N=6, margins R=4 N=2
-    O=4 F=2, contributions 1/24, 1/12, 1/12, 1/6 and expectations
-    r*c/6 — every value ONE exact-integer division."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [("R", "O")] * 3 + [("R", "F"), ("N", "O"), ("N", "F")]
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([1] * n, pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([1.0] * n, pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array([f for f, _ in rows], pa.string()),
-            "l_linestatus": pa.array([s for _, s in rows], pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, d / "lineitem.parquet")
-    got = _to_pandas(relational.flag_status_chi2_cells(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW lineitem AS SELECT * "
-        f"FROM read_parquet('{d}/lineitem.parquet')"
-    )
-    want = c.execute(relational.ORACLES["flag_status_chi2_cells"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    got = got.sort_values(["returnflag", "linestatus"]).reset_index(drop=True)
-    assert list(got["n_obs"]) == [1, 1, 1, 3]       # (N,F) (N,O) (R,F) (R,O)
-    assert list(got["expected"]) == [
-        4.0 / 6.0, 8.0 / 6.0, 8.0 / 6.0, 16.0 / 6.0
-    ]
-    assert list(got["contrib"]) == [
-        4.0 / 24.0, 4.0 / 48.0, 4.0 / 48.0, 4.0 / 96.0
-    ]
-
-
 def test_huffman_cost_top64_hand_weights(ray_session, tmp_path):
     """Pin the greedy merge fold on hand weights: token counts
     {a:5, b:2, c:1, d:1} -> merges (1+1)=2, (2+2)=4, (4+5)=9 ->
@@ -2703,162 +470,6 @@ def test_huffman_cost_top64_hand_weights(ray_session, tmp_path):
     assert r["avg_bits"] == 0.0
 
 
-def test_bulk_brand_cover_greedy_ties_and_threshold(ray_session, tmp_path):
-    """Pin the greedy: customers 10/{B1,B2}, 11/{B3,B4}, 12/{B2,B3} all
-    via bulk (qty >= 45) lines, customer 13 only via a qty-44 line
-    (EXCLUDED).  Equal first-step gains (2,2,2) break to the smaller key
-    (10), then 11 adds 2 vs 12's 1, and 12 is never picked (gain 0
-    stops the loop)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    li = [  # (orderkey, partkey, qty)
-        (1, 1, 50.0), (1, 2, 45.0),
-        (2, 3, 50.0), (2, 4, 46.0),
-        (3, 2, 50.0), (3, 3, 50.0),
-        (4, 1, 44.0),                       # below the bulk threshold
-    ]
-    n = len(li)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array([r[0] for r in li], pa.int64()),
-         "l_partkey": pa.array([r[1] for r in li], pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([r[2] for r in li], pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array([1, 2, 3, 4], pa.int64()),
-         "o_custkey": pa.array([10, 11, 12, 13], pa.int64()),
-         "o_orderstatus": pa.array(["O"] * 4, pa.string()),
-         "o_totalprice": pa.array([1.0] * 4, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-03-01T00:00:00", "us")] * 4,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * 4, pa.string())}
-    ), d / "orders.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4], pa.int64()),
-         "p_name": pa.array(["a", "b", "c", "d"], pa.string()),
-         "p_brand": pa.array(["B1", "B2", "B3", "B4"], pa.string()),
-         "p_type": pa.array(["t"] * 4, pa.string()),
-         "p_size": pa.array([1] * 4, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 4, pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.bulk_brand_cover(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "orders", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["bulk_brand_cover"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    assert list(got["custkey"]) == [10, 11]
-    assert list(got["newly_covered"]) == [2, 2]
-    assert list(got["cum_covered"]) == [2, 4]
-
-    # no bulk lines at all -> typed empty on both engines
-    e = tmp_path / "nobulk"
-    e.mkdir()
-    import shutil
-    shutil.copy(d / "orders.parquet", e / "orders.parquet")
-    shutil.copy(d / "part.parquet", e / "part.parquet")
-    li_small = pa.table(
-        {"l_orderkey": pa.array([1], pa.int64()),
-         "l_partkey": pa.array([1], pa.int64()),
-         "l_suppkey": pa.array([1], pa.int64()),
-         "l_linenumber": pa.array([1], pa.int32()),
-         "l_quantity": pa.array([10.0], pa.float64()),
-         "l_extendedprice": pa.array([1.0], pa.float64()),
-         "l_discount": pa.array([0.0], pa.float64()),
-         "l_tax": pa.array([0.0], pa.float64()),
-         "l_returnflag": pa.array(["N"], pa.string()),
-         "l_linestatus": pa.array(["O"], pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")],
-             pa.timestamp("us"))}
-    )
-    pq.write_table(li_small, e / "lineitem.parquet")
-    got_e = _to_pandas(relational.bulk_brand_cover(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "pick", "custkey", "newly_covered", "cum_covered"
-    ]
-    c2 = duckdb.connect()
-    for t in ("lineitem", "orders", "part"):
-        c2.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{e}/{t}.parquet')"
-        )
-    assert len(c2.execute(relational.ORACLES["bulk_brand_cover"]).df()) == 0
-
-
-def test_brand_graph_kcore_peel_cascade(ray_session, tmp_path):
-    """Pin the peel on a hand graph: K4 on B1..B4 (six edges, weight 10
-    each) + a strong B5-B6 edge (weight 10) + four weight-1 noise edges
-    (B5-B1, B5-B2, B6-B2, B6-B3).  S=74, D=11 -> strong iff 5*w*11 >=
-    6*74 (w >= 8.07): the seven weight-10 edges survive, the noise does
-    not; peeling at k=3 removes B5/B6 (degree 1 in the strong graph) and
-    keeps the K4, each with core degree 3."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    edges10 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6)]
-    edges1 = [(5, 1), (5, 2), (6, 2), (6, 3)]
-    li_o, li_p = [], []
-    okey = 0
-    for (x, y), w in [(e, 10) for e in edges10] + [(e, 1) for e in edges1]:
-        for _ in range(w):
-            okey += 1
-            li_o += [okey, okey]
-            li_p += [x, y]
-    n = len(li_o)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(li_o, pa.int64()),
-         "l_partkey": pa.array(li_p, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-         "p_name": pa.array(list("abcdef"), pa.string()),
-         "p_brand": pa.array(
-             [f"B{i}" for i in range(1, 7)], pa.string()),
-         "p_type": pa.array(["t"] * 6, pa.string()),
-         "p_size": pa.array([1] * 6, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 6, pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.brand_graph_kcore(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["brand_graph_kcore"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    assert list(got["brand"]) == ["B1", "B2", "B3", "B4"]
-    assert list(got["core_degree"]) == [3, 3, 3, 3]
-
-
 def test_cm_sketch_tokens_no_collision_exact(ray_session, tmp_path):
     """With far fewer tokens than buckets and no md5 collisions the
     count-min estimate equals the exact count (over_ratio exactly 1.0);
@@ -2897,227 +508,6 @@ def test_cm_sketch_tokens_no_collision_exact(ray_session, tmp_path):
     assert any(len(set(v)) == 3 for v in buckets.values())
     assert (got["over_ratio"] >= 1.0).all()
     assert list(got["cm_est"]) == [3, 2, 1]
-
-
-def test_user_lcs_top2_cap_and_tie_order(ray_session, tmp_path):
-    """Pin the alignment: user 1 has 26 events (CAP trims to 24 -> the
-    trailing 'error's never enter, len_a = 24) cycling
-    click/view/purchase; user 2's four events include a SAME-TIMESTAMP
-    pair ordered by event_id (click id=102 before purchase id=103) —
-    the sequence [view, click, purchase, view] embeds in the cycle for
-    LCS 4; the flipped tie order would only reach 3.  User 3 exists but
-    is not in the top 2."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    cyc = ["click", "view", "purchase"]
-    rows = [(i + 1, 1, i * 1000, cyc[i % 3], 1.0) for i in range(24)]
-    rows += [(25, 1, 24000, "error", 1.0), (26, 1, 25000, "error", 1.0)]
-    rows += [(101, 2, 100, "view", 1.0),
-             (102, 2, 5000, "click", 1.0),
-             (103, 2, 5000, "purchase", 1.0),   # same ts, later id
-             (104, 2, 9000, "view", 1.0)]
-    rows += [(201, 3, 0, "signup", 1.0), (202, 3, 1, "signup", 1.0)]
-    pq.write_table(_events_table(rows), d / "events.parquet")
-    got = _to_pandas(windows.user_lcs_top2(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW events AS SELECT * "
-        f"FROM read_parquet('{d}/events.parquet')"
-    )
-    want = c.execute(windows.ORACLES["user_lcs_top2"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["user_a"]), int(r["user_b"])) == (1, 2)
-    assert (int(r["len_a"]), int(r["len_b"])) == (24, 4)
-    assert int(r["lcs_len"]) == 4
-
-    # fewer than two users -> typed empty on both engines
-    e = tmp_path / "oneuser"
-    e.mkdir()
-    pq.write_table(
-        _events_table([(1, 1, 0, "view", 1.0)]), e / "events.parquet"
-    )
-    got_e = _to_pandas(windows.user_lcs_top2(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "user_a", "user_b", "len_a", "len_b", "lcs_len"
-    ]
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW events AS SELECT * "
-        f"FROM read_parquet('{e}/events.parquet')"
-    )
-    assert len(c2.execute(windows.ORACLES["user_lcs_top2"]).df()) == 0
-
-
-def test_brand_widest_path_multi_hop_bottleneck(ray_session, tmp_path):
-    """Pin the max-min relaxation: edges B1-B2 w=10, B2-B3 w=8,
-    B1-B3 w=3, B3-B4 w=6 -> hub is B2 (total weight 18); B4 is NOT
-    adjacent to the hub and its best bottleneck is the two-hop chain
-    B2->B3(8)->B4(6) = 6, while B1's direct 10 beats the 3-weight
-    detour; an isolated brand B5 is omitted."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    edges = [((1, 2), 10), ((2, 3), 8), ((1, 3), 3), ((3, 4), 6)]
-    li_o, li_p = [], []
-    okey = 0
-    for (x, y), w in edges:
-        for _ in range(w):
-            okey += 1
-            li_o += [okey, okey]
-            li_p += [x, y]
-    n = len(li_o)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(li_o, pa.int64()),
-         "l_partkey": pa.array(li_p, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
-         "p_name": pa.array(list("abcde"), pa.string()),
-         "p_brand": pa.array([f"B{i}" for i in range(1, 6)], pa.string()),
-         "p_type": pa.array(["t"] * 5, pa.string()),
-         "p_size": pa.array([1] * 5, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 5, pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.brand_widest_path(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["brand_widest_path"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    assert list(got["brand"]) == ["B1", "B3", "B4"]
-    assert list(got["bottleneck"]) == [10, 8, 6]
-
-
-def test_brand_cheapest_path_multi_hop_beats_direct(ray_session, tmp_path):
-    """Pin the (min,+) relaxation under cost = S//w + 1 (S = 28):
-    edges B1-B2 w=10 (c=3), B2-B3 w=8 (c=4), B1-B3 w=3 (c=10),
-    B3-B4 w=6 (c=5), B2-B4 w=1 (c=29) -> hub is B2 (total 19); B4's
-    DIRECT hub edge costs 29 but the two-hop B2->B3->B4 = 9 wins;
-    B3's direct 4 beats its 13-cost detour; isolated B5 omitted."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    edges = [((1, 2), 10), ((2, 3), 8), ((1, 3), 3), ((3, 4), 6),
-             ((2, 4), 1)]
-    li_o, li_p = [], []
-    okey = 0
-    for (x, y), w in edges:
-        for _ in range(w):
-            okey += 1
-            li_o += [okey, okey]
-            li_p += [x, y]
-    n = len(li_o)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(li_o, pa.int64()),
-         "l_partkey": pa.array(li_p, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
-         "p_name": pa.array(list("abcde"), pa.string()),
-         "p_brand": pa.array([f"B{i}" for i in range(1, 6)], pa.string()),
-         "p_type": pa.array(["t"] * 5, pa.string()),
-         "p_size": pa.array([1] * 5, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 5, pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.brand_cheapest_path(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["brand_cheapest_path"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    assert list(got["brand"]) == ["B1", "B3", "B4"]
-    assert list(got["cost"]) == [3, 4, 9]
-
-
-def test_part_knapsack_best_beats_greedy(ray_session, tmp_path):
-    """Pin the DP: items (price cents, size) = (1000, 60), (900, 50),
-    (800, 50), (50, 1) under capacity 100 -> greedy-by-value takes the
-    1000 item and strands capacity (best 1050); the DP finds 900+800 =
-    1700 at exactly 100."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4], pa.int64()),
-         "p_name": pa.array(list("abcd"), pa.string()),
-         "p_brand": pa.array(["B1"] * 4, pa.string()),
-         "p_type": pa.array(["t"] * 4, pa.string()),
-         "p_size": pa.array([60, 50, 50, 1], pa.int32()),
-         "p_retailprice": pa.array([10.0, 9.0, 8.0, 0.5], pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.part_knapsack_best(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW part AS SELECT * FROM read_parquet('{d}/part.parquet')"
-    )
-    want = c.execute(relational.ORACLES["part_knapsack_best"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["capacity"]), int(r["n_candidates"])) == (100, 4)
-    assert int(r["best_cents"]) == 1700
-
-
-def test_user_coverage_us_overlap_dup_and_gap(ray_session, tmp_path):
-    """Pin the union semantics: user 1 has events at 0, +30min (overlap:
-    contributes 1800s, not 3600), +30min duplicate ts (contributes 0),
-    and one at +10h (gap > W: the previous island closes with a full W).
-    covered = 1800s + 0 + 3600s + 3600s = 9000s.  User 2 has a single
-    event -> exactly W."""
-    from langfilter_ray.pipelines import windows
-
-    H = 3_600_000_000
-    rows = [
-        (1, 1, 0, "view", 1.0),
-        (2, 1, H // 2, "view", 1.0),
-        (3, 1, H // 2, "click", 1.0),        # duplicate timestamp
-        (4, 1, 10 * H, "view", 1.0),
-        (5, 2, 42, "view", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.user_coverage_us,
-        windows.ORACLES["user_coverage_us"],
-        tmp_path, "events", _events_table(rows),
-    )
-    cov = dict(zip(got["user_id"], got["covered_us"]))
-    assert cov[1] == H // 2 + 0 + H + H
-    assert cov[2] == H
 
 
 def test_distinct_substrings_cap_repetitive_and_tiebreak(ray_session,
@@ -3346,45 +736,6 @@ def test_dict_match_census_adjacent_and_zero_rows(ray_session, tmp_path):
     assert by[("b", "value")] == (0, 0)
 
 
-def test_orders_max_rectangle_plateau_and_gap(ray_session, tmp_path):
-    """Histogram [3, 2, 2, 0, 4] (day 4 empty -> zero bar): candidates
-    3x1=3, 2x3=6, 4x1=4 -> best is the height-2 plateau spanning days
-    1-3 (both plateau bars collapse to the same row); the zero bar must
-    break the run."""
-    import pandas as pd
-    from langfilter_ray.pipelines import windows
-
-    base = np.datetime64("2024-03-01T12:00:00", "us")
-    DAY = np.timedelta64(86_400_000_000, "us")
-    counts = {0: 3, 1: 2, 2: 2, 4: 4}
-    dates, keys = [], []
-    k = 1
-    for d, c in counts.items():
-        for _ in range(c):
-            dates.append(base + d * DAY)
-            keys.append(k)
-            k += 1
-    tbl = pa.table(
-        {"o_orderkey": pa.array(keys, pa.int64()),
-         "o_custkey": pa.array([1] * len(keys), pa.int64()),
-         "o_orderstatus": pa.array(["O"] * len(keys), pa.string()),
-         "o_totalprice": pa.array([10.0] * len(keys), pa.float64()),
-         "o_orderdate": pa.array(dates, pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * len(keys), pa.string())}
-    )
-    got = _check_vs_oracle(
-        windows.orders_max_rectangle,
-        windows.ORACLES["orders_max_rectangle"],
-        tmp_path, "orders", tbl,
-    )
-    r = got.iloc[0]
-    d0 = int(pa.compute.cast(pa.array([base]), pa.int64())[0].as_py()
-             // 86_400_000_000)
-    assert (int(r["area"]), int(r["height"]), int(r["width"])) == (6, 2, 3)
-    assert int(r["start_day"]) == d0
-    assert int(r["end_day"]) == d0 + 2
-
-
 def test_embedding_closest_pair_grid_dups_and_ties(ray_session, tmp_path):
     """Three regimes: (1) duplicate coordinates short-circuit to dist2=0
     with the smallest id pair among ALL duplicate coords; (2) distinct
@@ -3462,484 +813,6 @@ def test_longest_palindrome_cap_even_and_tie(ray_session, tmp_path):
             int(r2["start_pos"])) == (7, 1, 1)
 
 
-def test_dow_hour_max_block_hot_block(ray_session, tmp_path):
-    """A hot 2x2 block (Mon/Tue 10-11h, 5 events each) over sparse noise
-    must be found with exact bounds; scores are n-scaled mean-free ints
-    (20 hot cells*168 - area*total)."""
-    from langfilter_ray.pipelines import windows
-
-    # _events_table's base is 2024-03-01, a FRIDAY (dow=5): shift by 2
-    # days so offset day 0 lands on Sunday (dow=0)
-    DAY = 86_400_000_000
-    HOUR = 3_600_000_000
-    rows = []
-    eid = 1
-    for d, h, c in [(1, 10, 5), (1, 11, 5), (2, 10, 5), (2, 11, 5),
-                    (5, 3, 1), (0, 22, 1)]:
-        for _ in range(c):
-            rows.append((eid, 1, (d + 2) * DAY + h * HOUR, "view", 1.0))
-            eid += 1
-    got = _check_vs_oracle(
-        windows.dow_hour_max_block,
-        windows.ORACLES["dow_hour_max_block"],
-        tmp_path, "events", _events_table(rows),
-    )
-    r = got.iloc[0]
-    assert (int(r["dow_lo"]), int(r["dow_hi"]),
-            int(r["hour_lo"]), int(r["hour_hi"])) == (1, 2, 10, 11)
-    assert int(r["block_score"]) == 20 * 168 - 4 * 22
-
-
-def test_brand_mst_weight_cycle_and_two_components(ray_session, tmp_path):
-    """Graph: triangle B1-B2(10), B2-B3(10), B1-B3(4) plus a separate
-    edge B4-B5(7).  Kruskal takes both 10s (the 4 closes a cycle ->
-    rejected) and the 7: forest weight 27, 3 edges, 5 nodes in 2
-    components.  The weight-10 tie is resolved by (b1, b2) order on
-    both engines."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    edges = [((1, 2), 10), ((2, 3), 10), ((1, 3), 4), ((4, 5), 7)]
-    li_o, li_p = [], []
-    okey = 0
-    for (x, y), w in edges:
-        for _ in range(w):
-            okey += 1
-            li_o += [okey, okey]
-            li_p += [x, y]
-    n = len(li_o)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(li_o, pa.int64()),
-         "l_partkey": pa.array(li_p, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-03-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([1, 2, 3, 4, 5], pa.int64()),
-         "p_name": pa.array(list("abcde"), pa.string()),
-         "p_brand": pa.array([f"B{i}" for i in range(1, 6)], pa.string()),
-         "p_type": pa.array(["t"] * 5, pa.string()),
-         "p_size": pa.array([1] * 5, pa.int32()),
-         "p_retailprice": pa.array([1.0] * 5, pa.float64())}
-    ), d / "part.parquet")
-    got = _to_pandas(relational.brand_mst_weight(str(d)))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = c.execute(relational.ORACLES["brand_mst_weight"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["n_nodes"]), int(r["n_components"]),
-            int(r["n_edges"]), int(r["forest_weight"])) == (5, 2, 3, 27)
-
-
-def test_order_backlog_lindley_identity(ray_session, tmp_path):
-    """Hand-simulated Lindley queue: counts [5,0,1,0,1] over a 5-day
-    span (the span is [min,max] so the tail day carries one order),
-    capacity ceil(7/5)=2 -> backlog [3,1,0,0,0]: the burst drains over
-    two days and the clamp at zero HOLDS through the under-capacity
-    tail (P goes to -3 but B stays 0).  A second corpus pins the
-    FIRST-peak tie-break (B=[1,0,1,0] -> peak on the earliest day),
-    and a typed-empty orders file takes the empty path."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 1.0)] * 5 + [("2024-01-03", 1.0)]
-        + [("2024-01-05", 1.0)],
-    )
-    got = _check_vs_oracle(
-        relational.order_backlog_lindley,
-        relational.ORACLES["order_backlog_lindley"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    )
-    r = got.iloc[0]
-    d0 = int(np.datetime64("2024-01-01").astype("datetime64[D]").astype(int))
-    assert int(r["n_days"]) == 5
-    assert int(r["capacity"]) == 2
-    assert int(r["max_backlog"]) == 3
-    assert int(r["peak_day"]) == d0
-    assert int(r["busy_days"]) == 2
-    assert int(r["total_delay"]) == 4
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    _write_orders_dates(
-        t,
-        [("2024-01-01", 1.0)] * 3 + [("2024-01-02", 1.0)]
-        + [("2024-01-03", 1.0)] * 3 + [("2024-01-04", 1.0)],
-    )
-    got_t = _check_vs_oracle(
-        relational.order_backlog_lindley,
-        relational.ORACLES["order_backlog_lindley"],
-        t, "orders", pq.read_table(t / "orders.parquet"),
-    )
-    rt = got_t.iloc[0]
-    assert int(rt["max_backlog"]) == 1
-    assert int(rt["peak_day"]) == d0      # first of the two B=1 peaks
-    assert int(rt["busy_days"]) == 2
-
-    e = tmp_path / "empty"
-    e.mkdir()
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array([], pa.int64()),
-         "o_custkey": pa.array([], pa.int64()),
-         "o_orderstatus": pa.array([], pa.string()),
-         "o_totalprice": pa.array([], pa.float64()),
-         "o_orderdate": pa.array([], pa.timestamp("us")),
-         "o_orderpriority": pa.array([], pa.string())}
-    ), e / "orders.parquet")
-    got_e = _to_pandas(relational.order_backlog_lindley(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "n_days", "capacity", "max_backlog", "peak_day",
-        "busy_days", "total_delay",
-    ]
-
-
-def _write_banzhaf_corpus(d, region_rows, cust_region, order_cents):
-    """region_rows = [(rkey, name)]; cust_region = {custkey: rkey};
-    order_cents = [(custkey, cents)].  One nation per region (nationkey
-    = 100 + rkey) keeps the chain minimal."""
-    pq.write_table(pa.table(
-        {"r_regionkey": pa.array([k for k, _ in region_rows], pa.int32()),
-         "r_name": pa.array([n for _, n in region_rows], pa.string())}
-    ), d / "region.parquet")
-    pq.write_table(pa.table(
-        {"n_nationkey": pa.array(
-            [100 + k for k, _ in region_rows], pa.int32()),
-         "n_name": pa.array([f"N{k}" for k, _ in region_rows], pa.string()),
-         "n_regionkey": pa.array([k for k, _ in region_rows], pa.int32())}
-    ), d / "nation.parquet")
-    ck = sorted(cust_region)
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array(ck, pa.int64()),
-         "c_name": pa.array([f"C{c}" for c in ck], pa.string()),
-         "c_nationkey": pa.array(
-             [100 + cust_region[c] for c in ck], pa.int32()),
-         "c_acctbal": pa.array([0.0] * len(ck), pa.float64()),
-         "c_mktsegment": pa.array(["BUILDING"] * len(ck), pa.string())}
-    ), d / "customer.parquet")
-    n = len(order_cents)
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "o_custkey": pa.array([c for c, _ in order_cents], pa.int64()),
-         "o_orderstatus": pa.array(["O"] * n, pa.string()),
-         "o_totalprice": pa.array(
-             [cents / 100.0 for _, cents in order_cents], pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string())}
-    ), d / "orders.parquet")
-
-
-def _banzhaf_check(d):
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.region_banzhaf(str(d))))
-    c = duckdb.connect()
-    for t in ("region", "nation", "customer", "orders"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["region_banzhaf"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return _to_pandas(relational.region_banzhaf(str(d))).set_index("r_name")
-
-
-def test_region_banzhaf_dictator_and_sentinel(ray_session, tmp_path,
-                                              monkeypatch):
-    """Power is not weight share: RA holds 60% of revenue -> dictator
-    (index 1.0) while RB/RC with 25%/15% read 0.0 — every one of the 4
-    other-coalitions is a swing for RA only.  A balanced 3x equal-weight
-    game gives each region index 1/3 via 2 swings each.  Zero revenue
-    everywhere -> -1.0 sentinel (no swings).  The broadcast probe and
-    the native-join fallback must agree (zero-threshold re-run)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "dict"
-    d.mkdir()
-    _write_banzhaf_corpus(
-        d,
-        [(0, "RA"), (1, "RB"), (2, "RC")],
-        {1: 0, 2: 1, 3: 2},
-        [(1, 6000), (2, 2500), (3, 1500)],
-    )
-    got = _banzhaf_check(d)
-    assert got.loc["RA", "banzhaf"] == 1.0
-    assert got.loc["RB", "banzhaf"] == 0.0
-    assert got.loc["RC", "banzhaf"] == 0.0
-    assert int(got.loc["RB", "weight_cents"]) == 2500
-    assert int(got.loc["RA", "swings"]) == 4
-
-    b = tmp_path / "balanced"
-    b.mkdir()
-    _write_banzhaf_corpus(
-        b,
-        [(0, "RA"), (1, "RB"), (2, "RC")],
-        {1: 0, 2: 1, 3: 2},
-        [(1, 1000), (2, 1000), (3, 1000)],
-    )
-    got_b = _banzhaf_check(b)
-    assert list(got_b["banzhaf"]) == [1 / 3, 1 / 3, 1 / 3]
-    assert list(got_b["swings"]) == [2, 2, 2]
-
-    z = tmp_path / "zero"
-    z.mkdir()
-    _write_banzhaf_corpus(
-        z, [(0, "RA"), (1, "RB")], {1: 0}, [],
-    )
-    got_z = _banzhaf_check(z)
-    assert list(got_z["banzhaf"]) == [-1.0, -1.0]
-    assert list(got_z["swings"]) == [0, 0]
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    got_fb = _banzhaf_check(d)
-    assert got_fb.equals(got)
-
-
-def test_prime_price_census_hand_values(ray_session, tmp_path):
-    """Hand-audited primality set: 0.02 -> 2 (smallest prime), 0.01 ->
-    1 (NOT prime), 2.11 -> 211 (prime), 0.49 -> 49 = 7^2 (the p*p <= v
-    boundary: 7 divides and 49 > 49 is false only for p=7 itself at
-    p*p = 49 <= 49 -> composite), 79.19 -> 7919 (the 1000th prime),
-    64.09 -> 6409 = 13*17*29 (composite with no small-prime shortcut).
-    An all-composite corpus pins the -1 sentinels."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 0.02), ("2024-01-01", 0.01),
-         ("2024-01-01", 2.11), ("2024-01-01", 0.49),
-         ("2024-01-01", 79.19), ("2024-01-01", 64.09)],
-    )
-    got = _check_vs_oracle(
-        relational.prime_price_census,
-        relational.ORACLES["prime_price_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    )
-    r = got.iloc[0]
-    assert int(r["n_orders"]) == 6
-    assert int(r["n_prime"]) == 3          # 2, 211, 7919
-    assert int(r["min_prime_cents"]) == 2
-    assert int(r["max_prime_cents"]) == 7919
-    assert r["prime_share"] == 0.5
-
-    e = tmp_path / "composite"
-    e.mkdir()
-    _write_orders_dates(
-        e, [("2024-01-01", 0.04), ("2024-01-01", 0.09)],
-    )
-    got_e = _check_vs_oracle(
-        relational.prime_price_census,
-        relational.ORACLES["prime_price_census"],
-        e, "orders", pq.read_table(e / "orders.parquet"),
-    )
-    re_ = got_e.iloc[0]
-    assert int(re_["n_prime"]) == 0
-    assert int(re_["min_prime_cents"]) == -1
-    assert int(re_["max_prime_cents"]) == -1
-    assert re_["prime_share"] == 0.0
-
-
-def test_lru_event_misses_stack_distance(ray_session, tmp_path):
-    """Hand-traced Mattson census.  User 1 runs [view, click, view,
-    purchase, view, click]: stack distances for the re-accesses are
-    view@3 -> 1 (click since), view@5 -> 1 (purchase since; click is
-    OLDER than the previous view and must NOT count), click@6 -> 2
-    (view, purchase since).  User 2's lone view is cold and must not
-    leak into user 1's fill.  misses(k): 3 cold + |{d >= k}| ->
-    k=1: 7, k=2: 5, k=3: 4, k=4: 4 over n=7."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [
-        (1, 1, 0, "view", 0.0),
-        (2, 1, 1_000_000, "click", 0.0),
-        (3, 1, 2_000_000, "view", 0.0),
-        (4, 1, 3_000_000, "purchase", 0.0),
-        (5, 1, 4_000_000, "view", 0.0),
-        (6, 1, 5_000_000, "click", 0.0),
-        (7, 2, 0, "view", 0.0),
-    ]
-    got = _check_vs_oracle(
-        windows.lru_event_misses,
-        windows.ORACLES["lru_event_misses"],
-        d, "events", _events_table(rows),
-    ).sort_values("k").reset_index(drop=True)
-    assert list(got["k"]) == [1, 2, 3, 4]
-    assert list(got["misses"]) == [7, 5, 4, 4]
-    assert list(got["n_events"]) == [7, 7, 7, 7]
-    assert got["miss_rate"].iloc[0] == 1.0
-    assert got["miss_rate"].iloc[1] == 5 / 7
-
-
-def _write_dhondt_corpus(d, nations, cust_nation):
-    """nations = [(nk, name)]; cust_nation = [nk per customer]."""
-    pq.write_table(pa.table(
-        {"n_nationkey": pa.array([k for k, _ in nations], pa.int32()),
-         "n_name": pa.array([n for _, n in nations], pa.string()),
-         "n_regionkey": pa.array([0] * len(nations), pa.int32())}
-    ), d / "nation.parquet")
-    n = len(cust_nation)
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "c_name": pa.array([f"C{i}" for i in range(n)], pa.string()),
-         "c_nationkey": pa.array(cust_nation, pa.int32()),
-         "c_acctbal": pa.array([0.0] * n, pa.float64()),
-         "c_mktsegment": pa.array(["BUILDING"] * n, pa.string())}
-    ), d / "customer.parquet")
-
-
-def _dhondt_check(d):
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.nation_dhondt_seats(str(d))))
-    c = duckdb.connect()
-    for t in ("nation", "customer"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["nation_dhondt_seats"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    out = _to_pandas(relational.nation_dhondt_seats(str(d)))
-    assert int(out["seats"].sum()) == relational.DHONDT_SEATS
-    return out.set_index("n_name")
-
-
-def test_nation_dhondt_seats_fractions_and_ties(ray_session, tmp_path):
-    """Pop 2:1 over 100 seats -> the exact-fraction competition gives
-    67/33 (the boundary quotients 2/67 vs 1/34 differ only in the 4th
-    decimal — a float comparator is one ulp from wrong).  Equal pops
-    -> every quotient pair ties and the (nationkey, divisor) order
-    interleaves to a 50/50 split.  A zero-pop nation gets 0 seats but
-    keeps its row."""
-    d = tmp_path / "ratio"
-    d.mkdir()
-    _write_dhondt_corpus(
-        d, [(0, "NA"), (1, "NB"), (2, "NZ")],
-        [0, 0, 1],
-    )
-    got = _dhondt_check(d)
-    assert int(got.loc["NA", "seats"]) == 67
-    assert int(got.loc["NB", "seats"]) == 33
-    assert int(got.loc["NZ", "seats"]) == 0
-    assert int(got.loc["NZ", "customers"]) == 0
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    _write_dhondt_corpus(t, [(0, "NA"), (1, "NB")], [0, 1])
-    got_t = _dhondt_check(t)
-    assert int(got_t.loc["NA", "seats"]) == 50
-    assert int(got_t.loc["NB", "seats"]) == 50
-
-
-def _write_lineitem_qty_price(d, rows):
-    """rows = [(qty, price_dollars)]."""
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([q for q, _ in rows], pa.float64()),
-         "l_extendedprice": pa.array([p for _, p in rows], pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-
-
-def test_qty_price_hull_vertices_and_collinear(ray_session, tmp_path):
-    """Square hull: extremes at qty 1 and 3 (0c/400c) are the 4
-    corners; qty 2's 100c/300c extremes are strictly interior and the
-    collinear variant puts qty 2's extremes ON the edges — neither may
-    count as a vertex (strict hull).  All-collinear -> 2 endpoint
-    vertices, area 0.  Single point -> 1 vertex."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "square"
-    d.mkdir()
-    _write_lineitem_qty_price(
-        d,
-        [(1.0, 0.0), (1.0, 4.0), (3.0, 0.0), (3.0, 4.0),
-         (2.0, 1.0), (2.0, 3.0)],
-    )
-    got = _check_vs_oracle(
-        relational.qty_price_hull,
-        relational.ORACLES["qty_price_hull"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got["n_points"]) == 6
-    assert int(got["hull_vertices"]) == 4
-    assert int(got["area2"]) == 1600      # 2 * (2 qty x 400 cents)
-
-    c = tmp_path / "edge_collinear"
-    c.mkdir()
-    _write_lineitem_qty_price(
-        c,
-        [(1.0, 0.0), (1.0, 4.0), (3.0, 0.0), (3.0, 4.0),
-         (2.0, 0.0), (2.0, 4.0)],
-    )
-    got_c = _check_vs_oracle(
-        relational.qty_price_hull,
-        relational.ORACLES["qty_price_hull"],
-        c, "lineitem", pq.read_table(c / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got_c["n_points"]) == 6
-    assert int(got_c["hull_vertices"]) == 4   # edge-collinear excluded
-    assert int(got_c["area2"]) == 1600
-
-    l = tmp_path / "line"
-    l.mkdir()
-    _write_lineitem_qty_price(l, [(1.0, 5.0), (2.0, 5.0), (3.0, 5.0)])
-    got_l = _check_vs_oracle(
-        relational.qty_price_hull,
-        relational.ORACLES["qty_price_hull"],
-        l, "lineitem", pq.read_table(l / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got_l["n_points"]) == 3
-    assert int(got_l["hull_vertices"]) == 2
-    assert int(got_l["area2"]) == 0
-
-    s = tmp_path / "single"
-    s.mkdir()
-    _write_lineitem_qty_price(s, [(7.0, 1.23)])
-    got_s = _check_vs_oracle(
-        relational.qty_price_hull,
-        relational.ORACLES["qty_price_hull"],
-        s, "lineitem", pq.read_table(s / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got_s["n_points"]) == 1
-    assert int(got_s["hull_vertices"]) == 1
-    assert int(got_s["area2"]) == 0
-
-
 def _lz78_docs(d, text):
     pq.write_table(pa.table(
         {"doc_id": pa.array([1], pa.int64()),
@@ -3982,652 +855,6 @@ def test_lz78_phrases_cap_parse(ray_session, tmp_path):
     assert int(got_e["max_phrase_len"]) == 2
 
 
-def test_johnson_flowshop_rule_and_identity(ray_session, tmp_path):
-    """Classic 3-job Johnson instance built from weekly (qty-sum, line
-    -count) pairs: W1 (3,2), W2 (1,4), W3 (4,3) -> order W2, W3, W1
-    (a<b group first by a, rest by b desc), makespan 10 via the
-    critical-path identity max_k(prefix_a + suffix_b) = max(10, 10, 10)
-    ... = 10, idle_pack 1.  The 0.4-quantity lines pin the floor(q+0.5)
-    rounding to 0 on both sides.  Empty lineitem -> typed empty."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [
-        ("2024-01-01", 2.0), ("2024-01-01", 1.0),                  # W1 a=3 b=2
-        ("2024-01-08", 0.4), ("2024-01-08", 0.4),
-        ("2024-01-08", 0.4), ("2024-01-08", 1.0),                  # W2 a=1 b=4
-        ("2024-01-15", 2.0), ("2024-01-15", 1.0), ("2024-01-15", 1.0),
-    ]                                                              # W3 a=4 b=3
-    _write_lineitem_ship(d, rows)
-    got = _check_vs_oracle(
-        windows.johnson_flowshop,
-        windows.ORACLES["johnson_flowshop"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got["n_jobs"]) == 3
-    assert int(got["total_pick"]) == 8
-    assert int(got["total_pack"]) == 9
-    assert int(got["makespan"]) == 10
-    assert int(got["idle_pack"]) == 1
-
-    e = tmp_path / "empty"
-    e.mkdir()
-    _write_lineitem_ship(e, [])
-    got_e = _to_pandas(windows.johnson_flowshop(str(e)))
-    assert len(got_e) == 0
-    assert list(got_e.columns) == [
-        "n_jobs", "total_pick", "total_pack", "makespan", "idle_pack"
-    ]
-
-
-def test_event_weekday_assignment_forced_trade(ray_session, tmp_path):
-    """Assignment structure greedy can't see: every (type, weekday)
-    cell costs 10 events EXCEPT click@Mon = 0, error@Mon = 1,
-    error@Tue = 2.  Greedy-by-type gives click Mon, then error pays 10;
-    the exact optimum is click->Mon (0) + error->Tue (2), the three
-    flat types filling Wed/Thu/Fri by the lexicographic tie-break."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # 2024-03-04 is a Monday (DuckDB dayofweek = 1)
-    monday = np.datetime64("2024-03-04T00:00:00", "us")
-    rows = []
-    eid = 0
-    for ti, t in enumerate(windows.LRU_TYPES):
-        for day in range(5):                 # Mon..Fri offsets
-            if t == "click" and day == 0:
-                n = 0
-            elif t == "error" and day == 0:
-                n = 1
-            elif t == "error" and day == 1:
-                n = 2
-            else:
-                n = 10
-            for _ in range(n):
-                eid += 1
-                rows.append((eid, 1, day * 86_400_000_000 + eid, t, 0.0))
-    tbl = _events_table(rows)
-    # rebase ts onto the Monday
-    base = np.datetime64("2024-03-01T00:00:00", "us")
-    shift = (monday - base).astype("timedelta64[us]")
-    tbl = tbl.set_column(
-        tbl.schema.get_field_index("ts"), "ts",
-        pa.array(tbl["ts"].to_numpy(zero_copy_only=False) + shift,
-                 pa.timestamp("us")),
-    )
-    got = _check_vs_oracle(
-        windows.event_weekday_assignment,
-        windows.ORACLES["event_weekday_assignment"],
-        d, "events", tbl,
-    ).set_index("event_type")
-    assert int(got.loc["click", "dow"]) == 1
-    assert int(got.loc["click", "n_events"]) == 0
-    assert int(got.loc["error", "dow"]) == 2
-    assert int(got.loc["error", "n_events"]) == 2
-    # flat types fill remaining days lexicographically: purchase 3,
-    # signup 4, view 5 — each at the flat 10
-    assert list(got.loc[["purchase", "signup", "view"], "dow"]) == [3, 4, 5]
-    assert int(got["n_events"].sum()) == 32
-
-
-def test_matrix_chain_weeks_clrs_instance(ray_session, tmp_path):
-    """The CLRS dims [30,35,15,5,10,20,25] as seven weekly order
-    counts: optimal parenthesization 15125 vs left-association 40500
-    (the gap is what interval DP buys).  A 2-week chain (one matrix)
-    and an empty orders file pin the degenerate paths."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "clrs"
-    d.mkdir()
-    dims = [30, 35, 15, 5, 10, 20, 25]
-    rows = []
-    for wi, c in enumerate(dims):
-        day = str(np.datetime64("2024-01-01") + np.timedelta64(7 * wi, "D"))
-        rows += [(day, 1.0)] * c
-    _write_orders_dates(d, rows)
-    got = _check_vs_oracle(
-        windows.matrix_chain_weeks,
-        windows.ORACLES["matrix_chain_weeks"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).iloc[0]
-    assert int(got["n_mats"]) == 6
-    assert int(got["min_cost"]) == 15125
-    assert int(got["left_cost"]) == 40500
-
-    t = tmp_path / "two"
-    t.mkdir()
-    _write_orders_dates(t, [("2024-01-01", 1.0), ("2024-01-08", 1.0)])
-    got_t = _check_vs_oracle(
-        windows.matrix_chain_weeks,
-        windows.ORACLES["matrix_chain_weeks"],
-        t, "orders", pq.read_table(t / "orders.parquet"),
-    ).iloc[0]
-    assert int(got_t["n_mats"]) == 1
-    assert int(got_t["min_cost"]) == 0
-    assert int(got_t["left_cost"]) == 0
-
-
-def test_life_step_grid_blinker(ray_session, tmp_path):
-    """A horizontal BLINKER on the (dow, hour) grid: Monday hours
-    5/6/7 get 2 events each (alive: 2*168 > 6), everything else 0.
-    One Life step rotates it vertical around (1,6): 3 alive, 2 births
-    (Sun/Tue hour 6), 2 deaths (Mon 5 and 7)."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # 2024-03-04 is a Monday (dow 1); _events_table bases at 2024-03-01,
-    # so offset by 3 days to land on Monday.
-    day3 = 3 * 86_400_000_000
-    hour = 3_600_000_000
-    rows = []
-    eid = 0
-    for h in (5, 6, 7):
-        for rep in range(2):
-            eid += 1
-            rows.append((eid, 1, day3 + h * hour + eid, "view", 0.0))
-    got = _check_vs_oracle(
-        windows.life_step_grid,
-        windows.ORACLES["life_step_grid"],
-        d, "events", _events_table(rows),
-    ).iloc[0]
-    assert int(got["alive_gen0"]) == 3
-    assert int(got["alive_gen1"]) == 3
-    assert int(got["births"]) == 2
-    assert int(got["deaths"]) == 2
-
-
-def test_secretary_stop_rule(ray_session, tmp_path):
-    """1/e rule on hand series: [5,3,9,4,7] with n=5 -> sample 1 day
-    (bar 500), first beat is day 3 at 900 = the max (hit).  [9,3,5,4,7]
-    puts the best day IN the sample -> falls through to the last day,
-    hit 0.  n=2 -> sample_n 0, -1 sentinel bar accepts day 1."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "hit"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 5.0), ("2024-01-02", 3.0), ("2024-01-03", 9.0),
-         ("2024-01-04", 4.0), ("2024-01-05", 7.0)],
-    )
-    got = _check_vs_oracle(
-        windows.secretary_stop, windows.ORACLES["secretary_stop"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).iloc[0]
-    assert int(got["sample_n"]) == 1
-    assert int(got["pick_cents"]) == 900
-    assert int(got["hit"]) == 1
-
-    m = tmp_path / "miss"
-    m.mkdir()
-    _write_orders_dates(
-        m,
-        [("2024-01-01", 9.0), ("2024-01-02", 3.0), ("2024-01-03", 5.0),
-         ("2024-01-04", 4.0), ("2024-01-05", 7.0)],
-    )
-    got_m = _check_vs_oracle(
-        windows.secretary_stop, windows.ORACLES["secretary_stop"],
-        m, "orders", pq.read_table(m / "orders.parquet"),
-    ).iloc[0]
-    assert int(got_m["pick_cents"]) == 700     # last day fallback
-    assert int(got_m["hit"]) == 0
-
-    z = tmp_path / "zero_sample"
-    z.mkdir()
-    _write_orders_dates(z, [("2024-01-01", 3.0), ("2024-01-02", 8.0)])
-    got_z = _check_vs_oracle(
-        windows.secretary_stop, windows.ORACLES["secretary_stop"],
-        z, "orders", pq.read_table(z / "orders.parquet"),
-    ).iloc[0]
-    assert int(got_z["sample_n"]) == 0
-    assert int(got_z["pick_cents"]) == 300     # first day accepted
-    assert int(got_z["hit"]) == 0
-
-
-def test_collatz_steps_census_cap_and_trajectories(ray_session, tmp_path):
-    """Hand trajectories: 1 cent -> 0 steps; 6 cents -> 8 steps
-    (6,3,10,5,16,8,4,2,1); 27 cents needs 111 steps so the 100-step cap
-    leaves it UNREACHED (the famous slow starter); 0 cents loops at 0
-    forever.  All-unreached corpus pins the -1/0 sentinels."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 0.01), ("2024-01-01", 0.27),
-         ("2024-01-01", 0.06), ("2024-01-01", 0.00)],
-    )
-    got = _check_vs_oracle(
-        relational.collatz_steps_census,
-        relational.ORACLES["collatz_steps_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).iloc[0]
-    assert int(got["n_orders"]) == 4
-    assert int(got["n_reached"]) == 2
-    assert int(got["max_steps"]) == 8
-    assert int(got["total_steps"]) == 8
-
-    e = tmp_path / "unreached"
-    e.mkdir()
-    _write_orders_dates(e, [("2024-01-01", 0.27), ("2024-01-01", 0.00)])
-    got_e = _check_vs_oracle(
-        relational.collatz_steps_census,
-        relational.ORACLES["collatz_steps_census"],
-        e, "orders", pq.read_table(e / "orders.parquet"),
-    ).iloc[0]
-    assert int(got_e["n_reached"]) == 0
-    assert int(got_e["max_steps"]) == -1
-    assert int(got_e["total_steps"]) == 0
-
-
-def _euler_check(tmp_path, name, rows):
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / name
-    d.mkdir()
-    return _check_vs_oracle(
-        windows.euler_session_walk, windows.ORACLES["euler_session_walk"],
-        d, "events", _events_table(rows),
-    ).iloc[0]
-
-
-def test_euler_session_walk_conditions(ray_session, tmp_path):
-    """The four Euler regimes: a 2-cycle (circuit AND path), a simple
-    chain (+1/-1 ends: path only), two balanced but DISCONNECTED
-    cycles (neither), a 3-way fan (4 unbalanced nodes: neither), and
-    the zero-edge graph (vacuously both)."""
-    r = _euler_check(tmp_path, "circuit", [
-        (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-        (3, 1, 2, "view", 0.0),
-    ])
-    assert (int(r["eulerian_circuit"]), int(r["eulerian_path"])) == (1, 1)
-    assert int(r["n_edges"]) == 2
-
-    r = _euler_check(tmp_path, "path", [
-        (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-        (3, 1, 2, "purchase", 0.0),
-    ])
-    assert (int(r["eulerian_circuit"]), int(r["eulerian_path"])) == (0, 1)
-    assert int(r["n_unbalanced"]) == 2
-
-    r = _euler_check(tmp_path, "disconnected", [
-        (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-        (3, 1, 2, "view", 0.0),
-        (4, 2, 0, "purchase", 0.0), (5, 2, 1, "signup", 0.0),
-        (6, 2, 2, "purchase", 0.0),
-    ])
-    assert int(r["weakly_connected"]) == 0
-    assert (int(r["eulerian_circuit"]), int(r["eulerian_path"])) == (0, 0)
-    assert int(r["n_active_nodes"]) == 4
-    assert int(r["n_unbalanced"]) == 0
-
-    r = _euler_check(tmp_path, "fan", [
-        (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-        (3, 2, 0, "view", 0.0), (4, 2, 1, "purchase", 0.0),
-        (5, 3, 0, "view", 0.0), (6, 3, 1, "signup", 0.0),
-    ])
-    assert int(r["n_unbalanced"]) == 4
-    assert int(r["eulerian_path"]) == 0
-
-    r = _euler_check(tmp_path, "no_edges", [(1, 1, 0, "view", 0.0)])
-    assert int(r["n_edges"]) == 0
-    assert (int(r["eulerian_circuit"]), int(r["eulerian_path"])) == (1, 1)
-    assert int(r["weakly_connected"]) == 1
-
-
-def _write_lineitem_flag_price(d, rows):
-    """rows = [(returnflag, price_dollars)]."""
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([p for _, p in rows], pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array([f for f, _ in rows], pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-
-
-def test_stern_brocot_return_ratio_descent(ray_session, tmp_path):
-    """Exact hit: ratio 500/1000 terminates on the 1/2 mediant with
-    err 0.  Approximation: 333/1000 walks to enclosure [21/64, 1/3]
-    and the exact cross-multiplied compare picks 1/3 (err 1) over the
-    cap-edge 21/64 (err 312) — the 1/3 convergent beating the larger-
-    denominator semiconvergent is the continued-fraction fact the op
-    exists for.  Zero total revenue -> empty (no ratio)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "exact"
-    d.mkdir()
-    _write_lineitem_flag_price(d, [("R", 5.0), ("N", 5.0)])
-    got = _check_vs_oracle(
-        relational.stern_brocot_return_ratio,
-        relational.ORACLES["stern_brocot_return_ratio"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).iloc[0]
-    assert (int(got["best_num"]), int(got["best_den"])) == (1, 2)
-    assert int(got["err_cross"]) == 0
-
-    t = tmp_path / "third"
-    t.mkdir()
-    _write_lineitem_flag_price(t, [("R", 3.33), ("N", 6.67)])
-    got_t = _check_vs_oracle(
-        relational.stern_brocot_return_ratio,
-        relational.ORACLES["stern_brocot_return_ratio"],
-        t, "lineitem", pq.read_table(t / "lineitem.parquet"),
-    ).iloc[0]
-    assert (int(got_t["best_num"]), int(got_t["best_den"])) == (1, 3)
-    assert int(got_t["err_cross"]) == 1
-
-    z = tmp_path / "zero"
-    z.mkdir()
-    _write_lineitem_flag_price(z, [("N", 0.0), ("R", 0.0)])
-    got_z = _to_pandas(relational.stern_brocot_return_ratio(str(z)))
-    assert len(got_z) == 0
-
-
-def test_hamming_syndrome_census_hand_words(ray_session, tmp_path):
-    """Hand syndromes: key 0 -> 0 (codeword), key 1 (b1 set) -> 1, key
-    64 (b7 set) -> 7 (all three checks fire), key 128 wraps to 0 via
-    the &127 mask, key 85 = 1010101b passes all checks -> 0."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    keys = [0, 1, 64, 128, 85]
-    n = len(keys)
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array(keys, pa.int64()),
-         "o_custkey": pa.array([1] * n, pa.int64()),
-         "o_orderstatus": pa.array(["O"] * n, pa.string()),
-         "o_totalprice": pa.array([1.0] * n, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string())}
-    ), d / "orders.parquet")
-    got = _check_vs_oracle(
-        relational.hamming_syndrome_census,
-        relational.ORACLES["hamming_syndrome_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("syndrome")
-    assert int(got.loc[0, "n_keys"]) == 3     # 0, 128, 85
-    assert int(got.loc[1, "n_keys"]) == 1     # key 1
-    assert int(got.loc[7, "n_keys"]) == 1     # key 64
-    assert int(got["n_keys"].sum()) == 5
-
-
-def _write_brand_orders(d, brand_parts, order_brandsets):
-    """brand_parts = [brand, ...] (one part per brand, pk = idx+1);
-    order_brandsets = [set-of-brand-indices per order]."""
-    nb = len(brand_parts)
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array(list(range(1, nb + 1)), pa.int64()),
-         "p_name": pa.array([f"part {b}" for b in brand_parts], pa.string()),
-         "p_brand": pa.array(brand_parts, pa.string()),
-         "p_type": pa.array(["T"] * nb, pa.string()),
-         "p_size": pa.array([1] * nb, pa.int32()),
-         "p_retailprice": pa.array([1.0] * nb, pa.float64())}
-    ), d / "part.parquet")
-    ok, pk = [], []
-    for oi, bs in enumerate(order_brandsets, start=1):
-        for bi in bs:
-            ok.append(oi)
-            pk.append(bi + 1)
-    n = len(ok)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(ok, pa.int64()),
-         "l_partkey": pa.array(pk, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-
-
-def _bipartite_check(tmp_path, name, brand_parts, order_brandsets):
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / name
-    d.mkdir()
-    _write_brand_orders(d, brand_parts, order_brandsets)
-    got = _canon(_to_pandas(relational.brand_bipartite_parity(str(d))))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(
-        c.execute(relational.ORACLES["brand_bipartite_parity"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return _to_pandas(relational.brand_bipartite_parity(str(d))).iloc[0]
-
-
-def test_brand_bipartite_parity_cycles(ray_session, tmp_path):
-    """Strong-edge arithmetic (5wD >= 6S): target edges get weight 2,
-    weight-1 dummy pairs lift the mean so exactly the weight-2 edges
-    qualify.  A triangle (odd cycle) fails 2-coloring; a 4-cycle
-    passes; two disjoint edges give 2 components; no strong edges is
-    vacuously bipartite."""
-    # triangle A-B-C + 3 dummies: k=3 weight-2 edges, m=3 weight-1
-    tri = _bipartite_check(
-        tmp_path, "tri",
-        ["BA", "BB", "BC", "D1", "D2", "D3", "D4", "D5", "D6"],
-        [{0, 1}, {0, 1}, {1, 2}, {1, 2}, {0, 2}, {0, 2},
-         {3, 4}, {5, 6}, {7, 8}],
-    )
-    assert (int(tri["n_nodes"]), int(tri["n_edges"])) == (3, 3)
-    assert int(tri["n_components"]) == 1
-    assert int(tri["bipartite"]) == 0
-
-    # square A-B-C-D-A + 2 dummies: k=4, m=2 (m >= k/2 holds)
-    sq = _bipartite_check(
-        tmp_path, "square",
-        ["BA", "BB", "BC", "BD", "D1", "D2", "D3", "D4"],
-        [{0, 1}, {0, 1}, {1, 2}, {1, 2}, {2, 3}, {2, 3},
-         {0, 3}, {0, 3}, {4, 5}, {6, 7}],
-    )
-    assert (int(sq["n_nodes"]), int(sq["n_edges"])) == (4, 4)
-    assert int(sq["bipartite"]) == 1
-    assert int(sq["n_components"]) == 1
-
-    # two disjoint strong edges
-    two = _bipartite_check(
-        tmp_path, "two",
-        ["BA", "BB", "BC", "BD", "D1", "D2"],
-        [{0, 1}, {0, 1}, {2, 3}, {2, 3}, {4, 5}],
-    )
-    assert int(two["n_components"]) == 2
-    assert int(two["bipartite"]) == 1
-
-    # all pairs equal weight -> no strong edges -> vacuous
-    none = _bipartite_check(
-        tmp_path, "none",
-        ["BA", "BB", "BC", "BD"],
-        [{0, 1}, {2, 3}],
-    )
-    assert (int(none["n_nodes"]), int(none["n_edges"])) == (0, 0)
-    assert int(none["bipartite"]) == 1
-    assert int(none["n_components"]) == 0
-
-
-def test_hilbert_locality_anchors(ray_session, tmp_path):
-    """Pin the curve convention and the locality gap: the unit square
-    cells (0,0),(0,1),(1,0),(1,1) map to d = 0,3,1,2 (row-major jump
-    |0-3|+|3-1|+|1-2| = 6 vs curve span 3), and the far corner (63,0)
-    is the curve's END at d = 4095.  Values above the 63-bucket clamp
-    collapse onto the boundary cell."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "square"
-    d.mkdir()
-    _write_lineitem_qty_price(
-        d, [(0.0, 0.0), (0.0, 100.0), (1.0, 0.0), (1.0, 100.0)])
-    got = _check_vs_oracle(
-        relational.hilbert_locality,
-        relational.ORACLES["hilbert_locality"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got["n_cells"]) == 4
-    assert int(got["d_min"]) == 0
-    assert int(got["d_max"]) == 3
-    assert int(got["rowmajor_jump"]) == 6
-
-    e = tmp_path / "corner"
-    e.mkdir()
-    # qty 63 exactly, plus a 99.0-qty row that clamps onto the same cell
-    _write_lineitem_qty_price(e, [(63.0, 0.0), (99.0, 0.0), (0.0, 0.0)])
-    got_e = _check_vs_oracle(
-        relational.hilbert_locality,
-        relational.ORACLES["hilbert_locality"],
-        e, "lineitem", pq.read_table(e / "lineitem.parquet"),
-    ).iloc[0]
-    assert int(got_e["n_cells"]) == 2      # clamp collapses 99 -> 63
-    assert int(got_e["d_min"]) == 0
-    assert int(got_e["d_max"]) == 4095     # curve end
-
-
-def test_consistent_hash_balance_routing(ray_session, tmp_path):
-    """Hand-routed keys on the 128-vnode ring: key 1 -> shard 4, key 2
-    -> shard 2, and key 373's position lies past the LAST vnode so it
-    WRAPS to the ring's first entry (shard 5) — the successor-with-
-    wrap semantics pinned; counts always sum to the key count."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    keys = [1, 2, 373]
-    n = len(keys)
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array(keys, pa.int64()),
-         "o_custkey": pa.array([1] * n, pa.int64()),
-         "o_orderstatus": pa.array(["O"] * n, pa.string()),
-         "o_totalprice": pa.array([1.0] * n, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string())}
-    ), d / "orders.parquet")
-    got = _check_vs_oracle(
-        relational.consistent_hash_balance,
-        relational.ORACLES["consistent_hash_balance"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("shard")
-    assert int(got.loc[4, "n_keys"]) == 1      # key 1
-    assert int(got.loc[2, "n_keys"]) == 1      # key 2
-    assert int(got.loc[5, "n_keys"]) == 1      # key 373 wraps to first vnode
-    assert int(got["n_keys"].sum()) == 3
-
-
-def test_sign_test_monthly_exact_tail(ray_session, tmp_path):
-    """Hand tails: revenue [1,3,2,5] over consecutive 30-day buckets ->
-    diffs +,-,+ -> n=3, m=2, tail = C(3,2)+C(3,3) = 4 -> ppm 500000.
-    A missing bucket ZERO-FILLS ([5,_,5] -> dense [5,0,5] -> one down,
-    one up, tail 3/4 -> 750000).  All-tie series -> n=0, tail 1/1 ->
-    ppm 1000000."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "updown"
-    d.mkdir()
-    days = [str(np.datetime64("2024-01-05") + np.timedelta64(30 * i, "D"))
-            for i in range(4)]
-    _write_orders_dates(
-        d, [(days[0], 0.01), (days[1], 0.03), (days[2], 0.02),
-            (days[3], 0.05)])
-    got = _check_vs_oracle(
-        windows.sign_test_monthly, windows.ORACLES["sign_test_monthly"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).iloc[0]
-    assert (int(got["n_up"]), int(got["n_down"])) == (2, 1)
-    assert int(got["tail_ppm"]) == 500_000
-
-    z = tmp_path / "zerofill"
-    z.mkdir()
-    _write_orders_dates(z, [(days[0], 0.05), (days[2], 0.05)])
-    got_z = _check_vs_oracle(
-        windows.sign_test_monthly, windows.ORACLES["sign_test_monthly"],
-        z, "orders", pq.read_table(z / "orders.parquet"),
-    ).iloc[0]
-    assert (int(got_z["n_up"]), int(got_z["n_down"])) == (1, 1)
-    assert int(got_z["tail_ppm"]) == 750_000
-
-    t = tmp_path / "ties"
-    t.mkdir()
-    _write_orders_dates(t, [(days[0], 0.05), (days[1], 0.05)])
-    got_t = _check_vs_oracle(
-        windows.sign_test_monthly, windows.ORACLES["sign_test_monthly"],
-        t, "orders", pq.read_table(t / "orders.parquet"),
-    ).iloc[0]
-    assert int(got_t["n_changes"]) == 0
-    assert int(got_t["tail_ppm"]) == 1_000_000
-
-
-def test_scc_session_graph_condensation(ray_session, tmp_path):
-    """view<->click form one SCC via the 2-cycle, purchase (entered
-    from click, never leaving) is its own SCC; the condensation has
-    exactly one cross edge.  A pure chain gives singleton SCCs.  A
-    single event (no transitions) gives the all-zero row."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "loop"
-    d.mkdir()
-    rows = [
-        (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-        (3, 1, 2, "view", 0.0),
-        (4, 2, 0, "click", 0.0), (5, 2, 1, "purchase", 0.0),
-    ]
-    got = _check_vs_oracle(
-        windows.scc_session_graph, windows.ORACLES["scc_session_graph"],
-        d, "events", _events_table(rows),
-    ).iloc[0]
-    assert int(got["n_nodes"]) == 3
-    assert int(got["n_edges"]) == 3
-    assert int(got["n_scc"]) == 2
-    assert int(got["max_scc_size"]) == 2
-    assert int(got["condensation_edges"]) == 1
-
-    c = tmp_path / "chain"
-    c.mkdir()
-    got_c = _check_vs_oracle(
-        windows.scc_session_graph, windows.ORACLES["scc_session_graph"],
-        c, "events", _events_table([
-            (1, 1, 0, "view", 0.0), (2, 1, 1, "click", 0.0),
-            (3, 1, 2, "purchase", 0.0),
-        ]),
-    ).iloc[0]
-    assert int(got_c["n_scc"]) == 3
-    assert int(got_c["max_scc_size"]) == 1
-    assert int(got_c["condensation_edges"]) == 2
-
-    z = tmp_path / "single"
-    z.mkdir()
-    got_z = _check_vs_oracle(
-        windows.scc_session_graph, windows.ORACLES["scc_session_graph"],
-        z, "events", _events_table([(1, 1, 0, "view", 0.0)]),
-    ).iloc[0]
-    assert int(got_z["n_nodes"]) == 0
-    assert int(got_z["n_scc"]) == 0
-
-
 def test_lyndon_factors_cap_duval(ray_session, tmp_path):
     """Canonical factorizations: banana = (b)(an)(an)(a) -> 4 factors,
     max 2, distinct 3; aaaa -> four (a) via the equal-run arithmetic
@@ -4649,267 +876,6 @@ def test_lyndon_factors_cap_duval(ray_session, tmp_path):
         ).iloc[0]
         assert (int(got["n_factors"]), int(got["max_factor_len"]),
                 int(got["distinct_factors"])) == want, (name, got)
-
-
-def test_revenue_water_fill_hand_values(ray_session, tmp_path):
-    """Hand-traced skyline [3, 0, 2, 0, 4] cents over five consecutive
-    days (days 2 and 4 are zero-filled grid gaps, not rows): left
-    maxima [3,3,3,3,4], right maxima [4,4,4,4,4], depths [0,3,1,3,0]
-    -> trapped 7, three wet days, max depth 3 FIRST reached on day 2
-    (the tie with day 4 must resolve to the earlier day).  A monotone
-    series holds no water and pins the -1 deepest_day sentinel."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 0.03), ("2024-01-03", 0.02),
-         ("2024-01-05", 0.04)],
-    )
-    got = _check_vs_oracle(
-        windows.revenue_water_fill,
-        windows.ORACLES["revenue_water_fill"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    )
-    r = got.iloc[0]
-    d0 = int(
-        np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
-        // 86_400_000_000
-    )
-    assert int(r["n_days"]) == 5
-    assert int(r["trapped_cents"]) == 7
-    assert int(r["n_wet_days"]) == 3
-    assert int(r["max_depth_cents"]) == 3
-    assert int(r["deepest_day"]) == d0 + 1
-
-    m = tmp_path / "monotone"
-    m.mkdir()
-    _write_orders_dates(
-        m, [("2024-01-01", 0.01), ("2024-01-02", 0.02)],
-    )
-    got_m = _check_vs_oracle(
-        windows.revenue_water_fill,
-        windows.ORACLES["revenue_water_fill"],
-        m, "orders", pq.read_table(m / "orders.parquet"),
-    )
-    rm_ = got_m.iloc[0]
-    assert int(rm_["trapped_cents"]) == 0
-    assert int(rm_["n_wet_days"]) == 0
-    assert int(rm_["deepest_day"]) == -1
-
-
-def test_dyck_balance_census_hand_values(ray_session, tmp_path):
-    """Hand-traced walks: user 1 [v,v,p,p] is ballot AND balanced with
-    peak 2; user 2 [p,v] dips to -1 (not ballot) though it ends at 0;
-    user 3 [v,click,v] ignores the click and ends +2 (ballot, not
-    balanced); user 4 has only clicks and must not count at all; user
-    5 has a purchase and a view at the SAME timestamp — the (ts,
-    event_id) tie order puts the purchase (lower event_id) first, so
-    the walk dips and is NOT ballot.  A purchases-only corpus pins the
-    negative max_depth."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [
-        (1, 1, 10, "view", 1.0), (2, 1, 20, "view", 1.0),
-        (3, 1, 30, "purchase", 1.0), (4, 1, 40, "purchase", 1.0),
-        (5, 2, 10, "purchase", 1.0), (6, 2, 20, "view", 1.0),
-        (7, 3, 10, "view", 1.0), (8, 3, 20, "click", 1.0),
-        (9, 3, 30, "view", 1.0),
-        (10, 4, 10, "click", 1.0), (11, 4, 20, "error", 1.0),
-        (50, 5, 99, "purchase", 1.0), (51, 5, 99, "view", 1.0),
-    ]
-    got = _check_vs_oracle(
-        windows.dyck_balance_census,
-        windows.ORACLES["dyck_balance_census"],
-        d, "events", _events_table(rows),
-    )
-    r = got.iloc[0]
-    assert int(r["n_users"]) == 4
-    assert int(r["n_ballot_users"]) == 2
-    assert int(r["n_balanced_users"]) == 1
-    assert int(r["max_depth"]) == 2
-    assert int(r["net_balance"]) == 2
-
-    n = tmp_path / "neg"
-    n.mkdir()
-    got_n = _check_vs_oracle(
-        windows.dyck_balance_census,
-        windows.ORACLES["dyck_balance_census"],
-        n, "events",
-        _events_table([(1, 7, 10, "purchase", 1.0),
-                       (2, 7, 20, "purchase", 1.0)]),
-    )
-    rn = got_n.iloc[0]
-    assert int(rn["n_users"]) == 1
-    assert int(rn["n_ballot_users"]) == 0
-    assert int(rn["max_depth"]) == -1
-    assert int(rn["net_balance"]) == -2
-
-    z = tmp_path / "none"
-    z.mkdir()
-    got_z = _check_vs_oracle(
-        windows.dyck_balance_census,
-        windows.ORACLES["dyck_balance_census"],
-        z, "events",
-        _events_table([(1, 9, 10, "click", 1.0)]),
-    )
-    assert len(got_z) == 0
-
-
-def test_zeckendorf_census_hand_values(ray_session, tmp_path):
-    """Hand-audited decompositions: 0 -> no summands; 1 and 2 are
-    single Fibonacci numbers (2 must NOT split as 1+1 — greedy takes
-    the largest fit); 4 = 3+1 (k=2); 12 = 8+3+1 and 100 = 89+8+3
-    (k=3); 33 = 21+8+3+1 (k=4)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 0.00), ("2024-01-01", 0.01),
-         ("2024-01-01", 0.02), ("2024-01-01", 0.04),
-         ("2024-01-01", 0.12), ("2024-01-01", 0.33),
-         ("2024-01-01", 1.00)],
-    )
-    got = _check_vs_oracle(
-        relational.zeckendorf_census,
-        relational.ORACLES["zeckendorf_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("n_summands").sort_index()
-    assert list(got.index) == [0, 1, 2, 3, 4]
-    assert int(got.loc[0, "n_orders"]) == 1
-    assert int(got.loc[1, "n_orders"]) == 2
-    assert (int(got.loc[1, "min_cents"]), int(got.loc[1, "max_cents"])) == (1, 2)
-    assert int(got.loc[2, "n_orders"]) == 1
-    assert int(got.loc[2, "min_cents"]) == 4
-    assert int(got.loc[3, "n_orders"]) == 2
-    assert (int(got.loc[3, "min_cents"]), int(got.loc[3, "max_cents"])) == (12, 100)
-    assert int(got.loc[4, "n_orders"]) == 1
-    assert int(got.loc[4, "min_cents"]) == 33
-
-
-def test_qty_sum_convolution_hand_values(ray_session, tmp_path):
-    """Quantities [1, 1, 2, 5]: unordered distinct-row pair sums are
-    1+1=2 (x1), 1+2=3 (x2), 1+5=6 (x2), 2+5=7 (x1) — and sums 4 (2+2)
-    and 10 (5+5) are REACHABLE by a self-pair only, so both engines
-    must emit them with n_pairs = 0 (the diagonal correction), while
-    unreachable sums (5, 8, 9) must not appear."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_lineitem_qty(
-        d, [("N", 1.0), ("N", 1.0), ("N", 2.0), ("N", 5.0)],
-    )
-    got = _check_vs_oracle(
-        relational.qty_sum_convolution,
-        relational.ORACLES["qty_sum_convolution"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).set_index("qty_sum").sort_index()
-    assert list(got.index) == [2, 3, 4, 6, 7, 10]
-    assert list(got["n_pairs"]) == [1, 2, 0, 2, 1, 0]
-
-
-def _write_orders_cust(tmp_path, custkeys):
-    """One order row per entry of ``custkeys`` — minimal orders schema."""
-    n = len(custkeys)
-    orders = pa.table(
-        {
-            "o_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "o_custkey": pa.array(list(custkeys), pa.int64()),
-            "o_orderstatus": pa.array(["O"] * n, pa.string()),
-            "o_totalprice": pa.array([1.0] * n, pa.float64()),
-            "o_orderdate": pa.array(
-                [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-                pa.timestamp("us"),
-            ),
-            "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string()),
-        }
-    )
-    pq.write_table(orders, tmp_path / "orders.parquet")
-
-
-def test_josephus_census_hand_values(ray_session, tmp_path):
-    """Classic k=3 survivors (1-indexed): n=1 -> 1, n=2 -> 2, n=3 -> 2,
-    n=7 -> 4 (the textbook Josephus instance).  Customers: one with a
-    single order, two with two orders each, one with three, one with
-    seven."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_cust(
-        d,
-        [1] + [2] * 2 + [3] * 2 + [4] * 3 + [5] * 7,
-    )
-    got = _check_vs_oracle(
-        relational.josephus_census,
-        relational.ORACLES["josephus_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("group_size").sort_index()
-    assert list(got.index) == [1, 2, 3, 7]
-    assert list(got["survivor_pos"]) == [1, 2, 2, 4]
-    assert list(got["n_customers"]) == [1, 2, 1, 1]
-
-
-def _write_lineitem_supp_ship(tmp_path, rows):
-    """rows = [(suppkey, shipdate 'YYYY-MM-DD', quantity), ...]"""
-    n = len(rows)
-    lineitem = pa.table(
-        {
-            "l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-            "l_partkey": pa.array([1] * n, pa.int64()),
-            "l_suppkey": pa.array([s for s, _, _ in rows], pa.int64()),
-            "l_linenumber": pa.array([1] * n, pa.int32()),
-            "l_quantity": pa.array([q for _, _, q in rows], pa.float64()),
-            "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-            "l_discount": pa.array([0.0] * n, pa.float64()),
-            "l_tax": pa.array([0.0] * n, pa.float64()),
-            "l_returnflag": pa.array(["N"] * n, pa.string()),
-            "l_linestatus": pa.array(["O"] * n, pa.string()),
-            "l_shipdate": pa.array(
-                [np.datetime64(f"{d}T00:00:00", "us") for _, d, _ in rows],
-                pa.timestamp("us"),
-            ),
-        }
-    )
-    pq.write_table(lineitem, tmp_path / "lineitem.parquet")
-
-
-def test_interval_cover_days_hand_values(ray_session, tmp_path):
-    """Hand-traced unions.  Supplier 1: [0,3)+[2,4) merge, [1,2) is
-    contained, the same-start pair [10,11)/[10,12) collapses to [10,12)
-    -> busy 6, two islands, span 12, max gap 6.  Supplier 2: one
-    7-day interval.  Supplier 3: [0,2) then [2,3) TOUCH — a start equal
-    to the frontier must NOT open an island (busy 3, one island, no
-    gap)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_lineitem_supp_ship(
-        d,
-        [(1, "2024-01-01", 3.0), (1, "2024-01-03", 2.0),
-         (1, "2024-01-11", 1.0), (1, "2024-01-11", 2.0),
-         (1, "2024-01-02", 1.0),
-         (2, "2024-01-06", 7.0),
-         (3, "2024-01-01", 2.0), (3, "2024-01-03", 1.0)],
-    )
-    got = _check_vs_oracle(
-        relational.interval_cover_days,
-        relational.ORACLES["interval_cover_days"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).set_index("suppkey").sort_index()
-    assert list(got.index) == [1, 2, 3]
-    assert list(got["n_shipments"]) == [5, 1, 2]
-    assert list(got["busy_days"]) == [6, 7, 3]
-    assert list(got["n_islands"]) == [2, 1, 1]
-    assert list(got["span_days"]) == [12, 7, 3]
-    assert list(got["max_gap_days"]) == [6, 0, 0]
 
 
 def test_merkle_root_by_source_hand_values(ray_session, tmp_path):
@@ -4994,771 +960,3 @@ def test_levenshtein_top2_hand_values(ray_session, tmp_path):
     assert got_e["similarity"] == 0.0
 
 
-def _condorcet_corpus(d, li_rows, brands):
-    """li_rows = [(partkey, shipdate 'YYYY-MM-DD', extendedprice), ...];
-    brands = [(partkey, brand), ...]"""
-    n = len(li_rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "l_partkey": pa.array([p for p, _, _ in li_rows], pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array(
-             [x for _, _, x in li_rows], pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64(f"{s}T00:00:00", "us") for _, s, _ in li_rows],
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    m = len(brands)
-    pq.write_table(pa.table(
-        {"p_partkey": pa.array([p for p, _ in brands], pa.int64()),
-         "p_name": pa.array(["x"] * m, pa.string()),
-         "p_brand": pa.array([b for _, b in brands], pa.string()),
-         "p_type": pa.array(["t"] * m, pa.string()),
-         "p_size": pa.array([1] * m, pa.int32()),
-         "p_retailprice": pa.array([1.0] * m, pa.float64())}
-    ), d / "part.parquet")
-
-
-def _condorcet_check(d):
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.brand_condorcet(str(d))))
-    c = duckdb.connect()
-    for t in ("lineitem", "part"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["brand_condorcet"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return got
-
-
-def test_brand_condorcet_hand_values(ray_session, tmp_path, monkeypatch):
-    """Hand-traced duels over three weeks: A beats B 2 weeks to 1, both
-    beat the partless-sales brand C (zero every week) -> A is the
-    Condorcet winner (copeland +2), C loses every duel (-2).  A second
-    corpus builds the classic ROCK-PAPER-SCISSORS cycle (A>B, B>C,
-    C>A week-majorities) -> every copeland 0, NO Condorcet winner.
-    The zero-threshold monkeypatch pins the native-join fallback equal
-    to the broadcast path."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _condorcet_corpus(
-        d,
-        [(1, "2024-01-01", 3.00), (2, "2024-01-01", 2.00),
-         (1, "2024-01-08", 1.00), (2, "2024-01-08", 3.00),
-         (1, "2024-01-15", 3.00), (2, "2024-01-15", 1.00)],
-        [(1, "A"), (2, "B"), (3, "C")],
-    )
-    got = _condorcet_check(d).set_index("brand")
-    assert list(got.loc["A", ["n_beaten", "n_lost_to", "copeland",
-                              "is_condorcet"]]) == [2, 0, 2, 1]
-    assert list(got.loc["B", ["n_beaten", "n_lost_to", "copeland",
-                              "is_condorcet"]]) == [1, 1, 0, 0]
-    assert list(got.loc["C", ["n_beaten", "n_lost_to", "copeland",
-                              "is_condorcet"]]) == [0, 2, -2, 0]
-
-    cyc = tmp_path / "cycle"
-    cyc.mkdir()
-    _condorcet_corpus(
-        cyc,
-        [(1, "2024-01-01", 0.02), (2, "2024-01-01", 0.01),
-         (2, "2024-01-08", 0.02), (3, "2024-01-08", 0.01),
-         (3, "2024-01-15", 0.02), (1, "2024-01-15", 0.01)],
-        [(1, "A"), (2, "B"), (3, "C")],
-    )
-    got_c = _condorcet_check(cyc)
-    assert list(got_c["copeland"]) == [0, 0, 0]
-    assert list(got_c["is_condorcet"]) == [0, 0, 0]
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    got_fb = _condorcet_check(d).set_index("brand")
-    assert got_fb.equals(got)
-
-
-def _eg_corpus(d, custkeys_with_orders, n_customers):
-    _write_orders_cust(d, custkeys_with_orders)
-    n = n_customers
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "c_name": pa.array([f"c{i}" for i in range(n)], pa.string()),
-         "c_nationkey": pa.array([0] * n, pa.int32()),
-         "c_acctbal": pa.array([0.0] * n, pa.float64()),
-         "c_mktsegment": pa.array(["B"] * n, pa.string())}
-    ), d / "customer.parquet")
-
-
-def _eg_check(d):
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.erdos_gallai_check(str(d))))
-    c = duckdb.connect()
-    for t in ("orders", "customer"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["erdos_gallai_check"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return got.iloc[0]
-
-
-def test_erdos_gallai_check_hand_values(ray_session, tmp_path):
-    """K4-plus-isolated degrees [3,3,3,3,0] are graphical (the zero
-    row comes from customer-table metadata, no order rows); [3,1]
-    fails at boundary k=1 (3 > 0 + min(1,1)); [1,1,1] passes every
-    inequality but has an ODD sum — not graphical with violation
-    sentinel -1."""
-    d = tmp_path / "k4"
-    d.mkdir()
-    _eg_corpus(d, [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3, 5)
-    r = _eg_check(d)
-    assert (int(r["n_nodes"]), int(r["sum_degrees"])) == (5, 12)
-    assert (int(r["sum_is_even"]), int(r["is_graphical"])) == (1, 1)
-    assert int(r["first_violation_k"]) == -1
-
-    v = tmp_path / "star31"
-    v.mkdir()
-    _eg_corpus(v, [1] * 3 + [2], 2)
-    rv = _eg_check(v)
-    assert int(rv["is_graphical"]) == 0
-    assert int(rv["sum_is_even"]) == 1
-    assert int(rv["first_violation_k"]) == 1
-
-    o = tmp_path / "odd"
-    o.mkdir()
-    _eg_corpus(o, [1, 2, 3], 3)
-    ro = _eg_check(o)
-    assert int(ro["sum_is_even"]) == 0
-    assert int(ro["is_graphical"]) == 0
-    assert int(ro["first_violation_k"]) == -1
-
-
-def _mincut_corpus(d, li_rows):
-    """Three regions R0/R1/R2, one nation each, suppliers 1->n0 2->n1,
-    customers 1->n1 2->n2.  li_rows = [(suppkey, orderkey, price), ...]
-    with orders 1->cust1, 2->cust2, 3->cust2."""
-    pq.write_table(pa.table(
-        {"r_regionkey": pa.array([0, 1, 2], pa.int32()),
-         "r_name": pa.array(["R0", "R1", "R2"], pa.string())}
-    ), d / "region.parquet")
-    pq.write_table(pa.table(
-        {"n_nationkey": pa.array([0, 1, 2], pa.int32()),
-         "n_name": pa.array(["N0", "N1", "N2"], pa.string()),
-         "n_regionkey": pa.array([0, 1, 2], pa.int32())}
-    ), d / "nation.parquet")
-    pq.write_table(pa.table(
-        {"s_suppkey": pa.array([1, 2], pa.int64()),
-         "s_name": pa.array(["s1", "s2"], pa.string()),
-         "s_nationkey": pa.array([0, 1], pa.int32()),
-         "s_acctbal": pa.array([0.0, 0.0], pa.float64())}
-    ), d / "supplier.parquet")
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array([1, 2], pa.int64()),
-         "c_name": pa.array(["c1", "c2"], pa.string()),
-         "c_nationkey": pa.array([1, 2], pa.int32()),
-         "c_acctbal": pa.array([0.0, 0.0], pa.float64()),
-         "c_mktsegment": pa.array(["B", "B"], pa.string())}
-    ), d / "customer.parquet")
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array([1, 2, 3], pa.int64()),
-         "o_custkey": pa.array([1, 2, 2], pa.int64()),
-         "o_orderstatus": pa.array(["O"] * 3, pa.string()),
-         "o_totalprice": pa.array([1.0] * 3, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * 3,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * 3, pa.string())}
-    ), d / "orders.parquet")
-    n = len(li_rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array([o for _, o, _ in li_rows], pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([s for s, _, _ in li_rows], pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array([p for _, _, p in li_rows],
-                                     pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-
-
-def _mincut_check(d):
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.region_trade_min_cut(str(d))))
-    c = duckdb.connect()
-    for t in ("region", "nation", "supplier", "customer", "orders",
-              "lineitem"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["region_trade_min_cut"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return got.iloc[0]
-
-
-def test_region_trade_min_cut_hand_values(ray_session, tmp_path,
-                                          monkeypatch):
-    """Path network R0 --10-- R1 --3-- R2 with a 2-cent shortcut
-    R0--R2: the bottleneck cut is {R0,R1}|{R2} = 3+2 = 5 (NOT the
-    source cut 10+2=12) -> mask 0b011.  Re-pricing the first edge to 3
-    makes both cuts equal 5 and the TIE must resolve to the smallest
-    mask (source-only, 0b001).  The zero-threshold monkeypatch pins
-    the triple-native-join fallback equal to the no-join broadcast
-    path."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    # s1(n0)->o1(c1,n1) 10c ; s2(n1)->o2(c2,n2) 3c ; s1(n0)->o3(c2,n2) 2c
-    _mincut_corpus(d, [(1, 1, 0.10), (2, 2, 0.03), (1, 3, 0.02)])
-    r = _mincut_check(d)
-    assert int(r["min_cut_cents"]) == 5
-    assert int(r["best_mask"]) == 3
-    assert int(r["source_side_size"]) == 2
-    assert (r["source_region"], r["sink_region"]) == ("R0", "R2")
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    _mincut_corpus(t, [(1, 1, 0.03), (2, 2, 0.03), (1, 3, 0.02)])
-    rt = _mincut_check(t)
-    assert int(rt["min_cut_cents"]) == 5
-    assert int(rt["best_mask"]) == 1
-    assert int(rt["source_side_size"]) == 1
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    rf = _mincut_check(d)
-    assert int(rf["min_cut_cents"]) == 5
-    assert int(rf["best_mask"]) == 3
-
-
-def test_daily_revenue_theilsen_hand_values(ray_session, tmp_path):
-    """Revenues [0,10,2,9] on four consecutive days: the six pairwise
-    slopes sort to [-8, -0.5, 1, 3, 7, 10]; the lower median (index 2
-    of 6) is slope 1 carried by the UNREDUCED pair dy=2/dx=2.  A
-    perfectly linear series has all quotients EQUAL — the (dy, dx)
-    tiebreak must put the doubled pair (10,2) after both (5,1)s."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_dates(
-        d,
-        [("2024-01-01", 0.00), ("2024-01-02", 0.10),
-         ("2024-01-03", 0.02), ("2024-01-04", 0.09)],
-    )
-    r = _check_vs_oracle(
-        windows.daily_revenue_theilsen,
-        windows.ORACLES["daily_revenue_theilsen"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).iloc[0]
-    assert (int(r["n_days"]), int(r["n_pairs"])) == (4, 6)
-    assert (int(r["slope_num"]), int(r["slope_den"])) == (2, 2)
-    assert r["slope"] == 1.0
-
-    lin = tmp_path / "linear"
-    lin.mkdir()
-    _write_orders_dates(
-        lin,
-        [("2024-01-01", 0.00), ("2024-01-02", 0.05),
-         ("2024-01-03", 0.10)],
-    )
-    rl = _check_vs_oracle(
-        windows.daily_revenue_theilsen,
-        windows.ORACLES["daily_revenue_theilsen"],
-        lin, "orders", pq.read_table(lin / "orders.parquet"),
-    ).iloc[0]
-    assert (int(rl["slope_num"]), int(rl["slope_den"])) == (5, 1)
-    assert rl["slope"] == 5.0
-
-
-def test_nim_winner_census_hand_values(ray_session, tmp_path):
-    """Bouton positions: heaps [3,5,6] XOR to 0 (a second-player win),
-    [1] -> 1, [7,2] -> 5 and [5] -> 5 collapse into one census row."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    rows = [(1, 3.0), (1, 5.0), (1, 6.0), (2, 1.0),
-            (3, 7.0), (3, 2.0), (4, 5.0)]
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array([o for o, _ in rows], pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([1] * n, pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([q for _, q in rows], pa.float64()),
-         "l_extendedprice": pa.array([1.0] * n, pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-    got = _check_vs_oracle(
-        relational.nim_winner_census,
-        relational.ORACLES["nim_winner_census"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).set_index("grundy").sort_index()
-    assert list(got.index) == [0, 1, 5]
-    assert list(got["n_orders"]) == [1, 1, 2]
-
-
-def test_h_index_census_hand_values(ray_session, tmp_path):
-    """Hand-computed Hirsch indices: order values [10.5, 3.2, 3.0, 1]
-    floor to [10,3,3,1] -> h=3 (three orders >= 3 dollars); [2,2] ->
-    h=2; [0.5] floors to 0 -> h=0 and must MERGE with the metadata
-    zero row of the orderless customer 4."""
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    vals = {1: [10.5, 3.2, 3.0, 1.0], 2: [2.0, 2.0], 3: [0.5]}
-    rows = [(ck, v) for ck, vs in vals.items() for v in vs]
-    n = len(rows)
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array(list(range(1, n + 1)), pa.int64()),
-         "o_custkey": pa.array([c for c, _ in rows], pa.int64()),
-         "o_orderstatus": pa.array(["O"] * n, pa.string()),
-         "o_totalprice": pa.array([v for _, v in rows], pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string())}
-    ), d / "orders.parquet")
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array([1, 2, 3, 4], pa.int64()),
-         "c_name": pa.array(["a", "b", "c", "d"], pa.string()),
-         "c_nationkey": pa.array([0] * 4, pa.int32()),
-         "c_acctbal": pa.array([0.0] * 4, pa.float64()),
-         "c_mktsegment": pa.array(["B"] * 4, pa.string())}
-    ), d / "customer.parquet")
-    got = _canon(_to_pandas(relational.h_index_census(str(d))))
-    c = duckdb.connect()
-    for t in ("orders", "customer"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["h_index_census"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    by = got.set_index("h").sort_index()
-    assert list(by.index) == [0, 2, 3]
-    assert list(by["n_customers"]) == [2, 1, 1]
-
-
-def test_luhn_mod_census_hand_values(ray_session, tmp_path):
-    """The textbook valid number 79927398713 lands on mod 0, its
-    unit-digit neighbor 79927398714 on mod 1; 18 doubles the 1 to 2
-    (8+2=10, valid) and 91 doubles the 9 to 18 -> 9 (the subtract-9
-    branch: 1+9=10, valid)."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    keys = [79927398713, 79927398714, 18, 91]
-    n = len(keys)
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array(keys, pa.int64()),
-         "o_custkey": pa.array([1] * n, pa.int64()),
-         "o_orderstatus": pa.array(["O"] * n, pa.string()),
-         "o_totalprice": pa.array([1.0] * n, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * n,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * n, pa.string())}
-    ), d / "orders.parquet")
-    got = _check_vs_oracle(
-        relational.luhn_mod_census,
-        relational.ORACLES["luhn_mod_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("luhn_mod").sort_index()
-    assert list(got.index) == [0, 1]
-    assert list(got["n_orders"]) == [3, 1]
-
-
-def test_event_walk_counts_hand_values(ray_session, tmp_path):
-    """A two-cycle view<->purchase has exactly ONE length-8 walk from
-    each node back to itself (8 is even) and none across; a self-loop
-    plus a dead-end edge {v->v, v->p} has one v->v walk (all loops)
-    and one v->p walk (loop 7 times, then exit); a 3-chain with no
-    cycle has NO length-8 walks at all (typed empty both engines)."""
-    from langfilter_ray.pipelines import windows
-
-    d = tmp_path / "cycle"
-    d.mkdir()
-    got = _check_vs_oracle(
-        windows.event_walk_counts,
-        windows.ORACLES["event_walk_counts"],
-        d, "events",
-        _events_table([(1, 1, 10, "view", 1.0), (2, 1, 20, "purchase", 1.0),
-                       (3, 1, 30, "view", 1.0)]),
-    ).set_index(["from_type", "to_type"]).sort_index()
-    assert list(got.index) == [("purchase", "purchase"), ("view", "view")]
-    assert list(got["n_walks"]) == [1, 1]
-
-    s = tmp_path / "loop"
-    s.mkdir()
-    got_s = _check_vs_oracle(
-        windows.event_walk_counts,
-        windows.ORACLES["event_walk_counts"],
-        s, "events",
-        _events_table([(1, 1, 10, "view", 1.0), (2, 1, 20, "view", 1.0),
-                       (3, 1, 30, "purchase", 1.0)]),
-    ).set_index(["from_type", "to_type"]).sort_index()
-    assert list(got_s.index) == [("view", "purchase"), ("view", "view")]
-    assert list(got_s["n_walks"]) == [1, 1]
-
-    c = tmp_path / "chain"
-    c.mkdir()
-    got_c = _check_vs_oracle(
-        windows.event_walk_counts,
-        windows.ORACLES["event_walk_counts"],
-        c, "events",
-        _events_table([(1, 1, 10, "view", 1.0), (2, 1, 20, "click", 1.0),
-                       (3, 1, 30, "purchase", 1.0)]),
-    )
-    assert len(got_c) == 0
-
-
-def test_event_weekday_matching_census_hand_values(ray_session, tmp_path):
-    """Two types both observed ONLY on Monday: max matching 1 with TWO
-    maximum matchings (either type takes the day).  Giving view a
-    Tuesday as well makes the matching perfect and UNIQUE (purchase
-    must take Monday)."""
-    from langfilter_ray.pipelines import windows
-
-    MON = 4 * US_DAY       # epoch day 4 -> dayofweek 1 (Monday)
-    TUE = 5 * US_DAY
-
-    d = tmp_path / "conflict"
-    d.mkdir()
-    got = _check_vs_oracle(
-        windows.event_weekday_matching_census,
-        windows.ORACLES["event_weekday_matching_census"],
-        d, "events",
-        _events_table([(1, 1, MON, "view", 1.0),
-                       (2, 2, MON + 1, "purchase", 1.0)]),
-    ).iloc[0]
-    assert (int(got["n_types"]), int(got["n_days_active"])) == (2, 1)
-    assert int(got["max_matching"]) == 1
-    assert int(got["n_max_matchings"]) == 2
-    assert int(got["is_perfect"]) == 0
-
-    p = tmp_path / "perfect"
-    p.mkdir()
-    got_p = _check_vs_oracle(
-        windows.event_weekday_matching_census,
-        windows.ORACLES["event_weekday_matching_census"],
-        p, "events",
-        _events_table([(1, 1, MON, "view", 1.0),
-                       (2, 2, MON + 1, "purchase", 1.0),
-                       (3, 1, TUE, "view", 1.0)]),
-    ).iloc[0]
-    assert int(got_p["max_matching"]) == 2
-    assert int(got_p["n_max_matchings"]) == 1
-    assert int(got_p["is_perfect"]) == 1
-
-
-def test_qty_kmedians_exact_hand_values(ray_session, tmp_path):
-    """Four well-separated value pairs {1,2},{10,11},{20,21},{30,31}
-    (weights 3:1) cluster exactly as expected — each segment's lower
-    weighted median is the heavy value, cost 1 per segment, total 4.
-    D=2 pins k_eff=2 with -1 pads; a single distinct value costs 0."""
-    from langfilter_ray.pipelines import relational
-
-    def corpus(dd, qty_counts):
-        rows = [("N", float(q)) for q, c in qty_counts for _ in range(c)]
-        _write_lineitem_qty(dd, rows)
-
-    d = tmp_path / "four"
-    d.mkdir()
-    corpus(d, [(1, 3), (2, 1), (10, 3), (11, 1),
-               (20, 3), (21, 1), (30, 3), (31, 1)])
-    r = _check_vs_oracle(
-        relational.qty_kmedians_exact,
-        relational.ORACLES["qty_kmedians_exact"],
-        d, "lineitem", pq.read_table(d / "lineitem.parquet"),
-    ).iloc[0]
-    assert (int(r["n_distinct"]), int(r["k_eff"])) == (8, 4)
-    assert int(r["total_cost"]) == 4
-    assert [int(r[f"s{i}_value"]) for i in (1, 2, 3, 4)] == [1, 10, 20, 30]
-
-    two = tmp_path / "two"
-    two.mkdir()
-    corpus(two, [(5, 2), (9, 1)])
-    rt = _check_vs_oracle(
-        relational.qty_kmedians_exact,
-        relational.ORACLES["qty_kmedians_exact"],
-        two, "lineitem", pq.read_table(two / "lineitem.parquet"),
-    ).iloc[0]
-    assert (int(rt["n_distinct"]), int(rt["k_eff"])) == (2, 2)
-    assert int(rt["total_cost"]) == 0
-    assert [int(rt[f"s{i}_value"]) for i in (1, 2, 3, 4)] == [5, 9, -1, -1]
-
-    one = tmp_path / "one"
-    one.mkdir()
-    corpus(one, [(7, 4)])
-    ro = _check_vs_oracle(
-        relational.qty_kmedians_exact,
-        relational.ORACLES["qty_kmedians_exact"],
-        one, "lineitem", pq.read_table(one / "lineitem.parquet"),
-    ).iloc[0]
-    assert (int(ro["k_eff"]), int(ro["total_cost"])) == (1, 0)
-    assert [int(ro[f"s{i}_value"]) for i in (1, 2, 3, 4)] == [7, -1, -1, -1]
-
-
-def test_shapley_regions_hand_values(ray_session, tmp_path, monkeypatch):
-    """The classic [2,1,1] majority game (quota 3): the big player
-    pivots in 4 of 6 joining orders, each small one in 1 — Shapley
-    (2/3, 1/6, 1/6), which DIFFERS from the weight shares (1/2, 1/4,
-    1/4).  A dictator (weight > half) takes index 1.0; zero total
-    weight pins the -1.0 sentinel.  Zero-threshold monkeypatch pins
-    the join fallback."""
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    def check(dd):
-        got = _canon(_to_pandas(relational.shapley_regions(str(dd))))
-        c = duckdb.connect()
-        for t in ("region", "nation", "customer", "orders"):
-            c.execute(
-                f"CREATE VIEW {t} AS SELECT * "
-                f"FROM read_parquet('{dd}/{t}.parquet')"
-            )
-        want = _canon(c.execute(relational.ORACLES["shapley_regions"]).df())
-        problems = compare_frames(got, want)
-        assert not problems, (problems, first_diff(got, want))
-        return got.set_index("r_name")
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_banzhaf_corpus(
-        d, [(0, "RA"), (1, "RB"), (2, "RC")],
-        {1: 0, 2: 1, 3: 2},
-        [(1, 200), (2, 100), (3, 100)],
-    )
-    got = check(d)
-    assert list(got["ss_num"]) == [4, 1, 1]
-    assert list(got["ss_den"]) == [6, 6, 6]
-    assert got.loc["RA", "shapley"] == 4.0 / 6.0
-
-    dic = tmp_path / "dictator"
-    dic.mkdir()
-    _write_banzhaf_corpus(
-        dic, [(0, "RA"), (1, "RB")], {1: 0, 2: 1},
-        [(1, 300), (2, 100)],
-    )
-    got_d = check(dic)
-    assert got_d.loc["RA", "shapley"] == 1.0
-    assert got_d.loc["RB", "shapley"] == 0.0
-
-    z = tmp_path / "zero"
-    z.mkdir()
-    _write_banzhaf_corpus(z, [(0, "RA"), (1, "RB")], {1: 0}, [])
-    got_z = check(z)
-    assert list(got_z["shapley"]) == [-1.0, -1.0]
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    got_fb = check(d)
-    assert got_fb.equals(got)
-
-
-def test_partition_count_census_hand_values(ray_session, tmp_path):
-    """Textbook partition numbers: p(1)=1, p(4)=5, p(7)=15 — the n=7
-    case exercises BOTH pentagonal strides (g=1,2,5,7) including the
-    exact-hit p(0) term."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "main"
-    d.mkdir()
-    _write_orders_cust(d, [1] + [2] * 4 + [3] * 7)
-    got = _check_vs_oracle(
-        relational.partition_count_census,
-        relational.ORACLES["partition_count_census"],
-        d, "orders", pq.read_table(d / "orders.parquet"),
-    ).set_index("group_size").sort_index()
-    assert list(got.index) == [1, 4, 7]
-    assert list(got["p_partitions"]) == [1, 5, 15]
-    assert list(got["n_customers"]) == [1, 1, 1]
-
-
-def _tsp_corpus(d, edges):
-    """5 regions R0..R4, one nation/supplier/customer per region;
-    edges = [(supp_region, cust_region, cents), ...] one lineitem each."""
-    pq.write_table(pa.table(
-        {"r_regionkey": pa.array(list(range(5)), pa.int32()),
-         "r_name": pa.array([f"R{i}" for i in range(5)], pa.string())}
-    ), d / "region.parquet")
-    pq.write_table(pa.table(
-        {"n_nationkey": pa.array(list(range(5)), pa.int32()),
-         "n_name": pa.array([f"N{i}" for i in range(5)], pa.string()),
-         "n_regionkey": pa.array(list(range(5)), pa.int32())}
-    ), d / "nation.parquet")
-    pq.write_table(pa.table(
-        {"s_suppkey": pa.array([i + 1 for i in range(5)], pa.int64()),
-         "s_name": pa.array([f"s{i}" for i in range(5)], pa.string()),
-         "s_nationkey": pa.array(list(range(5)), pa.int32()),
-         "s_acctbal": pa.array([0.0] * 5, pa.float64())}
-    ), d / "supplier.parquet")
-    pq.write_table(pa.table(
-        {"c_custkey": pa.array([i + 1 for i in range(5)], pa.int64()),
-         "c_name": pa.array([f"c{i}" for i in range(5)], pa.string()),
-         "c_nationkey": pa.array(list(range(5)), pa.int32()),
-         "c_acctbal": pa.array([0.0] * 5, pa.float64()),
-         "c_mktsegment": pa.array(["B"] * 5, pa.string())}
-    ), d / "customer.parquet")
-    pq.write_table(pa.table(
-        {"o_orderkey": pa.array([i + 1 for i in range(5)], pa.int64()),
-         "o_custkey": pa.array([i + 1 for i in range(5)], pa.int64()),
-         "o_orderstatus": pa.array(["O"] * 5, pa.string()),
-         "o_totalprice": pa.array([1.0] * 5, pa.float64()),
-         "o_orderdate": pa.array(
-             [np.datetime64("2024-01-01T00:00:00", "us")] * 5,
-             pa.timestamp("us")),
-         "o_orderpriority": pa.array(["1-URGENT"] * 5, pa.string())}
-    ), d / "orders.parquet")
-    n = len(edges)
-    pq.write_table(pa.table(
-        {"l_orderkey": pa.array([c + 1 for _, c, _ in edges], pa.int64()),
-         "l_partkey": pa.array([1] * n, pa.int64()),
-         "l_suppkey": pa.array([s + 1 for s, _, _ in edges], pa.int64()),
-         "l_linenumber": pa.array([1] * n, pa.int32()),
-         "l_quantity": pa.array([1.0] * n, pa.float64()),
-         "l_extendedprice": pa.array(
-             [w / 100.0 for _, _, w in edges], pa.float64()),
-         "l_discount": pa.array([0.0] * n, pa.float64()),
-         "l_tax": pa.array([0.0] * n, pa.float64()),
-         "l_returnflag": pa.array(["N"] * n, pa.string()),
-         "l_linestatus": pa.array(["O"] * n, pa.string()),
-         "l_shipdate": pa.array(
-             [np.datetime64("2024-01-02T00:00:00", "us")] * n,
-             pa.timestamp("us"))}
-    ), d / "lineitem.parquet")
-
-
-def _tsp_check(d):
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    got = _canon(_to_pandas(relational.region_tsp_tour(str(d))))
-    c = duckdb.connect()
-    for t in ("region", "nation", "supplier", "customer", "orders",
-              "lineitem"):
-        c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{d}/{t}.parquet')"
-        )
-    want = _canon(c.execute(relational.ORACLES["region_tsp_tour"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    return got.iloc[0]
-
-
-def test_region_tsp_tour_hand_values(ray_session, tmp_path, monkeypatch):
-    """A weight-10 pentagon ring (one ring edge written in the REVERSE
-    direction to pin the undirected sum) over weight-1 chords: the
-    optimal tour is the ring itself, score 50.  A uniform complete
-    graph TIES every tour at 5 and must resolve to the lexicographically
-    smallest visit order.  Zero-threshold monkeypatch pins the
-    triple-join fallback."""
-    from langfilter_ray.pipelines import relational
-
-    d = tmp_path / "ring"
-    d.mkdir()
-    ring = [(1, 0, 10), (1, 2, 10), (2, 3, 10), (3, 4, 10), (4, 0, 10)]
-    chords = [(0, 2, 1), (0, 3, 1), (1, 3, 1), (1, 4, 1), (2, 4, 1)]
-    _tsp_corpus(d, ring + chords)
-    r = _tsp_check(d)
-    assert int(r["tour_cents"]) == 50
-    assert r["tour"] == "R0 -> R1 -> R2 -> R3 -> R4"
-
-    u = tmp_path / "uniform"
-    u.mkdir()
-    _tsp_corpus(u, [(a, b, 1) for a in range(5) for b in range(5) if a < b])
-    ru = _tsp_check(u)
-    assert int(ru["tour_cents"]) == 5
-    assert ru["tour"] == "R0 -> R1 -> R2 -> R3 -> R4"
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    rf = _tsp_check(d)
-    assert int(rf["tour_cents"]) == 50
-
-
-def test_region_spanning_trees_hand_values(ray_session, tmp_path,
-                                           monkeypatch):
-    """Kirchhoff anchors: the pentagon CYCLE C5 has exactly 5 spanning
-    trees (drop any one edge); the complete K5 has 5^3 = 125
-    (Cayley); a disconnected graph (one isolated region) counts 0.
-    Zero-threshold monkeypatch pins the join fallback."""
-    import duckdb
-
-    from langfilter_ray.pipelines import relational
-
-    def check(dd):
-        got = _canon(_to_pandas(relational.region_spanning_trees(str(dd))))
-        c = duckdb.connect()
-        for t in ("region", "nation", "supplier", "customer", "orders",
-                  "lineitem"):
-            c.execute(
-                f"CREATE VIEW {t} AS SELECT * "
-                f"FROM read_parquet('{dd}/{t}.parquet')"
-            )
-        want = _canon(
-            c.execute(relational.ORACLES["region_spanning_trees"]).df()
-        )
-        problems = compare_frames(got, want)
-        assert not problems, (problems, first_diff(got, want))
-        return got.iloc[0]
-
-    ring = tmp_path / "c5"
-    ring.mkdir()
-    _tsp_corpus(ring, [(i, (i + 1) % 5, 10) for i in range(5)])
-    r = check(ring)
-    assert (int(r["n_edges"]), int(r["n_spanning_trees"])) == (5, 5)
-    assert int(r["is_connected"]) == 1
-
-    k5 = tmp_path / "k5"
-    k5.mkdir()
-    _tsp_corpus(k5, [(a, b, 1) for a in range(5) for b in range(5) if a < b])
-    rk = check(k5)
-    assert (int(rk["n_edges"]), int(rk["n_spanning_trees"])) == (10, 125)
-
-    disc = tmp_path / "disc"
-    disc.mkdir()
-    _tsp_corpus(disc, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-    rd = check(disc)
-    assert int(rd["n_spanning_trees"]) == 0
-    assert int(rd["is_connected"]) == 0
-
-    monkeypatch.setattr(relational, "BROADCAST_DIM_MAX_ROWS", 0)
-    rf = check(ring)
-    assert int(rf["n_spanning_trees"]) == 5
