@@ -1,5 +1,5 @@
 """Helpers shared by the operator modules: the metadata-free table reader,
-the typed empty result, the map-side combiners, the join fan-out sizing
+the typed result, the map-side combiners, the join fan-out sizing
 and the broadcast-dimension probe."""
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data
     )
 
 
-def _typed_empty(sf_dir: str, table: str, schema: pa.Schema) -> pa.Table | None:
-    """A zero-row table of ``schema`` when ``table`` has no rows, else
-    None.  Ray Data loses the schema of an all-empty stream through a
+def _typed(ds: ray.data.Dataset, schema: pa.Schema) -> ray.data.Dataset | pa.Table:
+    """``ds`` executed, or a zero-row table of ``schema`` when no row came
+    out (an empty input, a filter that dropped every row, a join with no
+    match).  Ray Data loses the schema of an all-empty stream through a
     groupby or sort, and ``Dataset.to_pandas()`` drops the columns of any
-    zero-row Dataset, so a query over an empty table must return an Arrow
-    table to keep the typed columns DuckDB returns.  The row count comes
-    from the parquet footer, so no data is read."""
-    if _dim_num_rows(sf_dir, table):
-        return None
-    return schema.empty_table()
+    zero-row Dataset, so an empty result must be an Arrow table to keep
+    the typed columns DuckDB returns."""
+    ds = ds.materialize()
+    return ds if ds.count() else schema.empty_table()
 
 
 def _join_parts(n_joins: int = 1) -> int:

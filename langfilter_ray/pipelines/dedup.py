@@ -829,7 +829,7 @@ def _normalized_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     return ids, mat / norms
 
 
-def dedup_embedding(sf_dir: str) -> ray.data.Dataset:
+def dedup_embedding(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """(id_a, id_b) pairs with cosine similarity > threshold, id_a < id_b.
 
     The normalized matrix is broadcast once with ``ray.put`` and each batch
@@ -868,8 +868,13 @@ def dedup_embedding(sf_dir: str) -> ray.data.Dataset:
             {"id_a": pa.array(out_a, pa.int64()), "id_b": pa.array(out_b, pa.int64())}
         )
 
+    from ._common import _typed
+
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    return ds.map_batches(block, batch_format="pyarrow", batch_size=512)
+    return _typed(
+        ds.map_batches(block, batch_format="pyarrow", batch_size=512),
+        pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]),
+    )
 
 
 def dedup_embedding_ivf(sf_dir: str) -> ray.data.Dataset:
@@ -1080,7 +1085,7 @@ SIMILAR_PAIRS_MAX_ROWS = 100_000
 DEDUP_EMBEDDING_MAX_ROWS = 500_000
 
 
-def similar_pairs_topk(sf_dir: str) -> ray.data.Dataset:
+def similar_pairs_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Top-50 document pairs by EXACT word-set Jaccard — the oracle-checked
     complement to the crc-shingle `dedup_jaccard` (whose hash space SQL
     cannot replicate).  Word sets are interned to int ids driver-side and
@@ -1138,10 +1143,17 @@ def similar_pairs_topk(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
+    from ._common import _typed
+
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=64)
-    return local.sort(["jac", "doc_a", "doc_b"], descending=[True, False, False]).limit(
-        JACCARD_TOP_K
+    return _typed(
+        local.sort(["jac", "doc_a", "doc_b"], descending=[True, False, False]).limit(
+            JACCARD_TOP_K
+        ),
+        pa.schema(
+            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jac", pa.float64())]
+        ),
     )
 
 
@@ -1784,7 +1796,7 @@ def _verify_typo_pairs(
 def typo_pairs(
     sf_dir: str,
     broadcast_max_rows: int = TYPO_BROADCAST_MAX_VARIANT_ROWS,
-) -> ray.data.Dataset:
+) -> ray.data.Dataset | pa.Table:
     """All pairs of customers whose names are at levenshtein distance
     EXACTLY 1 — fuzzy record linkage (typo'd duplicate entities), the
     similarity-JOIN shape none of the other dedup operators cover: exact
@@ -1810,7 +1822,7 @@ def typo_pairs(
     Reference anchor: SURVEY.md §2.8's dedup family extended to string
     edit distance (the reference dedups repo paths by normalized name,
     langid_service storage layer)."""
-    from ._common import _join_parts
+    from ._common import _join_parts, _typed
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
@@ -1818,7 +1830,7 @@ def typo_pairs(
     variants = ds.map_batches(_name_variants, batch_format="pyarrow").materialize()
     n_rows = variants.count()
     if n_rows == 0:
-        return ray.data.from_arrow(_EMPTY_TYPO)
+        return _EMPTY_TYPO
 
     if n_rows <= broadcast_max_rows:
         tbl = pa.concat_tables(
@@ -1844,7 +1856,7 @@ def typo_pairs(
                 ((lo << np.int64(32)) | hi)[lo < hi]
             )
             names_of = dict(zip(tbl["ck"].to_pylist(), tbl["name"].to_pylist()))
-            return ray.data.from_arrow(_verify_typo_pairs(fused, names_of))
+            return _verify_typo_pairs(fused, names_of)
         # pathological bucket forest: fall through to the join path
 
     right = variants.rename_columns(
@@ -1902,11 +1914,12 @@ def typo_pairs(
             )
         return g[["cust_a", "cust_b"]].drop_duplicates()
 
-    return (
+    return _typed(
         pairs.map_batches(tag, batch_format="pyarrow")
         .groupby("bk")
         .map_groups(uniq, batch_format="pandas")
-        .select_columns(["cust_a", "cust_b"])
+        .select_columns(["cust_a", "cust_b"]),
+        _EMPTY_TYPO.schema,
     )
 
 

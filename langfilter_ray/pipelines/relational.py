@@ -28,50 +28,34 @@ from ._common import (
     _probe_lookup,
     _read,
     _schema,
-    _typed_empty,
+    _typed,
 )
 
 
 # ---- A1: status counts ---------------------------------------------------
 
 def status_counts(sf_dir: str) -> ray.data.Dataset | pa.Table:
-    empty = _typed_empty(
-        sf_dir,
-        "events",
-        _schema(sf_dir, "events", ["event_type"]).append(
-            pa.field("n_events", pa.int64())
-        ),
-    )
-    if empty is not None:
-        return empty
-    return (
+    return _typed(
         _read(sf_dir, "events", ["event_type"])
         .map_batches(_partial_group_agg(["event_type"]), batch_format="pyarrow")
         .groupby("event_type")
-        .aggregate(Sum("n_partial", alias_name="n_events"))
+        .aggregate(Sum("n_partial", alias_name="n_events")),
+        _schema(sf_dir, "events", ["event_type"]).append(
+            pa.field("n_events", pa.int64())
+        ),
     )
 
 
 # ---- A4 analog: distribution over a computed key -------------------------
 
 def event_type_by_bucket(sf_dir: str) -> ray.data.Dataset | pa.Table:
-    empty = _typed_empty(
-        sf_dir,
-        "events",
-        _schema(sf_dir, "events", ["event_type"])
-        .append(pa.field("user_bucket", pa.int64()))
-        .append(pa.field("n_events", pa.int64())),
-    )
-    if empty is not None:
-        return empty
-
     def add_bucket(t: pa.Table) -> pa.Table:
         bucket = np.mod(t["user_id"].to_numpy(), 10).astype(np.int64)
         return pa.table(
             {"event_type": t["event_type"], "user_bucket": pa.array(bucket)}
         )
 
-    return (
+    return _typed(
         _read(sf_dir, "events", ["event_type", "user_id"])
         .map_batches(add_bucket, batch_format="pyarrow")
         .map_batches(
@@ -79,7 +63,10 @@ def event_type_by_bucket(sf_dir: str) -> ray.data.Dataset | pa.Table:
             batch_format="pyarrow",
         )
         .groupby(["event_type", "user_bucket"])
-        .aggregate(Sum("n_partial", alias_name="n_events"))
+        .aggregate(Sum("n_partial", alias_name="n_events")),
+        _schema(sf_dir, "events", ["event_type"])
+        .append(pa.field("user_bucket", pa.int64()))
+        .append(pa.field("n_events", pa.int64())),
     )
 
 
@@ -100,13 +87,11 @@ def recent_window_count(sf_dir: str) -> pa.Table:
 
 def top50_recent(sf_dir: str) -> ray.data.Dataset | pa.Table:
     cols = ["event_id", "ts", "value"]
-    empty = _typed_empty(sf_dir, "events", _schema(sf_dir, "events", cols))
-    if empty is not None:
-        return empty
-    return (
+    return _typed(
         _read(sf_dir, "events", cols)
         .sort(["ts", "event_id"], descending=[True, False])
-        .limit(50)
+        .limit(50),
+        _schema(sf_dir, "events", cols),
     )
 
 
@@ -114,20 +99,20 @@ def top50_recent(sf_dir: str) -> ray.data.Dataset | pa.Table:
 
 def events_filtered_sorted(sf_dir: str) -> ray.data.Dataset | pa.Table:
     cols = ["event_id", "ts", "event_type", "user_id"]
-    empty = _typed_empty(sf_dir, "events", _schema(sf_dir, "events", cols))
-    if empty is not None:
-        return empty
     ds = _read(sf_dir, "events", cols)
     ds = ds.map_batches(
         lambda t: t.filter(pc.equal(t["event_type"], "click")),
         batch_format="pyarrow",
     )
-    return ds.sort(["ts", "event_id"], descending=[True, False]).limit(100)
+    return _typed(
+        ds.sort(["ts", "event_id"], descending=[True, False]).limit(100),
+        _schema(sf_dir, "events", cols),
+    )
 
 
 # ---- J3: broadcast join, revenue by nation -------------------------------
 
-def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
+def revenue_by_nation(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """orders ⋈ customer ⋈ nation, dimensions broadcast (J3 pattern).
 
     nation (25 rows, bounded by spec) rides in the closure; customer
@@ -145,7 +130,7 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     )
     # direct-indexed LUT (nationkey is dense 0..24); -1 -> None sentinel
     nk = nation["n_nationkey"].to_numpy()
-    nation_lut = np.full(int(nk.max()) + 2, None, dtype=object)
+    nation_lut = np.full(int(nk.max(initial=-1)) + 2, None, dtype=object)
     nation_lut[nk] = nation["n_name"].to_pylist()
 
     def _to_cents(t: pa.Table) -> np.ndarray:
@@ -209,7 +194,7 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
             batch_format="pyarrow",
         )
 
-    return (
+    return _typed(
         labeled.map_batches(
             _partial_group_agg(["n_name"], ["price_cents"]),
             batch_format="pyarrow",
@@ -218,7 +203,11 @@ def revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
         .aggregate(
             Sum("n_partial", alias_name="n_orders"),
             Sum("price_cents_partial", alias_name="total_cents"),
-        )
+        ),
+        pa.schema(
+            [("n_name", pa.string()), ("n_orders", pa.int64()),
+             ("total_cents", pa.int64())]
+        ),
     )
 
 

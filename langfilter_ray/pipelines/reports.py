@@ -143,7 +143,7 @@ def translate_kept_snippets(
 
 def translate_documents(
     sf_dir: str, translator_factory=None
-) -> ray.data.Dataset:
+) -> ray.data.Dataset | pa.Table:
     """T6 translation plumbing made HASH-CHECKABLE: the same word-map
     'model' (functions/translate.py, per-actor cache in ``__init__``) over
     the shared ``documents`` table, en->fr / fr->en by row language, other
@@ -171,15 +171,23 @@ def translate_documents(
                 )
             return pa.concat_tables(out)
 
+    from ._common import _typed
+
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
     )
-    return ds.map_batches(
-        DocTranslator,
-        batch_format="pyarrow",
-        concurrency=(1, _default_pool_size()),
-        num_cpus=1,
-        fn_constructor_kwargs={"translator_factory": translator_factory},
+    return _typed(
+        ds.map_batches(
+            DocTranslator,
+            batch_format="pyarrow",
+            concurrency=(1, _default_pool_size()),
+            num_cpus=1,
+            fn_constructor_kwargs={"translator_factory": translator_factory},
+        ),
+        pa.schema(
+            [("doc_id", pa.int64()), ("lang", pa.string()),
+             ("translated", pa.string())]
+        ),
     )
 
 

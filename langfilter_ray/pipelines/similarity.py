@@ -119,7 +119,7 @@ def _load_queries(sf_dir: str):
     return ids, _normalize(mat)
 
 
-def ann_topk(sf_dir: str) -> ray.data.Dataset:
+def ann_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Brute-force cosine top-k: ONLY the tiny query matrix is broadcast;
     candidate embeddings stream through map_batches (read from the batch's
     own ``embedding`` column, normalized in-batch — bit-identical to
@@ -163,7 +163,15 @@ def ann_topk(sf_dir: str) -> ray.data.Dataset:
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=512)
-    return local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
+    from ._common import _typed
+
+    return _typed(
+        local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas"),
+        pa.schema(
+            [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+             ("rank", pa.int64())]
+        ),
+    )
 
 
 ANN_TOPK_SQL = (

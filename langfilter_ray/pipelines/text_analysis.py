@@ -28,7 +28,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.scrub import SCRUB_RULES
-from ._common import _read
+from ._common import _read, _schema, _typed
 
 TOKEN_RE = "[A-Za-z0-9_]+"          # ASCII \w — identical in RE2 and DuckDB
 LOWER_TOKEN_RE = "[a-z0-9_]+"
@@ -535,14 +535,18 @@ def distinct_sources(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def sample_docs(sf_dir: str) -> ray.data.Dataset:
+def sample_docs(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Deterministic 5% sample by key hash (doc_id % 20 == 3) — reproducible
     sampling expressible on both engines, unlike RNG-based samplers."""
-    return _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"]).map_batches(
-        lambda t: t.filter(
-            pc.equal(pc.subtract(t["doc_id"], pc.multiply(pc.divide(t["doc_id"], 20), 20)), 3)
+    cols = ["doc_id", "lang", "n_chars"]
+    return _typed(
+        _read(sf_dir, "documents", cols).map_batches(
+            lambda t: t.filter(
+                pc.equal(pc.subtract(t["doc_id"], pc.multiply(pc.divide(t["doc_id"], 20), 20)), 3)
+            ),
+            batch_format="pyarrow",
         ),
-        batch_format="pyarrow",
+        _schema(sf_dir, "documents", cols),
     )
 
 
@@ -1090,7 +1094,7 @@ ORACLES["domain_mix_weights"] = (
 INVERTED_MIN_DF = 5
 
 
-def inverted_index_stats(sf_dir: str) -> ray.data.Dataset:
+def inverted_index_stats(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Distributed inverted-index build: distinct (token, doc) postings
     per batch — each document lives wholly in one row, so in-batch
     dedup is exact — then ONE groupby(token) merges per-batch partials
@@ -1135,7 +1139,7 @@ def inverted_index_stats(sf_dir: str) -> ray.data.Dataset:
 
     from ray.data.aggregate import Max, Min, Sum
 
-    return (
+    return _typed(
         _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("token")
@@ -1145,7 +1149,12 @@ def inverted_index_stats(sf_dir: str) -> ray.data.Dataset:
             Min("min_partial", alias_name="min_doc_id"),
             Max("max_partial", alias_name="max_doc_id"),
         )
-        .filter(expr=f"df >= {INVERTED_MIN_DF}")
+        .filter(expr=f"df >= {INVERTED_MIN_DF}"),
+        pa.schema(
+            [("token", pa.string()), ("df", pa.int64()),
+             ("postings_sum", pa.int64()), ("min_doc_id", pa.int64()),
+             ("max_doc_id", pa.int64())]
+        ),
     )
 
 
@@ -1322,7 +1331,7 @@ def _distinct_gram_pairs(t: pa.Table) -> pa.Table:
     return pairs.group_by(["doc_id", "gram"]).aggregate([])
 
 
-def shared_ngram_docs(sf_dir: str) -> ray.data.Dataset:
+def shared_ngram_docs(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Per-document count of word 5-grams that also occur in at least one
     OTHER document — the duplicated-span signal behind suffix/substring
     dedup (a doc whose grams are mostly shared is boilerplate).  This is
@@ -1359,9 +1368,13 @@ def shared_ngram_docs(sf_dir: str) -> ray.data.Dataset:
         .groupby("gram")
         .aggregate(Sum("n_partial", alias_name="df"))
         .filter(expr="df >= 2")
+        .materialize()
     )
+    schema = pa.schema([("doc_id", pa.int64()), ("n_shared_grams", pa.int64())])
+    if shared.count() == 0:     # an empty join side has no key column
+        return schema.empty_table()
 
-    return (
+    return _typed(
         pairs.join(
             shared,
             join_type="inner",
@@ -1370,7 +1383,8 @@ def shared_ngram_docs(sf_dir: str) -> ray.data.Dataset:
         )
         .map_batches(_partial_group_agg(["doc_id"]), batch_format="pyarrow")
         .groupby("doc_id")
-        .aggregate(Sum("n_partial", alias_name="n_shared_grams"))
+        .aggregate(Sum("n_partial", alias_name="n_shared_grams")),
+        schema,
     )
 
 
@@ -1917,7 +1931,7 @@ ORACLES["vocab_stats"] = (
 
 # ---- vocab_overlap: cross-language shared-vocabulary matrix --------------
 
-def vocab_overlap(sf_dir: str) -> ray.data.Dataset:
+def vocab_overlap(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Shared-vocabulary matrix: for every language pair, how many
     distinct tokens appear in BOTH languages — the cross-corpus
     contamination/mixing signal (SURVEY.md §2.8's set-op family) and the
@@ -1983,11 +1997,15 @@ def vocab_overlap(sf_dir: str) -> ray.data.Dataset:
         g = part.group_by(["lang_a", "lang_b"]).aggregate([("s_p", "sum")])
         return g.rename_columns(["lang_a", "lang_b", "s_p"])
 
-    return (
+    return _typed(
         joined.map_batches(combine, batch_format="pyarrow")
         .groupby(["lang_a", "lang_b"])
         .aggregate(Sum("s_p", alias_name="n_shared_tokens"))
-        .sort(["lang_a", "lang_b"])
+        .sort(["lang_a", "lang_b"]),
+        pa.schema(
+            [("lang_a", pa.string()), ("lang_b", pa.string()),
+             ("n_shared_tokens", pa.int64())]
+        ),
     )
 
 
@@ -3036,7 +3054,7 @@ def bpe_encode(sf_dir: str) -> ray.data.Dataset:
 
 # ---- zscore_by_lang: per-group feature standardization ---------------------
 
-def zscore_by_lang(sf_dir: str) -> ray.data.Dataset:
+def zscore_by_lang(sf_dir: str) -> ray.data.Dataset | pa.Table:
     """Per-language z-score of document length — grouped feature
     STANDARDIZATION, the ML feature-prep archetype (normalize a quality
     signal within each language before a global threshold, so verbose
@@ -3097,12 +3115,14 @@ def zscore_by_lang(sf_dir: str) -> ray.data.Dataset:
          "z_chars": pa.array([], pa.float64())}
     )
     if m.empty:
-        return ray.data.from_arrow(empty)
+        return empty
     n = m["n"].to_numpy().astype(np.int64)
     sx = m["sx"].to_numpy().astype(np.int64)
     sxx = m["sxx"].to_numpy().astype(np.int64)
     den2 = n * sxx - sx * sx
     keep = den2 > 0
+    if not keep.any():      # every language has zero variance
+        return empty
     order = np.argsort(m["lang"].to_numpy()[keep])
     langs = m["lang"].to_numpy()[keep][order].astype(str)
     stats_ref = ray.put(

@@ -1,7 +1,9 @@
 """Operator-suite tests: every queries() entry runs at sf0.001, the
 SQL-expressible ones are verified against their DuckDB oracle in-process
-(the same comparison the driver performs), and the approximate/stateful
-ones get shape + determinism checks."""
+(the comparison scripts/check_oracles.py makes) at sf0.001, at sf0.01 and on
+three edge copies of sf0.001 (one row per table, shuffled rows, non-ASCII
+text), and the approximate/stateful ones get shape + determinism
+checks."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import pandas as pd
 import pytest
 
 SF = "/root/testdata/sf0.001"
+SF01 = SF.replace("sf0.001", "sf0.01")    # the next scale factor
 TABLES = [
     "region", "nation", "customer", "supplier", "part",
     "orders", "lineitem", "events", "documents", "embeddings",
@@ -31,14 +34,23 @@ def _to_pandas(obj):
     return obj
 
 
-@pytest.fixture(scope="module")
-def con():
+def _connect(sf_dir: str) -> duckdb.DuckDBPyConnection:
     c = duckdb.connect()
     for t in TABLES:
         c.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
     return c
+
+
+@pytest.fixture(scope="module")
+def con():
+    return _connect(SF)
+
+
+@pytest.fixture(scope="module")
+def con01():
+    return _connect(SF01)
 
 
 @pytest.fixture(scope="module")
@@ -146,12 +158,105 @@ def test_round5_window_layout(entry_mod):
     assert not unbacked, f"unintended rows-only queries in window: {unbacked}"
 
 
-@pytest.mark.parametrize("name", ORACLE_CHECKED)
-def test_query_matches_oracle(entry_mod, con, name):
-    got = _canon(_to_pandas(entry_mod.queries()[name](SF)))
+def _assert_matches_oracle(entry_mod, con, sf_dir: str, name: str) -> None:
+    got = _canon(_to_pandas(entry_mod.queries()[name](sf_dir)))
     want = _canon(con.execute(entry_mod.oracle_sql()[name]).df())
     problems = compare_frames(got, want)
     assert not problems, (problems, first_diff(got, want))
+
+
+def _variant_sf(tmp_path_factory, label: str, transform) -> str:
+    """A copy of the sf0.001 tables with ``transform(table_name, table)``
+    applied to each one."""
+    import pyarrow.parquet as pq
+
+    d = tmp_path_factory.mktemp(label)
+    for t in TABLES:
+        tab = pq.read_table(f"{SF}/{t}.parquet")
+        pq.write_table(transform(t, tab), d / f"{t}.parquet")
+    return str(d)
+
+
+@pytest.fixture(scope="module")
+def one_row_sf(tmp_path_factory):
+    """Every table cut to its first row: most joins find no partner, most
+    groups have one member, and a filter can drop the only row."""
+    d = _variant_sf(tmp_path_factory, "one_row_sf", lambda _, tab: tab.slice(0, 1))
+    return d, _connect(d)
+
+
+@pytest.fixture(scope="module")
+def shuffled_sf(tmp_path_factory):
+    """The sf0.001 rows of every table in a seeded random order."""
+    import numpy as np
+
+    def shuffle(_, tab):
+        return tab.take(np.random.RandomState(7).permutation(tab.num_rows))
+
+    d = _variant_sf(tmp_path_factory, "shuffled_sf", shuffle)
+    return d, _connect(d)
+
+
+@pytest.fixture(scope="module")
+def non_ascii_sf(tmp_path_factory):
+    """sf0.001 with non-ASCII documents: accented vowels in every text, a
+    CJK suffix on every third, ``n_chars`` recounted in characters."""
+    import pyarrow as pa
+
+    def accent(name, tab):
+        if name != "documents":
+            return tab
+        texts = [
+            x.replace("a", "ä").replace("e", "é") + (" 数据 表" if i % 3 == 0 else "")
+            for i, x in enumerate(tab["text"].to_pylist())
+        ]
+        tab = tab.set_column(
+            tab.schema.get_field_index("text"), "text", pa.array(texts, pa.string())
+        )
+        return tab.set_column(
+            tab.schema.get_field_index("n_chars"),
+            "n_chars",
+            pa.array([len(x) for x in texts], pa.int64()),
+        )
+
+    d = _variant_sf(tmp_path_factory, "non_ascii_sf", accent)
+    return d, _connect(d)
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECKED)
+def test_query_matches_oracle(entry_mod, con, name):
+    _assert_matches_oracle(entry_mod, con, SF, name)
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECKED)
+def test_query_matches_oracle_sf001(entry_mod, con01, name):
+    """The same check at sf0.01: ten times the rows, so more blocks per
+    read and more partials per combiner than sf0.001."""
+    _assert_matches_oracle(entry_mod, con01, SF01, name)
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECKED)
+def test_query_matches_oracle_one_row(entry_mod, one_row_sf, name):
+    """One row per table: an empty result must still carry the oracle's
+    typed columns, and no operator may crash on a single group."""
+    sf_dir, c = one_row_sf
+    _assert_matches_oracle(entry_mod, c, sf_dir, name)
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECKED)
+def test_query_matches_oracle_shuffled_rows(entry_mod, shuffled_sf, name):
+    """Results do not depend on input row order (tie-breaks, first-seen
+    picks, partial merges)."""
+    sf_dir, c = shuffled_sf
+    _assert_matches_oracle(entry_mod, c, sf_dir, name)
+
+
+@pytest.mark.parametrize("name", ORACLE_CHECKED)
+def test_query_matches_oracle_non_ascii(entry_mod, non_ascii_sf, name):
+    """Non-ASCII text: lengths count characters and tokenizers agree with
+    the oracle's on multi-byte input."""
+    sf_dir, c = non_ascii_sf
+    _assert_matches_oracle(entry_mod, c, sf_dir, name)
 
 
 @pytest.mark.parametrize("name", ["revenue_by_nation"])
