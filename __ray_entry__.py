@@ -65,7 +65,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_rate_by_source": dedup.dup_rate_by_source,
         "source_simpson_diversity": text_analysis.source_simpson_diversity,
         "embedding_top_eigval": similarity.embedding_top_eigval,
-        "huffman_cost_top64": text_analysis.huffman_cost_top64,
         "gopher_quality": text_analysis.gopher_quality,
         "token_counts": text_analysis.token_counts,
         "langid_heuristic": text_analysis.langid_heuristic,
@@ -120,18 +119,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "hapax_by_source": text_analysis.hapax_by_source,
         "small_group_census": text_analysis.small_group_census,
         "cm_sketch_tokens": text_analysis.cm_sketch_tokens,
-        "distinct_substrings_cap": text_analysis.distinct_substrings_cap,
         "dict_match_census": text_analysis.dict_match_census,
         "embedding_closest_pair": similarity.embedding_closest_pair,
-        "longest_palindrome_cap": text_analysis.longest_palindrome_cap,
-        "doc_period_cap": text_analysis.doc_period_cap,
-        "lcsubstr_top2": text_analysis.lcsubstr_top2,
-        "token_trie_nodes": text_analysis.token_trie_nodes,
-        "bwt_runs_cap": text_analysis.bwt_runs_cap,
-        "lz78_phrases_cap": text_analysis.lz78_phrases_cap,
-        "lyndon_factors_cap": text_analysis.lyndon_factors_cap,
-        "merkle_root_by_source": text_analysis.merkle_root_by_source,
-        "levenshtein_top2": text_analysis.levenshtein_top2,
         # --- rows-only by design (stateful / approximate / stubbed) ---------
         "multimodal_decode": multimodal.multimodal_decode,
         "multimodal_resize": multimodal.multimodal_resize,

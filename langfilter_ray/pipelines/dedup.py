@@ -38,6 +38,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Min
 
+from ._common import _read
+
 N_HASHES = 64
 N_BANDS = 16           # 16 bands x 4 rows
 _ROWS_PER_BAND = N_HASHES // N_BANDS
@@ -229,7 +231,7 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
         return out
 
     path = f"{sf_dir}/documents.parquet"
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     combined = ds.map_batches(digest_and_combine, batch_format="pyarrow")
     if pq.read_metadata(path).num_rows <= DEDUP_EXACT_BROADCAST_MAX_ROWS:
         import pandas as pd
@@ -461,7 +463,7 @@ def minhash_candidates(
     content it derives from, and spills if needed."""
     from ._common import _join_parts
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     # band index is XOR-folded into band_hash (see _band_rows), so the
     # hash alone is the bucket key — half the shuffle key width
     bands = ds.map_batches(_band_rows, batch_format="pyarrow").materialize()
@@ -654,9 +656,7 @@ def dedup_jaccard(sf_dir: str) -> ray.data.Dataset:
             )
         )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     # Candidate sets are tiny relative to the corpus (the LSH's whole
     # point), so below a bound the texts of candidate docs are gathered
@@ -812,7 +812,7 @@ def dedup_simhash(sf_dir: str) -> ray.data.Dataset:
         out = [f"{v:016x}" for v in vals]
         return pa.table({"doc_id": t["doc_id"], "simhash": pa.array(out)})
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(f, batch_format="pyarrow")
 
 
@@ -870,7 +870,7 @@ def dedup_embedding(sf_dir: str) -> ray.data.Dataset | pa.Table:
 
     from ._common import _typed
 
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
+    ds = _read(sf_dir, "embeddings", ["vec_id"])
     return _typed(
         ds.map_batches(block, batch_format="pyarrow", batch_size=512),
         pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]),
@@ -942,9 +942,7 @@ def dedup_embedding_ivf(sf_dir: str) -> ray.data.Dataset:
         ).astype("int64")
 
     pairs = (
-        ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
+        _read(sf_dir, "embeddings", ["vec_id", "embedding"])
         .map_batches(assign_top2, batch_format="pyarrow")
         .groupby("cluster")
         .map_groups(in_cluster_pairs, batch_format="pandas")
@@ -1145,7 +1143,7 @@ def similar_pairs_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
 
     from ._common import _typed
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id"])
     local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=64)
     return _typed(
         local.sort(["jac", "doc_a", "doc_b"], descending=[True, False, False]).limit(
@@ -1401,7 +1399,7 @@ def dedup_survivors(sf_dir: str) -> ray.data.Dataset:
         ),
         batch_format="pyarrow",
     ).materialize()
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    docs = _read(sf_dir, "documents", ["doc_id"])
     n_drops = drops_ds.count()
     parts = _join_parts()
 
@@ -1593,7 +1591,7 @@ def span_dedup(sf_dir: str) -> ray.data.Dataset:
     import pyarrow.parquet as pq
 
     path = f"{sf_dir}/documents.parquet"
-    docs = ray.data.read_parquet(path, columns=["doc_id", "text"])
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     combined = docs.map_batches(_span_partials, batch_format="pyarrow")
 
     # Ray 2.49 manufactures SCHEMALESS empty blocks that bypass the UDF
@@ -1824,9 +1822,7 @@ def typo_pairs(
     langid_service storage layer)."""
     from ._common import _join_parts, _typed
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
+    ds = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     variants = ds.map_batches(_name_variants, batch_format="pyarrow").materialize()
     n_rows = variants.count()
     if n_rows == 0:
@@ -1984,9 +1980,7 @@ def dup_cluster_hist(sf_dir: str) -> pa.Table:
         )
 
     folded = (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["text"]
-        )
+        _read(sf_dir, "documents", ["text"])
         .map_batches(digest_counts, batch_format="pyarrow")
         .groupby("bk")
         .map_groups(bucket_hist, batch_format="pandas")
@@ -2094,9 +2088,9 @@ def dup_rate_by_source(sf_dir: str) -> "pa.Table":
          "n_dup_docs": pa.array([], pa.int64())}
     )
     path = f"{sf_dir}/documents.parquet"
-    combined = ray.data.read_parquet(
-        path, columns=["source", "text"]
-    ).map_batches(digest_and_combine, batch_format="pyarrow")
+    combined = _read(sf_dir, "documents", ["source", "text"]).map_batches(
+        digest_and_combine, batch_format="pyarrow"
+    )
     if pq.read_metadata(path).num_rows <= DEDUP_EXACT_BROADCAST_MAX_ROWS:
         tbls = [t for t in ray.get(combined.to_arrow_refs()) if t.num_rows]
         tbl = pa.concat_tables(tbls) if tbls else pa.table({})

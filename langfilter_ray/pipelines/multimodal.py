@@ -25,13 +25,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ._common import _read
 from .quality_filter import _default_pool_size
 
 
 def _payloads(sf_dir: str) -> ray.data.Dataset:
     """documents.text re-cast as an opaque binary payload column (the
     testdata has no real media; the bytes are treated as a blob)."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def to_binary(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -262,7 +263,7 @@ def decode_pgm(sf_dir: str) -> ray.data.Dataset:
     (stand-in for stored media), then parse it in the actor-pool decoder.
     Every 97th payload is deliberately truncated to exercise the poison
     path."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id"])
 
     def gen(t: pa.Table) -> pa.Table:
         payloads = []
@@ -393,7 +394,7 @@ def decode_wav(sf_dir: str) -> ray.data.Dataset:
     Every 89th payload is deliberately truncated to exercise the poison
     path.  Small batches for wide binary rows, pool sized like the other
     decode stages."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id"])
 
     def gen(t: pa.Table) -> pa.Table:
         payloads = []
@@ -523,7 +524,7 @@ def decode_bmp(sf_dir: str) -> ray.data.Dataset:
     """End-to-end REAL BMP decode: synthesize a payload per doc_id, parse
     in the actor-pool decoder.  Every 83rd payload is truncated and every
     101st gets a corrupted signature to exercise both poison paths."""
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = _read(sf_dir, "documents", ["doc_id"])
 
     def gen(t: pa.Table) -> pa.Table:
         payloads = []

@@ -9,6 +9,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
+from ._common import _read
 from .quality_filter import _default_pool_size, build_pipeline, read_corpus
 
 
@@ -173,9 +174,7 @@ def translate_documents(
 
     from ._common import _typed
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
     return _typed(
         ds.map_batches(
             DocTranslator,

@@ -27,6 +27,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ._common import _read
+
 TOP_K = 5
 N_QUERIES = 8          # vec_id < N_QUERIES are the query vectors
 # multi-table random-hyperplane LSH (E2LSH shape): L independent tables
@@ -159,9 +161,7 @@ def ann_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g[["query_id", "neighbor_id", "rank"]]
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=512)
     from ._common import _typed
 
@@ -257,9 +257,7 @@ def ann_lsh(sf_dir: str) -> ray.data.Dataset:
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g[["query_id", "neighbor_id", "rank"]]
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     local = ds.map_batches(local_bucket_topk, batch_format="pyarrow", batch_size=512)
     return local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
 
@@ -319,9 +317,7 @@ def ann_ivf(sf_dir: str) -> ray.data.Dataset:
         g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
         return g[["query_id", "neighbor_id", "rank"]]
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     local = ds.map_batches(local_search, batch_format="pyarrow", batch_size=512)
     return local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
 
@@ -360,9 +356,7 @@ def label_centroids(sf_dir: str) -> ray.data.Dataset:
         )
 
     agg = (
-        ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
-        )
+        _read(sf_dir, "embeddings", ["label", "embedding"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["label", "dim"])
         .aggregate(Sum("psum", alias_name="sum_q6"), Sum("pn", alias_name="n_vals"))
@@ -440,9 +434,7 @@ def embed_documents(sf_dir: str) -> ray.data.Dataset:
     tests."""
     from .quality_filter import _default_pool_size
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    ).map_batches(
+    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         _HashEmbedder,
         batch_format="pyarrow",
         batch_size=256,
@@ -515,9 +507,7 @@ def embedding_quant_stats(sf_dir: str) -> ray.data.Dataset:
         return g.rename_columns(["label", "n_p", "sum_p", "min_p", "max_p"])
 
     return (
-        ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
-        )
+        _read(sf_dir, "embeddings", ["label", "embedding"])
         .map_batches(f, batch_format="pyarrow")
         .groupby("label")
         .aggregate(
@@ -642,9 +632,7 @@ def kmeans_fit(sf_dir: str) -> "pa.Table":
             )
 
         agg = (
-            ray.data.read_parquet(
-                f"{sf_dir}/embeddings.parquet", columns=["embedding"]
-            )
+            _read(sf_dir, "embeddings", ["embedding"])
             .map_batches(partials, batch_format="pyarrow")
             .groupby(["k", "dim"])
             .aggregate(Sum("s", alias_name="total"))
@@ -752,9 +740,7 @@ def label_quant_gram(sf_dir: str) -> pa.Table:
         )
 
     parts = (
-        ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["embedding", "label"]
-        )
+        _read(sf_dir, "embeddings", ["embedding", "label"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: labels x dims x blocks
     )
@@ -851,9 +837,7 @@ def embedding_top_eigval(sf_dir: str) -> pa.Table:
              "v": pa.array(g.reshape(-1))}
         )
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["embedding"]
-    )
+    ds = _read(sf_dir, "embeddings", ["embedding"])
     parts = (
         ds.map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded: d^2 x blocks, never rows
@@ -1000,9 +984,7 @@ def embedding_closest_pair(sf_dir: str) -> "pa.Table":
         )
 
     pts = (
-        ray.data.read_parquet(
-            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-        )
+        _read(sf_dir, "embeddings", ["vec_id", "embedding"])
         .map_batches(partial, batch_format="pyarrow")
         .to_pandas()    # bounded by the guard above (24 B/row)
     )

@@ -4388,97 +4388,6 @@ ORACLES["source_simpson_diversity"] = (
 )
 
 
-# ---- huffman_cost_top64: optimal prefix-code cost (greedy merge fold) ------
-
-HUFFMAN_TOP_K = 64
-
-
-def huffman_cost_top64(sf_dir: str) -> "pa.Table":
-    """Optimal prefix-code (Huffman) cost of the top-64 corpus tokens —
-    "how many bits would an entropy coder actually spend on the head of
-    this vocabulary?", the tokenizer-budget estimate that needs NO
-    logarithms (the float-sum trap entropy falls into): the total cost
-    ``Σ count·depth`` equals the sum of merged internal-node weights,
-    every one an exact integer.  GREEDY PRIORITY-QUEUE algorithms are a
-    family no fold so far covers — each step merges the two CURRENT
-    smallest weights, so the state is an evolving multiset, not a
-    monoid partial; it exists here because the head is BOUNDED (K=64).
-    The minimum total cost is unique across tie-breaks (any two-smallest
-    merge yields an optimal tree), so the output is deterministic even
-    where equal weights make the tree ambiguous.
-
-    Scale shape: the token-count gather is the wordcount combiner
-    (per-batch value_counts, vocabulary-bounded groupby — top_tokens'
-    exact shuffle); the Huffman fold runs on the driver over 64 ints.
-    ``avg_bits = cost/total`` is the ONE float division.  The DuckDB
-    mirror replays the same greedy as a depth-63 recursive CTE over a
-    sorted weight list.
-
-    Reference anchor: M2's tokenizer (SURVEY.md §2.2) asked the
-    capacity-planning question one level up."""
-    import heapq
-
-    from ray.data.aggregate import Sum
-
-    top = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(_token_partial_counts, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("partial", alias_name="n"))
-        .sort(["n", "token"], descending=[True, False])
-        .limit(HUFFMAN_TOP_K)
-        .to_pandas()    # bounded: K rows
-    )
-    empty = pa.table(
-        {"n_tokens": pa.array([], pa.int64()),
-         "total_count": pa.array([], pa.int64()),
-         "huffman_cost": pa.array([], pa.int64()),
-         "avg_bits": pa.array([], pa.float64())}
-    )
-    if top.empty:
-        return empty
-    heap = [int(x) for x in top["n"]]
-    total = sum(heap)
-    heapq.heapify(heap)
-    cost = 0
-    while len(heap) >= 2:          # bounded: K-1 merges
-        a = heapq.heappop(heap)
-        b = heapq.heappop(heap)
-        cost += a + b
-        heapq.heappush(heap, a + b)
-    return pa.table(
-        {"n_tokens": pa.array([len(top)], pa.int64()),
-         "total_count": pa.array([total], pa.int64()),
-         "huffman_cost": pa.array([cost], pa.int64()),
-         "avg_bits": pa.array(
-             [float(cost) / float(total)], pa.float64())}
-    )
-
-
-ORACLES["huffman_cost_top64"] = (
-    "WITH RECURSIVE tok AS (SELECT "
-    f"unnest(regexp_extract_all(lower(text), '{LOWER_TOKEN_RE}')) AS w "
-    "FROM documents), "
-    "cnt AS (SELECT w, count(*)::BIGINT AS n FROM tok GROUP BY 1), "
-    f"top AS (SELECT n FROM cnt ORDER BY n DESC, w LIMIT {HUFFMAN_TOP_K}), "
-    "seed AS (SELECT list_sort(list(n)) AS ws FROM top "
-    "WHERE (SELECT count(*) FROM top) >= 1), "
-    "r(ws, acc) AS ("
-    "SELECT ws, 0::BIGINT FROM seed "
-    "UNION ALL "
-    "SELECT list_sort(list_concat(list_slice(ws, 3, len(ws)), "
-    "[ws[1] + ws[2]])), acc + ws[1] + ws[2] "
-    "FROM r WHERE len(ws) >= 2), "
-    "fin AS (SELECT acc FROM r WHERE len(ws) = 1) "
-    "SELECT (SELECT count(*) FROM top)::BIGINT AS n_tokens, "
-    "(SELECT sum(n) FROM top)::BIGINT AS total_count, "
-    "f.acc::BIGINT AS huffman_cost, "
-    "CAST(f.acc AS DOUBLE) / "
-    "CAST((SELECT sum(n) FROM top) AS DOUBLE) AS avg_bits "
-    "FROM fin f"
-)
-
-
 # ---- cm_sketch_tokens: count-min point-query estimates vs exact -------------
 
 CM_ROWS = 4
@@ -4601,520 +4510,6 @@ ORACLES["cm_sketch_tokens"] = (
 )
 
 
-# ---- distinct_substrings_cap: suffix automaton over the longest doc --------
-
-SUBSTR_CAP = 200
-
-
-def _argmax_doc_head(sf_dir: str) -> tuple[int, str] | None:
-    """Distributed ARGMAX shared by the capped-string analysers
-    (distinct_substrings_cap, longest_palindrome_cap): each batch emits
-    its single best (max n_chars, then min doc_id) row with the text
-    already capped to SUBSTR_CAP chars, so the gather is blocks × 1
-    short row.  Returns (doc_id, capped_text) or None on empty input."""
-
-    def argmax_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "n_chars": pa.array([], pa.int64()),
-             "head": pa.array([], pa.string())}
-        )
-        if len(t) == 0:
-            return empty
-        nc = t["n_chars"].to_numpy()
-        did = t["doc_id"].to_numpy()
-        i = int(np.lexsort((did, -nc))[0])
-        return pa.table(
-            {"doc_id": pa.array([int(did[i])], pa.int64()),
-             "n_chars": pa.array([int(nc[i])], pa.int64()),
-             "head": pa.array(
-                 [t["text"][i].as_py()[:SUBSTR_CAP]], pa.string())}
-        )
-
-    best = (
-        _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
-        .map_batches(argmax_partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: one short row per block
-    )
-    if best.empty:
-        return None
-    best = best.sort_values(["n_chars", "doc_id"],
-                            ascending=[False, True]).iloc[0]
-    return int(best["doc_id"]), best["head"]
-
-
-def _suffix_automaton_states(s: str) -> list[tuple[int, int]]:
-    """Build the suffix automaton of ``s`` (Blumer et al. 1985 online
-    construction) and return ``(len, link_len)`` per non-root state.
-    The number of DISTINCT substrings of ``s`` is
-    ``sum(len(v) - len(link(v)))`` — each state v contributes exactly
-    the substrings of lengths (len(link(v)), len(v)] of its longest
-    member, each distinct substring counted once (the defining property
-    of the automaton's endpos equivalence classes)."""
-    # state arrays: maxlen, suffix link, transitions
-    maxlen = [0]
-    link = [-1]
-    nxt: list[dict[str, int]] = [{}]
-    last = 0
-    for ch in s:
-        cur = len(maxlen)
-        maxlen.append(maxlen[last] + 1)
-        link.append(-1)
-        nxt.append({})
-        p = last
-        while p != -1 and ch not in nxt[p]:
-            nxt[p][ch] = cur
-            p = link[p]
-        if p == -1:
-            link[cur] = 0
-        else:
-            q = nxt[p][ch]
-            if maxlen[p] + 1 == maxlen[q]:
-                link[cur] = q
-            else:
-                clone = len(maxlen)
-                maxlen.append(maxlen[p] + 1)
-                link.append(link[q])
-                nxt.append(dict(nxt[q]))
-                while p != -1 and nxt[p].get(ch) == q:
-                    nxt[p][ch] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    return [(maxlen[v], maxlen[link[v]]) for v in range(1, len(maxlen))]
-
-
-def distinct_substrings_cap(sf_dir: str) -> "pa.Table":
-    """Count the DISTINCT substrings of the longest document's first
-    ``SUBSTR_CAP`` characters — the suffix-structure family (suffix
-    automaton / suffix tree): a linear-time data structure whose state
-    count answers a question that is quadratic by enumeration.  Output
-    is one row: the winning doc, its capped length, the distinct count,
-    and the total substring count ``L(L+1)/2`` (their gap measures
-    internal repetitiveness).
-
-    Scale shape: pass 1 is a distributed ARGMAX — each batch emits its
-    single best (max n_chars, then min doc_id) row with the text already
-    capped to SUBSTR_CAP chars, so the gather is blocks × 1 short row;
-    the O(L) automaton runs on the driver over a CAPPED string.  The
-    DuckDB mirror enumerates all L(L+1)/2 substrings via a lateral
-    generate_series cross product and COUNT(DISTINCT ...) — feasible
-    exactly because the cap bounds it, and an independent quadratic
-    check of the automaton's linear-time answer.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3) — bound the
-    text, then run the expensive analysis on the bounded probe."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "cap_len": pa.array([], pa.int64()),
-         "n_distinct": pa.array([], pa.int64()),
-         "n_total": pa.array([], pa.int64())}
-    )
-    hit = _argmax_doc_head(sf_dir)
-    if hit is None:
-        return empty
-    doc_id, s = hit
-    L = len(s)
-    n_distinct = sum(m - lk for m, lk in _suffix_automaton_states(s))
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "cap_len": pa.array([L], pa.int64()),
-         "n_distinct": pa.array([n_distinct], pa.int64()),
-         "n_total": pa.array([L * (L + 1) // 2], pa.int64())}
-    )
-
-
-ORACLES["distinct_substrings_cap"] = (
-    f"WITH d AS (SELECT doc_id, substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "subs AS (SELECT d.doc_id, length(d.s) AS L, "
-    "substr(d.s, i.i, j.j) AS sub "
-    f"FROM d, generate_series(1, {SUBSTR_CAP}) i(i), "
-    f"generate_series(1, {SUBSTR_CAP}) j(j) "
-    "WHERE i.i + j.j - 1 <= length(d.s)) "
-    "SELECT doc_id, max(L)::BIGINT AS cap_len, "
-    "count(DISTINCT sub)::BIGINT AS n_distinct, "
-    "((max(L) * (max(L) + 1)) // 2)::BIGINT AS n_total "
-    "FROM subs GROUP BY doc_id"
-)
-
-
-# ---- doc_period_cap: KMP failure function / string periodicity -------------
-
-def doc_period_cap(sf_dir: str) -> "pa.Table":
-    """Longest BORDER and smallest PERIOD of the longest document's
-    first ``SUBSTR_CAP`` characters — the KMP FAILURE-FUNCTION family
-    (string periodicity): a border is a proper prefix that is also a
-    suffix, the smallest period is ``L − border_len`` (the classic
-    border/period duality), and the string is fully periodic iff that
-    period divides L.  ``n_borders`` counts the whole failure chain
-    (every border of a border is a border), pinning the full structure
-    rather than just its top element.  Neither the suffix automaton
-    (distinct substrings) nor Manacher (palindromes) computes borders —
-    this closes the third classic linear-time string structure.
-
-    Scale shape: shares the distributed argmax gather
-    (``_argmax_doc_head``: blocks × 1 short row, text pre-capped); the
-    O(L) prefix-function scan runs on the driver over the CAPPED
-    string.  The DuckDB mirror enumerates all L−1 candidate borders
-    with ``substr`` prefix/suffix equality — an independent quadratic
-    check of the linear-time chain.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3), same family
-    as distinct_substrings_cap / longest_palindrome_cap."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "cap_len": pa.array([], pa.int64()),
-         "border_len": pa.array([], pa.int64()),
-         "n_borders": pa.array([], pa.int64()),
-         "period": pa.array([], pa.int64()),
-         "is_periodic": pa.array([], pa.int64())}
-    )
-    hit = _argmax_doc_head(sf_dir)
-    if hit is None:
-        return empty
-    doc_id, s = hit
-    L = len(s)
-    if L == 0:
-        return empty
-    # KMP prefix function: pi[i] = longest proper border of s[:i]
-    pi = [0] * (L + 1)
-    k = 0
-    for i in range(1, L):
-        while k > 0 and s[i] != s[k]:
-            k = pi[k]
-        if s[i] == s[k]:
-            k += 1
-        pi[i + 1] = k
-    border = pi[L]
-    n_borders = 0
-    k = border
-    while k > 0:            # the failure chain IS the set of borders
-        n_borders += 1
-        k = pi[k]
-    period = L - border
-    is_periodic = 1 if border > 0 and L % period == 0 else 0
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "cap_len": pa.array([L], pa.int64()),
-         "border_len": pa.array([border], pa.int64()),
-         "n_borders": pa.array([n_borders], pa.int64()),
-         "period": pa.array([period], pa.int64()),
-         "is_periodic": pa.array([is_periodic], pa.int64())}
-    )
-
-
-ORACLES["doc_period_cap"] = (
-    f"WITH d AS (SELECT doc_id, substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "b AS (SELECT d.doc_id, k.k AS k "
-    f"FROM d, generate_series(1, {SUBSTR_CAP}) k(k) "
-    "WHERE k.k < length(d.s) "
-    "AND substr(d.s, 1, k.k) = substr(d.s, length(d.s) - k.k + 1, k.k)) "
-    "SELECT d.doc_id, length(d.s)::BIGINT AS cap_len, "
-    "COALESCE(max(b.k), 0)::BIGINT AS border_len, "
-    "count(b.k)::BIGINT AS n_borders, "
-    "(length(d.s) - COALESCE(max(b.k), 0))::BIGINT AS period, "
-    "(CASE WHEN COALESCE(max(b.k), 0) > 0 "
-    "AND length(d.s) % (length(d.s) - max(b.k)) = 0 "
-    "THEN 1 ELSE 0 END)::BIGINT AS is_periodic "
-    "FROM d LEFT JOIN b ON d.doc_id = b.doc_id GROUP BY d.doc_id, d.s"
-)
-
-
-# ---- token_trie_nodes: prefix-tree (trie) structure census ------------------
-
-TRIE_PREFIX_CAP = 12
-
-
-def token_trie_nodes(sf_dir: str) -> "pa.Table":
-    """TRIE node census over the corpus vocabulary: the number of
-    distinct PREFIXES of the (length-capped) distinct tokens equals the
-    node count of the uncompressed prefix tree — the PREFIX-STRUCTURE
-    family ("how much does the vocabulary share spelling?") that token
-    counts, n-grams and the suffix structures (which index INFIXES of
-    one string, not prefixes of a set) don't measure.
-    ``path_compression = n_nodes / total_token_chars`` is the fraction
-    of character slots a trie actually allocates — low means heavy
-    prefix sharing (a radix tree would compress well).
-
-    Scale shape: per-batch DISTINCT capped tokens via Arrow kernels
-    (split + flatten + unique — the `_token_partial_counts` combiner
-    with dedup instead of counts), gather bounded by VOCABULARY ×
-    blocks; the driver unions the vocab and expands prefixes with 12
-    vectorized slice passes (vocab × CAP short strings).  The DuckDB
-    mirror expands the same prefixes via generate_series and counts
-    DISTINCT.
-
-    Reference anchor: M2's tokenizer (SURVEY.md §2.3) asked as the
-    dictionary-layout question an autocomplete index or a
-    shared-prefix compressor would ask."""
-
-    def distinct_tokens(t: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_lower(t["text"]), pattern="[^a-z0-9_]+"
-        )
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        capped = pc.utf8_slice_codeunits(flat, 0, TRIE_PREFIX_CAP)
-        u = pc.unique(
-            capped.combine_chunks() if isinstance(capped, pa.ChunkedArray)
-            else capped
-        )
-        return pa.table({"w": u})
-
-    parts = (
-        _read(sf_dir, "documents", ["text"])
-        .map_batches(distinct_tokens, batch_format="pyarrow")
-        .to_pandas()    # bounded: vocabulary x blocks
-    )
-    empty = pa.table(
-        {"n_tokens": pa.array([], pa.int64()),
-         "n_nodes": pa.array([], pa.int64()),
-         "total_token_chars": pa.array([], pa.int64()),
-         "path_compression": pa.array([], pa.float64())}
-    )
-    if parts.empty:
-        return empty
-    vocab = np.unique(parts["w"].to_numpy())
-    if len(vocab) == 0:
-        return empty
-    lens = np.char.str_len(vocab.astype(str))
-    total_chars = int(lens.sum())
-    prefixes: set[str] = set()
-    for k in range(1, TRIE_PREFIX_CAP + 1):     # 12 vectorized passes
-        sel = vocab[lens >= k].astype(str)
-        if len(sel) == 0:
-            break
-        prefixes.update({w[:k] for w in sel.tolist()})
-    return pa.table(
-        {"n_tokens": pa.array([len(vocab)], pa.int64()),
-         "n_nodes": pa.array([len(prefixes)], pa.int64()),
-         "total_token_chars": pa.array([total_chars], pa.int64()),
-         "path_compression": pa.array(
-             [float(len(prefixes)) / float(total_chars)], pa.float64())}
-    )
-
-
-ORACLES["token_trie_nodes"] = (
-    "WITH tok AS (SELECT "
-    f"unnest(regexp_extract_all(lower(text), '{LOWER_TOKEN_RE}')) AS w "
-    "FROM documents), "
-    f"utok AS (SELECT DISTINCT substr(w, 1, {TRIE_PREFIX_CAP}) AS w "
-    "FROM tok WHERE w <> ''), "
-    "pref AS (SELECT DISTINCT substr(w, 1, k.k) AS p FROM utok, "
-    f"generate_series(1, {TRIE_PREFIX_CAP}) k(k) "
-    "WHERE k.k <= length(w)) "
-    "SELECT (SELECT count(*) FROM utok)::BIGINT AS n_tokens, "
-    "(SELECT count(*) FROM pref)::BIGINT AS n_nodes, "
-    "(SELECT sum(length(w)) FROM utok)::BIGINT AS total_token_chars, "
-    "CAST((SELECT count(*) FROM pref) AS DOUBLE) / "
-    "CAST((SELECT sum(length(w)) FROM utok) AS DOUBLE) "
-    "AS path_compression "
-    "WHERE (SELECT count(*) FROM utok) > 0"
-)
-
-
-# ---- bwt_runs_cap: Burrows-Wheeler run census (rotation sort) --------------
-
-def bwt_runs_cap(sf_dir: str) -> "pa.Table":
-    """Burrows-Wheeler transform RUN census of the longest document's
-    capped head — the ROTATION-SORT / suffix-array family applied as a
-    compressibility probe: BWT clusters equal characters that share a
-    right-context, so ``runs_bwt ≪ runs_orig`` exactly when the text is
-    repetitive, the signal run-length coders and repetitiveness
-    detectors (dup_token_stats' char-level sibling) act on.  This uses
-    the SENTINEL-FREE cyclic BWT (last column of the sorted rotation
-    matrix): equal rotations of a periodic string are identical
-    strings, so their relative order cannot change the output — the
-    transform is deterministic on both engines without a sentinel
-    character the SQL mirror couldn't spell.
-    ``run_gain = runs_orig / runs_bwt`` is the one float division.
-
-    Scale shape: shares the distributed argmax gather
-    (``_argmax_doc_head``: blocks × 1 pre-capped short row); the O(L²
-    log L) rotation sort runs on the driver over the CAPPED string.
-    The DuckDB mirror builds the same rotation matrix via substr
-    concatenation and ORDER BY — the honest quadratic replay.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3), fourth
-    member of the capped-string structure suite (suffix automaton,
-    Manacher, KMP, BWT)."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "cap_len": pa.array([], pa.int64()),
-         "runs_orig": pa.array([], pa.int64()),
-         "runs_bwt": pa.array([], pa.int64()),
-         "run_gain": pa.array([], pa.float64())}
-    )
-    hit = _argmax_doc_head(sf_dir)
-    if hit is None:
-        return empty
-    doc_id, s = hit
-    L = len(s)
-    if L == 0:
-        return empty
-    rot = sorted(s[i:] + s[:i] for i in range(L))
-    bwt = "".join(r[-1] for r in rot)
-
-    def runs(x: str) -> int:
-        return 1 + sum(1 for i in range(1, len(x)) if x[i] != x[i - 1])
-
-    ro, rb = runs(s), runs(bwt)
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "cap_len": pa.array([L], pa.int64()),
-         "runs_orig": pa.array([ro], pa.int64()),
-         "runs_bwt": pa.array([rb], pa.int64()),
-         "run_gain": pa.array([float(ro) / float(rb)], pa.float64())}
-    )
-
-
-ORACLES["bwt_runs_cap"] = (
-    f"WITH d AS (SELECT doc_id, substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "rot AS (SELECT substr(d.s, i.i, length(d.s) - i.i + 1) || "
-    "substr(d.s, 1, i.i - 1) AS r "
-    f"FROM d, generate_series(1, {SUBSTR_CAP}) i(i) "
-    "WHERE i.i <= length(d.s)), "
-    "bwt AS (SELECT substr(r, length(r), 1) AS ch, "
-    "row_number() OVER (ORDER BY r) AS k FROM rot), "
-    "tb AS (SELECT sum(CASE WHEN ch <> pch THEN 1 ELSE 0 END)::BIGINT "
-    "+ 1 AS runs_bwt FROM (SELECT ch, lag(ch) OVER (ORDER BY k) AS pch "
-    "FROM bwt)), "
-    "oc AS (SELECT substr(d.s, i.i, 1) AS ch, i.i AS k "
-    f"FROM d, generate_series(1, {SUBSTR_CAP}) i(i) "
-    "WHERE i.i <= length(d.s)), "
-    "t0 AS (SELECT sum(CASE WHEN ch <> pch THEN 1 ELSE 0 END)::BIGINT "
-    "+ 1 AS runs_orig FROM (SELECT ch, lag(ch) OVER (ORDER BY k) AS pch "
-    "FROM oc)) "
-    "SELECT d.doc_id, length(d.s)::BIGINT AS cap_len, "
-    "t0.runs_orig, tb.runs_bwt, "
-    "CAST(t0.runs_orig AS DOUBLE) / CAST(tb.runs_bwt AS DOUBLE) "
-    "AS run_gain FROM d, t0, tb WHERE length(d.s) > 0"
-)
-
-
-# ---- lcsubstr_top2: longest common substring (local exact alignment) -------
-
-def _argmax2_doc_heads(sf_dir: str) -> list[tuple[int, str]]:
-    """Distributed TOP-2 argmax: each batch emits its two best
-    (max n_chars, then min doc_id) rows with the text pre-capped to
-    SUBSTR_CAP chars, so the gather is blocks × 2 short rows.  Returns
-    the global top-2 as [(doc_id, head), ...] (may be shorter)."""
-
-    def top2_partial(t: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()),
-             "n_chars": pa.array([], pa.int64()),
-             "head": pa.array([], pa.string())}
-        )
-        if len(t) == 0:
-            return empty
-        nc = t["n_chars"].to_numpy()
-        did = t["doc_id"].to_numpy()
-        idx = np.lexsort((did, -nc))[:2]
-        return pa.table(
-            {"doc_id": pa.array(did[idx].astype(np.int64)),
-             "n_chars": pa.array(nc[idx].astype(np.int64)),
-             "head": pa.array(
-                 [t["text"][int(i)].as_py()[:SUBSTR_CAP] for i in idx],
-                 pa.string())}
-        )
-
-    best = (
-        _read(sf_dir, "documents", ["doc_id", "text", "n_chars"])
-        .map_batches(top2_partial, batch_format="pyarrow")
-        .to_pandas()    # bounded: two short rows per block
-    )
-    if best.empty:
-        return []
-    best = best.sort_values(["n_chars", "doc_id"],
-                            ascending=[False, True]).iloc[:2]
-    return [(int(r["doc_id"]), r["head"]) for _, r in best.iterrows()]
-
-
-def lcsubstr_top2(sf_dir: str) -> "pa.Table":
-    """Longest COMMON SUBSTRING between the two longest documents'
-    capped heads — LOCAL exact alignment, the cross-document sibling of
-    the single-string suffix structures: this finds the longest
-    contiguous shared run ("what literal text do the two biggest files
-    share?"), the primitive behind clone detection and plagiarism
-    checks.  Among equal-length maxima the lexicographically SMALLEST
-    substring wins (the same total order the SQL mirror sorts by);
-    disjoint alphabets report length 0 with an empty string.
-
-    Scale shape: one distributed top-2 argmax gather (per-batch top-2
-    short rows, text pre-capped — blocks × 2 rows cross the exchange);
-    the O(L²) row-vectorized DP runs on the driver over two CAPPED
-    strings.  The DuckDB mirror enumerates all L(L+1)/2 substrings of
-    doc A and keeps those contained in doc B — the honest quadratic
-    check of the DP.
-
-    Reference anchor: §2.8's near-dup verification (SURVEY.md) asked
-    as an exact-span question rather than a shingle estimate."""
-    empty = pa.table(
-        {"doc_a": pa.array([], pa.int64()),
-         "doc_b": pa.array([], pa.int64()),
-         "len_a": pa.array([], pa.int64()),
-         "len_b": pa.array([], pa.int64()),
-         "len_lcs": pa.array([], pa.int64()),
-         "lcs": pa.array([], pa.string())}
-    )
-    top = _argmax2_doc_heads(sf_dir)
-    if len(top) < 2:
-        return empty
-    (id_a, a), (id_b, b) = top
-    n, m = len(a), len(b)
-    aa = np.frombuffer(a.encode("utf-8"), dtype=np.uint8) \
-        if a.isascii() else np.array([ord(c) for c in a], dtype=np.int64)
-    bb = np.frombuffer(b.encode("utf-8"), dtype=np.uint8) \
-        if b.isascii() else np.array([ord(c) for c in b], dtype=np.int64)
-    best_len = 0
-    best_subs: set[str] = set()
-    prev = np.zeros(m + 1, dtype=np.int32)
-    for i in range(1, n + 1):
-        cur = np.zeros(m + 1, dtype=np.int32)
-        eq = aa[i - 1] == bb
-        cur[1:][eq] = prev[:-1][eq] + 1
-        row_max = int(cur.max())
-        if row_max > best_len:
-            best_len = row_max
-            best_subs = {a[i - best_len:i]}
-        elif row_max == best_len and best_len > 0:
-            best_subs.add(a[i - best_len:i])
-        prev = cur
-    lcs = min(best_subs) if best_subs else ""
-    return pa.table(
-        {"doc_a": pa.array([id_a], pa.int64()),
-         "doc_b": pa.array([id_b], pa.int64()),
-         "len_a": pa.array([n], pa.int64()),
-         "len_b": pa.array([m], pa.int64()),
-         "len_lcs": pa.array([best_len], pa.int64()),
-         "lcs": pa.array([lcs], pa.string())}
-    )
-
-
-ORACLES["lcsubstr_top2"] = (
-    f"WITH t2 AS (SELECT doc_id, substr(text, 1, {SUBSTR_CAP}) AS s, "
-    "row_number() OVER (ORDER BY n_chars DESC, doc_id) AS rk "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 2), "
-    "a AS (SELECT doc_id, s FROM t2 WHERE rk = 1), "
-    "b AS (SELECT doc_id, s FROM t2 WHERE rk = 2), "
-    "cand AS (SELECT substr(a.s, i.i, j.j) AS sub, j.j AS L "
-    f"FROM a, b, generate_series(1, {SUBSTR_CAP}) i(i), "
-    f"generate_series(1, {SUBSTR_CAP}) j(j) "
-    "WHERE i.i + j.j - 1 <= length(a.s) "
-    "AND strpos(b.s, substr(a.s, i.i, j.j)) > 0 "
-    "UNION ALL SELECT '', 0 FROM a, b) "
-    "SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-    "length(a.s)::BIGINT AS len_a, length(b.s)::BIGINT AS len_b, "
-    "L::BIGINT AS len_lcs, sub AS lcs FROM cand, a, b "
-    "ORDER BY L DESC, sub LIMIT 1"
-)
-
-
 # ---- dict_match_census: multi-pattern dictionary matching ------------------
 
 # Fixed match dictionary.  Every pattern is BORDERLESS (no proper prefix
@@ -5192,485 +4587,3 @@ ORACLES["dict_match_census"] = (
     "sum(CASE WHEN m > 0 THEN 1 ELSE 0 END)::BIGINT AS n_docs_hit "
     "FROM per GROUP BY 1, 2 ORDER BY 1, 2"
 )
-
-
-# ---- longest_palindrome_cap: Manacher over the capped argmax doc -----------
-
-def longest_palindrome_cap(sf_dir: str) -> "pa.Table":
-    """Longest PALINDROMIC substring of the longest document's first
-    ``SUBSTR_CAP`` characters — Manacher's algorithm, the linear-time
-    center-expansion DP (each expansion either grows the global right
-    frontier or is mirrored from an earlier center, so total work is
-    O(L) despite L palindromic centers).  Output: the winning doc, the
-    palindrome length, and its 1-based start (ties: longest first, then
-    smallest start — both engines' total order).
-
-    Scale shape: shares the distributed argmax gather
-    (``_argmax_doc_head``: blocks × 1 short row); Manacher runs on the
-    driver over the CAPPED string.  The DuckDB mirror brute-forces all
-    L(L+1)/2 substrings with ``sub = reverse(sub)`` — an independent
-    quadratic check of the linear answer, feasible because of the cap.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3), same family
-    as distinct_substrings_cap."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "pal_len": pa.array([], pa.int64()),
-         "start_pos": pa.array([], pa.int64())}
-    )
-    hit = _argmax_doc_head(sf_dir)
-    if hit is None:
-        return empty
-    doc_id, s = hit
-    if not s:
-        return empty
-    # Manacher over the separator-transformed string (handles odd+even)
-    t = "\x01\x02" + "\x02".join(s) + "\x02\x03"
-    n = len(t)
-    p = [0] * n
-    c = r = 0
-    for i in range(1, n - 1):
-        if i < r:
-            p[i] = min(r - i, p[2 * c - i])
-        while t[i + p[i] + 1] == t[i - p[i] - 1]:
-            p[i] += 1
-        if i + p[i] > r:
-            c, r = i, i + p[i]
-    best_len, best_start = 0, 0
-    for i in range(1, n - 1):
-        if p[i] == 0:
-            continue
-        start = (i - p[i]) // 2          # 0-based in s
-        if p[i] > best_len or (p[i] == best_len and start < best_start):
-            best_len, best_start = p[i], start
-    if best_len == 0:                    # all-distinct chars: any single
-        best_len, best_start = 1, 0      # char; smallest start wins
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "pal_len": pa.array([best_len], pa.int64()),
-         "start_pos": pa.array([best_start + 1], pa.int64())}
-    )
-
-
-ORACLES["longest_palindrome_cap"] = (
-    f"WITH d AS (SELECT doc_id, substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "subs AS (SELECT d.doc_id, i.i AS start_pos, j.j AS len, "
-    "substr(d.s, i.i, j.j) AS sub "
-    f"FROM d, generate_series(1, {SUBSTR_CAP}) i(i), "
-    f"generate_series(1, {SUBSTR_CAP}) j(j) "
-    "WHERE i.i + j.j - 1 <= length(d.s)) "
-    "SELECT doc_id, len::BIGINT AS pal_len, start_pos::BIGINT AS start_pos "
-    "FROM subs WHERE sub = reverse(sub) "
-    "ORDER BY len DESC, start_pos LIMIT 1"
-)
-
-
-# ---- lz78_phrases_cap: LZ78 dictionary parse of the capped argmax doc -----
-
-def lz78_phrases_cap(sf_dir: str) -> "pa.Table":
-    """LZ78 (Lempel-Ziv 1978) dictionary parse of the longest document's
-    first ``SUBSTR_CAP`` characters — the DICTIONARY-COMPRESSION family
-    that complements the entropy-coding (huffman_cost_top64) and
-    transform (bwt_runs_cap) operators: greedily split the text into
-    phrases, each ``longest already-seen phrase + one new character``,
-    and census the parse.  The phrase count is the classic Lempel-Ziv
-    complexity estimate: ~L/log L for random text, far smaller for
-    repetitive text.
-
-    Semantics pinned: the dictionary starts empty; each step matches
-    the LONGEST dictionary phrase prefixing the remainder (the LZ78
-    dictionary is prefix-closed, so trie-walk greed and global longest
-    match coincide), emits match+next-char, and adds it; the FINAL
-    phrase may truncate at end-of-string and duplicate an existing
-    entry (counted as a phrase, not as a dictionary entry).
-
-    Scale shape: the shared distributed-argmax gather
-    (_argmax_doc_head: blocks x 1 capped row), then an O(L^2/ log)
-    driver parse of a CAPPED string.  The DuckDB mirror replays the
-    parse as a list-state recursive CTE — ``list_filter(dict, x -> x =
-    substr(s, pos, length(x)))`` finds the longest match, recursion
-    depth = phrase count, bounded by the cap.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3) — bound the
-    text, then run the expensive sequential analysis on the probe."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "cap_chars": pa.array([], pa.int64()),
-         "n_phrases": pa.array([], pa.int64()),
-         "dict_size": pa.array([], pa.int64()),
-         "max_phrase_len": pa.array([], pa.int64())}
-    )
-    best = _argmax_doc_head(sf_dir)
-    if best is None:
-        return empty
-    doc_id, s = best
-    phrases = 0
-    max_len = 0
-    d: set[str] = set()
-    i = 0
-    while i < len(s):
-        m = 0
-        for w in d:
-            lw = len(w)
-            if lw > m and s.startswith(w, i):
-                m = lw
-        ph = s[i : i + m + 1]
-        phrases += 1
-        max_len = max(max_len, len(ph))
-        d.add(ph)
-        i += len(ph)
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "cap_chars": pa.array([len(s)], pa.int64()),
-         "n_phrases": pa.array([phrases], pa.int64()),
-         "dict_size": pa.array([len(d)], pa.int64()),
-         "max_phrase_len": pa.array([max_len], pa.int64())}
-    )
-
-
-ORACLES["lz78_phrases_cap"] = (
-    f"WITH RECURSIVE d AS (SELECT doc_id, "
-    f"substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "r(pos, dict, n, ml) AS ("
-    "SELECT 1, []::VARCHAR[], 0::BIGINT, 0::BIGINT FROM d "
-    "UNION ALL "
-    "SELECT r.pos + length(substr(d.s, r.pos, COALESCE(list_max("
-    "list_transform(list_filter(r.dict, "
-    "x -> x = substr(d.s, r.pos, length(x))), x -> length(x))), 0) + 1)), "
-    "CASE WHEN list_contains(r.dict, substr(d.s, r.pos, COALESCE(list_max("
-    "list_transform(list_filter(r.dict, "
-    "x -> x = substr(d.s, r.pos, length(x))), x -> length(x))), 0) + 1)) "
-    "THEN r.dict ELSE list_append(r.dict, substr(d.s, r.pos, "
-    "COALESCE(list_max(list_transform(list_filter(r.dict, "
-    "x -> x = substr(d.s, r.pos, length(x))), x -> length(x))), 0) + 1)) "
-    "END, "
-    "r.n + 1, "
-    "GREATEST(r.ml, length(substr(d.s, r.pos, COALESCE(list_max("
-    "list_transform(list_filter(r.dict, "
-    "x -> x = substr(d.s, r.pos, length(x))), x -> length(x))), 0) + 1))) "
-    "FROM r, d WHERE r.pos <= length(d.s)) "
-    "SELECT d.doc_id, length(d.s)::BIGINT AS cap_chars, "
-    "r.n AS n_phrases, len(r.dict)::BIGINT AS dict_size, "
-    "r.ml AS max_phrase_len "
-    "FROM r, d WHERE r.pos = length(d.s) + 1 "
-    "ORDER BY r.n DESC LIMIT 1"
-)
-
-
-# ---- lyndon_factors_cap: Duval factorization of the capped argmax doc -----
-
-def lyndon_factors_cap(sf_dir: str) -> "pa.Table":
-    """LYNDON FACTORIZATION (Duval's algorithm) of the longest
-    document's first ``SUBSTR_CAP`` characters — the combinatorics-on-
-    words family that underpins BWT theory (bwt_runs_cap's sibling):
-    every string factors UNIQUELY into a lexicographically
-    non-increasing product of Lyndon words, and the census reports
-    how that factorization looks (factor count, longest factor,
-    distinct factors).  ``banana = (b)(an)(an)(a)`` is the canonical
-    instance.
-
-    Scale shape: the shared _argmax_doc_head gather, then Duval's
-    O(L) amortized two-pointer scan on the driver.  The DuckDB mirror
-    replays the scan ONE INNER ITERATION PER RECURSION STEP — the
-    scan phase advances (j, k), the emit phase closes a run of
-    ``(k-i)//L + 1`` equal factors arithmetically and jumps i — so
-    the recursion depth stays O(L) (Duval's own bound), with the
-    distinct set carried as a list.
-
-    Reference anchor: M1's probe slicing (SURVEY.md §2.3), the
-    bounded-probe analysis pattern."""
-    empty = pa.table(
-        {"doc_id": pa.array([], pa.int64()),
-         "cap_chars": pa.array([], pa.int64()),
-         "n_factors": pa.array([], pa.int64()),
-         "max_factor_len": pa.array([], pa.int64()),
-         "distinct_factors": pa.array([], pa.int64())}
-    )
-    best = _argmax_doc_head(sf_dir)
-    if best is None:
-        return empty
-    doc_id, s = best
-    n = len(s)
-    i = 0
-    nf = 0
-    ml = 0
-    fs: set[str] = set()
-    while i < n:
-        j = i + 1
-        k = i
-        while j < n and s[k] <= s[j]:
-            k = i if s[k] < s[j] else k + 1
-            j += 1
-        L = j - k
-        m = (k - i) // L + 1
-        nf += m
-        ml = max(ml, L)
-        fs.add(s[i : i + L])
-        i += m * L
-    return pa.table(
-        {"doc_id": pa.array([doc_id], pa.int64()),
-         "cap_chars": pa.array([n], pa.int64()),
-         "n_factors": pa.array([nf], pa.int64()),
-         "max_factor_len": pa.array([ml], pa.int64()),
-         "distinct_factors": pa.array([len(fs)], pa.int64())}
-    )
-
-
-ORACLES["lyndon_factors_cap"] = (
-    f"WITH RECURSIVE d AS (SELECT doc_id, "
-    f"substr(text, 1, {SUBSTR_CAP}) AS s "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 1), "
-    "r(i, j, k, nf, ml, fs) AS ("
-    "SELECT 0::BIGINT, 1::BIGINT, 0::BIGINT, 0::BIGINT, 0::BIGINT, "
-    "[]::VARCHAR[] FROM d WHERE length(d.s) > 0 "
-    "UNION ALL "
-    "SELECT "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN r.i ELSE r.i + ((r.k - r.i) // (r.j - r.k) + 1) "
-    "* (r.j - r.k) END, "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN r.j + 1 ELSE r.i + ((r.k - r.i) // (r.j - r.k) + 1) "
-    "* (r.j - r.k) + 1 END, "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN (CASE WHEN substr(d.s, r.k + 1, 1) < substr(d.s, r.j + 1, 1) "
-    "THEN r.i ELSE r.k + 1 END) "
-    "ELSE r.i + ((r.k - r.i) // (r.j - r.k) + 1) * (r.j - r.k) END, "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN r.nf ELSE r.nf + (r.k - r.i) // (r.j - r.k) + 1 END, "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN r.ml ELSE GREATEST(r.ml, r.j - r.k) END, "
-    "CASE WHEN r.j < length(d.s) "
-    "AND substr(d.s, r.k + 1, 1) <= substr(d.s, r.j + 1, 1) "
-    "THEN r.fs "
-    "WHEN list_contains(r.fs, substr(d.s, r.i + 1, r.j - r.k)) "
-    "THEN r.fs "
-    "ELSE list_append(r.fs, substr(d.s, r.i + 1, r.j - r.k)) END "
-    "FROM r, d WHERE r.i < length(d.s)) "
-    "SELECT d.doc_id, length(d.s)::BIGINT AS cap_chars, "
-    "COALESCE(f.nf, 0) AS n_factors, "
-    "COALESCE(f.ml, 0) AS max_factor_len, "
-    "COALESCE(len(f.fs), 0)::BIGINT AS distinct_factors "
-    "FROM d LEFT JOIN (SELECT nf, ml, fs FROM r, d "
-    "WHERE r.i >= length(d.s) LIMIT 1) f ON TRUE"
-)
-
-
-# ---- merkle_root_by_source: hash-tree integrity manifest --------------------
-
-MERKLE_MAX_DOCS_PER_SOURCE = 50_000_000   # 32 B/leaf ≈ 1.6 GB callback peak
-
-
-def merkle_root_by_source(sf_dir: str) -> ray.data.Dataset:
-    """Merkle root per source — the HASH-TREE / AUTHENTICATED-MANIFEST
-    family: leaves are ``md5(text)`` hex digests ordered by doc_id;
-    each level pairs adjacent digests (parent = ``md5(left_hex ||
-    right_hex)``, an odd trailing digest is PROMOTED unchanged); the
-    root commits to the exact content AND order of every document a
-    source shipped.  This is the integrity primitive a 100 TB ingest
-    ledger wants (one 32-char root per source per ingest proves no
-    corpus file was dropped, reordered or altered) and is not
-    expressible as any aggregate — the value threads through a
-    log-depth pairing structure.
-
-    Outputs (source, n_docs, tree_depth, merkle_root); depth is the
-    number of pairing rounds (0 for a single-document source).
-
-    Scale shape: leaf digests are computed DISTRIBUTED in map_batches
-    via dedup's buffer-slice md5 kernel (no Python str materialized;
-    the text column never crosses the exchange — 32 hex chars + two
-    ids per row do); one callback per source (bounded source count)
-    then folds the log-depth pairing chain — 2n md5 calls of 64-byte
-    inputs (~3M/s single-core).  Callback peak memory is 32 B per doc,
-    asserted below ``MERKLE_MAX_DOCS_PER_SOURCE``; past that the
-    production shape is a two-level chunked tree (fixed 2^k-leaf
-    subtree roots in distributed batches, then a root-of-roots tree),
-    which changes the committed structure and so is a DIFFERENT
-    operator, not a fallback of this one.
-
-    Reference anchor: S4 storage writer / state/checkpoint.py manifest
-    integrity (SURVEY.md §2.1), upgraded from per-file counters to an
-    order-committing digest."""
-    import hashlib
-
-    from .dedup import _md5_hex_column
-
-    def leaf(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"source": pa.array([], pa.string()),
-                 "doc_id": pa.array([], pa.int64()),
-                 "h": pa.array([], pa.string())}
-            )
-        hexes, _ = _md5_hex_column(t["text"])
-        return pa.table(
-            {"source": t["source"], "doc_id": t["doc_id"],
-             "h": pa.array(hexes, pa.string())}
-        )
-
-    def per_source(g: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd
-
-        if g.empty:
-            return pd.DataFrame(
-                {"source": pd.array([], dtype="string"),
-                 "n_docs": pd.array([], dtype="int64"),
-                 "tree_depth": pd.array([], dtype="int64"),
-                 "merkle_root": pd.array([], dtype="string")}
-            )
-        assert len(g) <= MERKLE_MAX_DOCS_PER_SOURCE, (
-            "source too large for the flat Merkle tree; build the "
-            "two-level chunked variant instead"
-        )
-        hs = g.sort_values("doc_id")["h"].tolist()
-        md5 = hashlib.md5
-        depth = 0
-        while len(hs) > 1:
-            nxt = [
-                md5((hs[i] + hs[i + 1]).encode()).hexdigest()
-                for i in range(0, len(hs) - 1, 2)
-            ]
-            if len(hs) % 2:
-                nxt.append(hs[-1])
-            hs = nxt
-            depth += 1
-        return pd.DataFrame(
-            {"source": [g["source"].iloc[0]],
-             "n_docs": [len(g)],
-             "tree_depth": [depth],
-             "merkle_root": [hs[0]]}
-        )
-
-    return (
-        _read(sf_dir, "documents", ["doc_id", "text", "source"])
-        .map_batches(leaf, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(per_source, batch_format="pandas")
-    )
-
-
-ORACLES["merkle_root_by_source"] = (
-    "WITH RECURSIVE l AS (SELECT source, count(*)::BIGINT AS n_docs, "
-    "list(md5(text) ORDER BY doc_id) AS hs FROM documents GROUP BY 1), "
-    "rec(source, hs, d) AS ("
-    "SELECT source, hs, 0::BIGINT FROM l "
-    "UNION ALL "
-    "SELECT source, list_transform(generate_series(1, (len(hs) + 1) // 2), "
-    "i -> CASE WHEN 2 * i <= len(hs) THEN md5(hs[2 * i - 1] || hs[2 * i]) "
-    "ELSE hs[2 * i - 1] END), d + 1 "
-    "FROM rec WHERE len(hs) > 1) "
-    "SELECT rec.source, l.n_docs, rec.d AS tree_depth, "
-    "rec.hs[1] AS merkle_root "
-    "FROM rec JOIN l USING (source) WHERE len(rec.hs) = 1 ORDER BY 1"
-)
-
-
-# ---- levenshtein_top2: edit distance between the two longest docs ----------
-
-LEV_CAP = 128
-
-
-def levenshtein_top2(sf_dir: str) -> "pa.Table":
-    """Levenshtein EDIT DISTANCE between the two longest documents'
-    capped heads — GLOBAL alignment with substitutions, next to
-    lcsubstr_top2's contiguous runs: the minimum number of single-character inserts,
-    deletes and substitutions turning one head into the other.  Note
-    edit distance is NOT derivable from LCS (``n + m − 2·LCS`` is the
-    indel-only distance; substitutions cost 1 here, not 2).
-
-    Vectorization: the within-row dependency ``cur[j] = min(tmp[j],
-    cur[j−1]+1)`` unrolls to the PREFIX-MIN identity ``cur[j] =
-    min_{k≤j}(tmp[k] − k) + j`` (tmp = the dependency-free delete/
-    substitute candidates), so each DP row is two numpy kernels
-    (element-wise min, then `np.minimum.accumulate`) — no per-cell
-    Python.  The SQL mirror replays the SAME identity per row with a
-    nested list lambda (list_min over a prefix slice), keeping both
-    engines on one algorithm with one tie semantics.
-
-    Outputs one row: doc_a, doc_b (the n_chars-DESC, doc_id-ASC top
-    2), len_a, len_b (capped-head lengths), edit_distance, and
-    similarity = 1 − d/max(len) (ONE float division of exact ints,
-    mirrored cast order; −1.0 sentinel when both heads are empty).
-
-    Scale shape: the shared distributed top-2 argmax gather (blocks ×
-    2 short rows cross the exchange; text pre-capped), then an
-    O(LEV_CAP²) driver DP — 128² cells, microseconds."""
-    empty = pa.table(
-        {"doc_a": pa.array([], pa.int64()),
-         "doc_b": pa.array([], pa.int64()),
-         "len_a": pa.array([], pa.int64()),
-         "len_b": pa.array([], pa.int64()),
-         "edit_distance": pa.array([], pa.int64()),
-         "similarity": pa.array([], pa.float64())}
-    )
-    top = _argmax2_doc_heads(sf_dir)
-    if len(top) < 2:
-        return empty
-    (id_a, a), (id_b, b) = top
-    a, b = a[:LEV_CAP], b[:LEV_CAP]
-    n, m = len(a), len(b)
-    bb = np.array([ord(c) for c in b], dtype=np.int64)
-    idx = np.arange(m + 1, dtype=np.int64)
-    prev = idx.copy()                      # D[0][j] = j
-    for i in range(1, n + 1):
-        sub = prev[:-1] + (np.int64(ord(a[i - 1])) != bb)
-        tmp = np.empty(m + 1, dtype=np.int64)
-        tmp[0] = i
-        tmp[1:] = np.minimum(prev[1:] + 1, sub)
-        prev = np.minimum.accumulate(tmp - idx) + idx
-    d = int(prev[m])
-    mx = max(n, m)
-    sim = -1.0 if mx == 0 else 1.0 - float(d) / float(mx)
-    return pa.table(
-        {"doc_a": pa.array([id_a], pa.int64()),
-         "doc_b": pa.array([id_b], pa.int64()),
-         "len_a": pa.array([n], pa.int64()),
-         "len_b": pa.array([m], pa.int64()),
-         "edit_distance": pa.array([d], pa.int64()),
-         "similarity": pa.array([sim], pa.float64())}
-    )
-
-
-ORACLES["levenshtein_top2"] = (
-    "WITH RECURSIVE t2 AS (SELECT doc_id, "
-    f"substr(text, 1, {LEV_CAP}) AS s, "
-    "row_number() OVER (ORDER BY n_chars DESC, doc_id) AS rk "
-    "FROM documents ORDER BY n_chars DESC, doc_id LIMIT 2), "
-    "ab AS (SELECT "
-    "(SELECT doc_id FROM t2 WHERE rk = 1) AS ida, "
-    "(SELECT s FROM t2 WHERE rk = 1) AS sa, "
-    "(SELECT doc_id FROM t2 WHERE rk = 2) AS idb, "
-    "(SELECT s FROM t2 WHERE rk = 2) AS sb "
-    "WHERE (SELECT count(*) FROM t2) = 2), "
-    "rec(i, r, sa, sb, n, m, ida, idb) AS ("
-    "SELECT 0::BIGINT, "
-    "list_transform(generate_series(0, length(sb)), j -> j), "
-    "sa, sb, length(sa)::BIGINT, length(sb)::BIGINT, ida, idb FROM ab "
-    "UNION ALL "
-    "SELECT i + 1, "
-    "list_transform(generate_series(1, m + 1), "
-    "u -> list_min(list_slice("
-    "list_transform(generate_series(1, m + 1), "
-    "k -> (CASE WHEN k = 1 THEN i + 1 "
-    "ELSE least(r[k] + 1, r[k - 1] + "
-    "CASE WHEN substr(sa, CAST(i + 1 AS INT), 1) = "
-    "substr(sb, CAST(k - 1 AS INT), 1) "
-    "THEN 0 ELSE 1 END) END) - (k - 1)), "
-    "1, u)) + (u - 1)), "
-    "sa, sb, n, m, ida, idb "
-    "FROM rec WHERE i < n) "
-    "SELECT ida AS doc_a, idb AS doc_b, "
-    "n AS len_a, m AS len_b, "
-    "r[CAST(m + 1 AS INT)]::BIGINT AS edit_distance, "
-    "CASE WHEN greatest(n, m) = 0 THEN -1.0 ELSE "
-    "1.0 - CAST(r[CAST(m + 1 AS INT)] AS DOUBLE) / "
-    "CAST(greatest(n, m) AS DOUBLE) END AS similarity "
-    "FROM rec WHERE i = n"
-)
-

@@ -189,6 +189,33 @@ def test_common_reader_drops_schema_metadata(tmp_path, ray_session):
     assert blocks and all(b.schema.metadata is None for b in blocks)
 
 
+def test_pipelines_read_tables_only_through_common_reader():
+    """Every sf-table read goes through ``_common._read``.  The only
+    other ``read_parquet`` calls read a corpus directory
+    (``quality_filter.read_corpus``) or re-read an intermediate
+    (``reports._corpus_manifest_dataset``)."""
+    import ast
+    from pathlib import Path
+
+    import langfilter_ray.pipelines as pipelines
+
+    allowed = {
+        ("_common", "_read"),
+        ("quality_filter", "read_corpus"),
+        ("reports", "_corpus_manifest_dataset"),
+    }
+    found = set()
+    for path in sorted(Path(pipelines.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name == "read_parquet":
+                    found.add((path.stem, getattr(top, "name", "<module>")))
+    assert found - allowed == set(), sorted(found - allowed)
+
+
 def test_domain_mix_weights_zero_token_source(empty_sf):
     """A token-less source gets mix_weight 0 on BOTH engines (no division
     by zero); matches the CASE branch in the oracle SQL."""

@@ -414,62 +414,6 @@ def test_embedding_top_eigval_axis_and_zero(ray_session, tmp_path):
     assert (int(r["top_coord"]), int(r["top_sign"])) == (0, 0)
 
 
-def test_huffman_cost_top64_hand_weights(ray_session, tmp_path):
-    """Pin the greedy merge fold on hand weights: token counts
-    {a:5, b:2, c:1, d:1} -> merges (1+1)=2, (2+2)=4, (4+5)=9 ->
-    cost 15, i.e. depths a:1 b:2 c:3 d:3 (5+4+3+3).  Also the
-    single-distinct-token corpus: zero merges -> cost 0, avg_bits 0."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "main"
-    d.mkdir()
-    docs = pa.table(
-        {"doc_id": pa.array([1, 2], pa.int64()),
-         "text": pa.array(["a a a b c d", "a a b"], pa.string()),
-         "lang": pa.array(["en", "en"], pa.string()),
-         "source": pa.array(["s1", "s1"], pa.string()),
-         "n_chars": pa.array([11, 5], pa.int64())}
-    )
-    pq.write_table(docs, d / "documents.parquet")
-    got = _to_pandas(text_analysis.huffman_cost_top64(str(d)))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * "
-        f"FROM read_parquet('{d}/documents.parquet')"
-    )
-    want = c.execute(text_analysis.ORACLES["huffman_cost_top64"]).df()
-    problems = compare_frames(_canon(got), _canon(want))
-    assert not problems, (problems, first_diff(_canon(got), _canon(want)))
-    r = got.iloc[0]
-    assert (int(r["n_tokens"]), int(r["total_count"])) == (4, 9)
-    assert int(r["huffman_cost"]) == 15
-    assert r["avg_bits"] == 15.0 / 9.0
-
-    e = tmp_path / "single"
-    e.mkdir()
-    docs1 = pa.table(
-        {"doc_id": pa.array([1], pa.int64()),
-         "text": pa.array(["hello hello hello"], pa.string()),
-         "lang": pa.array(["en"], pa.string()),
-         "source": pa.array(["s1"], pa.string()),
-         "n_chars": pa.array([17], pa.int64())}
-    )
-    pq.write_table(docs1, e / "documents.parquet")
-    got_e = _to_pandas(text_analysis.huffman_cost_top64(str(e)))
-    c2 = duckdb.connect()
-    c2.execute(
-        f"CREATE VIEW documents AS SELECT * "
-        f"FROM read_parquet('{e}/documents.parquet')"
-    )
-    want_e = c2.execute(text_analysis.ORACLES["huffman_cost_top64"]).df()
-    problems = compare_frames(_canon(got_e), _canon(want_e))
-    assert not problems, (problems, first_diff(_canon(got_e), _canon(want_e)))
-    r = got_e.iloc[0]
-    assert (int(r["n_tokens"]), int(r["total_count"]),
-            int(r["huffman_cost"])) == (1, 3, 0)
-    assert r["avg_bits"] == 0.0
-
-
 def test_cm_sketch_tokens_no_collision_exact(ray_session, tmp_path):
     """With far fewer tokens than buckets and no md5 collisions the
     count-min estimate equals the exact count (over_ratio exactly 1.0);
@@ -508,205 +452,6 @@ def test_cm_sketch_tokens_no_collision_exact(ray_session, tmp_path):
     assert any(len(set(v)) == 3 for v in buckets.values())
     assert (got["over_ratio"] >= 1.0).all()
     assert list(got["cm_est"]) == [3, 2, 1]
-
-
-def test_distinct_substrings_cap_repetitive_and_tiebreak(ray_session,
-                                                         tmp_path):
-    """'aaaa' has 4 distinct substrings of its 10 total; the argmax
-    tiebreak picks the SMALLEST doc_id among equal n_chars (doc 1 over
-    doc 2); 'abab' (doc 3, shorter) never wins."""
-    from langfilter_ray.pipelines import text_analysis
-
-    rows = [
-        (1, "en", 4, "aaaa"),
-        (2, "en", 4, "abcd"),
-        (3, "en", 3, "aba"),
-    ]
-    got = _check_vs_oracle(
-        text_analysis.distinct_substrings_cap,
-        text_analysis.ORACLES["distinct_substrings_cap"],
-        tmp_path, "documents", _docs_table(rows),
-    )
-    r = got.iloc[0]
-    assert int(r["doc_id"]) == 1
-    assert int(r["cap_len"]) == 4
-    assert int(r["n_distinct"]) == 4      # a, aa, aaa, aaaa
-    assert int(r["n_total"]) == 10
-
-    # automaton sanity on a string with a clone-triggering structure
-    states = text_analysis._suffix_automaton_states("abcbc")
-    n = sum(m - lk for m, lk in states)
-    subs = {"abcbc"[i:j] for i in range(5) for j in range(i + 1, 6)}
-    assert n == len(subs)
-
-
-def test_doc_period_cap_border_chain(ray_session, tmp_path):
-    """Pin the failure-function semantics on hand strings: 'abcabcab'
-    has the border chain {abcab, ab} (n_borders=2, border 5, period 3,
-    NOT fully periodic since 3 does not divide 8); 'abab' is fully
-    periodic (border 2, period 2); a borderless string reports
-    period = L with zero borders."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "chain"
-    d.mkdir()
-    got = _check_vs_oracle(
-        text_analysis.doc_period_cap,
-        text_analysis.ORACLES["doc_period_cap"],
-        d, "documents",
-        _docs_table([(1, "en", 8, "abcabcab"), (2, "en", 3, "xyz")]),
-    )
-    r = got.iloc[0]
-    assert int(r["doc_id"]) == 1 and int(r["cap_len"]) == 8
-    assert (int(r["border_len"]), int(r["n_borders"])) == (5, 2)
-    assert (int(r["period"]), int(r["is_periodic"])) == (3, 0)
-
-    p = tmp_path / "periodic"
-    p.mkdir()
-    got_p = _check_vs_oracle(
-        text_analysis.doc_period_cap,
-        text_analysis.ORACLES["doc_period_cap"],
-        p, "documents", _docs_table([(1, "en", 4, "abab")]),
-    )
-    r = got_p.iloc[0]
-    assert (int(r["border_len"]), int(r["n_borders"])) == (2, 1)
-    assert (int(r["period"]), int(r["is_periodic"])) == (2, 1)
-
-    b = tmp_path / "borderless"
-    b.mkdir()
-    got_b = _check_vs_oracle(
-        text_analysis.doc_period_cap,
-        text_analysis.ORACLES["doc_period_cap"],
-        b, "documents", _docs_table([(1, "en", 4, "abcd")]),
-    )
-    r = got_b.iloc[0]
-    assert (int(r["border_len"]), int(r["n_borders"])) == (0, 0)
-    assert (int(r["period"]), int(r["is_periodic"])) == (4, 0)
-
-
-def test_token_trie_nodes_hand_trie(ray_session, tmp_path):
-    """Pin the trie census: vocabulary {car, cart, dog} (case-folded,
-    duplicates collapse) has 7 distinct prefixes over 10 token chars;
-    a 15-char token is capped to 12, so its prefixes stop there."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "main"
-    d.mkdir()
-    got = _check_vs_oracle(
-        text_analysis.token_trie_nodes,
-        text_analysis.ORACLES["token_trie_nodes"],
-        d, "documents",
-        _docs_table([(1, "en", 16, "Car cart dog car")]),
-    )
-    r = got.iloc[0]
-    # prefixes: c ca car cart d do dog
-    assert (int(r["n_tokens"]), int(r["n_nodes"]),
-            int(r["total_token_chars"])) == (3, 7, 10)
-    assert r["path_compression"] == 7.0 / 10.0
-
-    t = tmp_path / "cap"
-    t.mkdir()
-    got_t = _check_vs_oracle(
-        text_analysis.token_trie_nodes,
-        text_analysis.ORACLES["token_trie_nodes"],
-        t, "documents",
-        _docs_table([(1, "en", 19, "aaaaaaaaaaaaaaa aaa")]),
-    )
-    r = got_t.iloc[0]
-    # capped vocab {aaa, a*12}: prefixes a..a*12 -> 12 nodes, 15 chars
-    assert (int(r["n_tokens"]), int(r["n_nodes"]),
-            int(r["total_token_chars"])) == (2, 12, 15)
-
-
-def test_bwt_runs_cap_banana_and_periodic(ray_session, tmp_path):
-    """Pin the sentinel-free cyclic BWT: 'banana' -> sorted rotations'
-    last column 'nnbaaa' (3 runs vs 6 in the original, gain 2.0); the
-    fully periodic 'abab' has EQUAL rotations whose order can't matter
-    (bwt 'bbaa', 2 runs vs 4); a single char is 1 run both ways."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "banana"
-    d.mkdir()
-    got = _check_vs_oracle(
-        text_analysis.bwt_runs_cap,
-        text_analysis.ORACLES["bwt_runs_cap"],
-        d, "documents", _docs_table([(1, "en", 6, "banana")]),
-    )
-    r = got.iloc[0]
-    assert (int(r["runs_orig"]), int(r["runs_bwt"])) == (6, 3)
-    assert r["run_gain"] == 2.0
-
-    p = tmp_path / "periodic"
-    p.mkdir()
-    got_p = _check_vs_oracle(
-        text_analysis.bwt_runs_cap,
-        text_analysis.ORACLES["bwt_runs_cap"],
-        p, "documents", _docs_table([(1, "en", 4, "abab")]),
-    )
-    r = got_p.iloc[0]
-    assert (int(r["runs_orig"]), int(r["runs_bwt"])) == (4, 2)
-
-    s = tmp_path / "single"
-    s.mkdir()
-    got_s = _check_vs_oracle(
-        text_analysis.bwt_runs_cap,
-        text_analysis.ORACLES["bwt_runs_cap"],
-        s, "documents", _docs_table([(1, "en", 1, "x")]),
-    )
-    r = got_s.iloc[0]
-    assert (int(r["runs_orig"]), int(r["runs_bwt"])) == (1, 1)
-
-
-def test_lcsubstr_top2_alignment_and_ties(ray_session, tmp_path):
-    """Pin the local-alignment semantics: the shared run 'abcde' wins
-    over shorter overlaps; among equal-length maxima the
-    lexicographically smallest substring is reported ('ab' beats 'zz');
-    disjoint alphabets -> length 0 / empty string; <2 docs -> typed
-    empty."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "main"
-    d.mkdir()
-    got = _check_vs_oracle(
-        text_analysis.lcsubstr_top2,
-        text_analysis.ORACLES["lcsubstr_top2"],
-        d, "documents",
-        _docs_table([(1, "en", 9, "xxabcdeyy"), (2, "en", 7, "qabcdez")]),
-    )
-    r = got.iloc[0]
-    assert (int(r["doc_a"]), int(r["doc_b"])) == (1, 2)
-    assert (int(r["len_lcs"]), r["lcs"]) == (5, "abcde")
-
-    t = tmp_path / "tie"
-    t.mkdir()
-    got_t = _check_vs_oracle(
-        text_analysis.lcsubstr_top2,
-        text_analysis.ORACLES["lcsubstr_top2"],
-        t, "documents",
-        _docs_table([(1, "en", 6, "xxzzab"), (2, "en", 4, "abzz")]),
-    )
-    r = got_t.iloc[0]
-    assert (int(r["len_lcs"]), r["lcs"]) == (2, "ab")
-
-    z = tmp_path / "disjoint"
-    z.mkdir()
-    got_z = _check_vs_oracle(
-        text_analysis.lcsubstr_top2,
-        text_analysis.ORACLES["lcsubstr_top2"],
-        z, "documents",
-        _docs_table([(1, "en", 3, "aaa"), (2, "en", 3, "bbb")]),
-    )
-    r = got_z.iloc[0]
-    assert (int(r["len_lcs"]), r["lcs"]) == (0, "")
-
-    s = tmp_path / "single"
-    s.mkdir()
-    got_s = _check_vs_oracle(
-        text_analysis.lcsubstr_top2,
-        text_analysis.ORACLES["lcsubstr_top2"],
-        s, "documents", _docs_table([(1, "en", 3, "aaa")]),
-    )
-    assert len(got_s) == 0
 
 
 def test_dict_match_census_adjacent_and_zero_rows(ray_session, tmp_path):
@@ -782,181 +527,3 @@ def test_embedding_closest_pair_grid_dups_and_ties(ray_session, tmp_path):
         d3, "embeddings",
         pq.read_table(d3 / "embeddings.parquet"),
     )
-
-
-def test_longest_palindrome_cap_even_and_tie(ray_session, tmp_path):
-    """'xabbaqccq' -> even palindrome 'abba' (len 4, start 2) beats the
-    equally-long 'qccq' by smaller start; Manacher must handle even
-    centers and report 1-based positions."""
-    from langfilter_ray.pipelines import text_analysis
-
-    rows = [(1, "en", 9, "xabbaqccq"), (2, "en", 3, "zzz")]
-    got = _check_vs_oracle(
-        text_analysis.longest_palindrome_cap,
-        text_analysis.ORACLES["longest_palindrome_cap"],
-        tmp_path, "documents", _docs_table(rows),
-    )
-    r = got.iloc[0]
-    assert (int(r["doc_id"]), int(r["pal_len"]),
-            int(r["start_pos"])) == (1, 4, 2)
-
-    # all-distinct chars: a single-char palindrome at the first position
-    e = tmp_path / "nopal"
-    e.mkdir()
-    got2 = _check_vs_oracle(
-        text_analysis.longest_palindrome_cap,
-        text_analysis.ORACLES["longest_palindrome_cap"],
-        e, "documents", _docs_table([(7, "en", 4, "abcd")]),
-    )
-    r2 = got2.iloc[0]
-    assert (int(r2["doc_id"]), int(r2["pal_len"]),
-            int(r2["start_pos"])) == (7, 1, 1)
-
-
-def _lz78_docs(d, text):
-    pq.write_table(pa.table(
-        {"doc_id": pa.array([1], pa.int64()),
-         "text": pa.array([text], pa.string()),
-         "lang": pa.array(["en"], pa.string()),
-         "source": pa.array(["s1"], pa.string()),
-         "n_chars": pa.array([len(text)], pa.int64())}
-    ), d / "documents.parquet")
-
-
-def test_lz78_phrases_cap_parse(ray_session, tmp_path):
-    """Hand-traced LZ78 parses: 'aaaaaa' -> a|aa|aaa (3 phrases, max
-    3); 'ababab' -> a|b|ab|ab where the FINAL phrase truncates at
-    end-of-string and duplicates the dictionary entry (4 phrases but
-    dict_size 3 — the emit-vs-insert distinction)."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "runs"
-    d.mkdir()
-    _lz78_docs(d, "aaaaaa")
-    got = _check_vs_oracle(
-        text_analysis.lz78_phrases_cap,
-        text_analysis.ORACLES["lz78_phrases_cap"],
-        d, "documents", pq.read_table(d / "documents.parquet"),
-    ).iloc[0]
-    assert int(got["n_phrases"]) == 3
-    assert int(got["dict_size"]) == 3
-    assert int(got["max_phrase_len"]) == 3
-
-    e = tmp_path / "dup_tail"
-    e.mkdir()
-    _lz78_docs(e, "ababab")
-    got_e = _check_vs_oracle(
-        text_analysis.lz78_phrases_cap,
-        text_analysis.ORACLES["lz78_phrases_cap"],
-        e, "documents", pq.read_table(e / "documents.parquet"),
-    ).iloc[0]
-    assert int(got_e["n_phrases"]) == 4
-    assert int(got_e["dict_size"]) == 3
-    assert int(got_e["max_phrase_len"]) == 2
-
-
-def test_lyndon_factors_cap_duval(ray_session, tmp_path):
-    """Canonical factorizations: banana = (b)(an)(an)(a) -> 4 factors,
-    max 2, distinct 3; aaaa -> four (a) via the equal-run arithmetic
-    emit; dcba -> four singletons (strictly decreasing product)."""
-    from langfilter_ray.pipelines import text_analysis
-
-    for name, text, want in [
-        ("banana", "banana", (4, 2, 3)),
-        ("runs", "aaaa", (4, 1, 1)),
-        ("desc", "dcba", (4, 1, 4)),
-    ]:
-        d = tmp_path / name
-        d.mkdir()
-        _lz78_docs(d, text)
-        got = _check_vs_oracle(
-            text_analysis.lyndon_factors_cap,
-            text_analysis.ORACLES["lyndon_factors_cap"],
-            d, "documents", pq.read_table(d / "documents.parquet"),
-        ).iloc[0]
-        assert (int(got["n_factors"]), int(got["max_factor_len"]),
-                int(got["distinct_factors"])) == want, (name, got)
-
-
-def test_merkle_root_by_source_hand_values(ray_session, tmp_path):
-    """Bit-for-bit roots vs an independent hashlib replay: a singleton
-    source (depth 0, root = leaf), a two-doc source (one pairing), and
-    a THREE-doc source where the odd leaf is promoted UNCHANGED into
-    round 2 (root = md5(md5(h1 h2) h3)); doc_ids are written out of
-    order to pin the doc_id sort."""
-    import hashlib
-
-    from langfilter_ray.pipelines import text_analysis
-
-    def h(s):
-        return hashlib.md5(s.encode()).hexdigest()
-
-    d = tmp_path / "main"
-    d.mkdir()
-    tbl = pa.table(
-        {
-            "doc_id": pa.array([30, 10, 20, 1, 2, 3], pa.int64()),
-            "text": pa.array(["cc", "aa", "bb", "x", "solo", "y"],
-                             pa.string()),
-            "lang": pa.array(["en"] * 6, pa.string()),
-            "source": pa.array(
-                ["tri", "tri", "tri", "duo", "uno", "duo"], pa.string()),
-            "n_chars": pa.array([2, 2, 2, 1, 4, 1], pa.int64()),
-        }
-    )
-    got = _check_vs_oracle(
-        text_analysis.merkle_root_by_source,
-        text_analysis.ORACLES["merkle_root_by_source"],
-        d, "documents", tbl,
-    ).set_index("source")
-    assert int(got.loc["uno", "n_docs"]) == 1
-    assert int(got.loc["uno", "tree_depth"]) == 0
-    assert got.loc["uno", "merkle_root"] == h("solo")
-    assert int(got.loc["duo", "tree_depth"]) == 1
-    assert got.loc["duo", "merkle_root"] == h(h("x") + h("y"))
-    assert int(got.loc["tri", "n_docs"]) == 3
-    assert int(got.loc["tri", "tree_depth"]) == 2
-    assert got.loc["tri", "merkle_root"] == h(h(h("aa") + h("bb")) + h("cc"))
-
-
-def test_levenshtein_top2_hand_values(ray_session, tmp_path):
-    """kitten -> sitting = 3 (the classic); abc -> axc = 1 pins
-    unit-cost SUBSTITUTION (an indel-only metric would say 2); an
-    empty second doc costs its full length in deletes."""
-    from langfilter_ray.pipelines import text_analysis
-
-    d = tmp_path / "k"
-    d.mkdir()
-    got = _check_vs_oracle(
-        text_analysis.levenshtein_top2,
-        text_analysis.ORACLES["levenshtein_top2"],
-        d, "documents",
-        _docs_table([(1, "en", 7, "sitting"), (2, "en", 6, "kitten"),
-                     (3, "en", 1, "x")]),
-    ).iloc[0]
-    assert (int(got["doc_a"]), int(got["doc_b"])) == (1, 2)
-    assert int(got["edit_distance"]) == 3
-    assert got["similarity"] == 1.0 - 3.0 / 7.0
-
-    s = tmp_path / "sub"
-    s.mkdir()
-    got_s = _check_vs_oracle(
-        text_analysis.levenshtein_top2,
-        text_analysis.ORACLES["levenshtein_top2"],
-        s, "documents",
-        _docs_table([(1, "en", 3, "abc"), (2, "en", 3, "axc")]),
-    ).iloc[0]
-    assert int(got_s["edit_distance"]) == 1
-
-    e = tmp_path / "empty"
-    e.mkdir()
-    got_e = _check_vs_oracle(
-        text_analysis.levenshtein_top2,
-        text_analysis.ORACLES["levenshtein_top2"],
-        e, "documents",
-        _docs_table([(1, "en", 2, "ab"), (2, "en", 0, "")]),
-    ).iloc[0]
-    assert int(got_e["edit_distance"]) == 2
-    assert got_e["similarity"] == 0.0
-
-
