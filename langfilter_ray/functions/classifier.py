@@ -4,14 +4,17 @@ This is the engine's stand-in for the reference's stateful model probe
 (`faster-whisper` singleton, /root/reference/langid_service/app/services/
 detector.py:20-47, probed at lang_gate.py:310-317) and for fastText
 lid.176 in the north star: a *stateful, load-once, score-per-batch*
-classifier hosted in a `map_batches` actor pool.  Because the sandbox has
-no model weights and no network, the model itself is a byte-trigram
-multinomial with additive smoothing built from embedded seed text — fully
-deterministic across runs, processes and pool sizes (the property the
-reference could NOT promise; see SURVEY.md §4.1 "Determinism").
+classifier, built once per Ray worker process and reused by every batch
+the cascade's tasks score there (`pipelines/quality_filter._process_model`).
+Because the sandbox has no model weights and no network, the model itself
+is a byte-trigram multinomial with additive smoothing built from embedded
+seed text — fully deterministic across runs, processes and pool sizes (the
+property the reference could NOT promise; see SURVEY.md §4.1
+"Determinism").
 
-Scoring is vectorized end-to-end: texts are normalized with one C regex
-per row, encoded to UTF-8, concatenated into a single uint8 buffer, and
+Scoring is vectorized end-to-end: texts are normalized with one C pass per
+row (a ``bytes.translate`` on text below U+0100, a regex otherwise),
+encoded to UTF-8, concatenated into a single uint8 buffer, and
 trigram log-likelihood sums are computed with numpy gather +
 ``np.add.reduceat`` over per-row ranges — no Python loop over characters
 or trigrams.
@@ -29,6 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .textproc import latin1_bytes, lowered_byte_table
+
 LANGS = ("en", "fr", "de", "es")
 SOFTMAX_SCALE = 9.0       # inverse temperature mapping mean-ll gaps to probabilities
 NO_SCORE = -99.0          # forced-choice score when a text has no trigrams
@@ -41,6 +46,8 @@ LID_MAX_CHARS = 256       # classifier reads at most this many normalized chars/
 # else becomes a space (code symbols dilute trigram mass -> lower confidence,
 # the analog of an unspeechy probe)
 _NORM_RE = re.compile(r"[^a-zß-ÿ']")
+# the same normalization as one byte pass on text below U+0100
+_NORM_TABLE = lowered_byte_table(re.compile(r"[a-zß-ÿ']"))
 
 # --- embedded seed corpora (plain common prose, written for this project) ---
 _SEED_TEXTS = {
@@ -109,7 +116,11 @@ _SEED_TEXTS = {
 
 def normalize_for_lid(text: str, max_chars: int = LID_MAX_CHARS) -> str:
     """Lowercase, cap length, and blank out every non-letter character."""
-    return _NORM_RE.sub(" ", text[:max_chars].lower())
+    head = text[:max_chars]
+    raw = latin1_bytes(head)
+    if raw is None:
+        return _NORM_RE.sub(" ", head.lower())
+    return raw.translate(_NORM_TABLE).decode("latin-1")
 
 
 class TrigramLidModel:
@@ -248,6 +259,7 @@ class TrigramLidModel:
 @lru_cache(maxsize=1)
 def get_model() -> TrigramLidModel:
     """Per-process singleton, mirroring the reference's lazy global model
-    (detector.py:20-47).  Ray actors instead build their own instance in
-    ``__init__`` — see stages/lid_scorer.py."""
+    (detector.py:20-47), for the row-wise oracle.  The pipeline's cascade
+    tasks build theirs through ``model_factory`` instead, once per worker
+    process — see ``pipelines/quality_filter._process_model``."""
     return TrigramLidModel()

@@ -13,41 +13,55 @@ Rules (evaluated in FIXED order; the first firing rule names the drop):
                  max_mean_line_length (minified / generated bundles)
   alnum_ratio  — fraction of alphanumeric chars below min (binary-ish blobs)
   repetition   — duplicate-line fraction or duplicate word-5-gram-shingle
-                 fraction over the cap (Gopher repetition signals); shingles
-                 are hashed with crc32 (xxhash-shingle analog — stable,
-                 dependency-free, and only used for within-document set
-                 membership, so 32 bits suffice)
+                 fraction over the cap (Gopher repetition signals); distinct
+                 shingles are counted as word tuples, so no two distinct
+                 shingles can collide
 """
 
 from __future__ import annotations
 
 import re
-import zlib
 
 from ..config import PipelineConfig
+from .textproc import latin1_bytes
 
 RULE_ORDER = ("too_large", "line_len", "alnum_ratio", "repetition")
 
 # alphanumeric = unicode word chars minus underscore; counted by deleting
-# everything else in ONE C regex pass (a per-character Python loop here was
-# the pipeline's original hot spot)
+# everything else in ONE C pass (a per-character Python loop here was
+# the pipeline's original hot spot): a ``bytes.translate`` deletion of the
+# bytes the regex matches on text below U+0100, the regex otherwise
 _NON_ALNUM_RE = re.compile(r"[\W_]+", re.UNICODE)
+_NON_ALNUM_BYTES = bytes(b for b in range(256) if _NON_ALNUM_RE.fullmatch(chr(b)))
+
+
+def utf8_len(text: str) -> int:
+    """UTF-8 byte length (lone surrogates count 3 bytes); ``len`` on ASCII
+    text, whose ``isascii()`` check is O(1)."""
+    if text.isascii():
+        return len(text)
+    return len(text.encode("utf-8", errors="surrogatepass"))
 
 
 def content_stats(text: str, cfg: PipelineConfig) -> dict[str, float]:
     """Deterministic shape statistics for one document (probe-capped where
     noted).  All counts are exact ints; ratios are single float divisions."""
-    nbytes = len(text.encode("utf-8", errors="surrogatepass"))
+    nbytes = utf8_len(text)
     probe = text[: cfg.probe_chars]
     lines = probe.split("\n")
     n_lines = len(lines)
-    max_line = max((len(ln) for ln in lines), default=0)
-    mean_line = (sum(len(ln) for ln in lines) / n_lines) if n_lines else 0.0
     n_chars = len(probe)
-    n_alnum = n_chars - sum(len(m) for m in _NON_ALNUM_RE.findall(probe))
+    max_line = max(map(len, lines))
+    # the lines partition the probe minus its n_lines - 1 newlines
+    mean_line = (n_chars - (n_lines - 1)) / n_lines
+    raw = latin1_bytes(probe)
+    if raw is None:
+        n_alnum = len(_NON_ALNUM_RE.sub("", probe))
+    else:
+        n_alnum = len(raw.translate(None, _NON_ALNUM_BYTES))
     alnum_ratio = (n_alnum / n_chars) if n_chars else 0.0
 
-    stripped = [ln.strip() for ln in lines if ln.strip()]
+    stripped = [s for s in map(str.strip, lines) if s]
     dup_line_frac = 0.0
     if stripped:
         dup_line_frac = 1.0 - len(set(stripped)) / len(stripped)

@@ -13,16 +13,54 @@ These mirror the reference's transcript-side helpers exactly in structure
 
 All functions are deterministic pure Python over single strings; the Ray
 stages call them per row inside ``map_batches`` (set membership and ``re``
-splits are C-backed; there is no per-character Python work).
+scans are C-backed; there is no per-character Python work).
+
+One-byte path: when every character of a text is below U+0100 (ASCII and
+Latin-1 text, which ``str.encode("latin-1")`` copies one byte per
+character), ``tokenize_text`` skips the regex and the ``lower()`` pass and
+runs one ``bytes.translate`` over a 256-entry table built from the spec
+itself: each byte maps to its lowercase character when that matches
+``TOKEN_RE`` and to a space otherwise, then the text splits on spaces.
+``str.lower`` maps each such character to one character below U+0100
+without looking at its neighbours, so the table gives the regex path's
+tokens exactly; other text takes the regex path.  ``is_no_content`` returns
+early unless the stripped, lowered text contains a keyword or a marker as a
+substring (a ``True`` result needs a keyword token, and such a token is a
+substring of the lowered text or comes from a marker), so rows with neither
+are not tokenized a second time.
 """
 
 from __future__ import annotations
 
 import re
 
-# Reference regex verbatim (lang_gate.py:92): split on runs of anything that is
-# not a word char or apostrophe, after lowercasing.
-TOKEN_SPLIT_RE = re.compile(r"[^\w']+", re.UNICODE)
+# Tokens are the runs of word chars and apostrophes after lowercasing: the
+# reference's split on ``[^\w']+`` (lang_gate.py:92) with empty pieces dropped.
+TOKEN_RE = re.compile(r"[\w']+", re.UNICODE)
+
+
+def latin1_bytes(text: str) -> bytes | None:
+    """``text`` one byte per character when every character is below
+    U+0100, else None (a copy of the string's buffer for such text)."""
+    try:
+        return text.encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+
+
+def lowered_byte_table(keep: re.Pattern) -> bytes:
+    """``bytes.translate`` table for ``latin1_bytes`` text: each byte becomes
+    its ``str.lower()`` character when ``keep`` matches that, else a space.
+    Building it fails unless each of these characters lowercases to one
+    character, below U+0100 wherever ``keep`` matches it."""
+    table = bytearray()
+    for b in range(256):
+        low = ord(chr(b).lower())
+        table.append(low if keep.fullmatch(chr(low)) else 0x20)
+    return bytes(table)
+
+
+_TOKEN_TABLE = lowered_byte_table(TOKEN_RE)
 
 # EN/FR function-word sets with the same role as lang_gate.py:15-50 — the
 # "speechiness" / mid-zone heuristics count hits against these.  (~60 words
@@ -70,14 +108,17 @@ def tokenize_text(text: str) -> list[str]:
     """Lowercase and split on ``[^\\w']+``; drop empty tokens (lang_gate.py:95-99)."""
     if not text:
         return []
-    return [token for token in TOKEN_SPLIT_RE.split(text.lower()) if token]
+    raw = latin1_bytes(text)
+    if raw is None:
+        return TOKEN_RE.findall(text.lower())
+    return raw.translate(_TOKEN_TABLE).decode("latin-1").split()
 
 
 def compute_stopword_ratio_from_tokens(tokens: list[str], stopwords: set[str]) -> float:
     """hits/len(tokens) with 0.0 on empty — lang_gate.py:102-108 semantics."""
     if not tokens:
         return 0.0
-    hits = sum(1 for token in tokens if token in stopwords)
+    hits = sum(map(stopwords.__contains__, tokens))
     return hits / len(tokens)
 
 
@@ -113,6 +154,11 @@ def is_no_content(text: str | None, keywords: set[str] | None = None) -> bool:
         return False
 
     lowered = working.lower()
+    kw = {t.lower() for t in (keywords or NOCONTENT_KEYWORDS)}
+    # a True result needs a keyword token, which is a substring of
+    # ``lowered`` or comes from a marker
+    if not any(word in lowered for word in NOCONTENT_MARKERS | kw):
+        return False
     for marker in NOCONTENT_MARKERS:
         if marker in lowered:
             lowered = lowered.replace(marker, " autogenerated ")
@@ -125,7 +171,6 @@ def is_no_content(text: str | None, keywords: set[str] | None = None) -> bool:
     if not tokens:
         return False
 
-    kw = {t.lower() for t in (keywords or NOCONTENT_KEYWORDS)}
     fillers = NOCONTENT_FILLERS
 
     if not all(token in kw or token in fillers for token in tokens):

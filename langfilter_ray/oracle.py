@@ -46,7 +46,7 @@ from typing import Any
 
 from .config import DEFAULT_CONFIG, PipelineConfig
 from .functions.classifier import TrigramLidModel, get_model
-from .functions.heuristics import RULE_ORDER, first_failing_rule
+from .functions.heuristics import RULE_ORDER, first_failing_rule, utf8_len
 from .functions.scrub import RULE_NAMES, scrub_text, sha256_hex
 from .functions.textproc import (
     EN_STOPWORDS,
@@ -124,7 +124,7 @@ def cheap_features(
     """Steps 0-2.  Returns (features, None) when the row needs the
     classifier, or (None, record) when it was decided without any model."""
     # 0. size prune on full content bytes
-    if len(content.encode("utf-8", errors="surrogatepass")) > cfg.max_content_bytes:
+    if utf8_len(content) > cfg.max_content_bytes:
         return None, _result(
             cfg=cfg, language="none", probability=None, method="rules",
             gate_decision="dropped_rule_too_large", second_pass=False,

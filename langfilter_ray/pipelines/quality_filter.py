@@ -247,10 +247,10 @@ def _cascade_task(
 
 
 def _default_pool_size() -> int:
-    """Scorer concurrency / actor-pool size: ~3/4 of the cluster's CPUs.
-    Giving the stage every CPU starves the read and write operators — with
-    an actor pool on 32 CPUs: conc=30 -> 12.4s, conc=24 -> 8.0s for the
-    same 500k-row job."""
+    """Cap on concurrent cascade tasks: ~3/4 of the cluster's CPUs.
+    Giving the stage every CPU starves the read and write operators — on
+    32 CPUs: conc=30 -> 12.4s, conc=24 -> 8.0s for the same 500k-row job
+    (measured when the scorer ran in an actor pool)."""
     import ray
 
     try:

@@ -275,7 +275,7 @@ def corpus_clean(sf_dir: str) -> ray.data.Dataset:
             .min()
             .reset_index()
         )
-        return pa.Table.from_pandas(part, preserve_index=False)
+        return pa.Table.from_pandas(part, preserve_index=False).replace_schema_metadata(None)
 
     agg = (
         ds.map_batches(kept_min, batch_format="pyarrow")

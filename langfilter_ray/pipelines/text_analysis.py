@@ -788,7 +788,7 @@ def top_docs_per_lang(sf_dir: str) -> ray.data.Dataset:
             ["lang", "n_chars", "doc_id"], ascending=[True, False, True]
         )
         out = df.groupby("lang", sort=False).head(TOPK_PER_LANG)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     def exact_rank(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["n_chars", "doc_id"], ascending=[False, True]).head(
@@ -2382,7 +2382,7 @@ def source_quota_sample(sf_dir: str) -> ray.data.Dataset:
                 "lcg": _lcg_hash(t["doc_id"].to_numpy()),
             }
         )
-        return pa.Table.from_pandas(top_cap(df), preserve_index=False)
+        return pa.Table.from_pandas(top_cap(df), preserve_index=False).replace_schema_metadata(None)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty:

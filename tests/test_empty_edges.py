@@ -189,6 +189,41 @@ def test_common_reader_drops_schema_metadata(tmp_path, ray_session):
     assert blocks and all(b.schema.metadata is None for b in blocks)
 
 
+def test_pandas_combiner_queries_log_no_schema_hash_failure():
+    """The three queries whose per-batch combiner builds its block with
+    ``pa.Table.from_pandas`` run at sf0.001 without Ray Data logging
+    'Failed to hash the schemas' (pandas metadata on those blocks is an
+    unhashable schema).  A fresh process, so the log lines of the process
+    that runs the queries and of its Ray workers are all captured."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from test_operators import SF
+
+    script = (
+        "import sys, ray\n"
+        "ray.init(address='local', num_cpus=2, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from ray.data import DataContext\n"
+        "DataContext.get_current().enable_progress_bars = False\n"
+        "from langfilter_ray.pipelines import reports, text_analysis\n"
+        "for q in (text_analysis.top_docs_per_lang,"
+        " text_analysis.source_quota_sample, reports.corpus_clean):\n"
+        "    print(q.__name__, len(q(sys.argv[1]).to_pandas()))\n"
+        "ray.shutdown()\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script, SF],
+        cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True, timeout=600,
+    )
+    out = r.stdout + r.stderr
+    assert r.returncode == 0, out[-3000:]
+    assert "corpus_clean" in r.stdout
+    assert "Failed to hash the schemas" not in out
+
+
 def test_pipelines_read_tables_only_through_common_reader():
     """Every sf-table read goes through ``_common._read``.  The only
     other ``read_parquet`` calls read a corpus directory
