@@ -45,9 +45,10 @@ LID_MAX_CHARS = 256       # classifier reads at most this many normalized chars/
 # keep lowercase letters (incl. latin-1 accents) and apostrophes; everything
 # else becomes a space (code symbols dilute trigram mass -> lower confidence,
 # the analog of an unspeechy probe)
-_NORM_RE = re.compile(r"[^a-zß-ÿ']")
+_LID_CHARS = "a-zß-ÿ'"
+_NORM_RE = re.compile(f"[^{_LID_CHARS}]")
 # the same normalization as one byte pass on text below U+0100
-_NORM_TABLE = lowered_byte_table(re.compile(r"[a-zß-ÿ']"))
+_NORM_TABLE = lowered_byte_table(re.compile(f"[{_LID_CHARS}]"))
 
 # --- embedded seed corpora (plain common prose, written for this project) ---
 _SEED_TEXTS = {

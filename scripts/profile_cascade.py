@@ -6,11 +6,11 @@ this process, prints the stage's rows/s, then profiles one more pass with
 cProfile and prints its top entries.
 
 Usage:
-    python scripts/profile_cascade.py CORPUS_DIR [--rows N] [--top K]
+    python -m langfilter_ray gen-corpus --rows 20000 --out CORPUS_DIR
+    python scripts/profile_cascade.py CORPUS_DIR
 
-``CORPUS_DIR`` is a directory of corpus parquet files (the
-``python -m langfilter_ray gen-corpus`` output).  When it holds no parquet
-file, a ``--rows``-row corpus (default 20,000) is generated there first.
+``CORPUS_DIR`` is a directory of corpus parquet files (the ``gen-corpus``
+output).
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ import pyarrow.parquet as pq
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from langfilter_ray.corpus import write_corpus  # noqa: E402
 from langfilter_ray.pipelines.quality_filter import (  # noqa: E402
     CORPUS_COLUMNS,
     DEFAULT_BATCH_SIZE,
     add_partition,
 )
 from langfilter_ray.stages.cascade import CascadeScorer  # noqa: E402
+
+TOP_ENTRIES = 25                             # cProfile entries printed, by internal time
 
 
 def load_batches(corpus_dir: Path) -> list:
@@ -54,14 +55,8 @@ def run(scorer: CascadeScorer, batches: list) -> int:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("corpus_dir", type=Path)
-    ap.add_argument("--rows", type=int, default=20_000,
-                    help="rows to generate when CORPUS_DIR has no parquet")
-    ap.add_argument("--top", type=int, default=25,
-                    help="cProfile entries to print, by internal time")
     args = ap.parse_args()
 
-    if not any(args.corpus_dir.glob("*.parquet")):
-        write_corpus(args.corpus_dir, args.rows)
     batches = load_batches(args.corpus_dir)
     scorer = CascadeScorer(scrub=True)
     run(scorer, batches[:1])                 # warm caches and lazy imports
@@ -76,7 +71,7 @@ def main() -> None:
     prof.enable()
     run(scorer, batches)
     prof.disable()
-    pstats.Stats(prof, stream=sys.stdout).sort_stats("tottime").print_stats(args.top)
+    pstats.Stats(prof, stream=sys.stdout).sort_stats("tottime").print_stats(TOP_ENTRIES)
 
 
 if __name__ == "__main__":
