@@ -1,13 +1,18 @@
-"""The flagship pipeline: read -> cascade tasks -> scrub -> write.
+"""The flagship pipeline: read -> one cascade task per batch -> write.
 
-Ray-Data-first shape (SURVEY.md §7.1):
+Ray-Data-first shape (SURVEY.md §7.1), three operators per wave:
 
-    ray.data.read_parquet(corpus, columns=[...])        # prune at the read
-      .map_batches(add_partition, batch_format="pyarrow")   # repo-hash part id
-      .map_batches(_cascade_task, concurrency=N,            # per-process model
-                   batch_size=B, batch_format="pyarrow")
-      .map_batches(scrub_batch, batch_format="pyarrow")     # stateless tasks
-      .write_parquet(out, partition_cols=["part"])          # resumable layout
+    ray.data.read_parquet(corpus, columns=[...])      # prune at the read
+      .map_batches(_cascade_task, concurrency=N,      # part id, part filter,
+                   batch_size=B,                      # cascade + scrub,
+                   batch_format="pyarrow")            # lang codes, post_filter
+      .write_parquet(out, partition_cols=["part"])    # resumable layout
+
+Everything between the read and the write runs inside ``_cascade_task``:
+Ray fuses two task operators only when their concurrency caps match, so
+every uncapped ``map_batches`` before or after the capped scorer would be
+its own operator, with its own tasks and an object-store hop of the whole
+batch.
 
 The cascade runs as plain tasks over a per-worker-process model cache
 (``_cascade_task``), the analog of the reference's lazy per-process
@@ -42,7 +47,6 @@ import ray.data
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.classifier import TrigramLidModel
 from ..stages.cascade import CascadeScorer
-from ..stages.scrub_stage import scrub_batch
 
 CORPUS_COLUMNS = ["repo", "path", "commit", "lang", "content"]
 DEFAULT_NUM_PARTS = 64          # ~4-8x cores at test scale; a knob at cluster scale
@@ -111,22 +115,23 @@ def build_pipeline(
     batch_size: int = DEFAULT_BATCH_SIZE,
     concurrency: int | tuple[int, int] | None = None,
     parts_filter: set[int] | None = None,
-    fuse_scrub: bool = True,
     drop_content: bool = False,
     salt: int = 1,
     live_metrics: bool = False,
     model_factory=None,
+    post_filter=None,
 ) -> ray.data.Dataset:
-    """Lazy Dataset: partition id -> (optional partition filter for resume)
-    -> cascade tasks over a per-process model (scrub fused in by default).
-    Nothing executes until consumed.
+    """Lazy Dataset: one ``map_batches(_cascade_task)`` that computes the
+    partition id, keeps only the rows of ``parts_filter`` (resume waves),
+    runs the cascade with scrub over a per-process model, formats the
+    language codes and applies ``post_filter`` (an optional pyarrow
+    ``Table -> Table`` callable, e.g. the cross-ingest dedup anti-filter)
+    last.  All of it runs inside the one scorer task.  Nothing executes
+    until consumed.
 
     ``concurrency`` caps the number of concurrent scorer tasks, i.e. the
     cores the cascade may use; for a ``(min, max)`` tuple the cap is
     ``max``.  ``None`` means ``_default_pool_size()``.
-
-    ``fuse_scrub=False`` splits scrub into its own stateless task stage
-    (one extra object-store hop; useful for per-stage stats).
 
     ``model_factory``: the pluggable real-LID-model seam — a picklable
     zero-arg callable (module-level callable or ``functools.partial``)
@@ -156,36 +161,20 @@ def build_pipeline(
 
         metrics = get_or_create()
 
-    ds = ds.map_batches(
-        add_partition,
-        batch_format="pyarrow",
-        fn_kwargs={"num_parts": num_parts, "salt": salt},
-    )
+    parts = None
     if parts_filter is not None:
-        wanted = pa.array(sorted(parts_filter), pa.int32())
-        ds = ds.map_batches(
-            lambda t: t.filter(pc.is_in(t["part"], value_set=wanted)),
-            batch_format="pyarrow",
-        )
-    ds = ds.map_batches(
+        parts = np.array(sorted(parts_filter), dtype=np.int32)
+    return ds.map_batches(
         _cascade_task,
         fn_kwargs={
-            "cfg": cfg, "scrub": fuse_scrub, "drop_content": drop_content,
+            "cfg": cfg, "num_parts": num_parts, "salt": salt, "parts": parts,
+            "drop_content": drop_content, "post_filter": post_filter,
             "metrics": metrics, "model_factory": model_factory,
         },
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
     )
-    if not fuse_scrub:
-        ds = ds.map_batches(scrub_batch, batch_format="pyarrow")
-    if cfg.lang_code_format != "iso639-1":
-        ds = ds.map_batches(
-            _format_lang_codes,
-            batch_format="pyarrow",
-            fn_kwargs={"fmt": cfg.lang_code_format},
-        )
-    return ds
 
 
 def _format_lang_codes(batch: pa.Table, fmt: str) -> pa.Table:
@@ -225,16 +214,22 @@ def _process_model(model_factory=None):
 
 
 def _cascade_task(
-    batch: pa.Table, cfg: PipelineConfig, scrub: bool, drop_content: bool,
-    metrics=None, model_factory=None,
+    batch: pa.Table, cfg: PipelineConfig, num_parts: int = DEFAULT_NUM_PARTS,
+    salt: int = 1, parts: np.ndarray | None = None, drop_content: bool = False,
+    post_filter=None, metrics=None, model_factory=None,
 ) -> pa.Table:
-    """The scorer stage as a stateless task: a ``CascadeScorer`` over this
-    process's cached model.  ``metrics`` is the current run's live-metrics
-    actor handle (or None); the batch's gate decisions are sent to it
-    fire-and-forget."""
+    """A wave's whole per-batch work as one stateless task: the part id,
+    the part filter (``parts``, sorted int32 ids to keep; None keeps all),
+    a scrubbing ``CascadeScorer`` over this process's cached model, the
+    language-code projection and ``post_filter``.  ``metrics`` is the
+    current run's live-metrics actor handle (or None); the batch's gate
+    decisions are sent to it fire-and-forget."""
+    batch = add_partition(batch, num_parts=num_parts, salt=salt)
+    if parts is not None:
+        batch = batch.filter(pc.is_in(batch["part"], value_set=pa.array(parts)))
     model = _process_model(model_factory)
     out = CascadeScorer(
-        cfg, scrub=scrub, drop_content=drop_content,
+        cfg, scrub=True, drop_content=drop_content,
         model_factory=lambda: model,
     )(batch)
     if metrics is not None:
@@ -243,6 +238,10 @@ def _cascade_task(
             counts.field("values").to_pylist(),
             counts.field("counts").to_pylist(),
         )))
+    if cfg.lang_code_format != "iso639-1":
+        out = _format_lang_codes(out, cfg.lang_code_format)
+    if post_filter is not None:
+        out = post_filter(out)
     return out
 
 

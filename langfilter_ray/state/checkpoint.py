@@ -5,11 +5,12 @@ restart; models/models.py:12-16) with the batch-native equivalent
 (SURVEY.md §4.1 "Checkpoint / resume"): the output directory holds one
 subdirectory per repo-hash partition, each written to a temp path and
 RENAMED into place, then recorded as one JSON line in ``_manifest.jsonl``
-with row counters and the config hash.  On resume, partitions present in
-the manifest are skipped; because a partition is a pure function of its
-input rows + config (the whole pipeline is deterministic, including the
-classifier), re-running a half-written partition simply overwrites it with
-identical bytes — crash-between-rename-and-manifest is safe.
+with row counters, its parquet file count and the config hash.  On
+resume, partitions present in the manifest are skipped; because a
+partition is a pure function of its input rows + config (the whole
+pipeline is deterministic, including the classifier), re-running a
+half-written partition simply overwrites it with identical bytes —
+crash-between-rename-and-manifest is safe.
 
 Wave execution: the remaining partitions are processed in waves of
 ``wave_size`` partitions per Dataset run (default: all remaining in ONE
@@ -139,10 +140,10 @@ def run_with_checkpoints(
     resume-fixture hook, FIXTURES.md §4).  ``model_factory`` is the
     pluggable-LID seam forwarded to ``build_pipeline`` (the CLI's
     ``run --model`` surface).  ``post_filter`` is an optional pyarrow
-    map_batches callable applied after the pipeline (the cross-ingest
-    dedup hook); ``config_tag`` folds the caller's extra identity into
-    the manifest config hash so resumes across a semantic change are
-    refused.  Returns a summary dict.
+    ``Table -> Table`` callable that ``build_pipeline`` applies last inside
+    the scorer task (the cross-ingest dedup hook); ``config_tag`` folds the
+    caller's extra identity into the manifest config hash so resumes across
+    a semantic change are refused.  Returns a summary dict.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -176,10 +177,8 @@ def run_with_checkpoints(
             ds, cfg, num_parts=num_parts, batch_size=batch_size,
             concurrency=concurrency, salt=salt,
             parts_filter=set(wave) if len(wave) < num_parts else None,
-            model_factory=model_factory,
+            model_factory=model_factory, post_filter=post_filter,
         )
-        if post_filter is not None:
-            ds = ds.map_batches(post_filter, batch_format="pyarrow")
         ds.write_parquet(str(tmp_dir), partition_cols=["part"])
 
         # atomic per-partition commit: rename, then manifest line
@@ -206,6 +205,7 @@ def run_with_checkpoints(
                     "committed_at": time.time(),
                     "config_hash": cfg_hash,
                     "input_fingerprint": fingerprint,
+                    "files": sum(1 for _ in dst.glob("*.parquet")),
                     **counters,
                 }
                 mf.write(json.dumps(line) + "\n")
@@ -559,7 +559,7 @@ def _prior_content_digests(out_dir: Path, exclude_ingest: str) -> "Any":
 
 
 def _digest_anti_filter(seen_ref):
-    """Post-cascade map_batches filter: drop rows whose content_sha256 is
+    """Post-cascade ``post_filter``: drop rows whose content_sha256 is
     in the broadcast ledger (ray.put'd sorted S64 array).  A row with a
     null digest (dropped by the cascade) is never dropped here."""
     import numpy as np

@@ -57,6 +57,14 @@ def test_manifest_lines_carry_lineage(single_run):
     assert all(l["input_fingerprint"] == lines[0]["input_fingerprint"] for l in lines)
 
 
+def test_manifest_counts_parquet_files(single_run):
+    out, summary = single_run
+    lines = [json.loads(l) for l in open(manifest_path(out)) if l.strip()]
+    files = list(out.glob("part=*/*.parquet"))
+    assert files and sum(l["files"] for l in lines) == len(files)
+    assert "files" not in summary      # a layout record, not a row total
+
+
 def test_resume_after_injected_failure(ray_session, unit_corpus_dir, tmp_path, single_run):
     out = tmp_path / "resumed"
     # crash after 2 committed waves of 2 partitions each
@@ -98,3 +106,25 @@ def test_resume_refuses_config_change(ray_session, unit_corpus_dir, single_run):
         run_with_checkpoints(
             unit_corpus_dir, out, changed, num_parts=NUM_PARTS, concurrency=(1, 2)
         )
+
+
+def test_waves_match_one_wave_with_lang_code_projection(
+    ray_session, unit_corpus_dir, tmp_path
+):
+    """Partition filter and language-code projection run in the same task:
+    one-partition waves commit exactly the rows of one wave, all columns."""
+    cfg = PipelineConfig(lang_code_format="iso639-2b")
+
+    def committed(out):
+        t = pads.dataset(str(out), format="parquet", partitioning="hive").to_table()
+        return t.sort_by([(k, "ascending") for k in KEY])
+
+    one, waves = tmp_path / "one", tmp_path / "waves"
+    run_with_checkpoints(unit_corpus_dir, one, cfg, num_parts=NUM_PARTS,
+                         concurrency=(1, 2))
+    run_with_checkpoints(unit_corpus_dir, waves, cfg, num_parts=NUM_PARTS,
+                         wave_size=1, concurrency=(1, 2))
+    want, got = committed(one), committed(waves)
+    assert want.num_rows == 2000
+    assert "eng" in want["language"].to_pylist()
+    assert got.equals(want)

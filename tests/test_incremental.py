@@ -310,3 +310,41 @@ def test_dedup_across_ingests_refuses_mixed_mode(ray_session, tmp_path, corpus):
         run_incremental(
             corpus, out, CFG, num_parts=N_PARTS, dedup_across_ingests=True
         )
+
+
+def _operator_names(summary) -> list[str]:
+    names = []
+    for parent in summary.parents:
+        names += _operator_names(parent)
+    return names + [op.operator_name for op in summary.operators_stats]
+
+
+def test_wave_plan_is_read_one_task_write(ray_session, tmp_path, corpus, monkeypatch):
+    """Every checkpoint wave executes as ReadParquet -> one
+    MapBatches(_cascade_task) -> Write, also with the part filter
+    (wave_size < num_parts) and the ledger anti-filter active: an extra
+    uncapped map_batches would show up as its own operator."""
+    import ray.data
+
+    plans = []
+    original = ray.data.Dataset.write_parquet
+
+    def write_parquet(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        plans.append(_operator_names(self._write_ds._get_stats_summary()))
+        return result
+
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", write_parquet)
+    out = tmp_path / "out"
+    run_incremental(corpus, out, CFG, num_parts=N_PARTS, wave_size=4,
+                    dedup_across_ingests=True)
+    _write_file(corpus, "c.parquet", 80, 200)     # rows 200-239 repeat b
+    s = run_incremental(corpus, out, CFG, num_parts=N_PARTS, wave_size=4,
+                        dedup_across_ingests=True)
+    assert s["rows_in"] < 240 + 80                # the ledger dropped rows
+    assert len(plans) == 4                        # 2 ingests x 2 waves
+    for names in plans:
+        assert len(names) == 3, names
+        assert names[0].startswith("ReadParquet"), names
+        assert "MapBatches" not in names[0], names
+        assert names[1:] == ["MapBatches(_cascade_task)", "Write"], names

@@ -133,7 +133,7 @@ def test_process_model_shared_across_configs(monkeypatch):
         os.remove(_LOAD_LOG)
     for cfg in (PipelineConfig(), PipelineConfig(strict_reject=True)):
         out = quality_filter._cascade_task(
-            _corpus_batch(), cfg, scrub=True, drop_content=False,
+            _corpus_batch(), cfg, drop_content=False,
             model_factory=FakeHeavyModel,
         )
         assert set(out["language"].to_pylist()) == {"en"}

@@ -129,3 +129,23 @@ def test_cli_report_folds_incremental_output(tmp_path):
     # the Prometheus surface must see the folded partition count too
     prom_text = prom.read_text()
     assert "langfilter_partitions_committed 2" in prom_text
+
+
+@pytest.mark.parametrize("fmt", ["iso639-1", "iso639-2b"])
+def test_cascade_task_part_filter_keeping_no_row_is_typed(fmt):
+    """No Ray needed: a wave whose part filter matches no row of a batch
+    returns a zero-row table with the full output schema."""
+    import numpy as np
+
+    from langfilter_ray.corpus import gen_table
+    from langfilter_ray.pipelines.quality_filter import _cascade_task
+
+    cfg = PipelineConfig(lang_code_format=fmt)
+    batch = gen_table(64, start=0)
+    full = _cascade_task(batch, cfg, num_parts=8)
+    present = set(full["part"].to_pylist())
+    assert full.num_rows == 64 and present != set(range(8))
+    none = np.array(sorted(set(range(8)) - present), dtype=np.int32)
+    empty = _cascade_task(batch, cfg, num_parts=8, parts=none)
+    assert empty.num_rows == 0
+    assert empty.schema.equals(full.schema), (empty.schema, full.schema)
