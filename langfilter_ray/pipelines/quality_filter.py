@@ -6,7 +6,11 @@ Ray-Data-first shape (SURVEY.md §7.1), three operators per wave:
       .map_batches(_cascade_task, concurrency=N,      # part id, part filter,
                    batch_size=B,                      # cascade + scrub,
                    batch_format="pyarrow")            # lang codes, post_filter
-      .write_parquet(out, partition_cols=["part"])    # resumable layout
+      .write_datasink(_CountingSink(out))             # part=N/ layout + counters
+
+The sink lives in ``state/checkpoint.py``: it writes the hive layout on
+``part`` that resume commits part by part, and returns each part's
+manifest counters from the write itself.
 
 Everything between the read and the write runs inside ``_cascade_task``:
 Ray fuses two task operators only when their concurrency caps match, so

@@ -5,15 +5,20 @@ equals a single-run table with no duplicate partitions in the manifest."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
+from typing import Any
 
 import pandas as pd
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pytest
 
 from langfilter_ray.config import PipelineConfig
+from langfilter_ray.state import checkpoint
 from langfilter_ray.state.checkpoint import (
     completed_parts,
     manifest_path,
+    run_incremental,
     run_with_checkpoints,
     summarize_manifest,
 )
@@ -128,3 +133,142 @@ def test_waves_match_one_wave_with_lang_code_projection(
     assert want.num_rows == 2000
     assert "eng" in want["language"].to_pylist()
     assert got.equals(want)
+
+
+# ---- manifest counters come from the write: parity with a read-back -------
+
+COUNTER_KEYS = ["rows_in", "kept", "dropped", "scrubbed", "errors", "by_decision"]
+ZERO = {"rows_in": 0, "kept": 0, "dropped": 0, "scrubbed": 0, "errors": 0,
+        "by_decision": {}}
+
+
+def _partition_counters(part_dir: Path) -> dict[str, Any]:
+    """Per-rule counters read back from the committed partition with column
+    pruning (tiny label columns only, never content)."""
+    dset = pads.dataset(part_dir, format="parquet")
+    t = dset.to_table(columns=["gate_decision", "keep", "scrubbed", "error"])
+    n = len(t)
+    kept = int(pc.sum(pc.cast(t["keep"], "int64")).as_py() or 0)
+    scrubbed = int(pc.sum(pc.cast(t["scrubbed"], "int64")).as_py() or 0)
+    errors = int(pc.sum(pc.cast(pc.is_valid(t["error"]), "int64")).as_py() or 0)
+    vc = t["gate_decision"].to_pandas().value_counts()
+    return {
+        "rows_in": n,
+        "kept": kept,
+        "dropped": n - kept,
+        "scrubbed": scrubbed,
+        "errors": errors,
+        "by_decision": {str(k): int(v) for k, v in vc.items()},
+    }
+
+
+def _assert_counters_match_read_back(out_dir: Path) -> list[dict]:
+    """Every manifest line's counters equal a read-back of its committed
+    part; an empty part has its marker directory and all-zero counters."""
+    lines = [json.loads(l) for l in open(manifest_path(out_dir)) if l.strip()]
+    assert lines
+    for line in lines:
+        part_dir = Path(out_dir) / f"part={line['partition']}"
+        assert part_dir.is_dir(), part_dir
+        got = {k: line[k] for k in COUNTER_KEYS}
+        if any(part_dir.iterdir()):
+            assert got == _partition_counters(part_dir), line["partition"]
+        else:
+            assert got == ZERO and line["files"] == 0, line
+    return lines
+
+
+def test_counters_match_read_back_one_wave(single_run):
+    out, summary = single_run
+    lines = _assert_counters_match_read_back(out)
+    assert sum(l["rows_in"] for l in lines) == summary["rows_in"] == 2000
+
+
+def test_wave_below_write_min_rows_writes_one_file_per_part(single_run):
+    """2000 rows < WRITE_MIN_ROWS: one write task, so one file per part."""
+    out, _ = single_run
+    lines = [json.loads(l) for l in open(manifest_path(out)) if l.strip()]
+    assert len(lines) == NUM_PARTS
+    assert [l["files"] for l in lines] == [1] * NUM_PARTS
+    assert len(list(out.glob("part=*/*.parquet"))) == NUM_PARTS
+
+
+def test_counters_match_read_back_across_crash_and_resume(
+    ray_session, unit_corpus_dir, tmp_path
+):
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_with_checkpoints(unit_corpus_dir, out, CFG, num_parts=NUM_PARTS,
+                             wave_size=1, fail_after_waves=3, concurrency=(1, 2))
+    assert len(_assert_counters_match_read_back(out)) == 3
+    summary = run_with_checkpoints(unit_corpus_dir, out, CFG, num_parts=NUM_PARTS,
+                                   wave_size=1, concurrency=(1, 2))
+    assert len(_assert_counters_match_read_back(out)) == NUM_PARTS
+    assert summary["rows_in"] == 2000
+
+
+def test_counters_match_read_back_under_ledger_filter(ray_session, tmp_path):
+    """The ledger anti-filter drops rows inside the scorer task; the
+    counters see only the rows that reach the write."""
+    import pyarrow.parquet as pq
+
+    from langfilter_ray.corpus import gen_table
+
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    corpus.mkdir()
+    pq.write_table(gen_table(240, 42, 0), corpus / "a.parquet")
+    run_incremental(corpus, out, CFG, num_parts=NUM_PARTS,
+                    dedup_across_ingests=True)
+    pq.write_table(gen_table(80, 42, 200), corpus / "b.parquet")  # 40 repeat a
+    s = run_incremental(corpus, out, CFG, num_parts=NUM_PARTS,
+                        dedup_across_ingests=True)
+    assert s["ingests"] == 2 and s["rows_in"] < 240 + 80
+    for ingest in sorted(out.glob("ingest=*")):
+        _assert_counters_match_read_back(ingest)
+
+
+def test_counters_merge_over_write_tasks(
+    ray_session, unit_corpus_dir, tmp_path, monkeypatch
+):
+    """With a small WRITE_MIN_ROWS several write tasks return counters for
+    the same part; the merged counters equal the read-back, and parts that
+    got no row are committed as empty markers."""
+    monkeypatch.setattr(checkpoint, "WRITE_MIN_ROWS", 64)
+    out = tmp_path / "out"
+    run_with_checkpoints(unit_corpus_dir, out, CFG, num_parts=64,
+                         batch_size=128, concurrency=(1, 2))
+    lines = _assert_counters_match_read_back(out)
+    assert len(lines) == 64
+    assert max(l["files"] for l in lines) > 1          # merged over tasks
+    assert any(l["rows_in"] == 0 for l in lines)       # empty markers
+    assert sum(l["rows_in"] for l in lines) == 2000
+
+
+def test_sink_retry_overwrites_its_own_files(tmp_path):
+    """A retried write task (same task index, same rows) overwrites the
+    files of its first attempt: the rows land once, the counters repeat."""
+    from types import SimpleNamespace
+
+    import pyarrow as pa
+
+    t = pa.table({
+        "part": pa.array([0, 1, 0, 1, 3], pa.int32()),
+        "keep": [True, False, True, None, False],
+        "gate_decision": ["kept_high_conf", "dropped_too_short", "kept_high_conf",
+                          None, "error"],
+        "scrubbed": [True, False, False, False, False],
+        "error": pa.array([None, None, None, None, "ValueError: x"], pa.string()),
+    })
+    sink = checkpoint._CountingSink(tmp_path / "w")
+    ctx = SimpleNamespace(task_idx=7)
+    first = sink.write([t.slice(0, 2), t.slice(0, 0), t.slice(2)], ctx)
+    again = sink.write([t], ctx)
+    assert again == first
+    assert sorted(first) == [0, 1, 3]
+    assert first[1] == {"rows_in": 2, "kept": 0, "dropped": 2, "scrubbed": 0,
+                        "errors": 0, "by_decision": {"dropped_too_short": 1}}
+    for part in (0, 1, 3):
+        part_dir = tmp_path / "w" / f"part={part}"
+        assert len(list(part_dir.glob("*.parquet"))) == 1
+        assert first[part] == _partition_counters(part_dir)
+    assert sink.write([t.slice(0, 0)], ctx) == {}

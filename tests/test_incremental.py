@@ -327,14 +327,14 @@ def test_wave_plan_is_read_one_task_write(ray_session, tmp_path, corpus, monkeyp
     import ray.data
 
     plans = []
-    original = ray.data.Dataset.write_parquet
+    original = ray.data.Dataset.write_datasink
 
-    def write_parquet(self, *args, **kwargs):
+    def write_datasink(self, *args, **kwargs):
         result = original(self, *args, **kwargs)
         plans.append(_operator_names(self._write_ds._get_stats_summary()))
         return result
 
-    monkeypatch.setattr(ray.data.Dataset, "write_parquet", write_parquet)
+    monkeypatch.setattr(ray.data.Dataset, "write_datasink", write_datasink)
     out = tmp_path / "out"
     run_incremental(corpus, out, CFG, num_parts=N_PARTS, wave_size=4,
                     dedup_across_ingests=True)
