@@ -65,9 +65,9 @@ def headline(sf_dir: str) -> tuple[float, int]:
 SECONDARY_PICKS = [
     "token_counts", "stopword_stats", "quality_score", "scrub_documents",
     "dedup_exact", "dedup_minhash", "dedup_embedding", "ann_topk",
-    "revenue_by_nation", "top50_recent", "top_tokens",
-    "simhash_candidates", "heavy_hitter_tokens", "dedup_components",
-    "dup_token_stats", "mix_rebalance", "source_quota_sample",
+    "revenue_by_nation", "top50_recent", "simhash_candidates",
+    "heavy_hitter_tokens", "dedup_components", "mix_rebalance",
+    "source_quota_sample",
 ]
 
 

@@ -38,7 +38,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Min
 
-from ._common import _read
+from ._common import _read, _typed
 
 N_HASHES = 64
 N_BANDS = 16           # 16 bands x 4 rows
@@ -230,32 +230,24 @@ def dedup_exact(sf_dir: str) -> ray.data.Dataset:
         out.columns = ["text_md5", "rep_doc_id"]
         return out
 
+    schema = pa.schema([("text_md5", pa.string()), ("rep_doc_id", pa.int64())])
     path = f"{sf_dir}/documents.parquet"
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     combined = ds.map_batches(digest_and_combine, batch_format="pyarrow")
     if pq.read_metadata(path).num_rows <= DEDUP_EXACT_BROADCAST_MAX_ROWS:
-        import pandas as pd
-
         tbls = [t for t in ray.get(combined.to_arrow_refs()) if t.num_rows]
-        tbl = pa.concat_tables(tbls) if tbls else pa.table({})
-        if len(tbl) == 0:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "text_md5": pa.array([], pa.string()),
-                        "rep_doc_id": pa.array([], pa.int64()),
-                    }
-                )
-            )
-        df = tbl.select(["text_md5", "doc_id"]).to_pandas()
+        if not tbls:
+            return schema.empty_table()
+        df = pa.concat_tables(tbls).select(["text_md5", "doc_id"]).to_pandas()
         out = df.groupby("text_md5", sort=False)["doc_id"].min().reset_index()
         out.columns = ["text_md5", "rep_doc_id"]
         return ray.data.from_pandas(out)
-    return (
+    return _typed(
         combined
         .groupby("bk")
         .map_groups(reduce_bucket, batch_format="pandas")
-        .select_columns(["text_md5", "rep_doc_id"])
+        .select_columns(["text_md5", "rep_doc_id"]),
+        schema,
     )
 
 
@@ -849,6 +841,9 @@ def dedup_embedding(sf_dir: str) -> ray.data.Dataset | pa.Table:
             f"{DEDUP_EMBEDDING_MAX_ROWS} vectors (got {n_rows}); use the "
             "IVF scale path instead: dedup_embedding_ivf"
         )
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+    if n_rows == 0:
+        return schema.empty_table()     # np.linalg.norm needs a 2-D matrix
     ids_all, mat = _normalized_matrix(sf_dir)
     ref = ray.put((ids_all, mat))
     order = {int(v): i for i, v in enumerate(ids_all)}
@@ -868,12 +863,9 @@ def dedup_embedding(sf_dir: str) -> ray.data.Dataset | pa.Table:
             {"id_a": pa.array(out_a, pa.int64()), "id_b": pa.array(out_b, pa.int64())}
         )
 
-    from ._common import _typed
-
     ds = _read(sf_dir, "embeddings", ["vec_id"])
     return _typed(
-        ds.map_batches(block, batch_format="pyarrow", batch_size=512),
-        pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())]),
+        ds.map_batches(block, batch_format="pyarrow", batch_size=512), schema
     )
 
 
@@ -1632,15 +1624,14 @@ def span_dedup(sf_dir: str) -> ray.data.Dataset:
             "hash anti-join instead of the broadcast"
         )
     drops_ref = ray.put(np.sort(drops))
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("clean_text", pa.string()),
+         ("kept_spans", pa.int64()), ("total_spans", pa.int64())]
+    )
 
     def rebuild(t: pa.Table) -> pa.Table:
         if len(t) == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "clean_text": pa.array([], pa.string()),
-                 "kept_spans": pa.array([], pa.int64()),
-                 "total_spans": pa.array([], pa.int64())}
-            )
+            return schema.empty_table()
         dr = ray.get(drops_ref)
         span_doc, span_idx, n_spans, spans = _explode_spans(t)
         doc_ids = t["doc_id"].to_numpy()
@@ -1668,7 +1659,7 @@ def span_dedup(sf_dir: str) -> ray.data.Dataset:
         )
         return out.filter(pc.greater(out["kept_spans"], 0))
 
-    return docs.map_batches(rebuild, batch_format="pyarrow")
+    return _typed(docs.map_batches(rebuild, batch_format="pyarrow"), schema)
 
 
 ORACLES["span_dedup"] = f"""

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from ._common import _read
+from ._common import _read, _typed
 from .quality_filter import _default_pool_size
 
 
@@ -55,7 +55,10 @@ def payload_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _payloads(sf_dir).map_batches(stats, batch_format="pyarrow")
+    return _typed(
+        _payloads(sf_dir).map_batches(stats, batch_format="pyarrow"),
+        pa.schema([("doc_id", pa.int64()), ("n_bytes", pa.int64())]),
+    )
 
 
 class FakeDecoder:

@@ -27,7 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ._common import _read
+from ._common import _read, _typed
 
 TOP_K = 5
 N_QUERIES = 8          # vec_id < N_QUERIES are the query vectors
@@ -114,6 +114,8 @@ def _load_queries(sf_dir: str):
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", N_QUERIES)],
     )
+    if t.num_rows == 0:
+        return np.empty(0, np.int64), np.empty((0, 0))
     ids = t["vec_id"].to_numpy()
     order = np.argsort(ids)
     ids = ids[order]
@@ -126,7 +128,13 @@ def ann_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
     candidate embeddings stream through map_batches (read from the batch's
     own ``embedding`` column, normalized in-batch — bit-identical to
     normalizing the whole matrix up front since the norm is per-row)."""
+    schema = pa.schema(
+        [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+         ("rank", pa.int64())]
+    )
     qids, qmat = _load_queries(sf_dir)
+    if len(qids) == 0:
+        return schema.empty_table()     # no query vector, no neighbours
     qref = ray.put((qids, qmat))
 
     def local_topk(t: pa.Table) -> pa.Table:
@@ -163,14 +171,9 @@ def ann_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
 
     ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=512)
-    from ._common import _typed
-
     return _typed(
         local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas"),
-        pa.schema(
-            [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-             ("rank", pa.int64())]
-        ),
+        schema,
     )
 
 
@@ -272,14 +275,19 @@ def ann_ivf(sf_dir: str) -> ray.data.Dataset:
     embeddings stream through `map_batches` and the shuffle carries only
     local top-k survivor rows.  Approximate by design → rows-only check
     (recall vs exact ann_topk asserted in tests)."""
-    ids, mat = _load(sf_dir, max_rows=TRAIN_SAMPLE_ROWS)
-    K, NPROBE = 8, 4      # recall/speed knob: probe half the coarse cells
-    m = mat[np.argsort(ids)]
-    cent = _train_centroids(m, K)
     # query vectors come from the row-FILTERED parquet read, never the
     # training sample — a query row past the 100k sample cap would
     # otherwise be silently dropped
     qids, qmat = _load_queries(sf_dir)
+    if len(qids) == 0:
+        return pa.schema(
+            [("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+             ("rank", pa.int64())]
+        ).empty_table()     # no query vector, no neighbours
+    ids, mat = _load(sf_dir, max_rows=TRAIN_SAMPLE_ROWS)
+    K, NPROBE = 8, 4      # recall/speed knob: probe half the coarse cells
+    m = mat[np.argsort(ids)]
+    cent = _train_centroids(m, K)
     qprobe = np.argsort(-(qmat @ cent.T), axis=1)[:, :NPROBE]
     ref = ray.put((qids, qmat, cent, qprobe))
 
@@ -370,7 +378,13 @@ def label_centroids(sf_dir: str) -> ray.data.Dataset:
         )
         return t.append_column("mean_q6", mean)
 
-    return agg.map_batches(add_mean, batch_format="pyarrow")
+    return _typed(
+        agg.map_batches(add_mean, batch_format="pyarrow"),
+        pa.schema(
+            [("label", pa.int64()), ("dim", pa.int64()), ("sum_q6", pa.int64()),
+             ("n_vals", pa.int64()), ("mean_q6", pa.float64())]
+        ),
+    )
 
 
 # ---- text -> embedding (batched-inference archetype) ---------------------
@@ -604,6 +618,13 @@ def kmeans_fit(sf_dir: str) -> "pa.Table":
     iterative fixpoint has no SQL oracle)."""
     from ray.data.aggregate import Sum
 
+    from ._common import _dim_num_rows
+
+    if _dim_num_rows(sf_dir, "embeddings") == 0:
+        return pa.schema(
+            [("cluster_id", pa.int64()), ("n_points", pa.int64()),
+             ("centroid_micros", pa.list_(pa.int64()))]
+        ).empty_table()     # nothing to seed or cluster
     cent = _kmeans_init(sf_dir, KMEANS_K)
     dim = cent.shape[1]
 

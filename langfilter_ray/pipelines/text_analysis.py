@@ -53,8 +53,11 @@ def token_counts(sf_dir: str) -> ray.data.Dataset:
             {"doc_id": t["doc_id"], "n_tokens": pc.cast(n, pa.int64())}
         )
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64())]),
     )
 
 
@@ -112,8 +115,14 @@ def stopword_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema(
+            [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+             ("n_stop_en", pa.int64())]
+        ),
     )
 
 
@@ -140,8 +149,11 @@ def langid_heuristic(sf_dir: str) -> ray.data.Dataset:
         preds = langs[np.argmax(hits, axis=1)]
         return pa.table({"doc_id": t["doc_id"], "pred_lang": pa.array(preds)})
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema([("doc_id", pa.int64()), ("pred_lang", pa.string())]),
     )
 
 
@@ -172,8 +184,15 @@ def quality_score(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema(
+            [("doc_id", pa.int64()), ("n_chars_text", pa.int64()),
+             ("n_words", pa.int64()), ("mean_word_len", pa.float64()),
+             ("alnum_ratio", pa.float64())]
+        ),
     )
 
 
@@ -201,13 +220,14 @@ def lang_distribution(sf_dir: str) -> ray.data.Dataset:
 
     from ._common import _partial_group_agg
 
-    return (
+    return _typed(
         _read(sf_dir, "documents", ["lang"])
         # map-side combiner: <= n_langs rows per batch cross the shuffle
         # (Ray's aggregate map stage does not pre-aggregate)
         .map_batches(_partial_group_agg(["lang"]), batch_format="pyarrow")
         .groupby("lang")
-        .aggregate(Sum("n_partial", alias_name="n_docs"))
+        .aggregate(Sum("n_partial", alias_name="n_docs")),
+        pa.schema([("lang", pa.string()), ("n_docs", pa.int64())]),
     )
 
 
@@ -226,8 +246,11 @@ def scrub_documents(sf_dir: str) -> ray.data.Dataset:
         ]
         return pa.table({"doc_id": t["doc_id"], "scrub_md5": pa.array(hashes)})
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema([("doc_id", pa.int64()), ("scrub_md5", pa.string())]),
     )
 
 
@@ -476,6 +499,9 @@ def heavy_hitter_tokens(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("partial", alias_name="partial"))
         .to_pandas()
     )
+    schema = pa.schema([("token", pa.string()), ("n_occurrences", pa.int64())])
+    if agg.empty:
+        return schema.empty_table()     # no documents at all
     n_total = int(agg.loc[agg["token"] == "", "partial"].sum())
     candidates = sorted(agg.loc[agg["token"] != "", "token"])
     if not candidates:
@@ -483,10 +509,7 @@ def heavy_hitter_tokens(sf_dir: str) -> ray.data.Dataset:
         # corpus-heavy (pigeonhole).  Short-circuit with a TYPED empty
         # table — phase B's groupby over an all-empty stream would lose
         # its schema (see CLAUDE.md).
-        return ray.data.from_arrow(
-            pa.table({"token": pa.array([], pa.string()),
-                      "n_occurrences": pa.array([], pa.int64())})
-        )
+        return schema.empty_table()
     cand_ref = ray.put(pa.array(candidates, pa.string()))
 
     def phase_b(t: pa.Table) -> pa.Table:
@@ -503,11 +526,14 @@ def heavy_hitter_tokens(sf_dir: str) -> ray.data.Dataset:
         .groupby("token")
         .aggregate(Sum("partial", alias_name="n_occurrences"))
     )
-    return exact.map_batches(
-        lambda t: t.filter(
-            pc.greater(pc.multiply(t["n_occurrences"], HH_K), n_total)
+    return _typed(
+        exact.map_batches(
+            lambda t: t.filter(
+                pc.greater(pc.multiply(t["n_occurrences"], HH_K), n_total)
+            ),
+            batch_format="pyarrow",
         ),
-        batch_format="pyarrow",
+        schema,
     )
 
 
@@ -735,6 +761,11 @@ def decontaminate_overlap(sf_dir: str) -> ray.data.Dataset:
         .count()
         .to_pandas()
     )
+    if eval_bits.empty:
+        # no eval document has 8 words: nothing can overlap it
+        return pa.schema(
+            [("doc_id", pa.int64()), ("n_overlap", pa.int64())]
+        ).empty_table()
     eval_hashes = np.sort(eval_bits["h"].to_numpy().view(np.uint64))
     href = ray.put(eval_hashes)
 
@@ -884,7 +915,12 @@ def train_val_split(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.table({"doc_id": t["doc_id"], "split": split})
 
-    return _read(sf_dir, "documents", ["doc_id"]).map_batches(assign, batch_format="pyarrow")
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id"]).map_batches(
+            assign, batch_format="pyarrow"
+        ),
+        pa.schema([("doc_id", pa.int64()), ("split", pa.string())]),
+    )
 
 
 ORACLES["train_val_split"] = (
@@ -921,8 +957,11 @@ def stratified_sample(sf_dir: str) -> ray.data.Dataset:
         ]
         return t.filter(pa.array(mask, pa.bool_()))
 
-    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
-        keep, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
+            keep, batch_format="pyarrow"
+        ),
+        _schema(sf_dir, "documents", ["doc_id", "lang"]),
     )
 
 
@@ -986,8 +1025,15 @@ def gopher_quality(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        pa.schema(
+            [("doc_id", pa.int64()), ("n_words", pa.int64()),
+             ("alpha_chars", pa.int64()), ("n_hash", pa.int64()),
+             ("n_ellipsis", pa.int64()), ("keep_flag", pa.int64())]
+        ),
     )
 
 
@@ -1420,11 +1466,20 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
 
     from ._common import _partial_group_agg, _volume_join_parts
 
+    schema = pa.schema(
+        [("doc_id", pa.int64()), ("n_grams", pa.int64()),
+         ("n_repeated", pa.int64())]
+    )
     pairs = (
         _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(_distinct_gram_pairs, batch_format="pyarrow")
         .materialize()
     )
+    n_pairs = pairs.count()
+    if n_pairs == 0:
+        # no doc has 5 words: the hash join below crashes on an all-empty
+        # side (see CLAUDE.md), and no row would come out of it anyway
+        return schema.empty_table()
 
     def min_partial(t: pa.Table) -> pa.Table:
         if len(t) == 0:
@@ -1467,7 +1522,7 @@ def ngram_novelty(sf_dir: str) -> ray.data.Dataset:
         pairs.join(
             first,
             join_type="inner",
-            num_partitions=_volume_join_parts(pairs.count()),
+            num_partitions=_volume_join_parts(n_pairs),
             on=("gram",),
         )
         .map_batches(per_doc_partial, batch_format="pyarrow")
@@ -2159,6 +2214,11 @@ def pack_sequences(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("n_partial", alias_name="part_tokens"))
         .to_pandas()
     )
+    if sums_df.empty:
+        return pa.schema(
+            [("doc_id", pa.int64()), ("n_tokens", pa.int64()),
+             ("seq_id", pa.int64()), ("offset_in_seq", pa.int64())]
+        ).empty_table()
     sums = np.zeros(parts, dtype=np.int64)
     sums[sums_df["part"].to_numpy()] = sums_df["part_tokens"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(sums)[:-1]))
@@ -2252,8 +2312,11 @@ def mix_downsample(sf_dir: str) -> ray.data.Dataset:
         rates = rate_arr[pc.fill_null(idx, len(langs)).to_numpy()]
         return t.filter(pa.array(draw < rates))
 
-    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        _schema(sf_dir, "documents", ["doc_id", "lang"]),
     )
 
 
@@ -2308,13 +2371,9 @@ def mix_rebalance(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("n_partial", alias_name="n"))
         .to_pandas()          # bounded: one row per language
     )
+    schema = _schema(sf_dir, "documents", ["doc_id", "lang"])
     if counts.empty:
-        return ray.data.from_arrow(
-            pa.table(
-                {"doc_id": pa.array([], pa.int64()),
-                 "lang": pa.array([], pa.string())}
-            )
-        )
+        return schema.empty_table()
     lam = MIX_REBALANCE_LAMBDA_BP
     n_min = int(counts["n"].min())
     rates = {
@@ -2332,8 +2391,11 @@ def mix_rebalance(sf_dir: str) -> ray.data.Dataset:
         r = rate_arr[pc.fill_null(idx, 0).to_numpy()]
         return t.filter(pa.array(draw < r))
 
-    return _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
-        f, batch_format="pyarrow"
+    return _typed(
+        _read(sf_dir, "documents", ["doc_id", "lang"]).map_batches(
+            f, batch_format="pyarrow"
+        ),
+        schema,
     )
 
 
@@ -2397,12 +2459,16 @@ def source_quota_sample(sf_dir: str) -> ray.data.Dataset:
         out["quota_rank"] = out.groupby("source", sort=False).cumcount() + 1
         return out[["doc_id", "source", "quota_rank"]]
 
-    return (
+    return _typed(
         _read(sf_dir, "documents", ["doc_id", "source"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby("source")
         .map_groups(finish, batch_format="pandas")
-        .select_columns(["doc_id", "source", "quota_rank"])
+        .select_columns(["doc_id", "source", "quota_rank"]),
+        pa.schema(
+            [("doc_id", pa.int64()), ("source", pa.string()),
+             ("quota_rank", pa.int64())]
+        ),
     )
 
 
@@ -2528,6 +2594,10 @@ def shuffle_order(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("n_partial", alias_name="n"))
         .to_pandas()
     )
+    if counts_df.empty:
+        return pa.schema(
+            [("doc_id", pa.int64()), ("train_pos", pa.int64())]
+        ).empty_table()
     counts = np.zeros(parts, dtype=np.int64)
     counts[counts_df["part"].to_numpy()] = counts_df["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -2663,6 +2733,11 @@ def length_rank_tiers(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("n_partial", alias_name="n"))
         .to_pandas()
     )
+    if counts_df.empty:
+        return pa.schema(
+            [("doc_id", pa.int64()), ("n_chars", pa.int64()),
+             ("length_rank", pa.int64()), ("size_tier", pa.int64())]
+        ).empty_table()
     counts = np.zeros(parts, dtype=np.int64)
     counts[counts_df["part"].to_numpy()] = counts_df["n"].to_numpy()
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
@@ -2781,6 +2856,13 @@ def training_manifest(sf_dir: str) -> ray.data.Dataset:
         )
         .to_pandas()
     )
+    if sums_df.empty:
+        # no document, or the mix filter dropped every one
+        return pa.schema(
+            [("doc_id", pa.int64()), ("lang", pa.string()),
+             ("n_tokens", pa.int64()), ("train_pos", pa.int64()),
+             ("seq_id", pa.int64()), ("offset_in_seq", pa.int64())]
+        ).empty_table()
     rows = np.zeros(parts, dtype=np.int64)
     toks = np.zeros(parts, dtype=np.int64)
     rows[sums_df["part"].to_numpy()] = sums_df["n"].to_numpy()

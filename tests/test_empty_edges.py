@@ -88,8 +88,8 @@ def test_heavy_hitters_flat_vocab_returns_typed_empty(clean_sf):
     from langfilter_ray.pipelines import text_analysis
 
     out = text_analysis.heavy_hitter_tokens(clean_sf)
-    assert out.count() == 0
-    assert out.schema().names == ["token", "n_occurrences"]
+    assert out.num_rows == 0
+    assert out.schema.names == ["token", "n_occurrences"]
 
 
 def test_live_metrics_readers_do_not_create_actor(ray_session):
@@ -265,7 +265,7 @@ def test_domain_mix_weights_zero_token_source(empty_sf):
     con.execute(
         f"CREATE VIEW documents AS SELECT * FROM '{empty_sf}/documents.parquet'"
     )
-    want = con.execute(e.oracle_sql()["domain_mix_weights"]).df()
+    want = con.execute(e.all_oracle_sql()["domain_mix_weights"]).df()
     assert list(want["mix_weight"]) == [0.0]
 
 
