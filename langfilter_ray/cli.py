@@ -30,19 +30,10 @@ def _apply_overrides(cfg, pairs: list[str]):
     kwargs = {}
     for pair in pairs:
         name, _, raw = pair.partition("=")
-        field = {f.name: f for f in dataclasses.fields(PipelineConfig)}.get(name)
-        if field is None:
-            raise SystemExit(f"unknown config field: {name}")
-        if field.type == "float":
-            kwargs[name] = float(raw)
-        elif field.type == "int":
-            kwargs[name] = int(raw)
-        elif field.type == "bool":
-            kwargs[name] = raw.lower() in ("1", "true", "yes")
-        elif name == "allowed_langs":
-            kwargs[name] = tuple(s for s in raw.split(",") if s)
-        else:
-            kwargs[name] = raw
+        try:
+            kwargs[name] = PipelineConfig.parse_field(name, raw)
+        except KeyError:
+            raise SystemExit(f"unknown config field: {name}") from None
     return dataclasses.replace(cfg, **kwargs)
 
 

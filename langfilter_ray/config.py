@@ -60,20 +60,25 @@ class PipelineConfig:
         kwargs = {}
         for f in fields(cls):
             key = "LANGFILTER_" + f.name.upper()
-            if key not in env:
-                continue
-            raw = env[key]
-            if f.type in ("float",):
-                kwargs[f.name] = float(raw)
-            elif f.type in ("int",):
-                kwargs[f.name] = int(raw)
-            elif f.type in ("bool",):
-                kwargs[f.name] = raw.lower() in ("1", "true", "yes")
-            elif f.name == "allowed_langs":
-                kwargs[f.name] = tuple(s.strip() for s in raw.split(",") if s.strip())
-            else:
-                kwargs[f.name] = raw
+            if key in env:
+                kwargs[f.name] = cls.parse_field(f.name, env[key])
         return cls(**kwargs)
+
+    @classmethod
+    def parse_field(cls, name: str, raw: str):
+        """The value of field ``name`` from its string form: the one
+        conversion behind LANGFILTER_* env vars and the CLI's ``--set``.
+        Raises KeyError for an unknown field."""
+        kind = {f.name: f.type for f in fields(cls)}[name]
+        if kind == "float":
+            return float(raw)
+        if kind == "int":
+            return int(raw)
+        if kind == "bool":
+            return raw.lower() in ("1", "true", "yes")
+        if name == "allowed_langs":
+            return tuple(s.strip() for s in raw.split(",") if s.strip())
+        return raw
 
     def config_hash(self) -> str:
         """Stable hash of every threshold — recorded in manifests for lineage."""

@@ -24,21 +24,28 @@ holds, so a part has about (the wave's rows) / ``WRITE_MIN_ROWS`` files
 (one for any wave below that).  The manifest counters come from the
 tables the write tasks wrote, merged on the driver; a committed part is
 never read back to count it.
+
+Ledgers: ``_manifest.jsonl`` and the ingest queue ``_ingested.jsonl`` are
+read only through ``_jsonl`` and appended only through ``_append_jsonl``,
+which fsyncs each record before it returns.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import ray
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
 
@@ -52,11 +59,31 @@ from ..pipelines.quality_filter import (
 
 MANIFEST_NAME = "_manifest.jsonl"
 
-LABEL_COLUMNS = ["part", "gate_decision", "keep", "scrubbed", "error"]
-
 
 def manifest_path(out_dir: str | Path) -> Path:
     return Path(out_dir) / MANIFEST_NAME
+
+
+# ---- the two JSON-lines ledgers: one reader, one durable appender ----------
+
+def _jsonl(path: Path) -> Iterator[dict[str, Any]]:
+    """The records of a JSON-lines ledger in file order; blank lines are
+    skipped and a missing ledger has none."""
+    if not path.exists():
+        return
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+def _append_jsonl(path: Path, rec: dict[str, Any]) -> None:
+    """Append one record and fsync it before returning: a record that is
+    in the ledger survives a crash, and every ledger write goes here."""
+    with open(path, "a") as fh:
+        fh.write(json.dumps(rec) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def completed_parts(
@@ -69,24 +96,18 @@ def completed_parts(
     hashed into the run manifest')."""
     path = manifest_path(out_dir)
     done: set[int] = set()
-    if path.exists():
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if (
-                    expect_config_hash is not None
-                    and rec.get("config_hash") != expect_config_hash
-                ):
-                    raise RuntimeError(
-                        f"manifest at {path} was written with config_hash="
-                        f"{rec.get('config_hash')}, current config is "
-                        f"{expect_config_hash}; refusing to resume across "
-                        "config changes (use a fresh output directory)"
-                    )
-                done.add(int(rec["partition"]))
+    for rec in _jsonl(path):
+        if (
+            expect_config_hash is not None
+            and rec.get("config_hash") != expect_config_hash
+        ):
+            raise RuntimeError(
+                f"manifest at {path} was written with config_hash="
+                f"{rec.get('config_hash')}, current config is "
+                f"{expect_config_hash}; refusing to resume across "
+                "config changes (use a fresh output directory)"
+            )
+        done.add(int(rec["partition"]))
     return done
 
 
@@ -101,9 +122,16 @@ def _model_tag(model_factory) -> str:
     return f"+model:{mod}.{name}"
 
 
-def _input_fingerprint(paths: Iterable[str | Path]) -> str:
-    import hashlib
+def _input_files(input_path: str | Path | Iterable[str | Path]) -> list[str]:
+    """The parquet files of a directory (sorted), one file, or a list."""
+    if not isinstance(input_path, (str, Path)):
+        return [str(p) for p in input_path]
+    if Path(input_path).is_dir():
+        return sorted(str(p) for p in Path(input_path).glob("*.parquet"))
+    return [str(input_path)]
 
+
+def _input_fingerprint(paths: Iterable[str | Path]) -> str:
     h = hashlib.sha256()
     for p in sorted(str(p) for p in paths):
         st = os.stat(p)
@@ -117,10 +145,22 @@ def _input_fingerprint(paths: Iterable[str | Path]) -> str:
 # parquet file on this schema).
 WRITE_MIN_ROWS = 16_384
 
+# The per-rule row counters of a manifest line, in its key order; the
+# line's ``by_decision`` map follows them.
+COUNTERS = ("rows_in", "kept", "dropped", "scrubbed", "errors")
+
 
 def _zero_counters() -> dict[str, Any]:
-    return {"rows_in": 0, "kept": 0, "dropped": 0, "scrubbed": 0, "errors": 0,
-            "by_decision": {}}
+    return {**dict.fromkeys(COUNTERS, 0), "by_decision": {}}
+
+
+def _add_counters(into: dict[str, Any], rec: dict[str, Any]) -> None:
+    """Add the counters of ``rec`` (a manifest line or a summary) into
+    ``into``; a counter ``rec`` lacks counts as zero."""
+    for k in COUNTERS:
+        into[k] += rec.get(k, 0)
+    for k, v in rec.get("by_decision", {}).items():
+        into["by_decision"][k] = into["by_decision"].get(k, 0) + v
 
 
 def _part_counters(t: pa.Table) -> dict[int, dict[str, Any]]:
@@ -180,11 +220,7 @@ class _CountingSink(Datasink):
     def on_write_complete(self, write_result) -> None:
         for counters in write_result.write_returns:
             for part, c in counters.items():
-                into = self.counters.setdefault(part, _zero_counters())
-                for k in ("rows_in", "kept", "dropped", "scrubbed", "errors"):
-                    into[k] += c[k]
-                for k, v in c["by_decision"].items():
-                    into["by_decision"][k] = into["by_decision"].get(k, 0) + v
+                _add_counters(self.counters.setdefault(part, _zero_counters()), c)
 
 
 def run_with_checkpoints(
@@ -221,10 +257,7 @@ def run_with_checkpoints(
     cfg_hash = cfg.config_hash() + _model_tag(model_factory) + config_tag
     done = completed_parts(out_dir, expect_config_hash=cfg_hash)
     remaining = [p for p in range(num_parts) if p not in done]
-    if isinstance(input_path, (str, Path)) and Path(input_path).is_dir():
-        files = sorted(str(p) for p in Path(input_path).glob("*.parquet"))
-    else:
-        files = [input_path] if isinstance(input_path, (str, Path)) else list(input_path)
+    files = _input_files(input_path)
     fingerprint = _input_fingerprint(files)
 
     waves: list[list[int]] = []
@@ -235,7 +268,6 @@ def run_with_checkpoints(
             remaining[i : i + wave_size] for i in range(0, len(remaining), wave_size)
         ]
 
-    n_committed = 0
     for wi, wave in enumerate(waves):
         tmp_dir = out_dir / f"_tmp-wave-{wi}"
         if tmp_dir.exists():
@@ -251,28 +283,23 @@ def run_with_checkpoints(
         ds.write_datasink(sink)
 
         # atomic per-partition commit: rename, then manifest line
-        with open(manifest_path(out_dir), "a") as mf:
-            for part in sorted(wave):
-                src = tmp_dir / f"part={part}"
-                dst = out_dir / f"part={part}"
-                if not src.exists():
-                    # partition had zero rows — commit an empty marker dir
-                    src.mkdir(parents=True, exist_ok=True)
-                if dst.exists():
-                    shutil.rmtree(dst)   # idempotent overwrite (same bytes)
-                os.replace(src, dst)
-                line = {
-                    "partition": part,
-                    "committed_at": time.time(),
-                    "config_hash": cfg_hash,
-                    "input_fingerprint": fingerprint,
-                    "files": sum(1 for _ in dst.glob("*.parquet")),
-                    **sink.counters.get(part, _zero_counters()),
-                }
-                mf.write(json.dumps(line) + "\n")
-                mf.flush()
-                os.fsync(mf.fileno())
-                n_committed += 1
+        for part in sorted(wave):
+            src = tmp_dir / f"part={part}"
+            dst = out_dir / f"part={part}"
+            if not src.exists():
+                # partition had zero rows — commit an empty marker dir
+                src.mkdir(parents=True, exist_ok=True)
+            if dst.exists():
+                shutil.rmtree(dst)   # idempotent overwrite (same bytes)
+            os.replace(src, dst)
+            _append_jsonl(manifest_path(out_dir), {
+                "partition": part,
+                "committed_at": time.time(),
+                "config_hash": cfg_hash,
+                "input_fingerprint": fingerprint,
+                "files": sum(1 for _ in dst.glob("*.parquet")),
+                **sink.counters.get(part, _zero_counters()),
+            })
         shutil.rmtree(tmp_dir, ignore_errors=True)
         if fail_after_waves is not None and wi + 1 >= fail_after_waves:
             raise RuntimeError(f"injected failure after wave {wi}")
@@ -283,28 +310,15 @@ def run_with_checkpoints(
 def summarize_manifest(out_dir: str | Path) -> dict[str, Any]:
     """Cluster-total counters = sum over partition manifest lines (the A5/A6
     analog: per-node Prometheus sums become a fold over the manifest)."""
-    totals = {"rows_in": 0, "kept": 0, "dropped": 0, "scrubbed": 0, "errors": 0}
-    by_decision: dict[str, int] = {}
+    totals = _zero_counters()
     parts = set()
-    path = manifest_path(out_dir)
-    if path.exists():
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if rec["partition"] in parts:
-                    continue   # defensive: first commit line per partition wins
-                parts.add(rec["partition"])
-                for k in totals:
-                    totals[k] += rec.get(k, 0)
-                for k, v in rec.get("by_decision", {}).items():
-                    by_decision[k] = by_decision.get(k, 0) + v
-    return {
-        "partitions": len(parts),
-        **totals,
-        "by_decision": dict(sorted(by_decision.items())),
-    }
+    for rec in _jsonl(manifest_path(out_dir)):
+        if rec["partition"] in parts:
+            continue   # defensive: first commit line per partition wins
+        parts.add(rec["partition"])
+        _add_counters(totals, rec)
+    totals["by_decision"] = dict(sorted(totals["by_decision"].items()))
+    return {"partitions": len(parts), **totals}
 
 
 # ---- incremental ingest (the reference's continuous queue, batch-native) --
@@ -316,31 +330,29 @@ def ingest_log_path(out_dir: str | Path) -> Path:
     return Path(out_dir) / INGEST_LOG_NAME
 
 
-def _read_ingest_log(out_dir: str | Path) -> tuple[dict[tuple[str, int], str], list[dict]]:
-    """Return (claimed (path,size) -> ingest id, pending ingest records).
+def _ingest_ledger(
+    out_dir: str | Path,
+) -> tuple[dict[str, dict], dict[str, float], set[str]]:
+    """Fold ``_ingested.jsonl`` into (ingest id -> its ``ingest_start``
+    record, ingest id -> its ``ingest_done`` time, purged ingest ids).
 
-    A file is CLAIMED the moment an ingest_start line names it — pending
-    ingests are finished before new files are considered, so a crash
-    between start and done never double-processes a file (the reference's
+    A file is CLAIMED the moment an ingest_start line names it, and an
+    ingest is PENDING while it is started but not done — pending ingests
+    are finished before new files are considered, so a crash between
+    start and done never double-processes a file (the reference's
     claim-then-process queue contract, app/main.py:90-111)."""
-    claimed: dict[tuple[str, int], str] = {}
     started: dict[str, dict] = {}
-    done: set[str] = set()
-    path = ingest_log_path(out_dir)
-    if path.exists():
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                if rec.get("kind") == "ingest_start":
-                    started[rec["ingest"]] = rec
-                    for f, size in rec["files"]:
-                        claimed[(f, int(size))] = rec["ingest"]
-                elif rec.get("kind") == "ingest_done":
-                    done.add(rec["ingest"])
-    pending = [r for iid, r in started.items() if iid not in done]
-    return claimed, pending
+    done_at: dict[str, float] = {}
+    purged: set[str] = set()
+    for rec in _jsonl(ingest_log_path(out_dir)):
+        kind = rec.get("kind")
+        if kind == "ingest_start":
+            started[rec["ingest"]] = rec
+        elif kind == "ingest_done":
+            done_at[rec["ingest"]] = float(rec.get("committed_at", 0))
+        elif kind == "ingest_purged":
+            purged.add(rec["ingest"])
+    return started, done_at, purged
 
 
 def run_incremental(
@@ -384,14 +396,11 @@ def run_incremental(
     the inner runner (resume tests)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    input_path = Path(input_path)
-    if input_path.is_dir():
-        files = sorted(str(p) for p in input_path.glob("*.parquet"))
-    else:
-        files = [str(input_path)]
-    sized = [(f, os.stat(f).st_size) for f in files]
+    sized = [(f, os.stat(f).st_size) for f in _input_files(input_path)]
 
-    claimed, pending = _read_ingest_log(out_dir)
+    started, done_at, _ = _ingest_ledger(out_dir)
+    claimed = {(f, int(size)) for rec in started.values() for f, size in rec["files"]}
+    pending = [rec for iid, rec in started.items() if iid not in done_at]
     xdedup_tag = "+xdedup" if dedup_across_ingests else ""
     cfg_hash = cfg.config_hash() + _model_tag(model_factory) + xdedup_tag
     for rec in pending:
@@ -411,10 +420,8 @@ def run_incremental(
             # dropped here; that is the downstream corpus_clean /
             # dedup_exact pass.  The ledger snapshot is deterministic at
             # resume (ingests complete strictly sequentially).
-            import ray as _ray
-
             seen = _prior_content_digests(out_dir, ingest_id)
-            post = _digest_anti_filter(_ray.put(seen))
+            post = _digest_anti_filter(ray.put(seen))
         run_with_checkpoints(
             ingest_files,
             out_dir / f"ingest={ingest_id}",
@@ -429,19 +436,11 @@ def run_incremental(
             post_filter=post,
             config_tag=xdedup_tag,
         )
-        with open(ingest_log_path(out_dir), "a") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "ingest_done",
-                        "ingest": ingest_id,
-                        "committed_at": time.time(),
-                    }
-                )
-                + "\n"
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_jsonl(ingest_log_path(out_dir), {
+            "kind": "ingest_done",
+            "ingest": ingest_id,
+            "committed_at": time.time(),
+        })
 
     # 1. finish anything claimed but not done
     for rec in pending:
@@ -451,21 +450,13 @@ def run_incremental(
     new = [(f, size) for f, size in sized if (f, size) not in claimed]
     if new:
         ingest_id = _input_fingerprint([f for f, _ in new])
-        with open(ingest_log_path(out_dir), "a") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "ingest_start",
-                        "ingest": ingest_id,
-                        "files": new,
-                        "config_hash": cfg_hash,
-                        "claimed_at": time.time(),
-                    }
-                )
-                + "\n"
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
+        _append_jsonl(ingest_log_path(out_dir), {
+            "kind": "ingest_start",
+            "ingest": ingest_id,
+            "files": new,
+            "config_hash": cfg_hash,
+            "claimed_at": time.time(),
+        })
         _run_ingest(ingest_id, [f for f, _ in new])
 
     return {
@@ -478,20 +469,13 @@ def run_incremental(
 def summarize_incremental(out_dir: str | Path) -> dict[str, Any]:
     """Fold every ingest's per-partition manifest into cluster totals."""
     out_dir = Path(out_dir)
-    totals: dict[str, Any] = {
-        "ingests": 0, "partitions": 0, "rows_in": 0, "kept": 0,
-        "dropped": 0, "scrubbed": 0, "errors": 0,
-    }
-    by_decision: dict[str, int] = {}
+    totals: dict[str, Any] = {"ingests": 0, "partitions": 0, **_zero_counters()}
     for ingest_dir in sorted(out_dir.glob("ingest=*")):
         s = summarize_manifest(ingest_dir)
         totals["ingests"] += 1
-        for k in ("partitions", "rows_in", "kept", "dropped", "scrubbed",
-                  "errors"):
-            totals[k] += s[k]
-        for k, v in s["by_decision"].items():
-            by_decision[k] = by_decision.get(k, 0) + v
-    totals["by_decision"] = dict(sorted(by_decision.items()))
+        totals["partitions"] += s["partitions"]
+        _add_counters(totals, s)
+    totals["by_decision"] = dict(sorted(totals["by_decision"].items()))
     return totals
 
 
@@ -518,24 +502,8 @@ def purge_ingests(
       empty) subtree on the next call.
     """
     out_dir = Path(out_dir)
-    path = ingest_log_path(out_dir)
-    done_at: dict[str, float] = {}
-    purged: set[str] = set()
-    pending_ids: list[str] = []
-    if path.exists():
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                kind = rec.get("kind")
-                if kind == "ingest_done":
-                    done_at[rec["ingest"]] = float(rec.get("committed_at", 0))
-                elif kind == "ingest_purged":
-                    purged.add(rec["ingest"])
-                elif kind == "ingest_start" and rec["ingest"] not in done_at:
-                    pending_ids.append(rec["ingest"])
-    pending_ids = [i for i in pending_ids if i not in done_at]
+    started, done_at, purged = _ingest_ledger(out_dir)
+    pending_ids = [iid for iid in started if iid not in done_at]
     completed = sorted(
         ((t, iid) for iid, t in done_at.items() if iid not in purged)
     )
@@ -546,19 +514,11 @@ def purge_ingests(
     if apply:
         for iid in victims:
             shutil.rmtree(out_dir / f"ingest={iid}", ignore_errors=True)
-            with open(path, "a") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "ingest_purged",
-                            "ingest": iid,
-                            "purged_at": time.time(),
-                        }
-                    )
-                    + "\n"
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
+            _append_jsonl(ingest_log_path(out_dir), {
+                "kind": "ingest_purged",
+                "ingest": iid,
+                "purged_at": time.time(),
+            })
 
     return {
         "dry_run": not apply,
@@ -579,17 +539,15 @@ def purge_ingests(
 DEDUP_LEDGER_BROADCAST_MAX_DIGESTS = 2_000_000
 
 
-def _prior_content_digests(out_dir: Path, exclude_ingest: str) -> "Any":
+def _prior_content_digests(out_dir: Path, exclude_ingest: str) -> np.ndarray:
     """Sorted unique content_sha256 of every COMPLETED ingest except
     ``exclude_ingest`` — the dedup ledger a new ingest filters against.
     Column-pruned read of the committed partitions (64 hex chars per row,
     never content).  Deterministic at resume: ingests complete strictly
     sequentially, so the completed set seen by a resumed ingest equals
     the set at its claim."""
-    import numpy as np
-
-    _, pending = _read_ingest_log(out_dir)
-    pending_ids = {r["ingest"] for r in pending}
+    started, done_at, _ = _ingest_ledger(out_dir)
+    pending_ids = started.keys() - done_at.keys()
     digests = []
     for d in sorted(Path(out_dir).glob("ingest=*")):
         iid = d.name.split("=", 1)[1]
@@ -623,12 +581,9 @@ def _digest_anti_filter(seen_ref):
     """Post-cascade ``post_filter``: drop rows whose content_sha256 is
     in the broadcast ledger (ray.put'd sorted S64 array).  A row with a
     null digest (dropped by the cascade) is never dropped here."""
-    import numpy as np
 
     def f(t):
-        import ray as _ray
-
-        seen = _ray.get(seen_ref)
+        seen = ray.get(seen_ref)
         if len(seen) == 0 or len(t) == 0:
             return t
         col = t["content_sha256"]
@@ -636,8 +591,6 @@ def _digest_anti_filter(seen_ref):
         pos = np.searchsorted(seen, ids)
         dup = (pos < len(seen)) & (seen[np.minimum(pos, len(seen) - 1)] == ids)
         dup &= pc.is_valid(col).to_numpy(zero_copy_only=False)
-        import pyarrow as _pa
-
-        return t.filter(_pa.array(~dup))
+        return t.filter(pa.array(~dup))
 
     return f

@@ -101,19 +101,13 @@ def write_live_textfile(path: str | Path) -> Path:
     """Prometheus text exposition of the CURRENT in-flight counters (the
     scrape surface; complement of metrics.write_prometheus_textfile which
     exports committed manifest totals)."""
-    from .metrics import gate_path, pipeline_mode
+    from .metrics import decision_lines
 
-    counts = snapshot()
     lines = [
         "# HELP langfilter_live_gate_decisions_total rows per gate decision (in-flight)",
         "# TYPE langfilter_live_gate_decisions_total counter",
+        *decision_lines("langfilter_live_gate_decisions_total", snapshot()),
     ]
-    for decision, n in sorted(counts.items()):
-        lines.append(
-            "langfilter_live_gate_decisions_total"
-            f'{{decision="{decision}",path="{gate_path(decision)}",'
-            f'mode="{pipeline_mode(decision)}"}} {n}'
-        )
     out = Path(path)
     out.write_text("\n".join(lines) + "\n")
     return out

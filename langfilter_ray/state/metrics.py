@@ -63,6 +63,16 @@ def rollup(summary: dict) -> dict:
     }
 
 
+def decision_lines(metric: str, by_decision: dict[str, int]) -> list[str]:
+    """One Prometheus sample of ``metric`` per gate decision, labelled with
+    its decision, path and mode, in decision order."""
+    return [
+        f'{metric}{{decision="{d}",path="{gate_path(d)}",'
+        f'mode="{pipeline_mode(d)}"}} {n}'
+        for d, n in sorted(by_decision.items())
+    ]
+
+
 def write_prometheus_textfile(summary: dict, path: str | Path) -> Path:
     """Export manifest counters in Prometheus text exposition format (the
     scrape surface of app/metrics.py:6-78, as a node-exporter textfile)."""
@@ -76,12 +86,8 @@ def write_prometheus_textfile(summary: dict, path: str | Path) -> Path:
         "# HELP langfilter_gate_decisions_total rows per gate decision",
         "# TYPE langfilter_gate_decisions_total counter",
     ]
-    for decision, n in sorted(summary.get("by_decision", {}).items()):
-        lines.append(
-            "langfilter_gate_decisions_total"
-            f'{{decision="{decision}",path="{gate_path(decision)}",'
-            f'mode="{pipeline_mode(decision)}"}} {n}'
-        )
+    lines += decision_lines("langfilter_gate_decisions_total",
+                            summary.get("by_decision", {}))
     lines.append(
         f"langfilter_partitions_committed {summary.get('partitions', 0)}"
     )

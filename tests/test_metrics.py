@@ -54,15 +54,49 @@ def test_rollup_percentages_sum():
     assert abs(sum(r["pct_by_path"].values()) - 100.0) < 0.1
 
 
+# The decision samples of SUMMARY, as both textfiles spell them.
+DECISION_SAMPLES = """\
+{m}{{decision="dropped_fallback",path="fallback",mode="reject"}} 15
+{m}{{decision="dropped_no_content",path="no_content",mode="reject"}} 10
+{m}{{decision="dropped_rule_line_len",path="rules",mode="reject"}} 6
+{m}{{decision="dropped_rule_repetition",path="rules",mode="reject"}} 8
+{m}{{decision="error",path="error",mode="error"}} 1
+{m}{{decision="kept_high_conf",path="fast_path",mode="accept"}} 40
+{m}{{decision="kept_mid_zone_en",path="heuristic",mode="accept"}} 10
+{m}{{decision="kept_second_pass",path="second_pass",mode="accept"}} 10
+"""
+
+
 def test_prometheus_textfile(tmp_path):
-    out = write_prometheus_textfile(SUMMARY, tmp_path / "langfilter.prom")
-    text = out.read_text()
-    assert 'langfilter_rows_total{disposition="kept"} 60' in text
-    assert (
-        'langfilter_gate_decisions_total{decision="kept_high_conf",'
-        'path="fast_path",mode="accept"} 40'
-    ) in text
-    assert "langfilter_partitions_committed 8" in text
+    text = write_prometheus_textfile(SUMMARY, tmp_path / "langfilter.prom").read_text()
+    assert text == (
+        "# HELP langfilter_rows_total rows processed by final disposition\n"
+        "# TYPE langfilter_rows_total counter\n"
+        'langfilter_rows_total{disposition="kept"} 60\n'
+        'langfilter_rows_total{disposition="dropped"} 40\n'
+        'langfilter_rows_total{disposition="scrubbed"} 5\n'
+        'langfilter_rows_total{disposition="errors"} 1\n'
+        "# HELP langfilter_gate_decisions_total rows per gate decision\n"
+        "# TYPE langfilter_gate_decisions_total counter\n"
+        + DECISION_SAMPLES.format(m="langfilter_gate_decisions_total")
+        + "langfilter_partitions_committed 8\n"
+    )
+
+
+def test_live_textfile_exact_text(tmp_path, monkeypatch):
+    """The live textfile spells its decision samples as the committed one
+    does; the snapshot is stubbed, so no counter actor is needed."""
+    from langfilter_ray.state import live_metrics
+
+    monkeypatch.setattr(live_metrics, "snapshot",
+                        lambda: dict(SUMMARY["by_decision"]))
+    text = live_metrics.write_live_textfile(tmp_path / "live.prom").read_text()
+    assert text == (
+        "# HELP langfilter_live_gate_decisions_total rows per gate decision "
+        "(in-flight)\n"
+        "# TYPE langfilter_live_gate_decisions_total counter\n"
+        + DECISION_SAMPLES.format(m="langfilter_live_gate_decisions_total")
+    )
 
 
 def test_live_metrics_counts_match_output(ray_session, unit_corpus_dir, tmp_path):

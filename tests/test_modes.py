@@ -3,6 +3,7 @@ formats, snippet enrichment, CLI smoke."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -77,6 +78,33 @@ def test_cli_run_and_report(tmp_path):
         check=True, cwd=REPO, env=env, capture_output=True, text=True, timeout=60,
     )
     assert json.loads(r2.stdout)["rows_in"] == 300
+
+
+# One raw string per field type, spelled the way a shell user might.
+RAW_BY_TYPE = {"float": " 0.5", "int": "7", "bool": "Yes", "str": "iso639-2b",
+               "tuple[str, ...]": "en, fr,"}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(PipelineConfig),
+                         ids=lambda f: f.name)
+def test_set_and_env_parse_every_field_alike(field):
+    """`run --set NAME=RAW` and `LANGFILTER_NAME=RAW` give the same value."""
+    from langfilter_ray.cli import _apply_overrides
+
+    raw = RAW_BY_TYPE[field.type]
+    via_set = _apply_overrides(PipelineConfig(), [f"{field.name}={raw}"])
+    via_env = PipelineConfig.from_env({"LANGFILTER_" + field.name.upper(): raw})
+    assert getattr(via_set, field.name) == getattr(via_env, field.name)
+    assert via_set == via_env
+
+
+def test_set_allowed_langs_strips_spaces():
+    from langfilter_ray.cli import _apply_overrides
+
+    cfg = _apply_overrides(PipelineConfig(), ["allowed_langs=en, fr"])
+    assert cfg.allowed_langs == ("en", "fr")
+    with pytest.raises(SystemExit, match="unknown config field: no_such"):
+        _apply_overrides(PipelineConfig(), ["no_such=1"])
 
 
 def test_salted_partitioning_spreads_mega_repo(ray_session, unit_corpus_dir):
