@@ -203,7 +203,8 @@ def truncate_to_words(text: str, max_words: int = 10) -> str:
     semantics (reference appends the ellipsis only when truncation happened)."""
     if not text:
         return text
-    words = text.split()
+    # at most max_words splits: the tail of a long text is never split
+    words = text.split(None, max_words)
     if len(words) <= max_words:
         return text
     return " ".join(words[:max_words]) + " ..."

@@ -2,7 +2,8 @@
 
 Ray-Data-first shape (SURVEY.md §7.1), three operators per wave:
 
-    ray.data.read_parquet(corpus, columns=[...])      # prune at the read
+    ray.data.read_parquet(corpus, columns=[...],      # prune at the read;
+                          override_num_blocks=n)      # n from the footers
       .map_batches(_cascade_task, concurrency=N,      # part id, part filter,
                    batch_size=B,                      # cascade + scrub,
                    batch_format="pyarrow")            # lang codes, post_filter
@@ -33,9 +34,16 @@ id keyed on repo keeps output/manifest layout stable).  crc32 stands in
 for xxhash64 (not in this sandbox); it is only a bucket id, never a
 content fingerprint.
 
+Read blocks: ``wave_read_blocks`` sizes a wave's read from the parquet
+footers to one block per scorer batch (``ceil(rows / batch_size)``).
+Ray's default plan splits each file into several small blocks, which the
+scorer re-bundles into more and shorter tasks: on a 12 x 1,000-row wave
+the default plan gave 48 blocks and 10 scorer tasks, the footer count 12
+blocks and 6 tasks.
+
 Everything streams: no materialize(), no driver-side row loops; the only
-full-dataset consumption is the final ``write_parquet`` / ``iter_batches``
-in the caller.
+full-dataset consumption is the final ``write_datasink`` (a checkpoint
+wave) or ``iter_batches`` / ``write_parquet`` in the caller.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray.data
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
@@ -111,6 +120,15 @@ def read_corpus(path: str | list[str], parallelism: int | None = None) -> ray.da
     return ray.data.read_parquet(path, columns=CORPUS_COLUMNS, **kwargs)
 
 
+def wave_read_blocks(files: list[str], batch_size: int) -> int:
+    """Read blocks for one wave over ``files``: one per scorer batch of the
+    rows the parquet footers count (no data is read), at least one.  More
+    blocks could not give more scorer tasks: ``map_batches`` joins blocks
+    until a task holds ``batch_size`` rows."""
+    rows = sum(pq.read_metadata(f).num_rows for f in files)
+    return max(1, -(-rows // batch_size))
+
+
 def build_pipeline(
     ds: ray.data.Dataset,
     cfg: PipelineConfig = DEFAULT_CONFIG,
@@ -151,11 +169,6 @@ def build_pipeline(
     analog.  Off by default: the committed-manifest rollup in
     ``state/metrics.py`` is the post-hoc source of truth.
     """
-    if concurrency is None:
-        concurrency = _default_pool_size()
-    elif isinstance(concurrency, tuple):
-        concurrency = concurrency[1]
-
     metrics = None
     if live_metrics:
         # create (or look up) the named counter actor DRIVER-side, so its
@@ -177,7 +190,7 @@ def build_pipeline(
         },
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=scorer_cap(concurrency),
     )
 
 
@@ -247,6 +260,17 @@ def _cascade_task(
     if post_filter is not None:
         out = post_filter(out)
     return out
+
+
+def scorer_cap(concurrency: int | tuple[int, int] | None) -> int:
+    """The most scorer tasks a ``concurrency`` argument lets run at once:
+    ``None`` means ``_default_pool_size()``, a ``(min, max)`` tuple its
+    ``max``."""
+    if concurrency is None:
+        return _default_pool_size()
+    if isinstance(concurrency, tuple):
+        return concurrency[1]
+    return concurrency
 
 
 def _default_pool_size() -> int:

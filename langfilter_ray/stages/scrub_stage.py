@@ -5,8 +5,9 @@ expensive snippet transcription only on accepted rows, runner.py:92-108).
 Implementation: the batch is split by the ``keep`` flag; the kept slice
 runs the whole rule chain through ``pyarrow.compute.replace_substring_regex``
 (RE2, fully vectorized — byte-identical to the Python ``re`` oracle, which
-is asserted by tests/test_scrub.py), plus per-rule match flags and a
-sha256 of the scrubbed text; the dropped slice gets null scrub columns.
+is asserted by tests/test_property_parity.py), plus per-rule change flags
+(a rule's flag is set when it changed the text, as in ``scrub_text``) and
+a sha256 of the scrubbed text; the dropped slice gets null scrub columns.
 The two slices are re-concatenated — row order within a batch changes, but
 the pipeline is order-free (results are keyed by (repo, path, commit);
 SURVEY.md §2.10).
@@ -14,6 +15,7 @@ SURVEY.md §2.10).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pyarrow as pa
@@ -31,10 +33,13 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
         content = pa.chunked_array([content])
     content = content.combine_chunks()
     cur = content
-    flag_arrays = {}
-    for name, pat, repl in SCRUB_RULES:
-        flag_arrays[name] = pc.match_substring_regex(cur, pat)
-        cur = pc.replace_substring_regex(cur, pat, repl)
+    flags = []
+    for _, pat, repl in SCRUB_RULES:
+        new = pc.replace_substring_regex(cur, pat, repl)
+        # the spec's flag (scrub.scrub_text): the rule changed the text,
+        # not merely matched it (a literal "<SECRET>" rebuilds itself)
+        flags.append(pc.not_equal(cur, new))
+        cur = new
 
     scrubbed_texts = cur.to_pylist()
     sha = pa.array(
@@ -54,18 +59,8 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
         ],
         pa.string(),
     )
-    scrubbed_any = None
-    for name in flag_arrays:
-        scrubbed_any = (
-            flag_arrays[name]
-            if scrubbed_any is None
-            else pc.or_(scrubbed_any, flag_arrays[name])
-        )
-    pii = pa.StructArray.from_arrays(
-        [flag_arrays[name].combine_chunks() if isinstance(flag_arrays[name], pa.ChunkedArray)
-         else flag_arrays[name] for name, _, _ in SCRUB_RULES],
-        fields=list(PII_FLAGS_TYPE),
-    )
+    scrubbed_any = functools.reduce(pc.or_, flags)
+    pii = pa.StructArray.from_arrays(flags, fields=list(PII_FLAGS_TYPE))
     out = table
     out = out.append_column("scrubbed_content", cur.cast(pa.large_string()))
     out = out.append_column("content_sha256", sha)

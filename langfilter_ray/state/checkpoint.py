@@ -17,6 +17,9 @@ Wave execution: the remaining partitions are processed in waves of
 streaming run — a wave is a resume granularity knob, not a parallelism
 knob; resume tests use wave_size=1 to inject failures between commits).
 
+Read: every wave reads all the input files as ``wave_read_blocks``
+blocks, counted once per call from the parquet footers.
+
 Write: a wave goes through ``_CountingSink`` (``Dataset.write_datasink``).
 Ray bundles the scorer's blocks into write tasks of at least
 ``WRITE_MIN_ROWS`` rows, and each write task writes one file per part it
@@ -55,6 +58,7 @@ from ..pipelines.quality_filter import (
     DEFAULT_NUM_PARTS,
     build_pipeline,
     read_corpus,
+    wave_read_blocks,
 )
 
 MANIFEST_NAME = "_manifest.jsonl"
@@ -268,11 +272,13 @@ def run_with_checkpoints(
             remaining[i : i + wave_size] for i in range(0, len(remaining), wave_size)
         ]
 
+    # every wave reads all the input, so one footer count sizes them all
+    blocks = wave_read_blocks(files, batch_size) if waves else None
     for wi, wave in enumerate(waves):
         tmp_dir = out_dir / f"_tmp-wave-{wi}"
         if tmp_dir.exists():
             shutil.rmtree(tmp_dir)
-        ds = read_corpus(files)
+        ds = read_corpus(files, parallelism=blocks)
         ds = build_pipeline(
             ds, cfg, num_parts=num_parts, batch_size=batch_size,
             concurrency=concurrency, salt=salt,

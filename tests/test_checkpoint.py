@@ -272,3 +272,55 @@ def test_sink_retry_overwrites_its_own_files(tmp_path):
         assert len(list(part_dir.glob("*.parquet"))) == 1
         assert first[part] == _partition_counters(part_dir)
     assert sink.write([t.slice(0, 0)], ctx) == {}
+
+
+# ---- read blocks sized from the parquet footers ----------------------------
+
+def _rows_file(path: Path, n: int) -> str:
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"x": np.zeros(n, dtype=np.int8)}), path)
+    return str(path)
+
+
+def test_scorer_cap_reads_every_concurrency_form(monkeypatch):
+    import ray
+
+    from langfilter_ray.pipelines.quality_filter import scorer_cap
+
+    monkeypatch.setattr(ray, "is_initialized", lambda: True)
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 32.0})
+    assert scorer_cap(None) == 24          # _default_pool_size at 32 CPUs
+    assert scorer_cap((1, 3)) == 3
+    assert scorer_cap(5) == 5
+
+
+def test_wave_read_blocks_one_per_batch_of_footer_rows(tmp_path):
+    from langfilter_ray.pipelines.quality_filter import wave_read_blocks
+
+    twelve = [_rows_file(tmp_path / f"f{i}.parquet", 1000) for i in range(12)]
+    assert wave_read_blocks(twelve, 1024) == 12       # ceil(12000 / 1024)
+    assert wave_read_blocks(twelve[:3], 1000) == 3    # exact multiple
+    extra = _rows_file(tmp_path / "one.parquet", 1)
+    assert wave_read_blocks([*twelve[:3], extra], 1000) == 4
+    drop = [_rows_file(tmp_path / "drop.parquet", 800)]
+    assert wave_read_blocks(drop, 1024) == 1          # a short drop: one block
+
+
+def test_wave_read_blocks_zero_rows(tmp_path):
+    from langfilter_ray.pipelines.quality_filter import wave_read_blocks
+
+    empty = _rows_file(tmp_path / "empty.parquet", 0)
+    assert wave_read_blocks([], 1024) == 1
+    assert wave_read_blocks([empty], 1024) == 1
+    assert wave_read_blocks([empty, empty], 1024) == 1
+
+
+def test_wave_read_blocks_at_bench_scale(tmp_path):
+    """1M rows: one block per scorer batch, whatever the scorer cap."""
+    from langfilter_ray.pipelines.quality_filter import wave_read_blocks
+
+    big = [_rows_file(tmp_path / "big.parquet", 1_000_000)]
+    assert wave_read_blocks(big, 1024) == 977

@@ -65,6 +65,35 @@ def test_truncate_long_appends_ellipsis():
     assert truncate_to_words(twelve) == " ".join(f"w{i}" for i in range(10)) + " ..."
 
 
+def _truncate_full_split(text: str, max_words: int = 10) -> str:
+    """The definition ``truncate_to_words`` keeps: split every word."""
+    if not text:
+        return text
+    words = text.split()
+    if len(words) <= max_words:
+        return text
+    return " ".join(words[:max_words]) + " ..."
+
+
+_TEN = " ".join(f"w{i}" for i in range(10))
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    _TEN,
+    _TEN + " w10",
+    _TEN + "   \n\t ",
+    _TEN + " w10 \n",
+    "w0\tw1\nw2\r\nw3  w4\x0bw5\x0cw6 w7 w8 w9\tw10\n w11",
+    "\t\n  " + _TEN,
+    "  \n" + _TEN + " w10",
+    " \t\n ",
+])
+def test_truncate_bounded_split_equals_full_split(text):
+    assert truncate_to_words(text) == _truncate_full_split(text)
+    assert truncate_to_words(text, 3) == _truncate_full_split(text, 3)
+
+
 # ---- classifier ----------------------------------------------------------
 
 def test_classifier_deterministic_across_instances():

@@ -312,29 +312,40 @@ def test_dedup_across_ingests_refuses_mixed_mode(ray_session, tmp_path, corpus):
         )
 
 
-def _operator_names(summary) -> list[str]:
-    names = []
+def _operators(summary) -> list:
+    """The operator stats of a Dataset stats summary, in plan order."""
+    ops = []
     for parent in summary.parents:
-        names += _operator_names(parent)
-    return names + [op.operator_name for op in summary.operators_stats]
+        ops += _operators(parent)
+    return ops + list(summary.operators_stats)
 
 
-def test_wave_plan_is_read_one_task_write(ray_session, tmp_path, corpus, monkeypatch):
-    """Every checkpoint wave executes as ReadParquet -> one
-    MapBatches(_cascade_task) -> Write, also with the part filter
-    (wave_size < num_parts) and the ledger anti-filter active: an extra
-    uncapped map_batches would show up as its own operator."""
+def _operator_names(summary) -> list[str]:
+    return [op.operator_name for op in _operators(summary)]
+
+
+@pytest.fixture()
+def wave_stats(monkeypatch) -> list:
+    """The stats summary of every ``write_datasink`` call, one per wave."""
     import ray.data
 
-    plans = []
+    summaries = []
     original = ray.data.Dataset.write_datasink
 
     def write_datasink(self, *args, **kwargs):
         result = original(self, *args, **kwargs)
-        plans.append(_operator_names(self._write_ds._get_stats_summary()))
+        summaries.append(self._write_ds._get_stats_summary())
         return result
 
     monkeypatch.setattr(ray.data.Dataset, "write_datasink", write_datasink)
+    return summaries
+
+
+def test_wave_plan_is_read_one_task_write(ray_session, tmp_path, corpus, wave_stats):
+    """Every checkpoint wave executes as ReadParquet -> one
+    MapBatches(_cascade_task) -> Write, also with the part filter
+    (wave_size < num_parts) and the ledger anti-filter active: an extra
+    uncapped map_batches would show up as its own operator."""
     out = tmp_path / "out"
     run_incremental(corpus, out, CFG, num_parts=N_PARTS, wave_size=4,
                     dedup_across_ingests=True)
@@ -342,9 +353,30 @@ def test_wave_plan_is_read_one_task_write(ray_session, tmp_path, corpus, monkeyp
     s = run_incremental(corpus, out, CFG, num_parts=N_PARTS, wave_size=4,
                         dedup_across_ingests=True)
     assert s["rows_in"] < 240 + 80                # the ledger dropped rows
+    plans = [_operator_names(summary) for summary in wave_stats]
     assert len(plans) == 4                        # 2 ingests x 2 waves
     for names in plans:
         assert len(names) == 3, names
         assert names[0].startswith("ReadParquet"), names
         assert "MapBatches" not in names[0], names
         assert names[1:] == ["MapBatches(_cascade_task)", "Write"], names
+
+
+def test_wave_reads_one_block_per_scorer_batch(ray_session, tmp_path, wave_stats):
+    """A 12 x 1,000-row wave reads 12 blocks (the footer count over
+    ``batch_size``), not Ray's default split of each file, and the scorer
+    runs at most one task per batch of rows."""
+    import re
+
+    corpus = tmp_path / "corpus"
+    for i in range(12):
+        _write_file(corpus, f"f{i:02d}.parquet", 1000, 1000 * i)
+    s = run_with_checkpoints(corpus, tmp_path / "out", CFG, concurrency=1)
+    assert s["rows_in"] == 12_000
+    assert len(wave_stats) == 1
+    read, scorer, _ = _operators(wave_stats[0])
+    assert read.operator_name.startswith("ReadParquet"), read.operator_name
+    blocks = re.search(r"(\d+) blocks produced", read.block_execution_summary_str)
+    assert int(blocks.group(1)) == 12, read.block_execution_summary_str
+    assert scorer.operator_name == "MapBatches(_cascade_task)"
+    assert scorer.task_rows["count"] <= -(-12_000 // 1024)

@@ -24,7 +24,10 @@ def _run_pipeline(unit_corpus_dir: str) -> pd.DataFrame:
     )
     df = ds.to_pandas()
     meta = pd.DataFrame(list(df["meta"]))
-    df = pd.concat([df.drop(columns=["meta", "rule_flags", "pii_flags"]), meta], axis=1)
+    pii = pd.DataFrame(list(df["pii_flags"]))
+    df = pd.concat(
+        [df.drop(columns=["meta", "rule_flags", "pii_flags"]), meta, pii], axis=1
+    )
     return df.sort_values(KEY).reset_index(drop=True)
 
 
@@ -73,6 +76,23 @@ def test_scrubbed_sha256_matches_golden(pipeline_output, golden_labels):
     gold = m["scrubbed_sha256"].fillna("∅")
     ray_sha = m["content_sha256"].fillna("∅")
     assert (gold == ray_sha).all()
+
+
+def test_scrub_flags_match_oracle_on_golden_corpus(pipeline_output, golden_labels):
+    """Each kept row's per-rule flags are the spec's (``scrub_text``: the
+    rule changed the text), ``scrubbed`` is their OR and equals the golden
+    label; dropped rows carry all-False flags."""
+    from langfilter_ray.functions.scrub import RULE_NAMES, scrub_text
+
+    m = _joined(pipeline_output, golden_labels)
+    assert (m["scrubbed_gold"] == m["scrubbed_ray"]).all()
+    assert m["scrubbed_ray"].any()
+    for row in m.itertuples():
+        want = (scrub_text(row.content)[1] if row.keep_ray
+                else dict.fromkeys(RULE_NAMES, False))
+        got = {name: getattr(row, name) for name in RULE_NAMES}
+        assert got == want, (row.path, got, want)
+        assert row.scrubbed_ray == any(want.values())
 
 
 def test_stability_rerun_identical(ray_session, unit_corpus_dir, pipeline_output):
