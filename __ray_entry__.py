@@ -16,9 +16,9 @@ here (or in langfilter_ray) calls ray.init()/ray.shutdown().
                       / approximate / binary operators).
 
 ``all_queries()`` and ``all_oracle_sql()`` add the package's other
-operators (length, rank and vocabulary statistics, sketches, media stubs
-and near-duplicate variants).  They stay outside the driver surface and
-are checked by the test suite alone.
+operators (length, rank and vocabulary statistics, sketches, embedding
+statistics and near-duplicate variants).  They stay outside the driver
+surface and are checked by the test suite alone.
 """
 
 from __future__ import annotations
@@ -110,13 +110,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def all_queries() -> dict[str, Callable[[str], Any]]:
     """``queries()`` plus the operators kept outside the driver surface."""
-    from langfilter_ray.pipelines import (
-        dedup,
-        multimodal,
-        reports,
-        similarity,
-        text_analysis,
-    )
+    from langfilter_ray.pipelines import dedup, similarity, text_analysis
 
     return {
         **queries(),
@@ -147,7 +141,6 @@ def all_queries() -> dict[str, Callable[[str], Any]]:
         "distinct_sources": text_analysis.distinct_sources,
         "sample_docs": text_analysis.sample_docs,
         "weighted_sample": text_analysis.weighted_sample,
-        "length_trim_by_lang": text_analysis.length_trim_by_lang,
         "zscore_by_lang": text_analysis.zscore_by_lang,
         "sentence_stats": text_analysis.sentence_stats,
         "length_token_contingency": text_analysis.length_token_contingency,
@@ -157,27 +150,16 @@ def all_queries() -> dict[str, Callable[[str], Any]]:
         "small_group_census": text_analysis.small_group_census,
         "cm_sketch_tokens": text_analysis.cm_sketch_tokens,
         "dict_match_census": text_analysis.dict_match_census,
-        "winnow_fingerprints": text_analysis.winnow_fingerprints,
         # --- embedding statistics ------------------------------------------
         "label_quant_gram": similarity.label_quant_gram,
         "embedding_top_eigval": similarity.embedding_top_eigval,
         "embedding_quant_stats": similarity.embedding_quant_stats,
         "embedding_closest_pair": similarity.embedding_closest_pair,
-        "ann_lsh": similarity.ann_lsh,
         # --- near-duplicate variants ---------------------------------------
         "similar_pairs_topk": dedup.similar_pairs_topk,
         "typo_pairs": dedup.typo_pairs,
         "dup_cluster_hist": dedup.dup_cluster_hist,
-        "dedup_simhash": dedup.dedup_simhash,
         "dedup_embedding_ivf": dedup.dedup_embedding_ivf,
-        # --- media stubs ---------------------------------------------------
-        "multimodal_decode": multimodal.multimodal_decode,
-        "multimodal_resize": multimodal.multimodal_resize,
-        "frame_sample": multimodal.frame_sample,
-        "decode_pgm": multimodal.decode_pgm,
-        "decode_bmp": multimodal.decode_bmp,
-        # --- cascade report ------------------------------------------------
-        "translate_kept_snippets": reports.translate_kept_snippets,
     }
 
 

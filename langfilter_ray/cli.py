@@ -34,6 +34,8 @@ def _apply_overrides(cfg, pairs: list[str]):
             kwargs[name] = PipelineConfig.parse_field(name, raw)
         except KeyError:
             raise SystemExit(f"unknown config field: {name}") from None
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     return dataclasses.replace(cfg, **kwargs)
 
 

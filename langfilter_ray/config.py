@@ -17,6 +17,11 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, fields
 
+from .functions.languages import _FORMATS
+
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -68,16 +73,26 @@ class PipelineConfig:
     def parse_field(cls, name: str, raw: str):
         """The value of field ``name`` from its string form: the one
         conversion behind LANGFILTER_* env vars and the CLI's ``--set``.
-        Raises KeyError for an unknown field."""
+        Raises KeyError for an unknown field and ValueError, naming the
+        field, for a value the field cannot take."""
         kind = {f.name: f.type for f in fields(cls)}[name]
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            return raw.lower() in ("1", "true", "yes")
+        try:
+            if kind == "float":
+                return float(raw)
+            if kind == "int":
+                return int(raw)
+            if kind == "bool":
+                if raw.lower() not in _BOOLS:
+                    raise ValueError(f"{raw!r} is not one of {'/'.join(_BOOLS)}")
+                return _BOOLS[raw.lower()]
+        except ValueError as exc:
+            raise ValueError(f"config field {name}: {exc}") from None
         if name == "allowed_langs":
             return tuple(s.strip() for s in raw.split(",") if s.strip())
+        if name == "lang_code_format" and raw not in _FORMATS:
+            raise ValueError(
+                f"config field {name}: {raw!r} is not one of {', '.join(_FORMATS)}"
+            )
         return raw
 
     def config_hash(self) -> str:

@@ -82,7 +82,8 @@ def repo_partition_ids(
     just a column), but without salting one mega-repo makes one
     checkpoint partition hold its whole share, so a crash loses that much
     work.  The id stays a pure function of the row key either way, so
-    resume stays idempotent."""
+    resume stays idempotent.  A null repo or path hashes as ``""``."""
+    repos = pc.fill_null(repos, "")
     if isinstance(repos, pa.ChunkedArray):
         repos = repos.combine_chunks()
     enc = repos.dictionary_encode()
@@ -93,8 +94,7 @@ def repo_partition_ids(
     idx = enc.indices.to_numpy(zero_copy_only=False)
     if salt <= 1 or paths is None:
         return pa.array((base[idx] % num_parts).astype(np.int32), pa.int32())
-    if isinstance(paths, pa.ChunkedArray):
-        paths = paths.combine_chunks()
+    paths = pc.fill_null(paths, "")
     sub = np.fromiter(
         (zlib.crc32(p.encode("utf-8")) % salt for p in paths.to_pylist()),
         dtype=np.int64,

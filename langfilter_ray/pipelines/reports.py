@@ -90,58 +90,6 @@ class WordMapTranslator:
         return pa.array(out, pa.string())
 
 
-def translate_kept_snippets(
-    sf_dir: str, translator_factory=None
-) -> ray.data.Dataset:
-    """T6 enrichment surfaced as a driver query: translate the snippet of
-    KEPT en/fr rows toward the opposite language (en->fr / fr->en only —
-    the reference's direction guard) via the actor-pool pattern.
-    Cost-ladder shape: runs only on flagship survivors (cascade filters
-    first).  Rows-only (depends on the stateful cascade's keep decision;
-    the word-map plumbing itself is hash-checked by the
-    ``translate_documents`` twin below).  ``translator_factory`` plugs in
-    a real model (see WordMapTranslator)."""
-    cfg = PipelineConfig()
-    ds = build_pipeline(read_corpus(corpus_for(sf_dir)), cfg)
-
-    class Translator(WordMapTranslator):
-        def __call__(self, t: pa.Table) -> pa.Table:
-            t = t.filter(
-                pc.and_(
-                    t["keep"].combine_chunks()
-                    if isinstance(t["keep"], pa.ChunkedArray)
-                    else t["keep"],
-                    pc.not_equal(pc.fill_null(t["snippet"], ""), ""),
-                )
-            )
-            out = []
-            for src_lang in ("en", "fr"):
-                part = t.filter(pc.equal(t["language"], src_lang))
-                out.append(
-                    pa.table(
-                        {
-                            "repo": part["repo"],
-                            "path": part["path"],
-                            "commit": part["commit"],
-                            "translated_snippet": self.translate_column(
-                                part["snippet"], src_lang
-                            ),
-                        }
-                    )
-                )
-            return pa.concat_tables(out)
-
-    return ds.select_columns(
-        ["repo", "path", "commit", "keep", "language", "snippet"]
-    ).map_batches(
-        Translator,
-        batch_format="pyarrow",
-        concurrency=(1, _default_pool_size()),
-        num_cpus=1,
-        fn_constructor_kwargs={"translator_factory": translator_factory},
-    )
-
-
 def translate_documents(
     sf_dir: str, translator_factory=None
 ) -> ray.data.Dataset | pa.Table:
@@ -149,9 +97,9 @@ def translate_documents(
     'model' (functions/translate.py, per-actor cache in ``__init__``) over
     the shared ``documents`` table, en->fr / fr->en by row language, other
     languages filtered out (the reference's direction guard,
-    app/translate.py:27-35).  Unlike ``translate_kept_snippets`` this does
-    not depend on the stateful cascade, so a DuckDB ``list_transform``
-    oracle can replay the exact word map and the driver hash-checks it.
+    app/translate.py:27-35).  It does not depend on the stateful
+    cascade, so a DuckDB ``list_transform`` oracle can replay the exact
+    word map and the driver hash-checks it.
     ``translator_factory`` plugs in a real model (see WordMapTranslator)."""
 
     class DocTranslator(WordMapTranslator):

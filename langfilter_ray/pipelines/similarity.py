@@ -6,13 +6,10 @@
              query; a final tiny ``groupby(query_id).map_groups`` reduces
              local candidates to the global top-k.  The shuffle carries
              only ~k rows per (query, block) — never embeddings.
-  ann_lsh  — MULTI-TABLE random-hyperplane LSH variant (the scale path):
-             vectors are bucketed by LSH_TABLES independent LSH_BITS-bit
-             signatures; queries search their own bucket (plus Hamming-1
-             probes) in EVERY table, trading a bounded candidate set for
-             recall that compounds across tables (measured recall@5 ~0.85
-             vs the exact oracle; pinned in tests).  Rows-only check
-             (approximate by design).
+  ann_ivf  — IVF-bucketed variant (the scale path): K driver-trained
+             centroids are broadcast, each batch scores only the vectors
+             in a query's ``nprobe`` nearest cells.  Rows-only check
+             (approximate by design; recall vs ann_topk pinned in tests).
 
 Ranking ties are broken by vec_id ascending on both the Ray and SQL sides
 so the (query_id, neighbor_id, rank) output is deterministic.
@@ -31,15 +28,6 @@ from ._common import _read, _typed
 
 TOP_K = 5
 N_QUERIES = 8          # vec_id < N_QUERIES are the query vectors
-# multi-table random-hyperplane LSH (E2LSH shape): L independent tables
-# of B bits each.  One wide table has vanishing recall — for neighbors at
-# cosine ~0.7 the chance that 12 hyperplanes all agree is <1%; with L
-# tables a neighbor is a candidate if it collides in ANY table, so the
-# miss probability compounds DOWN as (1-p)^L instead of p shrinking
-# exponentially in bits.
-LSH_BITS = 8
-LSH_TABLES = 16
-_PLANES_SEED = 7        # fresh RandomState per call => deterministic planes
 
 
 TRAIN_SAMPLE_ROWS = 100_000     # driver-side centroid-training sample cap
@@ -187,91 +175,13 @@ ANN_TOPK_SQL = (
 )
 
 
-def ann_lsh(sf_dir: str) -> ray.data.Dataset:
-    """Approximate top-k through MULTI-TABLE random-hyperplane bucketing
-    (the E2LSH shape) — the streaming scale path: ONLY the hyperplanes and
-    the (handful of) query vectors with their per-table probe sets are
-    broadcast.  Candidate embeddings stream through map_batches; each
-    batch computes its OWN rows' LSH_TABLES x LSH_BITS signatures from the
-    ``embedding`` column, a row is a candidate for a query if it lands in
-    the query's probe set (own bucket + Hamming-1) in ANY table, matched
-    candidates are scored exactly, and a local top-k + tiny
-    groupby(query_id) reduce finishes.  The shuffle carries only ~k rows
-    per (query, block) — the full matrix is never materialized anywhere.
-    Rows-only check (approximate by design); recall@5 vs the exact oracle
-    is pinned in tests."""
-    qids, qmat = _load_queries(sf_dir)
-    dim = qmat.shape[1]
-    planes = np.random.RandomState(_PLANES_SEED).standard_normal(
-        (dim, LSH_TABLES * LSH_BITS)
-    )
-    powers = 1 << np.arange(LSH_BITS)
-
-    def _sigs(mat: np.ndarray) -> np.ndarray:
-        bits = mat @ planes > 0
-        return bits.reshape(len(mat), LSH_TABLES, LSH_BITS) @ powers  # (n, L)
-
-    qsigs = _sigs(qmat)
-    # own bucket + Hamming-1 probes, per (query, table)
-    qprobes = np.array(
-        [
-            [
-                sorted({int(s)} | {int(s) ^ (1 << b) for b in range(LSH_BITS)})
-                for s in row
-            ]
-            for row in qsigs
-        ],
-        dtype=np.int64,
-    )  # (n_queries, L, LSH_BITS + 1)
-    ref = ray.put((qids, qmat, planes, qprobes))
-
-    def local_bucket_topk(t: pa.Table) -> pa.Table:
-        q_ids, q_mat, pl, probes = ray.get(ref)
-        bids = np.array(t["vec_id"].to_pylist(), dtype=np.int64)
-        bmat = _normalize(np.asarray(t["embedding"].to_pylist(), dtype=np.float64))
-        bits = bmat @ pl > 0
-        bsigs = bits.reshape(len(bmat), LSH_TABLES, LSH_BITS) @ powers  # (n, L)
-        out_q, out_n, out_s = [], [], []
-        for qi, qid in enumerate(q_ids):
-            mask = np.zeros(len(bids), dtype=bool)
-            for l in range(LSH_TABLES):
-                mask |= np.isin(bsigs[:, l], probes[qi, l])
-            mask &= bids != qid
-            cand = np.nonzero(mask)[0]
-            if len(cand) == 0:
-                continue
-            sims = bmat[cand] @ q_mat[qi]
-            keep = np.lexsort((bids[cand], -sims))[:TOP_K]
-            for o in keep:
-                out_q.append(int(qid))
-                out_n.append(int(bids[cand[o]]))
-                out_s.append(float(sims[o]))
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "neighbor_id": pa.array(out_n, pa.int64()),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
-
-    def reduce_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(TOP_K)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    ds = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    local = ds.map_batches(local_bucket_topk, batch_format="pyarrow", batch_size=512)
-    return local.groupby("query_id").map_groups(reduce_topk, batch_format="pandas")
-
-
 def ann_ivf(sf_dir: str) -> ray.data.Dataset:
     """IVF-bucketed ANN — the coarse-quantizer scale path: K centroids are
     trained driver-side on a deterministic sample (here the whole table; at
     100 TB a `ds.limit(n)` sample) with fixed init + 5 Lloyd iterations,
     then broadcast.  Each batch assigns its OWN vectors to centroids and
     scores only those falling in a query's `nprobe` nearest clusters, so
-    unlike the LSH variant no full matrix is ever broadcast — candidate
+    no full matrix is ever broadcast — candidate
     embeddings stream through `map_batches` and the shuffle carries only
     local top-k survivor rows.  Approximate by design → rows-only check
     (recall vs exact ann_topk asserted in tests)."""

@@ -846,57 +846,6 @@ ORACLES["top_docs_per_lang"] = (
 )
 
 
-# ---- winnowing fingerprints (rolling hash) -------------------------------
-
-def winnow_fingerprints(sf_dir: str) -> ray.data.Dataset:
-    """Document fingerprinting by winnowing (Schleimer et al., SIGMOD'03):
-    Rabin-Karp rolling hashes over K-byte grams, keep the minimum hash of
-    each W-hash window, digest the selected set.  Identical documents get
-    identical digests; near-duplicates share most selected hashes.  All
-    per-document math is vectorized numpy on uint64 (wrap-around mod 2^64);
-    rows-only (no SQL rolling hash) — determinism + dup-pair tests pin it."""
-    K, W = 8, 4
-    BASE = np.uint64(1000003)
-
-    def f(t: pa.Table) -> pa.Table:
-        import hashlib
-
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        weights = BASE ** np.arange(K - 1, -1, -1, dtype=np.uint64)
-        out_n, out_d = [], []
-        for s in t["text"].to_pylist():
-            b = np.frombuffer((s or "").encode("utf-8"), dtype=np.uint8).astype(
-                np.uint64
-            )
-            if len(b) < K:
-                sel = {int(np.sum(b * BASE ** np.arange(len(b), dtype=np.uint64)))}
-            else:
-                hs = (sliding_window_view(b, K) * weights).sum(axis=1)
-                if len(hs) <= W:
-                    sel = {int(hs.min())}
-                else:
-                    sel = set(
-                        np.min(sliding_window_view(hs, W), axis=1).tolist()
-                    )
-            digest = hashlib.md5(
-                ",".join(str(x) for x in sorted(sel)).encode()
-            ).hexdigest()
-            out_n.append(len(sel))
-            out_d.append(digest)
-        return pa.table(
-            {
-                "doc_id": t["doc_id"],
-                "n_fingerprints": pa.array(out_n, pa.int64()),
-                "fp_digest": pa.array(out_d, pa.string()),
-            }
-        )
-
-    return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
-        f, batch_format="pyarrow"
-    )
-
-
 # ---- deterministic train/val split ---------------------------------------
 
 def train_val_split(sf_dir: str) -> ray.data.Dataset:
@@ -1765,146 +1714,6 @@ ORACLES["chars_percentiles"] = (
     "quantile_disc(n_chars, 0.9)::BIGINT AS p90_chars, "
     "quantile_disc(n_chars, 0.99)::BIGINT AS p99_chars "
     "FROM documents GROUP BY 1 ORDER BY 1"
-)
-
-
-# ---- length_trim_by_lang: exact per-group percentile trim, scale path ----
-
-TRIM_LO_PCT = 10   # drop the shortest 10% of docs per language
-TRIM_HI_PCT = 10   # and the longest 10%
-# boundary-tie resolution gathers only the rows sitting AT the two cut
-# values per language; refuse beyond this bound (the scale path is a
-# distributed rank over just the boundary-value subset)
-TRIM_BOUNDARY_MAX_ROWS = 2_000_000
-
-
-def length_trim_by_lang(sf_dir: str) -> ray.data.Dataset:
-    """Per-language length-outlier TRIM (drop each language's shortest
-    and longest TRIM_*_PCT of docs) — the data-cleaning filter behind
-    'remove truncated fragments and concatenation blobs per language'.
-
-    This is the SCALE PATH for exact grouped order statistics that
-    ``chars_percentiles`` documents itself as lacking: no per-group
-    materialization.  All-integer rank rule: rank docs 1..cnt within
-    their language by (n_chars, doc_id); keep
-    ``cnt*LO//100 < rn <= cnt - cnt*HI//100``.
-
-    Pass 1 builds the exact (lang, n_chars) HISTOGRAM — per-batch
-    pyarrow group_by combiner, distributed sum, gathered driver-side
-    bounded by |langs| x |distinct lengths| (value cardinality, never
-    corpus rows).  The driver turns cumulative counts into, per
-    language, the fully-kept value interval plus (lo_off, hi_off) tie
-    offsets for the <= 2 boundary values.  Pass 2 streams a broadcast
-    interior filter; rows AT boundary values (tie counts known from the
-    histogram up front — refused above TRIM_BOUNDARY_MAX_ROWS) are
-    gathered and resolved by exact doc_id order, then unioned back.
-    Partitioning-independent: every decision is a pure function of the
-    (lang, n_chars, doc_id) multiset."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
-    from ._common import _partial_group_agg
-
-    hist = (
-        _read(sf_dir, "documents", ["lang", "n_chars"])
-        .map_batches(
-            _partial_group_agg(["lang", "n_chars"]), batch_format="pyarrow"
-        )
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("n_partial", alias_name="cnt"))
-        .to_pandas()   # bounded: |langs| x |distinct lengths|
-        .sort_values(["lang", "n_chars"])
-    )
-
-    # per-lang interior value interval + boundary-tie offsets
-    keep_interval: dict[str, tuple[int, int]] = {}   # fully-kept [vlo, vhi]
-    boundary: dict[tuple[str, int], tuple[int, int]] = {}  # (lo_off, hi_off]
-    boundary_rows = 0
-    for lang, g in hist.groupby("lang", sort=False):
-        vals = g["n_chars"].to_numpy()
-        counts = g["cnt"].to_numpy()
-        cnt = int(counts.sum())
-        lo_rank = cnt * TRIM_LO_PCT // 100
-        hi_rank = cnt - cnt * TRIM_HI_PCT // 100
-        cum = np.cumsum(counts)
-        before = cum - counts
-        lo_off = np.clip(lo_rank - before, 0, counts)   # drop first lo_off ties
-        hi_off = np.clip(hi_rank - before, 0, counts)   # keep ties up to hi_off
-        full = (lo_off == 0) & (hi_off == counts)
-        partial = (~full) & (hi_off > lo_off)
-        fv = vals[full]
-        keep_interval[lang] = (
-            (int(fv.min()), int(fv.max())) if len(fv) else (1, 0)  # empty
-        )
-        for v, lo, hi, m in zip(
-            vals[partial], lo_off[partial], hi_off[partial], counts[partial]
-        ):
-            boundary[(lang, int(v))] = (int(lo), int(hi))
-            boundary_rows += int(m)
-    if boundary_rows > TRIM_BOUNDARY_MAX_ROWS:
-        raise ValueError(
-            f"length_trim_by_lang: {boundary_rows} rows tied at trim "
-            "boundaries exceeds TRIM_BOUNDARY_MAX_ROWS — resolve ties with "
-            "a distributed rank over the boundary-value subset instead of "
-            "the driver-side gather"
-        )
-
-    langs = sorted(keep_interval)
-    vlo = np.array([keep_interval[l][0] for l in langs], np.int64)
-    vhi = np.array([keep_interval[l][1] for l in langs], np.int64)
-    bset = set(boundary)
-
-    def classify(t: pa.Table, want_interior: bool) -> pa.Table:
-        lg = np.asarray(t["lang"].to_pylist(), dtype=object)
-        nc = t["n_chars"].to_numpy()
-        idx = np.searchsorted(np.array(langs, dtype=object), lg)
-        idx = np.clip(idx, 0, len(langs) - 1)
-        interior = (nc >= vlo[idx]) & (nc <= vhi[idx])
-        if want_interior:
-            mask = interior
-        else:
-            mask = np.fromiter(
-                ((l, int(v)) in bset for l, v in zip(lg, nc)),
-                count=len(lg), dtype=bool,
-            )
-        return t.filter(pa.array(mask))
-
-    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    interior = docs.map_batches(
-        lambda t: classify(t, True), batch_format="pyarrow"
-    )
-    edge = docs.map_batches(
-        lambda t: classify(t, False), batch_format="pyarrow"
-    ).to_pandas()   # bounded by TRIM_BOUNDARY_MAX_ROWS (checked above)
-    kept_edge = []
-    if len(edge):   # an all-empty stream loses its schema (CLAUDE.md)
-        edge = edge.sort_values(
-            ["lang", "n_chars", "doc_id"], kind="mergesort"
-        )
-        for (lang, v), g in edge.groupby(["lang", "n_chars"], sort=False):
-            lo, hi = boundary[(lang, int(v))]
-            kept_edge.append(g.iloc[lo:hi])
-    edge_tbl = (
-        pa.Table.from_pandas(pd.concat(kept_edge), preserve_index=False)
-        if kept_edge
-        else pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "lang": pa.array([], pa.string()),
-                "n_chars": pa.array([], pa.int64()),
-            }
-        )
-    )
-    return interior.union(ray.data.from_arrow(edge_tbl))
-
-
-ORACLES["length_trim_by_lang"] = (
-    "SELECT doc_id, lang, n_chars FROM ("
-    "SELECT doc_id, lang, n_chars, "
-    "row_number() OVER (PARTITION BY lang ORDER BY n_chars, doc_id) AS rn, "
-    "count(*) OVER (PARTITION BY lang) AS cnt FROM documents) "
-    f"WHERE rn > cnt * {TRIM_LO_PCT} // 100 "
-    f"AND rn <= cnt - cnt * {TRIM_HI_PCT} // 100"
 )
 
 

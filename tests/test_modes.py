@@ -107,6 +107,33 @@ def test_set_allowed_langs_strips_spaces():
         _apply_overrides(PipelineConfig(), ["no_such=1"])
 
 
+BAD_VALUES = [("strict_reject", "ture"), ("strict_reject", "on"),
+              ("strict_reject", ""), ("lang_code_format", "iso639")]
+
+
+@pytest.mark.parametrize("name,raw", BAD_VALUES)
+def test_env_rejects_a_value_the_field_cannot_take(name, raw):
+    with pytest.raises(ValueError, match=f"config field {name}: {raw!r}"):
+        PipelineConfig.from_env({"LANGFILTER_" + name.upper(): raw})
+
+
+@pytest.mark.parametrize("name,raw", BAD_VALUES)
+def test_set_rejects_a_value_the_field_cannot_take(name, raw):
+    from langfilter_ray.cli import _apply_overrides
+
+    with pytest.raises(SystemExit, match=f"config field {name}: {raw!r}"):
+        _apply_overrides(PipelineConfig(), [f"{name}={raw}"])
+
+
+@pytest.mark.parametrize("raw,want", [("1", True), ("TRUE", True), ("yes", True),
+                                      ("0", False), ("False", False), ("NO", False)])
+def test_bool_fields_take_each_spelling_in_any_case(raw, want):
+    from langfilter_ray.cli import _apply_overrides
+
+    assert PipelineConfig.from_env({"LANGFILTER_STRICT_REJECT": raw}).strict_reject is want
+    assert _apply_overrides(PipelineConfig(), [f"strict_reject={raw}"]).strict_reject is want
+
+
 def test_salted_partitioning_spreads_mega_repo(ray_session, unit_corpus_dir):
     ds = build_pipeline(
         read_corpus(unit_corpus_dir), PipelineConfig(), concurrency=2, salt=4

@@ -81,7 +81,7 @@ LIBRARY_ORACLE_CHECKED = [
     "inverted_index_stats", "tfidf_top_terms", "shared_ngram_docs",
     "char_class_profile", "dup_token_stats", "chars_percentiles",
     "embedding_quant_stats", "vocab_stats", "vocab_overlap",
-    "lang_source_agg", "weighted_sample", "length_trim_by_lang", "typo_pairs",
+    "lang_source_agg", "weighted_sample", "typo_pairs",
     "zscore_by_lang", "weighted_median_chars", "sentence_stats",
     "percentile_rank_chars", "length_token_contingency", "sources_per_lang",
     "length_gini_by_source", "spearman_length_tokens", "dup_cluster_hist",
@@ -401,62 +401,6 @@ def test_length_rank_tiers_skewed_distribution(entry_mod, tmp_path):
     assert per_part.max() <= 4 * n / parts, per_part.tolist()
 
 
-def _trim_docs_table(tmp_path):
-    """Synthetic documents table whose trim cuts land INSIDE tie runs:
-    lang aa has no fully-kept value at all (every kept row goes through
-    the boundary-tie path), lang bb is one value that is BOTH boundaries,
-    lang cc is all-unique (pure interior path)."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    rows = []   # (doc_id, lang, n_chars)
-    rows += [(1, "aa", 50)] + [(i, "aa", 100) for i in range(2, 20)]
-    rows += [(20, "aa", 999)]
-    rows += [(100 + i, "bb", 7) for i in range(30)]
-    rows += [(200 + i, "cc", 10 + i) for i in range(10)]
-    t = pa.table(
-        {
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array(["x" * r[2] for r in rows]),
-            "lang": pa.array([r[1] for r in rows]),
-            "source": pa.array(["s"] * len(rows)),
-            "n_chars": pa.array([r[2] for r in rows], pa.int64()),
-        }
-    )
-    pq.write_table(t, tmp_path / "documents.parquet")
-
-
-def test_length_trim_boundary_ties(entry_mod, tmp_path):
-    from langfilter_ray.pipelines import text_analysis as ta
-
-    _trim_docs_table(tmp_path)
-    got = _canon(_to_pandas(ta.length_trim_by_lang(str(tmp_path))))
-    c = duckdb.connect()
-    c.execute(
-        f"CREATE VIEW documents AS SELECT * "
-        f"FROM read_parquet('{tmp_path}/documents.parquet')"
-    )
-    want = _canon(c.execute(ta.ORACLES["length_trim_by_lang"]).df())
-    problems = compare_frames(got, want)
-    assert not problems, (problems, first_diff(got, want))
-    # lang aa: cnt=20 -> keep ranks 3..18; rank 1 = the 50-char doc, ranks
-    # 2..19 = the 100-char tie run by doc_id -> keep doc_ids 3..18
-    aa = got[got["lang"] == "aa"]["doc_id"].tolist()
-    assert sorted(aa) == list(range(3, 19))
-    # lang bb: one value is both boundaries -> keep tie-ranks 4..27
-    bb = got[got["lang"] == "bb"]["doc_id"].tolist()
-    assert sorted(bb) == [100 + i for i in range(3, 27)]
-
-
-def test_length_trim_boundary_bound_refusal(entry_mod, tmp_path, monkeypatch):
-    from langfilter_ray.pipelines import text_analysis as ta
-
-    _trim_docs_table(tmp_path)
-    monkeypatch.setattr(ta, "TRIM_BOUNDARY_MAX_ROWS", 0)
-    with pytest.raises(ValueError, match="boundary-value subset"):
-        ta.length_trim_by_lang(str(tmp_path))
-
-
 def test_comparator_catches_decimal_vs_int64():
     """Regression for round 1: DuckDB sum(BIGINT) -> decimal128 stringifies
     like int64 and slipped past the old astype(str) gate; the dtype-aware
@@ -482,30 +426,17 @@ def test_every_query_has_oracle_or_is_known_rows_only(entry_mod):
         "decode_wav",
     }
     library = set(entry_mod.all_queries()) - set(entry_mod.queries())
-    assert library - set(entry_mod.all_oracle_sql()) == {
-        "translate_kept_snippets", "winnow_fingerprints", "dedup_simhash",
-        "dedup_embedding_ivf", "ann_lsh", "multimodal_decode",
-        "multimodal_resize", "frame_sample", "decode_pgm", "decode_bmp",
-    }
-
-
-def test_translate_kept_snippets(entry_mod):
-    df = _to_pandas(entry_mod.all_queries()["translate_kept_snippets"](SF))
-    assert len(df) > 0
-    assert set(df.columns) == {"repo", "path", "commit", "translated_snippet"}
-    df2 = _to_pandas(entry_mod.all_queries()["translate_kept_snippets"](SF))
-    assert _canon(df).equals(_canon(df2))
-    # the word-map must have fired somewhere: at least one French stopword
-    joined = " ".join(df["translated_snippet"])
-    assert any(w in joined.split() for w in ("le", "et", "de", "vous", "pour"))
+    assert library - set(entry_mod.all_oracle_sql()) == {"dedup_embedding_ivf"}
 
 
 def test_simhash_candidates_hamming_guarantee(entry_mod):
     """All returned pairs have Hamming <= 3; every exact-dup pair (same
     text -> same fingerprint -> Hamming 0) must be present."""
+    from langfilter_ray.pipelines import dedup
+
     cand = _to_pandas(entry_mod.queries()["simhash_candidates"](SF))
     assert (cand["hamming"] <= 3).all()
-    fps = _to_pandas(entry_mod.all_queries()["dedup_simhash"](SF))
+    fps = _to_pandas(dedup.dedup_simhash(SF))
     dup = fps[fps.duplicated("simhash", keep=False)]
     import itertools
     pairs = set(zip(cand["doc_a"], cand["doc_b"]))
@@ -513,32 +444,6 @@ def test_simhash_candidates_hamming_guarantee(entry_mod):
         ids = sorted(grp["doc_id"])
         for a, b in itertools.combinations(ids, 2):
             assert (a, b) in pairs, (a, b)
-
-
-def test_multimodal_resize_and_frames(entry_mod):
-    rz = _to_pandas(entry_mod.all_queries()["multimodal_resize"](SF))
-    assert ((rz["thumb_w"] <= 128) & (rz["thumb_h"] <= 128)).all()
-    assert ((rz["thumb_w"] >= 1) & (rz["thumb_h"] >= 1)).all()
-    fr = _to_pandas(entry_mod.all_queries()["frame_sample"](SF))
-    per_doc = fr.groupby("doc_id").agg(n=("frame_idx", "size"),
-                                       mono=("frame_idx", lambda s: s.is_monotonic_increasing))
-    assert (per_doc["n"] <= 4).all() and per_doc["mono"].all()
-    fr2 = _to_pandas(entry_mod.all_queries()["frame_sample"](SF))
-    assert _canon(fr).equals(_canon(fr2))
-
-
-def test_winnow_deterministic_and_dup_consistent(entry_mod, con):
-    """Same content -> same winnowing digest: every exact-duplicate pair
-    (by md5 fingerprint) must agree on fp_digest, and two runs must match."""
-    a = _to_pandas(entry_mod.all_queries()["winnow_fingerprints"](SF))
-    b = _to_pandas(entry_mod.all_queries()["winnow_fingerprints"](SF))
-    assert _canon(a).equals(_canon(b))
-    assert (a["n_fingerprints"] > 0).all()
-    fp = _to_pandas(entry_mod.all_queries()["fingerprint"](SF))
-    merged = fp.merge(a, on="doc_id")
-    groups = merged.groupby("fp_md5")["fp_digest"].nunique()
-    assert (groups == 1).all()          # identical text -> identical digest
-    assert merged["fp_digest"].nunique() > 1   # and it's not a constant
 
 
 def test_ann_ivf_recall_vs_exact(entry_mod, con):
@@ -575,40 +480,11 @@ def test_minhash_finds_exact_dup_pairs(entry_mod, ray_session):
 
 
 def test_simhash_deterministic_and_hex(entry_mod):
-    df = _to_pandas(entry_mod.all_queries()["dedup_simhash"](SF))
+    from langfilter_ray.pipelines import dedup
+
+    df = _to_pandas(dedup.dedup_simhash(SF))
     assert len(df) == 500
     assert df["simhash"].str.fullmatch(r"[0-9a-f]{16}").all()
-
-
-def test_ann_lsh_shape(entry_mod):
-    df = _to_pandas(entry_mod.all_queries()["ann_lsh"](SF))
-    assert set(df.columns) == {"query_id", "neighbor_id", "rank"}
-    assert df["query_id"].nunique() <= 8
-    assert df["rank"].between(1, 5).all()
-    assert (df["query_id"] != df["neighbor_id"]).all()
-
-
-def test_ann_lsh_recall_vs_exact(entry_mod, con):
-    """Multi-table LSH must recover most of the true top-5 (measured
-    ~0.85 with 16 tables x 8 bits + Hamming-1 probes; the round-2
-    single-table 12-bit variant scored 0.025 — this pins the fix)."""
-    approx = _to_pandas(entry_mod.all_queries()["ann_lsh"](SF))
-    exact = con.execute(entry_mod.oracle_sql()["ann_topk"]).df()
-    hits = tot = 0
-    for qid, grp in exact.groupby("query_id"):
-        truth = set(grp["neighbor_id"])
-        got = set(approx[approx["query_id"] == qid]["neighbor_id"])
-        hits += len(truth & got)
-        tot += len(truth)
-    assert tot > 0 and hits / tot >= 0.6, f"recall@5 = {hits}/{tot}"
-
-
-def test_multimodal_decode_deterministic(entry_mod):
-    a = _canon(_to_pandas(entry_mod.all_queries()["multimodal_decode"](SF)))
-    b = _canon(_to_pandas(entry_mod.all_queries()["multimodal_decode"](SF)))
-    pd.testing.assert_frame_equal(a, b)
-    assert (a["width"].between(1, 1920)).all()
-    assert (a["height"].between(1, 1080)).all()
 
 
 def test_dedup_components_match_union_find(entry_mod):
@@ -818,27 +694,6 @@ def test_doc_perplexity_deterministic_and_sane(entry_mod):
     assert got == want
 
 
-def test_decode_pgm_real_parse_and_poison(entry_mod):
-    """REAL binary decode: parsed dims/mean must equal the generator's
-    closed form; deliberately corrupted payloads land as decode_error
-    rows, never failed batches."""
-    import numpy as np
-
-    got = _to_pandas(entry_mod.all_queries()["decode_pgm"](SF))
-    assert len(got) == 500
-    ok = got[got["decode_error"].isna()]
-    bad = got[got["decode_error"].notna()]
-    assert set(bad["doc_id"]) == {i for i in range(500) if i % 97 == 13}
-    assert (bad[["width", "height", "mean_milli"]] == 0).all().all()
-    for _, r in ok.head(40).iterrows():
-        i = int(r["doc_id"])
-        w, h = 16 + i % 32, 12 + i % 24
-        idx = np.arange(w * h, dtype=np.int64)
-        mean = ((idx * 31 + i) % 256).mean()
-        assert (r["width"], r["height"]) == (w, h)
-        assert r["mean_milli"] == int(round(mean * 1000))
-
-
 def test_decode_wav_real_parse_and_poison(entry_mod):
     """REAL audio decode (stdlib wave + numpy): parsed sample counts /
     duration / peak / RMS must equal a direct decode of the generator's
@@ -860,34 +715,6 @@ def test_decode_wav_real_parse_and_poison(entry_mod):
         row = ok.loc[i]
         assert (row["n_samples"], row["sample_rate"], row["duration_ms"],
                 row["peak"], row["rms_milli"]) == (n, sr, dur, peak, rms)
-
-
-def test_decode_bmp_real_parse_and_poison(entry_mod):
-    """Second REAL image decode (24-bit BMP: little-endian header,
-    bottom-up rows, padding, BGR order): parsed dims and per-channel
-    means must equal the generator's closed form; both poison paths
-    (truncation, bad signature) land as decode_error rows."""
-    import numpy as np
-
-    got = _to_pandas(entry_mod.all_queries()["decode_bmp"](SF))
-    assert len(got) == 500
-    ok = got[got["decode_error"].isna()].set_index("doc_id")
-    bad = got[got["decode_error"].notna()]
-    want_bad = {
-        i for i in range(500) if i % 83 == 5 or (i % 83 != 5 and i % 101 == 9)
-    }
-    assert set(bad["doc_id"]) == want_bad
-    for i in list(ok.index[:40]):
-        w, h = 8 + i % 16, 6 + i % 12
-        y, x = np.mgrid[0:h, 0:w]
-        base = (x * 7 + y * 13 + i) % 256
-        row = ok.loc[i]
-        assert (row["width"], row["height"]) == (w, h)
-        # encoder stores BGR as (base+2*29, base+29, base); after the
-        # decoder's BGR->RGB flip: R=base, G=base+29, B=base+58
-        for col, c in (("mean_r_milli", 0), ("mean_g_milli", 1), ("mean_b_milli", 2)):
-            want = int(round(float(((base + c * 29) % 256).mean()) * 1000))
-            assert row[col] == want, (i, col)
 
 
 def test_corpus_training_manifest_invariants(entry_mod):

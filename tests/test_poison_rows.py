@@ -76,3 +76,23 @@ def test_weird_unicode_rows_survive():
     out = sc(_batch(weird))
     assert out["error"].to_pylist() == [None] * 4
     assert len(out) == 4
+
+
+@pytest.mark.parametrize("salt", [1, 4])
+def test_null_repo_and_path_get_a_part_and_a_label(salt):
+    """A null ``repo`` or ``path`` hashes like ``""``: the row gets a
+    deterministic part id and its own label, and the task does not fail."""
+    from langfilter_ray.pipelines.quality_filter import _cascade_task
+
+    text = "the weather is good today and we walk out"
+    batch = _batch([text, text, text])
+    batch = batch.set_column(
+        0, "repo", pa.array([None, "", "r2"], pa.string())
+    ).set_column(1, "path", pa.array([None, "", "p2"], pa.string()))
+    out = _cascade_task(batch, PipelineConfig(), num_parts=64, salt=salt)
+    assert out.num_rows == 3
+    parts = out["part"].to_pylist()
+    assert parts[0] == parts[1] and None not in parts
+    assert out["repo"].to_pylist()[0] is None
+    assert out["error"].to_pylist() == [None] * 3
+    assert all(d.startswith("kept_") for d in out["gate_decision"].to_pylist())
