@@ -19,6 +19,17 @@ trigram log-likelihood sums are computed with numpy gather +
 ``np.add.reduceat`` over per-row ranges — no Python loop over characters
 or trigrams.
 
+Trigram lookup is a direct-address table, not a search.  Normalized text
+holds exactly 62 distinct UTF-8 byte values (``_LID_BYTES``: ``a``-``z``,
+the apostrophe, the space, and ``0xC3`` + ``0x9F``-``0xBF`` for ß-ÿ).  A
+256-entry remap sends each of them to a 6-bit code and every other byte
+to the spare code 63, which no vocabulary trigram holds; three codes make
+an 18-bit trigram key, and a ``1 << 18`` int32 table (1 MiB, built once
+per model) holds each vocabulary trigram's profile row and the unseen
+row everywhere else.  Two gathers (bytes -> codes, keys -> rows) replace
+a binary search over the vocabulary plus its known-check, and give the
+same row for every trigram, so scores are bit-identical to the search.
+
 The same instance answers all three model passes of the cascade:
 - ``classify``        -> first-pass (lang, prob)        [lang_gate.py:310-317]
 - ``classify`` on the filtered text -> second pass      [lang_gate.py:458-461]
@@ -46,9 +57,17 @@ LID_MAX_CHARS = 256       # classifier reads at most this many normalized chars/
 # else becomes a space (code symbols dilute trigram mass -> lower confidence,
 # the analog of an unspeechy probe)
 _LID_CHARS = "a-zß-ÿ'"
+_LID_RE = re.compile(f"[{_LID_CHARS}]")
 _NORM_RE = re.compile(f"[^{_LID_CHARS}]")
 # the same normalization as one byte pass on text below U+0100
-_NORM_TABLE = lowered_byte_table(re.compile(f"[{_LID_CHARS}]"))
+_NORM_TABLE = lowered_byte_table(_LID_RE)
+# every byte value of ``normalize_for_lid(...).encode("utf-8")``: the UTF-8
+# bytes of the LID characters (all below U+0100) and the space
+_LID_BYTES = bytes(sorted(set(
+    "".join(filter(_LID_RE.fullmatch, map(chr, range(0x100)))).encode("utf-8") + b" "
+)))
+_CODE_BITS = 6
+_OUTSIDE_CODE = (1 << _CODE_BITS) - 1   # bytes outside _LID_BYTES
 
 # --- embedded seed corpora (plain common prose, written for this project) ---
 _SEED_TEXTS = {
@@ -160,6 +179,18 @@ class TrigramLidModel:
         self._logprob = mat
         self._unseen_idx = vsize
 
+        # direct-address lookup: byte -> 6-bit code, 18-bit trigram key ->
+        # profile row (see the module docstring)
+        remap = np.full(256, _OUTSIDE_CODE, dtype=np.int32)
+        remap[np.frombuffer(_LID_BYTES, dtype=np.uint8)] = np.arange(len(_LID_BYTES))
+        keys = (
+            remap[vocab >> 16] << 2 * _CODE_BITS
+        ) | (remap[(vocab >> 8) & 0xFF] << _CODE_BITS) | remap[vocab & 0xFF]
+        table = np.full(1 << 3 * _CODE_BITS, vsize, dtype=np.int32)
+        table[keys] = np.arange(vsize, dtype=np.int32)
+        self._remap = remap
+        self._table = table
+
     # ---- internals -------------------------------------------------------
 
     def _mean_ll(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -186,18 +217,17 @@ class TrigramLidModel:
 
         if total < 3:
             return means, np.zeros(n, dtype=np.int64)
-        codes = (
-            concat[:-2].astype(np.int32) << 16
-        ) | (concat[1:-1].astype(np.int32) << 8) | concat[2:].astype(np.int32)
-        idx = np.searchsorted(self._vocab, codes)
-        idx[idx >= self._unseen_idx] = self._unseen_idx
-        known = self._vocab[np.minimum(idx, self._unseen_idx - 1)] == codes
-        idx = np.where(known, np.minimum(idx, self._unseen_idx - 1), self._unseen_idx)
+        codes = self._remap[concat]
+        keys = codes[:-2] << 2 * _CODE_BITS
+        keys |= codes[1:-1] << _CODE_BITS
+        keys |= codes[2:]
+        idx = self._table[keys]
 
-        # gather into a buffer with one zero pad row (reduceat end sentinel);
-        # single fancy-index write, no vstack copy
+        # gather straight into a buffer with one zero pad row (reduceat end
+        # sentinel); every index is in range, so mode="clip" only skips the
+        # bounds-check buffer that mode="raise" makes for ``out``
         vals = np.empty((len(idx) + 1, len(LANGS)), dtype=np.float64)
-        vals[:-1] = self._logprob[idx]
+        np.take(self._logprob, idx, axis=0, out=vals[:-1], mode="clip")
         vals[-1] = 0.0
         ends = starts + tri_counts
         pairs = np.empty(2 * n, dtype=np.int64)

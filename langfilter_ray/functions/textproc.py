@@ -102,6 +102,9 @@ NOCONTENT_FILLERS = {
     "de", "du", "fichier", "ne", "pas", "modifier",
 }
 BRACKET_PAIRS = {"[": "]", "(": ")", "{": "}", "<": ">"}
+# ``is_no_content``'s default keyword set and its substring probes
+_DEFAULT_KEYWORDS = frozenset(t.lower() for t in NOCONTENT_KEYWORDS)
+_DEFAULT_PROBES = tuple(NOCONTENT_MARKERS | _DEFAULT_KEYWORDS)
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -154,10 +157,15 @@ def is_no_content(text: str | None, keywords: set[str] | None = None) -> bool:
         return False
 
     lowered = working.lower()
-    kw = {t.lower() for t in (keywords or NOCONTENT_KEYWORDS)}
+    # an empty ``keywords`` means the defaults too
+    if keywords:
+        kw = {t.lower() for t in keywords}
+        probes = NOCONTENT_MARKERS | kw
+    else:
+        kw, probes = _DEFAULT_KEYWORDS, _DEFAULT_PROBES
     # a True result needs a keyword token, which is a substring of
     # ``lowered`` or comes from a marker
-    if not any(word in lowered for word in NOCONTENT_MARKERS | kw):
+    if not any(word in lowered for word in probes):
         return False
     for marker in NOCONTENT_MARKERS:
         if marker in lowered:

@@ -119,12 +119,18 @@ def _result(
 # --------------------------------------------------------------------------
 
 def cheap_features(
-    content: str, cfg: PipelineConfig
+    content: str, cfg: PipelineConfig, nbytes: int | None = None
 ) -> tuple[RowFeatures | None, dict[str, Any] | None]:
     """Steps 0-2.  Returns (features, None) when the row needs the
-    classifier, or (None, record) when it was decided without any model."""
+    classifier, or (None, record) when it was decided without any model.
+
+    ``nbytes`` is the UTF-8 length of the whole content when the caller
+    already has it (the Ray stage reads it from Arrow); a row over the cap
+    is decided by it alone, so such a caller may pass only the probe."""
+    if nbytes is None:
+        nbytes = utf8_len(content)
     # 0. size prune on full content bytes
-    if utf8_len(content) > cfg.max_content_bytes:
+    if nbytes > cfg.max_content_bytes:
         return None, _result(
             cfg=cfg, language="none", probability=None, method="rules",
             gate_decision="dropped_rule_too_large", second_pass=False,

@@ -34,6 +34,7 @@ from typing import Any
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DEFAULT_CONFIG, PipelineConfig
 from ..functions.classifier import TrigramLidModel
@@ -83,6 +84,29 @@ _ERROR_RECORD = {
 }
 
 
+def _contents(
+    column: pa.ChunkedArray, cfg: PipelineConfig
+) -> tuple[list[str], list[int]]:
+    """Each row's text as ``cheap_features`` reads it, and its UTF-8 byte
+    length.  A null row is ``""``.  A row over ``cfg.max_content_bytes`` is
+    decided by its length alone, so only its probe becomes a Python string:
+    those rows can hold most of a batch's bytes."""
+    nbytes = pc.fill_null(pc.binary_length(column), 0).to_numpy()
+    over = nbytes > cfg.max_content_bytes
+    texts = column
+    if over.any():
+        texts = pc.if_else(over, pa.scalar("", column.type), texts)
+    if texts.null_count:
+        texts = pc.fill_null(texts, "")
+    # to_numpy + tolist: to_pylist would box every element as a Scalar first
+    contents = texts.to_numpy(zero_copy_only=False).tolist()
+    for i in np.flatnonzero(over).tolist():
+        contents[i] = pc.utf8_slice_codeunits(
+            column.slice(i, 1), 0, cfg.probe_chars
+        ).to_pylist()[0]
+    return contents, nbytes.tolist()
+
+
 class CascadeScorer:
     """Scores whole batches vectorized with one model.
 
@@ -113,7 +137,7 @@ class CascadeScorer:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cfg, model = self.cfg, self.model
-        contents: list[str | None] = batch["content"].to_pylist()
+        contents, nbytes = _contents(batch["content"], cfg)
         n = len(contents)
         records: list[dict[str, Any] | None] = [None] * n
         errors: list[str | None] = [None] * n
@@ -121,11 +145,9 @@ class CascadeScorer:
 
         # steps 0-2: cheap features / prune (no model)
         need_pass1: list[int] = []
-        for i, content in enumerate(contents):
+        for i, (content, size) in enumerate(zip(contents, nbytes)):
             try:
-                if content is None:
-                    content = ""
-                f, rec = cheap_features(content, cfg)
+                f, rec = cheap_features(content, cfg, size)
                 if rec is not None:
                     records[i] = rec
                 else:
@@ -136,55 +158,50 @@ class CascadeScorer:
                 errors[i] = f"{type(exc).__name__}: {exc}"[:500]
 
         # pass 1 (batched classifier over survivors)
-        lang1 = {}
-        prob1 = {}
+        lang1: list[str | None] = [None] * n
+        prob1: list[float | None] = [None] * n
+        need_pass2: list[int] = []
         if need_pass1:
             langs, probs, ppls = model.classify_full(
                 [feats[i].probe for i in need_pass1]
             )
-            need_pass2: list[int] = []
-            for k, i in enumerate(need_pass1):
-                lang1[i], prob1[i] = langs[k], float(probs[k])
-                rec = first_pass_decision(
-                    cfg, feats[i], lang1[i], prob1[i], float(ppls[k])
-                )
+            probs, ppls = probs.tolist(), ppls.tolist()
+            for i, lang, prob, ppl in zip(need_pass1, langs, probs, ppls):
+                rec = first_pass_decision(cfg, feats[i], lang, prob, ppl)
                 if rec is not None:
                     records[i] = rec
                 else:
                     need_pass2.append(i)
-        else:
-            need_pass2 = []
+                    lang1[i], prob1[i] = lang, prob
 
         # pass 2 (batched over the undecided subset)
-        residual: list[int] = []
         if need_pass2:
             filtered = [
                 filtered_text(feats[i].probe, feats[i].tokens) for i in need_pass2
             ]
-            filtered_by_row = dict(zip(need_pass2, filtered))
             langs2, probs2, ppls2 = model.classify_full(filtered)
-            for k, i in enumerate(need_pass2):
-                rec = second_pass_decision(
-                    cfg, feats[i], filtered[k], langs2[k], float(probs2[k]),
-                    float(ppls2[k]),
-                )
+            probs2, ppls2 = probs2.tolist(), ppls2.tolist()
+            residual: list[int] = []
+            residual_texts: list[str] = []
+            for i, text, lang, prob, ppl in zip(
+                need_pass2, filtered, langs2, probs2, ppls2
+            ):
+                rec = second_pass_decision(cfg, feats[i], text, lang, prob, ppl)
                 if rec is not None:
                     records[i] = rec
                 else:
                     residual.append(i)
+                    residual_texts.append(text)
 
             # fallback forced-choice (batched over the residual only)
             if residual:
                 if cfg.strict_reject:
-                    fb = {i: None for i in residual}
+                    choices = [None] * len(residual)
                 else:
-                    choices = model.forced_choice(
-                        [filtered_by_row[i] for i in residual]
-                    )
-                    fb = dict(zip(residual, choices))
-                for i in residual:
+                    choices = model.forced_choice(residual_texts)
+                for i, choice in zip(residual, choices):
                     records[i] = residual_decision(
-                        cfg, feats[i], lang1[i], prob1[i], fb[i]
+                        cfg, feats[i], lang1[i], prob1[i], choice
                     )
 
         out = self._append_columns(batch, records, errors)

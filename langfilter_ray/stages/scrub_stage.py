@@ -28,11 +28,9 @@ PII_FLAGS_TYPE = pa.struct([(name, pa.bool_()) for name, _, _ in SCRUB_RULES])
 
 
 def _scrub_kept(table: pa.Table) -> pa.Table:
-    content = table["content"]
-    if not isinstance(content, pa.ChunkedArray):
-        content = pa.chunked_array([content])
-    content = content.combine_chunks()
-    cur = content
+    # large_string first: combining ``string`` chunks past 2 GiB of text
+    # overflows its 32-bit offsets
+    cur = table["content"].cast(pa.large_string()).combine_chunks()
     flags = []
     for _, pat, repl in SCRUB_RULES:
         new = pc.replace_substring_regex(cur, pat, repl)
@@ -41,7 +39,8 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
         flags.append(pc.not_equal(cur, new))
         cur = new
 
-    scrubbed_texts = cur.to_pylist()
+    # to_numpy + tolist: to_pylist would box every element as a Scalar first
+    scrubbed_texts = cur.to_numpy(zero_copy_only=False).tolist()
     sha = pa.array(
         [
             hashlib.sha256(s.encode("utf-8")).hexdigest() if s is not None else None
@@ -62,7 +61,7 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
     scrubbed_any = functools.reduce(pc.or_, flags)
     pii = pa.StructArray.from_arrays(flags, fields=list(PII_FLAGS_TYPE))
     out = table
-    out = out.append_column("scrubbed_content", cur.cast(pa.large_string()))
+    out = out.append_column("scrubbed_content", cur)
     out = out.append_column("content_sha256", sha)
     out = out.append_column("snippet", snippets)
     out = out.append_column("pii_flags", pii)

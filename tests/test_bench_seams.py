@@ -9,13 +9,16 @@ Nothing under ``perfbench/`` is edited here.
 
 from __future__ import annotations
 
+import statistics
+
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from langfilter_ray.config import PipelineConfig
-from langfilter_ray.corpus import gen_table
-from langfilter_ray.pipelines.quality_filter import CORPUS_COLUMNS
+from langfilter_ray.corpus import SCHEMA, gen_table
+from langfilter_ray.pipelines.quality_filter import CORPUS_COLUMNS, DEFAULT_NUM_PARTS
 from langfilter_ray.state import checkpoint
-from perfbench import probes, replay
+from perfbench import probes, replay, run, workloads
 
 
 def test_replay_times_every_layer():
@@ -28,6 +31,20 @@ def test_replay_times_every_layer():
         assert clock.busy[layer] > 0, layer
     assert clock.count["cheap.rows"] == 600
     assert int(part_rows.sum()) == 600
+
+
+def test_replay_covers_the_stage():
+    """The layer spans of the traced replay cover the stage within the
+    traced benchmark run's bound, on the benchmark's row mix: stage work
+    outside every span fails the traced run."""
+    table = pa.Table.from_pylist(workloads.mixed_rows(3000, 3), schema=SCHEMA)
+    feed = replay.batches([table.select(CORPUS_COLUMNS)])
+    shares = []
+    for _ in range(3):
+        stage_s, clock, _ = replay.traced(feed, DEFAULT_NUM_PARTS)
+        attributed = sum(clock.busy[layer] for layer in replay.LAYERS)
+        shares.append(abs(attributed - stage_s) / stage_s)
+    assert statistics.median(shares) <= run.MAX_UNATTRIBUTED, shares
 
 
 def test_checkpoint_trace_sees_waves_runs_and_summaries(ray_session, tmp_path):

@@ -41,7 +41,9 @@ CFG = PipelineConfig()
 # the size prune
 SMALL_CFG = PipelineConfig(probe_chars=48, max_content_bytes=96, max_line_length=20,
                            max_mean_line_length=12.0)
-CUSTOM_KEYWORDS = ({"Stub", "PLACEHOLDER"}, {"file"}, {"kelvin", "é"})
+# set() must mean the default keywords, as ``keywords or NOCONTENT_KEYWORDS``
+# does in the reference copy
+CUSTOM_KEYWORDS = ({"Stub", "PLACEHOLDER"}, {"file"}, {"kelvin", "é"}, set())
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +228,10 @@ def assert_parity(text: str) -> None:
         assert _typed(heuristics.first_failing_rule(text, cfg)) == _typed(
             ref_first_failing_rule(text, cfg))
         assert _typed(oracle.cheap_features(text, cfg)) == _typed(ref_cheap_features(text, cfg))
+        # the byte length the Ray stage passes in from Arrow
+        nbytes = len(text.encode("utf-8", errors="surrogatepass"))
+        assert _typed(oracle.cheap_features(text, cfg, nbytes=nbytes)) == _typed(
+            ref_cheap_features(text, cfg))
     assert classifier.normalize_for_lid(text) == ref_normalize_for_lid(text)
     assert classifier.normalize_for_lid(text, 10**9) == ref_normalize_for_lid(text, 10**9)
 

@@ -39,10 +39,10 @@ def test_null_content_is_handled_as_empty():
 def test_poison_row_contained_not_batch_failing(monkeypatch):
     real = cascade_mod.cheap_features
 
-    def exploding(content, cfg):
+    def exploding(content, cfg, nbytes=None):
         if content == "<<BOOM>>":
             raise RuntimeError("decoder exploded")
-        return real(content, cfg)
+        return real(content, cfg, nbytes=nbytes)
 
     monkeypatch.setattr(cascade_mod, "cheap_features", exploding)
     sc = CascadeScorer(PipelineConfig())
@@ -96,3 +96,43 @@ def test_null_repo_and_path_get_a_part_and_a_label(salt):
     assert out["repo"].to_pylist()[0] is None
     assert out["error"].to_pylist() == [None] * 3
     assert all(d.startswith("kept_") for d in out["gate_decision"].to_pylist())
+
+
+def test_over_cap_rows_reach_cheap_features_as_probes(monkeypatch):
+    """Rows over ``max_content_bytes`` by UTF-8 bytes (one of them within
+    the cap by characters) get the oracle's labels, and none of them
+    reaches ``cheap_features`` as more than its probe."""
+    from langfilter_ray.oracle import label_row
+
+    cfg = PipelineConfig(max_content_bytes=96, probe_chars=48)
+    prose = "the weather is good today and we walk out"
+    contents = [
+        None,
+        prose + " and " + "x" * 200,         # over the cap, ASCII
+        "é" * 60,                            # 60 characters, 120 bytes
+        prose,                               # within the cap
+        "é" * 48,                            # exactly at the cap: 96 bytes
+    ]
+    seen: list[str] = []
+    real = cascade_mod.cheap_features
+
+    def spy(content, cfg, nbytes=None):
+        seen.append(content)
+        return real(content, cfg, nbytes=nbytes)
+
+    monkeypatch.setattr(cascade_mod, "cheap_features", spy)
+    out = CascadeScorer(cfg, scrub=True)(_batch(contents))
+
+    assert seen[0] == ""
+    assert seen[1] == contents[1][: cfg.probe_chars]
+    assert seen[2] == contents[2][: cfg.probe_chars]
+    assert seen[3:] == contents[3:]
+    rows = {r["path"]: r for r in out.to_pylist()}
+    for i, content in enumerate(contents):
+        want = label_row(content or "", cfg)
+        got = rows[f"p{i}"]
+        assert got["error"] is None
+        assert {k: got[k] for k in want} == want, i
+    assert [rows[f"p{i}"]["gate_decision"] for i in (1, 2)] == [
+        "dropped_rule_too_large"] * 2
+    assert rows["p3"]["keep"] and rows["p4"]["gate_decision"] != "dropped_rule_too_large"

@@ -7,6 +7,8 @@ an engine upgrade)."""
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from langfilter_ray.config import PipelineConfig
@@ -104,6 +106,44 @@ def test_scrub_flags_match_oracle_on_already_scrubbed_text():
     assert not wants[_REPLACEMENTS.index('token = "<SECRET>"')]["scrubbed"]
     assert not wants[-2]["scrubbed"]         # scrubbed output scrubs to itself
     assert wants[-1]["scrubbed"]
+
+
+@pytest.mark.parametrize("content_type", [pa.string(), pa.large_string()])
+def test_scrub_of_multi_chunk_content_matches_single_chunk(content_type):
+    """The scrub stage combines the kept content as ``large_string``; a
+    column in several chunks, of either string type, gives the columns and
+    types of the same rows in one chunk."""
+    from langfilter_ray.stages.scrub_stage import scrub_batch
+
+    prose = "the weather was good today and we walked along the river"
+    contents = [
+        prose, f"{prose} mail bob@example.com", None, "x1 = 0x1f",
+        f"{prose} from 10.0.0.1", "le garçon marche dans la rue avec sa mère",
+    ]
+    labelled = CascadeScorer(CFG)(pa.table(
+        {
+            "repo": [f"r{i}" for i in range(len(contents))],
+            "path": [f"p{i}" for i in range(len(contents))],
+            "commit": ["c" * 40] * len(contents),
+            "lang": ["python"] * len(contents),
+            "content": pa.array(contents, pa.large_string()),
+        },
+        schema=SCHEMA,
+    ))
+    assert pc.sum(labelled["keep"]).as_py() >= 3
+    texts = pa.array(contents, content_type)
+    whole = labelled.set_column(
+        labelled.schema.get_field_index("content"), "content",
+        pa.chunked_array([texts]),
+    )
+    chunked = whole.set_column(
+        whole.schema.get_field_index("content"), "content",
+        pa.chunked_array([texts.slice(0, 2), texts.slice(2, 1), texts.slice(3)]),
+    )
+    want, got = scrub_batch(whole), scrub_batch(chunked)
+    assert got.schema == want.schema
+    assert got.schema.field("scrubbed_content").type == pa.large_string()
+    assert got.to_pylist() == want.to_pylist()
 
 
 # ---- shared windowed-word-hash helper invariants -------------------------
