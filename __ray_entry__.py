@@ -156,8 +156,6 @@ def all_queries() -> dict[str, Callable[[str], Any]]:
         "embedding_quant_stats": similarity.embedding_quant_stats,
         "embedding_closest_pair": similarity.embedding_closest_pair,
         # --- near-duplicate variants ---------------------------------------
-        "similar_pairs_topk": dedup.similar_pairs_topk,
-        "typo_pairs": dedup.typo_pairs,
         "dup_cluster_hist": dedup.dup_cluster_hist,
         "dedup_embedding_ivf": dedup.dedup_embedding_ivf,
     }

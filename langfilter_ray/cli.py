@@ -200,12 +200,15 @@ def main(argv: list[str] | None = None) -> int:
                 )
             extra["dedup_across_ingests"] = True
         runner = run_incremental if args.incremental else run_with_checkpoints
-        summary = runner(
-            args.input, args.output, cfg,
-            num_parts=args.num_parts, batch_size=args.batch_size,
-            concurrency=args.concurrency, wave_size=args.wave_size,
-            salt=args.salt, model_factory=model_factory, **extra,
-        )
+        try:
+            summary = runner(
+                args.input, args.output, cfg,
+                num_parts=args.num_parts, batch_size=args.batch_size,
+                concurrency=args.concurrency, wave_size=args.wave_size,
+                salt=args.salt, model_factory=model_factory, **extra,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         print(json.dumps(summary, indent=2))
         return 0
     finally:

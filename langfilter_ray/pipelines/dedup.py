@@ -810,6 +810,12 @@ def dedup_simhash(sf_dir: str) -> ray.data.Dataset:
 
 # ---- embedding-cosine near-dup ------------------------------------------
 
+# the exact embedding baseline refuses inputs above this: a 500k x
+# 128-float64 matrix is a ~512 MB broadcast and a 2.5e11-dot-product scan —
+# the IVF path exists precisely so nothing larger ever takes this route
+DEDUP_EMBEDDING_MAX_ROWS = 500_000
+
+
 def _normalized_matrix(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
     import pyarrow.parquet as pq
 
@@ -827,7 +833,7 @@ def dedup_embedding(sf_dir: str) -> ray.data.Dataset | pa.Table:
     The normalized matrix is broadcast once with ``ray.put`` and each batch
     computes a block-row of the similarity matrix (numpy matmul) — the
     brute-force baseline; the scale path is ``dedup_embedding_ivf``.
-    Like ``similar_pairs_topk``, the exact baseline REFUSES inputs above
+    The exact baseline REFUSES inputs above
     ``DEDUP_EMBEDDING_MAX_ROWS``: the full matrix broadcast and O(N²)
     similarity scan are its design, not an accident, and they stop being
     affordable long before the driver read does.
@@ -1060,91 +1066,6 @@ def simhash_candidates(sf_dir: str) -> ray.data.Dataset:
             _EMPTY_PAIRS.append_column("hamming", pa.array([], pa.int64()))
         )
     return out
-
-
-# ---- exact word-set Jaccard top-k (oracle-checkable dedup ranking) -------
-
-JACCARD_TOP_K = 50
-# the exact all-pairs baseline holds every word set in driver memory and
-# scores O(N^2) pairs — refuse beyond this (~driver GBs / hours of work);
-# sf0.1's 50k documents is the largest input it is meant for
-SIMILAR_PAIRS_MAX_ROWS = 100_000
-# same contract for the exact embedding baseline: a 500k x 128-float64
-# matrix is a ~512 MB broadcast and a 2.5e11-dot-product scan — the IVF
-# path exists precisely so nothing larger ever takes this route
-DEDUP_EMBEDDING_MAX_ROWS = 500_000
-
-
-def similar_pairs_topk(sf_dir: str) -> ray.data.Dataset | pa.Table:
-    """Top-50 document pairs by EXACT word-set Jaccard — the oracle-checked
-    complement to the crc-shingle `dedup_jaccard` (whose hash space SQL
-    cannot replicate).  Word sets are interned to int ids driver-side and
-    broadcast as sorted arrays; each batch scores its docs against all
-    later docs (intersections via np.intersect1d), keeps a LOCAL top-50,
-    and a tiny global sort+limit finishes.  Jaccard is one int/int
-    division so the doubles compare exactly against DuckDB.  At corpus
-    scale the all-pairs loop is replaced by the LSH candidate prefilter
-    (`minhash_candidates`) — this operator is the exact-ranking baseline
-    and REFUSES inputs above ``SIMILAR_PAIRS_MAX_ROWS``: it reads every
-    document's word set into driver memory and scores O(N²) pairs, so an
-    unguarded large input would OOM the driver long before the quadratic
-    cost finished."""
-    import pyarrow.parquet as pq
-
-    n_rows = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
-    if n_rows > SIMILAR_PAIRS_MAX_ROWS:
-        raise ValueError(
-            f"similar_pairs_topk is an exact all-pairs baseline capped at "
-            f"{SIMILAR_PAIRS_MAX_ROWS} documents (got {n_rows}); use the LSH "
-            "scale path instead: minhash_candidates -> dedup_jaccard"
-        )
-    t = pq.read_table(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    ids = t["doc_id"].to_numpy()
-    intern: dict[str, int] = {}
-    sets = []
-    for s in t["text"].to_pylist():
-        ws = {intern.setdefault(w, len(intern)) for w in (s or "").lower().split()}
-        sets.append(np.array(sorted(ws), dtype=np.int64))
-    ref = ray.put((ids, sets))
-    pos = {int(v): i for i, v in enumerate(ids)}
-
-    def local_topk(batch: pa.Table) -> pa.Table:
-        all_ids, all_sets = ray.get(ref)
-        out = []
-        for a in batch["doc_id"].to_pylist():
-            ia = pos[int(a)]
-            sa = all_sets[ia]
-            if len(sa) == 0:
-                continue
-            for ib in range(len(all_ids)):
-                b = int(all_ids[ib])
-                if b <= a or len(all_sets[ib]) == 0:
-                    continue
-                inter = len(np.intersect1d(sa, all_sets[ib], assume_unique=True))
-                union = len(sa) + len(all_sets[ib]) - inter
-                out.append((a, b, inter / union))
-        out.sort(key=lambda r: (-r[2], r[0], r[1]))
-        out = out[:JACCARD_TOP_K]
-        return pa.table(
-            {
-                "doc_a": pa.array([r[0] for r in out], pa.int64()),
-                "doc_b": pa.array([r[1] for r in out], pa.int64()),
-                "jac": pa.array([r[2] for r in out], pa.float64()),
-            }
-        )
-
-    from ._common import _typed
-
-    ds = _read(sf_dir, "documents", ["doc_id"])
-    local = ds.map_batches(local_topk, batch_format="pyarrow", batch_size=64)
-    return _typed(
-        local.sort(["jac", "doc_a", "doc_b"], descending=[True, False, False]).limit(
-            JACCARD_TOP_K
-        ),
-        pa.schema(
-            [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("jac", pa.float64())]
-        ),
-    )
 
 
 # ---- candidate pairs -> clusters -> survivors ----------------------------
@@ -1437,18 +1358,6 @@ def dedup_survivors(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-ORACLES["similar_pairs_topk"] = (
-    "WITH w AS (SELECT doc_id, list_distinct(string_split(lower(text), ' ')) AS ws "
-    "           FROM documents) "
-    "SELECT a.doc_id AS doc_a, b.doc_id AS doc_b, "
-    "len(list_intersect(a.ws, b.ws))::DOUBLE / "
-    "(len(a.ws) + len(b.ws) - len(list_intersect(a.ws, b.ws)))::DOUBLE AS jac "
-    "FROM w a JOIN w b ON a.doc_id < b.doc_id "
-    "WHERE len(a.ws) > 0 AND len(b.ws) > 0 "
-    f"ORDER BY jac DESC, doc_a, doc_b LIMIT {JACCARD_TOP_K}"
-)
-
-
 # ---- span_dedup: C4-style duplicate-span removal --------------------------
 
 SPAN_WORDS = 10
@@ -1691,231 +1600,7 @@ GROUP BY k.doc_id, t.total_spans
 """
 
 
-# ---- typo_pairs: edit-distance-1 record linkage via deletion blocking ------
-
-# Below this many (variant, key) rows the candidate generation runs as one
-# vectorized pass over the gathered table (same contract as the module's
-# other broadcasts: explicit row bound, distributed self-join fallback
-# above it, both paths pinned equal by a zero-threshold test).
-TYPO_BROADCAST_MAX_VARIANT_ROWS = 1_000_000
-_TYPO_BROADCAST_MAX_PAIRS = 5_000_000
-
-_EMPTY_TYPO = pa.table(
-    {"cust_a": pa.array([], pa.int64()), "cust_b": pa.array([], pa.int64())}
-)
-
-
-def _lev_is_1(a: str, b: str) -> bool:
-    """Exact levenshtein(a, b) == 1 for strings with |len(a)-len(b)| <= 1
-    (the only shape deletion-blocking candidates can have)."""
-    la, lb = len(a), len(b)
-    if la == lb:
-        seen = False
-        for x, y in zip(a, b):
-            if x != y:
-                if seen:
-                    return False
-                seen = True
-        return seen
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    return a[i:] == b[i + 1 :]
-
-
-def _name_variants(t: pa.Table) -> pa.Table:
-    """Expand each (key, name) row into its SymSpell deletion
-    neighbourhood: the name itself plus every single-character deletion,
-    deduplicated per name (repeated characters collapse).  Two strings at
-    levenshtein distance exactly 1 ALWAYS share at least one variant
-    (substitution: both delete the mismatch position; insert/delete: the
-    shorter string IS a variant of the longer), so blocking on the
-    variant key loses nothing; distance-2 collisions are removed by the
-    exact verify.  Per-row cost is O(len^2) characters — names are
-    record-linkage KEYS (bounded length), never document text."""
-    if len(t) == 0:
-        return pa.table(
-            {"vkey": pa.array([], pa.string()),
-             "ck": pa.array([], pa.int64()),
-             "name": pa.array([], pa.string())}
-        )
-    cks = t["c_custkey"].to_numpy()
-    names = t["c_name"].to_pylist()
-    vk: list[str] = []
-    vc: list[int] = []
-    vn: list[str] = []
-    for ck, nm in zip(cks, names):
-        vs = {nm}
-        vs.update(nm[:i] + nm[i + 1 :] for i in range(len(nm)))
-        vk.extend(vs)
-        vc.extend([int(ck)] * len(vs))
-        vn.extend([nm] * len(vs))
-    return pa.table(
-        {"vkey": pa.array(vk, pa.string()),
-         "ck": pa.array(vc, pa.int64()),
-         "name": pa.array(vn, pa.string())}
-    )
-
-
-def _verify_typo_pairs(
-    fused: np.ndarray, names_of: "dict[int, str]"
-) -> pa.Table:
-    """Exact-verify fused candidate (lo<<32|hi) keys: keep levenshtein==1.
-    The Python loop runs only over the DEDUPLICATED candidate set — the
-    same bounded-candidate archetype as dedup_jaccard's verify."""
-    if len(fused) == 0:
-        return _EMPTY_TYPO
-    lo = (fused >> np.int64(32)).astype(np.int64)
-    hi = (fused & np.int64(0xFFFFFFFF)).astype(np.int64)
-    keep = np.fromiter(
-        (_lev_is_1(names_of[int(a)], names_of[int(b)]) for a, b in zip(lo, hi)),
-        dtype=bool,
-        count=len(fused),
-    )
-    if not keep.any():
-        return _EMPTY_TYPO
-    return pa.table(
-        {"cust_a": pa.array(lo[keep], pa.int64()),
-         "cust_b": pa.array(hi[keep], pa.int64())}
-    )
-
-
-def typo_pairs(
-    sf_dir: str,
-    broadcast_max_rows: int = TYPO_BROADCAST_MAX_VARIANT_ROWS,
-) -> ray.data.Dataset | pa.Table:
-    """All pairs of customers whose names are at levenshtein distance
-    EXACTLY 1 — fuzzy record linkage (typo'd duplicate entities), the
-    similarity-JOIN shape none of the other dedup operators cover: exact
-    dedup needs equality, MinHash/SimHash need set/bit similarity, but
-    near-identical SHORT STRINGS (names, titles, URLs) need edit
-    distance, whose naive form is an O(n^2) cross join with a per-pair
-    dynamic program.
-
-    Scale shape — SymSpell deletion-neighbourhood BLOCKING: each name
-    expands to <= len+1 deletion variants (a bounded, data-independent
-    blow-up), candidates are pairs sharing a variant key, and the exact
-    distance check runs only on candidates.  Below
-    ``broadcast_max_rows`` variant rows the candidate pass is one
-    gathered lexsort + the same vectorized bucket-expansion arithmetic
-    as _broadcast_band_pairs (no hash shuffle, no aggregator-actor
-    spawn); above it, a hash-partitioned SELF-JOIN on the variant key
-    (Arrow C++ cross product per bucket) with per-batch fused-int64
-    dedup and a bounded-bucket global unique — both paths pinned equal
-    by a zero-threshold test.  The verify loop is Python but bounded by
-    the candidate count (~true pairs + distance-2 collisions), never
-    the corpus.
-
-    Reference anchor: SURVEY.md §2.8's dedup family extended to string
-    edit distance (the reference dedups repo paths by normalized name,
-    langid_service storage layer)."""
-    from ._common import _join_parts, _typed
-
-    ds = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    variants = ds.map_batches(_name_variants, batch_format="pyarrow").materialize()
-    n_rows = variants.count()
-    if n_rows == 0:
-        return _EMPTY_TYPO
-
-    if n_rows <= broadcast_max_rows:
-        tbl = pa.concat_tables(
-            [t for t in ray.get(variants.to_arrow_refs()) if t.num_rows]
-        )
-        vkey = np.asarray(tbl["vkey"].to_pylist(), dtype=object)
-        ck = tbl["ck"].to_numpy()
-        order = np.lexsort((ck, vkey))
-        vkey, ck = vkey[order], ck[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], vkey[1:] != vkey[:-1]))
-        )
-        sizes = np.append(starts[1:], len(vkey)) - starts
-        if ((sizes * (sizes - 1)) // 2).sum() <= _TYPO_BROADCAST_MAX_PAIRS:
-            cends = np.cumsum(sizes)
-            cnt = np.repeat(cends, sizes) - np.arange(len(ck)) - 1
-            a_idx = np.repeat(np.arange(len(ck)), cnt)
-            csum = np.concatenate(([0], np.cumsum(cnt)))
-            b_idx = a_idx + 1 + (np.arange(csum[-1]) - np.repeat(csum[:-1], cnt))
-            lo = np.minimum(ck[a_idx], ck[b_idx])
-            hi = np.maximum(ck[a_idx], ck[b_idx])
-            fused = np.unique(
-                ((lo << np.int64(32)) | hi)[lo < hi]
-            )
-            names_of = dict(zip(tbl["ck"].to_pylist(), tbl["name"].to_pylist()))
-            return _verify_typo_pairs(fused, names_of)
-        # pathological bucket forest: fall through to the join path
-
-    right = variants.rename_columns(
-        {"vkey": "vkey_b", "ck": "ck_b", "name": "name_b"}
-    )
-    joined = variants.join(
-        right,
-        join_type="inner",
-        num_partitions=_band_join_parts(n_rows, _join_parts(1)),
-        on=("vkey",),
-        right_on=("vkey_b",),
-    )
-
-    def candidates(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return _EMPTY_TYPO
-        a = t["ck"].to_numpy()
-        b = t["ck_b"].to_numpy()
-        keep = a < b
-        fused = np.unique((a[keep] << np.int64(32)) | b[keep])
-        na = np.asarray(t["name"].to_pylist(), dtype=object)[keep]
-        nb = np.asarray(t["name_b"].to_pylist(), dtype=object)[keep]
-        names_of: dict[int, str] = {}
-        names_of.update(zip((int(k) for k in a[keep]), na))
-        names_of.update(zip((int(k) for k in b[keep]), nb))
-        return _verify_typo_pairs(fused, names_of)
-
-    pairs = joined.map_batches(candidates, batch_format="pyarrow")
-
-    # a verified pair can surface in more than one join batch (the same
-    # variant bucket split across batches): exact global dedup via the
-    # bounded-bucket unique (every fused key lands in exactly one bucket)
-    def tag(t: pa.Table) -> pa.Table:
-        if len(t) == 0:
-            return pa.table(
-                {"cust_a": pa.array([], pa.int64()),
-                 "cust_b": pa.array([], pa.int64()),
-                 "bk": pa.array([], pa.int64())}
-            )
-        fused = (
-            t["cust_a"].to_numpy() << np.int64(32)
-        ) | t["cust_b"].to_numpy()
-        h = fused.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        return t.append_column(
-            "bk", pa.array(((h >> np.uint64(33)) % np.uint64(32)).astype(np.int64))
-        )
-
-    def uniq(g: "pd.DataFrame") -> "pd.DataFrame":
-        import pandas as pd
-
-        if g.empty:
-            return pd.DataFrame(
-                {"cust_a": pd.array([], dtype="int64"),
-                 "cust_b": pd.array([], dtype="int64")}
-            )
-        return g[["cust_a", "cust_b"]].drop_duplicates()
-
-    return _typed(
-        pairs.map_batches(tag, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(uniq, batch_format="pandas")
-        .select_columns(["cust_a", "cust_b"]),
-        _EMPTY_TYPO.schema,
-    )
-
-
-ORACLES["typo_pairs"] = (
-    "SELECT a.c_custkey AS cust_a, b.c_custkey AS cust_b "
-    "FROM customer a JOIN customer b "
-    "ON a.c_custkey < b.c_custkey AND levenshtein(a.c_name, b.c_name) = 1"
-)
-
+# ---- exact-duplicate cluster-size histogram ------------------------------
 
 def dup_cluster_hist(sf_dir: str) -> pa.Table:
     """Histogram of EXACT-duplicate cluster sizes — the dedup planning

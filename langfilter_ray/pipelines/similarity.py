@@ -872,7 +872,7 @@ def embedding_closest_pair(sf_dir: str) -> "pa.Table":
     Scale shape: the per-batch partial projects each vector to two
     int64s (24 B/row crosses the exchange, never the embeddings); the
     gather is an EXACT ANCHOR with an explicit row bound
-    (``CLOSEST_PAIR_MAX_ROWS``, the similar_pairs_topk precedent) —
+    (``CLOSEST_PAIR_MAX_ROWS``, the dedup_embedding precedent) —
     above it the same cell keys become the partition keys of a
     distributed self-join (the dedup_simhash band shape).  Tie-breaks
     are pinned: coordinates collapse to their two smallest vec_ids

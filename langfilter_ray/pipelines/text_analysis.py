@@ -29,6 +29,7 @@ import ray.data
 
 from ..functions.scrub import SCRUB_RULES
 from ._common import _read, _schema, _typed
+from .quality_filter import _default_pool_size
 
 TOKEN_RE = "[A-Za-z0-9_]+"          # ASCII \w — identical in RE2 and DuckDB
 LOWER_TOKEN_RE = "[a-z0-9_]+"
@@ -673,12 +674,6 @@ class _PerplexityScorer:
         )
 
 
-def _pool_size() -> int:
-    from .quality_filter import _default_pool_size
-
-    return _default_pool_size()
-
-
 def doc_perplexity(sf_dir: str) -> ray.data.Dataset:
     """Per-doc (pred_lang, probability, perplexity) under the trigram LID
     model — deterministic model scoring as an actor-pool map_batches
@@ -689,7 +684,7 @@ def doc_perplexity(sf_dir: str) -> ray.data.Dataset:
     return _read(sf_dir, "documents", ["doc_id", "text"]).map_batches(
         _PerplexityScorer,
         batch_format="pyarrow",
-        concurrency=(1, _pool_size()),
+        concurrency=(1, _default_pool_size()),
         num_cpus=1,
     )
 

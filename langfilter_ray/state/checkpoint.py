@@ -28,9 +28,10 @@ holds, so a part has about (the wave's rows) / ``WRITE_MIN_ROWS`` files
 tables the write tasks wrote, merged on the driver; a committed part is
 never read back to count it.
 
-Ledgers: ``_manifest.jsonl`` and the ingest queue ``_ingested.jsonl`` are
-read only through ``_jsonl`` and appended only through ``_append_jsonl``,
-which fsyncs each record before it returns.
+Ledgers: ``_manifest.jsonl``, the partition-layout record
+``_layout.jsonl`` and the ingest queue ``_ingested.jsonl`` are read only
+through ``_jsonl`` and appended only through ``_append_jsonl``, which
+fsyncs each record before it returns.
 """
 
 from __future__ import annotations
@@ -62,13 +63,14 @@ from ..pipelines.quality_filter import (
 )
 
 MANIFEST_NAME = "_manifest.jsonl"
+LAYOUT_NAME = "_layout.jsonl"
 
 
 def manifest_path(out_dir: str | Path) -> Path:
     return Path(out_dir) / MANIFEST_NAME
 
 
-# ---- the two JSON-lines ledgers: one reader, one durable appender ----------
+# ---- the JSON-lines ledgers: one reader, one durable appender --------------
 
 def _jsonl(path: Path) -> Iterator[dict[str, Any]]:
     """The records of a JSON-lines ledger in file order; blank lines are
@@ -124,6 +126,49 @@ def _model_tag(model_factory) -> str:
     mod = getattr(model_factory, "__module__", "?")
     name = getattr(model_factory, "__qualname__", None) or repr(model_factory)
     return f"+model:{mod}.{name}"
+
+
+def _check_layout(
+    out_dir: Path, resuming: bool, num_parts: int, salt: int
+) -> None:
+    """``num_parts`` and ``salt`` decide every row's part id, so a directory
+    resumes only under the layout its parts were committed with: under
+    another one, a part id not yet in the manifest holds rows that a
+    committed part already holds.  A run that starts with nothing
+    committed records its layout in ``_layout.jsonl`` before its first
+    commit; a resume checks the last record against its own.  A directory
+    without the ledger (written before it existed) is not checked."""
+    path = out_dir / LAYOUT_NAME
+    layout = {"num_parts": num_parts, "salt": max(salt, 1)}  # salt <= 1: unsalted
+    if not resuming:
+        _append_jsonl(path, layout)
+        return
+    recorded = list(_jsonl(path))
+    if recorded and recorded[-1] != layout:
+        raise RuntimeError(
+            f"{out_dir} was committed with partition layout {recorded[-1]}, "
+            f"this run asks for {layout}; refusing to resume across a "
+            "layout change, which re-commits rows under new part ids "
+            "(use a fresh output directory)"
+        )
+
+
+def _check_run_args(
+    num_parts: int, batch_size: int, wave_size: int | None,
+    files: list[str] | None = None,
+) -> None:
+    """Refuse arguments that would commit nothing before any ledger is
+    written: no part id below 1 exists, a wave or batch below 1 row or
+    part never finishes, and ``files`` (when given) must name an input."""
+    for name, value in (
+        ("num_parts", num_parts),
+        ("batch_size", batch_size),
+        ("wave_size", 1 if wave_size is None else wave_size),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if files is not None and not files:
+        raise ValueError("input_path has no top-level *.parquet file")
 
 
 def _input_files(input_path: str | Path | Iterable[str | Path]) -> list[str]:
@@ -253,6 +298,8 @@ def run_with_checkpoints(
     caller's extra identity into the manifest config hash so resumes across
     a semantic change are refused.  Returns a summary dict.
     """
+    files = _input_files(input_path)
+    _check_run_args(num_parts, batch_size, wave_size, files)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # the manifest's config hash also carries the model identity: resuming
@@ -260,8 +307,8 @@ def run_with_checkpoints(
     # sources exactly like a config change would
     cfg_hash = cfg.config_hash() + _model_tag(model_factory) + config_tag
     done = completed_parts(out_dir, expect_config_hash=cfg_hash)
+    _check_layout(out_dir, bool(done), num_parts, salt)
     remaining = [p for p in range(num_parts) if p not in done]
-    files = _input_files(input_path)
     fingerprint = _input_fingerprint(files)
 
     waves: list[list[int]] = []
@@ -400,6 +447,7 @@ def run_incremental(
     Returns a summary with per-call ``new_files`` and fold-of-manifests
     totals.  ``fail_after_waves`` is the crash-injection hook passed to
     the inner runner (resume tests)."""
+    _check_run_args(num_parts, batch_size, wave_size)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sized = [(f, os.stat(f).st_size) for f in _input_files(input_path)]

@@ -113,6 +113,59 @@ def test_resume_refuses_config_change(ray_session, unit_corpus_dir, single_run):
         )
 
 
+@pytest.mark.parametrize(
+    "change", [{"num_parts": 4}, {"salt": 2}], ids=["num_parts", "salt"]
+)
+def test_resume_refuses_layout_change(ray_session, unit_corpus_dir, tmp_path,
+                                      change):
+    """num_parts and salt decide every row's part id: resuming under another
+    layout would commit rows that a finished part already holds."""
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_with_checkpoints(unit_corpus_dir, out, CFG, num_parts=NUM_PARTS,
+                             wave_size=1, fail_after_waves=2, concurrency=(1, 2))
+    before = manifest_path(out).read_text()
+    with pytest.raises(RuntimeError, match="refusing to resume"):
+        run_with_checkpoints(unit_corpus_dir, out, CFG, wave_size=1,
+                             concurrency=(1, 2),
+                             **{"num_parts": NUM_PARTS, **change})
+    assert manifest_path(out).read_text() == before
+
+
+@pytest.mark.parametrize("name, value", [
+    ("num_parts", 0), ("num_parts", -3), ("wave_size", 0), ("wave_size", -1),
+    ("batch_size", 0),
+])
+def test_run_refuses_non_positive_arguments(unit_corpus_dir, tmp_path, name,
+                                            value):
+    """An argument that can select no part, wave or batch raises before
+    anything is written, instead of committing nothing."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=name):
+        run_with_checkpoints(unit_corpus_dir, out, CFG, **{name: value})
+    assert not manifest_path(out).exists()
+
+
+def test_run_refuses_input_without_parquet(tmp_path):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "nested").mkdir()
+    with pytest.raises(ValueError, match="input_path"):
+        run_with_checkpoints(tmp_path / "in", tmp_path / "out", CFG)
+    assert not manifest_path(tmp_path / "out").exists()
+
+
+def test_cli_run_exits_on_bad_argument(ray_session, unit_corpus_dir, tmp_path,
+                                       monkeypatch):
+    import ray
+
+    from langfilter_ray import cli
+
+    monkeypatch.setattr(ray, "shutdown", lambda: None)   # the session's Ray
+    with pytest.raises(SystemExit, match="num_parts"):
+        cli.main(["run", "--input", unit_corpus_dir,
+                  "--output", str(tmp_path / "out"), "--num-parts", "0"])
+
+
 def test_waves_match_one_wave_with_lang_code_projection(
     ray_session, unit_corpus_dir, tmp_path
 ):

@@ -112,15 +112,12 @@ def test_live_metrics_readers_do_not_create_actor(ray_session):
         _ray.get_actor(live_metrics.ACTOR_NAME)
 
 
-def test_similar_pairs_topk_refuses_oversized_input(clean_sf, monkeypatch):
-    """The exact all-pairs baseline must refuse inputs above its row cap
-    (it materializes every word set driver-side) and point at the LSH
+def test_dedup_embedding_refuses_oversized_input(clean_sf, monkeypatch):
+    """The exact full-matrix baseline must refuse inputs above its row
+    cap (it broadcasts the whole normalized matrix) and point at the IVF
     scale path, instead of OOMing at scale."""
     from langfilter_ray.pipelines import dedup
 
-    monkeypatch.setattr(dedup, "SIMILAR_PAIRS_MAX_ROWS", 10)
-    with pytest.raises(ValueError, match="minhash_candidates"):
-        dedup.similar_pairs_topk(clean_sf)
     monkeypatch.setattr(dedup, "DEDUP_EMBEDDING_MAX_ROWS", 10)
     with pytest.raises(ValueError, match="dedup_embedding_ivf"):
         dedup.dedup_embedding(clean_sf)

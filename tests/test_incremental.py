@@ -122,6 +122,39 @@ def test_incremental_refuses_config_mix_on_pending(ray_session, tmp_path, corpus
         run_incremental(corpus, out, other, num_parts=N_PARTS)
 
 
+def test_incremental_refuses_layout_change_on_pending(ray_session, tmp_path,
+                                                      corpus):
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        run_incremental(
+            corpus, out, CFG, num_parts=N_PARTS, wave_size=2, fail_after_waves=1
+        )
+    before = ingest_log_path(out).read_bytes()
+    with pytest.raises(RuntimeError, match="partition layout"):
+        run_incremental(corpus, out, CFG, num_parts=N_PARTS * 2)
+    assert ingest_log_path(out).read_bytes() == before
+
+
+@pytest.mark.parametrize("name, value", [
+    ("num_parts", 0), ("wave_size", -1), ("batch_size", 0),
+])
+def test_incremental_refuses_non_positive_arguments(tmp_path, corpus, name,
+                                                    value):
+    """A refused argument claims no file: the ledger is not written, so the
+    inbox is still unclaimed for the next run."""
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=name):
+        run_incremental(corpus, out, CFG, **{name: value})
+    assert not ingest_log_path(out).exists()
+
+
+def test_incremental_empty_inbox_is_noop(tmp_path):
+    (tmp_path / "in").mkdir()
+    s = run_incremental(tmp_path / "in", tmp_path / "out", CFG)
+    assert s["new_files"] == 0 and s["rows_in"] == 0
+    assert not ingest_log_path(tmp_path / "out").exists()
+
+
 # ---- retention / purge (round-5 verdict item) -------------------------------
 
 def test_purge_dry_run_apply_and_idempotence(ray_session, tmp_path, corpus):

@@ -76,12 +76,12 @@ ORACLE_CHECKED = [
 # oracle-backed all_queries() entries outside the driver surface
 LIBRARY_ORACLE_CHECKED = [
     "fingerprint", "top_tokens", "distinct_sources", "sample_docs",
-    "doc_stats_by_lang", "similar_pairs_topk", "token_counts_bpe",
+    "doc_stats_by_lang", "token_counts_bpe",
     "top_bigrams", "top_docs_per_lang", "domain_mix_weights",
     "inverted_index_stats", "tfidf_top_terms", "shared_ngram_docs",
     "char_class_profile", "dup_token_stats", "chars_percentiles",
     "embedding_quant_stats", "vocab_stats", "vocab_overlap",
-    "lang_source_agg", "weighted_sample", "typo_pairs",
+    "lang_source_agg", "weighted_sample",
     "zscore_by_lang", "weighted_median_chars", "sentence_stats",
     "percentile_rank_chars", "length_token_contingency", "sources_per_lang",
     "length_gini_by_source", "spearman_length_tokens", "dup_cluster_hist",
@@ -615,23 +615,6 @@ def test_dedup_jaccard_join_fallback_matches_broadcast(entry_mod, monkeypatch):
             df["jaccard"].round(12))
     )
     assert key(fast) == key(slow) and len(fast) > 0
-
-
-def test_typo_pairs_join_fallback_matches_broadcast(entry_mod):
-    """The deletion-neighbourhood blocking must produce the identical
-    verified edit-distance-1 pair set on both paths: the gathered
-    vectorized pass (default at test scale) and the hash self-join on
-    the variant key — forced by a zero broadcast bound."""
-    from langfilter_ray.pipelines import dedup
-
-    def pairs(**kw):
-        df = _to_pandas(dedup.typo_pairs(SF, **kw))
-        return sorted(zip(df["cust_a"].astype(int), df["cust_b"].astype(int)))
-
-    fast = pairs()
-    assert len(fast) > 0
-    slow = pairs(broadcast_max_rows=0)
-    assert fast == slow
 
 
 def test_dedup_embedding_ivf_subset_and_recall(entry_mod):

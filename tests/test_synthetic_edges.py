@@ -39,58 +39,6 @@ def _check_vs_oracle(fn, sql, tmp_path, table_name, tbl):
     return got
 
 
-def test_typo_pairs_edit_kinds(ray_session, tmp_path):
-    """Substitution, insertion and deletion pairs (distance exactly 1)
-    are all found; distance-2 and identical-name (distance 0) pairs are
-    rejected; repeated-character deletions do not duplicate pairs."""
-    from langfilter_ray.pipelines import dedup
-
-    names = {
-        1: "alpha",   # vs 2: substitution (alpha/alpho)
-        2: "alpho",
-        3: "alphaa",  # vs 1: insertion; repeated 'a' exercises variant dedup
-        4: "alph",    # vs 1: deletion
-        5: "beta",    # distance >= 2 from everything
-        6: "alpha",   # identical to 1 -> distance 0, must NOT pair
-    }
-    tbl = pa.table(
-        {
-            "c_custkey": pa.array(list(names), pa.int64()),
-            "c_name": pa.array([names[k] for k in names], pa.string()),
-        }
-    )
-    got = _check_vs_oracle(
-        dedup.typo_pairs, dedup.ORACLES["typo_pairs"],
-        tmp_path, "customer", tbl,
-    )
-    pairs = set(zip(got["cust_a"].astype(int), got["cust_b"].astype(int)))
-    expected = {
-        (1, 2), (1, 3), (1, 4),   # sub / insert / delete vs 'alpha'
-        (2, 4),                   # 'alpho' vs 'alph' (delete 'o')
-        (2, 6), (3, 6), (4, 6),   # same three vs the duplicate 'alpha'
-    }
-    assert pairs == expected, pairs
-
-
-def test_typo_pairs_join_path_synthetic(ray_session, tmp_path):
-    """The hash-join fallback produces the same pair set on the synthetic
-    table (cross-batch duplicate-candidate dedup exercised end to end)."""
-    from langfilter_ray.pipelines import dedup
-
-    tbl = pa.table(
-        {
-            "c_custkey": pa.array([1, 2, 3, 4], pa.int64()),
-            "c_name": pa.array(["aab", "bab", "ab", "zzz"], pa.string()),
-        }
-    )
-    pq.write_table(tbl, tmp_path / "customer.parquet")
-    fast = _to_pandas(dedup.typo_pairs(str(tmp_path)))
-    slow = _to_pandas(dedup.typo_pairs(str(tmp_path), broadcast_max_rows=0))
-    key = lambda df: sorted(zip(df["cust_a"], df["cust_b"]))  # noqa: E731
-    assert key(fast) == key(slow)
-    assert set(key(fast)) == {(1, 2), (1, 3), (2, 3)}
-
-
 def _docs_table(rows):
     """rows: (doc_id, lang, n_chars, text)."""
     return pa.table(
