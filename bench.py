@@ -50,12 +50,10 @@ def headline(sf_dir: str) -> tuple[float, int]:
     # steady-state throughput, not process ramp (a long-lived production
     # cluster has warm workers; a cold first execution here pays ~3-4s of
     # spawn+import at 32 CPUs, ~25% of the measurement)
-    build_pipeline(
-        read_corpus(corpus).limit(20_000), DEFAULT_CONFIG, drop_content=True
-    ).count()
+    build_pipeline(read_corpus(corpus).limit(20_000), DEFAULT_CONFIG).count()
 
     t0 = time.time()
-    ds = build_pipeline(read_corpus(corpus), DEFAULT_CONFIG, drop_content=True)
+    ds = build_pipeline(read_corpus(corpus), DEFAULT_CONFIG)
     ds.write_parquet(out)
     dt = time.time() - t0
     return dt, n_rows

@@ -17,7 +17,9 @@ Everything between the read and the write runs inside ``_cascade_task``:
 Ray fuses two task operators only when their concurrency caps match, so
 every uncapped ``map_batches`` before or after the capped scorer would be
 its own operator, with its own tasks and an object-store hop of the whole
-batch.
+batch.  For the same reason the task drops the raw ``content`` column
+after the scrub: the write gets labels plus scrubbed text, and the input
+text never crosses into it.
 
 The cascade runs as plain tasks over a per-worker-process model cache
 (``_cascade_task``), the analog of the reference's lazy per-process
@@ -137,7 +139,7 @@ def build_pipeline(
     batch_size: int = DEFAULT_BATCH_SIZE,
     concurrency: int | tuple[int, int] | None = None,
     parts_filter: set[int] | None = None,
-    drop_content: bool = False,
+    drop_content: bool = True,
     salt: int = 1,
     live_metrics: bool = False,
     model_factory=None,
@@ -150,6 +152,13 @@ def build_pipeline(
     ``Table -> Table`` callable, e.g. the cross-ingest dedup anti-filter)
     last.  All of it runs inside the one scorer task.  Nothing executes
     until consumed.
+
+    A row of the output holds the input key columns (``repo``, ``path``,
+    ``commit``, ``lang``), the labels, ``part`` and the scrub columns
+    (``scrubbed_content``, ``content_sha256``, ``snippet``, the flags),
+    never the input text: the task drops ``content`` after the scrub, so
+    the raw text never crosses into the write.  ``drop_content=False``
+    keeps it, for a caller that reads the raw text downstream.
 
     ``concurrency`` caps the number of concurrent scorer tasks, i.e. the
     cores the cascade may use; for a ``(min, max)`` tuple the cap is
@@ -232,13 +241,14 @@ def _process_model(model_factory=None):
 
 def _cascade_task(
     batch: pa.Table, cfg: PipelineConfig, num_parts: int = DEFAULT_NUM_PARTS,
-    salt: int = 1, parts: np.ndarray | None = None, drop_content: bool = False,
+    salt: int = 1, parts: np.ndarray | None = None, drop_content: bool = True,
     post_filter=None, metrics=None, model_factory=None,
 ) -> pa.Table:
     """A wave's whole per-batch work as one stateless task: the part id,
     the part filter (``parts``, sorted int32 ids to keep; None keeps all),
-    a scrubbing ``CascadeScorer`` over this process's cached model, the
-    language-code projection and ``post_filter``.  ``metrics`` is the
+    a scrubbing ``CascadeScorer`` over this process's cached model (it
+    drops ``content`` unless ``drop_content`` is False), the language-code
+    projection and ``post_filter``.  ``metrics`` is the
     current run's live-metrics actor handle (or None); the batch's gate
     decisions are sent to it fire-and-forget."""
     batch = add_partition(batch, num_parts=num_parts, salt=salt)

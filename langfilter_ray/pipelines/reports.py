@@ -32,9 +32,9 @@ def corpus_for(sf_dir: str) -> str:
 
 
 def quality_filter_labels(sf_dir: str) -> ray.data.Dataset:
-    """The flagship pipeline's label output (content columns dropped so the
-    result is compact; the full output is what run_with_checkpoints
-    writes)."""
+    """The flagship pipeline's label output (the scrubbed text and snippet
+    are left out so the result is compact; run_with_checkpoints commits
+    them with the labels)."""
     cfg = PipelineConfig()
     ds = build_pipeline(read_corpus(corpus_for(sf_dir)), cfg)
     return ds.select_columns(
@@ -204,7 +204,7 @@ def corpus_clean(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Min
 
     cfg = DEFAULT_CONFIG
-    ds = build_pipeline(read_corpus(corpus_for(sf_dir)), cfg, drop_content=True)
+    ds = build_pipeline(read_corpus(corpus_for(sf_dir)), cfg)
     SEP = "\x00"
 
     def kept_min(t: pa.Table) -> pa.Table:
@@ -335,7 +335,8 @@ def _manifest_intermediate(corpus: str) -> str:
     if marker.exists():
         return str(out)
 
-    ds = build_pipeline(read_corpus(corpus), cfg)
+    # keeps ``content``: kept_tokens counts raw tokens, not scrubbed ones
+    ds = build_pipeline(read_corpus(corpus), cfg, drop_content=False)
 
     def kept_tokens(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["keep"], True))

@@ -1060,8 +1060,9 @@ def domain_mix_weights(sf_dir: str) -> ray.data.Dataset:
             "n_tokens": agg["n_tokens"].astype("int64"),
             # a token-less source gets weight 0 (CASE-matched in the SQL)
             # rather than an engine-dependent division by zero
-            "mix_weight": np.where(
-                toks > 0, np.float64(total) / (n_sources * toks), 0.0
+            "mix_weight": np.divide(
+                np.float64(total), n_sources * toks,
+                out=np.zeros(len(toks)), where=toks > 0,
             ),
         }
     )

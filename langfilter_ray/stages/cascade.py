@@ -116,7 +116,10 @@ class CascadeScorer:
     (one 2 GB/500k-row hop saved); with ``drop_content=True`` the original
     ``content`` column is dropped after scrubbing — the product is the
     scrubbed content + labels, exactly like the reference stores results
-    and snippets rather than input audio (runner.py:129-165)."""
+    and snippets rather than input audio (runner.py:129-165).  The
+    pipeline's task (``quality_filter._cascade_task``) drops it by
+    default, so the raw text never leaves the scorer task; this class
+    keeps it by default, for callers that score a batch in process."""
 
     def __init__(
         self,

@@ -2,15 +2,19 @@
 "heavy enrichment on survivors" step, analog of the reference running the
 expensive snippet transcription only on accepted rows, runner.py:92-108).
 
-Implementation: the batch is split by the ``keep`` flag; the kept slice
-runs the whole rule chain through ``pyarrow.compute.replace_substring_regex``
-(RE2, fully vectorized — byte-identical to the Python ``re`` oracle, which
-is asserted by tests/test_property_parity.py), plus per-rule change flags
-(a rule's flag is set when it changed the text, as in ``scrub_text``) and
-a sha256 of the scrubbed text; the dropped slice gets null scrub columns.
-The two slices are re-concatenated — row order within a batch changes, but
-the pipeline is order-free (results are keyed by (repo, path, commit);
-SURVEY.md §2.10).
+Implementation: only the kept rows' ``content`` is taken
+(``pc.filter``); no other column and no dropped row is copied.  One RE2
+``match_substring_regex`` over the union of the ``SCRUB_RULES`` patterns
+prefilters the kept text.  A row that matches no pattern is changed by no
+rule (each rule then sees the unchanged text), so its text passes through
+as is and all its flags are False.  The rows that match run the whole
+rule chain through ``pyarrow.compute.replace_substring_regex`` (RE2,
+fully vectorized — byte-identical to the Python ``re`` oracle, which is
+asserted by tests/test_property_parity.py) with per-rule change flags (a
+rule's flag is set when it changed the text, as in ``scrub_text``).
+Every kept row gets a sha256 and a snippet of its scrubbed text.
+``pc.replace_with_mask`` puts each column back in input row order: a
+dropped row gets null text, sha256 and snippet and all-False flags.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,11 +31,21 @@ from ..functions.textproc import truncate_to_words
 
 PII_FLAGS_TYPE = pa.struct([(name, pa.bool_()) for name, _, _ in SCRUB_RULES])
 
+# matches a text iff at least one rule's pattern does (RE2 scopes an
+# inline flag such as pii_secret's ``(?i)`` to its group)
+_ANY_RULE = "|".join(f"(?:{pat})" for _, pat, _ in SCRUB_RULES)
 
-def _scrub_kept(table: pa.Table) -> pa.Table:
+
+def scrub_batch(batch: pa.Table) -> pa.Table:
+    """map_batches function: append the scrub columns in input row order,
+    scrubbed for kept rows, null text and False flags for dropped rows."""
+    n = batch.num_rows
+    keep = batch["keep"].combine_chunks()
     # large_string first: combining ``string`` chunks past 2 GiB of text
     # overflows its 32-bit offsets
-    cur = table["content"].cast(pa.large_string()).combine_chunks()
+    kept = pc.filter(batch["content"].cast(pa.large_string()), keep).combine_chunks()
+    hit = pc.fill_null(pc.match_substring_regex(kept, _ANY_RULE), False)
+    cur = pc.filter(kept, hit)
     flags = []
     for _, pat, repl in SCRUB_RULES:
         new = pc.replace_substring_regex(cur, pat, repl)
@@ -38,9 +53,10 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
         # not merely matched it (a literal "<SECRET>" rebuilds itself)
         flags.append(pc.not_equal(cur, new))
         cur = new
+    scrubbed = pc.replace_with_mask(kept, hit, cur)
 
     # to_numpy + tolist: to_pylist would box every element as a Scalar first
-    scrubbed_texts = cur.to_numpy(zero_copy_only=False).tolist()
+    scrubbed_texts = scrubbed.to_numpy(zero_copy_only=False).tolist()
     sha = pa.array(
         [
             hashlib.sha256(s.encode("utf-8")).hexdigest() if s is not None else None
@@ -58,41 +74,23 @@ def _scrub_kept(table: pa.Table) -> pa.Table:
         ],
         pa.string(),
     )
-    scrubbed_any = functools.reduce(pc.or_, flags)
-    pii = pa.StructArray.from_arrays(flags, fields=list(PII_FLAGS_TYPE))
-    out = table
-    out = out.append_column("scrubbed_content", cur)
-    out = out.append_column("content_sha256", sha)
-    out = out.append_column("snippet", snippets)
-    out = out.append_column("pii_flags", pii)
-    out = out.append_column("scrubbed", scrubbed_any)
-    return out
 
-
-def _null_scrub(table: pa.Table) -> pa.Table:
-    n = len(table)
-    out = table
-    out = out.append_column("scrubbed_content", pa.nulls(n, pa.large_string()))
-    out = out.append_column("content_sha256", pa.nulls(n, pa.string()))
-    out = out.append_column("snippet", pa.nulls(n, pa.string()))
+    no = pa.array(np.zeros(n, dtype=bool))
+    chained = pc.replace_with_mask(no, keep, hit)   # the rows that ran the chain
+    flags = [pc.replace_with_mask(no, chained, f) for f in flags]
+    out = batch
     out = out.append_column(
-        "pii_flags",
-        pa.array([{name: False for name, _, _ in SCRUB_RULES}] * n, PII_FLAGS_TYPE),
+        "scrubbed_content",
+        pc.replace_with_mask(pa.nulls(n, pa.large_string()), keep, scrubbed),
     )
-    out = out.append_column("scrubbed", pa.array([False] * n, pa.bool_()))
+    out = out.append_column(
+        "content_sha256", pc.replace_with_mask(pa.nulls(n, pa.string()), keep, sha)
+    )
+    out = out.append_column(
+        "snippet", pc.replace_with_mask(pa.nulls(n, pa.string()), keep, snippets)
+    )
+    out = out.append_column(
+        "pii_flags", pa.StructArray.from_arrays(flags, fields=list(PII_FLAGS_TYPE))
+    )
+    out = out.append_column("scrubbed", functools.reduce(pc.or_, flags))
     return out
-
-
-def scrub_batch(batch: pa.Table) -> pa.Table:
-    """map_batches function: scrub kept rows, null columns for dropped."""
-    keep = batch["keep"]
-    kept = batch.filter(keep)
-    dropped = batch.filter(pc.invert(keep))
-    parts = []
-    if len(kept):
-        parts.append(_scrub_kept(kept))
-    if len(dropped):
-        parts.append(_null_scrub(dropped))
-    if not parts:
-        return _null_scrub(batch)
-    return pa.concat_tables(parts)

@@ -26,7 +26,9 @@ Ray bundles the scorer's blocks into write tasks of at least
 holds, so a part has about (the wave's rows) / ``WRITE_MIN_ROWS`` files
 (one for any wave below that).  The manifest counters come from the
 tables the write tasks wrote, merged on the driver; a committed part is
-never read back to count it.
+never read back to count it.  A committed part holds the labels and the
+scrubbed text, never the input ``content``; a resume over parts that
+hold it refuses (``_check_columns``).
 
 Ledgers: ``_manifest.jsonl``, the partition-layout record
 ``_layout.jsonl`` and the ingest queue ``_ingested.jsonl`` are read only
@@ -49,6 +51,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 import ray
 from ray.data import Datasink
 from ray.data.block import BlockAccessor
@@ -151,6 +154,25 @@ def _check_layout(
             "layout change, which re-commits rows under new part ids "
             "(use a fresh output directory)"
         )
+
+
+def _check_columns(out_dir: Path, done: set[int]) -> None:
+    """A wave commits no ``content`` column.  Parts committed before the
+    wave dropped it hold the raw text, and a resume would mix the two
+    schemas in one directory, so the schema of one committed part file
+    decides.  Empty marker parts have no file; a directory with none to
+    read is not checked."""
+    for part in sorted(done):
+        first = next((out_dir / f"part={part}").glob("*.parquet"), None)
+        if first is None:
+            continue
+        if "content" in pq.read_schema(first).names:
+            raise RuntimeError(
+                f"{first} holds a raw content column, which this run does "
+                "not commit; refusing to resume across the column change "
+                "(use a fresh output directory)"
+            )
+        return
 
 
 def _check_run_args(
@@ -307,6 +329,7 @@ def run_with_checkpoints(
     # sources exactly like a config change would
     cfg_hash = cfg.config_hash() + _model_tag(model_factory) + config_tag
     done = completed_parts(out_dir, expect_config_hash=cfg_hash)
+    _check_columns(out_dir, done)
     _check_layout(out_dir, bool(done), num_parts, salt)
     remaining = [p for p in range(num_parts) if p not in done]
     fingerprint = _input_fingerprint(files)

@@ -36,7 +36,7 @@ def _work(task_id: int) -> int:
     from langfilter_ray.pipelines.quality_filter import _cascade_task
 
     batch = gen_table(ROWS_PER_TASK, start=task_id * ROWS_PER_TASK)
-    out = _cascade_task(batch, cfg=DEFAULT_CONFIG, drop_content=True)
+    out = _cascade_task(batch, cfg=DEFAULT_CONFIG)
     return out.num_rows
 
 
@@ -51,7 +51,7 @@ def _init_worker(barrier) -> None:
     from langfilter_ray.corpus import gen_table
     from langfilter_ray.pipelines.quality_filter import _cascade_task
 
-    _cascade_task(gen_table(64, start=0), cfg=DEFAULT_CONFIG, drop_content=True)
+    _cascade_task(gen_table(64, start=0), cfg=DEFAULT_CONFIG)
     barrier.wait()
 
 

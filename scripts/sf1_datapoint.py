@@ -123,14 +123,9 @@ def main() -> None:
     out = "/tmp/langfilter_sf1_out"
     shutil.rmtree(out, ignore_errors=True)
     # untimed warm-up pass (worker spawn + imports), as bench.py does
-    build_pipeline(
-        read_corpus(str(corpus)).limit(20_000), DEFAULT_CONFIG,
-        drop_content=True,
-    ).count()
+    build_pipeline(read_corpus(str(corpus)).limit(20_000), DEFAULT_CONFIG).count()
     t0 = time.time()
-    build_pipeline(
-        read_corpus(str(corpus)), DEFAULT_CONFIG, drop_content=True
-    ).write_parquet(out)
+    build_pipeline(read_corpus(str(corpus)), DEFAULT_CONFIG).write_parquet(out)
     dt = time.time() - t0
     results["flagship_sec"] = round(dt, 1)
     results["flagship_rows"] = args.corpus_rows

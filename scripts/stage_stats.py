@@ -53,8 +53,7 @@ def main() -> None:
         )
         from langfilter_ray.pipelines.reports import corpus_for
 
-        ds = build_pipeline(read_corpus(corpus_for(sf_dir)), DEFAULT_CONFIG,
-                            drop_content=True)
+        ds = build_pipeline(read_corpus(corpus_for(sf_dir)), DEFAULT_CONFIG)
         out = "/tmp/langfilter_stats_out"
         import shutil
 

@@ -5,11 +5,26 @@ env flags, tests/conftest.py:24; here the analog is one local Ray)."""
 from __future__ import annotations
 
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+# Each test's node id, appended (and flushed by the close) before the test
+# runs: when a run stops without a summary, the last line names the test
+# it stopped in.
+STARTED_LOG = Path(tempfile.gettempdir()) / "langfilter_tests_started.log"
+
+
+def pytest_sessionstart(session):
+    STARTED_LOG.write_text("")
+
+
+def pytest_runtest_logstart(nodeid, location):
+    with open(STARTED_LOG, "a") as fh:
+        fh.write(nodeid + "\n")
 
 
 @pytest.fixture(scope="session")

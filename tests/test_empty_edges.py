@@ -266,6 +266,22 @@ def test_domain_mix_weights_zero_token_source(empty_sf):
     assert list(want["mix_weight"]) == [0.0]
 
 
+def test_domain_mix_weights_token_less_input_warns_nothing(empty_sf):
+    """An input whose every source has no token divides nothing by zero:
+    the weights are 0 and numpy raises no RuntimeWarning."""
+    import warnings
+
+    from langfilter_ray.pipelines import text_analysis
+
+    # RuntimeWarning only: "error" for every class would turn Ray's own
+    # ResourceWarning at dataset shutdown into an unraisable exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = text_analysis.domain_mix_weights(empty_sf).to_pandas()
+    assert list(got["n_tokens"]) == [0]
+    assert list(got["mix_weight"]) == [0.0]
+
+
 def test_probe_lookup_empty_dim_all_null(ray_session):
     """An empty dimension table must probe to all-None, not IndexError
     (review r3 finding)."""

@@ -78,13 +78,23 @@ def test_scrubbed_sha256_matches_golden(pipeline_output, golden_labels):
     assert (gold == ray_sha).all()
 
 
-def test_scrub_flags_match_oracle_on_golden_corpus(pipeline_output, golden_labels):
+def test_scrub_flags_match_oracle_on_golden_corpus(
+    pipeline_output, golden_labels, unit_corpus_dir
+):
     """Each kept row's per-rule flags are the spec's (``scrub_text``: the
     rule changed the text), ``scrubbed`` is their OR and equals the golden
-    label; dropped rows carry all-False flags."""
+    label; dropped rows carry all-False flags.  The pipeline does not
+    output the input text, so it is joined from the corpus by key."""
+    import pyarrow.dataset as pads
+
     from langfilter_ray.functions.scrub import RULE_NAMES, scrub_text
 
-    m = _joined(pipeline_output, golden_labels)
+    assert "content" not in pipeline_output.columns
+    corpus = pads.dataset(unit_corpus_dir, format="parquet").to_table(
+        columns=KEY + ["content"]
+    ).to_pandas()
+    m = _joined(pipeline_output, golden_labels).merge(corpus, on=KEY, how="inner")
+    assert len(m) == len(golden_labels)
     assert (m["scrubbed_gold"] == m["scrubbed_ray"]).all()
     assert m["scrubbed_ray"].any()
     for row in m.itertuples():
